@@ -295,7 +295,11 @@ def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_ids,
             except (OSError, MalformedElf, UnsupportedElf) as exc:
                 report.warnings.append(f"{resolved}: {exc}")
                 continue
-            versions = symver.library_versions(lib, labels)
+            try:
+                versions = symver.library_versions(lib, labels)
+            except symver.MalformedVerdef as exc:
+                report.warnings.append(f"{resolved}: {exc}")
+                continue
             if versions:
                 for lv in versions:
                     report.dynlib_findings.append(DynlibFinding(
@@ -309,12 +313,10 @@ def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_ids,
 def _md5_lookup(db: sigdb.Database, lib: elf.ElfImage, resolved: str) -> DynlibFinding:
     text = elf.get_section(lib, ".text")
     if text is not None:
-        digest = hashlib.md5(text.data).hexdigest()
-        for _, sig, owner in db.iter_signatures():
-            if (sig.kind == siggen.KIND_MD5 and sig.digest == digest
-                    and sig.text_size == len(text.data)):
-                return DynlibFinding(library=resolved, method=METHOD_MD5,
-                                     name=owner.package, version=owner.version)
+        owner = db.md5_owners.get((hashlib.md5(text.data).hexdigest(), len(text.data)))
+        if owner is not None:
+            return DynlibFinding(library=resolved, method=METHOD_MD5,
+                                 name=owner.package, version=owner.version)
     return DynlibFinding(library=resolved, method=METHOD_UNKNOWN, name="", version="")
 
 

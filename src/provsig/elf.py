@@ -382,6 +382,8 @@ def parse_archive(data: bytes) -> list[ArchiveMember]:
             size = int(header[48:58].decode("ascii").strip())
         except (UnicodeDecodeError, ValueError) as exc:
             raise MalformedArchive(f"bad member size at offset {pos}") from exc
+        if size < 0:
+            raise MalformedArchive(f"negative member size at offset {pos}")
         body_start = pos + 60
         if body_start + size > len(data):
             raise MalformedArchive(f"truncated member data for {raw_name!r}")

@@ -1,19 +1,26 @@
 """Multi-pattern scanning engine for hex signatures.
 
 All signatures are compiled into a single Aho-Corasick automaton and a
-buffer is scanned in one pass.  The automaton is keyed on each
-signature's *anchor*: its longest wildcard-free byte run.  When an
-anchor fires, the candidate start position is derived from the anchor's
-offset inside the pattern and the full pattern is verified there
-(literals must equal buffer bytes, ``??`` positions and gap ranges are
-skipped).  Because pattern gaps have exact lengths, every pattern
-occupies a fixed span, which keeps both the anchor arithmetic and the
-verification trivial.
+buffer is scanned in one pass.  Each signature has an *anchor*: its
+longest wildcard-free byte run, earliest run on ties.  The automaton is
+keyed not on the whole anchor but on a *key*: a ``KEY_LEN``-byte window
+inside it (an anchor shorter than that is its own key).  Candidate
+windows start every ``KEY_LEN`` bytes of the anchor, plus the anchor's
+last window; the candidate contained in the fewest of the engine's
+anchors wins, earliest on ties, so a prologue or padding window shared
+by many signatures is not chosen while a rarer one exists.  When a key
+fires, the candidate start position is derived from the key's offset
+inside the pattern and the full pattern is verified there (literals
+must equal buffer bytes, ``??`` positions and gap ranges are skipped).
+Every occurrence of a pattern contains its key, so keying on a window
+loses no match; it only bounds the trie depth.  Because pattern gaps
+have exact lengths, every pattern occupies a fixed span, which keeps
+both the key arithmetic and the verification trivial.
 
 The trie mirrors the classic two-level 256-way layout: the root and
 every depth-1 node carry a dense, failure-resolved 256-entry transition
 row; deeper nodes keep sparse child maps and fall back through failure
-links.  Anchors are at least two bytes, so every anchor terminates at
+links.  Keys are at least two bytes, so every key terminates at
 depth >= 2.
 
 ``scan_once`` reports every verified occurrence of every signature,
@@ -25,10 +32,12 @@ pass per match.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 
 from provsig.siggen import KIND_HEX, HexPattern, Signature
+
+KEY_LEN = 16
 
 
 class UnanchorableSignature(ValueError):
@@ -76,17 +85,19 @@ def _make_matchset(matches) -> MatchSet:
 class CompiledEngine:
     """Immutable compiled automaton; safe to share across threads.
 
-    Build with :func:`compile`.  ``patterns`` and ``anchors`` expose,
-    per signature, the source pattern and the chosen (anchor bytes,
-    span offset) pair.
+    Build with :func:`compile`.  ``patterns``, ``anchors`` and ``keys``
+    expose, per signature, the source pattern, the (anchor bytes, span
+    offset) pair and the (key bytes, span offset) pair the trie holds.
     """
 
-    __slots__ = ("patterns", "anchors", "_dense", "_ndense", "_children",
+    __slots__ = ("patterns", "anchors", "keys", "_dense", "_ndense", "_children",
                  "_fail", "_out", "_verify")
 
-    def __init__(self, patterns, anchors, dense, ndense, children, fail, out, verify):
+    def __init__(self, patterns, anchors, keys, dense, ndense, children, fail, out,
+                 verify):
         self.patterns: tuple[HexPattern, ...] = patterns
         self.anchors: tuple[tuple[bytes, int], ...] = anchors
+        self.keys: tuple[tuple[bytes, int], ...] = keys
         self._dense = dense
         self._ndense = ndense
         self._children = children
@@ -98,7 +109,8 @@ class CompiledEngine:
 def compile(signatures: list[Signature]) -> CompiledEngine:
     """Build one engine from hex signatures.
 
-    The anchor is the longest literal run, earliest run winning ties.
+    The anchor is the longest literal run, earliest run winning ties;
+    the trie is keyed on a window of it chosen by :func:`_choose_keys`.
     Raises DuplicateSignatureName on a repeated name and
     UnanchorableSignature if a pattern has no 2+ byte literal run
     (generated patterns never do; this guards hand-written input).
@@ -120,74 +132,95 @@ def compile(signatures: list[Signature]) -> CompiledEngine:
         patterns.append(sig.pattern)
         anchors.append((anchor, anchor_off))
         verify.append((sig.pattern.fixed_span, tuple(runs)))
+    keys = _choose_keys(anchors)
 
-    # goto trie over the anchors
+    # goto trie over the keys, built one depth at a time in sorted key
+    # order, which numbers the states breadth-first with siblings
+    # adjacent: the dense depth-1 states get the low ids, every failure
+    # target has a lower id than its source, and the states a scan walks
+    # together sit close in memory (built in key-index order instead, the
+    # trie scanned code-like bytes about 15% slower)
     children: list[dict[int, int]] = [{}]
-    depth: list[int] = [0]
+    parent_byte: list[tuple[int, int]] = [(-1, -1)]
     payload: list[list[tuple[int, int, int]]] = [[]]
-    for idx, (anchor, anchor_off) in enumerate(anchors):
-        node = 0
-        for byte in anchor:
-            nxt = children[node].get(byte)
-            if nxt is None:
-                nxt = len(children)
-                children[node][byte] = nxt
+    at = [0] * len(keys)
+    by_key = sorted(range(len(keys)), key=lambda i: keys[i][0])
+    for depth in range(max((len(key) for key, _ in keys), default=0)):
+        for idx in by_key:
+            key, key_off = keys[idx]
+            if depth >= len(key):
+                continue
+            parent = at[idx]
+            byte = key[depth]
+            node = children[parent].get(byte)
+            if node is None:
+                node = len(children)
+                children[parent][byte] = node
                 children.append({})
-                depth.append(depth[node] + 1)
+                parent_byte.append((parent, byte))
                 payload.append([])
-            node = nxt
-        payload[node].append((idx, len(anchor), anchor_off))
+            at[idx] = node
+            if depth + 1 == len(key):
+                payload[node].append((idx, len(key), key_off))
 
-    # renumber breadth-first so dense states occupy the low ids
-    order: list[int] = [0]
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for child in children[node].values():
-            order.append(child)
-            queue.append(child)
-    old_to_new = {old: new for new, old in enumerate(order)}
-    n = len(order)
-    new_children: list[dict[int, int]] = [
-        {b: old_to_new[c] for b, c in children[old].items()} for old in order]
-    new_depth = [depth[old] for old in order]
-    new_payload = [payload[old] for old in order]
-
-    # failure links and output propagation, in BFS (= id) order
+    # failure links and output propagation, in id order
+    n = len(children)
+    ndense = 1 + len(children[0])
     fail = [0] * n
     out: list[tuple[tuple[int, int, int], ...]] = [()] * n
-    parent_byte: list[tuple[int, int]] = [(-1, -1)] * n
-    for node in range(n):
-        for byte, child in new_children[node].items():
-            parent_byte[child] = (node, byte)
-    out[0] = tuple(new_payload[0])
-    for node in range(1, n):
+    for node in range(ndense, n):
         parent, byte = parent_byte[node]
-        if new_depth[node] == 1:
-            fail[node] = 0
-        else:
-            f = fail[parent]
-            while True:
-                nxt = new_children[f].get(byte)
-                if nxt is not None:
-                    fail[node] = nxt
-                    break
-                if f == 0:
-                    fail[node] = 0
-                    break
-                f = fail[f]
-        out[node] = tuple(new_payload[node]) + out[fail[node]]
+        f = fail[parent]
+        while True:
+            nxt = children[f].get(byte)
+            if nxt is not None:
+                fail[node] = nxt
+                break
+            if f == 0:
+                break
+            f = fail[f]
+        out[node] = tuple(payload[node]) + out[fail[node]]
 
     # dense failure-resolved rows for the two top levels
-    ndense = 1 + sum(1 for d in new_depth if d == 1)
-    root_row = [new_children[0].get(b, 0) for b in range(256)]
+    root_row = [children[0].get(b, 0) for b in range(256)]
     dense = [root_row]
     for node in range(1, ndense):
-        row = new_children[node]
+        row = children[node]
         dense.append([row.get(b) if b in row else root_row[b] for b in range(256)])
 
-    return CompiledEngine(tuple(patterns), tuple(anchors), dense, ndense,
-                          new_children, fail, out, tuple(verify))
+    return CompiledEngine(tuple(patterns), tuple(anchors), keys, dense, ndense,
+                          children, fail, out, tuple(verify))
+
+
+def _key_offsets(anchor_len: int) -> list[int]:
+    """Offsets of the candidate key windows inside an anchor."""
+    last = anchor_len - KEY_LEN
+    if last <= 0:
+        return [0]
+    offsets = list(range(0, last, KEY_LEN))
+    offsets.append(last)
+    return offsets
+
+
+def _choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
+    """Per anchor, the (key bytes, span offset) the trie is built on.
+
+    The key is the candidate window contained in the fewest anchors,
+    earliest on ties; an anchor up to ``KEY_LEN`` bytes is its own key.
+    """
+    candidates = {anchor[off:off + KEY_LEN]
+                  for anchor, _ in anchors if len(anchor) > KEY_LEN
+                  for off in _key_offsets(len(anchor))}
+    containing: Counter[bytes] = Counter()
+    for anchor, _ in anchors:
+        windows = {anchor[i:i + KEY_LEN] for i in range(len(anchor) - KEY_LEN + 1)}
+        containing.update(windows & candidates)
+    keys = []
+    for anchor, anchor_off in anchors:
+        key_off = min(_key_offsets(len(anchor)),
+                      key=lambda off: containing[anchor[off:off + KEY_LEN]])
+        keys.append((anchor[key_off:key_off + KEY_LEN], anchor_off + key_off))
+    return tuple(keys)
 
 
 def scan_once(engine: CompiledEngine, buffer) -> MatchSet:

@@ -14,7 +14,8 @@ Line 1 is the format magic.  Header lines are ``key value`` pairs;
 Every other non-blank, non-``#`` line is one signature:
 ``name:target:kind:payload`` with target in {text, comment, dynlib} and
 kind in {hex, md5}.  A hex payload is lowercase hex pairs with ``??``
-and ``{n}`` inline; an md5 payload is ``digest:textsize``.  Signature
+and ``{n}`` inline; an md5 payload is ``digest:textsize``.  Gap lengths
+and text sizes are ASCII digits.  Signature
 lines are parsed right-anchored on the fixed kind/target vocabulary, so
 generated names containing colons round-trip.
 """
@@ -22,6 +23,7 @@ generated names containing colons round-trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from provsig.siggen import (
@@ -80,6 +82,16 @@ class Database:
     def iter_signatures(self):
         for sig_id, (file_idx, sig_idx) in enumerate(self.index):
             yield sig_id, self.files[file_idx].signatures[sig_idx], self.files[file_idx]
+
+    @cached_property
+    def md5_owners(self) -> dict[tuple[str, int], SignatureFile]:
+        """(digest, text size) of each md5 record -> the file holding the
+        first such record in load order."""
+        owners: dict[tuple[str, int], SignatureFile] = {}
+        for _, sig, owner in self.iter_signatures():
+            if sig.kind == KIND_MD5:
+                owners.setdefault((sig.digest, sig.text_size), owner)
+        return owners
 
 
 def _check_writable(sf: SignatureFile) -> None:
@@ -176,12 +188,16 @@ def _parse_signature_line(line: str, lineno: int) -> Signature:
             raise MalformedSigFile(f"line {lineno}: bad md5 target {target!r}")
         if len(digest) != _MD5_DIGEST_LEN or any(c not in "0123456789abcdef" for c in digest):
             raise MalformedSigFile(f"line {lineno}: bad md5 digest {digest!r}")
-        if not size_text.isdigit():
+        if not (size_text.isascii() and size_text.isdigit()):
             raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}")
+        try:
+            text_size = int(size_text)
+        except ValueError as exc:  # more digits than int() converts
+            raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}") from exc
         if not name:
             raise MalformedSigFile(f"line {lineno}: empty signature name")
         return Signature(name=name, target=target, kind=KIND_MD5,
-                         digest=digest, text_size=int(size_text))
+                         digest=digest, text_size=text_size)
     raise MalformedSigFile(f"line {lineno}: unrecognized signature line")
 
 

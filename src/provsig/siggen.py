@@ -19,7 +19,10 @@ joined by exact-length gaps so the overall layout is preserved.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 
 from provsig import elf
 from provsig.elf import ArchiveMember, ElfImage, RelocationEntry, Section
@@ -89,28 +92,27 @@ class HexPattern:
     @property
     def fixed_span(self) -> int:
         """Total bytes the pattern occupies in a buffer, gaps included."""
-        return sum(e.length if isinstance(e, Gap) else 1 for e in self.elements)
+        return self._layout[1]
 
     def literal_runs(self) -> list[tuple[int, bytes]]:
         """Maximal runs of consecutive literals as (span offset, bytes)."""
+        return list(self._layout[0])
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[tuple[int, bytes], ...], int]:
+        """Literal runs and fixed span, one step per run of same-type elements."""
         runs: list[tuple[int, bytes]] = []
         pos = 0
-        start = 0
-        current = bytearray()
-        for element in self.elements:
-            if isinstance(element, int):
-                if not current:
-                    start = pos
-                current.append(element)
-                pos += 1
+        for kind, group in groupby(self.elements, key=type):
+            if kind is int:
+                run = bytes(group)
+                runs.append((pos, run))
+                pos += len(run)
+            elif kind is Gap:
+                pos += sum(gap.length for gap in group)
             else:
-                if current:
-                    runs.append((start, bytes(current)))
-                    current = bytearray()
-                pos += element.length if isinstance(element, Gap) else 1
-        if current:
-            runs.append((start, bytes(current)))
-        return runs
+                pos += sum(1 for _ in group)
+        return tuple(runs), pos
 
 
 @dataclass(frozen=True)
@@ -368,44 +370,49 @@ def pattern_to_text(pattern: HexPattern, spaced: bool = False) -> str:
     return (" " if spaced else "").join(tokens)
 
 
+_PATTERN_TOKEN = re.compile(
+    r" *(?:(?P<hex>[0-9a-f][0-9a-f ]*)"
+    r"|(?P<any>\?\?(?: *\?\?)*)"
+    r"|\{(?P<gap>[0-9]+)\})")
+
+
 def parse_pattern_text(text: str) -> HexPattern:
-    """Inverse of :func:`pattern_to_text`; accepts optional single spaces
-    between tokens."""
+    """Inverse of :func:`pattern_to_text`; accepts optional spaces
+    between tokens.
+
+    Tokens are runs of hex pairs, runs of ``??`` and ``{n}`` gaps, with
+    ASCII characters only: a gap length is ASCII digits.
+    """
+    text = text.rstrip(" ")
     elements: list = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == " ":
-            i += 1
-            continue
-        if ch == "?":
-            if text[i:i + 2] != "??":
-                raise PatternSyntaxError("lone '?' in pattern")
-            elements.append(ANY)
-            i += 2
-        elif ch == "{":
-            close = text.find("}", i)
-            if close == -1:
-                raise PatternSyntaxError("unterminated gap")
-            digits = text[i + 1:close]
-            if not digits.isdigit():
-                raise PatternSyntaxError(f"bad gap length {digits!r}")
-            length = int(digits)
+    pos = 0
+    while pos < len(text):
+        token = _PATTERN_TOKEN.match(text, pos)
+        if token is None:
+            raise PatternSyntaxError(f"bad token at offset {pos}: {text[pos:pos + 12]!r}")
+        hex_run, any_run, digits = token.groups()
+        if hex_run is not None:
+            try:  # hex pairs with optional spaces between pairs
+                elements.extend(bytes.fromhex(hex_run))
+            except ValueError as exc:
+                raise PatternSyntaxError(f"bad hex run {hex_run.strip()!r}") from exc
+        elif any_run is not None:
+            elements.extend((ANY,) * (any_run.count("?") // 2))
+        else:
+            try:
+                length = int(digits)
+            except ValueError as exc:  # more digits than int() converts
+                raise PatternSyntaxError(f"bad gap length {digits!r}") from exc
             if length < 1:
                 raise PatternSyntaxError("gap length must be >= 1")
+            if not elements:
+                raise PatternSyntaxError("pattern must not start or end with a gap")
+            if isinstance(elements[-1], Gap):
+                raise PatternSyntaxError("adjacent gaps")
             elements.append(Gap(length))
-            i = close + 1
-        else:
-            pair = text[i:i + 2]
-            if len(pair) < 2 or any(c not in "0123456789abcdef" for c in pair):
-                raise PatternSyntaxError(f"bad hex byte {pair!r}")
-            elements.append(int(pair, 16))
-            i += 2
+        pos = token.end()
     if not elements:
         raise PatternSyntaxError("empty pattern")
-    if isinstance(elements[0], Gap) or isinstance(elements[-1], Gap):
+    if isinstance(elements[-1], Gap):
         raise PatternSyntaxError("pattern must not start or end with a gap")
-    for a, b in zip(elements, elements[1:]):
-        if isinstance(a, Gap) and isinstance(b, Gap):
-            raise PatternSyntaxError("adjacent gaps")
     return HexPattern(tuple(elements))

@@ -25,6 +25,7 @@ from elfwriter import (
     build_executable,
     build_object,
     build_shared_lib,
+    build_shared_lib_layout,
 )
 
 CALL_STUB_TEXT = bytes.fromhex(
@@ -415,6 +416,28 @@ def test_sigscan_symver_takes_precedence_over_md5(tmp_path, capsys):
     assert doc["dynlib_findings"] == [{
         "library": str(path), "method": "symver",
         "name": "GFORTRAN", "version": "1.4"}]
+
+
+def test_sigscan_corrupt_verdef_library_warns_and_batch_continues(dynlib_world, tmp_path,
+                                                                  capsys):
+    db, libdir, good_target = dynlib_world
+    layout = build_shared_lib_layout(text=b"\x44" * 32, versions=["GLIBC_2.5"])
+    verdef_off, _ = layout.section_span[".gnu.version_d"]
+    corrupt = bytearray(layout.data)
+    corrupt[verdef_off + 6:verdef_off + 8] = b"\x00\x00"  # vd_cnt = 0
+    (libdir / "libbroken.so").write_bytes(bytes(corrupt))
+    bad_target = tmp_path / "uses-broken"
+    bad_target.write_bytes(build_executable(b"\x90" * 32, needed=["libbroken.so"]))
+    rc = sigscan_main(["--db", str(db), "--search-path", str(libdir),
+                       "--format", "json", str(bad_target), str(good_target)])
+    assert rc == 0
+    bad_doc, good_doc = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert bad_doc["dynlib_findings"] == []
+    assert len(bad_doc["warnings"]) == 1
+    assert bad_doc["warnings"][0].startswith(str(libdir / "libbroken.so") + ": ")
+    assert "no name record" in bad_doc["warnings"][0]
+    assert good_doc["target"] == str(good_target)
+    assert len(good_doc["dynlib_findings"]) == 3
 
 
 def test_sigscan_custom_labels_file(dynlib_world, tmp_path, capsys):

@@ -331,6 +331,15 @@ def test_archive_truncated_member():
         parse_archive(data[:-4])
 
 
+def test_archive_negative_member_size_rejected():
+    raw = bytearray(b"!<arch>\n")
+    raw += ("a.o/".ljust(16) + "0".ljust(12) + "0".ljust(6) + "0".ljust(6)
+            + "0".ljust(8) + "-60".ljust(10)).encode() + b"`\n"
+    raw += b"x" * 60
+    with pytest.raises(MalformedArchive, match="negative"):
+        parse_archive(bytes(raw))
+
+
 def test_archive_unresolvable_long_name():
     raw = bytearray(b"!<arch>\n")
     raw += ("/99".ljust(16) + "0".ljust(12) + "0".ljust(6) + "0".ljust(6)

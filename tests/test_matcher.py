@@ -119,6 +119,62 @@ def test_patterns_differing_only_in_masked_positions_both_match():
     assert pairs == {(0, 2), (1, 2)} == naive_scan_once(patterns, buffer)
 
 
+# -- keys ----------------------------------------------------------------------
+
+def test_key_avoids_prologue_window_shared_by_many_signatures():
+    rng = random.Random(3)
+    prologue = bytes.fromhex("f30f1efa554889e54883ec2048897de8")
+    anchors = [prologue + rng.randbytes(20) for _ in range(10)]
+    sigs = [_sig(f"f{i}", (0x90, ANY) + tuple(a)) for i, a in enumerate(anchors)]
+    engine = matcher.compile(sigs)
+    assert matcher.KEY_LEN == 16
+    for (anchor, anchor_off), (key, key_off), expected in zip(
+            engine.anchors, engine.keys, anchors):
+        assert (anchor, anchor_off) == (expected, 2)
+        assert (key, key_off) == (expected[16:32], 18)
+    buffer = b"\x90\x00" + anchors[3] + prologue * 3 + b"\x90\xff" + anchors[7]
+    found = matcher.scan_once(engine, buffer).pairs()
+    assert found == {(3, 0), (7, 38 + 48)}
+    assert found == naive_scan_once([s.pattern for s in sigs], buffer)
+
+
+@pytest.mark.parametrize("length", [2, 15, 16, 17])
+def test_key_for_short_and_boundary_anchors(length):
+    rng = random.Random(length)
+    anchor = rng.randbytes(length)
+    sig = _sig("s", (0x41, ANY) + tuple(anchor) + (ANY, 0x42))
+    engine = matcher.compile([sig])
+    assert engine.anchors[0] == (anchor, 2)
+    assert engine.keys[0] == (anchor[:16], 2)
+    instance = b"\x41\x00" + anchor + b"\x00\x42"
+    buffer = instance + rng.randbytes(50) + instance + instance[:-1]
+    found = matcher.scan_once(engine, buffer).pairs()
+    assert found == {(0, 0), (0, len(instance) + 50)}
+    assert found == naive_scan_once([sig.pattern], buffer)
+
+
+def test_key_deep_inside_anchor_matches_at_buffer_start_and_end():
+    rng = random.Random(11)
+    shared = rng.randbytes(48)
+    anchors = [shared + rng.randbytes(16) for _ in range(4)]
+    sigs = [_sig(f"d{i}", (0xAA, ANY) + tuple(a) + (ANY, 0xBB))
+            for i, a in enumerate(anchors)]
+    patterns = [s.pattern for s in sigs]
+    engine = matcher.compile(sigs)
+    assert [key_off for _, key_off in engine.keys] == [50] * 4
+    first = b"\xaa\x01" + anchors[0] + b"\x02\xbb"
+    last = b"\xaa\x03" + anchors[2] + b"\x04\xbb"
+    buffer = first + rng.randbytes(100) + last
+    expected = {(0, 0), (2, len(buffer) - len(last))}
+    assert matcher.scan_once(engine, buffer).pairs() == expected \
+        == naive_scan_once(patterns, buffer)
+    assert matcher.scan_all(engine, buffer).pairs() == expected
+    # a key hit whose pattern would start before the buffer or end past it
+    clipped = first[1:] + last[:-1]
+    assert matcher.scan_once(engine, clipped).pairs() == set() \
+        == naive_scan_once(patterns, clipped)
+
+
 # -- scan_once -----------------------------------------------------------------
 
 def test_scan_finds_stub_at_origin():

@@ -148,6 +148,36 @@ def test_parse_rejects_bad_md5_payload():
         parse_sigfile(base + b"n:dynlib:md5:" + b"a" * 32 + b":ten\n")
 
 
+@pytest.mark.parametrize("line", [
+    "n:text:hex:aabbcc{\u00b2}ddeeff",
+    "n:dynlib:md5:" + "a" * 32 + ":1\u00b2",
+    pytest.param("n:dynlib:md5:" + "a" * 32 + ":" + "1" * 5000,
+                 id="size-beyond-int-digit-limit"),
+])
+def test_parse_rejects_non_ascii_or_oversized_numbers(line, tmp_path):
+    data = ("provsig 1\npackage P\nversion 1\n" + line + "\n").encode("utf-8")
+    with pytest.raises(MalformedSigFile):
+        parse_sigfile(data)
+    _write_db(tmp_path, [("a.sig", SignatureFile("A", "1", ()))])
+    (tmp_path / "b.sig").write_bytes(data)
+    db = load_db(tmp_path)
+    assert [sf.package for sf in db.files] == ["A"]
+    assert len(db.warnings) == 1 and "b.sig" in db.warnings[0]
+
+
+def test_md5_owners_first_record_in_load_order_wins(tmp_path):
+    digest = "ab" * 16
+    _write_db(tmp_path, [
+        ("a.sig", SignatureFile("A", "1", (_md5_sig("x.so", digest, 10),))),
+        ("b.sig", SignatureFile("B", "2", (_md5_sig("y.so", digest, 10),
+                                           _md5_sig("z.so", digest, 11)))),
+    ])
+    owners = load_db(tmp_path).md5_owners
+    assert owners[(digest, 10)].package == "A"
+    assert owners[(digest, 11)].package == "B"
+    assert len(owners) == 2
+
+
 def test_parse_skips_comments_blanks_and_unknown_keys():
     data = (b"provsig 1\n# generated by siggen\npackage P\n\n"
             b"flavor extended\nversion 2\nn:text:hex:aabb\n")

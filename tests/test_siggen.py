@@ -37,6 +37,7 @@ from provsig.siggen import (
     sign_shared_lib,
 )
 
+import pattern_reference
 from elfwriter import R_X86_64_PC32, Sec, build_archive, build_object, build_shared_lib
 
 CALL_STUB_TEXT = bytes.fromhex(
@@ -388,8 +389,48 @@ def test_pattern_text_round_trip():
 
 @pytest.mark.parametrize("bad", [
     "", "5", "5g", "{3}aabb", "aabb{3}", "aa{3}{4}bb", "aa{0}bb", "aa{}bb",
-    "aa{x}bb", "?a", "AA bb",
+    "aa{x}bb", "?a", "AA bb", "aabbcc{\u00b2}ddeeff", "aa{\u0663}bb", "aa{ 3}bb",
+    "a a", "??{3} ", "aa{3", "aa}3{bb",
+    pytest.param("aa{" + "1" * 5000 + "}bb", id="gap-beyond-int-digit-limit"),
 ])
 def test_pattern_text_rejects(bad):
     with pytest.raises(PatternSyntaxError):
         parse_pattern_text(bad)
+
+
+def test_pattern_text_spaces_runs_and_leading_zeros():
+    assert parse_pattern_text(" aa  bb??  ??{007} cc ") == HexPattern(
+        (0xAA, 0xBB, ANY, ANY, Gap(7), 0xCC))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:  # the reference's int() may raise a bare ValueError
+        return "rejected"
+
+
+_PATTERN_ALPHABET = "0123456789abcdefABCDEF ?{}x"
+_PATTERN_TOKENS = st.sampled_from(
+    ["aa", "0f", "c3", "??", "{1}", "{12}", "{0}", "{", "}", " ", "  ", "?",
+     "a", "F0", "{x}", "{2 }"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(alphabet=_PATTERN_ALPHABET, max_size=24),
+                 st.lists(_PATTERN_TOKENS, max_size=12).map("".join)))
+def test_parse_pattern_text_agrees_with_reference(text):
+    assert _outcome(parse_pattern_text, text) == \
+        _outcome(pattern_reference.parse_pattern_text, text)
+
+
+_ELEMENTS = st.lists(st.one_of(
+    st.integers(0, 255), st.just(ANY), st.builds(Gap, st.integers(1, 40))), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ELEMENTS)
+def test_pattern_layout_agrees_with_per_element_reference(elements):
+    pattern = HexPattern(tuple(elements))
+    assert pattern.literal_runs() == pattern_reference.literal_runs(pattern)
+    assert pattern.fixed_span == pattern_reference.fixed_span(pattern)
