@@ -27,9 +27,7 @@ from provsig.matcher import (  # noqa: F401
     CompiledEngine,
     Match,
     MatchSet,
-    match_comment,
     scan_all,
-    scan_once,
 )
 from provsig.sigdb import (  # noqa: F401
     Database,

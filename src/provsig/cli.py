@@ -247,17 +247,22 @@ def _sigscan_parser() -> _Parser:
 
 def _compile_engine(db: sigdb.Database, target: str):
     """Compile all hex signatures of one target kind into an engine plus
-    the engine-index -> database-id mapping."""
+    the engine-index -> database-id mapping.
+
+    An unanchorable signature is reported as ``sig_id:name``, since the
+    same object name can recur across packages.
+    """
     ids: list[int] = []
-    renamed: list[siggen.Signature] = []
+    signatures: list[siggen.Signature] = []
     for sig_id, sig, _ in db.iter_signatures():
-        if sig.kind != siggen.KIND_HEX or sig.target != target:
-            continue
-        ids.append(sig_id)
-        # same object names can legitimately recur across packages
-        renamed.append(siggen.Signature(name=f"{sig_id}:{sig.name}", target=sig.target,
-                                        kind=sig.kind, pattern=sig.pattern))
-    return matcher.compile(renamed), ids
+        if sig.kind == siggen.KIND_HEX and sig.target == target:
+            ids.append(sig_id)
+            signatures.append(sig)
+    try:
+        return matcher.compile(signatures), ids
+    except matcher.UnanchorableSignature as exc:
+        raise matcher.UnanchorableSignature(
+            exc.index, f"{ids[exc.index]}:{exc.name}") from None
 
 
 def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_ids,
@@ -278,7 +283,7 @@ def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_ids,
         accumulate(matcher.scan_all(text_engine, section.data), text_ids)
     comment = elf.get_section(image, ".comment")
     if comment is not None:
-        accumulate(matcher.match_comment(comment_engine, comment.data), comment_ids)
+        accumulate(matcher.scan_all(comment_engine, comment.data), comment_ids)
 
     report.package_hits = sorted(
         (PackageHit(package=pkg, version=ver, count=c, total_bytes=b)
@@ -352,7 +357,7 @@ def sigscan_main(argv=None) -> int:
     try:
         text_engine, text_ids = _compile_engine(db, siggen.TARGET_TEXT)
         comment_engine, comment_ids = _compile_engine(db, siggen.TARGET_COMMENT)
-    except (matcher.UnanchorableSignature, matcher.DuplicateSignatureName) as exc:
+    except matcher.UnanchorableSignature as exc:
         _err(f"sigscan: cannot compile database: {exc}")
         return EXIT_INPUT
 

@@ -23,11 +23,11 @@ row; deeper nodes keep sparse child maps and fall back through failure
 links.  Keys are at least two bytes, so every key terminates at
 depth >= 2.
 
-``scan_once`` reports every verified occurrence of every signature,
-overlaps included.  ``scan_all`` repeats the scan on a private copy of
-the buffer, zeroing out each newly found match, until a pass discovers
-nothing new; with exact-span patterns this converges in at most one
-pass per match.
+``scan_all`` makes that one pass, over a text section or ``.comment``
+bytes alike, and reports every verified occurrence of every signature,
+overlaps included: each (signature, start) whose bytes match is
+reported once.  It only reads the buffer, so every match it reports is
+made of the input's own bytes.
 """
 
 from __future__ import annotations
@@ -41,11 +41,16 @@ KEY_LEN = 16
 
 
 class UnanchorableSignature(ValueError):
-    """Signature whose longest literal run is under two bytes."""
+    """Signature whose longest literal run is under two bytes.
 
+    ``index`` is the signature's position in the list given to
+    :func:`compile`.
+    """
 
-class DuplicateSignatureName(ValueError):
-    """Two signatures in one engine share a name."""
+    def __init__(self, index: int, name: str):
+        super().__init__(name)
+        self.index = index
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ class Match:
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Matches deduplicated on (signature_id, start), sorted by
+    """Matches, one per (signature_id, start), sorted by
     (start, signature_id)."""
 
     matches: tuple[Match, ...]
@@ -72,14 +77,6 @@ class MatchSet:
 
     def pairs(self) -> set[tuple[int, int]]:
         return {(m.signature_id, m.start) for m in self.matches}
-
-
-def _make_matchset(matches) -> MatchSet:
-    unique: dict[tuple[int, int], Match] = {}
-    for m in matches:
-        unique.setdefault((m.signature_id, m.start), m)
-    ordered = sorted(unique.values(), key=lambda m: (m.start, m.signature_id))
-    return MatchSet(tuple(ordered))
 
 
 class CompiledEngine:
@@ -111,23 +108,19 @@ def compile(signatures: list[Signature]) -> CompiledEngine:
 
     The anchor is the longest literal run, earliest run winning ties;
     the trie is keyed on a window of it chosen by :func:`_choose_keys`.
-    Raises DuplicateSignatureName on a repeated name and
+    Names play no part; matches report list indices.  Raises
     UnanchorableSignature if a pattern has no 2+ byte literal run
     (generated patterns never do; this guards hand-written input).
     """
-    names: set[str] = set()
     patterns: list[HexPattern] = []
     anchors: list[tuple[bytes, int]] = []
     verify: list[tuple[int, tuple[tuple[int, bytes], ...]]] = []
-    for sig in signatures:
+    for index, sig in enumerate(signatures):
         if sig.kind != KIND_HEX or sig.pattern is None:
             raise ValueError(f"engine only accepts hex signatures, got {sig.kind!r}")
-        if sig.name in names:
-            raise DuplicateSignatureName(sig.name)
-        names.add(sig.name)
         runs = sig.pattern.literal_runs()
         if not runs or max(len(r[1]) for r in runs) < 2:
-            raise UnanchorableSignature(sig.name)
+            raise UnanchorableSignature(index, sig.name)
         anchor_off, anchor = max(runs, key=lambda r: len(r[1]))
         patterns.append(sig.pattern)
         anchors.append((anchor, anchor_off))
@@ -223,8 +216,9 @@ def _choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
     return tuple(keys)
 
 
-def scan_once(engine: CompiledEngine, buffer) -> MatchSet:
-    """All verified matches of all signatures in one pass over ``buffer``."""
+def scan_all(engine: CompiledEngine, buffer) -> MatchSet:
+    """Every verified occurrence of every signature, overlaps included,
+    in one pass over ``buffer``; the buffer is only read."""
     if not isinstance(buffer, (bytes, bytearray)):
         buffer = bytes(buffer)
     dense = engine._dense
@@ -234,7 +228,9 @@ def scan_once(engine: CompiledEngine, buffer) -> MatchSet:
     out = engine._out
     verify = engine._verify
     n = len(buffer)
-    hits: dict[tuple[int, int], Match] = {}
+    # a signature has one key, so at each position a state's output
+    # names it at most once and each (signature, start) is found once
+    hits: list[Match] = []
     state = 0
     for pos, byte in enumerate(buffer):
         if state < ndense:
@@ -258,33 +254,10 @@ def scan_once(engine: CompiledEngine, buffer) -> MatchSet:
                 span, chunks = verify[sig_idx]
                 if start + span > n:
                     continue
-                key = (sig_idx, start)
-                if key in hits:
-                    continue
                 for chunk_off, literal in chunks:
                     if not buffer.startswith(literal, start + chunk_off):
                         break
                 else:
-                    hits[key] = Match(sig_idx, start, span)
-    return _make_matchset(hits.values())
-
-
-def scan_all(engine: CompiledEngine, buffer) -> MatchSet:
-    """Find-all scan: accumulate matches, zero out each newly matched
-    span in a private working copy, rescan until a pass adds nothing."""
-    work = bytearray(buffer)
-    accumulated: dict[tuple[int, int], Match] = {}
-    while True:
-        new = [m for m in scan_once(engine, work)
-               if (m.signature_id, m.start) not in accumulated]
-        if not new:
-            break
-        for m in new:
-            accumulated[(m.signature_id, m.start)] = m
-            work[m.start:m.start + m.span] = bytes(m.span)
-    return _make_matchset(accumulated.values())
-
-
-def match_comment(engine: CompiledEngine, comment_bytes) -> MatchSet:
-    """Find-all scan over raw .comment bytes (same semantics as scan_all)."""
-    return scan_all(engine, comment_bytes)
+                    hits.append(Match(sig_idx, start, span))
+    hits.sort(key=lambda m: (m.start, m.signature_id))
+    return MatchSet(tuple(hits))

@@ -51,8 +51,11 @@ def parse_verdef(image: ElfImage) -> list[VersionDef]:
     """Walk the .gnu.version_d record chain; [] when the section is absent.
 
     Iteration is bounded by the declared entry count (section sh_info,
-    falling back to a size-derived cap) and revisited offsets abort, so
-    a corrupt cyclic next-link raises instead of spinning.
+    falling back to a size-derived cap).  No visited set is kept: the
+    walk terminates because ``vd_next`` is unsigned and a zero link ends
+    the chain, so every step moves forward inside ``data`` and a corrupt
+    link, even one meant to wrap around, runs off the end and raises,
+    within ``len(data)`` steps whatever sh_info declares.
     """
     section = elf.get_section(image, ".gnu.version_d")
     if section is None:

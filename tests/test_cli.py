@@ -287,6 +287,19 @@ def test_sigscan_pattern_never_straddles_sections(small_db, tmp_path, capsys):
     assert capsys.readouterr().out == "no matches\n"
 
 
+def test_sigscan_no_ghost_package_over_a_found_match(small_db, tmp_path, capsys):
+    # a scan that zeroed the stub's span and rescanned would credit the
+    # all-zero signature with nine matches the target does not contain
+    (small_db / "zero.sig").write_text(
+        "provsig 1\npackage Zero Fill\nversion 1\n"
+        "zero.o:.text:text:hex:" + "00" * 16 + "\n")
+    target = tmp_path / "prog"
+    target.write_bytes(build_executable(b"\x90" * 8 + CALL_STUB_TEXT + b"\x90" * 8))
+    rc = sigscan_main(["--db", str(small_db), "--no-dynamic", str(target)])
+    assert rc == 0
+    assert capsys.readouterr().out == "(1 times, 24 bytes) Intel Compiler Suite 12.0\n"
+
+
 def test_sigscan_unreadable_target_exit_2_continues(small_db, tmp_path, capsys):
     good = tmp_path / "good"
     good.write_bytes(build_executable(CALL_STUB_TEXT))
@@ -303,6 +316,24 @@ def test_sigscan_empty_db_exit_2(tmp_path, capsys):
     target = tmp_path / "prog"
     target.write_bytes(build_executable(b"\x90" * 16))
     assert sigscan_main(["--db", str(empty), str(target)]) == 2
+
+
+def test_sigscan_unanchorable_signature_named_by_database_id(tmp_path, capsys):
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "a.sig").write_text(
+        "provsig 1\npackage A\nversion 1\n"
+        "ok.o:.text:text:hex:4142434445\n"
+        "gcc:.comment:comment:hex:474343\n"
+        "libx.so:.text:dynlib:md5:" + "ab" * 16 + ":10\n")
+    (db / "b.sig").write_text(
+        "provsig 1\npackage B\nversion 1\nsolo.o:.text:text:hex:41??42\n")
+    target = tmp_path / "prog"
+    target.write_bytes(build_executable(CALL_STUB_TEXT))
+    assert sigscan_main(["--db", str(db), "--no-dynamic", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sigscan: cannot compile database: 3:solo.o:.text\n"
 
 
 def test_sigscan_usage_error_exit_1(capsys):
@@ -438,6 +469,55 @@ def test_sigscan_corrupt_verdef_library_warns_and_batch_continues(dynlib_world, 
     assert "no name record" in bad_doc["warnings"][0]
     assert good_doc["target"] == str(good_target)
     assert len(good_doc["dynlib_findings"]) == 3
+
+
+def test_sigscan_garbage_target_and_corrupt_library_in_one_batch(dynlib_world, tmp_path,
+                                                                 capsys):
+    db, libdir, _ = dynlib_world
+    stub = tmp_path / "stub.o"
+    stub.write_bytes(build_object(
+        CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]}))
+    assert siggen_main(["obj", str(stub), "--package", "Intel Compiler Suite",
+                        "--version", "12.0", "-o", str(db / "intel.sig")]) == 0
+    layout = build_shared_lib_layout(text=b"\x44" * 32, versions=["GLIBC_2.5"])
+    verdef_off, _ = layout.section_span[".gnu.version_d"]
+    corrupt = bytearray(layout.data)
+    corrupt[verdef_off + 6:verdef_off + 8] = b"\x00\x00"  # vd_cnt = 0
+    (libdir / "libbroken.so").write_bytes(bytes(corrupt))
+    needed = ["libc.so.6", "libacml.so", "libmystery.so", "libgone.so"]
+    garbage = tmp_path / "garbage"
+    garbage.write_bytes(bytes(range(256)) * 8)
+    good = tmp_path / "good"
+    good.write_bytes(build_executable(CALL_STUB_TEXT, needed=needed))
+    again = tmp_path / "good-with-broken-lib"
+    again.write_bytes(build_executable(CALL_STUB_TEXT, needed=["libbroken.so"] + needed))
+
+    rc = sigscan_main(["--db", str(db), "--search-path", str(libdir), "--format", "json",
+                       str(garbage), str(good), str(again)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith(f"sigscan: {garbage}: ")
+    good_doc, again_doc = (json.loads(line) for line in captured.out.splitlines())
+    assert good_doc == {
+        "target": str(good),
+        "package_hits": [{"package": "Intel Compiler Suite", "version": "12.0",
+                          "count": 1, "total_bytes": 24}],
+        "dynlib_findings": [
+            {"library": str(libdir / "libc.so.6"), "method": "symver",
+             "name": "GLIBC", "version": "2.10"},
+            {"library": str(libdir / "libacml.so"), "method": "md5",
+             "name": "ACML", "version": "4.4.0"},
+            {"library": str(libdir / "libmystery.so"), "method": "unknown",
+             "name": "", "version": ""}],
+        "warnings": ["unresolved dynamic library: libgone.so"]}
+    assert again_doc["target"] == str(again)
+    assert again_doc["package_hits"] == good_doc["package_hits"]
+    assert again_doc["dynlib_findings"] == good_doc["dynlib_findings"]
+    broken_warning, unresolved = again_doc["warnings"]
+    assert broken_warning.startswith(str(libdir / "libbroken.so") + ": ")
+    assert "no name record" in broken_warning
+    assert unresolved == "unresolved dynamic library: libgone.so"
 
 
 def test_sigscan_custom_labels_file(dynlib_world, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,6 +165,38 @@ def test_parse_rejects_non_ascii_or_oversized_numbers(line, tmp_path):
     db = load_db(tmp_path)
     assert [sf.package for sf in db.files] == ["A"]
     assert len(db.warnings) == 1 and "b.sig" in db.warnings[0]
+
+
+# Values that replace gap lengths and md5 text sizes: zero, negative,
+# empty, past 32 bits, past int()'s digit limit, and non-ASCII digits.
+_EXTREME_NUMBERS = ("0", "-1", "", "4294967296", "9" * 5000, "\u00b2", "\u0661", " 7")
+_NUMBER = re.compile(r"(?<=\{)[0-9]+(?=\})|(?<=:)[0-9]+$", re.MULTILINE)
+_any_sig = st.one_of(
+    st.builds(lambda name, elements, target: _hex_sig(name, tuple(elements), target),
+              _name_chars, _elements.filter(_well_formed),
+              st.sampled_from((TARGET_TEXT, TARGET_COMMENT))),
+    st.builds(_md5_sig, _name_chars, st.text("0123456789abcdef", min_size=32, max_size=32),
+              st.integers(min_value=0, max_value=2 ** 40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_any_sig, max_size=4, unique_by=lambda sig: sig.name), st.data())
+def test_parse_sigfile_mutations_raise_only_malformed(signatures, data):
+    text = write_sigfile(SignatureFile("P", "1", tuple(signatures))).decode()
+    text = _NUMBER.sub(
+        lambda m: data.draw(st.sampled_from((m.group(),) + _EXTREME_NUMBERS)), text)
+    blob = bytearray(text.encode())
+    for pos, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                  st.integers(1, 255)), max_size=4)):
+        blob[pos] ^= mask
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    if cut is not None:
+        del blob[cut:]
+    try:
+        parsed = parse_sigfile(bytes(blob))
+    except MalformedSigFile:
+        return
+    assert isinstance(parsed, SignatureFile)
 
 
 def test_md5_owners_first_record_in_load_order_wins(tmp_path):

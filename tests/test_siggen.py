@@ -258,7 +258,7 @@ def test_generated_pattern_matches_source_section(case):
         return
     sig = Signature(name="s", target=TARGET_TEXT, kind=KIND_HEX, pattern=result)
     engine = matcher.compile([sig])
-    assert len(matcher.scan_once(engine, data)) >= 1
+    assert len(matcher.scan_all(engine, data)) >= 1
 
 
 # -- sign_object / sign_archive ----------------------------------------------

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provsig.elf import parse_elf
+from provsig.elf import get_section, parse_elf
 from provsig.symver import (
     DEFAULT_LABELS,
     LabelVersion,
@@ -80,6 +81,23 @@ def test_parse_verdef_chain_longer_than_declared_count():
                 link=".dynstr", info=1)]
     with pytest.raises(MalformedVerdef):
         parse_verdef(parse_elf(build_elf(secs, e_type=ET_DYN)))
+
+
+def test_parse_verdef_huge_declared_count_forward_chain_ends_promptly():
+    # sh_info claims 2**32 - 1 entries; every record links to the next
+    # one, the last links past the end of the section
+    strtab = b"\x00A_1\x00"
+    record = struct.pack("<HHHHIII", 1, 0, 1, 1, 0, 20, 28) + struct.pack("<II", 1, 0)
+    from elfwriter import build_elf, ET_DYN
+    secs = [Sec(".dynstr", strtab, sh_type=SHT_STRTAB),
+            Sec(".gnu.version_d", record * 500, sh_type=SHT_GNU_VERDEF,
+                link=".dynstr", info=0xFFFFFFFF)]
+    image = parse_elf(build_elf(secs, e_type=ET_DYN))
+    assert get_section(image, ".gnu.version_d").sh_info == 0xFFFFFFFF
+    start = time.perf_counter()
+    with pytest.raises(MalformedVerdef, match="truncated"):
+        parse_verdef(image)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_verdef_name_offset_out_of_range():
