@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from provsig import elf, matcher, sigdb, siggen, symver
@@ -60,28 +60,12 @@ class ScanReport:
     dynlib_findings: list[DynlibFinding] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "package_hits": [
-                {"package": h.package, "version": h.version,
-                 "count": h.count, "total_bytes": h.total_bytes}
-                for h in self.package_hits
-            ],
-            "dynlib_findings": [
-                {"library": f.library, "method": f.method,
-                 "name": f.name, "version": f.version}
-                for f in self.dynlib_findings
-            ],
-            "warnings": list(self.warnings),
-        }
-
 
 def format_report(report: ScanReport, fmt: str) -> str:
     """Render one target's report as human-readable lines or one JSON
     document."""
     if fmt == "json":
-        return json.dumps(report.to_dict())
+        return json.dumps(asdict(report))
     lines = [f"({h.count} times, {h.total_bytes} bytes) {h.package} {h.version}"
              for h in report.package_hits]
     for finding in report.dynlib_findings:
@@ -143,13 +127,6 @@ def _siggen_parser() -> _Parser:
     return parser
 
 
-def _unique_origin(path: str, used: dict[str, int]) -> str:
-    base = os.path.basename(path)
-    count = used.get(base, 0)
-    used[base] = count + 1
-    return base if count == 0 else f"{base}#{count + 1}"
-
-
 def siggen_main(argv=None) -> int:
     parser = _siggen_parser()
     try:
@@ -159,7 +136,7 @@ def siggen_main(argv=None) -> int:
         return EXIT_USAGE
 
     signatures: list[siggen.Signature] = []
-    reports: list[siggen.Rejection] = []
+    reports: list[siggen.Rejected] = []
     used_origins: dict[str, int] = {}
     for input_path in args.inputs:
         try:
@@ -167,7 +144,7 @@ def siggen_main(argv=None) -> int:
         except OSError as exc:
             _err(f"siggen: cannot read {input_path}: {exc}")
             return EXIT_INPUT
-        origin = _unique_origin(input_path, used_origins)
+        origin = siggen.unique_name(os.path.basename(input_path), used_origins)
         try:
             if args.mode == "obj":
                 if data.startswith(elf.AR_MAGIC):
@@ -247,43 +224,45 @@ def _sigscan_parser() -> _Parser:
 
 def _compile_engine(db: sigdb.Database, target: str):
     """Compile all hex signatures of one target kind into an engine plus
-    the engine-index -> database-id mapping.
+    the list of their owners: ``owners[i]`` holds engine index ``i``.
 
     An unanchorable signature is reported as ``sig_id:name``, since the
     same object name can recur across packages.
     """
     ids: list[int] = []
     signatures: list[siggen.Signature] = []
-    for sig_id, sig, _ in db.iter_signatures():
+    owners: list[sigdb.SignatureFile] = []
+    for sig_id, sig, owner in db.iter_signatures():
         if sig.kind == siggen.KIND_HEX and sig.target == target:
             ids.append(sig_id)
             signatures.append(sig)
+            owners.append(owner)
     try:
-        return matcher.compile(signatures), ids
+        return matcher.compile(signatures), owners
     except matcher.UnanchorableSignature as exc:
         raise matcher.UnanchorableSignature(
             exc.index, f"{ids[exc.index]}:{exc.name}") from None
 
 
-def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_ids,
-              comment_engine, comment_ids, labels, search_paths,
+def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
+              comment_engine, comment_owners, labels, search_paths,
               no_dynamic: bool) -> ScanReport:
     image = elf.parse_elf(Path(target_path).read_bytes())
     report = ScanReport(target=target_path)
     counts: dict[tuple[str, str], list[int]] = {}
 
-    def accumulate(matches, id_map):
+    def accumulate(matches, owners):
         for m in matches:
-            owner = db.owner(id_map[m.signature_id])
+            owner = owners[m.signature_id]
             entry = counts.setdefault((owner.package, owner.version), [0, 0])
             entry[0] += 1
             entry[1] += m.span
 
     for section in elf.list_text_sections(image):
-        accumulate(matcher.scan_all(text_engine, section.data), text_ids)
+        accumulate(matcher.scan_all(text_engine, section.data), text_owners)
     comment = elf.get_section(image, ".comment")
     if comment is not None:
-        accumulate(matcher.scan_all(comment_engine, comment.data), comment_ids)
+        accumulate(matcher.scan_all(comment_engine, comment.data), comment_owners)
 
     report.package_hits = sorted(
         (PackageHit(package=pkg, version=ver, count=c, total_bytes=b)
@@ -355,8 +334,8 @@ def sigscan_main(argv=None) -> int:
     search_paths.extend(p for p in env_paths.split(os.pathsep) if p)
 
     try:
-        text_engine, text_ids = _compile_engine(db, siggen.TARGET_TEXT)
-        comment_engine, comment_ids = _compile_engine(db, siggen.TARGET_COMMENT)
+        text_engine, text_owners = _compile_engine(db, siggen.TARGET_TEXT)
+        comment_engine, comment_owners = _compile_engine(db, siggen.TARGET_COMMENT)
     except matcher.UnanchorableSignature as exc:
         _err(f"sigscan: cannot compile database: {exc}")
         return EXIT_INPUT
@@ -365,8 +344,8 @@ def sigscan_main(argv=None) -> int:
     show_target = len(args.binaries) > 1 and args.format == "human"
     for target in args.binaries:
         try:
-            report = _scan_one(target, db, text_engine, text_ids,
-                               comment_engine, comment_ids, labels,
+            report = _scan_one(target, db, text_engine, text_owners,
+                               comment_engine, comment_owners, labels,
                                search_paths, args.no_dynamic)
         except (OSError, MalformedElf, UnsupportedElf) as exc:
             _err(f"sigscan: {target}: {exc}")

@@ -364,7 +364,8 @@ def parse_archive(data: bytes) -> list[ArchiveMember]:
     """Members of a System V / GNU ar archive.
 
     The ``/`` symbol index is skipped and GNU ``//`` long names are
-    resolved.  BSD ``#1/`` names are rejected.
+    resolved.  BSD ``#1/`` names are rejected.  Member sizes and
+    long-name offsets must be ASCII digits.
     """
     if not data.startswith(AR_MAGIC):
         raise MalformedArchive("bad archive magic")
@@ -378,12 +379,11 @@ def parse_archive(data: bytes) -> list[ArchiveMember]:
         if header[58:60] != b"`\n":
             raise MalformedArchive(f"bad member header magic at offset {pos}")
         raw_name = header[0:16].decode("latin-1").rstrip()
-        try:
-            size = int(header[48:58].decode("ascii").strip())
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise MalformedArchive(f"bad member size at offset {pos}") from exc
-        if size < 0:
-            raise MalformedArchive(f"negative member size at offset {pos}")
+        size_field = header[48:58].strip()
+        if not size_field.isdigit():  # bytes: ASCII digits only, so no sign or "_"
+            raise MalformedArchive(f"member size {size_field!r} at offset {pos} "
+                                   "is not a non-negative decimal number")
+        size = int(size_field)
         body_start = pos + 60
         if body_start + size > len(data):
             raise MalformedArchive(f"truncated member data for {raw_name!r}")
@@ -396,10 +396,10 @@ def parse_archive(data: bytes) -> list[ArchiveMember]:
         elif raw_name in ("/", "/SYM64/", ""):
             pass  # symbol index
         elif raw_name.startswith("/"):
-            try:
-                name_off = int(raw_name[1:])
-            except ValueError as exc:
-                raise MalformedArchive(f"bad long-name reference {raw_name!r}") from exc
+            ref = raw_name[1:]
+            if not (ref.isascii() and ref.isdigit()):  # no sign, space or "_"
+                raise MalformedArchive(f"bad long-name reference {raw_name!r}")
+            name_off = int(ref)
             if longnames is None or name_off >= len(longnames):
                 raise MalformedArchive(f"unresolvable long-name offset {name_off}")
             end = longnames.find(b"\n", name_off)

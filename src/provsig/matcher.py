@@ -24,10 +24,11 @@ links.  Keys are at least two bytes, so every key terminates at
 depth >= 2.
 
 ``scan_all`` makes that one pass, over a text section or ``.comment``
-bytes alike, and reports every verified occurrence of every signature,
-overlaps included: each (signature, start) whose bytes match is
-reported once.  It only reads the buffer, so every match it reports is
-made of the input's own bytes.
+bytes alike, and returns every verified occurrence of every signature,
+overlaps included, as a tuple of :class:`Match` sorted by (start,
+signature id): each (signature, start) whose bytes match is reported
+once.  It only reads the buffer, so every match it reports is made of
+the input's own bytes.
 """
 
 from __future__ import annotations
@@ -60,23 +61,6 @@ class Match:
     signature_id: int
     start: int
     span: int
-
-
-@dataclass(frozen=True)
-class MatchSet:
-    """Matches, one per (signature_id, start), sorted by
-    (start, signature_id)."""
-
-    matches: tuple[Match, ...]
-
-    def __len__(self) -> int:
-        return len(self.matches)
-
-    def __iter__(self):
-        return iter(self.matches)
-
-    def pairs(self) -> set[tuple[int, int]]:
-        return {(m.signature_id, m.start) for m in self.matches}
 
 
 class CompiledEngine:
@@ -216,9 +200,10 @@ def _choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
     return tuple(keys)
 
 
-def scan_all(engine: CompiledEngine, buffer) -> MatchSet:
+def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
     """Every verified occurrence of every signature, overlaps included,
-    in one pass over ``buffer``; the buffer is only read."""
+    in one pass over ``buffer``, sorted by (start, signature id); the
+    buffer is only read."""
     if not isinstance(buffer, (bytes, bytearray)):
         buffer = bytes(buffer)
     dense = engine._dense
@@ -260,4 +245,4 @@ def scan_all(engine: CompiledEngine, buffer) -> MatchSet:
                 else:
                     hits.append(Match(sig_idx, start, span))
     hits.sort(key=lambda m: (m.start, m.signature_id))
-    return MatchSet(tuple(hits))
+    return tuple(hits)

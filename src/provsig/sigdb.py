@@ -66,22 +66,18 @@ class Database:
     """All loaded signature files with dense, load-stable signature ids."""
 
     files: tuple[SignatureFile, ...]
-    index: tuple[tuple[int, int], ...]  # signature_id -> (file idx, sig idx)
     warnings: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.index)
-
-    def signature(self, signature_id: int) -> Signature:
-        file_idx, sig_idx = self.index[signature_id]
-        return self.files[file_idx].signatures[sig_idx]
-
-    def owner(self, signature_id: int) -> SignatureFile:
-        return self.files[self.index[signature_id][0]]
+        return sum(len(sf.signatures) for sf in self.files)
 
     def iter_signatures(self):
-        for sig_id, (file_idx, sig_idx) in enumerate(self.index):
-            yield sig_id, self.files[file_idx].signatures[sig_idx], self.files[file_idx]
+        """(signature id, signature, owning file), ids counted in load order."""
+        sig_id = 0
+        for sf in self.files:
+            for sig in sf.signatures:
+                yield sig_id, sig, sf
+                sig_id += 1
 
     @cached_property
     def md5_owners(self) -> dict[tuple[str, int], SignatureFile]:
@@ -218,7 +214,4 @@ def load_db(directory) -> Database:
     if not files:
         detail = f" ({len(warnings)} file(s) failed to parse)" if warnings else ""
         raise EmptyDatabase(f"no signature files loaded from {root}{detail}")
-    index = [(file_idx, sig_idx)
-             for file_idx, sf in enumerate(files)
-             for sig_idx in range(len(sf.signatures))]
-    return Database(files=tuple(files), index=tuple(index), warnings=tuple(warnings))
+    return Database(files=tuple(files), warnings=tuple(warnings))

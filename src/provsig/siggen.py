@@ -128,9 +128,14 @@ class MaskedText:
 
 @dataclass(frozen=True)
 class Rejected:
-    """A section that produced no usable pattern and why."""
+    """An input that produced no signature, and why.
 
-    reason: str  # TOO_SHORT | UNANCHORABLE
+    :func:`build_pattern` leaves ``name`` empty; :func:`sign_object` and
+    :func:`sign_archive` name the section or archive member.
+    """
+
+    reason: str  # TOO_SHORT | UNANCHORABLE | why a member was skipped
+    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -147,14 +152,6 @@ class Signature:
     pattern: HexPattern | None = None
     digest: str | None = None
     text_size: int | None = None
-
-
-@dataclass(frozen=True)
-class Rejection:
-    """Report for a skipped input: which one and why."""
-
-    name: str
-    reason: str
 
 
 def mask_text(section: Section, relocs: list[RelocationEntry]) -> MaskedText:
@@ -263,55 +260,60 @@ def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
     return pattern
 
 
-def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], list[Rejection]]:
+def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], list[Rejected]]:
     """One text-target signature per usable text section of an object.
 
     Returns the signatures plus a rejection report for every section
     that was too short or unanchorable.
     """
     signatures: list[Signature] = []
-    rejections: list[Rejection] = []
+    rejections: list[Rejected] = []
     for section in elf.list_text_sections(image):
         relocs = elf.parse_relocations(image, section.name)
         name = f"{origin_name}:{section.name}"
         result = build_pattern(mask_text(section, relocs))
         if isinstance(result, Rejected):
-            rejections.append(Rejection(name, result.reason))
+            rejections.append(Rejected(result.reason, name))
         else:
             signatures.append(Signature(name=name, target=TARGET_TEXT,
                                         kind=KIND_HEX, pattern=result))
     return signatures, rejections
 
 
-def sign_archive(members: list[ArchiveMember], origin_name: str) -> tuple[list[Signature], list[Rejection]]:
+def sign_archive(members: list[ArchiveMember], origin_name: str) -> tuple[list[Signature], list[Rejected]]:
     """sign_object over every archive member that is a relocatable ELF.
 
     Non-ELF members (linker scripts and the like) are skipped with a
     report, as are members that fail to parse.
     """
     signatures: list[Signature] = []
-    reports: list[Rejection] = []
+    reports: list[Rejected] = []
     seen_names: dict[str, int] = {}
     for member in members:
-        count = seen_names.get(member.name, 0)
-        seen_names[member.name] = count + 1
-        member_name = member.name if count == 0 else f"{member.name}#{count + 1}"
-        origin = f"{origin_name}/{member_name}"
+        origin = f"{origin_name}/{unique_name(member.name, seen_names)}"
         if not member.data.startswith(elf.ELF_MAGIC):
-            reports.append(Rejection(origin, "not an ELF object"))
+            reports.append(Rejected("not an ELF object", origin))
             continue
         try:
             image = elf.parse_elf(member.data)
         except (elf.MalformedElf, elf.UnsupportedElf) as exc:
-            reports.append(Rejection(origin, f"unparseable: {exc}"))
+            reports.append(Rejected(f"unparseable: {exc}", origin))
             continue
         if not image.is_relocatable:
-            reports.append(Rejection(origin, "not a relocatable object"))
+            reports.append(Rejected("not a relocatable object", origin))
             continue
         sigs, rejects = sign_object(image, origin)
         signatures.extend(sigs)
         reports.extend(rejects)
     return signatures, reports
+
+
+def unique_name(name: str, seen: dict[str, int]) -> str:
+    """``name`` on its first use, then ``name#2``, ``name#3``, ...;
+    ``seen`` counts the uses so far."""
+    count = seen.get(name, 0) + 1
+    seen[name] = count
+    return name if count == 1 else f"{name}#{count}"
 
 
 def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature:

@@ -103,16 +103,24 @@ def parse_verdef(image: ElfImage) -> list[VersionDef]:
 
 def split_label(def_name: str, known_labels: list[str]) -> LabelVersion | None:
     """Split ``LABEL_x.y.z`` into its parts, or None if the label is
-    unknown or the version is not all-numeric."""
+    unknown or the version is not all-numeric.
+
+    Components are ASCII digits: names come from a library's string
+    table, decoded as latin-1, where ``²`` passes ``str.isdigit()`` but
+    not ``int()``.
+    """
     for label in known_labels:
         prefix = label + "_"
         if not def_name.startswith(prefix):
             continue
         version = def_name[len(prefix):]
         components = version.split(".")
-        if components and all(c.isdigit() for c in components):
-            return LabelVersion(label=label, version=version,
-                                numeric=tuple(int(c) for c in components))
+        if all(c.isascii() and c.isdigit() for c in components):
+            try:
+                numeric = tuple(int(c) for c in components)
+            except ValueError:  # more digits than int() converts
+                continue
+            return LabelVersion(label=label, version=version, numeric=numeric)
     return None
 
 

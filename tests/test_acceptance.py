@@ -47,7 +47,7 @@ from elfwriter import (
     build_shared_lib,
     build_shared_lib_layout,
 )
-from test_matcher import naive_scan_once
+from test_matcher import naive_scan_once, pairs
 
 CALL_STUB_TEXT = bytes.fromhex(
     "554889e54883ec10bf0a000000e800000000488945f8c9c3")
@@ -185,7 +185,7 @@ def test_c3_matcher_oracle_equivalence():
     for buf_size, n_patterns in cases:
         buffer, patterns, sigs = _random_case(rng, buf_size, n_patterns)
         engine = matcher.compile(sigs)
-        assert matcher.scan_all(engine, buffer).pairs() == \
+        assert pairs(matcher.scan_all(engine, buffer)) == \
             naive_scan_once(patterns, buffer)
     took = _elapsed(start)
     assert took < 60.0

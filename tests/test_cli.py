@@ -78,9 +78,14 @@ def test_format_report_json_round_trip():
         dynlib_findings=[DynlibFinding("/l/x.so", "md5", "X", "2")],
         warnings=["unresolved dynamic library: libz.so.1"])
     parsed = json.loads(format_report(report, "json"))
-    assert parsed == report.to_dict()
-    assert parsed["target"] == "a.out"
-    assert parsed["warnings"] == ["unresolved dynamic library: libz.so.1"]
+    assert parsed == {
+        "target": "a.out",
+        "package_hits": [{"package": "P", "version": "1.0", "count": 2,
+                          "total_bytes": 64}],
+        "dynlib_findings": [{"library": "/l/x.so", "method": "md5", "name": "X",
+                             "version": "2"}],
+        "warnings": ["unresolved dynamic library: libz.so.1"],
+    }
 
 
 # -- resolve_dynamic ----------------------------------------------------------------
@@ -161,6 +166,20 @@ def test_siggen_comment_mode_dedups_across_inputs(tmp_path):
     parsed = parse_sigfile(out.read_bytes())
     texts = sorted(bytes(s.pattern.elements).decode() for s in parsed.signatures)
     assert texts == ["CC brand 9.9", "only b", "shared note"]
+
+
+def test_siggen_inputs_with_one_basename_get_numbered_origins(tmp_path):
+    paths = []
+    for i, where in enumerate(("one", "two", "three")):
+        (tmp_path / where).mkdir()
+        paths.append(tmp_path / where / "crt.o")
+        paths[-1].write_bytes(build_object(bytes((i * 31 + j) % 256 for j in range(40))))
+    out = tmp_path / "crt.sig"
+    rc = siggen_main(["obj", *map(str, paths), "--package", "P", "--version", "1",
+                      "-o", str(out)])
+    assert rc == 0
+    assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
+        ["crt.o:.text", "crt.o#2:.text", "crt.o#3:.text"]
 
 
 def test_siggen_empty_archive_exit_2(tmp_path, capsys):
@@ -248,6 +267,31 @@ def test_sigscan_json_round_trip(small_db, tmp_path, capsys):
     assert doc["package_hits"] == [{"package": "Intel Compiler Suite",
                                     "version": "12.0", "count": 1,
                                     "total_bytes": 24}]
+
+
+def test_sigscan_json_report_bytes_exact(dynlib_world, tmp_path, capsys):
+    db, libdir, _ = dynlib_world
+    stub = tmp_path / "stub.o"
+    stub.write_bytes(build_object(
+        CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]}))
+    assert siggen_main(["obj", str(stub), "--package", "Intel Compiler Suite",
+                        "--version", "12.0", "-o", str(db / "intel.sig")]) == 0
+    target = tmp_path / "prog"
+    target.write_bytes(build_executable(
+        CALL_STUB_TEXT, needed=["libc.so.6", "libacml.so", "libmystery.so", "libgone.so"]))
+    rc = sigscan_main(["--db", str(db), "--search-path", str(libdir), "--format", "json",
+                       str(target)])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        f'{{"target": "{target}", "package_hits": [{{"package": "Intel Compiler Suite", '
+        f'"version": "12.0", "count": 1, "total_bytes": 24}}], "dynlib_findings": ['
+        f'{{"library": "{libdir}/libc.so.6", "method": "symver", "name": "GLIBC", '
+        f'"version": "2.10"}}, '
+        f'{{"library": "{libdir}/libacml.so", "method": "md5", "name": "ACML", '
+        f'"version": "4.4.0"}}, '
+        f'{{"library": "{libdir}/libmystery.so", "method": "unknown", "name": "", '
+        f'"version": ""}}], '
+        f'"warnings": ["unresolved dynamic library: libgone.so"]}}\n')
 
 
 def test_sigscan_stripped_binary_same_matches(small_db, tmp_path, capsys):
@@ -469,6 +513,24 @@ def test_sigscan_corrupt_verdef_library_warns_and_batch_continues(dynlib_world, 
     assert "no name record" in bad_doc["warnings"][0]
     assert good_doc["target"] == str(good_target)
     assert len(good_doc["dynlib_findings"]) == 3
+
+
+def test_sigscan_library_version_with_non_ascii_digit_is_skipped(dynlib_world, tmp_path,
+                                                                 capsys):
+    db, libdir, _ = dynlib_world
+    # "\u00b2" is one latin-1 byte that passes str.isdigit() but not int()
+    (libdir / "libodd.so").write_bytes(build_shared_lib(
+        text=b"\x33" * 32, versions=["GLIBC_2.5", "GLIBC_2.\u00b2"]))
+    target = tmp_path / "uses-odd"
+    target.write_bytes(build_executable(b"\x90" * 32, needed=["libodd.so"]))
+    rc = sigscan_main(["--db", str(db), "--search-path", str(libdir), "--format", "json",
+                       str(target)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["dynlib_findings"] == [{
+        "library": str(libdir / "libodd.so"), "method": "symver",
+        "name": "GLIBC", "version": "2.5"}]
 
 
 def test_sigscan_garbage_target_and_corrupt_library_in_one_batch(dynlib_world, tmp_path,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import shutil
 import string
+import struct
 import subprocess
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -340,6 +342,43 @@ def test_archive_negative_member_size_rejected():
         parse_archive(bytes(raw))
 
 
+def _ar_header(name: str, size: str) -> bytes:
+    return (name.ljust(16) + "0".ljust(12) + "0".ljust(6) + "0".ljust(6)
+            + "0".ljust(8) + size.ljust(10)).encode("latin-1") + b"`\n"
+
+
+@pytest.mark.parametrize("size", ["1_0", "+10", "+1_0"])
+def test_archive_member_size_must_be_ascii_digits(size):
+    # int() reads each of these as 10
+    raw = b"!<arch>\n" + _ar_header("a.o/", size) + b"x" * 10
+    with pytest.raises(MalformedArchive, match="member size"):
+        parse_archive(raw)
+
+
+_LONG_NAMES = b"first_long_member_name.o/\nsecond_long_member_name.o/\n"
+
+
+def _long_name_archive(ref: str) -> bytes:
+    padding = b"\n" * (len(_LONG_NAMES) % 2)
+    return (b"!<arch>\n" + _ar_header("//", str(len(_LONG_NAMES))) + _LONG_NAMES
+            + padding + _ar_header(ref, "2") + b"xy")
+
+
+def test_archive_long_name_offset_resolved():
+    assert parse_archive(_long_name_archive("/26")) == \
+        [elf.ArchiveMember("second_long_member_name.o", b"xy")]
+
+
+@pytest.mark.parametrize("ref", [
+    "/-1",                          # int() gives -1: the member was named ''
+    f"/-{len(_LONG_NAMES) - 26}",   # wraps round to the second name
+    "/+0", "/ 0", "/0_0",           # int() reads each as 0: the first name
+])
+def test_archive_long_name_offset_must_be_ascii_digits(ref):
+    with pytest.raises(MalformedArchive, match="long-name reference"):
+        parse_archive(_long_name_archive(ref))
+
+
 def test_archive_unresolvable_long_name():
     raw = bytearray(b"!<arch>\n")
     raw += ("/99".ljust(16) + "0".ljust(12) + "0".ljust(6) + "0".ljust(6)
@@ -375,3 +414,118 @@ def test_archive_agrees_with_system_ar(tmp_path):
     parsed = parse_archive(archive.read_bytes())
     assert [m.name for m in parsed] == listed
     assert {m.name: m.data for m in parsed} == contents
+
+
+# -- mutation fuzzing ------------------------------------------------------------
+# Seeds come from elfwriter; a mutant has up to three size, offset, count
+# or index fields set to an extreme, up to four bytes flipped, and may be
+# truncated.  Each parser must return or raise one of its declared
+# errors, and do so promptly.
+
+def int_field(offset: int, width: int, data_len: int) -> tuple[int, tuple[bytes, ...]]:
+    """A little-endian field and the extreme values it may be set to."""
+    top = (1 << (8 * width)) - 1
+    values = {0, 1, 2, 7, top, top - 1, top >> 1, (top >> 1) + 1,
+              data_len & top, (data_len + 1) & top}
+    return offset, tuple(v.to_bytes(width, "little") for v in sorted(values))
+
+
+def elf_fields(data: bytes) -> list[tuple[int, tuple[bytes, ...]]]:
+    """ELF header geometry plus every section header's name, type,
+    offset, size, link, info and entsize fields."""
+    if data[4] == 2:
+        shoff, = struct.unpack_from("<Q", data, 0x28)
+        shentsize, shnum = struct.unpack_from("<HH", data, 0x3A)
+        header = [(0x28, 8), (0x3A, 2), (0x3C, 2), (0x3E, 2)]
+        per_section = [(0, 4), (4, 4), (24, 8), (32, 8), (40, 4), (44, 4), (56, 8)]
+    else:
+        shoff, = struct.unpack_from("<I", data, 0x20)
+        shentsize, shnum = struct.unpack_from("<HH", data, 0x2E)
+        header = [(0x20, 4), (0x2E, 2), (0x30, 2), (0x32, 2)]
+        per_section = [(0, 4), (4, 4), (16, 4), (20, 4), (24, 4), (28, 4), (36, 4)]
+    spots = header + [(shoff + i * shentsize + off, width)
+                      for i in range(shnum) for off, width in per_section]
+    return [int_field(off, width, len(data)) for off, width in spots]
+
+
+def mutate(seed: bytes, fields, data) -> bytes:
+    """A mutant of ``seed``; ``fields`` lists (offset, replacement values)."""
+    blob = bytearray(seed)
+    for offset, choices in data.draw(st.lists(st.sampled_from(fields), max_size=3)):
+        value = data.draw(st.sampled_from(choices))
+        blob[offset:offset + len(value)] = value
+    for pos, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                  st.integers(1, 255)), max_size=4)):
+        blob[pos] ^= mask
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    return bytes(blob[:cut])
+
+
+def parse_within_a_second(parse, blob, errors) -> None:
+    """Run ``parse(blob)``, which may raise only ``errors`` and must end
+    within a second."""
+    start = time.perf_counter()
+    try:
+        parse(blob)
+    except errors:
+        pass
+    assert time.perf_counter() - start < 1.0
+
+
+_ELF_SEEDS = [
+    build_object(CALL_STUB_TEXT, {".text": [(CALL_STUB_RELOC_OFFSET, R_X86_64_PC32, "malloc"),
+                                            (0, R_X86_64_64, "table")]},
+                 comment=b"GCC: (GNU) 4.4.3\x00"),
+    build_object({".text": bytes(range(40)), ".text.f": b"\x90" * 24},
+                 {".text.f": [(4, R_386_PC32, "puts")]}, bits=32, machine=EM_386, rela=False),
+    build_shared_lib(versions=["GLIBC_2.2.5", "GLIBC_2.14"], needed=("libm.so.6",),
+                     comment=b"GCC: x\x00"),
+    build_shared_lib(versions=["GCC_3.0"], bits=32),
+    build_executable({".text": CALL_STUB_TEXT, ".text.g": b"\xc3" * 8},
+                     needed=["libc.so.6"], with_symtab=True),
+]
+_ELF_FIELDS = [elf_fields(seed) for seed in _ELF_SEEDS]
+
+
+def _parse_elf_and_sections(blob: bytes) -> None:
+    image = parse_elf(blob)
+    parse_comment(image)
+    if image.is_relocatable:
+        for section in list_text_sections(image):
+            parse_relocations(image, section.name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(_ELF_SEEDS) - 1), st.data())
+def test_parse_elf_mutations_raise_only_declared_errors(which, data):
+    blob = mutate(_ELF_SEEDS[which], _ELF_FIELDS[which], data)
+    parse_within_a_second(_parse_elf_and_sections, blob, (MalformedElf, UnsupportedElf))
+
+
+_AR_SEED = build_archive([("a.o", _ELF_SEEDS[0]), ("a_member_with_a_long_name.o", b"odd"),
+                          ("another_long_member_name.o", b"\x7fELF"), ("b.o", b"")])
+_AR_NAMES = ("/", "//", "/0", "/-1", "/+0", "/ 0", "/99999", "/1_0", "#1/5", "",
+             "/SYM64/", "x/", "\xb2")
+_AR_SIZES = ("0", "1", "-1", "-60", "+4", "1_0", "", " 7", "9999999999", "0x10", "\xb2")
+
+
+def _ar_fields(data: bytes) -> list[tuple[int, tuple[bytes, ...]]]:
+    """Each member header's name and size field, with odd values for both."""
+    fields = []
+    pos = 8
+    while pos < len(data):
+        size = int(data[pos + 48:pos + 58])
+        fields.append((pos, tuple(n.ljust(16).encode("latin-1") for n in _AR_NAMES)))
+        fields.append((pos + 48, tuple(s.ljust(10).encode("latin-1") for s in _AR_SIZES)))
+        pos += 60 + size + size % 2
+    return fields
+
+
+_AR_FIELDS = _ar_fields(_AR_SEED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_parse_archive_mutations_raise_only_declared_errors(data):
+    blob = mutate(_AR_SEED, _AR_FIELDS, data)
+    parse_within_a_second(parse_archive, blob, MalformedArchive)

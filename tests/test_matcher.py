@@ -29,6 +29,11 @@ def _sig(name: str, elements, target: str = TARGET_TEXT) -> Signature:
                      pattern=HexPattern(tuple(elements)))
 
 
+def pairs(matches) -> set[tuple[int, int]]:
+    """The (signature id, start) of each match."""
+    return {(m.signature_id, m.start) for m in matches}
+
+
 def naive_scan_once(patterns: list[HexPattern], buffer: bytes) -> set[tuple[int, int]]:
     """O(positions x patterns) sliding-window matcher."""
     found: set[tuple[int, int]] = set()
@@ -69,7 +74,7 @@ def test_compile_anchor_longest_run_earliest_tie():
 def test_compile_duplicate_names_both_match():
     sigs = [_sig("dup", (1, 2, 3)), _sig("dup", (4, 5, 6))]
     engine = matcher.compile(sigs)
-    assert matcher.scan_all(engine, b"\x04\x05\x06\x01\x02\x03").pairs() == \
+    assert pairs(matcher.scan_all(engine, b"\x04\x05\x06\x01\x02\x03")) == \
         {(0, 3), (1, 0)}
 
 
@@ -93,8 +98,7 @@ def test_shared_anchor_verified_independently():
     b = _sig("b", base + (0x71,))
     engine = matcher.compile([a, b])
     buffer = b"..." + bytes(base) + b"\x71..."
-    pairs = matcher.scan_all(engine, buffer).pairs()
-    assert pairs == {(1, 3)}
+    assert pairs(matcher.scan_all(engine, buffer)) == {(1, 3)}
 
 
 def test_patterns_differing_only_in_masked_positions_both_match():
@@ -104,8 +108,8 @@ def test_patterns_differing_only_in_masked_positions_both_match():
     patterns = [a.pattern, b.pattern]
     engine = matcher.compile([a, b])
     buffer = b"xx" + source + b"yy"
-    pairs = matcher.scan_all(engine, buffer).pairs()
-    assert pairs == {(0, 2), (1, 2)} == naive_scan_once(patterns, buffer)
+    found = pairs(matcher.scan_all(engine, buffer))
+    assert found == {(0, 2), (1, 2)} == naive_scan_once(patterns, buffer)
 
 
 # -- keys ----------------------------------------------------------------------
@@ -122,7 +126,7 @@ def test_key_avoids_prologue_window_shared_by_many_signatures():
         assert (anchor, anchor_off) == (expected, 2)
         assert (key, key_off) == (expected[16:32], 18)
     buffer = b"\x90\x00" + anchors[3] + prologue * 3 + b"\x90\xff" + anchors[7]
-    found = matcher.scan_all(engine, buffer).pairs()
+    found = pairs(matcher.scan_all(engine, buffer))
     assert found == {(3, 0), (7, 38 + 48)}
     assert found == naive_scan_once([s.pattern for s in sigs], buffer)
 
@@ -137,7 +141,7 @@ def test_key_for_short_and_boundary_anchors(length):
     assert engine.keys[0] == (anchor[:16], 2)
     instance = b"\x41\x00" + anchor + b"\x00\x42"
     buffer = instance + rng.randbytes(50) + instance + instance[:-1]
-    found = matcher.scan_all(engine, buffer).pairs()
+    found = pairs(matcher.scan_all(engine, buffer))
     assert found == {(0, 0), (0, len(instance) + 50)}
     assert found == naive_scan_once([sig.pattern], buffer)
 
@@ -155,11 +159,11 @@ def test_key_deep_inside_anchor_matches_at_buffer_start_and_end():
     last = b"\xaa\x03" + anchors[2] + b"\x04\xbb"
     buffer = first + rng.randbytes(100) + last
     expected = {(0, 0), (2, len(buffer) - len(last))}
-    assert matcher.scan_all(engine, buffer).pairs() == expected \
+    assert pairs(matcher.scan_all(engine, buffer)) == expected \
         == naive_scan_once(patterns, buffer)
     # a key hit whose pattern would start before the buffer or end past it
     clipped = first[1:] + last[:-1]
-    assert matcher.scan_all(engine, clipped).pairs() == set() \
+    assert pairs(matcher.scan_all(engine, clipped)) == set() \
         == naive_scan_once(patterns, clipped)
 
 
@@ -177,7 +181,7 @@ def test_scan_wildcards_match_any_linked_address():
     patched[14:18] = b"\xde\xad\xbe\xef"
     buffer = b"\x00" * 100 + bytes(patched) + b"\xff" * 10
     found = matcher.scan_all(engine, buffer)
-    assert found.pairs() == {(0, 100)}
+    assert pairs(found) == {(0, 100)}
 
 
 def test_scan_buffer_shorter_than_span():
@@ -190,22 +194,24 @@ def test_scan_gap_requires_exact_distance():
     engine = matcher.compile([_sig("g", elements)])
     good = b"\xaa\xbb...\xcc\xdd"
     off_by_one = b"\xaa\xbb....\xcc\xdd"
-    assert matcher.scan_all(engine, good).pairs() == {(0, 0)}
-    assert matcher.scan_all(engine, off_by_one).pairs() == set()
+    assert pairs(matcher.scan_all(engine, good)) == {(0, 0)}
+    assert pairs(matcher.scan_all(engine, off_by_one)) == set()
 
 
 def test_scan_overlapping_matches_reported():
     engine = matcher.compile([_sig("rep", (0x61, 0x61, 0x61))])
     found = matcher.scan_all(engine, b"aaaaa")
-    assert found.pairs() == {(0, 0), (0, 1), (0, 2)}
+    assert pairs(found) == {(0, 0), (0, 1), (0, 2)}
 
 
 def test_scan_matchset_sorted_and_deduplicated():
     engine = matcher.compile([_sig("a", (0x41, 0x42)), _sig("b", (0x42, 0x43))])
     found = matcher.scan_all(engine, b"ABCABC")
+    assert isinstance(found, tuple)
+    assert all(isinstance(m, matcher.Match) for m in found)
     keys = [(m.start, m.signature_id) for m in found]
     assert keys == sorted(keys)
-    assert len(found.pairs()) == len(list(found))
+    assert len(pairs(found)) == len(list(found))
 
 
 def test_scan_all_two_plants():
@@ -214,7 +220,7 @@ def test_scan_all_two_plants():
     buffer[0:24] = CALL_STUB_TEXT
     buffer[100:124] = CALL_STUB_TEXT
     found = matcher.scan_all(engine, bytes(buffer))
-    assert found.pairs() == {(0, 0), (0, 100)}
+    assert pairs(found) == {(0, 0), (0, 100)}
 
 
 def test_scan_all_zero_buffer_nonzero_pattern():
@@ -226,7 +232,7 @@ def test_scan_all_zero_literal_pattern_terminates():
     engine = matcher.compile([_sig("z", (0x00,) * 16)])
     buffer = bytes(64)
     found = matcher.scan_all(engine, buffer)
-    assert found.pairs() == naive_scan_once([engine.patterns[0]], buffer)
+    assert pairs(found) == naive_scan_once([engine.patterns[0]], buffer)
 
 
 def test_scan_all_does_not_mutate_caller_buffer():
@@ -242,7 +248,7 @@ def test_scan_all_reports_no_ghost_match_over_a_found_match():
     sigs = [_sig("stub", CALL_STUB_ELEMENTS), _sig("zero", (0x00,) * 16)]
     engine = matcher.compile(sigs)
     buffer = b"\x90" * 8 + CALL_STUB_TEXT + b"\x90" * 8
-    found = matcher.scan_all(engine, buffer).pairs()
+    found = pairs(matcher.scan_all(engine, buffer))
     assert found == {(0, 8)} == naive_scan_once([s.pattern for s in sigs], buffer)
 
 
@@ -252,10 +258,10 @@ def test_match_comment_vendor_string():
     vendor = b"GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)"
     engine = matcher.compile([_sig("gcc", tuple(vendor), target=TARGET_COMMENT)])
     comment = vendor + b"\x00"
-    assert matcher.scan_all(engine, comment).pairs() == {(0, 0)}
-    assert matcher.scan_all(engine, b"").pairs() == set()
+    assert pairs(matcher.scan_all(engine, comment)) == {(0, 0)}
+    assert pairs(matcher.scan_all(engine, b"")) == set()
     doubled = vendor + b"\x00" + vendor + b"\x00"
-    assert matcher.scan_all(engine, doubled).pairs() == {(0, 0), (0, len(vendor) + 1)}
+    assert pairs(matcher.scan_all(engine, doubled)) == {(0, 0), (0, len(vendor) + 1)}
 
 
 # -- oracle equivalence ----------------------------------------------------------
@@ -310,7 +316,7 @@ def test_oracle_equivalence_randomized(seed):
         n_patterns = rng.randrange(1, 17)
         buffer, patterns, sigs = _oracle_case(rng, buf_size, n_patterns)
         engine = matcher.compile(sigs)
-        assert matcher.scan_all(engine, buffer).pairs() == \
+        assert pairs(matcher.scan_all(engine, buffer)) == \
             naive_scan_once(patterns, buffer)
     
 
@@ -320,7 +326,7 @@ def test_oracle_equivalence_thousand_unplanted_patterns():
     sigs = [_sig(f"r{i}", tuple(rng.randrange(256) for _ in range(16)))
             for i in range(1000)]
     engine = matcher.compile(sigs)
-    assert matcher.scan_all(engine, buffer).pairs() == \
+    assert pairs(matcher.scan_all(engine, buffer)) == \
         naive_scan_once([s.pattern for s in sigs], buffer)
 
 

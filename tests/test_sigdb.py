@@ -253,7 +253,8 @@ def test_load_db_three_files(tmp_path):
     db = load_db(tmp_path)
     assert [sf.package for sf in db.files] == ["P0", "P1", "P2"]
     assert len(db) == 3
-    assert db.owner(1).package == "P1"
+    assert [(sig_id, owner.package) for sig_id, _, owner in db.iter_signatures()] == \
+        [(0, "P0"), (1, "P1"), (2, "P2")]
 
 
 def test_load_db_skips_corrupt_file_with_warning(tmp_path):
@@ -287,9 +288,10 @@ def test_load_db_deterministic_id_assignment(tmp_path):
     db1 = load_db(tmp_path)
     db2 = load_db(tmp_path)
     assert db1 == db2
-    assert [db1.owner(i).package for i in range(len(db1))] == ["A", "A", "Z"]
-    names = [sig.name for _, sig, _ in db1.iter_signatures()]
-    assert names == ["a1", "a2", "z1"]
+    assert [(sig_id, sig.name, owner.package)
+            for sig_id, sig, owner in db1.iter_signatures()] == \
+        [(0, "a1", "A"), (1, "a2", "A"), (2, "z1", "Z")]
+    assert len(db1) == 3
 
 
 def test_load_db_ignores_non_sig_files(tmp_path):

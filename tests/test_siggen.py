@@ -35,6 +35,7 @@ from provsig.siggen import (
     sign_comments,
     sign_object,
     sign_shared_lib,
+    unique_name,
 )
 
 import pattern_reference
@@ -301,6 +302,21 @@ def test_sign_archive_skips_non_elf_member():
     sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a")
     assert [s.name for s in sigs] == ["lib.a/real.o:.text"]
     assert any("script.ld" in r.name for r in reports)
+
+
+def test_sign_archive_duplicate_member_names_numbered():
+    members = [("a.o", build_object(bytes((i * 7 + j) % 256 for j in range(32))))
+               for i in range(3)] + [("b.o", b"not elf")]
+    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a")
+    assert [s.name for s in sigs] == \
+        ["lib.a/a.o:.text", "lib.a/a.o#2:.text", "lib.a/a.o#3:.text"]
+    assert reports == [Rejected("not an ELF object", "lib.a/b.o")]
+
+
+def test_unique_name_counts_each_name_separately():
+    seen: dict[str, int] = {}
+    assert [unique_name(n, seen) for n in ("x", "y", "x", "x", "y")] == \
+        ["x", "y", "x#2", "x#3", "y#2"]
 
 
 def test_sign_archive_empty():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provsig.elf import get_section, parse_elf
+from provsig.elf import MalformedElf, UnsupportedElf, get_section, parse_elf
 from provsig.symver import (
     DEFAULT_LABELS,
     LabelVersion,
@@ -28,8 +28,10 @@ from elfwriter import (
     SHT_STRTAB,
     Sec,
     build_shared_lib,
+    build_shared_lib_layout,
     build_verdef_body,
 )
+from test_elf import elf_fields, int_field, mutate, parse_within_a_second
 
 GLIBC_CHAIN = [f"GLIBC_2.{minor}" for minor in range(11)]  # 2.0 .. 2.10
 
@@ -120,6 +122,10 @@ def test_split_label_unknown_and_non_numeric():
     assert split_label("MYLIB_1.2.3", ["GLIBC"]) is None
     assert split_label("GLIBC_2.x", ["GLIBC"]) is None
     assert split_label("GLIBC", ["GLIBC"]) is None
+    # latin-1 string tables: "\u00b2" passes str.isdigit() but not int()
+    assert split_label("GLIBC_2.\u00b2", ["GLIBC"]) is None
+    assert split_label("GLIBC_\u00b9.0", ["GLIBC"]) is None
+    assert split_label("GLIBC_2." + "9" * 5000, ["GLIBC"]) is None
 
 
 def test_split_label_longer_label_not_confused():
@@ -207,3 +213,35 @@ def test_load_labels(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("# site labels\nGLIBC\n\n  ACML\nMX\n")
     assert load_labels(path) == ["GLIBC", "ACML", "MX"]
+
+
+# -- mutation fuzzing ------------------------------------------------------------
+
+def _verdef_seed(bits: int):
+    layout = build_shared_lib_layout(versions=["GLIBC_2.2.5", "GLIBC_2.14", "GCC_3.0"],
+                                     bits=bits)
+    data = layout.data
+    fields = elf_fields(data)
+    start, size = layout.section_span[".gnu.version_d"]
+    fields += [int_field(off, 2, size) for off in range(start, start + size, 2)]
+    fields += [int_field(off, 4, size) for off in range(start, start + size, 4)]
+    # version-name bytes, so names can gain a "\u00b2", lose a "." or end early
+    start, size = layout.section_span[".dynstr"]
+    fields += [(off, (b"\xb2", b".", b"9", b"\x00")) for off in range(start, start + size)]
+    return data, fields
+
+
+_VERDEF_SEEDS = [_verdef_seed(64), _verdef_seed(32)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(_VERDEF_SEEDS) - 1), st.data())
+def test_parse_verdef_mutations_raise_only_malformed_verdef(which, data):
+    seed, fields = _VERDEF_SEEDS[which]
+    blob = mutate(seed, fields, data)
+    try:
+        image = parse_elf(blob)
+    except (MalformedElf, UnsupportedElf):
+        return
+    parse_within_a_second(parse_verdef, image, MalformedVerdef)
+    parse_within_a_second(library_versions, image, MalformedVerdef)
