@@ -7,6 +7,9 @@ embeds some of the library code (with its relocation bytes randomized,
 as a linker would), and scans it with sigscan.
 
     python3 scripts/demo_corpus.py [workdir]
+
+Exits with the first non-zero status of a siggen step, else with
+sigscan's status.
 """
 
 from __future__ import annotations
@@ -50,15 +53,19 @@ def main() -> int:
         sections.append((data, range(reloc_at, reloc_at + 4)))
     archive = workdir / "libdemo.a"
     archive.write_bytes(build_archive(members))
-    siggen_main(["obj", str(archive), "--package", "Demo Numeric Library",
-                 "--version", "3.1", "-o", str(db / "demo-numeric.sig")])
+    status = siggen_main(["obj", str(archive), "--package", "Demo Numeric Library",
+                          "--version", "3.1", "-o", str(db / "demo-numeric.sig")])
+    if status:
+        return status
 
     # package two: a compiler identified by its .comment string
     host = workdir / "cc-sample"
     host.write_bytes(build_executable(b"\x90" * 16,
                                       comment=b"DemoCC: release 9.2.0\x00"))
-    siggen_main(["comment", str(host), "--package", "DemoCC", "--version", "9.2",
-                 "-o", str(db / "democc.sig")])
+    status = siggen_main(["comment", str(host), "--package", "DemoCC", "--version", "9.2",
+                          "-o", str(db / "democc.sig")])
+    if status:
+        return status
 
     # a versioned shared library on the search path
     (libs / "libdemo.so.1").write_bytes(build_shared_lib(

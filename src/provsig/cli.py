@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -145,6 +146,12 @@ def siggen_main(argv=None) -> int:
             _err(f"siggen: cannot read {input_path}: {exc}")
             return EXIT_INPUT
         origin = siggen.unique_name(os.path.basename(input_path), used_origins)
+        # the elf module logs relocations it drops or clamps and an
+        # unterminated .comment; print them against this input
+        warnings = logging.StreamHandler(sys.stderr)
+        warnings.setFormatter(logging.Formatter(
+            "siggen: warning: {input}: {message}", style="{", defaults={"input": input_path}))
+        elf.logger.addHandler(warnings)
         try:
             if args.mode == "obj":
                 if data.startswith(elf.AR_MAGIC):
@@ -170,19 +177,17 @@ def siggen_main(argv=None) -> int:
         except (MalformedElf, UnsupportedElf, MalformedArchive) as exc:
             _err(f"siggen: {input_path}: {exc}")
             return EXIT_INPUT
+        finally:
+            elf.logger.removeHandler(warnings)
         signatures.extend(sigs)
         reports.extend(rejects)
 
     if args.mode == "comment":
         # identical vendor strings from different inputs would double-count
-        unique: list[siggen.Signature] = []
-        seen_patterns: set[tuple] = set()
+        unique: dict[tuple, siggen.Signature] = {}
         for sig in signatures:
-            if sig.pattern.elements in seen_patterns:
-                continue
-            seen_patterns.add(sig.pattern.elements)
-            unique.append(sig)
-        signatures = unique
+            unique.setdefault(sig.pattern.elements, sig)
+        signatures = list(unique.values())
 
     for report in reports:
         _err(f"siggen: skipped {report.name}: {report.reason}")

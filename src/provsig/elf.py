@@ -157,14 +157,10 @@ def parse_elf(data: bytes) -> ElfImage:
     is64 = ei_class == ELFCLASS64
 
     try:
-        if is64:
-            (e_type, e_machine, _e_version, _e_entry, _e_phoff, e_shoff,
-             _e_flags, _e_ehsize, _e_phentsize, _e_phnum, e_shentsize,
-             e_shnum, e_shstrndx) = struct.unpack_from("<HHIQQQIHHHHHH", data, 16)
-        else:
-            (e_type, e_machine, _e_version, _e_entry, _e_phoff, e_shoff,
-             _e_flags, _e_ehsize, _e_phentsize, _e_phnum, e_shentsize,
-             e_shnum, e_shstrndx) = struct.unpack_from("<HHIIIIIHHHHHH", data, 16)
+        (e_type, e_machine, _e_version, _e_entry, _e_phoff, e_shoff,
+         _e_flags, _e_ehsize, _e_phentsize, _e_phnum, e_shentsize,
+         e_shnum, e_shstrndx) = struct.unpack_from(
+            "<HHIQQQIHHHHHH" if is64 else "<HHIIIIIHHHHHH", data, 16)
     except struct.error as exc:
         raise MalformedElf("truncated ELF header") from exc
 

@@ -42,7 +42,7 @@ KEY_LEN = 16
 
 
 class UnanchorableSignature(ValueError):
-    """Signature whose longest literal run is under two bytes.
+    """Signature whose pattern has no anchor (:attr:`HexPattern.anchor`).
 
     ``index`` is the signature's position in the list given to
     :func:`compile`.
@@ -90,11 +90,11 @@ class CompiledEngine:
 def compile(signatures: list[Signature]) -> CompiledEngine:
     """Build one engine from hex signatures.
 
-    The anchor is the longest literal run, earliest run winning ties;
-    the trie is keyed on a window of it chosen by :func:`_choose_keys`.
-    Names play no part; matches report list indices.  Raises
-    UnanchorableSignature if a pattern has no 2+ byte literal run
-    (generated patterns never do; this guards hand-written input).
+    The anchor is :attr:`HexPattern.anchor`; the trie is keyed on a
+    window of it chosen by :func:`_choose_keys`.  Names play no part;
+    matches report list indices.  Raises UnanchorableSignature if a
+    pattern has no anchor (generated patterns always have one; this
+    guards hand-written input).
     """
     patterns: list[HexPattern] = []
     anchors: list[tuple[bytes, int]] = []
@@ -102,13 +102,13 @@ def compile(signatures: list[Signature]) -> CompiledEngine:
     for index, sig in enumerate(signatures):
         if sig.kind != KIND_HEX or sig.pattern is None:
             raise ValueError(f"engine only accepts hex signatures, got {sig.kind!r}")
-        runs = sig.pattern.literal_runs()
-        if not runs or max(len(r[1]) for r in runs) < 2:
+        anchor_run = sig.pattern.anchor
+        if anchor_run is None:
             raise UnanchorableSignature(index, sig.name)
-        anchor_off, anchor = max(runs, key=lambda r: len(r[1]))
+        anchor_off, anchor = anchor_run
         patterns.append(sig.pattern)
         anchors.append((anchor, anchor_off))
-        verify.append((sig.pattern.fixed_span, tuple(runs)))
+        verify.append((sig.pattern.fixed_span, tuple(sig.pattern.literal_runs())))
     keys = _choose_keys(anchors)
 
     # goto trie over the keys, built one depth at a time in sorted key

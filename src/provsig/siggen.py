@@ -75,7 +75,9 @@ class HexPattern:
     """A byte pattern: literal bytes (ints), ANY wildcards, and Gaps.
 
     Gaps never open or close a pattern and are never adjacent, so the
-    span the pattern occupies in a buffer is fixed.
+    span the pattern occupies in a buffer is fixed.  A scan needs an
+    :attr:`anchor`; :func:`build_pattern` rejects a pattern without one
+    and :func:`provsig.matcher.compile` refuses it.
     """
 
     elements: tuple
@@ -97,6 +99,13 @@ class HexPattern:
     def literal_runs(self) -> list[tuple[int, bytes]]:
         """Maximal runs of consecutive literals as (span offset, bytes)."""
         return list(self._layout[0])
+
+    @property
+    def anchor(self) -> tuple[int, bytes] | None:
+        """The longest literal run as (span offset, bytes), earliest on
+        ties, or None when it is shorter than two bytes."""
+        best = max(self._layout[0], key=lambda run: len(run[1]), default=None)
+        return best if best is not None and len(best[1]) >= 2 else None
 
     @cached_property
     def _layout(self) -> tuple[tuple[tuple[int, bytes], ...], int]:
@@ -121,9 +130,6 @@ class MaskedText:
 
     data: bytes
     masked: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.data)
 
 
 @dataclass(frozen=True)
@@ -170,92 +176,58 @@ def mask_text(section: Section, relocs: list[RelocationEntry]) -> MaskedText:
     return MaskedText(section.data, frozenset(masked))
 
 
-def _cells(masked: MaskedText, start: int, end: int) -> list:
-    data, mask = masked.data, masked.masked
-    return [ANY if i in mask else data[i] for i in range(start, end)]
-
-
 def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
-    """Turn a masked section into a pattern, or reject it.
+    """Turn a masked section into a pattern, or reject it, in one pass.
 
-    Up to 255 bytes the whole section becomes the pattern.  From 256
-    bytes on, three 85-byte segments are sampled (the tail of each
-    third) with gaps of l = n//3 - 85 and m = l + n%3 bytes between
-    them, so the last segment always ends exactly at the section end.
+    Up to 255 bytes the whole section is kept.  From 256 bytes on, three
+    85-byte segments are kept (the tail of each third) with gaps of
+    l = n//3 - 85 and m = l + n%3 bytes between them, so the last
+    segment always ends exactly at the section end.  Masked bytes become
+    ``??``.
 
-    Wildcards carrying no information are normalized away: leading and
-    trailing wildcard runs are trimmed, and a segment that is wildcards
-    throughout dissolves into its neighbouring gap.  Patterns left with
-    fewer than 16 positions are rejected as too short; patterns whose
-    longest literal run is a single byte are rejected as unanchorable.
+    Wildcards carrying no information are normalized away: a run of
+    abutting segments (the first two abut when l == 0, for n = 256 and
+    257) that is wildcards throughout dissolves into the gap around it,
+    and the leading and trailing wildcards of the pattern are trimmed.
+    A masked segment that abuts a literal one keeps its ``??``.  Patterns
+    left with fewer than 16 positions are rejected as too short;
+    patterns without an anchor (:attr:`HexPattern.anchor`) are rejected
+    as unanchorable.
     """
-    n = len(masked.data)
+    data, mask = masked.data, masked.masked
+    n = len(data)
     if n < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
-
-    parts: list  # alternating cell-run lists and Gaps
     if n <= MAX_PATTERN_POSITIONS:
-        parts = [_cells(masked, 0, n)]
+        ranges = [(0, n)]
     else:
         third = n // 3
-        gap_l = third - SEGMENT_LEN
-        gap_m = gap_l + n % 3
-        parts = [_cells(masked, third - SEGMENT_LEN, third)]
-        if gap_l:
-            parts.append(Gap(gap_l))
-        parts.append(_cells(masked, 2 * third - SEGMENT_LEN, 2 * third))
-        if gap_m:
-            parts.append(Gap(gap_m))
-        parts.append(_cells(masked, n - SEGMENT_LEN, n))
+        ranges = [(third - SEGMENT_LEN, third), (2 * third - SEGMENT_LEN, 2 * third),
+                  (n - SEGMENT_LEN, n)]
 
-    # merge runs left adjacent by a zero-length gap
-    merged: list = []
-    for part in parts:
-        if merged and not isinstance(part, Gap) and not isinstance(merged[-1], Gap):
-            merged[-1] = merged[-1] + part
-        else:
-            merged.append(part)
-
-    # an all-wildcard run tells us nothing: dissolve it into a gap
-    converted = [Gap(len(p)) if not isinstance(p, Gap) and all(c is ANY for c in p) else p
-                 for p in merged]
-    normalized: list = []
-    for part in converted:
-        if isinstance(part, Gap) and normalized and isinstance(normalized[-1], Gap):
-            normalized[-1] = Gap(normalized[-1].length + part.length)
-        else:
-            normalized.append(part)
-    while normalized and isinstance(normalized[0], Gap):
-        normalized.pop(0)
-    while normalized and isinstance(normalized[-1], Gap):
-        normalized.pop()
-    if normalized:
-        first = normalized[0]
-        lead = 0
-        while lead < len(first) and first[lead] is ANY:
-            lead += 1
-        if lead:
-            normalized[0] = first[lead:]
-        last = normalized[-1]
-        tail = len(last)
-        while tail > 0 and last[tail - 1] is ANY:
-            tail -= 1
-        if tail < len(last):
-            normalized[-1] = last[:tail]
-
-    elements: list = []
-    for part in normalized:
-        if isinstance(part, Gap):
-            elements.append(part)
-        else:
-            elements.extend(part)
-
-    positions = sum(1 for e in elements if not isinstance(e, Gap))
-    if positions < MIN_PATTERN_POSITIONS:
+    runs: list[tuple[int, int, list]] = []  # (lo, hi, cells) of abutting ranges
+    for lo, hi in ranges:
+        cells = [ANY if i in mask else byte for i, byte in enumerate(data[lo:hi], lo)]
+        if runs and runs[-1][1] == lo:
+            lo, _, head = runs.pop()
+            cells = head + cells
+        runs.append((lo, hi, cells))
+    runs = [run for run in runs if any(c is not ANY for c in run[2])]
+    if not runs:
         return Rejected(TOO_SHORT)
+    first, last = runs[0][2], runs[-1][2]
+    while first[0] is ANY:
+        del first[0]
+    while last[-1] is ANY:
+        last.pop()
+
+    if sum(len(cells) for _, _, cells in runs) < MIN_PATTERN_POSITIONS:
+        return Rejected(TOO_SHORT)
+    elements = list(runs[0][2])
+    for (_, end, _), (lo, _, cells) in zip(runs, runs[1:]):
+        elements += [Gap(lo - end), *cells]
     pattern = HexPattern(tuple(elements))
-    runs = pattern.literal_runs()
-    if not runs or max(len(r[1]) for r in runs) < 2:
+    if pattern.anchor is None:
         return Rejected(UNANCHORABLE)
     return pattern
 
@@ -284,7 +256,8 @@ def sign_archive(members: list[ArchiveMember], origin_name: str) -> tuple[list[S
     """sign_object over every archive member that is a relocatable ELF.
 
     Non-ELF members (linker scripts and the like) are skipped with a
-    report, as are members that fail to parse.
+    report, as are members whose headers or relocation tables fail to
+    parse.
     """
     signatures: list[Signature] = []
     reports: list[Rejected] = []
@@ -296,13 +269,13 @@ def sign_archive(members: list[ArchiveMember], origin_name: str) -> tuple[list[S
             continue
         try:
             image = elf.parse_elf(member.data)
+            if not image.is_relocatable:
+                reports.append(Rejected("not a relocatable object", origin))
+                continue
+            sigs, rejects = sign_object(image, origin)
         except (elf.MalformedElf, elf.UnsupportedElf) as exc:
             reports.append(Rejected(f"unparseable: {exc}", origin))
             continue
-        if not image.is_relocatable:
-            reports.append(Rejected("not a relocatable object", origin))
-            continue
-        sigs, rejects = sign_object(image, origin)
         signatures.extend(sigs)
         reports.extend(rejects)
     return signatures, reports
@@ -340,26 +313,19 @@ def sign_comments(strings: list[str], origin_name: str) -> list[Signature]:
     Shorter strings would flood a scan with noise and are dropped.
     """
     signatures: list[Signature] = []
-    seen: set[str] = set()
-    index = 0
-    for string in strings:
-        if string in seen:
-            continue
-        seen.add(string)
+    for string in dict.fromkeys(strings):
         raw = string.encode("latin-1")
-        if len(raw) < MIN_COMMENT_BYTES:
-            continue
-        signatures.append(Signature(
-            name=f"{origin_name}:.comment.{index}",
-            target=TARGET_COMMENT,
-            kind=KIND_HEX,
-            pattern=HexPattern(tuple(raw)),
-        ))
-        index += 1
+        if len(raw) >= MIN_COMMENT_BYTES:
+            signatures.append(Signature(
+                name=f"{origin_name}:.comment.{len(signatures)}",
+                target=TARGET_COMMENT,
+                kind=KIND_HEX,
+                pattern=HexPattern(tuple(raw)),
+            ))
     return signatures
 
 
-def pattern_to_text(pattern: HexPattern, spaced: bool = False) -> str:
+def pattern_to_text(pattern: HexPattern) -> str:
     """Render a pattern: lowercase hex pairs, ``??`` wildcards, ``{n}`` gaps."""
     tokens = []
     for element in pattern.elements:
@@ -369,7 +335,7 @@ def pattern_to_text(pattern: HexPattern, spaced: bool = False) -> str:
             tokens.append("??")
         else:
             tokens.append(f"{{{element.length}}}")
-    return (" " if spaced else "").join(tokens)
+    return "".join(tokens)
 
 
 _PATTERN_TOKEN = re.compile(

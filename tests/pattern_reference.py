@@ -1,13 +1,29 @@
-"""Reference implementations of the hex-pattern text parser and pattern
-layout, one step per character or element.
+"""Reference implementations of the hex-pattern text parser, the
+pattern layout and ``build_pattern``.
 
-The program's parser tokenizes whole runs and its layout works per run
-of same-type elements; the tests check both against these.
+The parser and layout work one step per character or element; the
+program's parser tokenizes whole runs and its layout works per run of
+same-type elements.  ``build_pattern`` is the earlier seven-pass version
+(cut, merge, convert, merge gaps, trim gaps, trim wildcards, flatten and
+count), kept verbatim; the program makes a pattern in one pass.  The
+tests check the program against all three.
 """
 
 from __future__ import annotations
 
-from provsig.siggen import ANY, Gap, HexPattern, PatternSyntaxError
+from provsig.siggen import (
+    ANY,
+    MAX_PATTERN_POSITIONS,
+    MIN_PATTERN_POSITIONS,
+    SEGMENT_LEN,
+    TOO_SHORT,
+    UNANCHORABLE,
+    Gap,
+    HexPattern,
+    MaskedText,
+    PatternSyntaxError,
+    Rejected,
+)
 
 
 def parse_pattern_text(text: str) -> HexPattern:
@@ -78,3 +94,93 @@ def literal_runs(pattern: HexPattern) -> list[tuple[int, bytes]]:
 def fixed_span(pattern: HexPattern) -> int:
     """Total bytes the pattern occupies in a buffer, gaps included."""
     return sum(e.length if isinstance(e, Gap) else 1 for e in pattern.elements)
+
+
+def _cells(masked: MaskedText, start: int, end: int) -> list:
+    data, mask = masked.data, masked.masked
+    return [ANY if i in mask else data[i] for i in range(start, end)]
+
+
+def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
+    """Turn a masked section into a pattern, or reject it.
+
+    Up to 255 bytes the whole section becomes the pattern.  From 256
+    bytes on, three 85-byte segments are sampled (the tail of each
+    third) with gaps of l = n//3 - 85 and m = l + n%3 bytes between
+    them, so the last segment always ends exactly at the section end.
+
+    Wildcards carrying no information are normalized away: leading and
+    trailing wildcard runs are trimmed, and a segment that is wildcards
+    throughout dissolves into its neighbouring gap.  Patterns left with
+    fewer than 16 positions are rejected as too short; patterns whose
+    longest literal run is a single byte are rejected as unanchorable.
+    """
+    n = len(masked.data)
+    if n < MIN_PATTERN_POSITIONS:
+        return Rejected(TOO_SHORT)
+
+    parts: list  # alternating cell-run lists and Gaps
+    if n <= MAX_PATTERN_POSITIONS:
+        parts = [_cells(masked, 0, n)]
+    else:
+        third = n // 3
+        gap_l = third - SEGMENT_LEN
+        gap_m = gap_l + n % 3
+        parts = [_cells(masked, third - SEGMENT_LEN, third)]
+        if gap_l:
+            parts.append(Gap(gap_l))
+        parts.append(_cells(masked, 2 * third - SEGMENT_LEN, 2 * third))
+        if gap_m:
+            parts.append(Gap(gap_m))
+        parts.append(_cells(masked, n - SEGMENT_LEN, n))
+
+    # merge runs left adjacent by a zero-length gap
+    merged: list = []
+    for part in parts:
+        if merged and not isinstance(part, Gap) and not isinstance(merged[-1], Gap):
+            merged[-1] = merged[-1] + part
+        else:
+            merged.append(part)
+
+    # an all-wildcard run tells us nothing: dissolve it into a gap
+    converted = [Gap(len(p)) if not isinstance(p, Gap) and all(c is ANY for c in p) else p
+                 for p in merged]
+    normalized: list = []
+    for part in converted:
+        if isinstance(part, Gap) and normalized and isinstance(normalized[-1], Gap):
+            normalized[-1] = Gap(normalized[-1].length + part.length)
+        else:
+            normalized.append(part)
+    while normalized and isinstance(normalized[0], Gap):
+        normalized.pop(0)
+    while normalized and isinstance(normalized[-1], Gap):
+        normalized.pop()
+    if normalized:
+        first = normalized[0]
+        lead = 0
+        while lead < len(first) and first[lead] is ANY:
+            lead += 1
+        if lead:
+            normalized[0] = first[lead:]
+        last = normalized[-1]
+        tail = len(last)
+        while tail > 0 and last[tail - 1] is ANY:
+            tail -= 1
+        if tail < len(last):
+            normalized[-1] = last[:tail]
+
+    elements: list = []
+    for part in normalized:
+        if isinstance(part, Gap):
+            elements.append(part)
+        else:
+            elements.extend(part)
+
+    positions = sum(1 for e in elements if not isinstance(e, Gap))
+    if positions < MIN_PATTERN_POSITIONS:
+        return Rejected(TOO_SHORT)
+    pattern = HexPattern(tuple(elements))
+    runs = pattern.literal_runs()
+    if not runs or max(len(r[1]) for r in runs) < 2:
+        return Rejected(UNANCHORABLE)
+    return pattern

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 
 import pytest
@@ -20,6 +21,7 @@ from provsig.sigdb import load_db, parse_sigfile
 
 from elfwriter import (
     R_X86_64_PC32,
+    SHT_RELA,
     Sec,
     build_archive,
     build_executable,
@@ -200,6 +202,48 @@ def test_siggen_rejections_reported_on_stderr(tmp_path, capsys):
     assert rc == 0
     err = capsys.readouterr().err
     assert "small.o:.text.tiny" in err and "too-short" in err
+
+
+def test_siggen_prints_elf_warnings_against_their_input(tmp_path, capsys):
+    far = tmp_path / "far.o"
+    far.write_bytes(build_object(bytes(range(40)), {".text": [(100, R_X86_64_PC32, "f")]}))
+    rc = siggen_main(["obj", str(far), "--package", "P", "--version", "1",
+                      "-o", str(tmp_path / "far.sig")])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        f"siggen: warning: {far}: relocation at 0x64 lies beyond .text (40 bytes); dropped\n")
+    host = tmp_path / "cc-host"
+    host.write_bytes(build_executable(b"\x90" * 16, comment=b"CC brand 9.9\x00tail"))
+    rc = siggen_main(["comment", str(host), "--package", "CC", "--version", "9.9",
+                      "-o", str(tmp_path / "cc.sig")])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        f"siggen: warning: {host}: .comment is not NUL-terminated; keeping trailing fragment\n")
+    assert logging.getLogger("provsig.elf").handlers == []
+    # an input that fails to parse leaves no handler behind either
+    junk = tmp_path / "junk.o"
+    junk.write_bytes(b"\x7fELF" + bytes(8))
+    rc = siggen_main(["obj", str(junk), "--package", "P", "--version", "1",
+                      "-o", str(tmp_path / "o.sig")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"siggen: {junk}: bad ELF magic\n"
+    assert logging.getLogger("provsig.elf").handlers == []
+
+
+def test_siggen_archive_with_malformed_relocation_table_member(tmp_path, capsys):
+    bad = build_object(b"\x42" * 24, extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA)])
+    archive = tmp_path / "lib.a"
+    archive.write_bytes(build_archive([("good.o", build_object(b"\x24" * 24)),
+                                       ("bad.o", bad), ("notes.txt", b"plain text")]))
+    out = tmp_path / "lib.sig"
+    rc = siggen_main(["obj", str(archive), "--package", "P", "--version", "1",
+                      "-o", str(out)])
+    assert rc == 0
+    assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
+        ["lib.a/good.o:.text"]
+    assert capsys.readouterr().err == (
+        "siggen: skipped lib.a/bad.o: unparseable: truncated relocation records in .rela.text\n"
+        "siggen: skipped lib.a/notes.txt: not an ELF object\n")
 
 
 def test_siggen_usage_error_exit_1(capsys):

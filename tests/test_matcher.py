@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -35,17 +36,24 @@ def pairs(matches) -> set[tuple[int, int]]:
 
 
 def naive_scan_once(patterns: list[HexPattern], buffer: bytes) -> set[tuple[int, int]]:
-    """O(positions x patterns) sliding-window matcher."""
+    """Every (pattern index, start) at which the pattern's bytes occur.
+
+    Each pattern becomes one regular expression (escaped literal bytes,
+    ``.`` for ``??``, ``.{n}`` for a gap) inside a zero-width lookahead,
+    so ``finditer`` tries it at every start position of the buffer.
+    """
     found: set[tuple[int, int]] = set()
     for sig_idx, pattern in enumerate(patterns):
-        span = pattern.fixed_span
-        chunks = pattern.literal_runs()
-        for start in range(len(buffer) - span + 1):
-            for off, literal in chunks:
-                if not buffer.startswith(literal, start + off):
-                    break
+        pieces = []
+        for element in pattern.elements:
+            if isinstance(element, int):
+                pieces.append(re.escape(bytes([element])))
+            elif isinstance(element, Gap):
+                pieces.append(b".{%d}" % element.length)
             else:
-                found.add((sig_idx, start))
+                pieces.append(b".")
+        regex = re.compile(b"(?=" + b"".join(pieces) + b")", re.DOTALL)
+        found.update((sig_idx, m.start()) for m in regex.finditer(buffer))
     return found
 
 

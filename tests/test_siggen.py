@@ -23,6 +23,7 @@ from provsig.siggen import (
     UNANCHORABLE,
     Gap,
     HexPattern,
+    MaskedText,
     NoTextSection,
     PatternSyntaxError,
     Rejected,
@@ -39,12 +40,18 @@ from provsig.siggen import (
 )
 
 import pattern_reference
-from elfwriter import R_X86_64_PC32, Sec, build_archive, build_object, build_shared_lib
+from elfwriter import (
+    R_X86_64_PC32,
+    SHT_RELA,
+    Sec,
+    build_archive,
+    build_object,
+    build_shared_lib,
+)
 
 CALL_STUB_TEXT = bytes.fromhex(
     "554889e54883ec10bf0a000000e800000000488945f8c9c3")
-CALL_STUB_PATTERN = ("55 48 89 e5 48 83 ec 10 bf 0a 00 00 00 e8 "
-                     "?? ?? ?? ?? 48 89 45 f8 c9 c3")
+CALL_STUB_PATTERN = "554889e54883ec10bf0a000000e8????????488945f8c9c3"
 
 
 def _section(data: bytes, name: str = ".text") -> Section:
@@ -103,7 +110,7 @@ def test_pattern_call_stub_exact():
     masked = mask_text(_section(CALL_STUB_TEXT), [_reloc(0x0E, 4)])
     pattern = build_pattern(masked)
     assert isinstance(pattern, HexPattern)
-    assert pattern_to_text(pattern, spaced=True) == CALL_STUB_PATTERN
+    assert pattern_to_text(pattern) == CALL_STUB_PATTERN
     assert pattern.literal_count == 20
     assert pattern.fixed_span == 24
 
@@ -181,6 +188,16 @@ def test_pattern_unanchorable_rejected():
     data = bytes(range(40))
     relocs = [_reloc(o, 1) for o in range(1, 40, 2)]
     assert build_pattern(mask_text(_section(data), relocs)) == Rejected(UNANCHORABLE)
+
+
+def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
+    # n = 256: the first gap is zero, so segments one and two form one
+    # run; with the second one masked the run is not wildcards throughout
+    # and its 85 ?? stay, ahead of the 1-byte gap before segment three
+    data = bytes((i * 37 + 11) % 256 for i in range(256))
+    pattern = build_pattern(mask_text(_section(data), [_reloc(85, 85)]))
+    assert _pattern_shape(pattern) == [("lit", 85), ("any", 85), ("gap", 1), ("lit", 85)]
+    assert pattern.fixed_span == 256
 
 
 def test_pattern_masked_middle_segment_dissolves_into_gap():
@@ -262,6 +279,48 @@ def test_generated_pattern_matches_source_section(case):
     assert len(matcher.scan_all(engine, data)) >= 1
 
 
+def _segment_ranges(n: int) -> list[tuple[int, int]]:
+    return [(0, n)] if n <= 255 else _segment_layout(n)[0]
+
+
+@st.composite
+def _masked_sections(draw):
+    """A section of 16-3000 bytes (255-258 forced often) with masks that
+    cover whole segments, part of a segment, every second byte of a
+    segment, or scattered relocation spans."""
+    n = draw(st.one_of(st.sampled_from([255, 256, 257, 258]), st.integers(16, 3000)))
+    data = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(n)
+    masked: set[int] = set()
+    for lo, hi in _segment_ranges(n):
+        how = draw(st.sampled_from(["none", "whole", "head", "tail", "alternate"]))
+        cut = draw(st.integers(lo, hi))
+        if how == "whole":
+            masked.update(range(lo, hi))
+        elif how == "head":
+            masked.update(range(lo, cut))
+        elif how == "tail":
+            masked.update(range(cut, hi))
+        elif how == "alternate":
+            masked.update(range(lo + draw(st.integers(0, 1)), hi, 2))
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, n - 1))
+        masked.update(range(at, min(at + draw(st.sampled_from([1, 2, 4, 8])), n)))
+    return MaskedText(data, frozenset(masked))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_masked_sections())
+def test_build_pattern_agrees_with_seven_pass_reference(masked):
+    assert build_pattern(masked) == pattern_reference.build_pattern(masked)
+
+
+def test_anchor_longest_literal_run_earliest_on_ties():
+    pattern = HexPattern((1, ANY, 2, 3, Gap(4), 4, 5, ANY, 6, 7, 8, ANY, 9, 10, 11))
+    assert pattern.anchor == (11, b"\x06\x07\x08")
+    assert HexPattern((1, ANY, 2, Gap(3), 4)).anchor is None
+    assert HexPattern((ANY,)).anchor is None
+
+
 # -- sign_object / sign_archive ----------------------------------------------
 
 def test_sign_object_call_stub():
@@ -271,7 +330,7 @@ def test_sign_object_call_stub():
     assert len(sigs) == 1
     assert sigs[0].name == "stub.o:.text"
     assert sigs[0].target == TARGET_TEXT
-    assert pattern_to_text(sigs[0].pattern, spaced=True) == CALL_STUB_PATTERN
+    assert pattern_to_text(sigs[0].pattern) == CALL_STUB_PATTERN
 
 
 def test_sign_object_short_section_skipped():
@@ -302,6 +361,17 @@ def test_sign_archive_skips_non_elf_member():
     sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a")
     assert [s.name for s in sigs] == ["lib.a/real.o:.text"]
     assert any("script.ld" in r.name for r in reports)
+
+
+def test_sign_archive_skips_member_with_malformed_relocation_table():
+    bad = build_object(b"\x42" * 24, extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA)])
+    members = [("good.o", build_object(b"\x24" * 24)), ("bad.o", bad),
+               ("notes.txt", b"plain text")]
+    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a")
+    assert [s.name for s in sigs] == ["lib.a/good.o:.text"]
+    assert reports == [
+        Rejected("unparseable: truncated relocation records in .rela.text", "lib.a/bad.o"),
+        Rejected("not an ELF object", "lib.a/notes.txt")]
 
 
 def test_sign_archive_duplicate_member_names_numbered():
@@ -400,7 +470,7 @@ def test_pattern_text_round_trip():
     text = pattern_to_text(pattern)
     assert text == "5548??{12}c9c3"
     assert parse_pattern_text(text) == pattern
-    assert parse_pattern_text(pattern_to_text(pattern, spaced=True)) == pattern
+    assert parse_pattern_text("55 48 ?? {12} c9 c3") == pattern
 
 
 @pytest.mark.parametrize("bad", [
