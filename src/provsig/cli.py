@@ -82,15 +82,22 @@ def format_report(report: ScanReport, fmt: str) -> str:
 
 def resolve_dynamic(sonames, search_paths) -> list[tuple[str, str | None]]:
     """Resolve each soname against the ordered search paths; first hit
-    wins, symlinks are followed, misses are recorded as None."""
+    wins, symlinks are followed, misses are recorded as None.
+
+    A soname comes from the target, which is untrusted: one that is
+    empty, ``.`` or ``..``, or that contains ``/``, is not looked up and
+    is recorded as a miss, so no name reaches a file outside the search
+    directories by path.
+    """
     resolved: list[tuple[str, str | None]] = []
     for soname in sonames:
         found = None
-        for directory in search_paths:
-            candidate = os.path.join(directory, soname)
-            if os.path.isfile(candidate):
-                found = candidate
-                break
+        if soname not in ("", ".", "..") and "/" not in soname:
+            for directory in search_paths:
+                candidate = os.path.join(directory, soname)
+                if os.path.isfile(candidate):
+                    found = candidate
+                    break
         resolved.append((soname, found))
     return resolved
 

@@ -1,44 +1,54 @@
 """Multi-pattern scanning engine for hex signatures.
 
-All signatures are compiled into a single Aho-Corasick automaton and a
-buffer is scanned in one pass.  Each signature has an *anchor*: its
-longest wildcard-free byte run, earliest run on ties.  The automaton is
-keyed not on the whole anchor but on a *key*: a ``KEY_LEN``-byte window
-inside it (an anchor shorter than that is its own key).  Candidate
-windows start every ``KEY_LEN`` bytes of the anchor, plus the anchor's
-last window; the candidate contained in the fewest of the engine's
-anchors wins, earliest on ties, so a prologue or padding window shared
-by many signatures is not chosen while a rarer one exists.  When a key
-fires, the candidate start position is derived from the key's offset
-inside the pattern and the full pattern is verified there (literals
-must equal buffer bytes, ``??`` positions and gap ranges are skipped).
-Every occurrence of a pattern contains its key, so keying on a window
-loses no match; it only bounds the trie depth.  Because pattern gaps
-have exact lengths, every pattern occupies a fixed span, which keeps
-both the key arithmetic and the verification trivial.
+All signatures are compiled into one engine and a buffer is scanned in
+one pass per word table.  Each signature has an *anchor*: its longest
+wildcard-free byte run, earliest run on ties.  The engine is keyed not
+on the whole anchor but on a *key*: a ``KEY_LEN``-byte window inside it
+(an anchor shorter than that is its own key).  Candidate windows start
+every ``KEY_LEN`` bytes of the anchor, plus the anchor's last window;
+the candidate contained in the fewest of the engine's anchors wins,
+earliest on ties, so a prologue or padding window shared by many
+signatures is not chosen while a rarer one exists.  Every occurrence of
+a pattern contains its key, so keying on a window loses no match.
 
-The trie mirrors the classic two-level 256-way layout: the root and
-every depth-1 node carry a dense, failure-resolved 256-entry transition
-row; deeper nodes keep sparse child maps and fall back through failure
-links.  Keys are at least two bytes, so every key terminates at
-depth >= 2.
+Keys are found by a two-level literal filter, in the line of Wu-Manber
+and Hyperscan.  Level 1 reads the buffer as native words (8, 4 or 2
+bytes, by key length) at every ``step``-th position, ``step`` being the
+largest power of two <= key length - word + 1, so every occurrence of a
+key holds a sampled word at exactly one key offset ``j < step``.  Those
+words sit in one hash table per (word size, alignment); a table none of
+whose words is in the buffer is skipped, and otherwise the hit
+positions come out of a C-level filter.  Level 2 looks each candidate
+key position's bytes up in a dict of keys, which names the signatures
+keyed on them, and the full pattern is verified at the start the key's
+offset inside the pattern gives (literals must equal buffer bytes,
+``??`` positions and gap ranges are skipped).  Pattern gaps have exact
+lengths, so every pattern occupies a fixed span, which keeps both the
+key arithmetic and the verification trivial.
 
-``scan_all`` makes that one pass, over a text section or ``.comment``
-bytes alike, and returns every verified occurrence of every signature,
-overlaps included, as a tuple of :class:`Match` sorted by (start,
-signature id): each (signature, start) whose bytes match is reported
-once.  It only reads the buffer, so every match it reports is made of
-the input's own bytes.
+This departs from the paper's ClamAV-style Aho-Corasick automaton; it
+reports the same matches, and the naive every-start regular expression
+oracle in the tests is the judge of that.
+
+``scan_all`` scans a text section or ``.comment`` bytes alike and
+returns every verified occurrence of every signature, overlaps
+included, as a tuple of :class:`Match` sorted by (start, signature
+id): each (signature, start) whose bytes match is reported once.  It
+only reads the buffer, so every match it reports is made of the
+input's own bytes.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count
 
 from provsig.siggen import KIND_HEX, HexPattern, Signature
 
 KEY_LEN = 16
+_WORD_CODES = {8: "Q", 4: "I", 2: "H"}
 
 
 class UnanchorableSignature(ValueError):
@@ -64,33 +74,40 @@ class Match:
 
 
 class CompiledEngine:
-    """Immutable compiled automaton; safe to share across threads.
+    """Immutable compiled word filter; safe to share across threads.
 
     Build with :func:`compile`.  ``patterns``, ``anchors`` and ``keys``
     expose, per signature, the source pattern, the (anchor bytes, span
-    offset) pair and the (key bytes, span offset) pair the trie holds.
+    offset) pair and the (key bytes, span offset) pair the filter holds.
     """
 
-    __slots__ = ("patterns", "anchors", "keys", "_dense", "_ndense", "_children",
-                 "_fail", "_out", "_verify")
+    __slots__ = ("patterns", "anchors", "keys", "_passes", "_owners", "_verify")
 
-    def __init__(self, patterns, anchors, keys, dense, ndense, children, fail, out,
-                 verify):
+    def __init__(self, patterns, anchors, keys, passes, owners, verify):
         self.patterns: tuple[HexPattern, ...] = patterns
         self.anchors: tuple[tuple[bytes, int], ...] = anchors
         self.keys: tuple[tuple[bytes, int], ...] = keys
-        self._dense = dense
-        self._ndense = ndense
-        self._children = children
-        self._fail = fail
-        self._out = out
+        self._passes = passes
+        self._owners = owners
         self._verify = verify
+
+
+def _word_and_step(key_len: int) -> tuple[int, int]:
+    """The word size a key of ``key_len`` bytes is sampled with, and the
+    sampling step: the largest power of two <= key_len - word + 1.
+
+    The word is the widest of 8, 4 and 2 bytes that still allows a step
+    of at least half a word, so a scan reads each word size at no more
+    than two alignments.
+    """
+    word = 8 if key_len >= 11 else 4 if key_len >= 5 else 2
+    return word, 1 << (key_len - word + 1).bit_length() - 1
 
 
 def compile(signatures: list[Signature]) -> CompiledEngine:
     """Build one engine from hex signatures.
 
-    The anchor is :attr:`HexPattern.anchor`; the trie is keyed on a
+    The anchor is :attr:`HexPattern.anchor`; the filter is keyed on a
     window of it chosen by :func:`_choose_keys`.  Names play no part;
     matches report list indices.  Raises UnanchorableSignature if a
     pattern has no anchor (generated patterns always have one; this
@@ -111,62 +128,37 @@ def compile(signatures: list[Signature]) -> CompiledEngine:
         verify.append((sig.pattern.fixed_span, tuple(sig.pattern.literal_runs())))
     keys = _choose_keys(anchors)
 
-    # goto trie over the keys, built one depth at a time in sorted key
-    # order, which numbers the states breadth-first with siblings
-    # adjacent: the dense depth-1 states get the low ids, every failure
-    # target has a lower id than its source, and the states a scan walks
-    # together sit close in memory (built in key-index order instead, the
-    # trie scanned code-like bytes about 15% slower)
-    children: list[dict[int, int]] = [{}]
-    parent_byte: list[tuple[int, int]] = [(-1, -1)]
-    payload: list[list[tuple[int, int, int]]] = [[]]
-    at = [0] * len(keys)
-    by_key = sorted(range(len(keys)), key=lambda i: keys[i][0])
-    for depth in range(max((len(key) for key, _ in keys), default=0)):
-        for idx in by_key:
-            key, key_off = keys[idx]
-            if depth >= len(key):
-                continue
-            parent = at[idx]
-            byte = key[depth]
-            node = children[parent].get(byte)
-            if node is None:
-                node = len(children)
-                children[parent][byte] = node
-                children.append({})
-                parent_byte.append((parent, byte))
-                payload.append([])
-            at[idx] = node
-            if depth + 1 == len(key):
-                payload[node].append((idx, len(key), key_off))
-
-    # failure links and output propagation, in id order
-    n = len(children)
-    ndense = 1 + len(children[0])
-    fail = [0] * n
-    out: list[tuple[tuple[int, int, int], ...]] = [()] * n
-    for node in range(ndense, n):
-        parent, byte = parent_byte[node]
-        f = fail[parent]
-        while True:
-            nxt = children[f].get(byte)
-            if nxt is not None:
-                fail[node] = nxt
-                break
-            if f == 0:
-                break
-            f = fail[f]
-        out[node] = tuple(payload[node]) + out[fail[node]]
-
-    # dense failure-resolved rows for the two top levels
-    root_row = [children[0].get(b, 0) for b in range(256)]
-    dense = [root_row]
-    for node in range(1, ndense):
-        row = children[node]
-        dense.append([row.get(b) if b in row else root_row[b] for b in range(256)])
-
-    return CompiledEngine(tuple(patterns), tuple(anchors), keys, dense, ndense,
-                          children, fail, out, tuple(verify))
+    # level 2: key bytes -> the (signature, key span offset) pairs keyed on it
+    owners: dict[bytes, list[tuple[int, int]]] = {}
+    by_len: dict[int, list[bytes]] = {}
+    for sig_idx, (key, key_off) in enumerate(keys):
+        if key not in owners:
+            owners[key] = []
+            by_len.setdefault(len(key), []).append(key)
+        owners[key].append((sig_idx, key_off))
+    # level 1: per (word size, alignment r) the scan reads, word value ->
+    # the distinct (key offset j, key length) slots it starts; a key of
+    # step s is tabled at each alignment r % s == 0, for each j < s (a
+    # word with one slot shares that slot's one-element tuple)
+    tables: dict[tuple[int, int], dict[int, tuple[tuple[int, int], ...]]] = {}
+    for key_len, same_len in by_len.items():
+        word, step = _word_and_step(key_len)
+        for r in range(0, word, step):
+            table = tables.setdefault((word, r), {})
+            for j in range(step):
+                one = ((j, key_len),)
+                for key in same_len:
+                    value = int.from_bytes(key[j:j + word], sys.byteorder)
+                    slots = table.get(value)
+                    if slots is None:
+                        table[value] = one
+                    elif one[0] not in slots:
+                        table[value] = slots + one
+    passes = tuple((_WORD_CODES[word], word, r, table)
+                   for (word, r), table in sorted(tables.items()))
+    return CompiledEngine(tuple(patterns), tuple(anchors), keys, passes,
+                          {key: tuple(pairs) for key, pairs in owners.items()},
+                          tuple(verify))
 
 
 def _key_offsets(anchor_len: int) -> list[int]:
@@ -180,7 +172,7 @@ def _key_offsets(anchor_len: int) -> list[int]:
 
 
 def _choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
-    """Per anchor, the (key bytes, span offset) the trie is built on.
+    """Per anchor, the (key bytes, span offset) the filter is built on.
 
     The key is the candidate window contained in the fewest anchors,
     earliest on ties; an anchor up to ``KEY_LEN`` bytes is its own key.
@@ -204,45 +196,38 @@ def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
     """Every verified occurrence of every signature, overlaps included,
     in one pass over ``buffer``, sorted by (start, signature id); the
     buffer is only read."""
-    if not isinstance(buffer, (bytes, bytearray)):
+    if not isinstance(buffer, bytes):
         buffer = bytes(buffer)
-    dense = engine._dense
-    ndense = engine._ndense
-    children = engine._children
-    fail = engine._fail
-    out = engine._out
+    owners = engine._owners
     verify = engine._verify
     n = len(buffer)
-    # a signature has one key, so at each position a state's output
-    # names it at most once and each (signature, start) is found once
+    view = memoryview(buffer)
+    # a key occurrence at a is sampled once, at the one position p with
+    # a <= p < a + step and p % step == 0 (offset j = p - a), and a
+    # signature has one key, so each (signature, start) is found once
     hits: list[Match] = []
-    state = 0
-    for pos, byte in enumerate(buffer):
-        if state < ndense:
-            state = dense[state][byte]
-        else:
-            while True:
-                nxt = children[state].get(byte)
-                if nxt is not None:
-                    state = nxt
-                    break
-                state = fail[state]
-                if state < ndense:
-                    state = dense[state][byte]
-                    break
-        found = out[state]
-        if found:
-            for sig_idx, anchor_len, anchor_off in found:
-                start = pos + 1 - anchor_len - anchor_off
-                if start < 0:
+    for code, word, r, table in engine._passes:
+        words = view[r:r + (n - r) // word * word].cast(code)
+        if table.keys().isdisjoint(words):
+            continue
+        for i in compress(count(), map(table.__contains__, words)):
+            pos = r + i * word
+            for j, key_len in table[words[i]]:
+                at = pos - j
+                if at < 0 or at + key_len > n:
                     continue
-                span, chunks = verify[sig_idx]
-                if start + span > n:
+                found = owners.get(buffer[at:at + key_len])
+                if found is None:
                     continue
-                for chunk_off, literal in chunks:
-                    if not buffer.startswith(literal, start + chunk_off):
-                        break
-                else:
-                    hits.append(Match(sig_idx, start, span))
+                for sig_idx, key_off in found:
+                    start = at - key_off
+                    span, chunks = verify[sig_idx]
+                    if start < 0 or start + span > n:
+                        continue
+                    for chunk_off, literal in chunks:
+                        if not buffer.startswith(literal, start + chunk_off):
+                            break
+                    else:
+                        hits.append(Match(sig_idx, start, span))
     hits.sort(key=lambda m: (m.start, m.signature_id))
     return tuple(hits)

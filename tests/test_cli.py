@@ -124,6 +124,16 @@ def test_resolve_dynamic_follows_symlink(tmp_path):
     assert resolved[0][1] == str(link_dir / "libreal.so.1")
 
 
+def test_resolve_dynamic_does_not_look_up_path_like_names(tmp_path):
+    libdir = tmp_path / "libs"
+    (libdir / "sub").mkdir(parents=True)
+    (libdir / "sub" / "libinner.so").write_bytes(b"lib")
+    (tmp_path / "libouter.so").write_bytes(b"lib")
+    names = ["", ".", "..", "../libouter.so", str(tmp_path / "libouter.so"),
+             "sub/libinner.so"]
+    assert resolve_dynamic(names, [str(libdir)]) == [(name, None) for name in names]
+
+
 # -- siggen command -------------------------------------------------------------------
 
 def test_siggen_obj_archive(tmp_path, capsys):
@@ -624,6 +634,52 @@ def test_sigscan_garbage_target_and_corrupt_library_in_one_batch(dynlib_world, t
     assert broken_warning.startswith(str(libdir / "libbroken.so") + ": ")
     assert "no name record" in broken_warning
     assert unresolved == "unresolved dynamic library: libgone.so"
+
+
+@pytest.mark.parametrize("escape", ["parent", "absolute", "subdirectory"])
+def test_sigscan_needed_name_cannot_leave_the_search_path(dynlib_world, tmp_path,
+                                                          capsys, escape):
+    db, libdir, _ = dynlib_world
+    secret = build_shared_lib(text=b"\x55" * 32, versions=["GLIBC_2.99"])
+    if escape == "parent":
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "libsecret.so").write_bytes(secret)
+        soname = "../outside/libsecret.so"
+    elif escape == "absolute":
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "libsecret.so").write_bytes(secret)
+        soname = str(tmp_path / "outside" / "libsecret.so")
+    else:
+        (libdir / "sub").mkdir()
+        (libdir / "sub" / "libsecret.so").write_bytes(secret)
+        soname = "sub/libsecret.so"
+    target = tmp_path / "hostile"
+    target.write_bytes(build_executable(b"\x90" * 32, needed=[soname]))
+    rc = sigscan_main(["--db", str(db), "--search-path", str(libdir),
+                       "--format", "json", str(target)])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dynlib_findings"] == []
+    assert doc["warnings"] == [f"unresolved dynamic library: {soname}"]
+
+
+def test_sigscan_unparsable_library_warns_and_keeps_exit_0(dynlib_world, tmp_path,
+                                                            capsys):
+    # a library is not a target: one that does not parse adds a warning
+    # to its target's report and leaves the exit status unchanged
+    db, libdir, _ = dynlib_world
+    (libdir / "libjunk.so").write_bytes(b"not an ELF file at all")
+    target = tmp_path / "uses-junk"
+    target.write_bytes(build_executable(b"\x90" * 32, needed=["libjunk.so"]))
+    rc = sigscan_main(["--db", str(db), "--search-path", str(libdir),
+                       "--format", "json", str(target)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["dynlib_findings"] == []
+    assert len(doc["warnings"]) == 1
+    assert doc["warnings"][0].startswith(str(libdir / "libjunk.so") + ": ")
 
 
 def test_sigscan_custom_labels_file(dynlib_world, tmp_path, capsys):

@@ -260,6 +260,138 @@ def test_scan_all_reports_no_ghost_match_over_a_found_match():
     assert found == {(0, 8)} == naive_scan_once([s.pattern for s in sigs], buffer)
 
 
+# -- word filter: differential checks against the oracle -------------------------
+
+PROLOGUE = bytes.fromhex("f30f1efa554889e5")
+
+
+def _flanked(anchor: bytes, left: int = 0x41, right: int = 0x42) -> tuple:
+    """A pattern whose anchor (and key, up to 16 bytes) is ``anchor``."""
+    return (left, ANY) + tuple(anchor) + (ANY, right)
+
+
+def _assert_oracle(sigs, buffer) -> set[tuple[int, int]]:
+    engine = matcher.compile(sigs)
+    found = matcher.scan_all(engine, buffer)
+    assert len(found) == len(pairs(found))
+    expected = naive_scan_once([s.pattern for s in sigs], bytes(buffer))
+    assert pairs(found) == expected
+    assert all(m.span == sigs[m.signature_id].pattern.fixed_span for m in found)
+    return expected
+
+
+def test_anchor_lengths_2_to_17_in_one_engine():
+    rng = random.Random(217)
+    anchors = [rng.randbytes(length) for length in range(2, 18)]
+    sigs = [_sig(f"l{len(a)}", _flanked(a)) for a in anchors]
+    engine = matcher.compile(sigs)
+    assert len({(word, r) for _, word, r, _ in engine._passes}) == 6
+    buffer = bytearray(rng.randbytes(6000))
+    planted = set()
+    for plant in range(48):
+        sig_idx = plant % len(sigs)
+        start = plant * 120 + rng.randrange(0, 90)
+        buffer[start:start + sigs[sig_idx].pattern.fixed_span] = \
+            b"\x41\x00" + anchors[sig_idx] + b"\x00\x42"
+        planted.add((sig_idx, start))
+    assert planted <= _assert_oracle(sigs, bytes(buffer))
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5, 7, 8, 10, 11, 14, 15, 16, 17])
+def test_key_at_every_offset_mod_8(length):
+    rng = random.Random(800 + length)
+    anchor = rng.randbytes(length)
+    sigs = [_sig("k", _flanked(anchor))]
+    instance = b"\x41\x00" + anchor + b"\x00\x42"
+    for offset in range(16):
+        buffer = rng.randbytes(offset) + instance + rng.randbytes(24)
+        assert (0, offset) in _assert_oracle(sigs, buffer)
+
+
+def test_matches_at_buffer_start_and_end_for_every_word_size():
+    rng = random.Random(51)
+    sigs = [_sig(f"e{length}", tuple(rng.randbytes(length)))
+            for length in (2, 3, 4, 6, 9, 12, 16, 23)]
+    for sig in sigs:
+        literal = bytes(sig.pattern.elements)
+        for middle in (b"", b"\x00", rng.randbytes(13)):
+            buffer = literal + middle + literal
+            found = _assert_oracle(sigs, buffer)
+            index = sigs.index(sig)
+            assert {(index, 0), (index, len(buffer) - len(literal))} <= found
+
+
+def test_buffer_shorter_than_one_word():
+    rng = random.Random(7)
+    sigs = [_sig(f"s{length}", tuple(rng.randbytes(length))) for length in range(2, 9)]
+    sigs.append(_sig("zz", (0x00, 0x00)))
+    for length in range(8):
+        for _ in range(20):
+            buffer = rng.randbytes(length)
+            _assert_oracle(sigs, buffer)
+        _assert_oracle(sigs, bytes(length))
+    for sig in sigs[:6]:
+        _assert_oracle(sigs, bytes(sig.pattern.elements))
+
+
+def test_code_like_prologue_runs():
+    rng = random.Random(88)
+    body = PROLOGUE * 300
+    tail = rng.randbytes(40)
+    sigs = [
+        _sig("prologue", tuple(PROLOGUE)),
+        _sig("two", tuple(PROLOGUE * 2)),
+        _sig("straddle", tuple(PROLOGUE[4:] + PROLOGUE + PROLOGUE[:3])),
+        _sig("holey", tuple(PROLOGUE) + (ANY,) * 8 + tuple(PROLOGUE[:6])),
+        _sig("gapped", tuple(PROLOGUE[:5]) + (Gap(11),) + tuple(PROLOGUE)),
+        _sig("tail", tuple(PROLOGUE[-5:] + tail[:20])),
+        _sig("absent", tuple(PROLOGUE + b"\xc3")),
+    ]
+    for buffer in (body + tail, b"\x90" + body + tail, (PROLOGUE + b"\x90") * 200):
+        _assert_oracle(sigs, buffer)
+
+
+@pytest.mark.parametrize("fill", [0x00, 0xCC, 0x90])
+def test_code_like_padding_runs_with_keys_of_padding_bytes(fill):
+    rng = random.Random(fill)
+    pad = bytes([fill])
+    sigs = [_sig(f"run{length}", (fill,) * length) for length in (2, 3, 5, 8, 11, 16, 17)]
+    sigs.append(_sig("edge", (0xC3,) + (fill,) * 12))
+    sigs.append(_sig("masked", (fill,) * 6 + (ANY, ANY) + (fill,) * 9))
+    sigs.append(_sig("other", (fill ^ 0xFF,) * 9))
+    pieces = []
+    for _ in range(30):
+        pieces.append(pad * rng.randrange(0, 70))
+        pieces.append(rng.choice([b"\xc3", rng.randbytes(rng.randrange(1, 9)), PROLOGUE]))
+    buffer = b"".join(pieces) + pad * 40
+    assert len(_assert_oracle(sigs, buffer)) > 100
+
+
+def test_bytes_bytearray_and_memoryview_inputs_agree():
+    rng = random.Random(5)
+    buffer, _, sigs = _oracle_case(rng, 3000, 12)
+    sigs.append(_sig("short", tuple(buffer[100:103])))
+    engine = matcher.compile(sigs)
+    expected = matcher.scan_all(engine, buffer)
+    assert expected
+    as_array = bytearray(buffer)
+    assert matcher.scan_all(engine, as_array) == expected
+    assert matcher.scan_all(engine, memoryview(buffer)) == expected
+    assert matcher.scan_all(engine, memoryview(as_array)) == expected
+    assert as_array == buffer
+
+
+def test_word_table_uses_native_byte_order():
+    rng = random.Random(64)
+    keys = [rng.randbytes(length) for length in (2, 3, 4, 5, 8, 10, 11, 16)]
+    engine = matcher.compile([_sig(f"n{i}", tuple(key)) for i, key in enumerate(keys)])
+    tables = {(word, r): (code, table) for code, word, r, table in engine._passes}
+    for key, _ in engine.keys:
+        word, _ = matcher._word_and_step(len(key))
+        code, table = tables[word, 0]
+        assert (0, len(key)) in table[memoryview(key[:word]).cast(code)[0]]
+
+
 # -- .comment strings ------------------------------------------------------------
 
 def test_match_comment_vendor_string():
