@@ -191,9 +191,9 @@ def siggen_main(argv=None) -> int:
 
     if args.mode == "comment":
         # identical vendor strings from different inputs would double-count
-        unique: dict[tuple, siggen.Signature] = {}
+        unique: dict[siggen.HexPattern, siggen.Signature] = {}
         for sig in signatures:
-            unique.setdefault(sig.pattern.elements, sig)
+            unique.setdefault(sig.pattern, sig)
         signatures = list(unique.values())
 
     for report in reports:
@@ -206,7 +206,7 @@ def siggen_main(argv=None) -> int:
                                    signatures=tuple(signatures))
     try:
         sigdb.write_sigfile(sig_file, args.output)
-    except OSError as exc:
+    except (OSError, sigdb.UnwritableSigFile) as exc:
         _err(f"siggen: cannot write {args.output}: {exc}")
         return EXIT_INPUT
     return EXIT_OK
@@ -335,7 +335,7 @@ def sigscan_main(argv=None) -> int:
     if args.labels:
         try:
             labels = symver.load_labels(args.labels)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             _err(f"sigscan: cannot read labels file: {exc}")
             return EXIT_INPUT
     else:

@@ -48,6 +48,10 @@ class MalformedSigFile(ValueError):
     """Signature file that does not follow the format."""
 
 
+class UnwritableSigFile(ValueError):
+    """Signature file that would not read back as written."""
+
+
 class EmptyDatabase(ValueError):
     """Database directory from which nothing loaded."""
 
@@ -90,27 +94,44 @@ class Database:
         return owners
 
 
+def _is_comment(line: str) -> bool:
+    """Whether the reader skips ``line`` as a comment."""
+    return line.lstrip().startswith("#")
+
+
+def _one_line(text: str) -> bool:
+    """Whether ``text`` holds no line boundary the reader splits at
+    (``str.splitlines`` splits at ``\\v``, ``\\x85``, ``\\u2028`` and more
+    besides CR and LF)."""
+    return "".join(text.splitlines()) == text
+
+
 def _check_writable(sf: SignatureFile) -> None:
     if not sf.package:
-        raise ValueError("package name must be non-empty")
+        raise UnwritableSigFile("package name must be non-empty")
     for field in (sf.package, sf.version):
-        if any(c in field for c in "\r\n") or ":" in field:
-            raise ValueError(f"package/version may not contain colons or newlines: {field!r}")
+        if not _one_line(field) or ":" in field:
+            raise UnwritableSigFile(
+                f"package/version may not contain colons or line breaks: {field!r}")
     seen: set[str] = set()
     for sig in sf.signatures:
-        if not sig.name or any(c in sig.name for c in "\r\n") or sig.name.startswith("#"):
-            raise ValueError(f"bad signature name {sig.name!r}")
+        if not sig.name or not _one_line(sig.name) or _is_comment(sig.name):
+            raise UnwritableSigFile(f"bad signature name {sig.name!r}")
         if sig.name in seen:
-            raise ValueError(f"duplicate signature name {sig.name!r}")
+            raise UnwritableSigFile(f"duplicate signature name {sig.name!r}")
         seen.add(sig.name)
         if sig.kind == KIND_MD5 and sig.target != TARGET_DYNLIB:
-            raise ValueError(f"md5 signature {sig.name!r} must target dynlib")
+            raise UnwritableSigFile(f"md5 signature {sig.name!r} must target dynlib")
         if sig.kind == KIND_HEX and sig.target not in _HEX_TARGETS:
-            raise ValueError(f"hex signature {sig.name!r} must target text or comment")
+            raise UnwritableSigFile(f"hex signature {sig.name!r} must target text or comment")
 
 
 def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
-    """Serialize a signature file; optionally write it to ``destination``."""
+    """Serialize a signature file; optionally write it to ``destination``.
+
+    Raises UnwritableSigFile, before anything is written, for a file
+    :func:`parse_sigfile` would not read back as it is.
+    """
     _check_writable(sf)
     lines = [MAGIC_LINE, f"package {sf.package}", f"version {sf.version}"]
     for sig in sf.signatures:
@@ -118,7 +139,11 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
             lines.append(f"{sig.name}:{sig.target}:hex:{pattern_to_text(sig.pattern)}")
         else:
             lines.append(f"{sig.name}:{sig.target}:md5:{sig.digest}:{sig.text_size}")
-    blob = ("\n".join(lines) + "\n").encode("utf-8")
+    try:
+        blob = ("\n".join(lines) + "\n").encode("utf-8")
+    except UnicodeEncodeError as exc:  # e.g. a name from a non-UTF-8 file name
+        raise UnwritableSigFile(
+            f"{exc.object[exc.start:exc.end]!r} is not encodable as UTF-8") from exc
     if destination is not None:
         Path(destination).write_bytes(blob)
     return blob
@@ -139,7 +164,7 @@ def parse_sigfile(data: bytes) -> SignatureFile:
     signatures: list[Signature] = []
     names: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.lstrip().startswith("#"):
+        if not line.strip() or _is_comment(line):
             continue
         if ":" not in line:
             key, _, value = line.partition(" ")

@@ -21,8 +21,9 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import groupby
+from bisect import bisect_right
+from itertools import islice
+from operator import itemgetter
 
 from provsig import elf
 from provsig.elf import ArchiveMember, ElfImage, RelocationEntry, Section
@@ -51,16 +52,14 @@ class PatternSyntaxError(ValueError):
     """Hex pattern text that does not follow the pattern grammar."""
 
 
-class _AnyByte:
-    """Singleton marker for a one-byte wildcard (`??`)."""
+@dataclass(frozen=True)
+class Wild:
+    """``length`` one-byte wildcards (``??``) in a row."""
 
-    __slots__ = ()
+    length: int
 
-    def __repr__(self) -> str:
-        return "ANY"
-
-
-ANY = _AnyByte()
+    def __len__(self) -> int:
+        return self.length
 
 
 @dataclass(frozen=True)
@@ -69,67 +68,65 @@ class Gap:
 
     length: int
 
+    def __len__(self) -> int:
+        return self.length
+
 
 @dataclass(frozen=True)
 class HexPattern:
-    """A byte pattern: literal bytes (ints), ANY wildcards, and Gaps.
+    """A byte pattern held as its runs, the tokens of its ``.sig`` text:
+    ``bytes`` (a literal run), :class:`Wild` and :class:`Gap`.
 
-    Gaps never open or close a pattern and are never adjacent, so the
-    span the pattern occupies in a buffer is fixed.  A scan needs an
-    :attr:`anchor`; :func:`build_pattern` rejects a pattern without one
-    and :func:`provsig.matcher.compile` refuses it.
+    Tokens are maximal: no two neighbours are of the same kind.  The
+    ``len`` of a token is the number of buffer bytes it spans.  Gaps
+    never open or close a pattern, so the span the pattern occupies in a
+    buffer is fixed.  A scan needs an :attr:`anchor`;
+    :func:`build_pattern` rejects a pattern without one and
+    :func:`provsig.matcher.compile` refuses it.
     """
 
-    elements: tuple
+    elements: tuple[bytes | Wild | Gap, ...]
 
     @property
     def literal_count(self) -> int:
-        return sum(1 for e in self.elements if isinstance(e, int))
+        return sum(len(t) for t in self.elements if isinstance(t, bytes))
 
     @property
     def position_count(self) -> int:
         """Number of pattern positions: literals plus ?? wildcards (gaps excluded)."""
-        return sum(1 for e in self.elements if not isinstance(e, Gap))
+        return sum(len(t) for t in self.elements if not isinstance(t, Gap))
 
     @property
     def fixed_span(self) -> int:
         """Total bytes the pattern occupies in a buffer, gaps included."""
-        return self._layout[1]
+        return sum(map(len, self.elements))
 
     def literal_runs(self) -> list[tuple[int, bytes]]:
-        """Maximal runs of consecutive literals as (span offset, bytes)."""
-        return list(self._layout[0])
+        """The literal runs as (span offset, bytes)."""
+        runs: list[tuple[int, bytes]] = []
+        pos = 0
+        for token in self.elements:
+            if isinstance(token, bytes):
+                runs.append((pos, token))
+            pos += len(token)
+        return runs
 
     @property
     def anchor(self) -> tuple[int, bytes] | None:
         """The longest literal run as (span offset, bytes), earliest on
         ties, or None when it is shorter than two bytes."""
-        best = max(self._layout[0], key=lambda run: len(run[1]), default=None)
+        best = max(self.literal_runs(), key=lambda run: len(run[1]), default=None)
         return best if best is not None and len(best[1]) >= 2 else None
-
-    @cached_property
-    def _layout(self) -> tuple[tuple[tuple[int, bytes], ...], int]:
-        """Literal runs and fixed span, one step per run of same-type elements."""
-        runs: list[tuple[int, bytes]] = []
-        pos = 0
-        for kind, group in groupby(self.elements, key=type):
-            if kind is int:
-                run = bytes(group)
-                runs.append((pos, run))
-                pos += len(run)
-            elif kind is Gap:
-                pos += sum(gap.length for gap in group)
-            else:
-                pos += sum(1 for _ in group)
-        return tuple(runs), pos
 
 
 @dataclass(frozen=True)
 class MaskedText:
-    """A text section with relocation-patched positions marked as masked."""
+    """A text section and its relocation-patched byte ranges: sorted
+    ``(lo, hi)`` intervals inside the section, neither overlapping nor
+    abutting."""
 
     data: bytes
-    masked: frozenset[int]
+    masked: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -161,19 +158,22 @@ class Signature:
 
 
 def mask_text(section: Section, relocs: list[RelocationEntry]) -> MaskedText:
-    """Mark every byte covered by a relocation as masked.
+    """The byte ranges the relocations cover, as :class:`MaskedText`.
 
-    Overlapping relocation ranges union; ranges are intersected with
-    the section.
+    Ranges are clipped to the section, then sorted, and ranges that
+    overlap or abut are merged.
     """
     n = len(section.data)
-    masked: set[int] = set()
-    for reloc in relocs:
-        lo = max(reloc.offset, 0)
-        hi = min(reloc.offset + reloc.mask_len, n)
-        if lo < hi:
-            masked.update(range(lo, hi))
-    return MaskedText(section.data, frozenset(masked))
+    spans = sorted((max(r.offset, 0), min(r.offset + r.mask_len, n)) for r in relocs)
+    masked: list[tuple[int, int]] = []
+    for lo, hi in spans:
+        if lo >= hi:
+            continue
+        if masked and lo <= masked[-1][1]:
+            masked[-1] = (masked[-1][0], max(masked[-1][1], hi))
+        else:
+            masked.append((lo, hi))
+    return MaskedText(section.data, tuple(masked))
 
 
 def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
@@ -182,8 +182,9 @@ def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
     Up to 255 bytes the whole section is kept.  From 256 bytes on, three
     85-byte segments are kept (the tail of each third) with gaps of
     l = n//3 - 85 and m = l + n%3 bytes between them, so the last
-    segment always ends exactly at the section end.  Masked bytes become
-    ``??``.
+    segment always ends exactly at the section end.  Each kept range is
+    cut at the masked intervals straight into tokens: literal runs
+    between them, one :class:`Wild` per masked stretch.
 
     Wildcards carrying no information are normalized away: a run of
     abutting segments (the first two abut when l == 0, for n = 256 and
@@ -204,28 +205,39 @@ def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
         third = n // 3
         ranges = [(third - SEGMENT_LEN, third), (2 * third - SEGMENT_LEN, 2 * third),
                   (n - SEGMENT_LEN, n)]
+        if ranges[0][1] == ranges[1][0]:
+            ranges[:2] = [(ranges[0][0], ranges[1][1])]
 
-    runs: list[tuple[int, int, list]] = []  # (lo, hi, cells) of abutting ranges
+    runs: list[tuple[int, int, list]] = []  # (lo, hi, tokens) of each kept range
     for lo, hi in ranges:
-        cells = [ANY if i in mask else byte for i, byte in enumerate(data[lo:hi], lo)]
-        if runs and runs[-1][1] == lo:
-            lo, _, head = runs.pop()
-            cells = head + cells
-        runs.append((lo, hi, cells))
-    runs = [run for run in runs if any(c is not ANY for c in run[2])]
+        tokens: list = []
+        pos = lo
+        first_cut = bisect_right(mask, lo, key=itemgetter(1))  # first interval ending past lo
+        for a, b in islice(mask, first_cut, None):
+            if a >= hi:
+                break
+            a, b = max(a, lo), min(b, hi)
+            if pos < a:
+                tokens.append(data[pos:a])
+            tokens.append(Wild(b - a))
+            pos = b
+        if pos < hi:
+            tokens.append(data[pos:hi])
+        if any(isinstance(t, bytes) for t in tokens):
+            runs.append((lo, hi, tokens))
     if not runs:
         return Rejected(TOO_SHORT)
     first, last = runs[0][2], runs[-1][2]
-    while first[0] is ANY:
+    if isinstance(first[0], Wild):
         del first[0]
-    while last[-1] is ANY:
+    if isinstance(last[-1], Wild):
         last.pop()
 
-    if sum(len(cells) for _, _, cells in runs) < MIN_PATTERN_POSITIONS:
+    if sum(len(t) for _, _, tokens in runs for t in tokens) < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
     elements = list(runs[0][2])
-    for (_, end, _), (lo, _, cells) in zip(runs, runs[1:]):
-        elements += [Gap(lo - end), *cells]
+    for (_, end, _), (lo, _, tokens) in zip(runs, runs[1:]):
+        elements += [Gap(lo - end), *tokens]
     pattern = HexPattern(tuple(elements))
     if pattern.anchor is None:
         return Rejected(UNANCHORABLE)
@@ -320,7 +332,7 @@ def sign_comments(strings: list[str], origin_name: str) -> list[Signature]:
                 name=f"{origin_name}:.comment.{len(signatures)}",
                 target=TARGET_COMMENT,
                 kind=KIND_HEX,
-                pattern=HexPattern(tuple(raw)),
+                pattern=HexPattern((raw,)),
             ))
     return signatures
 
@@ -328,13 +340,13 @@ def sign_comments(strings: list[str], origin_name: str) -> list[Signature]:
 def pattern_to_text(pattern: HexPattern) -> str:
     """Render a pattern: lowercase hex pairs, ``??`` wildcards, ``{n}`` gaps."""
     tokens = []
-    for element in pattern.elements:
-        if isinstance(element, int):
-            tokens.append(f"{element:02x}")
-        elif element is ANY:
-            tokens.append("??")
+    for token in pattern.elements:
+        if isinstance(token, bytes):
+            tokens.append(token.hex())
+        elif isinstance(token, Wild):
+            tokens.append("??" * token.length)
         else:
-            tokens.append(f"{{{element.length}}}")
+            tokens.append(f"{{{token.length}}}")
     return "".join(tokens)
 
 
@@ -349,7 +361,9 @@ def parse_pattern_text(text: str) -> HexPattern:
     between tokens.
 
     Tokens are runs of hex pairs, runs of ``??`` and ``{n}`` gaps, with
-    ASCII characters only: a gap length is ASCII digits.
+    ASCII characters only: a gap length is ASCII digits.  Each becomes
+    one pattern token; a run takes in every pair or ``??`` that follows
+    it, so the tokens are maximal.
     """
     text = text.rstrip(" ")
     elements: list = []
@@ -361,11 +375,11 @@ def parse_pattern_text(text: str) -> HexPattern:
         hex_run, any_run, digits = token.groups()
         if hex_run is not None:
             try:  # hex pairs with optional spaces between pairs
-                elements.extend(bytes.fromhex(hex_run))
+                elements.append(bytes.fromhex(hex_run))
             except ValueError as exc:
                 raise PatternSyntaxError(f"bad hex run {hex_run.strip()!r}") from exc
         elif any_run is not None:
-            elements.extend((ANY,) * (any_run.count("?") // 2))
+            elements.append(Wild(any_run.count("?") // 2))
         else:
             try:
                 length = int(digits)

@@ -1,18 +1,23 @@
-"""Reference implementations of the hex-pattern text parser, the
-pattern layout and ``build_pattern``.
+"""Per-byte reference implementations of the hex-pattern text parser,
+the pattern layout, relocation masking and ``build_pattern``.
 
-The parser and layout work one step per character or element; the
-program's parser tokenizes whole runs and its layout works per run of
-same-type elements.  ``build_pattern`` is the earlier seven-pass version
+The program holds a pattern as its runs (``bytes``, ``Wild``, ``Gap``
+tokens) and a mask as intervals.  The references here hold one element
+per pattern position instead: an int for a literal byte, :data:`ANY`
+for a ``??``, and a ``Gap`` for a gap; a mask is the set of masked
+offsets.  The parser works one step per character, the layout one step
+per element, and ``build_pattern`` is the earlier seven-pass version
 (cut, merge, convert, merge gaps, trim gaps, trim wildcards, flatten and
-count), kept verbatim; the program makes a pattern in one pass.  The
-tests check the program against all three.
+count).  :func:`expand` turns a program pattern into per-byte elements,
+so the tests compare the two on equal terms; :func:`from_elements`
+builds a program pattern from per-byte elements.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from provsig.siggen import (
-    ANY,
     MAX_PATTERN_POSITIONS,
     MIN_PATTERN_POSITIONS,
     SEGMENT_LEN,
@@ -20,15 +25,71 @@ from provsig.siggen import (
     UNANCHORABLE,
     Gap,
     HexPattern,
-    MaskedText,
     PatternSyntaxError,
     Rejected,
+    Wild,
 )
 
 
-def parse_pattern_text(text: str) -> HexPattern:
+class _AnyByte:
+    """Marker for one ``??`` position."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ANY"
+
+
+ANY = _AnyByte()
+
+
+def expand(pattern: HexPattern) -> tuple:
+    """The pattern's per-byte elements."""
+    elements: list = []
+    for token in pattern.elements:
+        if isinstance(token, bytes):
+            elements.extend(token)
+        elif isinstance(token, Wild):
+            elements.extend([ANY] * token.length)
+        else:
+            elements.append(token)
+    return tuple(elements)
+
+
+def from_elements(elements) -> HexPattern:
+    """The program pattern of per-byte elements: each stretch of literals
+    becomes one ``bytes``, each stretch of ``ANY`` one ``Wild``."""
+    tokens: list = []
+    for kind, group in groupby(elements, key=type):
+        if kind is int:
+            tokens.append(bytes(group))
+        elif kind is _AnyByte:
+            tokens.append(Wild(sum(1 for _ in group)))
+        else:
+            tokens.extend(group)
+    return HexPattern(tuple(tokens))
+
+
+def well_formed(elements) -> bool:
+    """Non-empty, no gap at either end, no two gaps in a row."""
+    return bool(elements) and not isinstance(elements[0], Gap) \
+        and not isinstance(elements[-1], Gap) \
+        and all(not (isinstance(a, Gap) and isinstance(b, Gap))
+                for a, b in zip(elements, elements[1:]))
+
+
+def mask_positions(size: int, relocs) -> set[int]:
+    """Every offset of a ``size``-byte section that a relocation covers."""
+    masked: set[int] = set()
+    for reloc in relocs:
+        masked.update(range(max(reloc.offset, 0), min(reloc.offset + reloc.mask_len, size)))
+    return masked
+
+
+def parse_pattern_text(text: str) -> tuple:
     """Character-by-character parser with the grammar of
-    :func:`provsig.siggen.parse_pattern_text`."""
+    :func:`provsig.siggen.parse_pattern_text`; returns per-byte
+    elements."""
     elements: list = []
     i = 0
     while i < len(text):
@@ -66,16 +127,16 @@ def parse_pattern_text(text: str) -> HexPattern:
     for a, b in zip(elements, elements[1:]):
         if isinstance(a, Gap) and isinstance(b, Gap):
             raise PatternSyntaxError("adjacent gaps")
-    return HexPattern(tuple(elements))
+    return tuple(elements)
 
 
-def literal_runs(pattern: HexPattern) -> list[tuple[int, bytes]]:
+def literal_runs(elements) -> list[tuple[int, bytes]]:
     """Maximal runs of consecutive literals as (span offset, bytes)."""
     runs: list[tuple[int, bytes]] = []
     pos = 0
     start = 0
     current = bytearray()
-    for element in pattern.elements:
+    for element in elements:
         if isinstance(element, int):
             if not current:
                 start = pos
@@ -91,18 +152,14 @@ def literal_runs(pattern: HexPattern) -> list[tuple[int, bytes]]:
     return runs
 
 
-def fixed_span(pattern: HexPattern) -> int:
+def fixed_span(elements) -> int:
     """Total bytes the pattern occupies in a buffer, gaps included."""
-    return sum(e.length if isinstance(e, Gap) else 1 for e in pattern.elements)
+    return sum(e.length if isinstance(e, Gap) else 1 for e in elements)
 
 
-def _cells(masked: MaskedText, start: int, end: int) -> list:
-    data, mask = masked.data, masked.masked
-    return [ANY if i in mask else data[i] for i in range(start, end)]
-
-
-def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
-    """Turn a masked section into a pattern, or reject it.
+def build_pattern(data: bytes, masked: set[int]) -> tuple | Rejected:
+    """Turn a section and its masked offsets into per-byte pattern
+    elements, or reject it.
 
     Up to 255 bytes the whole section becomes the pattern.  From 256
     bytes on, three 85-byte segments are sampled (the tail of each
@@ -115,24 +172,27 @@ def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
     fewer than 16 positions are rejected as too short; patterns whose
     longest literal run is a single byte are rejected as unanchorable.
     """
-    n = len(masked.data)
+    def _cells(start: int, end: int) -> list:
+        return [ANY if i in masked else data[i] for i in range(start, end)]
+
+    n = len(data)
     if n < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
 
     parts: list  # alternating cell-run lists and Gaps
     if n <= MAX_PATTERN_POSITIONS:
-        parts = [_cells(masked, 0, n)]
+        parts = [_cells(0, n)]
     else:
         third = n // 3
         gap_l = third - SEGMENT_LEN
         gap_m = gap_l + n % 3
-        parts = [_cells(masked, third - SEGMENT_LEN, third)]
+        parts = [_cells(third - SEGMENT_LEN, third)]
         if gap_l:
             parts.append(Gap(gap_l))
-        parts.append(_cells(masked, 2 * third - SEGMENT_LEN, 2 * third))
+        parts.append(_cells(2 * third - SEGMENT_LEN, 2 * third))
         if gap_m:
             parts.append(Gap(gap_m))
-        parts.append(_cells(masked, n - SEGMENT_LEN, n))
+        parts.append(_cells(n - SEGMENT_LEN, n))
 
     # merge runs left adjacent by a zero-length gap
     merged: list = []
@@ -179,8 +239,7 @@ def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
     positions = sum(1 for e in elements if not isinstance(e, Gap))
     if positions < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
-    pattern = HexPattern(tuple(elements))
-    runs = pattern.literal_runs()
+    runs = literal_runs(elements)
     if not runs or max(len(r[1]) for r in runs) < 2:
         return Rejected(UNANCHORABLE)
-    return pattern
+    return tuple(elements)

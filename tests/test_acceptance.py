@@ -25,7 +25,6 @@ from provsig.cli import (
 from provsig.elf import Section, get_section, parse_elf
 from provsig.sigdb import load_db, parse_sigfile, write_sigfile, SignatureFile
 from provsig.siggen import (
-    ANY,
     KIND_HEX,
     TARGET_TEXT,
     Gap,
@@ -47,6 +46,7 @@ from elfwriter import (
     build_shared_lib,
     build_shared_lib_layout,
 )
+from pattern_reference import ANY, from_elements
 from test_matcher import naive_scan_once, pairs
 
 CALL_STUB_TEXT = bytes.fromhex(
@@ -117,7 +117,7 @@ def test_c2_truncation_formula_identity():
         assert segments[2][1] == n
 
         data = blob[:n]
-        pattern = build_pattern(MaskedText(data, frozenset()))
+        pattern = build_pattern(MaskedText(data, ()))
         assert isinstance(pattern, HexPattern)
         expected_runs = [data[a:b] for a, b in segments]
         expected_gaps = gaps
@@ -158,9 +158,9 @@ def _random_case(rng: random.Random, buf_size: int, n_patterns: int):
             cut = rng.randrange(4, len(elements) - 4)
             if isinstance(elements[cut - 1], int) and isinstance(elements[cut], int):
                 elements.insert(cut, Gap(rng.randrange(1, 9)))
-        pattern = HexPattern(tuple(elements))
+        pattern = from_elements(elements)
         if max((len(r[1]) for r in pattern.literal_runs()), default=0) < 2:
-            pattern = HexPattern(tuple(body))
+            pattern = from_elements(body)
         patterns.append(pattern)
     # plant extra occurrences so the match sets are non-trivial
     for pattern in patterns[: max(1, n_patterns // 3)]:
@@ -389,7 +389,7 @@ def test_c8_throughput_linearity(tmp_path):
     signatures = []
     for i in range(10000):
         data = rng.randbytes(rng.randrange(300, 640))
-        pattern = build_pattern(MaskedText(data, frozenset()))
+        pattern = build_pattern(MaskedText(data, ()))
         assert isinstance(pattern, HexPattern)
         signatures.append(Signature(name=f"lib{i // 100}.a/o{i}.o:.text",
                                     target=TARGET_TEXT, kind=KIND_HEX,

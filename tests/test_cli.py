@@ -176,7 +176,7 @@ def test_siggen_comment_mode_dedups_across_inputs(tmp_path):
                       "--version", "9.9", "-o", str(out)])
     assert rc == 0
     parsed = parse_sigfile(out.read_bytes())
-    texts = sorted(bytes(s.pattern.elements).decode() for s in parsed.signatures)
+    texts = sorted(s.pattern.elements[0].decode() for s in parsed.signatures)
     assert texts == ["CC brand 9.9", "only b", "shared note"]
 
 
@@ -266,6 +266,35 @@ def test_siggen_unreadable_input_exit_2(tmp_path, capsys):
     rc = siggen_main(["obj", str(tmp_path / "missing.o"), "--package", "P",
                       "--version", "1", "-o", str(tmp_path / "o.sig")])
     assert rc == 2
+
+
+_BREAK = "package/version may not contain colons or line breaks: "
+
+
+@pytest.mark.parametrize("input_name, package, version, reason", [
+    ("stub.o", "", "1", "package name must be non-empty"),
+    ("stub.o", "P:Q", "1", f"{_BREAK}'P:Q'"),
+    ("stub.o", "P", "1:2", f"{_BREAK}'1:2'"),
+    ("stub.o", "P\nQ", "1", f"{_BREAK}'P\\nQ'"),
+    ("stub.o", "P", "1\n", f"{_BREAK}'1\\n'"),
+    ("stub.o", "P\u2028Q", "1", f"{_BREAK}'P\\u2028Q'"),
+    ("#stub.o", "P", "1", "bad signature name '#stub.o:.text'"),
+    (" #stub.o", "P", "1", "bad signature name ' #stub.o:.text'"),
+    ("a\x0bb.o", "P", "1", "bad signature name 'a\\x0bb.o:.text'"),
+    ("\udcffb.o", "P", "1", "'\\udcff' is not encodable as UTF-8"),
+], ids=["empty-package", "package-colon", "version-colon", "package-newline",
+        "version-newline", "package-line-separator", "hash-name", "space-hash-name",
+        "vertical-tab-name", "non-utf8-name"])
+def test_siggen_unwritable_annotation_exit_2(tmp_path, capsys, input_name, package,
+                                             version, reason):
+    obj = tmp_path / input_name
+    obj.write_bytes(build_object(CALL_STUB_TEXT))
+    out = tmp_path / "p.sig"
+    rc = siggen_main(["obj", str(obj), "--package", package, "--version", version,
+                      "-o", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"siggen: cannot write {out}: {reason}\n"
+    assert not out.exists()
 
 
 # -- sigscan command -----------------------------------------------------------------
@@ -694,6 +723,17 @@ def test_sigscan_custom_labels_file(dynlib_world, tmp_path, capsys):
                 if f["library"] == str(libdir / "libc.so.6"))
     # GLIBC no longer recognized; falls through to md5 then unknown
     assert libc["method"] == "unknown"
+
+
+def test_sigscan_labels_file_not_utf8_exit_2(small_db, tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    labels.write_bytes(b"GLIBC\n\xff\xfe\n")
+    rc = sigscan_main(["--db", str(small_db), "--labels", str(labels),
+                       str(tmp_path / "never-read")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sigscan: cannot read labels file: 'utf-8' codec")
 
 
 def test_report_count_descending_order(small_db, tmp_path, capsys):

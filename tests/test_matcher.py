@@ -9,7 +9,6 @@ import pytest
 
 from provsig import matcher
 from provsig.siggen import (
-    ANY,
     KIND_HEX,
     KIND_MD5,
     TARGET_COMMENT,
@@ -19,6 +18,8 @@ from provsig.siggen import (
     Signature,
 )
 
+from pattern_reference import ANY, expand, from_elements
+
 CALL_STUB_TEXT = bytes.fromhex(
     "554889e54883ec10bf0a000000e800000000488945f8c9c3")
 CALL_STUB_ELEMENTS = tuple(CALL_STUB_TEXT[:14]) + (ANY, ANY, ANY, ANY) \
@@ -27,7 +28,7 @@ CALL_STUB_ELEMENTS = tuple(CALL_STUB_TEXT[:14]) + (ANY, ANY, ANY, ANY) \
 
 def _sig(name: str, elements, target: str = TARGET_TEXT) -> Signature:
     return Signature(name=name, target=target, kind=KIND_HEX,
-                     pattern=HexPattern(tuple(elements)))
+                     pattern=from_elements(elements))
 
 
 def pairs(matches) -> set[tuple[int, int]]:
@@ -38,20 +39,19 @@ def pairs(matches) -> set[tuple[int, int]]:
 def naive_scan_once(patterns: list[HexPattern], buffer: bytes) -> set[tuple[int, int]]:
     """Every (pattern index, start) at which the pattern's bytes occur.
 
-    Each pattern becomes one regular expression (escaped literal bytes,
-    ``.`` for ``??``, ``.{n}`` for a gap) inside a zero-width lookahead,
-    so ``finditer`` tries it at every start position of the buffer.
+    Each pattern becomes one regular expression (each literal run
+    escaped, ``.{n}`` for n ``??`` or a gap of n) inside a zero-width
+    lookahead, so ``finditer`` tries it at every start position of the
+    buffer.
     """
     found: set[tuple[int, int]] = set()
     for sig_idx, pattern in enumerate(patterns):
         pieces = []
-        for element in pattern.elements:
-            if isinstance(element, int):
-                pieces.append(re.escape(bytes([element])))
-            elif isinstance(element, Gap):
-                pieces.append(b".{%d}" % element.length)
+        for token in pattern.elements:
+            if isinstance(token, bytes):
+                pieces.append(re.escape(token))
             else:
-                pieces.append(b".")
+                pieces.append(b".{%d}" % token.length)
         regex = re.compile(b"(?=" + b"".join(pieces) + b")", re.DOTALL)
         found.update((sig_idx, m.start()) for m in regex.finditer(buffer))
     return found
@@ -313,7 +313,7 @@ def test_matches_at_buffer_start_and_end_for_every_word_size():
     sigs = [_sig(f"e{length}", tuple(rng.randbytes(length)))
             for length in (2, 3, 4, 6, 9, 12, 16, 23)]
     for sig in sigs:
-        literal = bytes(sig.pattern.elements)
+        (literal,) = sig.pattern.elements
         for middle in (b"", b"\x00", rng.randbytes(13)):
             buffer = literal + middle + literal
             found = _assert_oracle(sigs, buffer)
@@ -331,7 +331,7 @@ def test_buffer_shorter_than_one_word():
             _assert_oracle(sigs, buffer)
         _assert_oracle(sigs, bytes(length))
     for sig in sigs[:6]:
-        _assert_oracle(sigs, bytes(sig.pattern.elements))
+        _assert_oracle(sigs, sig.pattern.elements[0])
 
 
 def test_code_like_prologue_runs():
@@ -426,9 +426,9 @@ def _random_pattern(rng: random.Random, source: bytes | None = None) -> HexPatte
         gap = rng.randrange(1, 12)
         if isinstance(elements[cut - 1], int) and isinstance(elements[cut], int):
             elements = elements[:cut] + [Gap(gap)] + elements[cut:]
-    pattern = HexPattern(tuple(elements))
+    pattern = from_elements(elements)
     if max((len(r[1]) for r in pattern.literal_runs()), default=0) < 2:
-        return HexPattern(tuple(body))
+        return from_elements(body)
     return pattern
 
 
@@ -444,7 +444,7 @@ def _oracle_case(rng: random.Random, buf_size: int, n_patterns: int):
             start = rng.randrange(0, buf_size - span)
             for off, literal in pattern.literal_runs():
                 buffer[start + off:start + off + len(literal)] = literal
-    sigs = [_sig(f"sig{i}", p.elements) for i, p in enumerate(patterns)]
+    sigs = [_sig(f"sig{i}", expand(p)) for i, p in enumerate(patterns)]
     return bytes(buffer), patterns, sigs
 
 

@@ -13,28 +13,29 @@ from provsig.sigdb import (
     EmptyDatabase,
     MalformedSigFile,
     SignatureFile,
+    UnwritableSigFile,
     load_db,
     parse_sigfile,
     write_sigfile,
 )
 from provsig.siggen import (
-    ANY,
     KIND_HEX,
     KIND_MD5,
     TARGET_COMMENT,
     TARGET_DYNLIB,
     TARGET_TEXT,
     Gap,
-    HexPattern,
     Signature,
 )
+
+from pattern_reference import ANY, from_elements, well_formed
 
 CALL_STUB_PAYLOAD = "554889e54883ec10bf0a000000e8????????488945f8c9c3"
 
 
 def _hex_sig(name: str, elements, target: str = TARGET_TEXT) -> Signature:
     return Signature(name=name, target=target, kind=KIND_HEX,
-                     pattern=HexPattern(tuple(elements)))
+                     pattern=from_elements(elements))
 
 
 def _md5_sig(name: str, digest: str = "d41d8cd98f00b204e9800998ecf8427e",
@@ -87,15 +88,8 @@ _elements = st.lists(
     min_size=1, max_size=30)
 
 
-def _well_formed(elements) -> bool:
-    if isinstance(elements[0], Gap) or isinstance(elements[-1], Gap):
-        return False
-    return all(not (isinstance(a, Gap) and isinstance(b, Gap))
-               for a, b in zip(elements, elements[1:]))
-
-
 @settings(max_examples=200)
-@given(st.lists(st.tuples(_name_chars, _elements.filter(_well_formed)),
+@given(st.lists(st.tuples(_name_chars, _elements.filter(well_formed)),
                 min_size=0, max_size=5, unique_by=lambda t: t[0]),
        _name_chars, _name_chars.filter(lambda s: ":" not in s))
 def test_round_trip_property(sig_specs, package, version):
@@ -173,7 +167,7 @@ _EXTREME_NUMBERS = ("0", "-1", "", "4294967296", "9" * 5000, "\u00b2", "\u0661",
 _NUMBER = re.compile(r"(?<=\{)[0-9]+(?=\})|(?<=:)[0-9]+$", re.MULTILINE)
 _any_sig = st.one_of(
     st.builds(lambda name, elements, target: _hex_sig(name, tuple(elements), target),
-              _name_chars, _elements.filter(_well_formed),
+              _name_chars, _elements.filter(well_formed),
               st.sampled_from((TARGET_TEXT, TARGET_COMMENT))),
     st.builds(_md5_sig, _name_chars, st.text("0123456789abcdef", min_size=32, max_size=32),
               st.integers(min_value=0, max_value=2 ** 40)))
@@ -228,15 +222,33 @@ def test_parse_md5_wrong_target():
 
 
 def test_write_rejects_invalid_files(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(UnwritableSigFile):
         write_sigfile(SignatureFile("", "1", ()))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnwritableSigFile):
         write_sigfile(SignatureFile("P", "1",
                                     (_hex_sig("a", (1, 2)), _hex_sig("a", (3, 4)))))
-    with pytest.raises(ValueError):
-        write_sigfile(SignatureFile("P:Q", "1", ()))
-    with pytest.raises(ValueError):
-        write_sigfile(SignatureFile("P", "1", (_hex_sig("#note", (1, 2)),)))
+    for package in ("P:Q", "P\x85Q", "P\x0cQ"):
+        with pytest.raises(UnwritableSigFile):
+            write_sigfile(SignatureFile(package, "1", ()))
+    for name in ("#note", " #note", "\t\u3000#note", "a\x0bb", "a\u2029b", "a\udcffb"):
+        with pytest.raises(UnwritableSigFile):
+            write_sigfile(SignatureFile("P", "1", (_hex_sig(name, (1, 2)),)))
+
+
+_ANY_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from("#: \t\n\r\x0b\x0c\x1c\x85\u2028\u3000a"),
+    st.characters(codec="utf-8")), max_size=8)
+
+
+@settings(max_examples=400)
+@given(_ANY_TEXT, _ANY_TEXT, st.lists(_ANY_TEXT, max_size=3))
+def test_whatever_writes_reads_back_as_written(package, version, names):
+    sf = SignatureFile(package, version, tuple(_hex_sig(name, (1, 2)) for name in names))
+    try:
+        blob = write_sigfile(sf)
+    except UnwritableSigFile:
+        return
+    assert parse_sigfile(blob) == sf
 
 
 # -- load_db ---------------------------------------------------------------------

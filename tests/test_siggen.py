@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from provsig import matcher
 from provsig.elf import RelocationEntry, Section, parse_archive, parse_elf
 from provsig.siggen import (
-    ANY,
     KIND_HEX,
     KIND_MD5,
     MIN_PATTERN_POSITIONS,
@@ -23,7 +22,6 @@ from provsig.siggen import (
     UNANCHORABLE,
     Gap,
     HexPattern,
-    MaskedText,
     NoTextSection,
     PatternSyntaxError,
     Rejected,
@@ -37,9 +35,11 @@ from provsig.siggen import (
     sign_object,
     sign_shared_lib,
     unique_name,
+    Wild,
 )
 
 import pattern_reference
+from pattern_reference import ANY, expand, from_elements, well_formed
 from elfwriter import (
     R_X86_64_PC32,
     SHT_RELA,
@@ -73,35 +73,58 @@ def _segment_layout(n: int) -> tuple[list[tuple[int, int]], list[int]]:
 
 
 def _pattern_shape(pattern: HexPattern) -> list[tuple[str, int]]:
-    shape: list[tuple[str, int]] = []
-    for element in pattern.elements:
-        if isinstance(element, Gap):
-            shape.append(("gap", element.length))
-        else:
-            kind = "lit" if isinstance(element, int) else "any"
-            if shape and shape[-1][0] == kind:
-                shape[-1] = (kind, shape[-1][1] + 1)
-            else:
-                shape.append((kind, 1))
-    return shape
+    kinds = {bytes: "lit", Wild: "any", Gap: "gap"}
+    return [(kinds[type(token)], len(token)) for token in pattern.elements]
+
+
+def _maximal(pattern: HexPattern) -> bool:
+    """No two neighbouring tokens are of the same kind."""
+    return all(type(a) is not type(b) for a, b in zip(pattern.elements, pattern.elements[1:]))
 
 
 # -- mask_text ---------------------------------------------------------------
 
 def test_mask_call_stub():
     masked = mask_text(_section(CALL_STUB_TEXT), [_reloc(0x0E, 4)])
-    assert masked.masked == frozenset({14, 15, 16, 17})
+    assert masked.masked == ((14, 18),)
     assert masked.data == CALL_STUB_TEXT
 
 
 def test_mask_none():
     masked = mask_text(_section(b"\x90" * 10), [])
-    assert masked.masked == frozenset()
+    assert masked.masked == ()
 
 
 def test_mask_overlapping_union():
     masked = mask_text(_section(b"\x90" * 20), [_reloc(4, 4), _reloc(6, 4)])
-    assert masked.masked == frozenset(range(4, 10))
+    assert masked.masked == ((4, 10),)
+
+
+def test_mask_merges_abutting_and_clips_to_section():
+    relocs = [_reloc(16, 8), _reloc(2, 2), _reloc(-3, 4), _reloc(4, 2), _reloc(30, 4)]
+    assert mask_text(_section(b"\x90" * 20), relocs).masked == ((0, 1), (2, 6), (16, 20))
+
+
+@st.composite
+def _relocated_sections(draw):
+    """A section and relocations in any order: overlapping, abutting,
+    nested, empty, starting before the section or running past its end."""
+    n = draw(st.integers(0, 80))
+    relocs = [_reloc(offset, mask_len) for offset, mask_len in draw(st.lists(
+        st.tuples(st.integers(-10, n + 10), st.integers(0, 12)), max_size=12))]
+    return n, relocs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_relocated_sections())
+def test_mask_intervals_equal_per_byte_reference(case):
+    n, relocs = case
+    intervals = mask_text(_section(bytes(n)), relocs).masked
+    covered = [i for lo, hi in intervals for i in range(lo, hi)]
+    assert covered == sorted(pattern_reference.mask_positions(n, relocs))
+    # sorted, inside the section, none empty, overlapping or abutting
+    assert all(0 <= lo < hi <= n for lo, hi in intervals)
+    assert all(hi < lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
 
 
 # -- build_pattern -----------------------------------------------------------
@@ -260,11 +283,9 @@ def test_generated_pattern_well_formed(case):
         assert result.reason in (TOO_SHORT, UNANCHORABLE)
         return
     elements = result.elements
-    assert not isinstance(elements[0], Gap) and not isinstance(elements[-1], Gap)
-    for a, b in zip(elements, elements[1:]):
-        assert not (isinstance(a, Gap) and isinstance(b, Gap))
+    assert _maximal(result)
+    assert isinstance(elements[0], bytes) and isinstance(elements[-1], bytes)
     assert MIN_PATTERN_POSITIONS <= result.position_count <= 255
-    assert elements[0] is not ANY and elements[-1] is not ANY
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,40 +306,48 @@ def _segment_ranges(n: int) -> list[tuple[int, int]]:
 
 @st.composite
 def _masked_sections(draw):
-    """A section of 16-3000 bytes (255-258 forced often) with masks that
-    cover whole segments, part of a segment, every second byte of a
-    segment, or scattered relocation spans."""
+    """A section of 16-3000 bytes (255-258 forced often) with relocations
+    that cover whole segments, part of a segment, every second byte of a
+    segment, or scattered spans that may run past the section end."""
     n = draw(st.one_of(st.sampled_from([255, 256, 257, 258]), st.integers(16, 3000)))
     data = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(n)
-    masked: set[int] = set()
+    relocs: list[RelocationEntry] = []
     for lo, hi in _segment_ranges(n):
         how = draw(st.sampled_from(["none", "whole", "head", "tail", "alternate"]))
         cut = draw(st.integers(lo, hi))
         if how == "whole":
-            masked.update(range(lo, hi))
+            relocs.append(_reloc(lo, hi - lo))
         elif how == "head":
-            masked.update(range(lo, cut))
+            relocs.append(_reloc(lo, cut - lo))
         elif how == "tail":
-            masked.update(range(cut, hi))
+            relocs.append(_reloc(cut, hi - cut))
         elif how == "alternate":
-            masked.update(range(lo + draw(st.integers(0, 1)), hi, 2))
+            relocs += [_reloc(i, 1) for i in range(lo + draw(st.integers(0, 1)), hi, 2)]
     for _ in range(draw(st.integers(0, 6))):
-        at = draw(st.integers(0, n - 1))
-        masked.update(range(at, min(at + draw(st.sampled_from([1, 2, 4, 8])), n)))
-    return MaskedText(data, frozenset(masked))
+        relocs.append(_reloc(draw(st.integers(0, n - 1)), draw(st.sampled_from([1, 2, 4, 8]))))
+    return data, draw(st.permutations(relocs))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_masked_sections())
-def test_build_pattern_agrees_with_seven_pass_reference(masked):
-    assert build_pattern(masked) == pattern_reference.build_pattern(masked)
+def test_build_pattern_agrees_with_seven_pass_reference(case):
+    data, relocs = case
+    got = build_pattern(mask_text(_section(data), relocs))
+    want = pattern_reference.build_pattern(
+        data, pattern_reference.mask_positions(len(data), relocs))
+    if isinstance(want, Rejected):
+        assert got == want
+    else:
+        assert expand(got) == want
+        assert _maximal(got)
 
 
 def test_anchor_longest_literal_run_earliest_on_ties():
-    pattern = HexPattern((1, ANY, 2, 3, Gap(4), 4, 5, ANY, 6, 7, 8, ANY, 9, 10, 11))
+    pattern = HexPattern((b"\x01", Wild(1), b"\x02\x03", Gap(4), b"\x04\x05", Wild(1),
+                          b"\x06\x07\x08", Wild(1), b"\x09\x0a\x0b"))
     assert pattern.anchor == (11, b"\x06\x07\x08")
-    assert HexPattern((1, ANY, 2, Gap(3), 4)).anchor is None
-    assert HexPattern((ANY,)).anchor is None
+    assert HexPattern((b"\x01", Wild(1), b"\x02", Gap(3), b"\x04")).anchor is None
+    assert HexPattern((Wild(1),)).anchor is None
 
 
 # -- sign_object / sign_archive ----------------------------------------------
@@ -454,7 +483,7 @@ def test_sign_comments_vendor_string():
     assert len(sigs) == 1
     assert sigs[0].target == TARGET_COMMENT
     assert sigs[0].pattern.literal_count == 44
-    assert all(isinstance(e, int) for e in sigs[0].pattern.elements)
+    assert sigs[0].pattern.elements == (b"GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)",)
 
 
 def test_sign_comments_floor_and_dedup():
@@ -466,7 +495,7 @@ def test_sign_comments_floor_and_dedup():
 # -- pattern text syntax -------------------------------------------------------
 
 def test_pattern_text_round_trip():
-    pattern = HexPattern((0x55, 0x48, ANY, Gap(12), 0xC9, 0xC3))
+    pattern = HexPattern((b"\x55\x48", Wild(1), Gap(12), b"\xc9\xc3"))
     text = pattern_to_text(pattern)
     assert text == "5548??{12}c9c3"
     assert parse_pattern_text(text) == pattern
@@ -486,7 +515,7 @@ def test_pattern_text_rejects(bad):
 
 def test_pattern_text_spaces_runs_and_leading_zeros():
     assert parse_pattern_text(" aa  bb??  ??{007} cc ") == HexPattern(
-        (0xAA, 0xBB, ANY, ANY, Gap(7), 0xCC))
+        (b"\xaa\xbb", Wild(2), Gap(7), b"\xcc"))
 
 
 def _outcome(parse, text):
@@ -494,6 +523,13 @@ def _outcome(parse, text):
         return parse(text)
     except ValueError:  # the reference's int() may raise a bare ValueError
         return "rejected"
+
+
+def _parsed_elements(text):
+    """The program's parse of ``text`` as per-byte elements."""
+    pattern = parse_pattern_text(text)
+    assert _maximal(pattern)
+    return expand(pattern)
 
 
 _PATTERN_ALPHABET = "0123456789abcdefABCDEF ?{}x"
@@ -506,7 +542,7 @@ _PATTERN_TOKENS = st.sampled_from(
 @given(st.one_of(st.text(alphabet=_PATTERN_ALPHABET, max_size=24),
                  st.lists(_PATTERN_TOKENS, max_size=12).map("".join)))
 def test_parse_pattern_text_agrees_with_reference(text):
-    assert _outcome(parse_pattern_text, text) == \
+    assert _outcome(_parsed_elements, text) == \
         _outcome(pattern_reference.parse_pattern_text, text)
 
 
@@ -517,6 +553,18 @@ _ELEMENTS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(_ELEMENTS)
 def test_pattern_layout_agrees_with_per_element_reference(elements):
-    pattern = HexPattern(tuple(elements))
-    assert pattern.literal_runs() == pattern_reference.literal_runs(pattern)
-    assert pattern.fixed_span == pattern_reference.fixed_span(pattern)
+    pattern = from_elements(elements)
+    assert expand(pattern) == tuple(elements)
+    assert pattern.literal_runs() == pattern_reference.literal_runs(elements)
+    assert pattern.fixed_span == pattern_reference.fixed_span(elements)
+    assert pattern.position_count == sum(1 for e in elements if not isinstance(e, Gap))
+    assert pattern.literal_count == sum(1 for e in elements if isinstance(e, int))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ELEMENTS.filter(well_formed))
+def test_pattern_text_round_trip_keeps_tokens_maximal(elements):
+    pattern = from_elements(elements)
+    parsed = parse_pattern_text(pattern_to_text(pattern))
+    assert parsed == pattern
+    assert _maximal(parsed)
