@@ -380,3 +380,18 @@ def siggen_entry() -> None:
 
 def sigscan_entry() -> None:
     sys.exit(sigscan_main())
+
+
+def main(argv=None) -> int:
+    """``python -m provsig.cli {siggen,sigscan} ARGS...``: run that tool
+    on ARGS; without a known tool name, print usage and return 1."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    tools = {"siggen": siggen_main, "sigscan": sigscan_main}
+    if not argv or argv[0] not in tools:
+        _err("usage: python -m provsig.cli {siggen,sigscan} ARGS...")
+        return EXIT_USAGE
+    return tools[argv[0]](argv[1:])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

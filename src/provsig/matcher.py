@@ -6,10 +6,13 @@ wildcard-free byte run, earliest run on ties.  The engine is keyed not
 on the whole anchor but on a *key*: a ``KEY_LEN``-byte window inside it
 (an anchor shorter than that is its own key).  Candidate windows start
 every ``KEY_LEN`` bytes of the anchor, plus the anchor's last window;
-the candidate contained in the fewest of the engine's anchors wins,
-earliest on ties, so a prologue or padding window shared by many
-signatures is not chosen while a rarer one exists.  Every occurrence of
-a pattern contains its key, so keying on a window loses no match.
+the candidate that the fewest of the engine's anchors list among their
+own candidates wins, earliest on ties, so a prologue or padding window
+that starts many signatures' anchors is not chosen while a rarer one
+exists.  A window other anchors hold only between their candidates does
+not count against it: the key is a heuristic, and a shared key costs
+verifications, never a match.  Every occurrence of a pattern contains
+its key, so keying on a window loses no match.
 
 Keys are found by a two-level literal filter, in the line of Wu-Manber
 and Hyperscan.  Level 1 reads the buffer as native words (8, 4 or 2
@@ -107,8 +110,10 @@ def _word_and_step(key_len: int) -> tuple[int, int]:
 def compile(signatures: list[Signature]) -> CompiledEngine:
     """Build one engine from hex signatures.
 
-    The anchor is :attr:`HexPattern.anchor`; the filter is keyed on a
-    window of it chosen by :func:`_choose_keys`.  Names play no part;
+    Each pattern's span, literal runs and anchor
+    (:attr:`HexPattern.anchor`) come from one :meth:`HexPattern.layout`
+    walk; the filter is keyed on a window of the anchor chosen by
+    :func:`_choose_keys`.  Names play no part;
     matches report list indices.  Raises UnanchorableSignature if a
     pattern has no anchor (generated patterns always have one; this
     guards hand-written input).
@@ -119,13 +124,13 @@ def compile(signatures: list[Signature]) -> CompiledEngine:
     for index, sig in enumerate(signatures):
         if sig.kind != KIND_HEX or sig.pattern is None:
             raise ValueError(f"engine only accepts hex signatures, got {sig.kind!r}")
-        anchor_run = sig.pattern.anchor
+        span, runs, anchor_run = sig.pattern.layout()
         if anchor_run is None:
             raise UnanchorableSignature(index, sig.name)
         anchor_off, anchor = anchor_run
         patterns.append(sig.pattern)
         anchors.append((anchor, anchor_off))
-        verify.append((sig.pattern.fixed_span, tuple(sig.pattern.literal_runs())))
+        verify.append((span, runs))
     keys = _choose_keys(anchors)
 
     # level 2: key bytes -> the (signature, key span offset) pairs keyed on it
@@ -174,20 +179,17 @@ def _key_offsets(anchor_len: int) -> list[int]:
 def _choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
     """Per anchor, the (key bytes, span offset) the filter is built on.
 
-    The key is the candidate window contained in the fewest anchors,
-    earliest on ties; an anchor up to ``KEY_LEN`` bytes is its own key.
+    The key is the candidate window that the fewest anchors list among
+    their own candidate windows, earliest on ties; an anchor up to
+    ``KEY_LEN`` bytes is its own key.
     """
-    candidates = {anchor[off:off + KEY_LEN]
-                  for anchor, _ in anchors if len(anchor) > KEY_LEN
-                  for off in _key_offsets(len(anchor))}
-    containing: Counter[bytes] = Counter()
+    listed: Counter[bytes] = Counter()
     for anchor, _ in anchors:
-        windows = {anchor[i:i + KEY_LEN] for i in range(len(anchor) - KEY_LEN + 1)}
-        containing.update(windows & candidates)
+        listed.update({anchor[off:off + KEY_LEN] for off in _key_offsets(len(anchor))})
     keys = []
     for anchor, anchor_off in anchors:
         key_off = min(_key_offsets(len(anchor)),
-                      key=lambda off: containing[anchor[off:off + KEY_LEN]])
+                      key=lambda off: listed[anchor[off:off + KEY_LEN]])
         keys.append((anchor[key_off:key_off + KEY_LEN], anchor_off + key_off))
     return tuple(keys)
 

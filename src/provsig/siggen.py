@@ -99,24 +99,36 @@ class HexPattern:
     @property
     def fixed_span(self) -> int:
         """Total bytes the pattern occupies in a buffer, gaps included."""
-        return sum(map(len, self.elements))
+        return self.layout()[0]
 
     def literal_runs(self) -> list[tuple[int, bytes]]:
         """The literal runs as (span offset, bytes)."""
-        runs: list[tuple[int, bytes]] = []
-        pos = 0
-        for token in self.elements:
-            if isinstance(token, bytes):
-                runs.append((pos, token))
-            pos += len(token)
-        return runs
+        return list(self.layout()[1])
 
     @property
     def anchor(self) -> tuple[int, bytes] | None:
         """The longest literal run as (span offset, bytes), earliest on
         ties, or None when it is shorter than two bytes."""
-        best = max(self.literal_runs(), key=lambda run: len(run[1]), default=None)
-        return best if best is not None and len(best[1]) >= 2 else None
+        return self.layout()[2]
+
+    def layout(self) -> tuple[int, tuple[tuple[int, bytes], ...], tuple[int, bytes] | None]:
+        """:attr:`fixed_span`, :meth:`literal_runs` and :attr:`anchor`,
+        from one walk over the tokens."""
+        runs: list[tuple[int, bytes]] = []
+        anchor = None
+        anchor_len = 1
+        pos = 0
+        for token in self.elements:
+            if isinstance(token, bytes):
+                run = (pos, token)
+                runs.append(run)
+                length = len(token)
+                if length > anchor_len:
+                    anchor, anchor_len = run, length
+                pos += length
+            else:
+                pos += token.length
+        return pos, tuple(runs), anchor
 
 
 @dataclass(frozen=True)
@@ -350,6 +362,12 @@ def pattern_to_text(pattern: HexPattern) -> str:
     return "".join(tokens)
 
 
+# one shared token per length: tokens are immutable, and a database
+# repeats a few hundred lengths at most over its wildcards and gaps
+# (some 10^5 of them in 10,000 code signatures)
+_WILDS: dict[int, Wild] = {}
+_GAPS: dict[int, Gap] = {}
+
 _PATTERN_TOKEN = re.compile(
     r" *(?:(?P<hex>[0-9a-f][0-9a-f ]*)"
     r"|(?P<any>\?\?(?: *\?\?)*)"
@@ -379,7 +397,11 @@ def parse_pattern_text(text: str) -> HexPattern:
             except ValueError as exc:
                 raise PatternSyntaxError(f"bad hex run {hex_run.strip()!r}") from exc
         elif any_run is not None:
-            elements.append(Wild(any_run.count("?") // 2))
+            length = any_run.count("?") // 2
+            wild = _WILDS.get(length)
+            if wild is None:
+                wild = _WILDS[length] = Wild(length)
+            elements.append(wild)
         else:
             try:
                 length = int(digits)
@@ -391,7 +413,10 @@ def parse_pattern_text(text: str) -> HexPattern:
                 raise PatternSyntaxError("pattern must not start or end with a gap")
             if isinstance(elements[-1], Gap):
                 raise PatternSyntaxError("adjacent gaps")
-            elements.append(Gap(length))
+            gap = _GAPS.get(length)
+            if gap is None:
+                gap = _GAPS[length] = Gap(length)
+            elements.append(gap)
         pos = token.end()
     if not elements:
         raise PatternSyntaxError("empty pattern")

@@ -152,6 +152,16 @@ def literal_runs(elements) -> list[tuple[int, bytes]]:
     return runs
 
 
+def anchor(elements) -> tuple[int, bytes] | None:
+    """The longest literal run as (span offset, bytes), earliest on ties,
+    or None when it is shorter than two bytes."""
+    best = None
+    for run in literal_runs(elements):
+        if len(run[1]) >= 2 and (best is None or len(run[1]) > len(best[1])):
+            best = run
+    return best
+
+
 def fixed_span(elements) -> int:
     """Total bytes the pattern occupies in a buffer, gaps included."""
     return sum(e.length if isinstance(e, Gap) else 1 for e in elements)

@@ -5,9 +5,13 @@ from __future__ import annotations
 import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import provsig
 from provsig.cli import (
     DynlibFinding,
     PackageHit,
@@ -466,6 +470,49 @@ def test_sigscan_unanchorable_signature_named_by_database_id(tmp_path, capsys):
 def test_sigscan_usage_error_exit_1(capsys):
     assert sigscan_main(["--db"]) == 1
     assert sigscan_main([]) == 1
+
+
+# -- python -m provsig.cli -------------------------------------------------------------
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m provsig.cli ARGS`` in a fresh interpreter that imports
+    this checkout's provsig."""
+    src = str(Path(provsig.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "provsig.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_runs_siggen(tmp_path):
+    stub = tmp_path / "stub.o"
+    stub.write_bytes(build_object(CALL_STUB_TEXT))
+    out = tmp_path / "stub.sig"
+    done = _run_module("siggen", "obj", str(stub), "--package", "P", "--version", "1",
+                       "-o", str(out))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
+        ["stub.o:.text"]
+
+
+def test_module_entry_runs_sigscan(small_db, tmp_path, capsys):
+    target = tmp_path / "prog"
+    target.write_bytes(build_executable(CALL_STUB_TEXT, comment=b"GCC: (GNU) 4.4.3\x00"))
+    argv = ["--db", str(small_db), "--no-dynamic", str(target)]
+    assert sigscan_main(argv) == 0
+    in_process = capsys.readouterr()
+    done = _run_module("sigscan", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, in_process.out, in_process.err)
+    assert "(1 times, 24 bytes) Intel Compiler Suite 12.0" in done.stdout
+
+
+@pytest.mark.parametrize("args", [[], ["scan", "--help"]], ids=["no-tool", "unknown-tool"])
+def test_module_entry_without_known_tool_prints_usage_exit_1(args):
+    done = _run_module(*args)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: python -m provsig.cli {siggen,sigscan}")
 
 
 # -- dynamic library resolution through the scanner ----------------------------------

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pattern_reference
 from provsig import matcher
 from provsig.siggen import (
     KIND_HEX,
@@ -18,7 +22,7 @@ from provsig.siggen import (
     Signature,
 )
 
-from pattern_reference import ANY, expand, from_elements
+from pattern_reference import ANY, expand, from_elements, well_formed
 
 CALL_STUB_TEXT = bytes.fromhex(
     "554889e54883ec10bf0a000000e800000000488945f8c9c3")
@@ -120,7 +124,71 @@ def test_patterns_differing_only_in_masked_positions_both_match():
     assert found == {(0, 2), (1, 2)} == naive_scan_once(patterns, buffer)
 
 
+_RUNS = st.one_of(
+    st.binary(min_size=1, max_size=40).map(tuple),
+    st.lists(st.sampled_from([0x00, 0x90]), min_size=1, max_size=40).map(tuple),
+    st.integers(1, 4).map(lambda n: (ANY,) * n),
+    st.integers(1, 40).map(lambda n: (Gap(n),)),
+)
+_ANCHORED = st.lists(_RUNS, min_size=1, max_size=6) \
+    .map(lambda runs: tuple(chain.from_iterable(runs))) \
+    .filter(lambda elements: well_formed(elements)
+            and pattern_reference.anchor(elements) is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ANCHORED, min_size=1, max_size=8))
+def test_engine_layout_agrees_with_per_element_reference(element_lists):
+    sigs = [_sig(f"p{i}", elements) for i, elements in enumerate(element_lists)]
+    engine = matcher.compile(sigs)
+    for elements, sig, (anchor, anchor_off), (key, key_off), verify in zip(
+            element_lists, sigs, engine.anchors, engine.keys, engine._verify):
+        assert (anchor_off, anchor) == sig.pattern.anchor \
+            == pattern_reference.anchor(elements)
+        assert verify == (pattern_reference.fixed_span(elements),
+                          tuple(pattern_reference.literal_runs(elements)))
+        assert key_off - anchor_off in matcher._key_offsets(len(anchor))
+        assert key == anchor[key_off - anchor_off:][:matcher.KEY_LEN]
+
+
 # -- keys ----------------------------------------------------------------------
+
+def test_key_is_candidate_listed_by_fewest_anchors_earliest_on_ties():
+    rng = random.Random(16)
+    x, y, u0, u1, u2 = (rng.randbytes(16) for _ in range(5))
+    anchors = [x + u0 + u1,  # candidates listed by 3, 1, 1 anchors
+               y + x + u2,   # 2, 3, 1
+               x + y]        # 3, 2
+    sigs = [_sig(f"c{i}", _flanked(a)) for i, a in enumerate(anchors)]
+    engine = matcher.compile(sigs)
+    assert engine.keys == ((u0, 18), (u2, 34), (y, 18))
+    buffer = b"".join(b"\x41\x00" + a + b"\x00\x42" + x for a in anchors)
+    assert len(_assert_oracle(sigs, buffer)) == 3
+
+
+def test_shared_run_off_the_key_grid_may_be_a_key_and_scans_like_the_oracle():
+    # only the first anchor lists ``shared`` as a candidate; the others
+    # hold it between their candidate windows, so it is the first
+    # anchor's rarest candidate, earliest on the tie, and its key hits
+    # inside every other anchor must fail verification
+    rng = random.Random(21)
+    shared = rng.randbytes(16)
+    anchors = [shared + rng.randbytes(24)]
+    anchors += [rng.randbytes(lead) + shared + rng.randbytes(24 - lead)
+                for lead in (3, 7, 13, 21)]
+    sigs = [_sig(f"o{i}", _flanked(a)) for i, a in enumerate(anchors)]
+    engine = matcher.compile(sigs)
+    assert engine.keys[0] == (shared, 2)
+    assert all(key != shared for key, _ in engine.keys[1:])
+    pieces = []
+    for anchor in anchors + anchors[::-1]:
+        pieces += [b"\x41\x00" + anchor + b"\x00\x42", PROLOGUE * rng.randrange(3),
+                   b"\x41\x00" + anchor + b"\x00\x43", shared, rng.randbytes(rng.randrange(9))]
+    buffer = b"".join(pieces)
+    found = _assert_oracle(sigs, buffer)
+    assert {sig_idx for sig_idx, _ in found} == set(range(len(sigs)))
+    assert len(found) == 2 * len(sigs)
+
 
 def test_key_avoids_prologue_window_shared_by_many_signatures():
     rng = random.Random(3)

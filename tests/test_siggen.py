@@ -513,6 +513,16 @@ def test_pattern_text_rejects(bad):
         parse_pattern_text(bad)
 
 
+def test_parsed_wildcards_and_gaps_are_shared_and_equal_fresh_tokens():
+    first = parse_pattern_text("aa??{5}bb")
+    second = parse_pattern_text("cc??{5}dd????ee")
+    assert first.elements[1] is second.elements[1]
+    assert first.elements[2] is second.elements[2]
+    fresh = HexPattern((b"\xaa", Wild(1), Gap(5), b"\xbb"))
+    assert first == fresh and hash(first) == hash(fresh)
+    assert len({first: 1, fresh: 2, parse_pattern_text("aa ?? {5} bb"): 3}) == 1
+
+
 def test_pattern_text_spaces_runs_and_leading_zeros():
     assert parse_pattern_text(" aa  bb??  ??{007} cc ") == HexPattern(
         (b"\xaa\xbb", Wild(2), Gap(7), b"\xcc"))
@@ -567,4 +577,5 @@ def test_pattern_text_round_trip_keeps_tokens_maximal(elements):
     pattern = from_elements(elements)
     parsed = parse_pattern_text(pattern_to_text(pattern))
     assert parsed == pattern
+    assert hash(parsed) == hash(pattern)
     assert _maximal(parsed)
