@@ -2,10 +2,13 @@
 
 Struct-based readers for the on-disk containers this toolkit consumes:
 ELF executables, shared libraries and relocatable objects (sections,
-relocation tables, ``.comment`` strings, dynamic-linking records), plus
-System V / GNU ``ar`` archives.  Only little-endian ELF32/ELF64 files
-are supported; everything is decoded with :mod:`struct`, no external
-parser libraries.
+``.comment`` strings, dynamic-linking records), plus System V / GNU
+``ar`` archives.  A relocatable object's relocation tables are read in
+one pass (:func:`parse_relocations`), each tied to the code section its
+``sh_info`` names and reduced to ``(offset, mask_len)`` pairs: the bytes
+the linker patches, which is all that signing needs.  Only
+little-endian ELF32/ELF64 files are supported; everything is decoded
+with :mod:`struct`, no external parser libraries.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ ELFDATA2LSB = 1
 
 ET_REL = 1
 
-SHT_SYMTAB = 2
 SHT_STRTAB = 3
 SHT_RELA = 4
 SHT_DYNAMIC = 6
@@ -79,23 +81,6 @@ class ElfImage:
     sections: tuple[Section, ...]
     dynamic_needed: tuple[str, ...]
     is_relocatable: bool
-
-
-@dataclass(frozen=True)
-class RelocationEntry:
-    """A relocation against a text section, reduced to what signing needs.
-
-    ``mask_len`` is how many bytes at ``offset`` hold a link-time-patched
-    address.  Entries whose mask ran past the section end are truncated
-    and flagged ``clamped``.
-    """
-
-    section_name: str
-    offset: int
-    reloc_type: int
-    symbol_name: str
-    mask_len: int
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -245,103 +230,77 @@ def get_section(image: ElfImage, name: str) -> Section | None:
     return None
 
 
+def is_text_section(section: Section) -> bool:
+    """A code section: ``.text`` itself or one of the per-function
+    ``.text.<fn>`` sections emitted by -ffunction-sections."""
+    return section.name == ".text" or section.name.startswith(".text.")
+
+
 def list_text_sections(image: ElfImage) -> list[Section]:
-    """All code sections, in file order: ``.text`` itself plus the
-    per-function ``.text.<fn>`` sections emitted by -ffunction-sections."""
-    return [s for s in image.sections
-            if s.name == ".text" or s.name.startswith(".text.")]
+    """All code sections (:func:`is_text_section`), in file order."""
+    return [s for s in image.sections if is_text_section(s)]
 
 
-def parse_relocations(image: ElfImage, text_name: str) -> list[RelocationEntry]:
-    """Relocation entries patching the named text section, sorted by offset.
+def parse_relocations(image: ElfImage) -> dict[int, list[tuple[int, int]]]:
+    """The link-time-patched byte ranges of every code section, from one
+    pass over the object's relocation tables.
 
-    Reads both ``.rel<name>`` and ``.rela<name>``.  Type-0 (none)
+    Returns, per code-section index, the ``(offset, mask_len)`` pairs
+    sorted by offset.  A ``SHT_REL`` or ``SHT_RELA`` table patches the
+    section its ``sh_info`` names; a table whose ``sh_info`` is out of
+    range or names a section that is not code (:func:`is_text_section`)
+    is not read.  All tables of one section are merged.  Type-0 (none)
     entries patch nothing and are dropped; unknown types get the
-    conservative 8-byte mask with a logged warning; masks running past
-    the section end are clamped and flagged.
+    conservative 8-byte mask with a logged warning; entries at or past
+    the section end are dropped, and masks running past it are clamped,
+    each with a logged warning.  Sections are read in file order, and
+    each section's tables in file order, so the warnings come out in
+    that order.
     """
     if not image.is_relocatable:
         raise ValueError("relocation parsing requires a relocatable object")
-    target = get_section(image, text_name)
-    if target is None:
-        return []
-    limit = len(target.data)
-    table = _MASK_TABLES.get(image.machine, {})
-    is64 = image.elf_class == "ELF64"
+    sections = image.sections
+    tables: dict[int, list[Section]] = {}
+    for rsec in sections:
+        if (rsec.sh_type in (SHT_REL, SHT_RELA) and rsec.sh_info < len(sections)
+                and is_text_section(sections[rsec.sh_info])):
+            tables.setdefault(rsec.sh_info, []).append(rsec)
+    masks = _MASK_TABLES.get(image.machine, {})
+    if image.elf_class == "ELF64":
+        formats, type_bits = {SHT_REL: "<QQ", SHT_RELA: "<QQ8x"}, 0xFFFFFFFF
+    else:
+        formats, type_bits = {SHT_REL: "<II", SHT_RELA: "<II4x"}, 0xFF
 
-    entries: list[RelocationEntry] = []
-    for rsec in image.sections:
-        if rsec.name == ".rela" + text_name:
-            with_addend = rsec.sh_type != SHT_REL
-        elif rsec.name == ".rel" + text_name:
-            with_addend = rsec.sh_type == SHT_RELA
-        else:
-            continue
-        if is64:
-            entsize, fmt = (24, "<QQq") if with_addend else (16, "<QQ")
-        else:
-            entsize, fmt = (12, "<IIi") if with_addend else (8, "<II")
-        if len(rsec.data) % entsize:
-            raise MalformedElf(f"truncated relocation records in {rsec.name}")
-        symtab = _locate_symtab(image, rsec)
-        for off in range(0, len(rsec.data), entsize):
-            fields = struct.unpack_from(fmt, rsec.data, off)
-            r_offset, r_info = fields[0], fields[1]
-            if is64:
-                sym_index, reloc_type = r_info >> 32, r_info & 0xFFFFFFFF
-            else:
-                sym_index, reloc_type = r_info >> 8, r_info & 0xFF
-            if reloc_type == 0:
-                continue
-            mask_len = table.get(reloc_type)
-            if mask_len is None:
-                mask_len = _UNKNOWN_MASK_LEN
-                logger.warning("unknown relocation type %d in %s; masking %d bytes",
-                               reloc_type, rsec.name, mask_len)
-            if r_offset >= limit:
-                logger.warning("relocation at 0x%x lies beyond %s (%d bytes); dropped",
-                               r_offset, text_name, limit)
-                continue
-            clamped = False
-            if r_offset + mask_len > limit:
-                mask_len = limit - r_offset
-                clamped = True
-                logger.warning("relocation mask at 0x%x clamped to section end of %s",
-                               r_offset, text_name)
-            entries.append(RelocationEntry(
-                section_name=text_name,
-                offset=r_offset,
-                reloc_type=reloc_type,
-                symbol_name=_symbol_name(image, symtab, sym_index),
-                mask_len=mask_len,
-                clamped=clamped,
-            ))
-    entries.sort(key=lambda e: e.offset)
-    return entries
-
-
-def _locate_symtab(image: ElfImage, reloc_section: Section) -> Section | None:
-    link = reloc_section.sh_link
-    if 0 < link < len(image.sections) and image.sections[link].sh_type == SHT_SYMTAB:
-        return image.sections[link]
-    return next((s for s in image.sections if s.sh_type == SHT_SYMTAB), None)
-
-
-def _symbol_name(image: ElfImage, symtab: Section | None, index: int) -> str:
-    if symtab is None or index == 0:
-        return ""
-    entsize = 24 if image.elf_class == "ELF64" else 16
-    off = index * entsize
-    if off + entsize > len(symtab.data):
-        return ""
-    st_name = struct.unpack_from("<I", symtab.data, off)[0]  # st_name leads both layouts
-    link = symtab.sh_link
-    if not (0 < link < len(image.sections)):
-        return ""
-    strtab = image.sections[link].data
-    if st_name >= len(strtab):
-        return ""
-    return _read_cstr(strtab, st_name)
+    relocs: dict[int, list[tuple[int, int]]] = {}
+    for index in sorted(tables):
+        text_name = sections[index].name
+        limit = len(sections[index].data)
+        pairs: list[tuple[int, int]] = []
+        for rsec in tables[index]:
+            fmt = formats[rsec.sh_type]
+            if len(rsec.data) % struct.calcsize(fmt):
+                raise MalformedElf(f"truncated relocation records in {rsec.name}")
+            for r_offset, r_info in struct.iter_unpack(fmt, rsec.data):
+                reloc_type = r_info & type_bits
+                if reloc_type == 0:
+                    continue
+                mask_len = masks.get(reloc_type)
+                if mask_len is None:
+                    mask_len = _UNKNOWN_MASK_LEN
+                    logger.warning("unknown relocation type %d in %s; masking %d bytes",
+                                   reloc_type, rsec.name, mask_len)
+                if r_offset >= limit:
+                    logger.warning("relocation at 0x%x lies beyond %s (%d bytes); dropped",
+                                   r_offset, text_name, limit)
+                    continue
+                if r_offset + mask_len > limit:
+                    mask_len = limit - r_offset
+                    logger.warning("relocation mask at 0x%x clamped to section end of %s",
+                                   r_offset, text_name)
+                pairs.append((r_offset, mask_len))
+        pairs.sort()
+        relocs[index] = pairs
+    return relocs
 
 
 def parse_comment(image: ElfImage) -> list[str]:

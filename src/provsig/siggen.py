@@ -26,7 +26,7 @@ from itertools import islice
 from operator import itemgetter
 
 from provsig import elf
-from provsig.elf import ArchiveMember, ElfImage, RelocationEntry, Section
+from provsig.elf import ArchiveMember, ElfImage, Section
 
 TARGET_TEXT = "text"
 TARGET_COMMENT = "comment"
@@ -169,22 +169,33 @@ class Signature:
     text_size: int | None = None
 
 
-def mask_text(section: Section, relocs: list[RelocationEntry]) -> MaskedText:
+def mask_text(section: Section, relocs: list[tuple[int, int]]) -> MaskedText:
     """The byte ranges the relocations cover, as :class:`MaskedText`.
 
-    Ranges are clipped to the section, then sorted, and ranges that
+    ``relocs`` holds ``(offset, mask_len)`` pairs in any order, such as
+    the lists :func:`provsig.elf.parse_relocations` returns.  They are
+    sorted, each range is clipped to the section, and ranges that
     overlap or abut are merged.
     """
     n = len(section.data)
-    spans = sorted((max(r.offset, 0), min(r.offset + r.mask_len, n)) for r in relocs)
     masked: list[tuple[int, int]] = []
-    for lo, hi in spans:
+    end = -1  # end of masked[-1]
+    # clipping keeps the sorted order of the starts; comparisons, not
+    # min()/max(), since this runs once per relocation
+    for lo, length in sorted(relocs):
+        hi = lo + length
+        if hi > n:
+            hi = n
+        if lo < 0:
+            lo = 0
         if lo >= hi:
             continue
-        if masked and lo <= masked[-1][1]:
-            masked[-1] = (masked[-1][0], max(masked[-1][1], hi))
-        else:
+        if lo > end:
             masked.append((lo, hi))
+            end = hi
+        elif hi > end:
+            masked[-1] = (masked[-1][0], hi)
+            end = hi
     return MaskedText(section.data, tuple(masked))
 
 
@@ -264,10 +275,12 @@ def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], lis
     """
     signatures: list[Signature] = []
     rejections: list[Rejected] = []
-    for section in elf.list_text_sections(image):
-        relocs = elf.parse_relocations(image, section.name)
+    relocs = elf.parse_relocations(image)
+    for index, section in enumerate(image.sections):
+        if not elf.is_text_section(section):
+            continue
         name = f"{origin_name}:{section.name}"
-        result = build_pattern(mask_text(section, relocs))
+        result = build_pattern(mask_text(section, relocs.get(index, [])))
         if isinstance(result, Rejected):
             rejections.append(Rejected(result.reason, name))
         else:

@@ -79,10 +79,11 @@ def well_formed(elements) -> bool:
 
 
 def mask_positions(size: int, relocs) -> set[int]:
-    """Every offset of a ``size``-byte section that a relocation covers."""
+    """Every offset of a ``size``-byte section that an ``(offset,
+    mask_len)`` relocation covers."""
     masked: set[int] = set()
-    for reloc in relocs:
-        masked.update(range(max(reloc.offset, 0), min(reloc.offset + reloc.mask_len, size)))
+    for offset, mask_len in relocs:
+        masked.update(range(max(offset, 0), min(offset + mask_len, size)))
     return masked
 
 

@@ -245,7 +245,8 @@ def test_siggen_prints_elf_warnings_against_their_input(tmp_path, capsys):
 
 
 def test_siggen_archive_with_malformed_relocation_table_member(tmp_path, capsys):
-    bad = build_object(b"\x42" * 24, extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA)])
+    bad = build_object(b"\x42" * 24,
+                       extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=1)])
     archive = tmp_path / "lib.a"
     archive.write_bytes(build_archive([("good.o", build_object(b"\x24" * 24)),
                                        ("bad.o", bad), ("notes.txt", b"plain text")]))

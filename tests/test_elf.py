@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import shutil
 import string
 import struct
@@ -25,12 +27,16 @@ from provsig.elf import (
     parse_relocations,
 )
 
+import reloc_reference
 from elfwriter import (
     EM_386,
+    EM_X86_64,
     R_386_PC32,
     R_X86_64_64,
     R_X86_64_PC32,
     SHT_NOBITS,
+    SHT_REL,
+    SHT_RELA,
     SHT_STRTAB,
     Sec,
     build_archive,
@@ -164,85 +170,214 @@ def test_list_text_sections_single_and_empty():
 
 # -- relocations -----------------------------------------------------------
 
+def _text_relocs(data: bytes) -> list[tuple[int, int]]:
+    """The (offset, mask_len) pairs of an object's first section, .text."""
+    return parse_relocations(parse_elf(data)).get(1, [])
+
+
+class _Records(logging.Handler):
+    """Collects (level, message) of each record the elf logger emits
+    while this handler is attached."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[tuple[str, str]] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append((record.levelname, record.getMessage()))
+
+    def __enter__(self) -> _Records:
+        elf.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        elf.logger.removeHandler(self)
+
+
+def _entries(bits: int, rela: bool, entries) -> bytes:
+    """A relocation table body of (offset, type) entries, symbol 0."""
+    fmt = {(64, True): "<QQq", (64, False): "<QQ",
+           (32, True): "<IIi", (32, False): "<II"}[bits, rela]
+    addend = (0,) if rela else ()
+    return b"".join(struct.pack(fmt, offset, rtype, *addend) for offset, rtype in entries)
+
+
 def test_call_stub_relocation():
     data = build_object(CALL_STUB_TEXT,
                         {".text": [(CALL_STUB_RELOC_OFFSET, R_X86_64_PC32, "malloc")]})
-    image = parse_elf(data)
-    entries = parse_relocations(image, ".text")
-    assert len(entries) == 1
-    entry = entries[0]
-    assert entry.offset == 0x0E
-    assert entry.reloc_type == R_X86_64_PC32
-    assert entry.symbol_name == "malloc"
-    assert entry.mask_len == 4
-    assert not entry.clamped
+    assert parse_relocations(parse_elf(data)) == {1: [(0x0E, 4)]}
 
 
 def test_no_relocation_sections():
     image = parse_elf(build_object(b"\x90" * 32))
-    assert parse_relocations(image, ".text") == []
+    assert parse_relocations(image) == {}
 
 
 def test_unknown_reloc_type_masks_eight_with_warning(caplog):
     data = build_object(b"\x90" * 32, {".text": [(4, 0x7FFF, "mystery")]})
-    image = parse_elf(data)
     with caplog.at_level("WARNING", logger="provsig.elf"):
-        entries = parse_relocations(image, ".text")
-    assert entries[0].mask_len == 8
+        assert _text_relocs(data) == [(4, 8)]
     assert any("unknown relocation type" in r.message for r in caplog.records)
 
 
 def test_relocations_sorted_and_rel_plus_rela_merged():
     rela = build_object(b"\x90" * 64, {".text": [(40, R_X86_64_PC32, "b"),
                                                  (8, R_X86_64_64, "a")]})
-    image = parse_elf(rela)
-    offsets = [e.offset for e in parse_relocations(image, ".text")]
-    assert offsets == sorted(offsets) == [8, 40]
+    assert _text_relocs(rela) == [(8, 8), (40, 4)]
 
     rel32 = build_object(b"\x90" * 64, {".text": [(12, R_386_PC32, "c")]},
                          bits=32, machine=EM_386, rela=False)
-    image32 = parse_elf(rel32)
-    entries = parse_relocations(image32, ".text")
-    assert [(e.offset, e.mask_len) for e in entries] == [(12, 4)]
+    assert _text_relocs(rel32) == [(12, 4)]
+
+    rel = _entries(64, False, [(20, R_X86_64_PC32), (2, R_X86_64_64)])
+    both = build_object(b"\x90" * 64, {".text": [(40, R_X86_64_PC32, "b")]},
+                        extra=[Sec(".rel.text", rel, sh_type=SHT_REL, info=1)])
+    assert _text_relocs(both) == [(2, 8), (20, 4), (40, 4)]
 
 
 def test_reloc_mask_clamped_at_section_end(caplog):
     data = build_object(b"\x90" * 20, {".text": [(18, R_X86_64_PC32, "x")]})
-    image = parse_elf(data)
     with caplog.at_level("WARNING", logger="provsig.elf"):
-        entries = parse_relocations(image, ".text")
-    assert entries[0].mask_len == 2
-    assert entries[0].clamped
+        assert _text_relocs(data) == [(18, 2)]
+    assert [r.message for r in caplog.records] == [
+        "relocation mask at 0x12 clamped to section end of .text"]
 
 
 def test_reloc_beyond_section_dropped(caplog):
     data = build_object(b"\x90" * 20, {".text": [(64, R_X86_64_PC32, "x")]})
-    image = parse_elf(data)
     with caplog.at_level("WARNING", logger="provsig.elf"):
-        assert parse_relocations(image, ".text") == []
+        assert _text_relocs(data) == []
+    assert [r.message for r in caplog.records] == [
+        "relocation at 0x40 lies beyond .text (20 bytes); dropped"]
 
 
 def test_reloc_type_none_skipped():
     data = build_object(b"\x90" * 32, {".text": [(4, 0, "")]})
-    image = parse_elf(data)
-    assert parse_relocations(image, ".text") == []
+    assert _text_relocs(data) == []
 
 
 def test_reloc_masks_inside_section_property():
     data = build_object(b"\x90" * 40, {".text": [(36, R_X86_64_64, "a"),
                                                  (4, R_X86_64_PC32, "b"),
                                                  (20, R_X86_64_64, "c")]})
-    image = parse_elf(data)
-    entries = parse_relocations(image, ".text")
-    assert [e.offset for e in entries] == sorted(e.offset for e in entries)
-    for entry in entries:
-        assert entry.offset + entry.mask_len <= 40
+    pairs = _text_relocs(data)
+    assert pairs == sorted(pairs)
+    for offset, mask_len in pairs:
+        assert offset + mask_len <= 40
 
 
 def test_relocations_require_relocatable():
     image = parse_elf(build_executable(b"\x90" * 16))
     with pytest.raises(ValueError):
-        parse_relocations(image, ".text")
+        parse_relocations(image)
+
+
+def test_reloc_warnings_by_section_then_table_order():
+    rel = _entries(64, False, [(70, 0x77), (77, R_X86_64_64)])
+    data = build_object({".text": bytes(80), ".text.f": bytes(40)},
+                        {".text": [(76, R_X86_64_64, "y"), (200, R_X86_64_PC32, "z")],
+                         ".text.f": [(1, 0x55, "u"), (38, R_X86_64_PC32, "v")]},
+                        extra=[Sec(".rel.text", rel, sh_type=SHT_REL, info=1)])
+    with _Records() as log:
+        relocs = parse_relocations(parse_elf(data))
+    assert relocs == {1: [(70, 8), (76, 4), (77, 3)], 2: [(1, 8), (38, 2)]}
+    assert [message for _, message in log.records] == [
+        "relocation mask at 0x4c clamped to section end of .text",
+        "relocation at 0xc8 lies beyond .text (80 bytes); dropped",
+        "unknown relocation type 119 in .rel.text; masking 8 bytes",
+        "relocation mask at 0x4d clamped to section end of .text",
+        "unknown relocation type 85 in .rela.text.f; masking 8 bytes",
+        "relocation mask at 0x26 clamped to section end of .text.f",
+    ]
+
+
+def test_relocation_table_bound_by_sh_info_not_name():
+    # two code sections named .text, each with its own .rela.text
+    data = build_elf([
+        Sec(".text", bytes(48)), Sec(".text", bytes(48)),
+        Sec(".rela.text", _entries(64, True, [(4, R_X86_64_PC32)]), sh_type=SHT_RELA, info=1),
+        Sec(".rela.text", _entries(64, True, [(40, R_X86_64_PC32)]), sh_type=SHT_RELA, info=2)])
+    assert parse_relocations(parse_elf(data)) == {1: [(4, 4)], 2: [(40, 4)]}
+
+
+@pytest.mark.parametrize("info", [0, 5, 6, 7, 8, 0xFFFFFFFF])
+def test_relocation_table_naming_no_code_section_not_read(info):
+    # a truncated .rela.text whose sh_info names the null section, .data,
+    # the table itself, .shstrtab, or no section (sh_info >= e_shnum == 8)
+    data = build_object(b"\x90" * 32, {".text": [(4, R_X86_64_PC32, "f")]},
+                        extra=[Sec(".data", bytes(8)),
+                               Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=info)])
+    image = parse_elf(data)
+    assert [s.name for s in image.sections[5:]] == [".data", ".rela.text", ".shstrtab"]
+    assert parse_relocations(image) == {1: [(4, 4)]}
+
+
+_TEXT_NAMES = [".text", ".text.a", ".text.main", ".text.b"]
+_RELOC_TYPES = {64: [0, 1, 2, 10, 12, 14, 24, 41, 99, 0x7FFF],
+                32: [0, 1, 2, 14, 20, 22, 33, 99, 200]}
+
+
+@st.composite
+def _relocatable_images(draw):
+    """An object with unique section names: 1-4 code sections of 0-80
+    bytes with relocations of known, unknown and none types that may lie
+    past the section or run over its end.  Sometimes one section also
+    has a table of the other kind, a data section has a table, or one
+    table is cut short."""
+    bits = draw(st.sampled_from([32, 64]))
+    rela = draw(st.booleans())
+    machine = draw(st.sampled_from([EM_X86_64 if bits == 64 else EM_386, 40]))
+    names = draw(st.lists(st.sampled_from(_TEXT_NAMES), min_size=1, max_size=4, unique=True))
+    texts = {name: bytes(draw(st.integers(0, 80))) for name in names}
+    entries = st.lists(st.tuples(st.integers(0, 100), st.sampled_from(_RELOC_TYPES[bits])),
+                       max_size=8)
+    relocs = {name: [(offset, rtype, "s") for offset, rtype in draw(entries)]
+              for name in names if draw(st.booleans())}
+    extra = []
+    if draw(st.booleans()):
+        index = draw(st.integers(1, len(names)))
+        other = ".rel" if rela else ".rela"
+        extra.append(Sec(other + names[index - 1], _entries(bits, not rela, draw(entries)),
+                         sh_type=SHT_REL if rela else SHT_RELA, info=index))
+    if draw(st.booleans()):
+        data_index = len(names) + len(relocs) + 2 + len(extra) + 1  # after .symtab, .strtab
+        extra += [Sec(".data", bytes(16)),
+                  Sec(".rela.data", _entries(bits, True, draw(entries)), sh_type=SHT_RELA,
+                      info=data_index)]
+    image = parse_elf(build_object(texts, relocs, bits=bits, machine=machine, rela=rela,
+                                   extra=extra))
+    tables = [i for i, s in enumerate(image.sections) if s.sh_type in (SHT_REL, SHT_RELA)]
+    if tables and draw(st.booleans()):
+        cut = draw(st.sampled_from(tables))
+        sections = list(image.sections)
+        sections[cut] = dataclasses.replace(sections[cut], data=sections[cut].data + bytes(3))
+        image = dataclasses.replace(image, sections=tuple(sections))
+    return image
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relocatable_images())
+def test_one_pass_reader_agrees_with_per_section_reference(image):
+    want_log: list[tuple[str, str]] = []
+    try:
+        want = reloc_reference.object_relocations(image, want_log)
+    except MalformedElf as exc:
+        want = exc
+    with _Records() as log:
+        try:
+            got = parse_relocations(image)
+        except MalformedElf as exc:
+            got = exc
+    assert log.records == want_log
+    if isinstance(want, MalformedElf):
+        assert isinstance(got, MalformedElf) and str(got) == str(want)
+        return
+    assert isinstance(got, dict)
+    for index, section in enumerate(image.sections):
+        if section.name in want:
+            # ties at one offset may come in another order
+            assert got.pop(index, []) == sorted(want[section.name])
+    assert got == {}
 
 
 # -- .comment --------------------------------------------------------------
@@ -491,8 +626,7 @@ def _parse_elf_and_sections(blob: bytes) -> None:
     image = parse_elf(blob)
     parse_comment(image)
     if image.is_relocatable:
-        for section in list_text_sections(image):
-            parse_relocations(image, section.name)
+        parse_relocations(image)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provsig import matcher
-from provsig.elf import RelocationEntry, Section, parse_archive, parse_elf
+from provsig.elf import Section, parse_archive, parse_elf
 from provsig.siggen import (
     KIND_HEX,
     KIND_MD5,
@@ -45,6 +46,7 @@ from elfwriter import (
     SHT_RELA,
     Sec,
     build_archive,
+    build_elf,
     build_object,
     build_shared_lib,
 )
@@ -56,11 +58,6 @@ CALL_STUB_PATTERN = "554889e54883ec10bf0a000000e8????????488945f8c9c3"
 
 def _section(data: bytes, name: str = ".text") -> Section:
     return Section(name=name, data=data, file_offset=0, flags=0)
-
-
-def _reloc(offset: int, mask_len: int, name: str = ".text") -> RelocationEntry:
-    return RelocationEntry(section_name=name, offset=offset, reloc_type=2,
-                           symbol_name="", mask_len=mask_len)
 
 
 def _segment_layout(n: int) -> tuple[list[tuple[int, int]], list[int]]:
@@ -85,7 +82,7 @@ def _maximal(pattern: HexPattern) -> bool:
 # -- mask_text ---------------------------------------------------------------
 
 def test_mask_call_stub():
-    masked = mask_text(_section(CALL_STUB_TEXT), [_reloc(0x0E, 4)])
+    masked = mask_text(_section(CALL_STUB_TEXT), [(0x0E, 4)])
     assert masked.masked == ((14, 18),)
     assert masked.data == CALL_STUB_TEXT
 
@@ -96,12 +93,12 @@ def test_mask_none():
 
 
 def test_mask_overlapping_union():
-    masked = mask_text(_section(b"\x90" * 20), [_reloc(4, 4), _reloc(6, 4)])
+    masked = mask_text(_section(b"\x90" * 20), [(4, 4), (6, 4)])
     assert masked.masked == ((4, 10),)
 
 
 def test_mask_merges_abutting_and_clips_to_section():
-    relocs = [_reloc(16, 8), _reloc(2, 2), _reloc(-3, 4), _reloc(4, 2), _reloc(30, 4)]
+    relocs = [(16, 8), (2, 2), (-3, 4), (4, 2), (30, 4)]
     assert mask_text(_section(b"\x90" * 20), relocs).masked == ((0, 1), (2, 6), (16, 20))
 
 
@@ -110,9 +107,8 @@ def _relocated_sections(draw):
     """A section and relocations in any order: overlapping, abutting,
     nested, empty, starting before the section or running past its end."""
     n = draw(st.integers(0, 80))
-    relocs = [_reloc(offset, mask_len) for offset, mask_len in draw(st.lists(
-        st.tuples(st.integers(-10, n + 10), st.integers(0, 12)), max_size=12))]
-    return n, relocs
+    return n, draw(st.lists(st.tuples(st.integers(-10, n + 10), st.integers(0, 12)),
+                             max_size=12))
 
 
 @settings(max_examples=400, deadline=None)
@@ -130,7 +126,7 @@ def test_mask_intervals_equal_per_byte_reference(case):
 # -- build_pattern -----------------------------------------------------------
 
 def test_pattern_call_stub_exact():
-    masked = mask_text(_section(CALL_STUB_TEXT), [_reloc(0x0E, 4)])
+    masked = mask_text(_section(CALL_STUB_TEXT), [(0x0E, 4)])
     pattern = build_pattern(masked)
     assert isinstance(pattern, HexPattern)
     assert pattern_to_text(pattern) == CALL_STUB_PATTERN
@@ -179,7 +175,7 @@ def test_pattern_whole_section_below_cap():
 
 def test_pattern_edge_wildcards_trimmed():
     data = bytes(range(30))
-    masked = mask_text(_section(data), [_reloc(0, 4), _reloc(26, 4)])
+    masked = mask_text(_section(data), [(0, 4), (26, 4)])
     pattern = build_pattern(masked)
     assert _pattern_shape(pattern) == [("lit", 22)]
     assert pattern.literal_runs()[0][1] == data[4:26]
@@ -187,13 +183,13 @@ def test_pattern_edge_wildcards_trimmed():
 
 def test_pattern_trimming_rechecks_minimum():
     data = bytes(range(20))
-    masked = mask_text(_section(data), [_reloc(0, 4), _reloc(17, 3)])
+    masked = mask_text(_section(data), [(0, 4), (17, 3)])
     assert build_pattern(masked) == Rejected(TOO_SHORT)
 
 
 def test_pattern_interior_wildcards_counted_as_positions():
     data = bytes(range(18))
-    masked = mask_text(_section(data), [_reloc(4, 8)])
+    masked = mask_text(_section(data), [(4, 8)])
     pattern = build_pattern(masked)
     assert _pattern_shape(pattern) == [("lit", 4), ("any", 8), ("lit", 6)]
     assert pattern.position_count == 18
@@ -201,15 +197,14 @@ def test_pattern_interior_wildcards_counted_as_positions():
 
 def test_pattern_all_masked_section_rejected():
     data = bytes(range(64))
-    masked = mask_text(_section(data), [_reloc(0, 8) for _ in range(1)]
-                       + [_reloc(o, 8) for o in range(0, 64, 8)])
+    masked = mask_text(_section(data), [(0, 8)] + [(o, 8) for o in range(0, 64, 8)])
     assert build_pattern(masked) == Rejected(TOO_SHORT)
 
 
 def test_pattern_unanchorable_rejected():
     # every second byte masked: no two adjacent literals anywhere
     data = bytes(range(40))
-    relocs = [_reloc(o, 1) for o in range(1, 40, 2)]
+    relocs = [(o, 1) for o in range(1, 40, 2)]
     assert build_pattern(mask_text(_section(data), relocs)) == Rejected(UNANCHORABLE)
 
 
@@ -218,14 +213,14 @@ def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
     # run; with the second one masked the run is not wildcards throughout
     # and its 85 ?? stay, ahead of the 1-byte gap before segment three
     data = bytes((i * 37 + 11) % 256 for i in range(256))
-    pattern = build_pattern(mask_text(_section(data), [_reloc(85, 85)]))
+    pattern = build_pattern(mask_text(_section(data), [(85, 85)]))
     assert _pattern_shape(pattern) == [("lit", 85), ("any", 85), ("gap", 1), ("lit", 85)]
     assert pattern.fixed_span == 256
 
 
 def test_pattern_masked_middle_segment_dissolves_into_gap():
     data = bytes((i * 13 + 5) % 256 for i in range(300))
-    relocs = [_reloc(o, 8) for o in range(112, 200, 8)] + [_reloc(196, 4)]
+    relocs = [(o, 8) for o in range(112, 200, 8)] + [(196, 4)]
     pattern = build_pattern(mask_text(_section(data), relocs))
     assert _pattern_shape(pattern) == [("lit", 85), ("gap", 115), ("lit", 85)]
     assert pattern.fixed_span == 285
@@ -270,7 +265,7 @@ def _section_with_relocs(draw):
         mask = draw(st.sampled_from([1, 2, 4, 8]))
         mask = min(mask, len(data) - offset)
         if mask:
-            relocs.append(_reloc(offset, mask))
+            relocs.append((offset, mask))
     return data, relocs
 
 
@@ -311,20 +306,20 @@ def _masked_sections(draw):
     segment, or scattered spans that may run past the section end."""
     n = draw(st.one_of(st.sampled_from([255, 256, 257, 258]), st.integers(16, 3000)))
     data = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(n)
-    relocs: list[RelocationEntry] = []
+    relocs: list[tuple[int, int]] = []
     for lo, hi in _segment_ranges(n):
         how = draw(st.sampled_from(["none", "whole", "head", "tail", "alternate"]))
         cut = draw(st.integers(lo, hi))
         if how == "whole":
-            relocs.append(_reloc(lo, hi - lo))
+            relocs.append((lo, hi - lo))
         elif how == "head":
-            relocs.append(_reloc(lo, cut - lo))
+            relocs.append((lo, cut - lo))
         elif how == "tail":
-            relocs.append(_reloc(cut, hi - cut))
+            relocs.append((cut, hi - cut))
         elif how == "alternate":
-            relocs += [_reloc(i, 1) for i in range(lo + draw(st.integers(0, 1)), hi, 2)]
+            relocs += [(i, 1) for i in range(lo + draw(st.integers(0, 1)), hi, 2)]
     for _ in range(draw(st.integers(0, 6))):
-        relocs.append(_reloc(draw(st.integers(0, n - 1)), draw(st.sampled_from([1, 2, 4, 8]))))
+        relocs.append((draw(st.integers(0, n - 1)), draw(st.sampled_from([1, 2, 4, 8]))))
     return data, draw(st.permutations(relocs))
 
 
@@ -362,6 +357,37 @@ def test_sign_object_call_stub():
     assert pattern_to_text(sigs[0].pattern) == CALL_STUB_PATTERN
 
 
+def _rela_text(offset: int, info: int) -> Sec:
+    """A .rela.text with one PC32 entry, tied to section ``info``."""
+    return Sec(".rela.text", struct.pack("<QQq", offset, R_X86_64_PC32, 0),
+               sh_type=SHT_RELA, info=info)
+
+
+def test_sign_object_masks_each_same_named_section_with_its_own_table():
+    data = build_elf([Sec(".text", bytes(range(48))), Sec(".text", bytes(range(100, 148))),
+                      _rela_text(4, info=1), _rela_text(40, info=2)])
+    sigs, rejects = sign_object(parse_elf(data), "twin.o")
+    assert rejects == []
+    assert [pattern_to_text(s.pattern) for s in sigs] == [
+        bytes(range(4)).hex() + "????????" + bytes(range(8, 48)).hex(),
+        bytes(range(100, 140)).hex() + "????????" + bytes(range(144, 148)).hex()]
+
+
+@pytest.mark.parametrize("table", [
+    Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=0),  # truncated, names no code
+    Sec(".rela.data", bytes(23), sh_type=SHT_RELA, info=5),  # truncated, names .data
+    _rela_text(8, info=8),                                   # sh_info == e_shnum
+    _rela_text(8, info=0xFFFFFFFF),
+])
+def test_sign_object_ignores_table_naming_no_code_section(table):
+    data = build_object(CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]},
+                        extra=[Sec(".data", bytes(8)), table])
+    assert len(parse_elf(data).sections) == 8
+    sigs, rejects = sign_object(parse_elf(data), "stub.o")
+    assert rejects == []
+    assert [pattern_to_text(s.pattern) for s in sigs] == [CALL_STUB_PATTERN]
+
+
 def test_sign_object_short_section_skipped():
     data = build_object({".text.a": b"\xab" * 20, ".text.b": b"\xcd" * 10})
     sigs, rejects = sign_object(parse_elf(data), "obj.o")
@@ -393,7 +419,8 @@ def test_sign_archive_skips_non_elf_member():
 
 
 def test_sign_archive_skips_member_with_malformed_relocation_table():
-    bad = build_object(b"\x42" * 24, extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA)])
+    bad = build_object(b"\x42" * 24,
+                       extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=1)])
     members = [("good.o", build_object(b"\x24" * 24)), ("bad.o", bad),
                ("notes.txt", b"plain text")]
     sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a")
