@@ -235,25 +235,21 @@ def _sigscan_parser() -> _Parser:
 
 
 def _compile_engine(db: sigdb.Database, target: str):
-    """Compile all hex signatures of one target kind into an engine plus
-    the list of their owners: ``owners[i]`` holds engine index ``i``.
+    """Compile the patterns of all signatures of one target into an
+    engine plus the list of their owners: ``owners[i]`` holds engine
+    index ``i``.
 
-    An unanchorable signature is reported as ``sig_id:name``, since the
-    same object name can recur across packages.
+    Raises ValueError naming an unanchorable signature ``sig_id:name``,
+    since the same object name can recur across packages.
     """
-    ids: list[int] = []
-    signatures: list[siggen.Signature] = []
-    owners: list[sigdb.SignatureFile] = []
-    for sig_id, sig, owner in db.iter_signatures():
-        if sig.kind == siggen.KIND_HEX and sig.target == target:
-            ids.append(sig_id)
-            signatures.append(sig)
-            owners.append(owner)
+    selected = [(sig_id, sig, owner) for sig_id, sig, owner in db.iter_signatures()
+                if sig.target == target]
     try:
-        return matcher.compile(signatures), owners
+        engine = matcher.compile([sig.pattern for _, sig, _ in selected])
     except matcher.UnanchorableSignature as exc:
-        raise matcher.UnanchorableSignature(
-            exc.index, f"{ids[exc.index]}:{exc.name}") from None
+        sig_id, sig, _ = selected[exc.index]
+        raise ValueError(f"{sig_id}:{sig.name}") from None
+    return engine, [owner for _, _, owner in selected]
 
 
 def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
@@ -348,10 +344,16 @@ def sigscan_main(argv=None) -> int:
     try:
         text_engine, text_owners = _compile_engine(db, siggen.TARGET_TEXT)
         comment_engine, comment_owners = _compile_engine(db, siggen.TARGET_COMMENT)
-    except matcher.UnanchorableSignature as exc:
+    except ValueError as exc:
         _err(f"sigscan: cannot compile database: {exc}")
         return EXIT_INPUT
 
+    # a target or library path that is not valid UTF-8 holds surrogate
+    # escapes (PEP 383); write them as the bytes they stand for rather
+    # than end the batch on a strict stdout
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="surrogateescape")
     status = EXIT_OK
     show_target = len(args.binaries) > 1 and args.format == "human"
     for target in args.binaries:

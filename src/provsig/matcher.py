@@ -1,15 +1,16 @@
-"""Multi-pattern scanning engine for hex signatures.
+"""Multi-pattern scanning engine for hex patterns.
 
-All signatures are compiled into one engine and a buffer is scanned in
-one pass per word table.  Each signature has an *anchor*: its longest
-wildcard-free byte run, earliest run on ties.  The engine is keyed not
-on the whole anchor but on a *key*: a ``KEY_LEN``-byte window inside it
-(an anchor shorter than that is its own key).  Candidate windows start
-every ``KEY_LEN`` bytes of the anchor, plus the anchor's last window;
-the candidate that the fewest of the engine's anchors list among their
-own candidates wins, earliest on ties, so a prologue or padding window
-that starts many signatures' anchors is not chosen while a rarer one
-exists.  A window other anchors hold only between their candidates does
+All patterns are compiled into one engine and a buffer is scanned in
+one pass per word table; a match names its pattern by list index, and
+the caller maps that back to a signature.  Each pattern has an
+*anchor*: its longest wildcard-free byte run, earliest run on ties.
+The engine is keyed not on the whole anchor but on a *key*: a
+``KEY_LEN``-byte window inside it (an anchor shorter than that is its
+own key).  Candidate windows start every ``KEY_LEN`` bytes of the
+anchor, plus the anchor's last window; the candidate that the fewest of
+the engine's anchors list among their own candidates wins, earliest on
+ties, so a prologue or padding window that starts many patterns'
+anchors is not chosen while a rarer one exists.  A window other anchors hold only between their candidates does
 not count against it: the key is a heuristic, and a shared key costs
 verifications, never a match.  Every occurrence of a pattern contains
 its key, so keying on a window loses no match.
@@ -48,23 +49,22 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, count
 
-from provsig.siggen import KIND_HEX, HexPattern, Signature
+from provsig.siggen import HexPattern
 
 KEY_LEN = 16
 _WORD_CODES = {8: "Q", 4: "I", 2: "H"}
 
 
 class UnanchorableSignature(ValueError):
-    """Signature whose pattern has no anchor (:attr:`HexPattern.anchor`).
+    """Pattern without an anchor (:attr:`HexPattern.anchor`).
 
-    ``index`` is the signature's position in the list given to
+    ``index`` is the pattern's position in the list given to
     :func:`compile`.
     """
 
-    def __init__(self, index: int, name: str):
-        super().__init__(name)
+    def __init__(self, index: int):
+        super().__init__(f"pattern {index} has no anchor")
         self.index = index
-        self.name = name
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,14 @@ class Match:
 class CompiledEngine:
     """Immutable compiled word filter; safe to share across threads.
 
-    Build with :func:`compile`.  ``patterns``, ``anchors`` and ``keys``
-    expose, per signature, the source pattern, the (anchor bytes, span
-    offset) pair and the (key bytes, span offset) pair the filter holds.
+    Build with :func:`compile`.  ``anchors`` and ``keys`` expose, per
+    pattern, the (anchor bytes, span offset) pair and the (key bytes,
+    span offset) pair the filter holds.
     """
 
-    __slots__ = ("patterns", "anchors", "keys", "_passes", "_owners", "_verify")
+    __slots__ = ("anchors", "keys", "_passes", "_owners", "_verify")
 
-    def __init__(self, patterns, anchors, keys, passes, owners, verify):
-        self.patterns: tuple[HexPattern, ...] = patterns
+    def __init__(self, anchors, keys, passes, owners, verify):
         self.anchors: tuple[tuple[bytes, int], ...] = anchors
         self.keys: tuple[tuple[bytes, int], ...] = keys
         self._passes = passes
@@ -107,28 +106,23 @@ def _word_and_step(key_len: int) -> tuple[int, int]:
     return word, 1 << (key_len - word + 1).bit_length() - 1
 
 
-def compile(signatures: list[Signature]) -> CompiledEngine:
-    """Build one engine from hex signatures.
+def compile(patterns: list[HexPattern]) -> CompiledEngine:
+    """Build one engine from hex patterns.
 
     Each pattern's span, literal runs and anchor
     (:attr:`HexPattern.anchor`) come from one :meth:`HexPattern.layout`
     walk; the filter is keyed on a window of the anchor chosen by
-    :func:`_choose_keys`.  Names play no part;
-    matches report list indices.  Raises UnanchorableSignature if a
-    pattern has no anchor (generated patterns always have one; this
-    guards hand-written input).
+    :func:`_choose_keys`.  Matches report list indices.  Raises
+    UnanchorableSignature if a pattern has no anchor (generated
+    patterns always have one; this guards hand-written input).
     """
-    patterns: list[HexPattern] = []
     anchors: list[tuple[bytes, int]] = []
     verify: list[tuple[int, tuple[tuple[int, bytes], ...]]] = []
-    for index, sig in enumerate(signatures):
-        if sig.kind != KIND_HEX or sig.pattern is None:
-            raise ValueError(f"engine only accepts hex signatures, got {sig.kind!r}")
-        span, runs, anchor_run = sig.pattern.layout()
+    for index, pattern in enumerate(patterns):
+        span, runs, anchor_run = pattern.layout()
         if anchor_run is None:
-            raise UnanchorableSignature(index, sig.name)
+            raise UnanchorableSignature(index)
         anchor_off, anchor = anchor_run
-        patterns.append(sig.pattern)
         anchors.append((anchor, anchor_off))
         verify.append((span, runs))
     keys = _choose_keys(anchors)
@@ -161,7 +155,7 @@ def compile(signatures: list[Signature]) -> CompiledEngine:
                         table[value] = slots + one
     passes = tuple((_WORD_CODES[word], word, r, table)
                    for (word, r), table in sorted(tables.items()))
-    return CompiledEngine(tuple(patterns), tuple(anchors), keys, passes,
+    return CompiledEngine(tuple(anchors), keys, passes,
                           {key: tuple(pairs) for key, pairs in owners.items()},
                           tuple(verify))
 

@@ -12,12 +12,15 @@ package name and version to its signatures:
 Line 1 is the format magic.  Header lines are ``key value`` pairs;
 ``package`` and ``version`` are mandatory, unknown keys are ignored.
 Every other non-blank, non-``#`` line is one signature:
-``name:target:kind:payload`` with target in {text, comment, dynlib} and
-kind in {hex, md5}.  A hex payload is lowercase hex pairs with ``??``
-and ``{n}`` inline; an md5 payload is ``digest:textsize``.  Gap lengths
-and text sizes are ASCII digits.  Signature
-lines are parsed right-anchored on the fixed kind/target vocabulary, so
-generated names containing colons round-trip.
+``name:target:kind:payload`` with target in {text, comment, dynlib}.
+The kind follows from the target: ``hex`` for text and comment, whose
+payload is lowercase hex pairs with ``??`` and ``{n}`` inline; ``md5``
+for dynlib, whose payload is ``digest:textsize``.  The kind is written
+and checked here and nowhere else; in memory a
+:class:`~provsig.siggen.Signature` holds only its target.  Gap lengths
+and text sizes are ASCII digits.  Signature lines are parsed
+right-anchored on the fixed kind/target vocabulary, so generated names
+containing colons round-trip.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from functools import cached_property
 from pathlib import Path
 
 from provsig.siggen import (
-    KIND_HEX,
-    KIND_MD5,
     TARGET_COMMENT,
     TARGET_DYNLIB,
     TARGET_TEXT,
@@ -89,7 +90,7 @@ class Database:
         first such record in load order."""
         owners: dict[tuple[str, int], SignatureFile] = {}
         for _, sig, owner in self.iter_signatures():
-            if sig.kind == KIND_MD5:
+            if sig.target == TARGET_DYNLIB:
                 owners.setdefault((sig.digest, sig.text_size), owner)
         return owners
 
@@ -120,10 +121,8 @@ def _check_writable(sf: SignatureFile) -> None:
         if sig.name in seen:
             raise UnwritableSigFile(f"duplicate signature name {sig.name!r}")
         seen.add(sig.name)
-        if sig.kind == KIND_MD5 and sig.target != TARGET_DYNLIB:
-            raise UnwritableSigFile(f"md5 signature {sig.name!r} must target dynlib")
-        if sig.kind == KIND_HEX and sig.target not in _HEX_TARGETS:
-            raise UnwritableSigFile(f"hex signature {sig.name!r} must target text or comment")
+        if sig.target not in (*_HEX_TARGETS, TARGET_DYNLIB):
+            raise UnwritableSigFile(f"bad target {sig.target!r} of signature {sig.name!r}")
 
 
 def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
@@ -135,10 +134,10 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
     _check_writable(sf)
     lines = [MAGIC_LINE, f"package {sf.package}", f"version {sf.version}"]
     for sig in sf.signatures:
-        if sig.kind == KIND_HEX:
-            lines.append(f"{sig.name}:{sig.target}:hex:{pattern_to_text(sig.pattern)}")
-        else:
+        if sig.target == TARGET_DYNLIB:
             lines.append(f"{sig.name}:{sig.target}:md5:{sig.digest}:{sig.text_size}")
+        else:
+            lines.append(f"{sig.name}:{sig.target}:hex:{pattern_to_text(sig.pattern)}")
     try:
         blob = ("\n".join(lines) + "\n").encode("utf-8")
     except UnicodeEncodeError as exc:  # e.g. a name from a non-UTF-8 file name
@@ -188,7 +187,7 @@ def parse_sigfile(data: bytes) -> SignatureFile:
 
 def _parse_signature_line(line: str, lineno: int) -> Signature:
     fields = line.split(":")
-    if len(fields) >= 4 and fields[-2] == KIND_HEX:
+    if len(fields) >= 4 and fields[-2] == "hex":
         name = ":".join(fields[:-3])
         target = fields[-3]
         if target not in _HEX_TARGETS:
@@ -199,8 +198,8 @@ def _parse_signature_line(line: str, lineno: int) -> Signature:
             raise MalformedSigFile(f"line {lineno}: {exc}") from exc
         if not name:
             raise MalformedSigFile(f"line {lineno}: empty signature name")
-        return Signature(name=name, target=target, kind=KIND_HEX, pattern=pattern)
-    if len(fields) >= 5 and fields[-3] == KIND_MD5:
+        return Signature(name=name, target=target, pattern=pattern)
+    if len(fields) >= 5 and fields[-3] == "md5":
         name = ":".join(fields[:-4])
         target = fields[-4]
         digest = fields[-2]
@@ -217,8 +216,7 @@ def _parse_signature_line(line: str, lineno: int) -> Signature:
             raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}") from exc
         if not name:
             raise MalformedSigFile(f"line {lineno}: empty signature name")
-        return Signature(name=name, target=target, kind=KIND_MD5,
-                         digest=digest, text_size=text_size)
+        return Signature(name=name, target=target, digest=digest, text_size=text_size)
     raise MalformedSigFile(f"line {lineno}: unrecognized signature line")
 
 

@@ -8,6 +8,9 @@ Three producers, one per binary feature:
   prelinking, which rewrites relocation data but not code),
 * plain byte-string patterns from ``.comment`` vendor strings.
 
+A :class:`Signature`'s target says which of these it carries; the
+``.sig`` kind field (``hex``/``md5``) is :mod:`provsig.sigdb`'s alone.
+
 A text-section pattern keeps between 16 and 255 pattern positions.
 Sections shorter than 16 bytes are rejected: x86 instructions are 1-16
 bytes and we never decode instruction boundaries, so anything shorter
@@ -19,6 +22,7 @@ joined by exact-length gaps so the overall layout is preserved.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from bisect import bisect_right
@@ -26,14 +30,11 @@ from itertools import islice
 from operator import itemgetter
 
 from provsig import elf
-from provsig.elf import ArchiveMember, ElfImage, Section
+from provsig.elf import ArchiveMember, ElfImage
 
 TARGET_TEXT = "text"
 TARGET_COMMENT = "comment"
 TARGET_DYNLIB = "dynlib"
-
-KIND_HEX = "hex"
-KIND_MD5 = "md5"
 
 TOO_SHORT = "too-short"
 UNANCHORABLE = "unanchorable"
@@ -132,16 +133,6 @@ class HexPattern:
 
 
 @dataclass(frozen=True)
-class MaskedText:
-    """A text section and its relocation-patched byte ranges: sorted
-    ``(lo, hi)`` intervals inside the section, neither overlapping nor
-    abutting."""
-
-    data: bytes
-    masked: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class Rejected:
     """An input that produced no signature, and why.
 
@@ -155,59 +146,35 @@ class Rejected:
 
 @dataclass(frozen=True)
 class Signature:
-    """One detection rule.
+    """One detection rule; its target says what it carries.
 
-    ``kind == "hex"`` carries a pattern against .text or .comment bytes;
-    ``kind == "md5"`` carries the digest and size of a library's .text.
+    A ``text`` or ``comment`` signature carries a pattern against those
+    bytes; a ``dynlib`` one carries the digest and size of a library's
+    .text.
     """
 
     name: str
     target: str  # TARGET_TEXT | TARGET_COMMENT | TARGET_DYNLIB
-    kind: str    # KIND_HEX | KIND_MD5
     pattern: HexPattern | None = None
     digest: str | None = None
     text_size: int | None = None
 
 
-def mask_text(section: Section, relocs: list[tuple[int, int]]) -> MaskedText:
-    """The byte ranges the relocations cover, as :class:`MaskedText`.
+def build_pattern(data: bytes, relocs) -> HexPattern | Rejected:
+    """Turn a section's bytes into a pattern, or reject it, in one pass.
 
-    ``relocs`` holds ``(offset, mask_len)`` pairs in any order, such as
-    the lists :func:`provsig.elf.parse_relocations` returns.  They are
-    sorted, each range is clipped to the section, and ranges that
-    overlap or abut are merged.
-    """
-    n = len(section.data)
-    masked: list[tuple[int, int]] = []
-    end = -1  # end of masked[-1]
-    # clipping keeps the sorted order of the starts; comparisons, not
-    # min()/max(), since this runs once per relocation
-    for lo, length in sorted(relocs):
-        hi = lo + length
-        if hi > n:
-            hi = n
-        if lo < 0:
-            lo = 0
-        if lo >= hi:
-            continue
-        if lo > end:
-            masked.append((lo, hi))
-            end = hi
-        elif hi > end:
-            masked[-1] = (masked[-1][0], hi)
-            end = hi
-    return MaskedText(section.data, tuple(masked))
-
-
-def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
-    """Turn a masked section into a pattern, or reject it, in one pass.
+    ``relocs`` holds the ``(offset, mask_len)`` pairs of the bytes the
+    linker patches, in any order, such as the lists
+    :func:`provsig.elf.parse_relocations` returns.  They are sorted, and
+    ranges that overlap or abut are merged into masked intervals.
 
     Up to 255 bytes the whole section is kept.  From 256 bytes on, three
     85-byte segments are kept (the tail of each third) with gaps of
     l = n//3 - 85 and m = l + n%3 bytes between them, so the last
     segment always ends exactly at the section end.  Each kept range is
     cut at the masked intervals straight into tokens: literal runs
-    between them, one :class:`Wild` per masked stretch.
+    between them, one :class:`Wild` per masked stretch.  The kept ranges
+    lie inside the section, so the cut also clips the masks to it.
 
     Wildcards carrying no information are normalized away: a run of
     abutting segments (the first two abut when l == 0, for n = 256 and
@@ -218,10 +185,21 @@ def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
     patterns without an anchor (:attr:`HexPattern.anchor`) are rejected
     as unanchorable.
     """
-    data, mask = masked.data, masked.masked
     n = len(data)
     if n < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
+    mask: list[tuple[int, int]] = []  # sorted (lo, hi), neither overlapping nor abutting
+    mask_end = -math.inf  # end of mask[-1]
+    for lo, length in sorted(relocs):  # comparisons, not min()/max(): once per relocation
+        hi = lo + length
+        if lo >= hi:
+            continue
+        if lo > mask_end:
+            mask.append((lo, hi))
+            mask_end = hi
+        elif hi > mask_end:
+            mask[-1] = (mask[-1][0], hi)
+            mask_end = hi
     if n <= MAX_PATTERN_POSITIONS:
         ranges = [(0, n)]
     else:
@@ -268,7 +246,9 @@ def build_pattern(masked: MaskedText) -> HexPattern | Rejected:
 
 
 def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], list[Rejected]]:
-    """One text-target signature per usable text section of an object.
+    """One text-target signature per usable text section of an object,
+    named ``<origin>:<section>``; a section name that repeats in the
+    object is numbered as :func:`unique_name` numbers it.
 
     Returns the signatures plus a rejection report for every section
     that was too short or unanchorable.
@@ -276,16 +256,16 @@ def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], lis
     signatures: list[Signature] = []
     rejections: list[Rejected] = []
     relocs = elf.parse_relocations(image)
+    seen_names: dict[str, int] = {}
     for index, section in enumerate(image.sections):
         if not elf.is_text_section(section):
             continue
-        name = f"{origin_name}:{section.name}"
-        result = build_pattern(mask_text(section, relocs.get(index, [])))
+        name = f"{origin_name}:{unique_name(section.name, seen_names)}"
+        result = build_pattern(section.data, relocs.get(index, []))
         if isinstance(result, Rejected):
             rejections.append(Rejected(result.reason, name))
         else:
-            signatures.append(Signature(name=name, target=TARGET_TEXT,
-                                        kind=KIND_HEX, pattern=result))
+            signatures.append(Signature(name=name, target=TARGET_TEXT, pattern=result))
     return signatures, rejections
 
 
@@ -319,11 +299,18 @@ def sign_archive(members: list[ArchiveMember], origin_name: str) -> tuple[list[S
 
 
 def unique_name(name: str, seen: dict[str, int]) -> str:
-    """``name`` on its first use, then ``name#2``, ``name#3``, ...;
-    ``seen`` counts the uses so far."""
-    count = seen.get(name, 0) + 1
+    """``name`` if no call has returned it yet, else the first of
+    ``name#2``, ``name#3``, ... that none has (a member may be named
+    ``a.o#2``); ``seen`` maps each name returned so far to the last
+    number given to it, 1 for the name itself."""
+    count = seen.get(name, 1)
+    unique = name
+    while unique in seen:
+        count += 1
+        unique = f"{name}#{count}"
     seen[name] = count
-    return name if count == 1 else f"{name}#{count}"
+    seen.setdefault(unique, 1)
+    return unique
 
 
 def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature:
@@ -338,7 +325,6 @@ def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature:
     return Signature(
         name=f"{origin_name}:.text",
         target=TARGET_DYNLIB,
-        kind=KIND_MD5,
         digest=hashlib.md5(text.data).hexdigest(),
         text_size=len(text.data),
     )
@@ -356,7 +342,6 @@ def sign_comments(strings: list[str], origin_name: str) -> list[Signature]:
             signatures.append(Signature(
                 name=f"{origin_name}:.comment.{len(signatures)}",
                 target=TARGET_COMMENT,
-                kind=KIND_HEX,
                 pattern=HexPattern((raw,)),
             ))
     return signatures

@@ -22,17 +22,14 @@ from provsig.cli import (
     siggen_main,
     sigscan_main,
 )
-from provsig.elf import Section, get_section, parse_elf
+from provsig.elf import get_section, parse_elf
 from provsig.sigdb import load_db, parse_sigfile, write_sigfile, SignatureFile
 from provsig.siggen import (
-    KIND_HEX,
     TARGET_TEXT,
     Gap,
     HexPattern,
-    MaskedText,
     Signature,
     build_pattern,
-    mask_text,
     pattern_to_text,
     sign_shared_lib,
 )
@@ -117,7 +114,7 @@ def test_c2_truncation_formula_identity():
         assert segments[2][1] == n
 
         data = blob[:n]
-        pattern = build_pattern(MaskedText(data, ()))
+        pattern = build_pattern(data, [])
         assert isinstance(pattern, HexPattern)
         expected_runs = [data[a:b] for a, b in segments]
         expected_gaps = gaps
@@ -169,9 +166,7 @@ def _random_case(rng: random.Random, buf_size: int, n_patterns: int):
             at = rng.randrange(0, buf_size - span)
             for off, literal in pattern.literal_runs():
                 buffer[at + off:at + off + len(literal)] = literal
-    sigs = [Signature(name=f"s{i}", target=TARGET_TEXT, kind=KIND_HEX, pattern=p)
-            for i, p in enumerate(patterns)]
-    return bytes(buffer), patterns, sigs
+    return bytes(buffer), patterns
 
 
 def test_c3_matcher_oracle_equivalence():
@@ -183,8 +178,8 @@ def test_c3_matcher_oracle_equivalence():
              + [(262144, 64), (262144, 32)])
     assert len(cases) >= 1000
     for buf_size, n_patterns in cases:
-        buffer, patterns, sigs = _random_case(rng, buf_size, n_patterns)
-        engine = matcher.compile(sigs)
+        buffer, patterns = _random_case(rng, buf_size, n_patterns)
+        engine = matcher.compile(patterns)
         assert pairs(matcher.scan_all(engine, buffer)) == \
             naive_scan_once(patterns, buffer)
     took = _elapsed(start)
@@ -389,11 +384,10 @@ def test_c8_throughput_linearity(tmp_path):
     signatures = []
     for i in range(10000):
         data = rng.randbytes(rng.randrange(300, 640))
-        pattern = build_pattern(MaskedText(data, ()))
+        pattern = build_pattern(data, [])
         assert isinstance(pattern, HexPattern)
         signatures.append(Signature(name=f"lib{i // 100}.a/o{i}.o:.text",
-                                    target=TARGET_TEXT, kind=KIND_HEX,
-                                    pattern=pattern))
+                                    target=TARGET_TEXT, pattern=pattern))
     db_dir = tmp_path / "db"
     db_dir.mkdir()
     for chunk in range(10):
@@ -402,7 +396,7 @@ def test_c8_throughput_linearity(tmp_path):
         write_sigfile(sf, db_dir / f"synth{chunk}.sig")
     db = load_db(db_dir)
     assert len(db) >= 10000
-    engine = matcher.compile([sig for _, sig, _ in db.iter_signatures()])
+    engine = matcher.compile([sig.pattern for _, sig, _ in db.iter_signatures()])
 
     sizes_mb = [1, 2, 4, 8, 16, 32]
     matcher.scan_all(engine, rng.randbytes(1 << 18))  # warm-up

@@ -28,6 +28,7 @@ from elfwriter import (
     SHT_RELA,
     Sec,
     build_archive,
+    build_elf,
     build_executable,
     build_object,
     build_shared_lib,
@@ -165,7 +166,7 @@ def test_siggen_lib_single_md5(tmp_path):
     assert rc == 0
     parsed = parse_sigfile(out.read_bytes())
     assert len(parsed.signatures) == 1
-    assert parsed.signatures[0].kind == "md5"
+    assert parsed.signatures[0].target == "dynlib"
     assert parsed.signatures[0].text_size == 128
 
 
@@ -196,6 +197,32 @@ def test_siggen_inputs_with_one_basename_get_numbered_origins(tmp_path):
     assert rc == 0
     assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
         ["crt.o:.text", "crt.o#2:.text", "crt.o#3:.text"]
+
+
+def test_siggen_archive_member_named_like_a_numbered_repeat(tmp_path, capsys):
+    # the second "a.o" must not take the name the member "a.o#2" holds
+    members = [(name, build_object(bytes((i * 23 + j) % 256 for j in range(40))))
+               for i, name in enumerate(("a.o", "a.o#2", "a.o"))]
+    archive = tmp_path / "coll.a"
+    archive.write_bytes(build_archive(members))
+    out = tmp_path / "coll.sig"
+    rc = siggen_main(["obj", str(archive), "--package", "P", "--version", "1",
+                      "-o", str(out)])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
+        ["coll.a/a.o:.text", "coll.a/a.o#2:.text", "coll.a/a.o#3:.text"]
+
+
+def test_siggen_obj_numbers_repeated_code_section_names(tmp_path, capsys):
+    twin = tmp_path / "twin.o"
+    twin.write_bytes(build_elf([Sec(".text", bytes(range(48))),
+                                Sec(".text", bytes(range(100, 148)))]))
+    out = tmp_path / "twin.sig"
+    rc = siggen_main(["obj", str(twin), "--package", "P", "--version", "1",
+                      "-o", str(out)])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
+        ["twin.o:.text", "twin.o:.text#2"]
 
 
 def test_siggen_empty_archive_exit_2(tmp_path, capsys):
@@ -475,14 +502,14 @@ def test_sigscan_usage_error_exit_1(capsys):
 
 # -- python -m provsig.cli -------------------------------------------------------------
 
-def _run_module(*args: str) -> subprocess.CompletedProcess:
+def _run_module(*args, text=True, **env) -> subprocess.CompletedProcess:
     """``python -m provsig.cli ARGS`` in a fresh interpreter that imports
-    this checkout's provsig."""
+    this checkout's provsig, with ``env`` added to its environment."""
     src = str(Path(provsig.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "provsig.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=text, timeout=60)
 
 
 def test_module_entry_runs_siggen(tmp_path):
@@ -506,6 +533,27 @@ def test_module_entry_runs_sigscan(small_db, tmp_path, capsys):
     assert (done.returncode, done.stdout, done.stderr) == \
         (0, in_process.out, in_process.err)
     assert "(1 times, 24 bytes) Intel Compiler Suite 12.0" in done.stdout
+
+
+def test_sigscan_writes_non_utf8_paths_as_their_bytes(small_db, tmp_path):
+    # a strict UTF-8 stdout, as under a UTF-8 locale, cannot encode the
+    # surrogate escapes such a path decodes to; the batch must go on
+    libdir = os.fsencode(tmp_path) + b"/lib\xff"
+    os.mkdir(libdir)
+    with open(libdir + b"/libc.so.6", "wb") as lib:
+        lib.write(build_shared_lib(text=b"\x11" * 64, versions=["GLIBC_2.10"],
+                                   base_name="libc.so.6"))
+    good = tmp_path / "prog"
+    good.write_bytes(build_executable(CALL_STUB_TEXT, needed=["libc.so.6"]))
+    odd = os.fsencode(tmp_path) + b"/prog\xff"
+    with open(odd, "wb") as target:
+        target.write(good.read_bytes())
+    done = _run_module("sigscan", "--db", str(small_db), "--search-path", os.fsdecode(libdir),
+                       str(good), os.fsdecode(odd), text=False, PYTHONIOENCODING="utf-8")
+    report = b"(1 times, 24 bytes) Intel Compiler Suite 12.0\n" \
+        + libdir + b"/libc.so.6: GLIBC 2.10 [symver]\n"
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == os.fsencode(good) + b":\n" + report + odd + b":\n" + report
 
 
 @pytest.mark.parametrize("args", [[], ["scan", "--help"]], ids=["no-tool", "unknown-tool"])

@@ -12,27 +12,14 @@ from hypothesis import strategies as st
 
 import pattern_reference
 from provsig import matcher
-from provsig.siggen import (
-    KIND_HEX,
-    KIND_MD5,
-    TARGET_COMMENT,
-    TARGET_TEXT,
-    Gap,
-    HexPattern,
-    Signature,
-)
+from provsig.siggen import Gap, HexPattern
 
-from pattern_reference import ANY, expand, from_elements, well_formed
+from pattern_reference import ANY, from_elements, well_formed
 
 CALL_STUB_TEXT = bytes.fromhex(
     "554889e54883ec10bf0a000000e800000000488945f8c9c3")
 CALL_STUB_ELEMENTS = tuple(CALL_STUB_TEXT[:14]) + (ANY, ANY, ANY, ANY) \
     + tuple(CALL_STUB_TEXT[18:])
-
-
-def _sig(name: str, elements, target: str = TARGET_TEXT) -> Signature:
-    return Signature(name=name, target=target, kind=KIND_HEX,
-                     pattern=from_elements(elements))
 
 
 def pairs(matches) -> set[tuple[int, int]]:
@@ -69,7 +56,7 @@ def test_compile_empty_engine_matches_nothing():
 
 
 def test_compile_call_stub_anchor():
-    engine = matcher.compile([_sig("stub", CALL_STUB_ELEMENTS)])
+    engine = matcher.compile([from_elements(CALL_STUB_ELEMENTS)])
     anchor, offset = engine.anchors[0]
     assert anchor == CALL_STUB_TEXT[:14]
     assert offset == 0
@@ -77,37 +64,30 @@ def test_compile_call_stub_anchor():
 
 def test_compile_anchor_longest_run_earliest_tie():
     elements = (0x01, 0x02, ANY, 0x03, 0x04, 0x05, ANY, 0x06, 0x07, 0x08)
-    engine = matcher.compile([_sig("t", elements)])
+    engine = matcher.compile([from_elements(elements)])
     anchor, offset = engine.anchors[0]
     assert anchor == b"\x03\x04\x05"
     assert offset == 3
 
 
 def test_compile_duplicate_names_both_match():
-    sigs = [_sig("dup", (1, 2, 3)), _sig("dup", (4, 5, 6))]
-    engine = matcher.compile(sigs)
+    patterns = [from_elements((1, 2, 3)), from_elements((4, 5, 6))]
+    engine = matcher.compile(patterns)
     assert pairs(matcher.scan_all(engine, b"\x04\x05\x06\x01\x02\x03")) == \
         {(0, 3), (1, 0)}
 
 
 def test_compile_unanchorable_rejected():
-    sigs = [_sig("ok", (0x41, 0x42)), _sig("solo", (0x41, ANY, 0x42))]
+    patterns = [from_elements((0x41, 0x42)), from_elements((0x41, ANY, 0x42))]
     with pytest.raises(matcher.UnanchorableSignature) as caught:
-        matcher.compile(sigs)
-    assert (caught.value.index, caught.value.name) == (1, "solo")
-
-
-def test_compile_rejects_md5_kind():
-    bad = Signature(name="m", target="dynlib", kind=KIND_MD5,
-                    digest="0" * 32, text_size=1)
-    with pytest.raises(ValueError):
-        matcher.compile([bad])
+        matcher.compile(patterns)
+    assert caught.value.index == 1
 
 
 def test_shared_anchor_verified_independently():
     base = tuple(b"\x10\x20\x30\x40\x50\x60")
-    a = _sig("a", base + (0x70,))
-    b = _sig("b", base + (0x71,))
+    a = from_elements(base + (0x70,))
+    b = from_elements(base + (0x71,))
     engine = matcher.compile([a, b])
     buffer = b"..." + bytes(base) + b"\x71..."
     assert pairs(matcher.scan_all(engine, buffer)) == {(1, 3)}
@@ -115,10 +95,10 @@ def test_shared_anchor_verified_independently():
 
 def test_patterns_differing_only_in_masked_positions_both_match():
     source = bytes(range(0x20, 0x20 + 20))
-    a = _sig("a", tuple(source[:10]) + (ANY,) + tuple(source[11:]))
-    b = _sig("b", tuple(source[:15]) + (ANY,) + tuple(source[16:]))
-    patterns = [a.pattern, b.pattern]
-    engine = matcher.compile([a, b])
+    a = from_elements(tuple(source[:10]) + (ANY,) + tuple(source[11:]))
+    b = from_elements(tuple(source[:15]) + (ANY,) + tuple(source[16:]))
+    patterns = [a, b]
+    engine = matcher.compile(patterns)
     buffer = b"xx" + source + b"yy"
     found = pairs(matcher.scan_all(engine, buffer))
     assert found == {(0, 2), (1, 2)} == naive_scan_once(patterns, buffer)
@@ -139,11 +119,11 @@ _ANCHORED = st.lists(_RUNS, min_size=1, max_size=6) \
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_ANCHORED, min_size=1, max_size=8))
 def test_engine_layout_agrees_with_per_element_reference(element_lists):
-    sigs = [_sig(f"p{i}", elements) for i, elements in enumerate(element_lists)]
-    engine = matcher.compile(sigs)
-    for elements, sig, (anchor, anchor_off), (key, key_off), verify in zip(
-            element_lists, sigs, engine.anchors, engine.keys, engine._verify):
-        assert (anchor_off, anchor) == sig.pattern.anchor \
+    patterns = [from_elements(elements) for elements in element_lists]
+    engine = matcher.compile(patterns)
+    for elements, pattern, (anchor, anchor_off), (key, key_off), verify in zip(
+            element_lists, patterns, engine.anchors, engine.keys, engine._verify):
+        assert (anchor_off, anchor) == pattern.anchor \
             == pattern_reference.anchor(elements)
         assert verify == (pattern_reference.fixed_span(elements),
                           tuple(pattern_reference.literal_runs(elements)))
@@ -159,11 +139,11 @@ def test_key_is_candidate_listed_by_fewest_anchors_earliest_on_ties():
     anchors = [x + u0 + u1,  # candidates listed by 3, 1, 1 anchors
                y + x + u2,   # 2, 3, 1
                x + y]        # 3, 2
-    sigs = [_sig(f"c{i}", _flanked(a)) for i, a in enumerate(anchors)]
-    engine = matcher.compile(sigs)
+    patterns = [from_elements(_flanked(a)) for a in anchors]
+    engine = matcher.compile(patterns)
     assert engine.keys == ((u0, 18), (u2, 34), (y, 18))
     buffer = b"".join(b"\x41\x00" + a + b"\x00\x42" + x for a in anchors)
-    assert len(_assert_oracle(sigs, buffer)) == 3
+    assert len(_assert_oracle(patterns, buffer)) == 3
 
 
 def test_shared_run_off_the_key_grid_may_be_a_key_and_scans_like_the_oracle():
@@ -176,8 +156,8 @@ def test_shared_run_off_the_key_grid_may_be_a_key_and_scans_like_the_oracle():
     anchors = [shared + rng.randbytes(24)]
     anchors += [rng.randbytes(lead) + shared + rng.randbytes(24 - lead)
                 for lead in (3, 7, 13, 21)]
-    sigs = [_sig(f"o{i}", _flanked(a)) for i, a in enumerate(anchors)]
-    engine = matcher.compile(sigs)
+    patterns = [from_elements(_flanked(a)) for a in anchors]
+    engine = matcher.compile(patterns)
     assert engine.keys[0] == (shared, 2)
     assert all(key != shared for key, _ in engine.keys[1:])
     pieces = []
@@ -185,17 +165,17 @@ def test_shared_run_off_the_key_grid_may_be_a_key_and_scans_like_the_oracle():
         pieces += [b"\x41\x00" + anchor + b"\x00\x42", PROLOGUE * rng.randrange(3),
                    b"\x41\x00" + anchor + b"\x00\x43", shared, rng.randbytes(rng.randrange(9))]
     buffer = b"".join(pieces)
-    found = _assert_oracle(sigs, buffer)
-    assert {sig_idx for sig_idx, _ in found} == set(range(len(sigs)))
-    assert len(found) == 2 * len(sigs)
+    found = _assert_oracle(patterns, buffer)
+    assert {sig_idx for sig_idx, _ in found} == set(range(len(patterns)))
+    assert len(found) == 2 * len(patterns)
 
 
 def test_key_avoids_prologue_window_shared_by_many_signatures():
     rng = random.Random(3)
     prologue = bytes.fromhex("f30f1efa554889e54883ec2048897de8")
     anchors = [prologue + rng.randbytes(20) for _ in range(10)]
-    sigs = [_sig(f"f{i}", (0x90, ANY) + tuple(a)) for i, a in enumerate(anchors)]
-    engine = matcher.compile(sigs)
+    patterns = [from_elements((0x90, ANY) + tuple(a)) for a in anchors]
+    engine = matcher.compile(patterns)
     assert matcher.KEY_LEN == 16
     for (anchor, anchor_off), (key, key_off), expected in zip(
             engine.anchors, engine.keys, anchors):
@@ -204,32 +184,31 @@ def test_key_avoids_prologue_window_shared_by_many_signatures():
     buffer = b"\x90\x00" + anchors[3] + prologue * 3 + b"\x90\xff" + anchors[7]
     found = pairs(matcher.scan_all(engine, buffer))
     assert found == {(3, 0), (7, 38 + 48)}
-    assert found == naive_scan_once([s.pattern for s in sigs], buffer)
+    assert found == naive_scan_once(patterns, buffer)
 
 
 @pytest.mark.parametrize("length", [2, 15, 16, 17])
 def test_key_for_short_and_boundary_anchors(length):
     rng = random.Random(length)
     anchor = rng.randbytes(length)
-    sig = _sig("s", (0x41, ANY) + tuple(anchor) + (ANY, 0x42))
-    engine = matcher.compile([sig])
+    pattern = from_elements((0x41, ANY) + tuple(anchor) + (ANY, 0x42))
+    engine = matcher.compile([pattern])
     assert engine.anchors[0] == (anchor, 2)
     assert engine.keys[0] == (anchor[:16], 2)
     instance = b"\x41\x00" + anchor + b"\x00\x42"
     buffer = instance + rng.randbytes(50) + instance + instance[:-1]
     found = pairs(matcher.scan_all(engine, buffer))
     assert found == {(0, 0), (0, len(instance) + 50)}
-    assert found == naive_scan_once([sig.pattern], buffer)
+    assert found == naive_scan_once([pattern], buffer)
 
 
 def test_key_deep_inside_anchor_matches_at_buffer_start_and_end():
     rng = random.Random(11)
     shared = rng.randbytes(48)
     anchors = [shared + rng.randbytes(16) for _ in range(4)]
-    sigs = [_sig(f"d{i}", (0xAA, ANY) + tuple(a) + (ANY, 0xBB))
-            for i, a in enumerate(anchors)]
-    patterns = [s.pattern for s in sigs]
-    engine = matcher.compile(sigs)
+    patterns = [from_elements((0xAA, ANY) + tuple(a) + (ANY, 0xBB))
+            for a in anchors]
+    engine = matcher.compile(patterns)
     assert [key_off for _, key_off in engine.keys] == [50] * 4
     first = b"\xaa\x01" + anchors[0] + b"\x02\xbb"
     last = b"\xaa\x03" + anchors[2] + b"\x04\xbb"
@@ -246,13 +225,13 @@ def test_key_deep_inside_anchor_matches_at_buffer_start_and_end():
 # -- scan_all ------------------------------------------------------------------
 
 def test_scan_finds_stub_at_origin():
-    engine = matcher.compile([_sig("stub", CALL_STUB_ELEMENTS)])
+    engine = matcher.compile([from_elements(CALL_STUB_ELEMENTS)])
     found = matcher.scan_all(engine, CALL_STUB_TEXT)
     assert [(m.signature_id, m.start, m.span) for m in found] == [(0, 0, 24)]
 
 
 def test_scan_wildcards_match_any_linked_address():
-    engine = matcher.compile([_sig("stub", CALL_STUB_ELEMENTS)])
+    engine = matcher.compile([from_elements(CALL_STUB_ELEMENTS)])
     patched = bytearray(CALL_STUB_TEXT)
     patched[14:18] = b"\xde\xad\xbe\xef"
     buffer = b"\x00" * 100 + bytes(patched) + b"\xff" * 10
@@ -261,13 +240,13 @@ def test_scan_wildcards_match_any_linked_address():
 
 
 def test_scan_buffer_shorter_than_span():
-    engine = matcher.compile([_sig("stub", CALL_STUB_ELEMENTS)])
+    engine = matcher.compile([from_elements(CALL_STUB_ELEMENTS)])
     assert len(matcher.scan_all(engine, CALL_STUB_TEXT[:20])) == 0
 
 
 def test_scan_gap_requires_exact_distance():
     elements = (0xAA, 0xBB, Gap(3), 0xCC, 0xDD)
-    engine = matcher.compile([_sig("g", elements)])
+    engine = matcher.compile([from_elements(elements)])
     good = b"\xaa\xbb...\xcc\xdd"
     off_by_one = b"\xaa\xbb....\xcc\xdd"
     assert pairs(matcher.scan_all(engine, good)) == {(0, 0)}
@@ -275,13 +254,13 @@ def test_scan_gap_requires_exact_distance():
 
 
 def test_scan_overlapping_matches_reported():
-    engine = matcher.compile([_sig("rep", (0x61, 0x61, 0x61))])
+    engine = matcher.compile([from_elements((0x61, 0x61, 0x61))])
     found = matcher.scan_all(engine, b"aaaaa")
     assert pairs(found) == {(0, 0), (0, 1), (0, 2)}
 
 
 def test_scan_matchset_sorted_and_deduplicated():
-    engine = matcher.compile([_sig("a", (0x41, 0x42)), _sig("b", (0x42, 0x43))])
+    engine = matcher.compile([from_elements((0x41, 0x42)), from_elements((0x42, 0x43))])
     found = matcher.scan_all(engine, b"ABCABC")
     assert isinstance(found, tuple)
     assert all(isinstance(m, matcher.Match) for m in found)
@@ -291,7 +270,7 @@ def test_scan_matchset_sorted_and_deduplicated():
 
 
 def test_scan_all_two_plants():
-    engine = matcher.compile([_sig("stub", CALL_STUB_ELEMENTS)])
+    engine = matcher.compile([from_elements(CALL_STUB_ELEMENTS)])
     buffer = bytearray(130)
     buffer[0:24] = CALL_STUB_TEXT
     buffer[100:124] = CALL_STUB_TEXT
@@ -300,19 +279,20 @@ def test_scan_all_two_plants():
 
 
 def test_scan_all_zero_buffer_nonzero_pattern():
-    engine = matcher.compile([_sig("nz", (0x41,) * 16)])
+    engine = matcher.compile([from_elements((0x41,) * 16)])
     assert len(matcher.scan_all(engine, bytes(4096))) == 0
 
 
 def test_scan_all_zero_literal_pattern_terminates():
-    engine = matcher.compile([_sig("z", (0x00,) * 16)])
+    patterns = [from_elements((0x00,) * 16)]
+    engine = matcher.compile(patterns)
     buffer = bytes(64)
     found = matcher.scan_all(engine, buffer)
-    assert pairs(found) == naive_scan_once([engine.patterns[0]], buffer)
+    assert pairs(found) == naive_scan_once(patterns, buffer)
 
 
 def test_scan_all_does_not_mutate_caller_buffer():
-    engine = matcher.compile([_sig("stub", CALL_STUB_ELEMENTS)])
+    engine = matcher.compile([from_elements(CALL_STUB_ELEMENTS)])
     buffer = bytearray(CALL_STUB_TEXT)
     matcher.scan_all(engine, buffer)
     assert buffer == CALL_STUB_TEXT
@@ -321,11 +301,11 @@ def test_scan_all_does_not_mutate_caller_buffer():
 def test_scan_all_reports_no_ghost_match_over_a_found_match():
     # the stub's bytes are not all zero; a scan that zeroes found spans
     # and rescans would report the zero signature at starts 8-16
-    sigs = [_sig("stub", CALL_STUB_ELEMENTS), _sig("zero", (0x00,) * 16)]
-    engine = matcher.compile(sigs)
+    patterns = [from_elements(CALL_STUB_ELEMENTS), from_elements((0x00,) * 16)]
+    engine = matcher.compile(patterns)
     buffer = b"\x90" * 8 + CALL_STUB_TEXT + b"\x90" * 8
     found = pairs(matcher.scan_all(engine, buffer))
-    assert found == {(0, 8)} == naive_scan_once([s.pattern for s in sigs], buffer)
+    assert found == {(0, 8)} == naive_scan_once(patterns, buffer)
 
 
 # -- word filter: differential checks against the oracle -------------------------
@@ -338,108 +318,108 @@ def _flanked(anchor: bytes, left: int = 0x41, right: int = 0x42) -> tuple:
     return (left, ANY) + tuple(anchor) + (ANY, right)
 
 
-def _assert_oracle(sigs, buffer) -> set[tuple[int, int]]:
-    engine = matcher.compile(sigs)
+def _assert_oracle(patterns, buffer) -> set[tuple[int, int]]:
+    engine = matcher.compile(patterns)
     found = matcher.scan_all(engine, buffer)
     assert len(found) == len(pairs(found))
-    expected = naive_scan_once([s.pattern for s in sigs], bytes(buffer))
+    expected = naive_scan_once(patterns, bytes(buffer))
     assert pairs(found) == expected
-    assert all(m.span == sigs[m.signature_id].pattern.fixed_span for m in found)
+    assert all(m.span == patterns[m.signature_id].fixed_span for m in found)
     return expected
 
 
 def test_anchor_lengths_2_to_17_in_one_engine():
     rng = random.Random(217)
     anchors = [rng.randbytes(length) for length in range(2, 18)]
-    sigs = [_sig(f"l{len(a)}", _flanked(a)) for a in anchors]
-    engine = matcher.compile(sigs)
+    patterns = [from_elements(_flanked(a)) for a in anchors]
+    engine = matcher.compile(patterns)
     assert len({(word, r) for _, word, r, _ in engine._passes}) == 6
     buffer = bytearray(rng.randbytes(6000))
     planted = set()
     for plant in range(48):
-        sig_idx = plant % len(sigs)
+        sig_idx = plant % len(patterns)
         start = plant * 120 + rng.randrange(0, 90)
-        buffer[start:start + sigs[sig_idx].pattern.fixed_span] = \
+        buffer[start:start + patterns[sig_idx].fixed_span] = \
             b"\x41\x00" + anchors[sig_idx] + b"\x00\x42"
         planted.add((sig_idx, start))
-    assert planted <= _assert_oracle(sigs, bytes(buffer))
+    assert planted <= _assert_oracle(patterns, bytes(buffer))
 
 
 @pytest.mark.parametrize("length", [2, 3, 4, 5, 7, 8, 10, 11, 14, 15, 16, 17])
 def test_key_at_every_offset_mod_8(length):
     rng = random.Random(800 + length)
     anchor = rng.randbytes(length)
-    sigs = [_sig("k", _flanked(anchor))]
+    patterns = [from_elements(_flanked(anchor))]
     instance = b"\x41\x00" + anchor + b"\x00\x42"
     for offset in range(16):
         buffer = rng.randbytes(offset) + instance + rng.randbytes(24)
-        assert (0, offset) in _assert_oracle(sigs, buffer)
+        assert (0, offset) in _assert_oracle(patterns, buffer)
 
 
 def test_matches_at_buffer_start_and_end_for_every_word_size():
     rng = random.Random(51)
-    sigs = [_sig(f"e{length}", tuple(rng.randbytes(length)))
+    patterns = [from_elements(tuple(rng.randbytes(length)))
             for length in (2, 3, 4, 6, 9, 12, 16, 23)]
-    for sig in sigs:
-        (literal,) = sig.pattern.elements
+    for pattern in patterns:
+        (literal,) = pattern.elements
         for middle in (b"", b"\x00", rng.randbytes(13)):
             buffer = literal + middle + literal
-            found = _assert_oracle(sigs, buffer)
-            index = sigs.index(sig)
+            found = _assert_oracle(patterns, buffer)
+            index = patterns.index(pattern)
             assert {(index, 0), (index, len(buffer) - len(literal))} <= found
 
 
 def test_buffer_shorter_than_one_word():
     rng = random.Random(7)
-    sigs = [_sig(f"s{length}", tuple(rng.randbytes(length))) for length in range(2, 9)]
-    sigs.append(_sig("zz", (0x00, 0x00)))
+    patterns = [from_elements(tuple(rng.randbytes(length))) for length in range(2, 9)]
+    patterns.append(from_elements((0x00, 0x00)))
     for length in range(8):
         for _ in range(20):
             buffer = rng.randbytes(length)
-            _assert_oracle(sigs, buffer)
-        _assert_oracle(sigs, bytes(length))
-    for sig in sigs[:6]:
-        _assert_oracle(sigs, sig.pattern.elements[0])
+            _assert_oracle(patterns, buffer)
+        _assert_oracle(patterns, bytes(length))
+    for pattern in patterns[:6]:
+        _assert_oracle(patterns, pattern.elements[0])
 
 
 def test_code_like_prologue_runs():
     rng = random.Random(88)
     body = PROLOGUE * 300
     tail = rng.randbytes(40)
-    sigs = [
-        _sig("prologue", tuple(PROLOGUE)),
-        _sig("two", tuple(PROLOGUE * 2)),
-        _sig("straddle", tuple(PROLOGUE[4:] + PROLOGUE + PROLOGUE[:3])),
-        _sig("holey", tuple(PROLOGUE) + (ANY,) * 8 + tuple(PROLOGUE[:6])),
-        _sig("gapped", tuple(PROLOGUE[:5]) + (Gap(11),) + tuple(PROLOGUE)),
-        _sig("tail", tuple(PROLOGUE[-5:] + tail[:20])),
-        _sig("absent", tuple(PROLOGUE + b"\xc3")),
+    patterns = [
+        from_elements(tuple(PROLOGUE)),
+        from_elements(tuple(PROLOGUE * 2)),
+        from_elements(tuple(PROLOGUE[4:] + PROLOGUE + PROLOGUE[:3])),
+        from_elements(tuple(PROLOGUE) + (ANY,) * 8 + tuple(PROLOGUE[:6])),
+        from_elements(tuple(PROLOGUE[:5]) + (Gap(11),) + tuple(PROLOGUE)),
+        from_elements(tuple(PROLOGUE[-5:] + tail[:20])),
+        from_elements(tuple(PROLOGUE + b"\xc3")),
     ]
     for buffer in (body + tail, b"\x90" + body + tail, (PROLOGUE + b"\x90") * 200):
-        _assert_oracle(sigs, buffer)
+        _assert_oracle(patterns, buffer)
 
 
 @pytest.mark.parametrize("fill", [0x00, 0xCC, 0x90])
 def test_code_like_padding_runs_with_keys_of_padding_bytes(fill):
     rng = random.Random(fill)
     pad = bytes([fill])
-    sigs = [_sig(f"run{length}", (fill,) * length) for length in (2, 3, 5, 8, 11, 16, 17)]
-    sigs.append(_sig("edge", (0xC3,) + (fill,) * 12))
-    sigs.append(_sig("masked", (fill,) * 6 + (ANY, ANY) + (fill,) * 9))
-    sigs.append(_sig("other", (fill ^ 0xFF,) * 9))
+    patterns = [from_elements((fill,) * length) for length in (2, 3, 5, 8, 11, 16, 17)]
+    patterns.append(from_elements((0xC3,) + (fill,) * 12))
+    patterns.append(from_elements((fill,) * 6 + (ANY, ANY) + (fill,) * 9))
+    patterns.append(from_elements((fill ^ 0xFF,) * 9))
     pieces = []
     for _ in range(30):
         pieces.append(pad * rng.randrange(0, 70))
         pieces.append(rng.choice([b"\xc3", rng.randbytes(rng.randrange(1, 9)), PROLOGUE]))
     buffer = b"".join(pieces) + pad * 40
-    assert len(_assert_oracle(sigs, buffer)) > 100
+    assert len(_assert_oracle(patterns, buffer)) > 100
 
 
 def test_bytes_bytearray_and_memoryview_inputs_agree():
     rng = random.Random(5)
-    buffer, _, sigs = _oracle_case(rng, 3000, 12)
-    sigs.append(_sig("short", tuple(buffer[100:103])))
-    engine = matcher.compile(sigs)
+    buffer, patterns = _oracle_case(rng, 3000, 12)
+    patterns.append(from_elements(tuple(buffer[100:103])))
+    engine = matcher.compile(patterns)
     expected = matcher.scan_all(engine, buffer)
     assert expected
     as_array = bytearray(buffer)
@@ -452,7 +432,7 @@ def test_bytes_bytearray_and_memoryview_inputs_agree():
 def test_word_table_uses_native_byte_order():
     rng = random.Random(64)
     keys = [rng.randbytes(length) for length in (2, 3, 4, 5, 8, 10, 11, 16)]
-    engine = matcher.compile([_sig(f"n{i}", tuple(key)) for i, key in enumerate(keys)])
+    engine = matcher.compile([from_elements(tuple(key)) for key in keys])
     tables = {(word, r): (code, table) for code, word, r, table in engine._passes}
     for key, _ in engine.keys:
         word, _ = matcher._word_and_step(len(key))
@@ -464,7 +444,7 @@ def test_word_table_uses_native_byte_order():
 
 def test_match_comment_vendor_string():
     vendor = b"GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)"
-    engine = matcher.compile([_sig("gcc", tuple(vendor), target=TARGET_COMMENT)])
+    engine = matcher.compile([from_elements(tuple(vendor))])
     comment = vendor + b"\x00"
     assert pairs(matcher.scan_all(engine, comment)) == {(0, 0)}
     assert pairs(matcher.scan_all(engine, b"")) == set()
@@ -512,8 +492,7 @@ def _oracle_case(rng: random.Random, buf_size: int, n_patterns: int):
             start = rng.randrange(0, buf_size - span)
             for off, literal in pattern.literal_runs():
                 buffer[start + off:start + off + len(literal)] = literal
-    sigs = [_sig(f"sig{i}", expand(p)) for i, p in enumerate(patterns)]
-    return bytes(buffer), patterns, sigs
+    return bytes(buffer), patterns
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -522,8 +501,8 @@ def test_oracle_equivalence_randomized(seed):
     for _ in range(40):
         buf_size = rng.randrange(64, 3000)
         n_patterns = rng.randrange(1, 17)
-        buffer, patterns, sigs = _oracle_case(rng, buf_size, n_patterns)
-        engine = matcher.compile(sigs)
+        buffer, patterns = _oracle_case(rng, buf_size, n_patterns)
+        engine = matcher.compile(patterns)
         assert pairs(matcher.scan_all(engine, buffer)) == \
             naive_scan_once(patterns, buffer)
     
@@ -531,22 +510,22 @@ def test_oracle_equivalence_randomized(seed):
 def test_oracle_equivalence_thousand_unplanted_patterns():
     rng = random.Random(77)
     buffer = rng.randbytes(65536)
-    sigs = [_sig(f"r{i}", tuple(rng.randrange(256) for _ in range(16)))
-            for i in range(1000)]
-    engine = matcher.compile(sigs)
+    patterns = [from_elements(tuple(rng.randrange(256) for _ in range(16)))
+                for _ in range(1000)]
+    engine = matcher.compile(patterns)
     assert pairs(matcher.scan_all(engine, buffer)) == \
-        naive_scan_once([s.pattern for s in sigs], buffer)
+        naive_scan_once(patterns, buffer)
 
 
 def test_determinism_under_signature_permutation():
     rng = random.Random(9)
-    buffer, patterns, sigs = _oracle_case(rng, 4096, 12)
-    engine = matcher.compile(sigs)
-    baseline = {(sigs[m.signature_id].name, m.start)
+    buffer, patterns = _oracle_case(rng, 4096, 12)
+    engine = matcher.compile(patterns)
+    baseline = {(patterns[m.signature_id], m.start)
                 for m in matcher.scan_all(engine, buffer)}
-    shuffled = sigs[:]
+    shuffled = patterns[:]
     rng.shuffle(shuffled)
     engine2 = matcher.compile(shuffled)
-    permuted = {(shuffled[m.signature_id].name, m.start)
+    permuted = {(shuffled[m.signature_id], m.start)
                 for m in matcher.scan_all(engine2, buffer)}
     assert baseline == permuted

@@ -19,8 +19,6 @@ from provsig.sigdb import (
     write_sigfile,
 )
 from provsig.siggen import (
-    KIND_HEX,
-    KIND_MD5,
     TARGET_COMMENT,
     TARGET_DYNLIB,
     TARGET_TEXT,
@@ -34,14 +32,12 @@ CALL_STUB_PAYLOAD = "554889e54883ec10bf0a000000e8????????488945f8c9c3"
 
 
 def _hex_sig(name: str, elements, target: str = TARGET_TEXT) -> Signature:
-    return Signature(name=name, target=target, kind=KIND_HEX,
-                     pattern=from_elements(elements))
+    return Signature(name=name, target=target, pattern=from_elements(elements))
 
 
 def _md5_sig(name: str, digest: str = "d41d8cd98f00b204e9800998ecf8427e",
              size: int = 0) -> Signature:
-    return Signature(name=name, target=TARGET_DYNLIB, kind=KIND_MD5,
-                     digest=digest, text_size=size)
+    return Signature(name=name, target=TARGET_DYNLIB, digest=digest, text_size=size)
 
 
 def test_write_md5_signature_line():
@@ -233,6 +229,8 @@ def test_write_rejects_invalid_files(tmp_path):
     for name in ("#note", " #note", "\t\u3000#note", "a\x0bb", "a\u2029b", "a\udcffb"):
         with pytest.raises(UnwritableSigFile):
             write_sigfile(SignatureFile("P", "1", (_hex_sig(name, (1, 2)),)))
+    with pytest.raises(UnwritableSigFile, match="bad target 'data'"):
+        write_sigfile(SignatureFile("P", "1", (_hex_sig("a", (1, 2), target="data"),)))
 
 
 _ANY_TEXT = st.text(alphabet=st.one_of(

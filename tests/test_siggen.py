@@ -7,14 +7,12 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provsig import matcher
-from provsig.elf import Section, parse_archive, parse_elf
+from provsig.elf import parse_archive, parse_elf
 from provsig.siggen import (
-    KIND_HEX,
-    KIND_MD5,
     MIN_PATTERN_POSITIONS,
     TARGET_COMMENT,
     TARGET_DYNLIB,
@@ -26,9 +24,7 @@ from provsig.siggen import (
     NoTextSection,
     PatternSyntaxError,
     Rejected,
-    Signature,
     build_pattern,
-    mask_text,
     parse_pattern_text,
     pattern_to_text,
     sign_archive,
@@ -56,10 +52,6 @@ CALL_STUB_TEXT = bytes.fromhex(
 CALL_STUB_PATTERN = "554889e54883ec10bf0a000000e8????????488945f8c9c3"
 
 
-def _section(data: bytes, name: str = ".text") -> Section:
-    return Section(name=name, data=data, file_offset=0, flags=0)
-
-
 def _segment_layout(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     """Independent recomputation: the three sampled ranges are the tails
     of each third of [0, n); gap lengths follow from their distances."""
@@ -79,55 +71,32 @@ def _maximal(pattern: HexPattern) -> bool:
     return all(type(a) is not type(b) for a, b in zip(pattern.elements, pattern.elements[1:]))
 
 
-# -- mask_text ---------------------------------------------------------------
-
-def test_mask_call_stub():
-    masked = mask_text(_section(CALL_STUB_TEXT), [(0x0E, 4)])
-    assert masked.masked == ((14, 18),)
-    assert masked.data == CALL_STUB_TEXT
-
+# -- masking -----------------------------------------------------------------
 
 def test_mask_none():
-    masked = mask_text(_section(b"\x90" * 10), [])
-    assert masked.masked == ()
+    data = bytes(range(20))
+    # an empty pair masks nothing, inside the section or past it
+    for relocs in ([], [(5, 0)], [(0, 0), (20, 0), (30, 0)]):
+        assert build_pattern(data, relocs) == HexPattern((data,))
 
 
 def test_mask_overlapping_union():
-    masked = mask_text(_section(b"\x90" * 20), [(4, 4), (6, 4)])
-    assert masked.masked == ((4, 10),)
+    pattern = build_pattern(bytes(range(20)), [(4, 4), (6, 4)])
+    assert _pattern_shape(pattern) == [("lit", 4), ("any", 6), ("lit", 10)]
 
 
 def test_mask_merges_abutting_and_clips_to_section():
-    relocs = [(16, 8), (2, 2), (-3, 4), (4, 2), (30, 4)]
-    assert mask_text(_section(b"\x90" * 20), relocs).masked == ((0, 1), (2, 6), (16, 20))
-
-
-@st.composite
-def _relocated_sections(draw):
-    """A section and relocations in any order: overlapping, abutting,
-    nested, empty, starting before the section or running past its end."""
-    n = draw(st.integers(0, 80))
-    return n, draw(st.lists(st.tuples(st.integers(-10, n + 10), st.integers(0, 12)),
-                             max_size=12))
-
-
-@settings(max_examples=400, deadline=None)
-@given(_relocated_sections())
-def test_mask_intervals_equal_per_byte_reference(case):
-    n, relocs = case
-    intervals = mask_text(_section(bytes(n)), relocs).masked
-    covered = [i for lo, hi in intervals for i in range(lo, hi)]
-    assert covered == sorted(pattern_reference.mask_positions(n, relocs))
-    # sorted, inside the section, none empty, overlapping or abutting
-    assert all(0 <= lo < hi <= n for lo, hi in intervals)
-    assert all(hi < lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
+    data = bytes(range(24))
+    relocs = [(20, 8), (2, 2), (-3, 4), (4, 2), (30, 4), (13, 1), (12, 4)]
+    # masked: [0, 1), [2, 6), [12, 16), [20, 24); the edge wildcards are trimmed
+    assert build_pattern(data, relocs) == HexPattern(
+        (data[1:2], Wild(4), data[6:12], Wild(4), data[16:20]))
 
 
 # -- build_pattern -----------------------------------------------------------
 
 def test_pattern_call_stub_exact():
-    masked = mask_text(_section(CALL_STUB_TEXT), [(0x0E, 4)])
-    pattern = build_pattern(masked)
+    pattern = build_pattern(CALL_STUB_TEXT, [(0x0E, 4)])
     assert isinstance(pattern, HexPattern)
     assert pattern_to_text(pattern) == CALL_STUB_PATTERN
     assert pattern.literal_count == 20
@@ -135,14 +104,14 @@ def test_pattern_call_stub_exact():
 
 
 def test_pattern_too_short_boundary():
-    assert build_pattern(mask_text(_section(b"\x90" * 15), [])) == Rejected(TOO_SHORT)
-    assert isinstance(build_pattern(mask_text(_section(b"\x90" * 16), [])), HexPattern)
+    assert build_pattern(b"\x90" * 15, []) == Rejected(TOO_SHORT)
+    assert isinstance(build_pattern(b"\x90" * 16, []), HexPattern)
 
 
 def test_pattern_300_bytes_segments():
     rng = random.Random(7)
     data = bytes(rng.randrange(256) for _ in range(300))
-    pattern = build_pattern(mask_text(_section(data), []))
+    pattern = build_pattern(data, [])
     # frozen from the independent layout computation: tails of the three
     # thirds of [0, 300) are [15,100), [115,200), [215,300); gaps 15, 15
     assert _segment_layout(300) == ([(15, 100), (115, 200), (215, 300)], [15, 15])
@@ -157,7 +126,7 @@ def test_pattern_300_bytes_segments():
 
 def test_pattern_256_boundary_zero_gap_merges():
     data = bytes((i * 37 + 11) % 256 for i in range(256))
-    pattern = build_pattern(mask_text(_section(data), []))
+    pattern = build_pattern(data, [])
     # third = 85 so the first gap is zero: segments one and two abut
     assert _pattern_shape(pattern) == [("lit", 170), ("gap", 1), ("lit", 85)]
     runs = pattern.literal_runs()
@@ -168,44 +137,41 @@ def test_pattern_256_boundary_zero_gap_merges():
 
 def test_pattern_whole_section_below_cap():
     data = bytes(range(255))
-    pattern = build_pattern(mask_text(_section(data), []))
+    pattern = build_pattern(data, [])
     assert _pattern_shape(pattern) == [("lit", 255)]
     assert pattern.fixed_span == 255
 
 
 def test_pattern_edge_wildcards_trimmed():
     data = bytes(range(30))
-    masked = mask_text(_section(data), [(0, 4), (26, 4)])
-    pattern = build_pattern(masked)
+    pattern = build_pattern(data, [(0, 4), (26, 4)])
     assert _pattern_shape(pattern) == [("lit", 22)]
     assert pattern.literal_runs()[0][1] == data[4:26]
 
 
 def test_pattern_trimming_rechecks_minimum():
     data = bytes(range(20))
-    masked = mask_text(_section(data), [(0, 4), (17, 3)])
-    assert build_pattern(masked) == Rejected(TOO_SHORT)
+    assert build_pattern(data, [(0, 4), (17, 3)]) == Rejected(TOO_SHORT)
 
 
 def test_pattern_interior_wildcards_counted_as_positions():
     data = bytes(range(18))
-    masked = mask_text(_section(data), [(4, 8)])
-    pattern = build_pattern(masked)
+    pattern = build_pattern(data, [(4, 8)])
     assert _pattern_shape(pattern) == [("lit", 4), ("any", 8), ("lit", 6)]
     assert pattern.position_count == 18
 
 
 def test_pattern_all_masked_section_rejected():
     data = bytes(range(64))
-    masked = mask_text(_section(data), [(0, 8)] + [(o, 8) for o in range(0, 64, 8)])
-    assert build_pattern(masked) == Rejected(TOO_SHORT)
+    relocs = [(0, 8)] + [(o, 8) for o in range(0, 64, 8)]
+    assert build_pattern(data, relocs) == Rejected(TOO_SHORT)
 
 
 def test_pattern_unanchorable_rejected():
     # every second byte masked: no two adjacent literals anywhere
     data = bytes(range(40))
     relocs = [(o, 1) for o in range(1, 40, 2)]
-    assert build_pattern(mask_text(_section(data), relocs)) == Rejected(UNANCHORABLE)
+    assert build_pattern(data, relocs) == Rejected(UNANCHORABLE)
 
 
 def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
@@ -213,7 +179,7 @@ def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
     # run; with the second one masked the run is not wildcards throughout
     # and its 85 ?? stay, ahead of the 1-byte gap before segment three
     data = bytes((i * 37 + 11) % 256 for i in range(256))
-    pattern = build_pattern(mask_text(_section(data), [(85, 85)]))
+    pattern = build_pattern(data, [(85, 85)])
     assert _pattern_shape(pattern) == [("lit", 85), ("any", 85), ("gap", 1), ("lit", 85)]
     assert pattern.fixed_span == 256
 
@@ -221,7 +187,7 @@ def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
 def test_pattern_masked_middle_segment_dissolves_into_gap():
     data = bytes((i * 13 + 5) % 256 for i in range(300))
     relocs = [(o, 8) for o in range(112, 200, 8)] + [(196, 4)]
-    pattern = build_pattern(mask_text(_section(data), relocs))
+    pattern = build_pattern(data, relocs)
     assert _pattern_shape(pattern) == [("lit", 85), ("gap", 115), ("lit", 85)]
     assert pattern.fixed_span == 285
 
@@ -243,7 +209,7 @@ def test_truncation_tiling_property(n):
 def test_segment_placement_matches_independent_layout(n):
     rng = random.Random(n)
     data = bytes(rng.randrange(256) for _ in range(n))
-    pattern = build_pattern(mask_text(_section(data), []))
+    pattern = build_pattern(data, [])
     segments, gaps = _segment_layout(n)
     expected_runs = [data[a:b] for a, b in segments]
     if gaps[0] == 0:
@@ -273,7 +239,7 @@ def _section_with_relocs(draw):
 @given(_section_with_relocs())
 def test_generated_pattern_well_formed(case):
     data, relocs = case
-    result = build_pattern(mask_text(_section(data), relocs))
+    result = build_pattern(data, relocs)
     if isinstance(result, Rejected):
         assert result.reason in (TOO_SHORT, UNANCHORABLE)
         return
@@ -287,11 +253,10 @@ def test_generated_pattern_well_formed(case):
 @given(_section_with_relocs())
 def test_generated_pattern_matches_source_section(case):
     data, relocs = case
-    result = build_pattern(mask_text(_section(data), relocs))
+    result = build_pattern(data, relocs)
     if isinstance(result, Rejected):
         return
-    sig = Signature(name="s", target=TARGET_TEXT, kind=KIND_HEX, pattern=result)
-    engine = matcher.compile([sig])
+    engine = matcher.compile([result])
     assert len(matcher.scan_all(engine, data)) >= 1
 
 
@@ -301,10 +266,13 @@ def _segment_ranges(n: int) -> list[tuple[int, int]]:
 
 @st.composite
 def _masked_sections(draw):
-    """A section of 16-3000 bytes (255-258 forced often) with relocations
-    that cover whole segments, part of a segment, every second byte of a
-    segment, or scattered spans that may run past the section end."""
-    n = draw(st.one_of(st.sampled_from([255, 256, 257, 258]), st.integers(16, 3000)))
+    """A section of 0-3000 bytes (255-258 forced often) with relocations,
+    in any order, that cover whole segments, part of a segment, every
+    second byte of a segment, or a cluster of spans that overlap, abut,
+    nest or are empty, near the section start, near its end or anywhere,
+    some starting before the section or running past its end."""
+    n = draw(st.one_of(st.sampled_from([255, 256, 257, 258]), st.integers(0, 80),
+                       st.integers(16, 3000)))
     data = random.Random(draw(st.integers(0, 2 ** 32))).randbytes(n)
     relocs: list[tuple[int, int]] = []
     for lo, hi in _segment_ranges(n):
@@ -318,16 +286,21 @@ def _masked_sections(draw):
             relocs.append((cut, hi - cut))
         elif how == "alternate":
             relocs += [(i, 1) for i in range(lo + draw(st.integers(0, 1)), hi, 2)]
-    for _ in range(draw(st.integers(0, 6))):
-        relocs.append((draw(st.integers(0, n - 1)), draw(st.sampled_from([1, 2, 4, 8]))))
+    base = draw(st.one_of(st.integers(-10, 10), st.integers(n - 20, n + 5), st.integers(0, n)))
+    relocs += draw(st.lists(st.tuples(st.integers(base, base + 16), st.integers(0, 12)),
+                            max_size=10))
     return data, draw(st.permutations(relocs))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_masked_sections())
+@example((CALL_STUB_TEXT, [(0x0E, 4)]))
+@example((b"\x90" * 10, []))
+@example((b"\x90" * 20, [(4, 4), (6, 4)]))
+@example((b"\x90" * 20, [(16, 8), (2, 2), (-3, 4), (4, 2), (30, 4)]))
 def test_build_pattern_agrees_with_seven_pass_reference(case):
     data, relocs = case
-    got = build_pattern(mask_text(_section(data), relocs))
+    got = build_pattern(data, relocs)
     want = pattern_reference.build_pattern(
         data, pattern_reference.mask_positions(len(data), relocs))
     if isinstance(want, Rejected):
@@ -335,6 +308,7 @@ def test_build_pattern_agrees_with_seven_pass_reference(case):
     else:
         assert expand(got) == want
         assert _maximal(got)
+        assert all(len(token) for token in got.elements)  # no Wild(0) from an empty pair
 
 
 def test_anchor_longest_literal_run_earliest_on_ties():
@@ -368,6 +342,7 @@ def test_sign_object_masks_each_same_named_section_with_its_own_table():
                       _rela_text(4, info=1), _rela_text(40, info=2)])
     sigs, rejects = sign_object(parse_elf(data), "twin.o")
     assert rejects == []
+    assert [s.name for s in sigs] == ["twin.o:.text", "twin.o:.text#2"]
     assert [pattern_to_text(s.pattern) for s in sigs] == [
         bytes(range(4)).hex() + "????????" + bytes(range(8, 48)).hex(),
         bytes(range(100, 140)).hex() + "????????" + bytes(range(144, 148)).hex()]
@@ -443,6 +418,10 @@ def test_unique_name_counts_each_name_separately():
     seen: dict[str, int] = {}
     assert [unique_name(n, seen) for n in ("x", "y", "x", "x", "y")] == \
         ["x", "y", "x#2", "x#3", "y#2"]
+    # a name already given out, as a member "a.o#2" may be, is never reused
+    seen = {}
+    assert [unique_name(n, seen) for n in ("a.o", "a.o#2", "a.o", "a.o#3", "a.o#2")] == \
+        ["a.o", "a.o#2", "a.o#3", "a.o#3#2", "a.o#2#2"]
 
 
 def test_sign_archive_empty():
@@ -472,7 +451,6 @@ def test_sign_object_elf32_rel_masking():
 def test_sign_shared_lib_empty_text_is_rfc_vector():
     image = parse_elf(build_shared_lib(text=b""))
     sig = sign_shared_lib(image, "libempty.so")
-    assert sig.kind == KIND_MD5
     assert sig.target == TARGET_DYNLIB
     # RFC 1321 empty-message digest
     assert sig.digest == "d41d8cd98f00b204e9800998ecf8427e"
