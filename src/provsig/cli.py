@@ -152,6 +152,12 @@ def siggen_main(argv=None) -> int:
         except OSError as exc:
             _err(f"siggen: cannot read {input_path}: {exc}")
             return EXIT_INPUT
+        # a linker script (libc.so, libm.a) is not signed, and its
+        # GROUP is not followed
+        if not (data.startswith(elf.ELF_MAGIC)
+                or args.mode == "obj" and data.startswith(elf.AR_MAGIC)):
+            reports.append(siggen.Rejected("not an ELF object", input_path))
+            continue
         origin = siggen.unique_name(os.path.basename(input_path), used_origins)
         # the elf module logs relocations it drops or clamps and an
         # unterminated .comment; print them against this input

@@ -14,6 +14,7 @@ with :mod:`struct`, no external parser libraries.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -28,12 +29,14 @@ ELFDATA2LSB = 1
 
 ET_REL = 1
 
+SHT_NULL = 0
 SHT_STRTAB = 3
 SHT_RELA = 4
 SHT_DYNAMIC = 6
 SHT_NOBITS = 8
 SHT_REL = 9
-SHT_GNU_VERDEF = 0x6FFFFFFD
+
+SHN_XINDEX = 0xFFFF
 
 DT_NULL = 0
 DT_NEEDED = 1
@@ -60,12 +63,9 @@ class Section:
 
     name: str
     data: bytes
-    file_offset: int
-    flags: int
     sh_type: int = 0
     sh_link: int = 0
     sh_info: int = 0
-    sh_entsize: int = 0
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,11 @@ _MASK_TABLES = {EM_X86_64: _MASK_X86_64, EM_386: _MASK_386}
 _UNKNOWN_MASK_LEN = 8
 
 
-def _read_cstr(buf: bytes, offset: int) -> str:
+def _read_cstr(buf: bytes, offset: int) -> bytes:
     end = buf.find(b"\x00", offset)
     if end == -1:
         end = len(buf)
-    return buf[offset:end].decode("latin-1")
+    return buf[offset:end]
 
 
 def parse_elf(data: bytes) -> ElfImage:
@@ -150,45 +150,52 @@ def parse_elf(data: bytes) -> ElfImage:
         raise MalformedElf("truncated ELF header") from exc
 
     native_shentsize = 64 if is64 else 40
-    headers: list[tuple[int, int, int, int, int, int, int, int]] = []
+    fmt = "<IIQQQQIIQQ" if is64 else "<IIIIIIIIII"
+    if e_shoff and (e_shnum == 0 or e_shstrndx == SHN_XINDEX):
+        # extended numbering: section 0's sh_size holds the section
+        # count, its sh_link the name-table index
+        if e_shentsize < native_shentsize or e_shoff + native_shentsize > len(data):
+            raise MalformedElf("truncated section header 0")
+        _, _, _, _, _, count, link, *_ = struct.unpack_from(fmt, data, e_shoff)
+        e_shnum = e_shnum or count
+        if e_shstrndx == SHN_XINDEX:
+            e_shstrndx = link
+    headers: list[tuple[int, int, int, int, int, int]] = []
     if e_shnum:
         if e_shoff == 0 or e_shentsize < native_shentsize:
             raise MalformedElf("invalid section header table geometry")
         if e_shoff + e_shnum * e_shentsize > len(data):
             raise MalformedElf("truncated section header table")
-        fmt = "<IIQQQQIIQQ" if is64 else "<IIIIIIIIII"
         for i in range(e_shnum):
-            (sh_name, sh_type, sh_flags, _sh_addr, sh_offset, sh_size,
-             sh_link, sh_info, _sh_align, sh_entsize) = struct.unpack_from(
+            (sh_name, sh_type, _flags, _addr, sh_offset, sh_size,
+             sh_link, sh_info, _align, _entsize) = struct.unpack_from(
                 fmt, data, e_shoff + i * e_shentsize)
-            headers.append((sh_name, sh_type, sh_flags, sh_offset, sh_size,
-                            sh_link, sh_info, sh_entsize))
+            headers.append((sh_name, sh_type, sh_offset, sh_size, sh_link, sh_info))
 
     names: list[str] = []
     if headers:
         if e_shstrndx >= len(headers):
             raise MalformedElf("section name string table index out of range")
-        str_off, str_size = headers[e_shstrndx][3], headers[e_shstrndx][4]
+        str_off, str_size = headers[e_shstrndx][2:4]
         if str_off + str_size > len(data):
             raise MalformedElf("section name string table out of bounds")
         shstrtab = data[str_off:str_off + str_size]
         for sh_name, *_ in headers:
             if sh_name > len(shstrtab):
                 raise MalformedElf("section name offset out of range")
-            names.append(_read_cstr(shstrtab, sh_name))
+            names.append(_read_cstr(shstrtab, sh_name).decode("latin-1"))
 
     sections: list[Section] = []
-    for name, (_n, sh_type, sh_flags, sh_offset, sh_size, sh_link,
-               sh_info, sh_entsize) in zip(names, headers):
-        if sh_type == SHT_NOBITS or sh_size == 0:
+    for name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info) in zip(names, headers):
+        # an SHT_NULL header has no section (section 0 may hold a count)
+        if sh_type in (SHT_NULL, SHT_NOBITS) or sh_size == 0:
             body = b""
         else:
             if sh_offset + sh_size > len(data):
                 raise MalformedElf(f"section {name!r} extends past end of file")
             body = data[sh_offset:sh_offset + sh_size]
-        sections.append(Section(name=name, data=body, file_offset=sh_offset,
-                                flags=sh_flags, sh_type=sh_type, sh_link=sh_link,
-                                sh_info=sh_info, sh_entsize=sh_entsize))
+        sections.append(Section(name=name, data=body, sh_type=sh_type,
+                                sh_link=sh_link, sh_info=sh_info))
 
     needed = _parse_dynamic_needed(sections, is64)
     return ElfImage(
@@ -218,7 +225,7 @@ def _parse_dynamic_needed(sections: list[Section], is64: bool) -> list[str]:
         if tag == DT_NULL:
             break
         if tag == DT_NEEDED and strtab is not None and val < len(strtab):
-            needed.append(_read_cstr(strtab, val))
+            needed.append(os.fsdecode(_read_cstr(strtab, val)))
     return needed
 
 

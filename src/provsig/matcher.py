@@ -56,7 +56,7 @@ _WORD_CODES = {8: "Q", 4: "I", 2: "H"}
 
 
 class UnanchorableSignature(ValueError):
-    """Pattern without an anchor (:attr:`HexPattern.anchor`).
+    """Pattern without an anchor (:meth:`HexPattern.layout`).
 
     ``index`` is the pattern's position in the list given to
     :func:`compile`.
@@ -79,15 +79,13 @@ class Match:
 class CompiledEngine:
     """Immutable compiled word filter; safe to share across threads.
 
-    Build with :func:`compile`.  ``anchors`` and ``keys`` expose, per
-    pattern, the (anchor bytes, span offset) pair and the (key bytes,
-    span offset) pair the filter holds.
+    Build with :func:`compile`.  ``keys`` exposes, per pattern, the
+    (key bytes, span offset) pair the filter holds.
     """
 
-    __slots__ = ("anchors", "keys", "_passes", "_owners", "_verify")
+    __slots__ = ("keys", "_passes", "_owners", "_verify")
 
-    def __init__(self, anchors, keys, passes, owners, verify):
-        self.anchors: tuple[tuple[bytes, int], ...] = anchors
+    def __init__(self, keys, passes, owners, verify):
         self.keys: tuple[tuple[bytes, int], ...] = keys
         self._passes = passes
         self._owners = owners
@@ -109,12 +107,12 @@ def _word_and_step(key_len: int) -> tuple[int, int]:
 def compile(patterns: list[HexPattern]) -> CompiledEngine:
     """Build one engine from hex patterns.
 
-    Each pattern's span, literal runs and anchor
-    (:attr:`HexPattern.anchor`) come from one :meth:`HexPattern.layout`
-    walk; the filter is keyed on a window of the anchor chosen by
-    :func:`_choose_keys`.  Matches report list indices.  Raises
-    UnanchorableSignature if a pattern has no anchor (generated
-    patterns always have one; this guards hand-written input).
+    Each pattern's span, literal runs and anchor come from one
+    :meth:`HexPattern.layout` walk; the filter is keyed on a window of
+    the anchor chosen by :func:`_choose_keys`.  Matches report list
+    indices.  Raises UnanchorableSignature if a pattern has no anchor
+    (generated patterns always have one; this guards hand-written
+    input).
     """
     anchors: list[tuple[bytes, int]] = []
     verify: list[tuple[int, tuple[tuple[int, bytes], ...]]] = []
@@ -155,7 +153,7 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
                         table[value] = slots + one
     passes = tuple((_WORD_CODES[word], word, r, table)
                    for (word, r), table in sorted(tables.items()))
-    return CompiledEngine(tuple(anchors), keys, passes,
+    return CompiledEngine(keys, passes,
                           {key: tuple(pairs) for key, pairs in owners.items()},
                           tuple(verify))
 

@@ -81,40 +81,18 @@ class HexPattern:
     Tokens are maximal: no two neighbours are of the same kind.  The
     ``len`` of a token is the number of buffer bytes it spans.  Gaps
     never open or close a pattern, so the span the pattern occupies in a
-    buffer is fixed.  A scan needs an :attr:`anchor`;
+    buffer is fixed.  A scan needs an anchor (:meth:`layout`);
     :func:`build_pattern` rejects a pattern without one and
     :func:`provsig.matcher.compile` refuses it.
     """
 
     elements: tuple[bytes | Wild | Gap, ...]
 
-    @property
-    def literal_count(self) -> int:
-        return sum(len(t) for t in self.elements if isinstance(t, bytes))
-
-    @property
-    def position_count(self) -> int:
-        """Number of pattern positions: literals plus ?? wildcards (gaps excluded)."""
-        return sum(len(t) for t in self.elements if not isinstance(t, Gap))
-
-    @property
-    def fixed_span(self) -> int:
-        """Total bytes the pattern occupies in a buffer, gaps included."""
-        return self.layout()[0]
-
-    def literal_runs(self) -> list[tuple[int, bytes]]:
-        """The literal runs as (span offset, bytes)."""
-        return list(self.layout()[1])
-
-    @property
-    def anchor(self) -> tuple[int, bytes] | None:
-        """The longest literal run as (span offset, bytes), earliest on
-        ties, or None when it is shorter than two bytes."""
-        return self.layout()[2]
-
     def layout(self) -> tuple[int, tuple[tuple[int, bytes], ...], tuple[int, bytes] | None]:
-        """:attr:`fixed_span`, :meth:`literal_runs` and :attr:`anchor`,
-        from one walk over the tokens."""
+        """The pattern's fixed span (bytes it occupies in a buffer, gaps
+        included), its literal runs as (span offset, bytes), and its
+        anchor: the longest literal run, earliest on ties, or None when
+        it is shorter than two bytes.  One walk over the tokens."""
         runs: list[tuple[int, bytes]] = []
         anchor = None
         anchor_len = 1
@@ -182,7 +160,7 @@ def build_pattern(data: bytes, relocs) -> HexPattern | Rejected:
     and the leading and trailing wildcards of the pattern are trimmed.
     A masked segment that abuts a literal one keeps its ``??``.  Patterns
     left with fewer than 16 positions are rejected as too short;
-    patterns without an anchor (:attr:`HexPattern.anchor`) are rejected
+    patterns without an anchor (:meth:`HexPattern.layout`) are rejected
     as unanchorable.
     """
     n = len(data)
@@ -240,7 +218,7 @@ def build_pattern(data: bytes, relocs) -> HexPattern | Rejected:
     for (_, end, _), (lo, _, tokens) in zip(runs, runs[1:]):
         elements += [Gap(lo - end), *tokens]
     pattern = HexPattern(tuple(elements))
-    if pattern.anchor is None:
+    if pattern.layout()[2] is None:
         return Rejected(UNANCHORABLE)
     return pattern
 

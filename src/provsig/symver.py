@@ -30,10 +30,6 @@ class MalformedVerdef(ValueError):
     """Version-definition records that cannot be walked safely."""
 
 
-class LabelMismatch(ValueError):
-    """Compared two versions of different labels."""
-
-
 @dataclass(frozen=True)
 class VersionDef:
     name: str
@@ -124,34 +120,27 @@ def split_label(def_name: str, known_labels: list[str]) -> LabelVersion | None:
     return None
 
 
-def compare_versions(a: LabelVersion, b: LabelVersion) -> int:
-    """-1/0/1 ordering of same-label versions, componentwise numeric;
-    missing components count as zero (2.1 == 2.1.0)."""
-    if a.label != b.label:
-        raise LabelMismatch(f"{a.label} vs {b.label}")
-    width = max(len(a.numeric), len(b.numeric))
-    left = a.numeric + (0,) * (width - len(a.numeric))
-    right = b.numeric + (0,) * (width - len(b.numeric))
-    if left < right:
-        return -1
-    if left > right:
-        return 1
-    return 0
-
-
 def library_versions(image: ElfImage, known_labels=DEFAULT_LABELS) -> list[LabelVersion]:
-    """Highest defined version per known label, in known-label order."""
-    best: dict[str, LabelVersion] = {}
+    """Highest defined version per known label, in known-label order.
+
+    Versions compare componentwise and numerically, a missing component
+    counting as zero: 2.10 ranks above 2.9, and of 2.1 and 2.1.0 the
+    first defined is kept.
+    """
+    best: dict[str, tuple[tuple[int, ...], LabelVersion]] = {}
     for vdef in parse_verdef(image):
         if vdef.is_base:
             continue
         parsed = split_label(vdef.name, known_labels)
         if parsed is None:
             continue
+        rank = parsed.numeric
+        while rank[-1:] == (0,):
+            rank = rank[:-1]
         current = best.get(parsed.label)
-        if current is None or compare_versions(parsed, current) > 0:
-            best[parsed.label] = parsed
-    return [best[label] for label in known_labels if label in best]
+        if current is None or rank > current[0]:
+            best[parsed.label] = rank, parsed
+    return [best[label][1] for label in known_labels if label in best]
 
 
 def load_labels(path) -> list[str]:

@@ -21,6 +21,8 @@ SHT_NOBITS = 8
 SHT_REL = 9
 SHT_GNU_VERDEF = 0x6FFFFFFD
 
+SHN_XINDEX = 0xFFFF
+
 SHF_WRITE = 0x1
 SHF_ALLOC = 0x2
 SHF_EXECINSTR = 0x4
@@ -71,13 +73,17 @@ class Layout:
 
 
 def build_elf(secs: list[Sec], *, bits: int = 64, e_type: int = ET_REL,
-              machine: int = EM_X86_64, gap: int = 0) -> bytes:
+              machine: int = EM_X86_64, gap: int = 0, extended: bool = False) -> bytes:
     return build_elf_layout(secs, bits=bits, e_type=e_type,
-                            machine=machine, gap=gap).data
+                            machine=machine, gap=gap, extended=extended).data
 
 
 def build_elf_layout(secs: list[Sec], *, bits: int = 64, e_type: int = ET_REL,
-                     machine: int = EM_X86_64, gap: int = 0) -> Layout:
+                     machine: int = EM_X86_64, gap: int = 0,
+                     extended: bool = False) -> Layout:
+    """``extended`` writes extended section numbering: e_shnum 0 and
+    e_shstrndx SHN_XINDEX, with the section count in section 0's
+    sh_size and the name-table index in its sh_link."""
     is64 = bits == 64
     ehsize = 64 if is64 else 52
     shentsize = 64 if is64 else 40
@@ -113,14 +119,18 @@ def build_elf_layout(secs: list[Sec], *, bits: int = 64, e_type: int = ET_REL,
             return shnum - 1
         raise KeyError(ref)
 
+    if extended:
+        e_shnum, e_shstrndx, size0, link0 = 0, SHN_XINDEX, shnum, shnum - 1
+    else:
+        e_shnum, e_shstrndx, size0, link0 = shnum, shnum - 1, 0, 0
     if is64:
         ehdr = struct.pack("<4sBBBBB7xHHIQQQIHHHHHH", b"\x7fELF", 2, 1, 1, 0, 0,
                            e_type, machine, 1, 0, 0, shoff, 0, ehsize, 0, 0,
-                           shentsize, shnum, shnum - 1)
+                           shentsize, e_shnum, e_shstrndx)
     else:
         ehdr = struct.pack("<4sBBBBB7xHHIIIIIHHHHHH", b"\x7fELF", 1, 1, 1, 0, 0,
                            e_type, machine, 1, 0, 0, shoff, 0, ehsize, 0, 0,
-                           shentsize, shnum, shnum - 1)
+                           shentsize, e_shnum, e_shstrndx)
 
     def pack_shdr(name, typ, flags, off, size, link, info, entsize):
         if is64:
@@ -129,7 +139,7 @@ def build_elf_layout(secs: list[Sec], *, bits: int = 64, e_type: int = ET_REL,
         return struct.pack("<IIIIIIIIII", name, typ, flags, 0, off, size,
                            link, info, 1, entsize)
 
-    shdrs = bytearray(pack_shdr(0, SHT_NULL, 0, 0, 0, 0, 0, 0))
+    shdrs = bytearray(pack_shdr(0, SHT_NULL, 0, 0, size0, link0, 0, 0))
     for sec, soff in zip(secs, sec_offsets):
         size = sec.nobits_size if sec.sh_type == SHT_NOBITS else len(sec.data)
         link = sec_index(sec.link) if sec.link else 0

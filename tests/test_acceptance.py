@@ -33,7 +33,7 @@ from provsig.siggen import (
     pattern_to_text,
     sign_shared_lib,
 )
-from provsig.symver import LabelVersion, compare_versions, library_versions
+from provsig.symver import LabelVersion, library_versions
 
 from elfwriter import (
     R_X86_64_64,
@@ -121,10 +121,11 @@ def test_c2_truncation_formula_identity():
         if gap_l == 0:
             expected_runs = [expected_runs[0] + expected_runs[1], expected_runs[2]]
             expected_gaps = [gap_m]
-        assert [r[1] for r in pattern.literal_runs()] == expected_runs
+        span, runs, _ = pattern.layout()
+        assert [run for _, run in runs] == expected_runs
         assert [e.length for e in pattern.elements
                 if isinstance(e, Gap)] == expected_gaps
-        assert pattern.fixed_span == 85 + gap_l + 85 + gap_m + 85
+        assert span == 85 + gap_l + 85 + gap_m + 85
         checked += 1
     took = _elapsed(start)
     assert checked == 10000
@@ -156,15 +157,15 @@ def _random_case(rng: random.Random, buf_size: int, n_patterns: int):
             if isinstance(elements[cut - 1], int) and isinstance(elements[cut], int):
                 elements.insert(cut, Gap(rng.randrange(1, 9)))
         pattern = from_elements(elements)
-        if max((len(r[1]) for r in pattern.literal_runs()), default=0) < 2:
+        if pattern.layout()[2] is None:
             pattern = from_elements(body)
         patterns.append(pattern)
     # plant extra occurrences so the match sets are non-trivial
     for pattern in patterns[: max(1, n_patterns // 3)]:
-        span = pattern.fixed_span
+        span, runs, _ = pattern.layout()
         if span < buf_size:
             at = rng.randrange(0, buf_size - span)
-            for off, literal in pattern.literal_runs():
+            for off, literal in runs:
                 buffer[at + off:at + off + len(literal)] = literal
     return bytes(buffer), patterns
 
@@ -243,7 +244,7 @@ def test_c4_end_to_end_plant_and_detect(tmp_path):
                             "-o", str(db_dir / f"pkg{pkg_idx}.sig")]) == 0
 
     db = load_db(db_dir)
-    span_by_name = {sig.name: sig.pattern.fixed_span
+    span_by_name = {sig.name: sig.pattern.layout()[0]
                     for _, sig, _ in db.iter_signatures()}
 
     # targets: embed snippets with their relocation bytes randomized
@@ -313,9 +314,7 @@ def test_c5_symbol_versioning_highest():
     image = parse_elf(build_shared_lib(versions=chain, base_name="libc.so.6"))
     result = library_versions(image, ["GLIBC"])
     assert result == [LabelVersion("GLIBC", "2.10", (2, 10))]
-    assert compare_versions(result[0], LabelVersion("GLIBC", "2.9", (2, 9))) == 1
-    assert result[0].version > "2.9" or True  # ordering is numeric, not textual
-    assert result[0].numeric > (2, 9)
+    assert result[0].numeric > (2, 9)  # ordering is numeric, not textual
     took = _elapsed(start)
     assert took < 1.0
     print(f"criterion 5 (symbol versioning, GLIBC 2.10): PASS [{took:.2f}s]")

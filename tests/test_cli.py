@@ -234,6 +234,48 @@ def test_siggen_empty_archive_exit_2(tmp_path, capsys):
     assert "no signatures generated" in capsys.readouterr().err
 
 
+def _linker_script(tmp_path, name: str, *members: Path) -> Path:
+    """A GNU ld script, as installed for libm.a or libc.so, naming members."""
+    script = tmp_path / name
+    script.write_text("/* GNU ld script */\nGROUP ( "
+                      + " ".join(map(str, members)) + " )\n")
+    return script
+
+
+def test_siggen_skips_inputs_that_are_not_elf_in_every_mode(tmp_path, capsys):
+    # the script's GROUP names an archive that would sign; it is not
+    # followed.  An archive is signed in obj mode only.
+    archive = tmp_path / "libm-2.36.a"
+    archive.write_bytes(build_archive([("e_exp.o", build_object(b"\x37" * 40))]))
+    script = _linker_script(tmp_path, "libm.a", archive)
+    obj = tmp_path / "good.o"
+    obj.write_bytes(build_object(b"\x24" * 40))
+    lib = tmp_path / "libgood.so"
+    lib.write_bytes(build_shared_lib(text=b"\x25" * 40, comment=b"CC 1.0\x00"))
+    for mode, good, names, skipped in [
+            ("obj", obj, ["good.o:.text", "libm-2.36.a/e_exp.o:.text"], [script]),
+            ("lib", lib, ["libgood.so:.text"], [script, archive]),
+            ("comment", lib, ["libgood.so:.comment.0"], [script, archive])]:
+        out = tmp_path / f"{mode}.sig"
+        rc = siggen_main([mode, str(script), str(good), str(archive),
+                          "--package", "P", "--version", "1", "-o", str(out)])
+        assert rc == 0, mode
+        assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == names
+        assert capsys.readouterr().err == "".join(
+            f"siggen: skipped {path}: not an ELF object\n" for path in skipped)
+
+
+def test_siggen_only_linker_scripts_exit_2_and_write_nothing(tmp_path, capsys):
+    script = _linker_script(tmp_path, "libc.so", tmp_path / "libc.so.6")
+    out = tmp_path / "c.sig"
+    rc = siggen_main(["lib", str(script), "--package", "P", "--version", "1",
+                      "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (f"siggen: skipped {script}: not an ELF object\n"
+                                       "siggen: no signatures generated\n")
+
+
 def test_siggen_rejections_reported_on_stderr(tmp_path, capsys):
     obj = tmp_path / "small.o"
     obj.write_bytes(build_object({".text.tiny": b"\x90" * 8,
@@ -786,6 +828,28 @@ def test_sigscan_needed_name_cannot_leave_the_search_path(dynlib_world, tmp_path
     doc = json.loads(capsys.readouterr().out)
     assert doc["dynlib_findings"] == []
     assert doc["warnings"] == [f"unresolved dynamic library: {soname}"]
+
+
+def test_sigscan_resolves_non_ascii_needed_name_by_its_bytes(dynlib_world, tmp_path,
+                                                             capsys):
+    # build_executable writes each character of a name as one latin-1
+    # byte, so the target needs the bytes lib\xc3\xa9.so.1: "libé.so.1" in
+    # UTF-8.  A file named after their latin-1 reading ("libÃ©.so.1") is
+    # not taken for it.
+    db, libdir, _ = dynlib_world
+    wanted = libdir / os.fsdecode(b"lib\xc3\xa9.so.1")
+    wanted.write_bytes(build_shared_lib(text=b"\x66" * 32, versions=["GLIBC_2.5"]))
+    (libdir / "lib\xc3\xa9.so.1").write_bytes(
+        build_shared_lib(text=b"\x67" * 32, versions=["GLIBC_2.1"]))
+    target = tmp_path / "accented"
+    target.write_bytes(build_executable(b"\x90" * 32, needed=["lib\xc3\xa9.so.1"]))
+    rc = sigscan_main(["--db", str(db), "--search-path", str(libdir),
+                       "--format", "json", str(target)])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["warnings"] == []
+    assert [(f["library"], f["version"]) for f in doc["dynlib_findings"]] == \
+        [(str(wanted), "2.5")]
 
 
 def test_sigscan_unparsable_library_warns_and_keeps_exit_0(dynlib_world, tmp_path,

@@ -87,6 +87,77 @@ def test_truncated_section_table():
         parse_elf(data[:-10])
 
 
+# -- extended section numbering ----------------------------------------------------
+# From 65,280 sections on, e_shnum is 0 and e_shstrndx is SHN_XINDEX; the
+# count sits in section 0's sh_size and the name-table index in its sh_link.
+
+def _section_zero_fields(data, bits: int) -> dict[str, tuple[int, int]]:
+    """Where section 0's sh_size and sh_link lie, as (offset, width)."""
+    if bits == 64:
+        shoff, = struct.unpack_from("<Q", data, 0x28)
+        return {"sh_size": (shoff + 32, 8), "sh_link": (shoff + 40, 4)}
+    shoff, = struct.unpack_from("<I", data, 0x20)
+    return {"sh_size": (shoff + 20, 4), "sh_link": (shoff + 24, 4)}
+
+
+def _with_field(data: bytes, spot: tuple[int, int], value: int) -> bytes:
+    offset, width = spot
+    return data[:offset] + value.to_bytes(width, "little") + data[offset + width:]
+
+
+@pytest.mark.parametrize("bits", [64, 32])
+def test_extended_section_numbering_read_from_section_zero(bits):
+    secs = [Sec(".text", CALL_STUB_TEXT), Sec(".comment", b"GCC: x\x00"),
+            Sec(".text.f", b"\x90" * 24)]
+    plain = parse_elf(build_elf(secs, bits=bits))
+    image = parse_elf(build_elf(secs, bits=bits, extended=True))
+    assert [(s.name, s.data) for s in image.sections] == \
+        [(s.name, s.data) for s in plain.sections]
+    assert [s.name for s in list_text_sections(image)] == [".text", ".text.f"]
+    assert parse_comment(image) == ["GCC: x"]
+
+
+@pytest.mark.parametrize("bits", [64, 32])
+def test_extended_section_count_past_the_file_raises_at_once(bits):
+    data = build_elf([Sec(".text", b"\x90" * 4)], bits=bits, extended=True)
+    huge = _with_field(data, _section_zero_fields(data, bits)["sh_size"], (1 << bits) - 1)
+    start = time.perf_counter()
+    with pytest.raises(MalformedElf, match="truncated section header table"):
+        parse_elf(huge)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("bits", [64, 32])
+def test_extended_name_table_index_out_of_range(bits):
+    data = build_elf([Sec(".text", b"\x90" * 4)], bits=bits, extended=True)
+    bad = _with_field(data, _section_zero_fields(data, bits)["sh_link"], 3)
+    with pytest.raises(MalformedElf, match="string table index out of range"):
+        parse_elf(bad)
+
+
+@pytest.mark.parametrize("shoff_back", [10, 1])
+def test_extended_numbering_section_zero_past_the_file(shoff_back):
+    data = build_elf([Sec(".text", b"\x90" * 4)], extended=True)
+    moved = _with_field(data, (0x28, 8), len(data) - shoff_back)
+    with pytest.raises(MalformedElf, match="truncated section header 0"):
+        parse_elf(moved)
+
+
+@pytest.mark.skipif(shutil.which("as") is None, reason="as not installed")
+def test_extended_numbering_of_an_assembled_object(tmp_path):
+    count = 65300  # as switches to extended numbering from 65,280 sections
+    source = tmp_path / "many.s"
+    source.write_text("".join(f'.section .text.f{i},"ax"\n.byte 0xc3\n'
+                              for i in range(count)))
+    subprocess.run(["as", "-o", str(tmp_path / "many.o"), str(source)],
+                   check=True, capture_output=True)
+    data = (tmp_path / "many.o").read_bytes()
+    assert struct.unpack_from("<HH", data, 0x3C) == (0, 0xFFFF)
+    texts = list_text_sections(parse_elf(data))
+    assert [s.name for s in texts] == [".text"] + [f".text.f{i}" for i in range(count)]
+    assert {s.data for s in texts[1:]} == {b"\xc3"}
+
+
 def test_shared_lib_sections_all_retrievable():
     data = build_shared_lib(text=b"\xcc" * 24, comment=b"vendor\x00",
                             versions=["GLIBC_2.0"])
@@ -567,17 +638,20 @@ def int_field(offset: int, width: int, data_len: int) -> tuple[int, tuple[bytes,
 
 def elf_fields(data: bytes) -> list[tuple[int, tuple[bytes, ...]]]:
     """ELF header geometry plus every section header's name, type,
-    offset, size, link, info and entsize fields."""
+    offset, size, link, info and entsize fields (with extended numbering,
+    the count is section 0's size)."""
     if data[4] == 2:
         shoff, = struct.unpack_from("<Q", data, 0x28)
         shentsize, shnum = struct.unpack_from("<HH", data, 0x3A)
         header = [(0x28, 8), (0x3A, 2), (0x3C, 2), (0x3E, 2)]
         per_section = [(0, 4), (4, 4), (24, 8), (32, 8), (40, 4), (44, 4), (56, 8)]
+        shnum = shnum or struct.unpack_from("<Q", data, shoff + 32)[0]
     else:
         shoff, = struct.unpack_from("<I", data, 0x20)
         shentsize, shnum = struct.unpack_from("<HH", data, 0x2E)
         header = [(0x20, 4), (0x2E, 2), (0x30, 2), (0x32, 2)]
         per_section = [(0, 4), (4, 4), (16, 4), (20, 4), (24, 4), (28, 4), (36, 4)]
+        shnum = shnum or struct.unpack_from("<I", data, shoff + 20)[0]
     spots = header + [(shoff + i * shentsize + off, width)
                       for i in range(shnum) for off, width in per_section]
     return [int_field(off, width, len(data)) for off, width in spots]
@@ -618,6 +692,8 @@ _ELF_SEEDS = [
     build_shared_lib(versions=["GCC_3.0"], bits=32),
     build_executable({".text": CALL_STUB_TEXT, ".text.g": b"\xc3" * 8},
                      needed=["libc.so.6"], with_symtab=True),
+    build_elf([Sec(".text", CALL_STUB_TEXT), Sec(".comment", b"GCC: y\x00")],
+              bits=32, extended=True),
 ]
 _ELF_FIELDS = [elf_fields(seed) for seed in _ELF_SEEDS]
 

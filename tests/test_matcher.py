@@ -56,18 +56,15 @@ def test_compile_empty_engine_matches_nothing():
 
 
 def test_compile_call_stub_anchor():
+    # an anchor of up to 16 bytes is its own key
     engine = matcher.compile([from_elements(CALL_STUB_ELEMENTS)])
-    anchor, offset = engine.anchors[0]
-    assert anchor == CALL_STUB_TEXT[:14]
-    assert offset == 0
+    assert engine.keys[0] == (CALL_STUB_TEXT[:14], 0)
 
 
 def test_compile_anchor_longest_run_earliest_tie():
     elements = (0x01, 0x02, ANY, 0x03, 0x04, 0x05, ANY, 0x06, 0x07, 0x08)
     engine = matcher.compile([from_elements(elements)])
-    anchor, offset = engine.anchors[0]
-    assert anchor == b"\x03\x04\x05"
-    assert offset == 3
+    assert engine.keys[0] == (b"\x03\x04\x05", 3)
 
 
 def test_compile_duplicate_names_both_match():
@@ -121,12 +118,12 @@ _ANCHORED = st.lists(_RUNS, min_size=1, max_size=6) \
 def test_engine_layout_agrees_with_per_element_reference(element_lists):
     patterns = [from_elements(elements) for elements in element_lists]
     engine = matcher.compile(patterns)
-    for elements, pattern, (anchor, anchor_off), (key, key_off), verify in zip(
-            element_lists, patterns, engine.anchors, engine.keys, engine._verify):
-        assert (anchor_off, anchor) == pattern.anchor \
-            == pattern_reference.anchor(elements)
-        assert verify == (pattern_reference.fixed_span(elements),
-                          tuple(pattern_reference.literal_runs(elements)))
+    for elements, pattern, (key, key_off), verify in zip(
+            element_lists, patterns, engine.keys, engine._verify):
+        span, runs, (anchor_off, anchor) = pattern.layout()
+        assert (anchor_off, anchor) == pattern_reference.anchor(elements)
+        assert verify == (span, runs) == (pattern_reference.fixed_span(elements),
+                                          tuple(pattern_reference.literal_runs(elements)))
         assert key_off - anchor_off in matcher._key_offsets(len(anchor))
         assert key == anchor[key_off - anchor_off:][:matcher.KEY_LEN]
 
@@ -177,9 +174,8 @@ def test_key_avoids_prologue_window_shared_by_many_signatures():
     patterns = [from_elements((0x90, ANY) + tuple(a)) for a in anchors]
     engine = matcher.compile(patterns)
     assert matcher.KEY_LEN == 16
-    for (anchor, anchor_off), (key, key_off), expected in zip(
-            engine.anchors, engine.keys, anchors):
-        assert (anchor, anchor_off) == (expected, 2)
+    for pattern, (key, key_off), expected in zip(patterns, engine.keys, anchors):
+        assert pattern.layout()[2] == (2, expected)
         assert (key, key_off) == (expected[16:32], 18)
     buffer = b"\x90\x00" + anchors[3] + prologue * 3 + b"\x90\xff" + anchors[7]
     found = pairs(matcher.scan_all(engine, buffer))
@@ -193,7 +189,7 @@ def test_key_for_short_and_boundary_anchors(length):
     anchor = rng.randbytes(length)
     pattern = from_elements((0x41, ANY) + tuple(anchor) + (ANY, 0x42))
     engine = matcher.compile([pattern])
-    assert engine.anchors[0] == (anchor, 2)
+    assert pattern.layout()[2] == (2, anchor)
     assert engine.keys[0] == (anchor[:16], 2)
     instance = b"\x41\x00" + anchor + b"\x00\x42"
     buffer = instance + rng.randbytes(50) + instance + instance[:-1]
@@ -324,7 +320,7 @@ def _assert_oracle(patterns, buffer) -> set[tuple[int, int]]:
     assert len(found) == len(pairs(found))
     expected = naive_scan_once(patterns, bytes(buffer))
     assert pairs(found) == expected
-    assert all(m.span == patterns[m.signature_id].fixed_span for m in found)
+    assert all(m.span == patterns[m.signature_id].layout()[0] for m in found)
     return expected
 
 
@@ -339,8 +335,8 @@ def test_anchor_lengths_2_to_17_in_one_engine():
     for plant in range(48):
         sig_idx = plant % len(patterns)
         start = plant * 120 + rng.randrange(0, 90)
-        buffer[start:start + patterns[sig_idx].fixed_span] = \
-            b"\x41\x00" + anchors[sig_idx] + b"\x00\x42"
+        instance = b"\x41\x00" + anchors[sig_idx] + b"\x00\x42"
+        buffer[start:start + len(instance)] = instance
         planted.add((sig_idx, start))
     assert planted <= _assert_oracle(patterns, bytes(buffer))
 
@@ -475,7 +471,7 @@ def _random_pattern(rng: random.Random, source: bytes | None = None) -> HexPatte
         if isinstance(elements[cut - 1], int) and isinstance(elements[cut], int):
             elements = elements[:cut] + [Gap(gap)] + elements[cut:]
     pattern = from_elements(elements)
-    if max((len(r[1]) for r in pattern.literal_runs()), default=0) < 2:
+    if pattern.layout()[2] is None:
         return from_elements(body)
     return pattern
 
@@ -487,10 +483,10 @@ def _oracle_case(rng: random.Random, buf_size: int, n_patterns: int):
         patterns.append(_random_pattern(rng, bytes(buffer)))
     # plant a few extra occurrences so matches are not vanishingly rare
     for pattern in patterns[: max(1, n_patterns // 4)]:
-        span = pattern.fixed_span
+        span, runs, _ = pattern.layout()
         if span < buf_size:
             start = rng.randrange(0, buf_size - span)
-            for off, literal in pattern.literal_runs():
+            for off, literal in runs:
                 buffer[start + off:start + off + len(literal)] = literal
     return bytes(buffer), patterns
 

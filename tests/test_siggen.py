@@ -99,8 +99,9 @@ def test_pattern_call_stub_exact():
     pattern = build_pattern(CALL_STUB_TEXT, [(0x0E, 4)])
     assert isinstance(pattern, HexPattern)
     assert pattern_to_text(pattern) == CALL_STUB_PATTERN
-    assert pattern.literal_count == 20
-    assert pattern.fixed_span == 24
+    span, runs, _ = pattern.layout()
+    assert sum(len(run) for _, run in runs) == 20
+    assert span == 24
 
 
 def test_pattern_too_short_boundary():
@@ -117,11 +118,8 @@ def test_pattern_300_bytes_segments():
     assert _segment_layout(300) == ([(15, 100), (115, 200), (215, 300)], [15, 15])
     assert _pattern_shape(pattern) == [("lit", 85), ("gap", 15), ("lit", 85),
                                        ("gap", 15), ("lit", 85)]
-    runs = pattern.literal_runs()
-    assert runs[0][1] == data[15:100]
-    assert runs[1][1] == data[115:200]
-    assert runs[2][1] == data[215:300]
-    assert pattern.fixed_span == 285
+    assert pattern.layout()[:2] == (285, ((0, data[15:100]), (100, data[115:200]),
+                                          (200, data[215:300])))
 
 
 def test_pattern_256_boundary_zero_gap_merges():
@@ -129,24 +127,21 @@ def test_pattern_256_boundary_zero_gap_merges():
     pattern = build_pattern(data, [])
     # third = 85 so the first gap is zero: segments one and two abut
     assert _pattern_shape(pattern) == [("lit", 170), ("gap", 1), ("lit", 85)]
-    runs = pattern.literal_runs()
-    assert runs[0][1] == data[0:170]
-    assert runs[1][1] == data[171:256]
-    assert pattern.fixed_span == 256
+    assert pattern.layout()[:2] == (256, ((0, data[0:170]), (171, data[171:256])))
 
 
 def test_pattern_whole_section_below_cap():
     data = bytes(range(255))
     pattern = build_pattern(data, [])
     assert _pattern_shape(pattern) == [("lit", 255)]
-    assert pattern.fixed_span == 255
+    assert pattern.layout()[0] == 255
 
 
 def test_pattern_edge_wildcards_trimmed():
     data = bytes(range(30))
     pattern = build_pattern(data, [(0, 4), (26, 4)])
     assert _pattern_shape(pattern) == [("lit", 22)]
-    assert pattern.literal_runs()[0][1] == data[4:26]
+    assert pattern.layout()[1] == ((0, data[4:26]),)
 
 
 def test_pattern_trimming_rechecks_minimum():
@@ -158,7 +153,7 @@ def test_pattern_interior_wildcards_counted_as_positions():
     data = bytes(range(18))
     pattern = build_pattern(data, [(4, 8)])
     assert _pattern_shape(pattern) == [("lit", 4), ("any", 8), ("lit", 6)]
-    assert pattern.position_count == 18
+    assert sum(1 for e in expand(pattern) if not isinstance(e, Gap)) == 18
 
 
 def test_pattern_all_masked_section_rejected():
@@ -181,7 +176,7 @@ def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
     data = bytes((i * 37 + 11) % 256 for i in range(256))
     pattern = build_pattern(data, [(85, 85)])
     assert _pattern_shape(pattern) == [("lit", 85), ("any", 85), ("gap", 1), ("lit", 85)]
-    assert pattern.fixed_span == 256
+    assert pattern.layout()[0] == 256
 
 
 def test_pattern_masked_middle_segment_dissolves_into_gap():
@@ -189,7 +184,7 @@ def test_pattern_masked_middle_segment_dissolves_into_gap():
     relocs = [(o, 8) for o in range(112, 200, 8)] + [(196, 4)]
     pattern = build_pattern(data, relocs)
     assert _pattern_shape(pattern) == [("lit", 85), ("gap", 115), ("lit", 85)]
-    assert pattern.fixed_span == 285
+    assert pattern.layout()[0] == 285
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,7 +212,7 @@ def test_segment_placement_matches_independent_layout(n):
         expected_gaps = [gaps[1]]
     else:
         expected_gaps = gaps
-    assert [r[1] for r in pattern.literal_runs()] == expected_runs
+    assert [run for _, run in pattern.layout()[1]] == expected_runs
     assert [e.length for e in pattern.elements if isinstance(e, Gap)] == expected_gaps
 
 
@@ -246,7 +241,8 @@ def test_generated_pattern_well_formed(case):
     elements = result.elements
     assert _maximal(result)
     assert isinstance(elements[0], bytes) and isinstance(elements[-1], bytes)
-    assert MIN_PATTERN_POSITIONS <= result.position_count <= 255
+    positions = sum(len(token) for token in elements if not isinstance(token, Gap))
+    assert MIN_PATTERN_POSITIONS <= positions <= 255
 
 
 @settings(max_examples=200, deadline=None)
@@ -314,9 +310,9 @@ def test_build_pattern_agrees_with_seven_pass_reference(case):
 def test_anchor_longest_literal_run_earliest_on_ties():
     pattern = HexPattern((b"\x01", Wild(1), b"\x02\x03", Gap(4), b"\x04\x05", Wild(1),
                           b"\x06\x07\x08", Wild(1), b"\x09\x0a\x0b"))
-    assert pattern.anchor == (11, b"\x06\x07\x08")
-    assert HexPattern((b"\x01", Wild(1), b"\x02", Gap(3), b"\x04")).anchor is None
-    assert HexPattern((Wild(1),)).anchor is None
+    assert pattern.layout()[2] == (11, b"\x06\x07\x08")
+    assert HexPattern((b"\x01", Wild(1), b"\x02", Gap(3), b"\x04")).layout()[2] is None
+    assert HexPattern((Wild(1),)).layout()[2] is None
 
 
 # -- sign_object / sign_archive ----------------------------------------------
@@ -487,7 +483,6 @@ def test_sign_comments_vendor_string():
     sigs = sign_comments(["GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)"], "a.out")
     assert len(sigs) == 1
     assert sigs[0].target == TARGET_COMMENT
-    assert sigs[0].pattern.literal_count == 44
     assert sigs[0].pattern.elements == (b"GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)",)
 
 
@@ -570,10 +565,9 @@ _ELEMENTS = st.lists(st.one_of(
 def test_pattern_layout_agrees_with_per_element_reference(elements):
     pattern = from_elements(elements)
     assert expand(pattern) == tuple(elements)
-    assert pattern.literal_runs() == pattern_reference.literal_runs(elements)
-    assert pattern.fixed_span == pattern_reference.fixed_span(elements)
-    assert pattern.position_count == sum(1 for e in elements if not isinstance(e, Gap))
-    assert pattern.literal_count == sum(1 for e in elements if isinstance(e, int))
+    assert pattern.layout() == (pattern_reference.fixed_span(elements),
+                                tuple(pattern_reference.literal_runs(elements)),
+                                pattern_reference.anchor(elements))
 
 
 @settings(max_examples=300, deadline=None)

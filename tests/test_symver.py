@@ -15,8 +15,6 @@ from provsig.symver import (
     DEFAULT_LABELS,
     LabelVersion,
     MalformedVerdef,
-    LabelMismatch,
-    compare_versions,
     library_versions,
     load_labels,
     parse_verdef,
@@ -144,32 +142,48 @@ def test_split_label_round_trip(label, components):
                                numeric=tuple(components))
 
 
-# -- compare_versions -------------------------------------------------------------
+# -- version ordering, through library_versions -------------------------------------
+
+def _highest(*names: str) -> list[LabelVersion]:
+    """library_versions of a library defining ``names`` in this order."""
+    return library_versions(parse_elf(build_shared_lib(versions=list(names))),
+                            ["GLIBC", "GCC", "X"])
+
 
 def test_compare_numeric_not_textual():
-    assert compare_versions(_lv("GLIBC", "2.10"), _lv("GLIBC", "2.9")) == 1
+    assert _highest("GLIBC_2.9", "GLIBC_2.10") == [_lv("GLIBC", "2.10")]
+    assert _highest("GLIBC_2.10", "GLIBC_2.9") == [_lv("GLIBC", "2.10")]
 
 
 def test_compare_zero_extension_and_major():
-    assert compare_versions(_lv("X", "2.1"), _lv("X", "2.1.0")) == 0
-    assert compare_versions(_lv("X", "3"), _lv("X", "2.99")) == 1
+    # 2.1 and 2.1.0 rank equal, so the first defined is kept
+    assert _highest("X_2.1", "X_2.1.0") == [_lv("X", "2.1")]
+    assert _highest("X_2.1.0", "X_2.1") == [_lv("X", "2.1.0")]
+    assert _highest("X_2.1", "X_2.1.0.1") == [_lv("X", "2.1.0.1")]
+    assert _highest("X_3", "X_2.99") == [_lv("X", "3")]
+    assert _highest("X_2.99", "X_3") == [_lv("X", "3")]
 
 
 def test_compare_label_mismatch():
-    with pytest.raises(LabelMismatch):
-        compare_versions(_lv("GLIBC", "1"), _lv("GCC", "1"))
+    # versions of different labels are never ranked against each other
+    assert _highest("GLIBC_1", "GCC_7", "GLIBC_2", "GCC_3") == \
+        [_lv("GLIBC", "2"), _lv("GCC", "7")]
 
 
-@settings(max_examples=200)
+def _padded(numeric: tuple[int, ...]) -> tuple[int, ...]:
+    return numeric + (0,) * (4 - len(numeric))
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(min_value=0, max_value=50),
-                         min_size=1, max_size=4), min_size=3, max_size=3))
-def test_compare_is_total_order(triple):
-    a, b, c = (LabelVersion("L", ".".join(map(str, comps)), tuple(comps))
-               for comps in triple)
-    assert compare_versions(a, a) == 0
-    assert compare_versions(a, b) == -compare_versions(b, a)
-    if compare_versions(a, b) <= 0 and compare_versions(b, c) <= 0:
-        assert compare_versions(a, c) <= 0
+                         min_size=1, max_size=4), min_size=1, max_size=6))
+def test_compare_is_total_order(versions):
+    # the result is the first of the versions that rank highest, each
+    # zero-padded to four components (max keeps the first of equals)
+    labelled = [LabelVersion("X", ".".join(map(str, comps)), tuple(comps))
+                for comps in versions]
+    want = max(labelled, key=lambda v: _padded(v.numeric))
+    assert _highest(*(f"X_{v.version}" for v in labelled)) == [want]
 
 
 # -- library_versions --------------------------------------------------------------
