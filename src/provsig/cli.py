@@ -16,6 +16,7 @@ never executes loader code on the inputs it audits.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -158,7 +159,6 @@ def siggen_main(argv=None) -> int:
                 or args.mode == "obj" and data.startswith(elf.AR_MAGIC)):
             reports.append(siggen.Rejected("not an ELF object", input_path))
             continue
-        origin = siggen.unique_name(os.path.basename(input_path), used_origins)
         # the elf module logs relocations it drops or clamps and an
         # unterminated .comment; print them against this input
         warnings = logging.StreamHandler(sys.stderr)
@@ -166,25 +166,26 @@ def siggen_main(argv=None) -> int:
             "siggen: warning: {input}: {message}", style="{", defaults={"input": input_path}))
         elf.logger.addHandler(warnings)
         try:
-            if args.mode == "obj":
-                if data.startswith(elf.AR_MAGIC):
-                    members = elf.parse_archive(data)
-                    sigs, rejects = siggen.sign_archive(members, origin)
-                else:
-                    image = elf.parse_elf(data)
-                    if not image.is_relocatable:
-                        _err(f"siggen: {input_path} is not a relocatable object or archive")
-                        return EXIT_INPUT
-                    sigs, rejects = siggen.sign_object(image, origin)
-            elif args.mode == "lib":
+            if args.mode == "obj" and data.startswith(elf.AR_MAGIC):
+                image, members = None, elf.parse_archive(data)
+            else:
                 image = elf.parse_elf(data)
+                # an executable or shared library given to obj is skipped
+                # before it takes a name
+                if args.mode == "obj" and not image.is_relocatable:
+                    reports.append(siggen.Rejected("not a relocatable object", input_path))
+                    continue
+            origin = siggen.unique_name(os.path.basename(input_path), used_origins)
+            if args.mode == "obj":
+                sigs, rejects = (siggen.sign_archive(members, origin) if image is None
+                                 else siggen.sign_object(image, origin))
+            elif args.mode == "lib":
                 try:
                     sigs, rejects = [siggen.sign_shared_lib(image, origin)], []
                 except siggen.NoTextSection:
                     _err(f"siggen: {input_path} has no .text section; skipped")
                     continue
             else:  # comment
-                image = elf.parse_elf(data)
                 sigs = siggen.sign_comments(elf.parse_comment(image), origin)
                 rejects = []
         except (MalformedElf, UnsupportedElf, MalformedArchive) as exc:
@@ -260,7 +261,10 @@ def _compile_engine(db: sigdb.Database, target: str):
 
 def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
               comment_engine, comment_owners, labels, search_paths,
-              no_dynamic: bool) -> ScanReport:
+              no_dynamic: bool, libraries: dict) -> ScanReport:
+    """One target's report.  ``libraries`` maps each library path
+    resolved so far in this call to its :func:`_library_outcome`, so a
+    library many targets need is read once."""
     image = elf.parse_elf(Path(target_path).read_bytes())
     report = ScanReport(target=target_path)
     counts: dict[tuple[str, str], list[int]] = {}
@@ -288,24 +292,30 @@ def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
             if resolved is None:
                 report.warnings.append(f"unresolved dynamic library: {soname}")
                 continue
-            try:
-                lib = elf.parse_elf(Path(resolved).read_bytes())
-            except (OSError, MalformedElf, UnsupportedElf) as exc:
-                report.warnings.append(f"{resolved}: {exc}")
-                continue
-            try:
-                versions = symver.library_versions(lib, labels)
-            except symver.MalformedVerdef as exc:
-                report.warnings.append(f"{resolved}: {exc}")
-                continue
-            if versions:
-                for lv in versions:
-                    report.dynlib_findings.append(DynlibFinding(
-                        library=resolved, method=METHOD_SYMVER,
-                        name=lv.label, version=lv.version))
-                continue
-            report.dynlib_findings.append(_md5_lookup(db, lib, resolved))
+            outcome = libraries.get(resolved)
+            if outcome is None:
+                outcome = libraries[resolved] = _library_outcome(db, resolved, labels)
+            findings, warning = outcome
+            report.dynlib_findings.extend(findings)
+            if warning is not None:
+                report.warnings.append(warning)
     return report
+
+
+def _library_outcome(db: sigdb.Database, resolved: str,
+                     labels) -> tuple[tuple[DynlibFinding, ...], str | None]:
+    """What the library at ``resolved`` adds to a report: its findings,
+    or the warning that it cannot be read."""
+    try:
+        lib = elf.parse_elf(Path(resolved).read_bytes())
+        versions = symver.library_versions(lib, labels)
+    except (OSError, MalformedElf, UnsupportedElf, symver.MalformedVerdef) as exc:
+        return (), f"{resolved}: {exc}"
+    if versions:
+        return tuple(DynlibFinding(library=resolved, method=METHOD_SYMVER,
+                                   name=lv.label, version=lv.version)
+                     for lv in versions), None
+    return (_md5_lookup(db, lib, resolved),), None
 
 
 def _md5_lookup(db: sigdb.Database, lib: elf.ElfImage, resolved: str) -> DynlibFinding:
@@ -326,60 +336,84 @@ def sigscan_main(argv=None) -> int:
         _err(f"sigscan: error: {exc}")
         return EXIT_USAGE
 
+    # Loading and compiling the database allocates some 10^5 objects, none
+    # in a cycle: keep the cyclic collector off until both engines are
+    # built, then freeze them so the scan's collections never walk them.
+    # The caller's collector state is restored on return (the frozen
+    # generation is emptied).
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        db = sigdb.load_db(args.db)
-    except (sigdb.EmptyDatabase, OSError) as exc:
-        _err(f"sigscan: {exc}")
-        return EXIT_INPUT
-    for warning in db.warnings:
-        _err(f"sigscan: warning: {warning}")
-
-    if args.labels:
         try:
-            labels = symver.load_labels(args.labels)
-        except (OSError, UnicodeDecodeError) as exc:
-            _err(f"sigscan: cannot read labels file: {exc}")
+            db = sigdb.load_db(args.db)
+        except (sigdb.EmptyDatabase, OSError) as exc:
+            _err(f"sigscan: {exc}")
             return EXIT_INPUT
-    else:
-        labels = list(symver.DEFAULT_LABELS)
+        for warning in db.warnings:
+            _err(f"sigscan: warning: {warning}")
 
-    search_paths = list(args.search_path)
-    env_paths = os.environ.get(ENV_SEARCH_PATH, "")
-    search_paths.extend(p for p in env_paths.split(os.pathsep) if p)
-
-    try:
-        text_engine, text_owners = _compile_engine(db, siggen.TARGET_TEXT)
-        comment_engine, comment_owners = _compile_engine(db, siggen.TARGET_COMMENT)
-    except ValueError as exc:
-        _err(f"sigscan: cannot compile database: {exc}")
-        return EXIT_INPUT
-
-    # a target or library path that is not valid UTF-8 holds surrogate
-    # escapes (PEP 383); write them as the bytes they stand for rather
-    # than end the batch on a strict stdout
-    reconfigure = getattr(sys.stdout, "reconfigure", None)
-    if reconfigure is not None:
-        reconfigure(errors="surrogateescape")
-    status = EXIT_OK
-    show_target = len(args.binaries) > 1 and args.format == "human"
-    for target in args.binaries:
-        try:
-            report = _scan_one(target, db, text_engine, text_owners,
-                               comment_engine, comment_owners, labels,
-                               search_paths, args.no_dynamic)
-        except (OSError, MalformedElf, UnsupportedElf) as exc:
-            _err(f"sigscan: {target}: {exc}")
-            status = EXIT_INPUT
-            continue
-        if args.format == "json":
-            print(format_report(report, "json"))
+        if args.labels:
+            try:
+                labels = symver.load_labels(args.labels)
+            except (OSError, UnicodeDecodeError) as exc:
+                _err(f"sigscan: cannot read labels file: {exc}")
+                return EXIT_INPUT
         else:
-            if show_target:
-                print(f"{target}:")
-            print(format_report(report, "human"), end="")
-            for warning in report.warnings:
-                _err(f"sigscan: warning: {warning}")
-    return status
+            labels = list(symver.DEFAULT_LABELS)
+
+        search_paths = list(args.search_path)
+        env_paths = os.environ.get(ENV_SEARCH_PATH, "")
+        search_paths.extend(p for p in env_paths.split(os.pathsep) if p)
+
+        try:
+            text_engine, text_owners = _compile_engine(db, siggen.TARGET_TEXT)
+            comment_engine, comment_owners = _compile_engine(db, siggen.TARGET_COMMENT)
+        except ValueError as exc:
+            _err(f"sigscan: cannot compile database: {exc}")
+            return EXIT_INPUT
+        gc.freeze()
+        if collecting:
+            gc.enable()
+
+        status = EXIT_OK
+        show_target = len(args.binaries) > 1 and args.format == "human"
+        libraries: dict = {}
+        for target in args.binaries:
+            try:
+                report = _scan_one(target, db, text_engine, text_owners,
+                                   comment_engine, comment_owners, labels,
+                                   search_paths, args.no_dynamic, libraries)
+            except (OSError, MalformedElf, UnsupportedElf) as exc:
+                _err(f"sigscan: {target}: {exc}")
+                status = EXIT_INPUT
+                continue
+            if args.format == "json":
+                print(format_report(report, "json"))
+            else:
+                # paths as the bytes they name, DB text as UTF-8: no
+                # stdout encoding can end the batch
+                head = os.fsencode(target) + b":\n" if show_target else b""
+                _write_stdout(head + format_report(report, "human").encode(
+                    "utf-8", "surrogateescape"))
+                for warning in report.warnings:
+                    _err(f"sigscan: warning: {warning}")
+        return status
+    finally:
+        gc.unfreeze()
+        if collecting:
+            gc.enable()
+
+
+def _write_stdout(data: bytes) -> None:
+    """Write ``data`` to stdout's byte stream, after any text already
+    written there; a text-only stand-in for stdout gets it decoded."""
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is None:
+        sys.stdout.write(data.decode("utf-8", "surrogateescape"))
+        return
+    sys.stdout.flush()
+    stream.write(data)
+    stream.flush()
 
 
 def siggen_entry() -> None:

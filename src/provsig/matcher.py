@@ -10,10 +10,13 @@ own key).  Candidate windows start every ``KEY_LEN`` bytes of the
 anchor, plus the anchor's last window; the candidate that the fewest of
 the engine's anchors list among their own candidates wins, earliest on
 ties, so a prologue or padding window that starts many patterns'
-anchors is not chosen while a rarer one exists.  A window other anchors hold only between their candidates does
-not count against it: the key is a heuristic, and a shared key costs
-verifications, never a match.  Every occurrence of a pattern contains
-its key, so keying on a window loses no match.
+anchors is not chosen while a rarer one exists.  A window other anchors
+hold only between their candidates does not count against it: the key
+is a heuristic, and a shared key costs verifications, never a match.
+Every occurrence of a pattern contains its key, so keying on a window
+loses no match.  Anchors of one length share their candidate offsets,
+so key choice cuts, counts and ranks one offset's windows of all such
+anchors at a time, in C-level passes.
 
 Keys are found by a two-level literal filter, in the line of Wu-Manber
 and Hyperscan.  Level 1 reads the buffer as native words (8, 4 or 2
@@ -22,13 +25,17 @@ largest power of two <= key length - word + 1, so every occurrence of a
 key holds a sampled word at exactly one key offset ``j < step``.  Those
 words sit in one hash table per (word size, alignment); a table none of
 whose words is in the buffer is skipped, and otherwise the hit
-positions come out of a C-level filter.  Level 2 looks each candidate
-key position's bytes up in a dict of keys, which names the signatures
-keyed on them, and the full pattern is verified at the start the key's
-offset inside the pattern gives (literals must equal buffer bytes,
-``??`` positions and gap ranges are skipped).  Pattern gaps have exact
-lengths, so every pattern occupies a fixed span, which keeps both the
-key arithmetic and the verification trivial.
+positions come out of a C-level filter.  The tables are built the same
+way round: the keys of one length are joined into one buffer, padded to
+whole words, and one strided cast per key offset ``j`` reads every
+key's word at that offset, which goes into the table by one C-level
+update.  Level 2 looks each candidate key position's bytes up in a dict
+of keys, which names the signatures keyed on them, and the full pattern
+is verified at the start the key's offset inside the pattern gives
+(literals must equal buffer bytes, ``??`` positions and gap ranges are
+skipped).  Pattern gaps have exact lengths, so every pattern occupies a
+fixed span, which keeps both the key arithmetic and the verification
+trivial.
 
 This departs from the paper's ClamAV-style Aho-Corasick automaton; it
 reports the same matches, and the naive every-start regular expression
@@ -44,10 +51,10 @@ input's own bytes.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
+from operator import add, getitem, mul
 
 from provsig.siggen import HexPattern
 
@@ -115,14 +122,16 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
     input).
     """
     anchors: list[tuple[bytes, int]] = []
-    verify: list[tuple[int, tuple[tuple[int, bytes], ...]]] = []
+    verify: list[tuple[int, tuple[int, ...], tuple[bytes, ...]]] = []
     for index, pattern in enumerate(patterns):
         span, runs, anchor_run = pattern.layout()
         if anchor_run is None:
             raise UnanchorableSignature(index)
         anchor_off, anchor = anchor_run
         anchors.append((anchor, anchor_off))
-        verify.append((span, runs))
+        # the runs' offsets and literals as two tuples, not a pair per run
+        offsets, literals = zip(*runs)
+        verify.append((span, offsets, literals))
     keys = _choose_keys(anchors)
 
     # level 2: key bytes -> the (signature, key span offset) pairs keyed on it
@@ -133,29 +142,45 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
             owners[key] = []
             by_len.setdefault(len(key), []).append(key)
         owners[key].append((sig_idx, key_off))
-    # level 1: per (word size, alignment r) the scan reads, word value ->
-    # the distinct (key offset j, key length) slots it starts; a key of
-    # step s is tabled at each alignment r % s == 0, for each j < s (a
-    # word with one slot shares that slot's one-element tuple)
+    passes = tuple((_WORD_CODES[word], word, r, table)
+                   for (word, r), table in sorted(_word_tables(by_len).items()))
+    for key, pairs in owners.items():  # one at a time, so no list outlives its tuple
+        owners[key] = tuple(pairs)
+    return CompiledEngine(keys, passes, owners, tuple(verify))
+
+
+def _word_tables(by_len: dict[int, list[bytes]]):
+    """Level 1: per (word size, alignment r) the scan reads, word value
+    -> the distinct (key offset j, key length) slots it starts.
+
+    A key of step s is tabled at each alignment r % s == 0, for each
+    j < s.  The keys of one length are joined, each padded to a whole
+    number of words, so each j reads every key's word at once by a
+    strided cast of the joined bytes (j + word <= key length, so no word
+    reads padding, and the last key needs none).  Words new to the table
+    go in by one C-level update sharing the one-element tuple of slot
+    (j, length); only the few already there get the slot appended in
+    Python.
+    """
     tables: dict[tuple[int, int], dict[int, tuple[tuple[int, int], ...]]] = {}
     for key_len, same_len in by_len.items():
         word, step = _word_and_step(key_len)
+        width = -(-key_len // word) * word
+        view = memoryview(bytes(width - key_len).join(same_len))
+        end = width * (len(same_len) - 1) + word
+        code = _WORD_CODES[word]
         for r in range(0, word, step):
             table = tables.setdefault((word, r), {})
             for j in range(step):
                 one = ((j, key_len),)
-                for key in same_len:
-                    value = int.from_bytes(key[j:j + word], sys.byteorder)
-                    slots = table.get(value)
-                    if slots is None:
-                        table[value] = one
-                    elif one[0] not in slots:
-                        table[value] = slots + one
-    passes = tuple((_WORD_CODES[word], word, r, table)
-                   for (word, r), table in sorted(tables.items()))
-    return CompiledEngine(keys, passes,
-                          {key: tuple(pairs) for key, pairs in owners.items()},
-                          tuple(verify))
+                words = view[j:j + end].cast(code)[::width // word]
+                clashes = {value: table[value] for value in table.keys() & words}
+                table.update(zip(words, repeat(one)))
+                # a clash holds slots of earlier passes only: no other
+                # pass adds (j, length) to this table
+                for value, slots in clashes.items():
+                    table[value] = slots + one
+    return tables
 
 
 def _key_offsets(anchor_len: int) -> list[int]:
@@ -173,17 +198,48 @@ def _choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
 
     The key is the candidate window that the fewest anchors list among
     their own candidate windows, earliest on ties; an anchor up to
-    ``KEY_LEN`` bytes is its own key.
+    ``KEY_LEN`` bytes is its own key.  The keys are cut once the ranked
+    windows are freed, so they do not pin the memory those were spread
+    over.
     """
+    return tuple((anchor[off:off + KEY_LEN], anchor_off + off)
+                 for (anchor, anchor_off), off in zip(anchors, _key_choice(anchors)))
+
+
+def _key_choice(anchors) -> list[int]:
+    """Per anchor, the offset of its key in it (see :func:`_choose_keys`).
+
+    Anchors of one length share their candidate offsets, so each
+    offset's windows of a length group are cut, counted and looked up by
+    C-level maps over one column.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, (anchor, _) in enumerate(anchors):
+        groups.setdefault(len(anchor), []).append(index)
     listed: Counter[bytes] = Counter()
-    for anchor, _ in anchors:
-        listed.update({anchor[off:off + KEY_LEN] for off in _key_offsets(len(anchor))})
-    keys = []
-    for anchor, anchor_off in anchors:
-        key_off = min(_key_offsets(len(anchor)),
-                      key=lambda off: listed[anchor[off:off + KEY_LEN]])
-        keys.append((anchor[key_off:key_off + KEY_LEN], anchor_off + key_off))
-    return tuple(keys)
+    columns = []
+    for length, indices in groups.items():
+        offsets = _key_offsets(length)
+        group = [anchors[index][0] for index in indices]
+        cols = [list(map(getitem, group, repeat(slice(off, off + KEY_LEN))))
+                for off in offsets]
+        listed.update(chain.from_iterable(cols))
+        width = len(offsets)
+        # an anchor that holds one window twice lists it once
+        for row in compress(zip(*cols), map(width.__ne__, map(len, map(set, zip(*cols))))):
+            listed.subtract(row)
+            listed.update(set(row))
+        columns.append((indices, offsets, cols))
+    chosen = [0] * len(anchors)
+    for indices, offsets, cols in columns:
+        # window k of an anchor scores count * width + k: the least is the
+        # fewest-listed window, earliest on ties
+        width = len(offsets)
+        scores = [map(add, map(mul, map(listed.__getitem__, col), repeat(width)), repeat(k))
+                  for k, col in enumerate(cols)]
+        for index, score in zip(indices, map(min, zip(*scores))):
+            chosen[index] = offsets[score % width]
+    return chosen
 
 
 def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
@@ -215,13 +271,10 @@ def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
                     continue
                 for sig_idx, key_off in found:
                     start = at - key_off
-                    span, chunks = verify[sig_idx]
+                    span, offsets, literals = verify[sig_idx]
                     if start < 0 or start + span > n:
                         continue
-                    for chunk_off, literal in chunks:
-                        if not buffer.startswith(literal, start + chunk_off):
-                            break
-                    else:
+                    if all(map(buffer.startswith, literals, map(start.__add__, offsets))):
                         hits.append(Match(sig_idx, start, span))
     hits.sort(key=lambda m: (m.start, m.signature_id))
     return tuple(hits)

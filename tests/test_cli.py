@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import logging
 import os
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import provsig
+from provsig import cli
 from provsig.cli import (
     DynlibFinding,
     PackageHit,
@@ -274,6 +278,41 @@ def test_siggen_only_linker_scripts_exit_2_and_write_nothing(tmp_path, capsys):
     assert not out.exists()
     assert capsys.readouterr().err == (f"siggen: skipped {script}: not an ELF object\n"
                                        "siggen: no signatures generated\n")
+
+
+def test_siggen_obj_skips_an_executable_and_signs_the_rest(tmp_path, capsys):
+    archive = tmp_path / "libdemo.a"
+    archive.write_bytes(build_archive([("unit.o", build_object(b"\x37" * 40))]))
+    executable = tmp_path / "user-binary"
+    executable.write_bytes(build_executable(b"\x90" * 40))
+    library = tmp_path / "libc.so.6"
+    library.write_bytes(build_shared_lib(text=b"\x25" * 40))
+    # a skipped input takes no name: the object of the same basename keeps it
+    (tmp_path / "obj").mkdir()
+    namesake = tmp_path / "obj" / "user-binary"
+    namesake.write_bytes(build_object(b"\x24" * 40))
+    out = tmp_path / "p.sig"
+    rc = siggen_main(["obj", str(archive), str(executable), str(library), str(namesake),
+                      "--package", "P", "--version", "1", "-o", str(out)])
+    assert rc == 0
+    assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
+        ["libdemo.a/unit.o:.text", "user-binary:.text"]
+    assert capsys.readouterr().err == "".join(
+        f"siggen: skipped {path}: not a relocatable object\n"
+        for path in (executable, library))
+
+
+def test_siggen_obj_only_executables_exit_2_and_write_nothing(tmp_path, capsys):
+    executable = tmp_path / "user-binary"
+    executable.write_bytes(build_executable(b"\x90" * 40))
+    out = tmp_path / "p.sig"
+    rc = siggen_main(["obj", str(executable), "--package", "P", "--version", "1",
+                      "-o", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"siggen: skipped {executable}: not a relocatable object\n"
+        "siggen: no signatures generated\n")
 
 
 def test_siggen_rejections_reported_on_stderr(tmp_path, capsys):
@@ -542,6 +581,36 @@ def test_sigscan_usage_error_exit_1(capsys):
     assert sigscan_main([]) == 1
 
 
+@pytest.fixture
+def collector_state():
+    """Restore the collector after a test that switches it off."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", ["scan", "usage", "empty-db", "uncompilable"])
+def test_sigscan_leaves_the_collector_as_it_found_it(small_db, tmp_path, capsys,
+                                                     collector_state, collecting, case):
+    target = tmp_path / "prog"
+    target.write_bytes(build_executable(CALL_STUB_TEXT))
+    db = {"scan": small_db, "usage": small_db, "empty-db": tmp_path / "empty",
+          "uncompilable": tmp_path / "bad"}[case]
+    if case == "empty-db":
+        db.mkdir()
+    elif case == "uncompilable":
+        db.mkdir()
+        (db / "b.sig").write_text("provsig 1\npackage B\nversion 1\n"
+                                  "solo.o:.text:text:hex:41??42\n")
+    argv = ["--db", str(db), "--no-dynamic", str(target)]
+    if case == "usage":
+        argv.append("--no-such-option")
+    (gc.enable if collecting else gc.disable)()
+    assert sigscan_main(argv) == {"scan": 0, "usage": 1}.get(case, 2)
+    assert gc.isenabled() is collecting
+    assert gc.get_freeze_count() == 0
+
+
 # -- python -m provsig.cli -------------------------------------------------------------
 
 def _run_module(*args, text=True, **env) -> subprocess.CompletedProcess:
@@ -596,6 +665,33 @@ def test_sigscan_writes_non_utf8_paths_as_their_bytes(small_db, tmp_path):
         + libdir + b"/libc.so.6: GLIBC 2.10 [symver]\n"
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == os.fsencode(good) + b":\n" + report + odd + b":\n" + report
+
+
+def test_sigscan_human_output_is_utf8_on_an_ascii_stdout(small_db, tmp_path):
+    good = tmp_path / "prog"
+    good.write_bytes(build_executable(CALL_STUB_TEXT))
+    cafe = tmp_path / "caf\u00e9"
+    cafe.write_bytes(good.read_bytes())
+    done = _run_module("sigscan", "--db", str(small_db), "--no-dynamic", str(good),
+                       str(cafe), text=False, PYTHONIOENCODING="ascii")
+    report = b"(1 times, 24 bytes) Intel Compiler Suite 12.0\n"
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == os.fsencode(good) + b":\n" + report \
+        + os.fsencode(cafe) + b":\n" + report
+    done = _run_module("sigscan", "--db", str(small_db), "--no-dynamic", "--format", "json",
+                       str(cafe), PYTHONIOENCODING="ascii")
+    assert (done.returncode, json.loads(done.stdout)["target"]) == (0, str(cafe))
+
+
+def test_sigscan_human_output_to_a_text_only_stdout(small_db, tmp_path):
+    # a stand-in such as io.StringIO has no byte stream under it
+    target = tmp_path / "caf\u00e9"
+    target.write_bytes(build_executable(CALL_STUB_TEXT))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = sigscan_main(["--db", str(small_db), "--no-dynamic", str(target), str(target)])
+    report = "(1 times, 24 bytes) Intel Compiler Suite 12.0\n"
+    assert (rc, out.getvalue()) == (0, f"{target}:\n{report}" * 2)
 
 
 @pytest.mark.parametrize("args", [[], ["scan", "--help"]], ids=["no-tool", "unknown-tool"])
@@ -734,6 +830,42 @@ def test_sigscan_corrupt_verdef_library_warns_and_batch_continues(dynlib_world, 
     assert "no name record" in bad_doc["warnings"][0]
     assert good_doc["target"] == str(good_target)
     assert len(good_doc["dynlib_findings"]) == 3
+
+
+def test_sigscan_reads_each_library_once_per_call(dynlib_world, tmp_path, capsys,
+                                                  monkeypatch):
+    db, libdir, first = dynlib_world
+    layout = build_shared_lib_layout(text=b"\x44" * 32, versions=["GLIBC_2.5"])
+    verdef_off, _ = layout.section_span[".gnu.version_d"]
+    corrupt = bytearray(layout.data)
+    corrupt[verdef_off + 6:verdef_off + 8] = b"\x00\x00"  # vd_cnt = 0
+    (libdir / "libbroken.so").write_bytes(bytes(corrupt))
+    second = tmp_path / "app2"
+    second.write_bytes(build_executable(b"\x91" * 32, needed=["libbroken.so", "libc.so.6"]))
+    first.write_bytes(build_executable(
+        b"\x90" * 32, needed=["libc.so.6", "libacml.so", "libbroken.so", "libgone.so"]))
+    argv = ["--db", str(db), "--search-path", str(libdir), "--format", "json"]
+    alone = []
+    for target in (first, second):
+        assert sigscan_main([*argv, str(target)]) == 0
+        alone.append(capsys.readouterr().out)
+
+    parsed = []
+    parse_elf = cli.elf.parse_elf
+
+    def counting(data):
+        parsed.append(data)
+        return parse_elf(data)
+
+    monkeypatch.setattr(cli.elf, "parse_elf", counting)
+    assert sigscan_main([*argv, str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "".join(alone)
+    libc = (libdir / "libc.so.6").read_bytes()
+    assert parsed.count(libc) == 1
+    assert parsed.count(bytes(corrupt)) == 1
+    broken = json.loads(alone[1])["warnings"]
+    assert len(broken) == 1 and broken[0].startswith(f"{libdir / 'libbroken.so'}: ")
+    assert broken[0] in json.loads(alone[0])["warnings"]
 
 
 def test_sigscan_library_version_with_non_ascii_digit_is_skipped(dynlib_world, tmp_path,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import engine_reference
 import pattern_reference
 from provsig import matcher
 from provsig.siggen import Gap, HexPattern
@@ -122,13 +123,43 @@ def test_engine_layout_agrees_with_per_element_reference(element_lists):
             element_lists, patterns, engine.keys, engine._verify):
         span, runs, (anchor_off, anchor) = pattern.layout()
         assert (anchor_off, anchor) == pattern_reference.anchor(elements)
-        assert verify == (span, runs) == (pattern_reference.fixed_span(elements),
-                                          tuple(pattern_reference.literal_runs(elements)))
+        assert (span, runs) == (pattern_reference.fixed_span(elements),
+                                tuple(pattern_reference.literal_runs(elements)))
+        assert verify == (span, tuple(off for off, _ in runs), tuple(lit for _, lit in runs))
         assert key_off - anchor_off in matcher._key_offsets(len(anchor))
         assert key == anchor[key_off - anchor_off:][:matcher.KEY_LEN]
 
 
 # -- keys ----------------------------------------------------------------------
+
+# anchors made of a few 16-byte blocks and a short tail, so candidate
+# windows recur across anchors and within one
+_BLOCKS = [bytes([fill]) * 16 for fill in (0x00, 0x90)] + [bytes(range(16))]
+_SHARED_ANCHORS = st.lists(
+    st.tuples(st.tuples(st.lists(st.sampled_from(_BLOCKS), min_size=0, max_size=5),
+                        st.binary(max_size=15))
+              .map(lambda cut: b"".join(cut[0]) + cut[1]).filter(bool),
+              st.integers(0, 8)),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SHARED_ANCHORS,
+                 st.lists(st.tuples(st.binary(min_size=1, max_size=70), st.integers(0, 8)),
+                          min_size=1, max_size=24)))
+def test_key_choice_agrees_with_per_anchor_reference(anchors):
+    assert matcher._choose_keys(anchors) == engine_reference.choose_keys(anchors)
+
+
+def test_window_an_anchor_holds_twice_counts_once():
+    rng = random.Random(17)
+    x, w, u = (rng.randbytes(16) for _ in range(3))
+    # x, w and u are each listed by two anchors, so every anchor takes its
+    # earliest window; counting x and w twice would move the first and
+    # last anchor to u
+    anchors = [(x + x + u, 0), (x + w, 0), (w + u + w, 0)]
+    assert matcher._choose_keys(anchors) == ((x, 0), (x, 0), (w, 0))
+
 
 def test_key_is_candidate_listed_by_fewest_anchors_earliest_on_ties():
     rng = random.Random(16)
@@ -434,6 +465,35 @@ def test_word_table_uses_native_byte_order():
         word, _ = matcher._word_and_step(len(key))
         code, table = tables[word, 0]
         assert (0, len(key)) in table[memoryview(key[:word]).cast(code)[0]]
+
+
+def _group_by_length(keys) -> dict[int, list[bytes]]:
+    """Distinct keys by length, in first-seen order, as compile groups them."""
+    by_len: dict[int, list[bytes]] = {}
+    for key in dict.fromkeys(keys):
+        by_len.setdefault(len(key), []).append(key)
+    return by_len
+
+
+# keys cut from one short two-symbol string, so the same word recurs at
+# many offsets of keys of many lengths
+_SHARED_KEYS = st.tuples(
+    st.lists(st.sampled_from([0x00, 0x90]), min_size=16, max_size=40).map(bytes),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(2, 16)), min_size=1, max_size=24),
+).map(lambda cut: [cut[0][at:at + length] for at, length in cut[1]
+                   if at + length <= len(cut[0])]).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SHARED_KEYS,
+                 st.lists(st.binary(min_size=2, max_size=16), min_size=1, max_size=24)))
+def test_word_tables_agree_with_per_key_reference(keys):
+    by_len = _group_by_length(keys)
+    built = matcher._word_tables(by_len)
+    reference = engine_reference.word_tables(by_len)
+    assert list(built) == list(reference)
+    for where, table in reference.items():
+        assert list(built[where].items()) == list(table.items())
 
 
 # -- .comment strings ------------------------------------------------------------
