@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import logging
 import os
@@ -313,18 +312,16 @@ def _library_outcome(db: sigdb.Database, resolved: str,
         return (), f"{resolved}: {exc}"
     if versions:
         return tuple(DynlibFinding(library=resolved, method=METHOD_SYMVER,
-                                   name=lv.label, version=lv.version)
-                     for lv in versions), None
+                                   name=label, version=version)
+                     for label, version in versions), None
     return (_md5_lookup(db, lib, resolved),), None
 
 
 def _md5_lookup(db: sigdb.Database, lib: elf.ElfImage, resolved: str) -> DynlibFinding:
-    text = elf.get_section(lib, ".text")
-    if text is not None:
-        owner = db.md5_owners.get((hashlib.md5(text.data).hexdigest(), len(text.data)))
-        if owner is not None:
-            return DynlibFinding(library=resolved, method=METHOD_MD5,
-                                 name=owner.package, version=owner.version)
+    owner = db.md5_owners.get(siggen.text_md5_key(lib))
+    if owner is not None:
+        return DynlibFinding(library=resolved, method=METHOD_MD5,
+                             name=owner.package, version=owner.version)
     return DynlibFinding(library=resolved, method=METHOD_UNKNOWN, name="", version="")
 
 

@@ -6,7 +6,10 @@ ELF executables, shared libraries and relocatable objects (sections,
 ``ar`` archives.  A relocatable object's relocation tables are read in
 one pass (:func:`parse_relocations`), each tied to the code section its
 ``sh_info`` names and reduced to ``(offset, mask_len)`` pairs: the bytes
-the linker patches, which is all that signing needs.  Only
+the linker patches, which is all that signing needs.  Names held in a
+string table (``DT_NEEDED`` entries, version definitions) are read by
+one rule, :func:`linked_strtab`: the section ``sh_link`` names if it is
+``SHT_STRTAB``, otherwise ``.dynstr``.  Only
 little-endian ELF32/ELF64 files are supported; everything is decoded
 with :mod:`struct`, no external parser libraries.
 """
@@ -117,7 +120,9 @@ _MASK_TABLES = {EM_X86_64: _MASK_X86_64, EM_386: _MASK_386}
 _UNKNOWN_MASK_LEN = 8
 
 
-def _read_cstr(buf: bytes, offset: int) -> bytes:
+def read_cstr(buf: bytes, offset: int) -> bytes:
+    """The string at ``offset`` of ``buf`` up to its NUL, or to the end
+    of ``buf`` if none follows."""
     end = buf.find(b"\x00", offset)
     if end == -1:
         end = len(buf)
@@ -183,7 +188,7 @@ def parse_elf(data: bytes) -> ElfImage:
         for sh_name, *_ in headers:
             if sh_name > len(shstrtab):
                 raise MalformedElf("section name offset out of range")
-            names.append(_read_cstr(shstrtab, sh_name).decode("latin-1"))
+            names.append(read_cstr(shstrtab, sh_name).decode("latin-1"))
 
     sections: list[Section] = []
     for name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info) in zip(names, headers):
@@ -211,13 +216,7 @@ def _parse_dynamic_needed(sections: list[Section], is64: bool) -> list[str]:
     dyn = next((s for s in sections if s.sh_type == SHT_DYNAMIC), None)
     if dyn is None:
         return []
-    strtab = None
-    if 0 < dyn.sh_link < len(sections) and sections[dyn.sh_link].sh_type == SHT_STRTAB:
-        strtab = sections[dyn.sh_link].data
-    else:
-        fallback = next((s for s in sections if s.name == ".dynstr"), None)
-        if fallback is not None:
-            strtab = fallback.data
+    strtab = linked_strtab(sections, dyn)
     needed = []
     entsize, fmt = (16, "<qQ") if is64 else (8, "<iI")
     for off in range(0, len(dyn.data) - entsize + 1, entsize):
@@ -225,8 +224,20 @@ def _parse_dynamic_needed(sections: list[Section], is64: bool) -> list[str]:
         if tag == DT_NULL:
             break
         if tag == DT_NEEDED and strtab is not None and val < len(strtab):
-            needed.append(os.fsdecode(_read_cstr(strtab, val)))
+            needed.append(os.fsdecode(read_cstr(strtab, val)))
     return needed
+
+
+def linked_strtab(sections: list[Section] | tuple[Section, ...],
+                  section: Section) -> bytes | None:
+    """The string table ``section`` links to: the one its ``sh_link``
+    names if that is ``SHT_STRTAB``, otherwise the first ``.dynstr``;
+    None if neither exists."""
+    link = section.sh_link
+    if 0 < link < len(sections) and sections[link].sh_type == SHT_STRTAB:
+        return sections[link].data
+    fallback = next((s for s in sections if s.name == ".dynstr"), None)
+    return None if fallback is None else fallback.data
 
 
 def get_section(image: ElfImage, name: str) -> Section | None:

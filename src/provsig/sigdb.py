@@ -73,9 +73,6 @@ class Database:
     files: tuple[SignatureFile, ...]
     warnings: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return sum(len(sf.signatures) for sf in self.files)
-
     def iter_signatures(self):
         """(signature id, signature, owning file), ids counted in load order."""
         sig_id = 0
@@ -86,8 +83,9 @@ class Database:
 
     @cached_property
     def md5_owners(self) -> dict[tuple[str, int], SignatureFile]:
-        """(digest, text size) of each md5 record -> the file holding the
-        first such record in load order."""
+        """(digest, text size) of each md5 record, the key
+        :func:`provsig.siggen.text_md5_key` computes -> the file holding
+        the first such record in load order."""
         owners: dict[tuple[str, int], SignatureFile] = {}
         for _, sig, owner in self.iter_signatures():
             if sig.target == TARGET_DYNLIB:

@@ -291,21 +291,27 @@ def unique_name(name: str, seen: dict[str, int]) -> str:
     return unique
 
 
-def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature:
-    """MD5 record over the .text bytes of a shared library.
+def text_md5_key(image: ElfImage) -> tuple[str, int] | None:
+    """A shared library's identity key: the MD5 hex digest and the size
+    of its first .text section, or None when it has none.
 
     Depends only on the code bytes, so on-disk churn in relocation or
-    dynamic-linking data (prelinking) does not change the signature.
+    dynamic-linking data (prelinking) does not change it.
     """
     text = elf.get_section(image, ".text")
     if text is None:
+        return None
+    return hashlib.md5(text.data).hexdigest(), len(text.data)
+
+
+def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature:
+    """MD5 record of a shared library: its :func:`text_md5_key`."""
+    key = text_md5_key(image)
+    if key is None:
         raise NoTextSection(origin_name)
-    return Signature(
-        name=f"{origin_name}:.text",
-        target=TARGET_DYNLIB,
-        digest=hashlib.md5(text.data).hexdigest(),
-        text_size=len(text.data),
-    )
+    digest, text_size = key
+    return Signature(name=f"{origin_name}:.text", target=TARGET_DYNLIB,
+                     digest=digest, text_size=text_size)
 
 
 def sign_comments(strings: list[str], origin_name: str) -> list[Signature]:

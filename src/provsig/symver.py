@@ -3,13 +3,16 @@
 Reads the version-definition chain a shared library carries in its
 ``.gnu.version_d`` section and reports, for each recognized label such
 as ``GLIBC`` or ``GLIBCXX``, the highest version the library defines.
+Version names are read from the string table the section links to, by
+the one rule of :func:`provsig.elf.linked_strtab`.  A name
+``LABEL_x.y.z`` splits at its last ``_``: a version is ASCII digits
+and dots, never ``_``, so the label is all that comes before.
 Version components compare numerically, so 2.10 ranks above 2.9.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 from provsig import elf
@@ -30,21 +33,9 @@ class MalformedVerdef(ValueError):
     """Version-definition records that cannot be walked safely."""
 
 
-@dataclass(frozen=True)
-class VersionDef:
-    name: str
-    is_base: bool
-
-
-@dataclass(frozen=True)
-class LabelVersion:
-    label: str
-    version: str
-    numeric: tuple[int, ...]
-
-
-def parse_verdef(image: ElfImage) -> list[VersionDef]:
-    """Walk the .gnu.version_d record chain; [] when the section is absent.
+def parse_verdef(image: ElfImage) -> list[str]:
+    """The version names the .gnu.version_d chain defines, in chain
+    order, without the base (file) name; [] when the section is absent.
 
     Iteration is bounded by the declared entry count (section sh_info,
     falling back to a size-derived cap).  No visited set is kept: the
@@ -59,20 +50,13 @@ def parse_verdef(image: ElfImage) -> list[VersionDef]:
     data = section.data
     if not data:
         return []
-
-    strtab = None
-    link = section.sh_link
-    if 0 < link < len(image.sections):
-        strtab = image.sections[link].data
+    strtab = elf.linked_strtab(image.sections, section)
     if strtab is None:
-        dynstr = elf.get_section(image, ".dynstr")
-        if dynstr is None:
-            raise MalformedVerdef("no string table for version names")
-        strtab = dynstr.data
+        raise MalformedVerdef("no string table for version names")
 
     declared = section.sh_info
     bound = declared if declared > 0 else len(data) // _VERDEF_SIZE
-    defs: list[VersionDef] = []
+    names: list[str] = []
     pos = 0
     for _ in range(bound):
         if pos + _VERDEF_SIZE > len(data):
@@ -86,70 +70,52 @@ def parse_verdef(image: ElfImage) -> list[VersionDef]:
         name_off, _aux_next = struct.unpack_from("<II", data, aux_pos)
         if name_off >= len(strtab):
             raise MalformedVerdef(f"version name offset {name_off} out of range")
-        end = strtab.find(b"\x00", name_off)
-        if end == -1:
-            end = len(strtab)
-        name = strtab[name_off:end].decode("latin-1")
-        defs.append(VersionDef(name=name, is_base=bool(flags & VER_FLG_BASE)))
+        if not flags & VER_FLG_BASE:
+            names.append(elf.read_cstr(strtab, name_off).decode("latin-1"))
         if nxt == 0:
-            return defs
+            return names
         pos += nxt
     raise MalformedVerdef("version definition chain exceeds declared entry count")
 
 
-def split_label(def_name: str, known_labels: list[str]) -> LabelVersion | None:
-    """Split ``LABEL_x.y.z`` into its parts, or None if the label is
-    unknown or the version is not all-numeric.
+def library_versions(image: ElfImage, known_labels=DEFAULT_LABELS) -> list[tuple[str, str]]:
+    """``(label, version)`` of the highest defined version per known
+    label, in known-label order.
 
-    Components are ASCII digits: names come from a library's string
-    table, decoded as latin-1, where ``²`` passes ``str.isdigit()`` but
-    not ``int()``.
+    A name counts if the part before its last ``_`` is a known label
+    and the part after is ASCII-digit components joined by dots: names
+    come from a string table decoded as latin-1, where ``²`` passes
+    ``str.isdigit()`` but not ``int()``.  Versions compare componentwise
+    and numerically, a missing component counting as zero: 2.10 ranks
+    above 2.9, and of 2.1 and 2.1.0 the first defined is kept.
     """
-    for label in known_labels:
-        prefix = label + "_"
-        if not def_name.startswith(prefix):
+    best: dict[str, tuple[tuple[int, ...], str]] = {}
+    for name in parse_verdef(image):
+        label, sep, version = name.rpartition("_")
+        if not sep or label not in known_labels:
             continue
-        version = def_name[len(prefix):]
         components = version.split(".")
-        if all(c.isascii() and c.isdigit() for c in components):
-            try:
-                numeric = tuple(int(c) for c in components)
-            except ValueError:  # more digits than int() converts
-                continue
-            return LabelVersion(label=label, version=version, numeric=numeric)
-    return None
-
-
-def library_versions(image: ElfImage, known_labels=DEFAULT_LABELS) -> list[LabelVersion]:
-    """Highest defined version per known label, in known-label order.
-
-    Versions compare componentwise and numerically, a missing component
-    counting as zero: 2.10 ranks above 2.9, and of 2.1 and 2.1.0 the
-    first defined is kept.
-    """
-    best: dict[str, tuple[tuple[int, ...], LabelVersion]] = {}
-    for vdef in parse_verdef(image):
-        if vdef.is_base:
+        if not all(c.isascii() and c.isdigit() for c in components):
             continue
-        parsed = split_label(vdef.name, known_labels)
-        if parsed is None:
+        try:
+            rank = tuple(map(int, components))
+        except ValueError:  # more digits than int() converts
             continue
-        rank = parsed.numeric
         while rank[-1:] == (0,):
             rank = rank[:-1]
-        current = best.get(parsed.label)
+        current = best.get(label)
         if current is None or rank > current[0]:
-            best[parsed.label] = rank, parsed
-    return [best[label][1] for label in known_labels if label in best]
+            best[label] = rank, version
+    return [(label, best[label][1]) for label in known_labels if label in best]
 
 
 def load_labels(path) -> list[str]:
     """Label list file: one label per line, blank lines and ``#`` comments
-    ignored."""
-    labels: list[str] = []
+    ignored; a repeated label keeps its first place."""
+    labels: dict[str, None] = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        labels.append(stripped)
-    return labels
+        labels[stripped] = None
+    return list(labels)

@@ -33,7 +33,7 @@ from provsig.siggen import (
     pattern_to_text,
     sign_shared_lib,
 )
-from provsig.symver import LabelVersion, library_versions
+from provsig.symver import library_versions
 
 from elfwriter import (
     R_X86_64_64,
@@ -312,9 +312,8 @@ def test_c5_symbol_versioning_highest():
     start = time.perf_counter()
     chain = [f"GLIBC_2.{minor}" for minor in range(11)]
     image = parse_elf(build_shared_lib(versions=chain, base_name="libc.so.6"))
-    result = library_versions(image, ["GLIBC"])
-    assert result == [LabelVersion("GLIBC", "2.10", (2, 10))]
-    assert result[0].numeric > (2, 9)  # ordering is numeric, not textual
+    # ordering is numeric, not textual: "2.9" > "2.10" as text
+    assert library_versions(image, ["GLIBC"]) == [("GLIBC", "2.10")]
     took = _elapsed(start)
     assert took < 1.0
     print(f"criterion 5 (symbol versioning, GLIBC 2.10): PASS [{took:.2f}s]")
@@ -394,7 +393,8 @@ def test_c8_throughput_linearity(tmp_path):
                            signatures=tuple(signatures[chunk * 1000:(chunk + 1) * 1000]))
         write_sigfile(sf, db_dir / f"synth{chunk}.sig")
     db = load_db(db_dir)
-    assert len(db) >= 10000
+    signature_count = sum(len(sf.signatures) for sf in db.files)
+    assert signature_count >= 10000
     engine = matcher.compile([sig.pattern for _, sig, _ in db.iter_signatures()])
 
     sizes_mb = [1, 2, 4, 8, 16, 32]
@@ -423,7 +423,7 @@ def test_c8_throughput_linearity(tmp_path):
     assert r_squared >= 0.9, f"R^2 {r_squared:.4f}, timings {timings}"
     assert timings[-1] < 300.0, f"32 MB took {timings[-1]:.1f}s"
     per_mb = ", ".join(f"{mb}MB {t:.2f}s" for mb, t in zip(sizes_mb, timings))
-    print(f"criterion 8 (throughput, {len(db)} signatures, R^2 {r_squared:.4f}, "
+    print(f"criterion 8 (throughput, {signature_count} signatures, R^2 {r_squared:.4f}, "
           f"fit t = {intercept:.2f} + {slope:.2f}x): PASS [{per_mb}]")
 
 

@@ -1017,6 +1017,18 @@ def test_sigscan_custom_labels_file(dynlib_world, tmp_path, capsys):
     assert libc["method"] == "unknown"
 
 
+def test_sigscan_repeated_label_reports_the_library_once(dynlib_world, tmp_path, capsys):
+    db, libdir, target = dynlib_world
+    labels = tmp_path / "labels.txt"
+    labels.write_text("GLIBC\nGLIBC\n")
+    rc = sigscan_main(["--db", str(db), "--search-path", str(libdir),
+                       "--labels", str(labels), str(target)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count(f"{libdir / 'libc.so.6'}: GLIBC 2.10 [symver]") == 1
+    assert len([line for line in lines if "libc.so.6" in line]) == 1
+
+
 def test_sigscan_labels_file_not_utf8_exit_2(small_db, tmp_path, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_bytes(b"GLIBC\n\xff\xfe\n")

@@ -20,6 +20,7 @@ from provsig.elf import (
     MalformedElf,
     UnsupportedElf,
     get_section,
+    linked_strtab,
     list_text_sections,
     parse_archive,
     parse_comment,
@@ -37,6 +38,7 @@ from elfwriter import (
     SHT_NOBITS,
     SHT_REL,
     SHT_RELA,
+    SHT_DYNAMIC,
     SHT_STRTAB,
     Sec,
     build_archive,
@@ -179,6 +181,31 @@ def test_dynamic_needed_empty_without_dynamic_section():
     assert image.dynamic_needed == ()
     linked = parse_elf(build_executable(b"\x90" * 8, needed=["libm.so.6", "libc.so.6"]))
     assert linked.dynamic_needed == ("libm.so.6", "libc.so.6")
+
+
+def test_linked_strtab_takes_a_linked_string_table_else_dynstr():
+    # sections: 1 .text, 2 .dynstr, 3 .strtab, 4 .dynamic
+    secs = [Sec(".text", b"\x90" * 8), Sec(".dynstr", b"\x00dyn\x00", sh_type=SHT_STRTAB),
+            Sec(".strtab", b"\x00own\x00", sh_type=SHT_STRTAB)]
+    image = parse_elf(build_elf(secs + [Sec(".dynamic", b"", sh_type=SHT_DYNAMIC)]))
+    dynamic = get_section(image, ".dynamic")
+    for link, want in [(3, b"\x00own\x00"), (2, b"\x00dyn\x00"), (1, b"\x00dyn\x00"),
+                       (0, b"\x00dyn\x00"), (99, b"\x00dyn\x00")]:
+        assert linked_strtab(image.sections, dataclasses.replace(dynamic, sh_link=link)) == want
+    no_dynstr = parse_elf(build_elf([secs[0], secs[2]]))
+    assert linked_strtab(no_dynstr.sections, dataclasses.replace(dynamic, sh_link=1)) is None
+    assert linked_strtab(no_dynstr.sections, dataclasses.replace(dynamic, sh_link=2)) == \
+        b"\x00own\x00"
+
+
+def test_dynamic_needed_link_to_a_section_that_is_not_a_string_table_reads_dynstr():
+    dynstr = b"\x00libc.so.6\x00"
+    dyn = struct.pack("<qQ", 1, 1) + struct.pack("<qQ", 0, 0)  # DT_NEEDED, DT_NULL
+    for link in (".dynstr", ".text"):
+        image = parse_elf(build_elf([Sec(".text", b"\x90" * 8),
+                                     Sec(".dynstr", dynstr, sh_type=SHT_STRTAB),
+                                     Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, link=link)]))
+        assert image.dynamic_needed == ("libc.so.6",)
 
 
 def test_comment_survives_symtab_removal():

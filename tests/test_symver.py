@@ -1,4 +1,4 @@
-"""symver module: verdef walking, label splitting, version ordering."""
+"""symver module: verdef walking, label matching, version ordering."""
 
 from __future__ import annotations
 
@@ -13,18 +13,19 @@ from hypothesis import strategies as st
 from provsig.elf import MalformedElf, UnsupportedElf, get_section, parse_elf
 from provsig.symver import (
     DEFAULT_LABELS,
-    LabelVersion,
     MalformedVerdef,
     library_versions,
     load_labels,
     parse_verdef,
-    split_label,
 )
 
 from elfwriter import (
+    ET_DYN,
     SHT_GNU_VERDEF,
     SHT_STRTAB,
+    VER_FLG_BASE,
     Sec,
+    build_elf,
     build_shared_lib,
     build_shared_lib_layout,
     build_verdef_body,
@@ -34,20 +35,40 @@ from test_elf import elf_fields, int_field, mutate, parse_within_a_second
 GLIBC_CHAIN = [f"GLIBC_2.{minor}" for minor in range(11)]  # 2.0 .. 2.10
 
 
-def _lv(label: str, version: str) -> LabelVersion:
-    return LabelVersion(label=label, version=version,
-                        numeric=tuple(int(c) for c in version.split(".")))
-
-
 # -- parse_verdef ---------------------------------------------------------------
 
 def test_parse_verdef_glibc_chain():
     image = parse_elf(build_shared_lib(versions=GLIBC_CHAIN, base_name="libc.so.6"))
-    defs = parse_verdef(image)
-    non_base = [d for d in defs if not d.is_base]
-    assert [d.name for d in non_base] == GLIBC_CHAIN
-    assert len(non_base) == 11
-    assert [d.name for d in defs if d.is_base] == ["libc.so.6"]
+    assert parse_verdef(image) == GLIBC_CHAIN
+
+
+def test_parse_verdef_leaves_out_the_base_name():
+    # the base record is the library's file name, whatever it looks like
+    image = parse_elf(build_shared_lib(versions=["GLIBC_2.0"], base_name="GLIBC_9.9"))
+    assert parse_verdef(image) == ["GLIBC_2.0"]
+    without_base = parse_elf(build_shared_lib(versions=["GLIBC_2.0"], include_base=False))
+    assert parse_verdef(without_base) == ["GLIBC_2.0"]
+
+
+def _verdef_linked_to(link: str) -> bytes:
+    names = ["libx.so.1", "X_1.0", "X_2.0"]
+    strtab = b"\x00" + b"".join(n.encode() + b"\x00" for n in names)
+    offsets = {n: strtab.index(n.encode() + b"\x00") for n in names}
+    body = build_verdef_body([("libx.so.1", VER_FLG_BASE), ("X_1.0", 0), ("X_2.0", 0)],
+                             offsets)
+    return build_elf([Sec(".text", b"\x90" * 64), Sec(".dynstr", strtab, sh_type=SHT_STRTAB),
+                      Sec(".gnu.version_d", body, sh_type=SHT_GNU_VERDEF, link=link, info=3)],
+                     e_type=ET_DYN)
+
+
+def test_parse_verdef_link_to_a_section_that_is_not_a_string_table_reads_dynstr():
+    # the one string-table rule of elf.linked_strtab, as DT_NEEDED reading has it
+    linked = parse_elf(_verdef_linked_to(".dynstr"))
+    to_text = parse_elf(_verdef_linked_to(".text"))
+    assert get_section(to_text, ".gnu.version_d").sh_link == 1  # .text
+    assert parse_verdef(to_text) == parse_verdef(linked) == ["X_1.0", "X_2.0"]
+    assert library_versions(to_text, ["X"]) == library_versions(linked, ["X"]) == \
+        [("X", "2.0")]
 
 
 def test_parse_verdef_absent_section():
@@ -65,7 +86,6 @@ def test_parse_verdef_cycle_guard():
     secs = [Sec(".dynstr", strtab, sh_type=SHT_STRTAB),
             Sec(".gnu.version_d", body, sh_type=SHT_GNU_VERDEF,
                 link=".dynstr", info=8)]
-    from elfwriter import build_elf, ET_DYN
     image = parse_elf(build_elf(secs, e_type=ET_DYN))
     with pytest.raises(MalformedVerdef):
         parse_verdef(image)
@@ -75,7 +95,6 @@ def test_parse_verdef_chain_longer_than_declared_count():
     strtab = b"\x00A_1\x00"
     offsets = {"A_1": 1}
     body = build_verdef_body([("A_1", 0), ("A_1", 0)], offsets)
-    from elfwriter import build_elf, ET_DYN
     secs = [Sec(".dynstr", strtab, sh_type=SHT_STRTAB),
             Sec(".gnu.version_d", body, sh_type=SHT_GNU_VERDEF,
                 link=".dynstr", info=1)]
@@ -88,7 +107,6 @@ def test_parse_verdef_huge_declared_count_forward_chain_ends_promptly():
     # one, the last links past the end of the section
     strtab = b"\x00A_1\x00"
     record = struct.pack("<HHHHIII", 1, 0, 1, 1, 0, 20, 28) + struct.pack("<II", 1, 0)
-    from elfwriter import build_elf, ET_DYN
     secs = [Sec(".dynstr", strtab, sh_type=SHT_STRTAB),
             Sec(".gnu.version_d", record * 500, sh_type=SHT_GNU_VERDEF,
                 link=".dynstr", info=0xFFFFFFFF)]
@@ -102,7 +120,6 @@ def test_parse_verdef_huge_declared_count_forward_chain_ends_promptly():
 
 def test_parse_verdef_name_offset_out_of_range():
     body = struct.pack("<HHHHIII", 1, 0, 1, 1, 0, 20, 0) + struct.pack("<II", 999, 0)
-    from elfwriter import build_elf, ET_DYN
     secs = [Sec(".dynstr", b"\x00ok\x00", sh_type=SHT_STRTAB),
             Sec(".gnu.version_d", body, sh_type=SHT_GNU_VERDEF,
                 link=".dynstr", info=1)]
@@ -110,64 +127,99 @@ def test_parse_verdef_name_offset_out_of_range():
         parse_verdef(parse_elf(build_elf(secs, e_type=ET_DYN)))
 
 
-# -- split_label -----------------------------------------------------------------
+# -- label matching, through library_versions --------------------------------------
 
-def test_split_label_glibc():
-    assert split_label("GLIBC_2.10", ["GLIBC"]) == _lv("GLIBC", "2.10")
+def _versions(names, labels) -> list[tuple[str, str]]:
+    """library_versions of a library defining ``names`` in this order."""
+    return library_versions(parse_elf(build_shared_lib(versions=list(names))), labels)
 
 
-def test_split_label_unknown_and_non_numeric():
-    assert split_label("MYLIB_1.2.3", ["GLIBC"]) is None
-    assert split_label("GLIBC_2.x", ["GLIBC"]) is None
-    assert split_label("GLIBC", ["GLIBC"]) is None
+def test_label_glibc():
+    assert _versions(["GLIBC_2.10"], ["GLIBC"]) == [("GLIBC", "2.10")]
+
+
+def test_label_unknown_and_non_numeric():
+    assert _versions(["MYLIB_1.2.3"], ["GLIBC"]) == []
+    assert _versions(["GLIBC_2.x", "GLIBC", "GLIBC_", "GLIBC_2..1"], ["GLIBC"]) == []
     # latin-1 string tables: "\u00b2" passes str.isdigit() but not int()
-    assert split_label("GLIBC_2.\u00b2", ["GLIBC"]) is None
-    assert split_label("GLIBC_\u00b9.0", ["GLIBC"]) is None
-    assert split_label("GLIBC_2." + "9" * 5000, ["GLIBC"]) is None
+    assert _versions(["GLIBC_2.\u00b2", "GLIBC_\u00b9.0"], ["GLIBC"]) == []
+    assert _versions(["GLIBC_2." + "9" * 5000], ["GLIBC"]) == []
+    assert _versions(["GLIBC_2." + "9" * 5000, "GLIBC_2.1"], ["GLIBC"]) == \
+        [("GLIBC", "2.1")]
 
 
-def test_split_label_longer_label_not_confused():
-    assert split_label("GLIBCXX_3.4.9", ["GLIBC", "GLIBCXX"]) == \
-        _lv("GLIBCXX", "3.4.9")
-    assert split_label("GLIBCXX_3.4.9", ["GLIBC"]) is None
+def test_label_longer_label_not_confused():
+    assert _versions(["GLIBCXX_3.4.9"], ["GLIBC", "GLIBCXX"]) == [("GLIBCXX", "3.4.9")]
+    assert _versions(["GLIBCXX_3.4.9"], ["GLIBC"]) == []
+    assert _versions(["GLIBC_2.1", "GLIBCXX_3.4.9"], ["GLIBCXX", "GLIBC"]) == \
+        [("GLIBCXX", "3.4.9"), ("GLIBC", "2.1")]
 
 
-@settings(max_examples=150)
+def test_label_holding_underscore_and_digits():
+    # the label is all before the last "_": X_1_2 is X_1 version 2, never X
+    assert _versions(["X_1_2"], ["X", "X_1"]) == [("X_1", "2")]
+    assert _versions(["X_1_2"], ["X_1", "X"]) == [("X_1", "2")]
+    assert _versions(["X_1_2"], ["X"]) == []
+
+
+def test_label_empty_and_name_without_underscore():
+    assert _versions(["_7"], ["", "X"]) == [("", "7")]
+    assert _versions(["7", "X7"], ["", "X"]) == []
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DEFAULT_LABELS),
        st.lists(st.integers(min_value=0, max_value=999), min_size=1, max_size=4))
-def test_split_label_round_trip(label, components):
+def test_label_round_trip(label, components):
     version = ".".join(str(c) for c in components)
-    got = split_label(f"{label}_{version}", list(DEFAULT_LABELS))
-    assert got == LabelVersion(label=label, version=version,
-                               numeric=tuple(components))
+    assert _versions([f"{label}_{version}"], list(DEFAULT_LABELS)) == [(label, version)]
+
+
+def _prefix_loop(name: str, labels: list[str]) -> tuple[str, str] | None:
+    """The label rule as a loop over labels: the first label whose
+    ``label_`` prefixes ``name`` and leaves a version behind."""
+    for label in labels:
+        if name.startswith(label + "_"):
+            components = name[len(label) + 1:].split(".")
+            if all(c.isascii() and c.isdigit() for c in components):
+                return label, name[len(label) + 1:]
+    return None
+
+
+_LABEL_TEXT = st.text(alphabet="X_1.\u00b2", max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LABEL_TEXT, max_size=4, unique=True), _LABEL_TEXT)
+def test_label_rule_agrees_with_prefix_loop(labels, name):
+    want = _prefix_loop(name, labels)
+    assert _versions([name], labels) == ([] if want is None else [want])
 
 
 # -- version ordering, through library_versions -------------------------------------
 
-def _highest(*names: str) -> list[LabelVersion]:
-    """library_versions of a library defining ``names`` in this order."""
-    return library_versions(parse_elf(build_shared_lib(versions=list(names))),
-                            ["GLIBC", "GCC", "X"])
+def _highest(*names: str) -> list[tuple[str, str]]:
+    return _versions(names, ["GLIBC", "GCC", "X"])
 
 
 def test_compare_numeric_not_textual():
-    assert _highest("GLIBC_2.9", "GLIBC_2.10") == [_lv("GLIBC", "2.10")]
-    assert _highest("GLIBC_2.10", "GLIBC_2.9") == [_lv("GLIBC", "2.10")]
+    assert _highest("GLIBC_2.9", "GLIBC_2.10") == [("GLIBC", "2.10")]
+    assert _highest("GLIBC_2.10", "GLIBC_2.9") == [("GLIBC", "2.10")]
 
 
 def test_compare_zero_extension_and_major():
     # 2.1 and 2.1.0 rank equal, so the first defined is kept
-    assert _highest("X_2.1", "X_2.1.0") == [_lv("X", "2.1")]
-    assert _highest("X_2.1.0", "X_2.1") == [_lv("X", "2.1.0")]
-    assert _highest("X_2.1", "X_2.1.0.1") == [_lv("X", "2.1.0.1")]
-    assert _highest("X_3", "X_2.99") == [_lv("X", "3")]
-    assert _highest("X_2.99", "X_3") == [_lv("X", "3")]
+    assert _highest("X_2.1", "X_2.1.0") == [("X", "2.1")]
+    assert _highest("X_2.1.0", "X_2.1") == [("X", "2.1.0")]
+    assert _highest("X_2.1", "X_2.1.0.1") == [("X", "2.1.0.1")]
+    assert _highest("X_3", "X_2.99") == [("X", "3")]
+    assert _highest("X_2.99", "X_3") == [("X", "3")]
 
 
 def test_compare_label_mismatch():
     # versions of different labels are never ranked against each other
     assert _highest("GLIBC_1", "GCC_7", "GLIBC_2", "GCC_3") == \
-        [_lv("GLIBC", "2"), _lv("GCC", "7")]
+        [("GLIBC", "2"), ("GCC", "7")]
 
 
 def _padded(numeric: tuple[int, ...]) -> tuple[int, ...]:
@@ -180,24 +232,23 @@ def _padded(numeric: tuple[int, ...]) -> tuple[int, ...]:
 def test_compare_is_total_order(versions):
     # the result is the first of the versions that rank highest, each
     # zero-padded to four components (max keeps the first of equals)
-    labelled = [LabelVersion("X", ".".join(map(str, comps)), tuple(comps))
-                for comps in versions]
-    want = max(labelled, key=lambda v: _padded(v.numeric))
-    assert _highest(*(f"X_{v.version}" for v in labelled)) == [want]
+    want = max(versions, key=lambda comps: _padded(tuple(comps)))
+    assert _highest(*(f"X_{'.'.join(map(str, comps))}" for comps in versions)) == \
+        [("X", ".".join(map(str, want)))]
 
 
 # -- library_versions --------------------------------------------------------------
 
 def test_library_versions_glibc_chain_highest():
     image = parse_elf(build_shared_lib(versions=GLIBC_CHAIN, base_name="libc.so.6"))
-    assert library_versions(image, ["GLIBC"]) == [_lv("GLIBC", "2.10")]
+    assert library_versions(image, ["GLIBC"]) == [("GLIBC", "2.10")]
 
 
 def test_library_versions_dual_label():
     versions = ["GLIBC_2.2", "GLIBCXX_3.4.9", "GLIBCXX_3.4.2"]
     image = parse_elf(build_shared_lib(versions=versions))
     assert library_versions(image, list(DEFAULT_LABELS)) == [
-        _lv("GLIBC", "2.2"), _lv("GLIBCXX", "3.4.9")]
+        ("GLIBC", "2.2"), ("GLIBCXX", "3.4.9")]
 
 
 def test_library_versions_no_known_labels():
@@ -218,7 +269,7 @@ def test_library_versions_base_entry_excluded():
     image = parse_elf(build_shared_lib(versions=["GLIBC_2.0"],
                                        base_name="GLIBC_9.9"))
     # tempting base entry carries a higher-looking name; must be ignored
-    assert library_versions(image, ["GLIBC"]) == [_lv("GLIBC", "2.0")]
+    assert library_versions(image, ["GLIBC"]) == [("GLIBC", "2.0")]
 
 
 # -- label file ---------------------------------------------------------------------
@@ -227,6 +278,12 @@ def test_load_labels(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("# site labels\nGLIBC\n\n  ACML\nMX\n")
     assert load_labels(path) == ["GLIBC", "ACML", "MX"]
+
+
+def test_load_labels_keeps_the_first_of_repeated_labels(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("MX\nGLIBC\n MX\nGLIBC\nACML\nMX\n")
+    assert load_labels(path) == ["MX", "GLIBC", "ACML"]
 
 
 # -- mutation fuzzing ------------------------------------------------------------

@@ -1,0 +1,88 @@
+"""sigscan against the host toolchain: a gcc-built and a g++-built
+hello resolve their C and C++ runtimes through symbol versioning.
+
+The expected versions are worked out independently of provsig, from the
+"Version definitions" block ``objdump -p`` prints for each library.
+Skipped when gcc, g++ or objdump is missing, or when the compiler does
+not know where its C library lives.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+
+import pytest
+
+from provsig.cli import siggen_main, sigscan_main
+
+pytestmark = pytest.mark.skipif(
+    any(shutil.which(tool) is None for tool in ("gcc", "g++", "objdump")),
+    reason="gcc, g++ or objdump not installed")
+
+HELLO_C = '#include <stdio.h>\nint main(void) { puts("hello"); return 0; }\n'
+HELLO_CXX = '#include <iostream>\nint main() { std::cout << "hello" << std::endl; }\n'
+
+# "2 0x00 0x09691a75 GLIBC_2.2.5": index, flags, hash, name
+_VERDEF_ROW = re.compile(r"^\d+ 0x([0-9a-f]+) 0x[0-9a-f]+ (\S+)$")
+
+
+def _library_dir(compiler: str, soname: str) -> str:
+    path = subprocess.run([compiler, f"-print-file-name={soname}"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    if os.sep not in path:
+        pytest.skip(f"{compiler} does not know where {soname} lives")
+    return os.path.dirname(path)
+
+
+def _objdump_highest(library: str, label: str) -> str:
+    """The numerically highest ``label`` version among the non-base
+    version definitions objdump lists for ``library``."""
+    dump = subprocess.run(["objdump", "-p", library], check=True,
+                          capture_output=True, text=True).stdout
+    block = dump.split("Version definitions:\n", 1)[1].split("\n\n", 1)[0]
+    versions = []
+    for line in block.splitlines():
+        row = _VERDEF_ROW.match(line)
+        if row is None or int(row.group(1), 16) & 1:  # parent line or base row
+            continue
+        found = re.fullmatch(re.escape(label) + r"_([0-9]+(?:\.[0-9]+)*)", row.group(2))
+        if found:
+            versions.append(found.group(1))
+    assert versions, f"objdump lists no {label} versions for {library}"
+    return max(versions, key=lambda v: tuple(map(int, v.split("."))))
+
+
+def test_gcc_and_gxx_runtimes_reported_by_symbol_version(tmp_path, capsys):
+    search_paths = [_library_dir("gcc", "libc.so.6")]
+    cxx_dir = _library_dir("g++", "libstdc++.so.6")
+    if cxx_dir not in search_paths:
+        search_paths.append(cxx_dir)
+
+    (tmp_path / "hello.c").write_text(HELLO_C)
+    (tmp_path / "hello.cc").write_text(HELLO_CXX)
+    hello_c, hello_cxx = tmp_path / "hello-c", tmp_path / "hello-cxx"
+    for compiler, source, binary in (("gcc", "hello.c", hello_c),
+                                     ("g++", "hello.cc", hello_cxx)):
+        subprocess.run([compiler, "-O2", "-o", str(binary), str(tmp_path / source)],
+                       check=True, capture_output=True)
+
+    db = tmp_path / "db"
+    db.mkdir()
+    assert siggen_main(["comment", str(hello_c), "--package", "host", "--version", "cc",
+                        "-o", str(db / "host.sig")]) == 0
+    capsys.readouterr()
+
+    def expected(soname: str, label: str) -> str:
+        library = next(os.path.join(d, soname) for d in search_paths
+                       if os.path.isfile(os.path.join(d, soname)))
+        return f"{library}: {label} {_objdump_highest(library, label)} [symver]"
+
+    search_args = [arg for d in search_paths for arg in ("--search-path", d)]
+    for binary, soname, label in ((hello_c, "libc.so.6", "GLIBC"),
+                                  (hello_cxx, "libstdc++.so.6", "GLIBCXX")):
+        assert sigscan_main(["--db", str(db), *search_args, str(binary)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert expected(soname, label) in lines, lines
