@@ -20,6 +20,7 @@ import logging
 import os
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +61,7 @@ class MalformedArchive(ValueError):
     """The input is not a well-formed ar archive."""
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     """One section: name, raw contents and the header fields we keep."""
 
     name: str

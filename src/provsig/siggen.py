@@ -22,12 +22,11 @@ joined by exact-length gaps so the overall layout is preserved.
 from __future__ import annotations
 
 import hashlib
-import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from bisect import bisect_right
-from itertools import islice
 from operator import itemgetter
+from typing import NamedTuple
 
 from provsig import elf
 from provsig.elf import ArchiveMember, ElfImage
@@ -71,6 +70,28 @@ class Gap:
 
     def __len__(self) -> int:
         return self.length
+
+
+class _SharedTokens(dict):
+    """One shared token per length, made on first use: ``cache[n]``.
+
+    Tokens are immutable, and a database repeats a few hundred lengths
+    at most over its wildcards and gaps (some 10^5 of them in 10,000
+    code signatures), so the pattern parser and :func:`build_pattern`
+    take them from here rather than making one per stretch.
+    """
+
+    def __init__(self, kind: type[Wild] | type[Gap]) -> None:
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, length: int) -> Wild | Gap:
+        token = self[length] = self.kind(length)
+        return token
+
+
+_WILDS = _SharedTokens(Wild)
+_GAPS = _SharedTokens(Gap)
 
 
 @dataclass(frozen=True)
@@ -122,8 +143,7 @@ class Rejected:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """One detection rule; its target says what it carries.
 
     A ``text`` or ``comment`` signature carries a pattern against those
@@ -142,17 +162,21 @@ def build_pattern(data: bytes, relocs) -> HexPattern | Rejected:
     """Turn a section's bytes into a pattern, or reject it, in one pass.
 
     ``relocs`` holds the ``(offset, mask_len)`` pairs of the bytes the
-    linker patches, in any order, such as the lists
-    :func:`provsig.elf.parse_relocations` returns.  They are sorted, and
-    ranges that overlap or abut are merged into masked intervals.
+    linker patches, in any order and of any length, such as the lists
+    :func:`provsig.elf.parse_relocations` returns.  They are sorted once.
 
-    Up to 255 bytes the whole section is kept.  From 256 bytes on, three
-    85-byte segments are kept (the tail of each third) with gaps of
-    l = n//3 - 85 and m = l + n%3 bytes between them, so the last
-    segment always ends exactly at the section end.  Each kept range is
-    cut at the masked intervals straight into tokens: literal runs
-    between them, one :class:`Wild` per masked stretch.  The kept ranges
-    lie inside the section, so the cut also clips the masks to it.
+    Up to 255 bytes the whole section is kept, and every pair is read.
+    From 256 bytes on, three 85-byte segments are kept (the tail of each
+    third) with gaps of l = n//3 - 85 and m = l + n%3 bytes between
+    them, so the last segment always ends exactly at the section end;
+    each segment reads only the pairs that can reach it, found by
+    bisection: those starting before its end and no further before its
+    start than the longest mask in ``relocs``.  Each kept range is cut
+    at its masked stretches (pairs that overlap or abut merge, and are
+    clipped to the range) straight into tokens: literal runs between
+    them, one :class:`Wild` per stretch, shared by length with the
+    pattern parser.  Positions and the longest literal run are counted
+    during the cut.
 
     Wildcards carrying no information are normalized away: a run of
     abutting segments (the first two abut when l == 0, for n = 256 and
@@ -160,67 +184,79 @@ def build_pattern(data: bytes, relocs) -> HexPattern | Rejected:
     and the leading and trailing wildcards of the pattern are trimmed.
     A masked segment that abuts a literal one keeps its ``??``.  Patterns
     left with fewer than 16 positions are rejected as too short;
-    patterns without an anchor (:meth:`HexPattern.layout`) are rejected
-    as unanchorable.
+    patterns without an anchor (a literal run of two bytes or more, see
+    :meth:`HexPattern.layout`) are rejected as unanchorable.
     """
     n = len(data)
     if n < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
-    mask: list[tuple[int, int]] = []  # sorted (lo, hi), neither overlapping nor abutting
-    mask_end = -math.inf  # end of mask[-1]
-    for lo, length in sorted(relocs):  # comparisons, not min()/max(): once per relocation
-        hi = lo + length
-        if lo >= hi:
-            continue
-        if lo > mask_end:
-            mask.append((lo, hi))
-            mask_end = hi
-        elif hi > mask_end:
-            mask[-1] = (mask[-1][0], hi)
-            mask_end = hi
+    pairs = sorted(relocs)
     if n <= MAX_PATTERN_POSITIONS:
-        ranges = [(0, n)]
+        cuts = [(0, n, pairs)]
     else:
         third = n // 3
         ranges = [(third - SEGMENT_LEN, third), (2 * third - SEGMENT_LEN, 2 * third),
                   (n - SEGMENT_LEN, n)]
         if ranges[0][1] == ranges[1][0]:
             ranges[:2] = [(ranges[0][0], ranges[1][1])]
+        # a pair starting further than this before a range ends before it
+        reach = max(map(itemgetter(1), pairs), default=0)
+        cuts = []
+        first = 0
+        for lo, hi in ranges:
+            first = bisect_left(pairs, (lo - reach,), first)
+            cuts.append((lo, hi, pairs[first:bisect_left(pairs, (hi,), first)]))
 
     runs: list[tuple[int, int, list]] = []  # (lo, hi, tokens) of each kept range
-    for lo, hi in ranges:
+    positions = 0
+    longest = 0  # longest literal run
+    for lo, hi, cut in cuts:
         tokens: list = []
-        pos = lo
-        first_cut = bisect_right(mask, lo, key=itemgetter(1))  # first interval ending past lo
-        for a, b in islice(mask, first_cut, None):
+        wild_lo = wild_hi = lo  # the masked stretch not yet cut; tokens cover [lo, wild_lo)
+        for a, length in cut:
             if a >= hi:
                 break
-            a, b = max(a, lo), min(b, hi)
-            if pos < a:
-                tokens.append(data[pos:a])
-            tokens.append(Wild(b - a))
-            pos = b
-        if pos < hi:
-            tokens.append(data[pos:hi])
-        if any(isinstance(t, bytes) for t in tokens):
+            b = a + length
+            if b <= wild_hi:
+                continue
+            if a > wild_hi:  # a new stretch, after a literal run
+                if b <= a:
+                    continue
+                if wild_lo < wild_hi:
+                    tokens.append(_WILDS[wild_hi - wild_lo])
+                tokens.append(data[wild_hi:a])
+                if a - wild_hi > longest:
+                    longest = a - wild_hi
+                wild_lo = a
+            wild_hi = b
+        if wild_hi > hi:
+            wild_hi = hi
+        if wild_lo < wild_hi:
+            tokens.append(_WILDS[wild_hi - wild_lo])
+        if wild_hi < hi:
+            tokens.append(data[wild_hi:hi])
+            if hi - wild_hi > longest:
+                longest = hi - wild_hi
+        if len(tokens) > 1 or type(tokens[0]) is bytes:  # not wildcards throughout
             runs.append((lo, hi, tokens))
+            positions += hi - lo
     if not runs:
         return Rejected(TOO_SHORT)
-    first, last = runs[0][2], runs[-1][2]
-    if isinstance(first[0], Wild):
-        del first[0]
-    if isinstance(last[-1], Wild):
-        last.pop()
+    first_tokens, last_tokens = runs[0][2], runs[-1][2]
+    if type(first_tokens[0]) is Wild:
+        positions -= first_tokens.pop(0).length
+    if type(last_tokens[-1]) is Wild:
+        positions -= last_tokens.pop().length
 
-    if sum(len(t) for _, _, tokens in runs for t in tokens) < MIN_PATTERN_POSITIONS:
+    if positions < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
-    elements = list(runs[0][2])
-    for (_, end, _), (lo, _, tokens) in zip(runs, runs[1:]):
-        elements += [Gap(lo - end), *tokens]
-    pattern = HexPattern(tuple(elements))
-    if pattern.layout()[2] is None:
+    if longest < 2:
         return Rejected(UNANCHORABLE)
-    return pattern
+    elements = runs[0][2]
+    for (_, end, _), (lo, _, tokens) in zip(runs, runs[1:]):
+        elements.append(_GAPS[lo - end])
+        elements += tokens
+    return HexPattern(tuple(elements))
 
 
 def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], list[Rejected]]:
@@ -344,12 +380,6 @@ def pattern_to_text(pattern: HexPattern) -> str:
     return "".join(tokens)
 
 
-# one shared token per length: tokens are immutable, and a database
-# repeats a few hundred lengths at most over its wildcards and gaps
-# (some 10^5 of them in 10,000 code signatures)
-_WILDS: dict[int, Wild] = {}
-_GAPS: dict[int, Gap] = {}
-
 _PATTERN_TOKEN = re.compile(
     r" *(?:(?P<hex>[0-9a-f][0-9a-f ]*)"
     r"|(?P<any>\?\?(?: *\?\?)*)"
@@ -379,11 +409,7 @@ def parse_pattern_text(text: str) -> HexPattern:
             except ValueError as exc:
                 raise PatternSyntaxError(f"bad hex run {hex_run.strip()!r}") from exc
         elif any_run is not None:
-            length = any_run.count("?") // 2
-            wild = _WILDS.get(length)
-            if wild is None:
-                wild = _WILDS[length] = Wild(length)
-            elements.append(wild)
+            elements.append(_WILDS[any_run.count("?") // 2])
         else:
             try:
                 length = int(digits)
@@ -395,10 +421,7 @@ def parse_pattern_text(text: str) -> HexPattern:
                 raise PatternSyntaxError("pattern must not start or end with a gap")
             if isinstance(elements[-1], Gap):
                 raise PatternSyntaxError("adjacent gaps")
-            gap = _GAPS.get(length)
-            if gap is None:
-                gap = _GAPS[length] = Gap(length)
-            elements.append(gap)
+            elements.append(_GAPS[length])
         pos = token.end()
     if not elements:
         raise PatternSyntaxError("empty pattern")

@@ -191,10 +191,10 @@ def test_linked_strtab_takes_a_linked_string_table_else_dynstr():
     dynamic = get_section(image, ".dynamic")
     for link, want in [(3, b"\x00own\x00"), (2, b"\x00dyn\x00"), (1, b"\x00dyn\x00"),
                        (0, b"\x00dyn\x00"), (99, b"\x00dyn\x00")]:
-        assert linked_strtab(image.sections, dataclasses.replace(dynamic, sh_link=link)) == want
+        assert linked_strtab(image.sections, dynamic._replace(sh_link=link)) == want
     no_dynstr = parse_elf(build_elf([secs[0], secs[2]]))
-    assert linked_strtab(no_dynstr.sections, dataclasses.replace(dynamic, sh_link=1)) is None
-    assert linked_strtab(no_dynstr.sections, dataclasses.replace(dynamic, sh_link=2)) == \
+    assert linked_strtab(no_dynstr.sections, dynamic._replace(sh_link=1)) is None
+    assert linked_strtab(no_dynstr.sections, dynamic._replace(sh_link=2)) == \
         b"\x00own\x00"
 
 
@@ -448,7 +448,7 @@ def _relocatable_images(draw):
     if tables and draw(st.booleans()):
         cut = draw(st.sampled_from(tables))
         sections = list(image.sections)
-        sections[cut] = dataclasses.replace(sections[cut], data=sections[cut].data + bytes(3))
+        sections[cut] = sections[cut]._replace(data=sections[cut].data + bytes(3))
         image = dataclasses.replace(image, sections=tuple(sections))
     return image
 

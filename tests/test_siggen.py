@@ -288,8 +288,25 @@ def _masked_sections(draw):
     return data, draw(st.permutations(relocs))
 
 
+def _relocs_around_segments() -> tuple[bytes, list[tuple[int, int]]]:
+    """A 3,000-byte section with hundreds of 4-byte relocations, in no
+    order, that all stay outside the three kept segments, plus a 48-byte
+    mask starting 40 bytes before the first and the last segment (so it
+    reaches 8 bytes into each) and a 4-byte mask ending exactly where the
+    second one starts."""
+    n = 3000
+    (lo0, _), (lo1, _), (lo2, _) = ranges = _segment_layout(n)[0]
+    relocs = [(o, 4) for o in range(0, n - 4, 6)
+              if not any(lo - 4 < o < hi for lo, hi in ranges)]
+    relocs += [(lo0 - 40, 48), (lo1 - 4, 4), (lo2 - 40, 48)]
+    rng = random.Random(n)
+    rng.shuffle(relocs)
+    return rng.randbytes(n), relocs
+
+
 @settings(max_examples=400, deadline=None)
 @given(_masked_sections())
+@example(_relocs_around_segments())
 @example((CALL_STUB_TEXT, [(0x0E, 4)]))
 @example((b"\x90" * 10, []))
 @example((b"\x90" * 20, [(4, 4), (6, 4)]))

@@ -1,10 +1,15 @@
-"""sigscan against the host toolchain: a gcc-built and a g++-built
-hello resolve their C and C++ runtimes through symbol versioning.
+"""sigscan against the host toolchain.
 
-The expected versions are worked out independently of provsig, from the
-"Version definitions" block ``objdump -p`` prints for each library.
-Skipped when gcc, g++ or objdump is missing, or when the compiler does
-not know where its C library lives.
+* A gcc-built and a g++-built hello resolve their C and C++ runtimes
+  through symbol versioning.  The expected versions are worked out
+  independently of provsig, from the "Version definitions" block
+  ``objdump -p`` prints for each library.  Skipped when gcc, g++ or
+  objdump is missing, or when the compiler does not know where its C
+  library lives.
+* A database signed from the host's static C library (``siggen obj``
+  over ``libc.a``) finds that library in a C hello linked with
+  ``-static``, at ``-O0`` and at ``-O2``.  Skipped when gcc or
+  ``libc.a`` is missing.
 """
 
 from __future__ import annotations
@@ -18,9 +23,11 @@ import pytest
 
 from provsig.cli import siggen_main, sigscan_main
 
-pytestmark = pytest.mark.skipif(
-    any(shutil.which(tool) is None for tool in ("gcc", "g++", "objdump")),
-    reason="gcc, g++ or objdump not installed")
+
+def _missing(*tools: str):
+    return pytest.mark.skipif(any(shutil.which(tool) is None for tool in tools),
+                              reason=f"one of {', '.join(tools)} not installed")
+
 
 HELLO_C = '#include <stdio.h>\nint main(void) { puts("hello"); return 0; }\n'
 HELLO_CXX = '#include <iostream>\nint main() { std::cout << "hello" << std::endl; }\n'
@@ -55,6 +62,7 @@ def _objdump_highest(library: str, label: str) -> str:
     return max(versions, key=lambda v: tuple(map(int, v.split("."))))
 
 
+@_missing("gcc", "g++", "objdump")
 def test_gcc_and_gxx_runtimes_reported_by_symbol_version(tmp_path, capsys):
     search_paths = [_library_dir("gcc", "libc.so.6")]
     cxx_dir = _library_dir("g++", "libstdc++.so.6")
@@ -86,3 +94,26 @@ def test_gcc_and_gxx_runtimes_reported_by_symbol_version(tmp_path, capsys):
         assert sigscan_main(["--db", str(db), *search_args, str(binary)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert expected(soname, label) in lines, lines
+
+
+@_missing("gcc")
+def test_static_hello_reports_signed_libc_archive(tmp_path, capsys):
+    archive = subprocess.run(["gcc", "-print-file-name=libc.a"], check=True,
+                             capture_output=True, text=True).stdout.strip()
+    if not (os.path.isabs(archive) and os.path.isfile(archive)):  # gcc echoes a bare name
+        pytest.skip("gcc has no libc.a")
+
+    db = tmp_path / "db"
+    db.mkdir()
+    assert siggen_main(["obj", archive, "--package", "host libc", "--version", "static",
+                        "-o", str(db / "libc.sig")]) == 0
+    (tmp_path / "hello.c").write_text(HELLO_C)
+    for level in ("-O0", "-O2"):
+        binary = tmp_path / f"hello{level}"
+        subprocess.run(["gcc", level, "-static", "-o", str(binary), str(tmp_path / "hello.c")],
+                       check=True, capture_output=True)
+        capsys.readouterr()
+        assert sigscan_main(["--db", str(db), "--no-dynamic", str(binary)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("(") and line.endswith(") host libc static")
+                   for line in lines), (level, lines)
