@@ -171,7 +171,9 @@ def build_pattern(data: bytes, relocs) -> HexPattern | Rejected:
     them, so the last segment always ends exactly at the section end;
     each segment reads only the pairs that can reach it, found by
     bisection: those starting before its end and no further before its
-    start than the longest mask in ``relocs``.  Each kept range is cut
+    start than the longest mask in ``relocs``.  (Every relocation is
+    still read, and checked for its warnings, by
+    :func:`provsig.elf.parse_relocations`.)  Each kept range is cut
     at its masked stretches (pairs that overlap or abut merge, and are
     clipped to the range) straight into tokens: literal runs between
     them, one :class:`Wild` per stretch, shared by length with the
