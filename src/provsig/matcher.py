@@ -233,11 +233,17 @@ def _key_choice(anchors) -> list[int]:
     chosen = [0] * len(anchors)
     for indices, offsets, cols in columns:
         # window k of an anchor scores count * width + k: the least is the
-        # fewest-listed window, earliest on ties
+        # fewest-listed window, earliest on ties.  No score is below
+        # width, which a first window listed once scores, so such an
+        # anchor keeps offset 0 unscored
         width = len(offsets)
-        scores = [map(add, map(mul, map(listed.__getitem__, col), repeat(width)), repeat(k))
+        shared = list(map((1).__ne__, map(listed.__getitem__, cols[0])))
+        if not any(shared):
+            continue
+        scores = [map(add, map(mul, map(listed.__getitem__, compress(col, shared)),
+                               repeat(width)), repeat(k))
                   for k, col in enumerate(cols)]
-        for index, score in zip(indices, map(min, zip(*scores))):
+        for index, score in zip(compress(indices, shared), map(min, zip(*scores))):
             chosen[index] = offsets[score % width]
     return chosen
 

@@ -388,6 +388,58 @@ _PATTERN_TOKEN = re.compile(
     r"|\{(?P<gap>[0-9]+)\})")
 
 
+# what bytes.fromhex skips (ASCII whitespace) or reads (uppercase) and
+# the grammar refuses
+_FROMHEX_ONLY = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "A", "B", "C", "D", "E", "F")
+
+
+def _parse_canonical(text: str) -> HexPattern | None:
+    """The pattern of ``text`` if it is written as :func:`pattern_to_text`
+    writes it, else None.
+
+    The text is split on ``{``: every part after the first is
+    ``digits}rest``, a gap and the part it leads to.  Each gap-free
+    part is split on ``??``: every boundary of that split is one
+    wildcard byte, and every non-empty piece one :meth:`bytes.fromhex`.
+    That call skips ASCII whitespace and reads uppercase, which the
+    grammar refuses, so text holding either is declined before it is
+    split.
+    """
+    for char in _FROMHEX_ONLY:
+        if char in text:
+            return None
+    elements: list = []
+    append = elements.append
+    fromhex = bytes.fromhex
+    try:
+        for part in text.split("{"):
+            if elements:  # every part but the first opens with a gap
+                digits, brace, part = part.partition("}")
+                if not (brace and digits.isascii() and digits.isdigit()):
+                    return None
+                length = int(digits)
+                if length < 1:
+                    return None
+                append(_GAPS[length])
+            if not part:  # empty text, a gap first, last or next to a gap
+                return None
+            first, *pieces = part.split("??")
+            if first:
+                append(fromhex(first))
+            wild = 0
+            for piece in pieces:
+                wild += 1
+                if piece:
+                    append(_WILDS[wild])
+                    append(fromhex(piece))
+                    wild = 0
+            if wild:
+                append(_WILDS[wild])
+    except ValueError:  # not hex pairs, or more digits than int() converts
+        return None
+    return HexPattern(tuple(elements))
+
+
 def parse_pattern_text(text: str) -> HexPattern:
     """Inverse of :func:`pattern_to_text`; accepts optional spaces
     between tokens.
@@ -396,7 +448,16 @@ def parse_pattern_text(text: str) -> HexPattern:
     ASCII characters only: a gap length is ASCII digits.  Each becomes
     one pattern token; a run takes in every pair or ``??`` that follows
     it, so the tokens are maximal.
+
+    Text as :func:`pattern_to_text` writes it is read by C-level string
+    passes (:func:`_parse_canonical`).  Any other text, spaced or
+    uppercase or malformed, goes to one regular-expression match per
+    token, which alone judges the grammar and words every
+    :class:`PatternSyntaxError`.
     """
+    pattern = _parse_canonical(text)
+    if pattern is not None:
+        return pattern
     text = text.rstrip(" ")
     elements: list = []
     pos = 0

@@ -108,7 +108,7 @@ def parse_pattern_text(text: str) -> tuple:
             if close == -1:
                 raise PatternSyntaxError("unterminated gap")
             digits = text[i + 1:close]
-            if not digits.isdigit():
+            if not (digits.isascii() and digits.isdigit()):
                 raise PatternSyntaxError(f"bad gap length {digits!r}")
             length = int(digits)
             if length < 1:

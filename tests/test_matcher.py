@@ -7,7 +7,7 @@ import re
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import engine_reference
@@ -147,6 +147,11 @@ _SHARED_ANCHORS = st.lists(
 @given(st.one_of(_SHARED_ANCHORS,
                  st.lists(st.tuples(st.binary(min_size=1, max_size=70), st.integers(0, 8)),
                           min_size=1, max_size=24)))
+# every first window listed once: each anchor keeps offset 0 unscored
+@example([(bytes(range(start, start + 40)), start % 5) for start in range(0, 200, 40)])
+# every first window shared, so every anchor is scored
+@example([(_BLOCKS[0] + tail, 0) for tail in (_BLOCKS[1], _BLOCKS[2], _BLOCKS[0] + b"\x07",
+                                              _BLOCKS[1] + _BLOCKS[0], b"\x01\x02")])
 def test_key_choice_agrees_with_per_anchor_reference(anchors):
     assert matcher._choose_keys(anchors) == engine_reference.choose_keys(anchors)
 

@@ -108,6 +108,23 @@ def test_parse_rejects_zero_gap():
         parse_sigfile(data)
 
 
+# the texts sigscan prints as DB warnings, word for word
+@pytest.mark.parametrize("payload, message", [
+    ("AA bb", "line 4: bad token at offset 0: 'AA bb'"),
+    ("a a", "line 4: bad hex run 'a a'"),
+    ("aa{0}bb", "line 4: gap length must be >= 1"),
+    ("aa\tbb", "line 4: bad token at offset 2: '\\tbb'"),
+    ("aa{3}{4}bb", "line 4: adjacent gaps"),
+    ("{3}aabb", "line 4: pattern must not start or end with a gap"),
+    ("aa???bb", "line 4: bad token at offset 4: '?bb'"),
+])
+def test_parse_pattern_error_texts(payload, message):
+    data = f"provsig 1\npackage P\nversion 1\nn:text:hex:{payload}\n".encode()
+    with pytest.raises(MalformedSigFile) as caught:
+        parse_sigfile(data)
+    assert str(caught.value) == message
+
+
 def test_parse_rejects_missing_package():
     with pytest.raises(MalformedSigFile, match="package"):
         parse_sigfile(b"provsig 1\nversion 1\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provsig import matcher
+from provsig import matcher, siggen
 from provsig.elf import parse_archive, parse_elf
 from provsig.siggen import (
     MIN_PATTERN_POSITIONS,
@@ -559,15 +559,24 @@ def _parsed_elements(text):
     return expand(pattern)
 
 
-_PATTERN_ALPHABET = "0123456789abcdefABCDEF ?{}x"
+# ASCII whitespace and uppercase hex, which bytes.fromhex skips or reads,
+# and non-ASCII digits, which str.isdigit accepts
+_PATTERN_ALPHABET = "0123456789abcdefABCDEF ?{}x\t\n\r\x0b\x0c\u00b2\u0663"
 _PATTERN_TOKENS = st.sampled_from(
     ["aa", "0f", "c3", "??", "{1}", "{12}", "{0}", "{", "}", " ", "  ", "?",
-     "a", "F0", "{x}", "{2 }"])
+     "a", "F0", "{x}", "{2 }", "\t", "\n", "\r", "\x0b", "\x0c", "{\u00b2}", "{\u0663}"])
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.text(alphabet=_PATTERN_ALPHABET, max_size=24),
                  st.lists(_PATTERN_TOKENS, max_size=12).map("".join)))
+@example("aa\tbb")
+@example("aa\nbb")
+@example("aa\rbb")
+@example("aa\x0bbb")
+@example("aa\x0cbb")
+@example("AAbb")
+@example("aa{\u0663}bb")
 def test_parse_pattern_text_agrees_with_reference(text):
     assert _outcome(_parsed_elements, text) == \
         _outcome(pattern_reference.parse_pattern_text, text)
@@ -591,7 +600,10 @@ def test_pattern_layout_agrees_with_per_element_reference(elements):
 @given(_ELEMENTS.filter(well_formed))
 def test_pattern_text_round_trip_keeps_tokens_maximal(elements):
     pattern = from_elements(elements)
-    parsed = parse_pattern_text(pattern_to_text(pattern))
+    text = pattern_to_text(pattern)
+    parsed = parse_pattern_text(text)
     assert parsed == pattern
     assert hash(parsed) == hash(pattern)
     assert _maximal(parsed)
+    # written text takes the string pass, not the token loop
+    assert siggen._parse_canonical(text) == pattern
