@@ -92,10 +92,10 @@ class ArchiveMember:
     data: bytes
 
 
-# How many bytes a relocation of a given type patches.  Covers the
-# common x86 / x86-64 static-relocation types; anything absent is
-# masked with the conservative 8-byte default (over-masking can only
-# widen a wildcard, never let a stale address byte into a signature).
+# How many bytes a relocation of a given type patches, at most
+# MAX_MASK_LEN.  Covers the common x86 / x86-64 static-relocation types;
+# anything absent gets the largest mask (over-masking can only widen a
+# wildcard, never let a stale address byte into a signature).
 _MASK_X86_64 = {
     1: 8,   # 64-bit absolute
     2: 4,   # PC-relative 32
@@ -117,7 +117,7 @@ _MASK_386 = {
     32: 4, 33: 4, 34: 4,
 }
 _MASK_TABLES = {EM_X86_64: _MASK_X86_64, EM_386: _MASK_386}
-_UNKNOWN_MASK_LEN = 8
+MAX_MASK_LEN = 8
 
 
 def read_cstr(buf: bytes, offset: int) -> bytes:
@@ -263,17 +263,21 @@ def parse_relocations(image: ElfImage) -> dict[int, list[tuple[int, int]]]:
     """The link-time-patched byte ranges of every code section, from one
     pass over the object's relocation tables.
 
-    Returns, per code-section index, the ``(offset, mask_len)`` pairs
-    sorted by offset.  A ``SHT_REL`` or ``SHT_RELA`` table patches the
-    section its ``sh_info`` names; a table whose ``sh_info`` is out of
-    range or names a section that is not code (:func:`is_text_section`)
-    is not read.  All tables of one section are merged.  Type-0 (none)
-    entries patch nothing and are dropped; unknown types get the
-    conservative 8-byte mask with a logged warning; entries at or past
-    the section end are dropped, and masks running past it are clamped,
-    each with a logged warning.  Sections are read in file order, and
-    each section's tables in file order, so the warnings come out in
-    that order.
+    This is the one relocation contract of the package: per code-section
+    index, the ``(offset, mask_len)`` pairs sorted by offset, each mask
+    1 to :data:`MAX_MASK_LEN` bytes long and inside the section
+    (``offset + mask_len <= len(section.data)``).
+    :func:`provsig.siggen.build_pattern` relies on it.
+
+    A ``SHT_REL`` or ``SHT_RELA`` table patches the section its
+    ``sh_info`` names; a table whose ``sh_info`` is out of range or
+    names a section that is not code (:func:`is_text_section`) is not
+    read.  All tables of one section are merged.  Type-0 (none) entries
+    patch nothing and are dropped; unknown types get the largest mask
+    with a logged warning; entries at or past the section end are
+    dropped, and masks running past it are clamped, each with a logged
+    warning.  Sections are read in file order, and each section's
+    tables in file order, so the warnings come out in that order.
     """
     if not image.is_relocatable:
         raise ValueError("relocation parsing requires a relocatable object")
@@ -304,7 +308,7 @@ def parse_relocations(image: ElfImage) -> dict[int, list[tuple[int, int]]]:
                     continue
                 mask_len = masks.get(reloc_type)
                 if mask_len is None:
-                    mask_len = _UNKNOWN_MASK_LEN
+                    mask_len = MAX_MASK_LEN
                     logger.warning("unknown relocation type %d in %s; masking %d bytes",
                                    reloc_type, rsec.name, mask_len)
                 if r_offset >= limit:

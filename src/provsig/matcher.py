@@ -23,19 +23,19 @@ and Hyperscan.  Level 1 reads the buffer as native words (8, 4 or 2
 bytes, by key length) at every ``step``-th position, ``step`` being the
 largest power of two <= key length - word + 1, so every occurrence of a
 key holds a sampled word at exactly one key offset ``j < step``.  Those
-words sit in one hash table per (word size, alignment); a table none of
-whose words is in the buffer is skipped, and otherwise the hit
-positions come out of a C-level filter.  The tables are built the same
-way round: the keys of one length are joined into one buffer, padded to
-whole words, and one strided cast per key offset ``j`` reads every
-key's word at that offset, which goes into the table by one C-level
-update.  Level 2 looks each candidate key position's bytes up in a dict
-of keys, which names the signatures keyed on them, and the full pattern
-is verified at the start the key's offset inside the pattern gives
-(literals must equal buffer bytes, ``??`` positions and gap ranges are
-skipped).  Pattern gaps have exact lengths, so every pattern occupies a
-fixed span, which keeps both the key arithmetic and the verification
-trivial.
+words sit in one hash table per (word size, alignment), and the hit
+positions of each table come out of one C-level filter over the
+buffer's words, which runs no Python code on a word that misses.  The
+tables are built the same way round: the keys of one length are joined
+into one buffer, padded to whole words, and one strided cast per key
+offset ``j`` reads every key's word at that offset, which goes into the
+table by one C-level update.  Level 2 looks each candidate key
+position's bytes up in a dict of keys, which names the signatures keyed
+on them, and the full pattern is verified at the start the key's offset
+inside the pattern gives (literals must equal buffer bytes, ``??``
+positions and gap ranges are skipped).  Pattern gaps have exact lengths,
+so every pattern occupies a fixed span, which keeps both the key
+arithmetic and the verification trivial.
 
 This departs from the paper's ClamAV-style Aho-Corasick automaton; it
 reports the same matches, and the naive every-start regular expression
@@ -264,8 +264,6 @@ def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
     hits: list[Match] = []
     for code, word, r, table in engine._passes:
         words = view[r:r + (n - r) // word * word].cast(code)
-        if table.keys().isdisjoint(words):
-            continue
         for i in compress(count(), map(table.__contains__, words)):
             pos = r + i * word
             for j, key_len in table[words[i]]:

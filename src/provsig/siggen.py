@@ -25,7 +25,6 @@ import hashlib
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 from provsig import elf
@@ -158,23 +157,24 @@ class Signature(NamedTuple):
     text_size: int | None = None
 
 
-def build_pattern(data: bytes, relocs) -> HexPattern | Rejected:
+def build_pattern(data: bytes, relocs: list[tuple[int, int]]) -> HexPattern | Rejected:
     """Turn a section's bytes into a pattern, or reject it, in one pass.
 
     ``relocs`` holds the ``(offset, mask_len)`` pairs of the bytes the
-    linker patches, in any order and of any length, such as the lists
-    :func:`provsig.elf.parse_relocations` returns.  They are sorted once.
+    linker patches, as :func:`provsig.elf.parse_relocations` returns
+    them for the section: its docstring states what they hold, and
+    this function relies on it.
 
-    Up to 255 bytes the whole section is kept, and every pair is read.
-    From 256 bytes on, three 85-byte segments are kept (the tail of each
-    third) with gaps of l = n//3 - 85 and m = l + n%3 bytes between
-    them, so the last segment always ends exactly at the section end;
-    each segment reads only the pairs that can reach it, found by
-    bisection: those starting before its end and no further before its
-    start than the longest mask in ``relocs``.  (Every relocation is
-    still read, and checked for its warnings, by
-    :func:`provsig.elf.parse_relocations`.)  Each kept range is cut
-    at its masked stretches (pairs that overlap or abut merge, and are
+    Up to 255 bytes the whole section is kept.  From 256 bytes on, three
+    85-byte segments are kept (the tail of each third) with gaps of
+    l = n//3 - 85 and m = l + n%3 bytes between them, so the last
+    segment always ends exactly at the section end.  Each kept range
+    reads only the pairs that can reach it, found by bisection: those
+    starting before its end and no more than
+    :data:`provsig.elf.MAX_MASK_LEN` bytes before its start.  (Every
+    relocation is still read, and checked for its warnings, by
+    :func:`provsig.elf.parse_relocations`.)  Each kept range is cut at
+    its masked stretches (pairs that overlap or abut merge, and are
     clipped to the range) straight into tokens: literal runs between
     them, one :class:`Wild` per stretch, shared by length with the
     pattern parser.  Positions and the longest literal run are counted
@@ -192,38 +192,27 @@ def build_pattern(data: bytes, relocs) -> HexPattern | Rejected:
     n = len(data)
     if n < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
-    pairs = sorted(relocs)
     if n <= MAX_PATTERN_POSITIONS:
-        cuts = [(0, n, pairs)]
+        ranges = [(0, n)]
     else:
         third = n // 3
         ranges = [(third - SEGMENT_LEN, third), (2 * third - SEGMENT_LEN, 2 * third),
                   (n - SEGMENT_LEN, n)]
         if ranges[0][1] == ranges[1][0]:
             ranges[:2] = [(ranges[0][0], ranges[1][1])]
-        # a pair starting further than this before a range ends before it
-        reach = max(map(itemgetter(1), pairs), default=0)
-        cuts = []
-        first = 0
-        for lo, hi in ranges:
-            first = bisect_left(pairs, (lo - reach,), first)
-            cuts.append((lo, hi, pairs[first:bisect_left(pairs, (hi,), first)]))
 
     runs: list[tuple[int, int, list]] = []  # (lo, hi, tokens) of each kept range
     positions = 0
     longest = 0  # longest literal run
-    for lo, hi, cut in cuts:
+    for lo, hi in ranges:
         tokens: list = []
         wild_lo = wild_hi = lo  # the masked stretch not yet cut; tokens cover [lo, wild_lo)
-        for a, length in cut:
-            if a >= hi:
-                break
+        for a, length in relocs[bisect_left(relocs, (lo - elf.MAX_MASK_LEN,)):
+                                bisect_left(relocs, (hi,))]:
             b = a + length
             if b <= wild_hi:
                 continue
             if a > wild_hi:  # a new stretch, after a literal run
-                if b <= a:
-                    continue
                 if wild_lo < wild_hi:
                     tokens.append(_WILDS[wild_hi - wild_lo])
                 tokens.append(data[wild_hi:a])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
+from provsig.elf import MAX_MASK_LEN
 from provsig.siggen import (
     MAX_PATTERN_POSITIONS,
     MIN_PATTERN_POSITIONS,
@@ -85,6 +86,19 @@ def mask_positions(size: int, relocs) -> set[int]:
     for offset, mask_len in relocs:
         masked.update(range(max(offset, 0), min(offset + mask_len, size)))
     return masked
+
+
+def reader_pairs(size: int, relocs) -> list[tuple[int, int]]:
+    """``(offset, mask_len)`` pairs in any order and of any length, made
+    into pairs as :func:`provsig.elf.parse_relocations` hands them over
+    for a ``size``-byte section: each pair clipped to the section, cut
+    into pieces of at most :data:`provsig.elf.MAX_MASK_LEN` bytes, and
+    sorted.  They mask exactly the offsets :func:`mask_positions` does."""
+    pairs: list[tuple[int, int]] = []
+    for offset, mask_len in relocs:
+        lo, hi = max(offset, 0), min(offset + mask_len, size)
+        pairs += [(a, min(MAX_MASK_LEN, hi - a)) for a in range(lo, hi, MAX_MASK_LEN)]
+    return sorted(pairs)
 
 
 def parse_pattern_text(text: str) -> tuple:

@@ -20,7 +20,7 @@ from operator import itemgetter
 
 from provsig.elf import (
     _MASK_TABLES,
-    _UNKNOWN_MASK_LEN,
+    MAX_MASK_LEN,
     SHT_REL,
     SHT_RELA,
     ElfImage,
@@ -65,7 +65,7 @@ def section_relocations(image: ElfImage, text_name: str,
                 continue
             mask_len = table.get(reloc_type)
             if mask_len is None:
-                mask_len = _UNKNOWN_MASK_LEN
+                mask_len = MAX_MASK_LEN
                 warnings.append(("WARNING", "unknown relocation type %d in %s; masking %d bytes"
                                  % (reloc_type, rsec.name, mask_len)))
             if r_offset >= limit:

@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import provsig
 from provsig import cli
@@ -25,6 +27,7 @@ from provsig.cli import (
     siggen_main,
     sigscan_main,
 )
+from provsig.elf import MalformedElf, UnsupportedElf, parse_elf
 from provsig.sigdb import load_db, parse_sigfile
 
 from elfwriter import (
@@ -933,6 +936,124 @@ def test_sigscan_garbage_target_and_corrupt_library_in_one_batch(dynlib_world, t
     assert broken_warning.startswith(str(libdir / "libbroken.so") + ": ")
     assert "no name record" in broken_warning
     assert unresolved == "unresolved dynamic library: libgone.so"
+
+
+def _sigscan(argv) -> tuple[int, str, str]:
+    """sigscan's exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = sigscan_main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _mutated(data: bytes, edits, keep=None) -> bytes:
+    """``data`` with each ``(position, byte)`` edit applied, positions
+    taken modulo its length, then cut to its first ``keep`` bytes."""
+    out = bytearray(data)
+    for pos, value in edits:
+        if out:
+            out[pos % len(out)] = value
+    return bytes(out[:keep])
+
+
+# edits biased to the headers; bytes biased to pattern and .sig syntax
+_EDITS = st.lists(st.tuples(st.one_of(st.integers(0, 63), st.integers(0, 1 << 16)),
+                            st.one_of(st.sampled_from(b"?{}:0a \n"), st.integers(0, 255))),
+                  max_size=6)
+_KEEP = st.one_of(st.none(), st.integers(0, 1 << 12))
+
+
+@pytest.fixture(scope="module")
+def batch_world(tmp_path_factory):
+    """A two-file DB, a lib directory, two good targets that need only a
+    clean library, the clean run over them, and the bad target and the
+    library only it needs, both still unmutated."""
+    root = tmp_path_factory.mktemp("batch")
+    db = root / "db"
+    db.mkdir()
+    libdir = root / "libs"
+    libdir.mkdir()
+    stub = root / "stub.o"
+    stub.write_bytes(build_object(
+        CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]}))
+    gcc_host = root / "gcc-host"
+    gcc_host.write_bytes(build_executable(b"\x90" * 16, comment=b"GCC: (GNU) 4.4.3\x00"))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert siggen_main(["obj", str(stub), "--package", "Intel Compiler Suite",
+                            "--version", "12.0", "-o", str(db / "intel.sig")]) == 0
+        assert siggen_main(["comment", str(gcc_host), "--package", "GCC",
+                            "--version", "4.4.3", "-o", str(db / "gcc.sig")]) == 0
+    (libdir / "libc.so.6").write_bytes(build_shared_lib(
+        text=b"\x11" * 64, versions=["GLIBC_2.5", "GLIBC_2.10"], base_name="libc.so.6"))
+    goods = [root / "good-1", root / "good-2"]
+    for path, pad in zip(goods, (0, 7)):
+        path.write_bytes(build_executable(b"\x90" * pad + CALL_STUB_TEXT, needed=["libc.so.6"],
+                                          comment=b"GCC: (GNU) 4.4.3\x00"))
+    argv = ["--db", str(db), "--search-path", str(libdir), "--format", "json"]
+    clean = _sigscan([*argv, *map(str, goods)])
+    rc, out, err = clean
+    assert (rc, err) == (0, "")
+    assert [json.loads(line)["warnings"] for line in out.splitlines()] == [[], []]
+    bad_exe = build_executable(CALL_STUB_TEXT, needed=["libbad.so"])
+    bad_lib = build_shared_lib(text=b"\x44" * 32, versions=["GLIBC_2.5"])
+    return root, argv, goods, clean, bad_exe, bad_lib
+
+
+@settings(max_examples=40, deadline=None)
+@given(exe_edits=_EDITS, exe_keep=_KEEP, lib_edits=_EDITS, lib_keep=_KEEP)
+@example(exe_edits=[], exe_keep=None, lib_edits=[(4, 9)], lib_keep=None)
+@example(exe_edits=[(0, 0)], exe_keep=None, lib_edits=[], lib_keep=None)
+def test_sigscan_one_mutated_target_spoils_only_its_own_report(
+        batch_world, exe_edits, exe_keep, lib_edits, lib_keep):
+    root, argv, (good_1, good_2), (_, clean_out, _), bad_exe, bad_lib = batch_world
+    bad = root / "bad"
+    bad.write_bytes(_mutated(bad_exe, exe_edits, exe_keep))
+    lib = Path(argv[3]) / "libbad.so"
+    lib.write_bytes(_mutated(bad_lib, lib_edits, lib_keep))
+    rc, out, err = _sigscan([*argv, str(good_1), str(bad), str(good_2)])
+    lines = out.splitlines()
+    docs = [json.loads(line) for line in lines]
+    assert [line for line, doc in zip(lines, docs) if doc["target"] != str(bad)] \
+        == clean_out.splitlines()
+    # a bad target that does not parse fails with exit 2 and one line on
+    # stderr; one that does is scanned, and a library it alone needs can
+    # only add warnings to its own report
+    try:
+        parse_elf(bad.read_bytes())
+    except (MalformedElf, UnsupportedElf):
+        assert rc == 2
+        assert err.startswith(f"sigscan: {bad}: ") and err.count("\n") == 1
+        assert len(docs) == 2
+    else:
+        assert (rc, err) == (0, "")
+        (bad_doc,) = (doc for doc in docs if doc["target"] == str(bad))
+        assert all(w.startswith((f"{lib}: ", "unresolved dynamic library: "))
+                   for w in bad_doc["warnings"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(payload_edits=_EDITS, keep=_KEEP, file_edits=_EDITS)
+@example(payload_edits=[], keep=2, file_edits=[])  # one literal byte: no anchor
+@example(payload_edits=[], keep=None, file_edits=[(0, ord("x"))])  # no magic line
+def test_sigscan_mutated_sig_file_warns_or_refuses_the_database(batch_world, payload_edits,
+                                                                keep, file_edits):
+    root, argv, (good, _), _, _, _ = batch_world
+    db = root / "db"
+    mutated_db = root / "mutated-db"
+    mutated_db.mkdir(exist_ok=True)
+    (mutated_db / "gcc.sig").write_bytes((db / "gcc.sig").read_bytes())
+    head, sep, payload = (db / "intel.sig").read_bytes().rstrip(b"\n").rpartition(b":hex:")
+    (mutated_db / "intel.sig").write_bytes(
+        _mutated(head + sep + _mutated(payload, payload_edits, keep) + b"\n", file_edits))
+    rc, out, err = _sigscan(["--db", str(mutated_db), *argv[2:], str(good)])
+    warnings = err.splitlines()
+    if rc == 2:
+        assert out == ""
+        assert warnings.pop().startswith("sigscan: cannot compile database: ")
+    else:
+        assert rc == 0
+        assert json.loads(out)["target"] == str(good)
+    assert all(line.startswith("sigscan: warning: intel.sig: ") for line in warnings)
 
 
 @pytest.mark.parametrize("escape", ["parent", "absolute", "subdirectory"])

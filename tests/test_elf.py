@@ -478,6 +478,29 @@ def test_one_pass_reader_agrees_with_per_section_reference(image):
     assert got == {}
 
 
+@settings(max_examples=300, deadline=None)
+@given(_relocatable_images())
+def test_relocation_pairs_keep_the_contract_build_pattern_relies_on(image):
+    # per code section: pairs sorted, each mask 1..MAX_MASK_LEN bytes
+    # and inside the section
+    try:
+        relocs = parse_relocations(image)
+    except MalformedElf:
+        return
+    for index, pairs in relocs.items():
+        section = image.sections[index]
+        assert elf.is_text_section(section)
+        assert pairs == sorted(pairs)
+        for offset, mask_len in pairs:
+            assert 1 <= mask_len <= elf.MAX_MASK_LEN
+            assert offset + mask_len <= len(section.data)
+
+
+def test_mask_tables_stay_within_the_largest_mask():
+    for table in elf._MASK_TABLES.values():
+        assert all(1 <= mask_len <= elf.MAX_MASK_LEN for mask_len in table.values())
+
+
 # -- .comment --------------------------------------------------------------
 
 def test_comment_single_vendor_string():

@@ -36,7 +36,7 @@ from provsig.siggen import (
 )
 
 import pattern_reference
-from pattern_reference import ANY, expand, from_elements, well_formed
+from pattern_reference import ANY, expand, from_elements, reader_pairs, well_formed
 from elfwriter import (
     R_X86_64_PC32,
     SHT_RELA,
@@ -77,7 +77,7 @@ def test_mask_none():
     data = bytes(range(20))
     # an empty pair masks nothing, inside the section or past it
     for relocs in ([], [(5, 0)], [(0, 0), (20, 0), (30, 0)]):
-        assert build_pattern(data, relocs) == HexPattern((data,))
+        assert build_pattern(data, reader_pairs(len(data), relocs)) == HexPattern((data,))
 
 
 def test_mask_overlapping_union():
@@ -89,7 +89,7 @@ def test_mask_merges_abutting_and_clips_to_section():
     data = bytes(range(24))
     relocs = [(20, 8), (2, 2), (-3, 4), (4, 2), (30, 4), (13, 1), (12, 4)]
     # masked: [0, 1), [2, 6), [12, 16), [20, 24); the edge wildcards are trimmed
-    assert build_pattern(data, relocs) == HexPattern(
+    assert build_pattern(data, reader_pairs(len(data), relocs)) == HexPattern(
         (data[1:2], Wild(4), data[6:12], Wild(4), data[16:20]))
 
 
@@ -174,7 +174,7 @@ def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
     # run; with the second one masked the run is not wildcards throughout
     # and its 85 ?? stay, ahead of the 1-byte gap before segment three
     data = bytes((i * 37 + 11) % 256 for i in range(256))
-    pattern = build_pattern(data, [(85, 85)])
+    pattern = build_pattern(data, reader_pairs(len(data), [(85, 85)]))
     assert _pattern_shape(pattern) == [("lit", 85), ("any", 85), ("gap", 1), ("lit", 85)]
     assert pattern.layout()[0] == 256
 
@@ -224,10 +224,8 @@ def _section_with_relocs(draw):
     for _ in range(count):
         offset = draw(st.integers(min_value=0, max_value=max(len(data) - 1, 0)))
         mask = draw(st.sampled_from([1, 2, 4, 8]))
-        mask = min(mask, len(data) - offset)
-        if mask:
-            relocs.append((offset, mask))
-    return data, relocs
+        relocs.append((offset, mask))
+    return data, reader_pairs(len(data), relocs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,14 +289,15 @@ def _masked_sections(draw):
 def _relocs_around_segments() -> tuple[bytes, list[tuple[int, int]]]:
     """A 3,000-byte section with hundreds of 4-byte relocations, in no
     order, that all stay outside the three kept segments, plus a 48-byte
-    mask starting 40 bytes before the first and the last segment (so it
-    reaches 8 bytes into each) and a 4-byte mask ending exactly where the
+    mask starting 47 bytes before the first and the last segment (so the
+    last of its 8-byte reader pieces starts 7 bytes before each and
+    reaches 1 byte into it) and a 4-byte mask ending exactly where the
     second one starts."""
     n = 3000
     (lo0, _), (lo1, _), (lo2, _) = ranges = _segment_layout(n)[0]
     relocs = [(o, 4) for o in range(0, n - 4, 6)
               if not any(lo - 4 < o < hi for lo, hi in ranges)]
-    relocs += [(lo0 - 40, 48), (lo1 - 4, 4), (lo2 - 40, 48)]
+    relocs += [(lo0 - 47, 48), (lo1 - 4, 4), (lo2 - 47, 48)]
     rng = random.Random(n)
     rng.shuffle(relocs)
     return rng.randbytes(n), relocs
@@ -313,7 +312,7 @@ def _relocs_around_segments() -> tuple[bytes, list[tuple[int, int]]]:
 @example((b"\x90" * 20, [(16, 8), (2, 2), (-3, 4), (4, 2), (30, 4)]))
 def test_build_pattern_agrees_with_seven_pass_reference(case):
     data, relocs = case
-    got = build_pattern(data, relocs)
+    got = build_pattern(data, reader_pairs(len(data), relocs))
     want = pattern_reference.build_pattern(
         data, pattern_reference.mask_positions(len(data), relocs))
     if isinstance(want, Rejected):
