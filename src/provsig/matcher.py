@@ -1,8 +1,8 @@
 """Multi-pattern scanning engine for hex patterns.
 
-All patterns are compiled into one engine and a buffer is scanned in
-one pass per word table; a match names its pattern by list index, and
-the caller maps that back to a signature.  Each pattern has an
+All patterns are compiled into one engine, which scans a buffer once
+per word table and once per short key; a match names its pattern by
+list index, which the caller maps to a signature.  Each pattern has an
 *anchor*: its longest wildcard-free byte run, earliest run on ties.
 The engine is keyed not on the whole anchor but on a *key*: a
 ``KEY_LEN``-byte window inside it (an anchor shorter than that is its
@@ -18,24 +18,27 @@ loses no match.  Anchors of one length share their candidate offsets,
 so key choice cuts, counts and ranks one offset's windows of all such
 anchors at a time, in C-level passes.
 
-Keys are found by a two-level literal filter, in the line of Wu-Manber
-and Hyperscan.  Level 1 reads the buffer as native words (8, 4 or 2
-bytes, by key length) at every ``step``-th position, ``step`` being the
-largest power of two <= key length - word + 1, so every occurrence of a
-key holds a sampled word at exactly one key offset ``j < step``.  Those
-words sit in one hash table per (word size, alignment), and the hit
-positions of each table come out of one C-level filter over the
-buffer's words, which runs no Python code on a word that misses.  The
-tables are built the same way round: the keys of one length are joined
-into one buffer, padded to whole words, and one strided cast per key
-offset ``j`` reads every key's word at that offset, which goes into the
-table by one C-level update.  Level 2 looks each candidate key
-position's bytes up in a dict of keys, which names the signatures keyed
-on them, and the full pattern is verified at the start the key's offset
-inside the pattern gives (literals must equal buffer bytes, ``??``
-positions and gap ranges are skipped).  Pattern gaps have exact lengths,
-so every pattern occupies a fixed span, which keeps both the key
-arithmetic and the verification trivial.
+Keys of 11 bytes or more are found by a two-level literal filter, in
+the line of Wu-Manber and Hyperscan.  Level 1 reads the buffer as
+native 8-byte words at every ``step``-th position, ``step`` (4 or 8)
+being the largest power of two <= key length - 7, so every occurrence
+of a key holds a sampled word at exactly one key offset ``j < step``.
+Those words sit in one hash table per alignment (0, and 4 if a key has
+step 4), and the hit positions of each table come out of one C-level
+filter over the buffer's words, which runs no Python code on a word
+that misses.  Level 2 looks each candidate key position's bytes up in a
+dict of keys, which names the signatures keyed on them, and the full
+pattern is verified at the start the key's offset inside the pattern
+gives (literals must equal buffer bytes, ``??`` positions and gap
+ranges are skipped).  Pattern gaps have exact lengths, so every pattern
+occupies a fixed span, which keeps both the key arithmetic and the
+verification trivial.
+
+A key under 11 bytes would need a word pass of its own, however few
+such keys there are.  Instead each distinct short key is searched for
+by a ``bytes.find`` loop that resumes one byte past each occurrence, so
+overlaps are found.  One search costs about 2% of a 4-byte word pass
+over the same bytes, so searching loses beyond some 40-50 short keys.
 
 This departs from the paper's ClamAV-style Aho-Corasick automaton; it
 reports the same matches, and the naive every-start regular expression
@@ -59,7 +62,7 @@ from operator import add, getitem, mul
 from provsig.siggen import HexPattern
 
 KEY_LEN = 16
-_WORD_CODES = {8: "Q", 4: "I", 2: "H"}
+_MIN_TABLED = 11  # the shortest key 8-byte words sample at a step of 4
 
 
 class UnanchorableSignature(ValueError):
@@ -84,31 +87,19 @@ class Match:
 
 
 class CompiledEngine:
-    """Immutable compiled word filter; safe to share across threads.
-
-    Build with :func:`compile`.  ``keys`` exposes, per pattern, the
-    (key bytes, span offset) pair the filter holds.
+    """Immutable compiled word filter and short-key search; safe to share
+    across threads.  Build with :func:`compile`.  ``keys`` exposes, per
+    pattern, the (key bytes, span offset) pair it is found by.
     """
 
-    __slots__ = ("keys", "_passes", "_owners", "_verify")
+    __slots__ = ("keys", "_passes", "_short_keys", "_owners", "_verify")
 
-    def __init__(self, keys, passes, owners, verify):
+    def __init__(self, keys, passes, short_keys, owners, verify):
         self.keys: tuple[tuple[bytes, int], ...] = keys
         self._passes = passes
+        self._short_keys = short_keys
         self._owners = owners
         self._verify = verify
-
-
-def _word_and_step(key_len: int) -> tuple[int, int]:
-    """The word size a key of ``key_len`` bytes is sampled with, and the
-    sampling step: the largest power of two <= key_len - word + 1.
-
-    The word is the widest of 8, 4 and 2 bytes that still allows a step
-    of at least half a word, so a scan reads each word size at no more
-    than two alignments.
-    """
-    word = 8 if key_len >= 11 else 4 if key_len >= 5 else 2
-    return word, 1 << (key_len - word + 1).bit_length() - 1
 
 
 def compile(patterns: list[HexPattern]) -> CompiledEngine:
@@ -142,38 +133,38 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
             owners[key] = []
             by_len.setdefault(len(key), []).append(key)
         owners[key].append((sig_idx, key_off))
-    passes = tuple((_WORD_CODES[word], word, r, table)
-                   for (word, r), table in sorted(_word_tables(by_len).items()))
+    short_keys = tuple(chain.from_iterable(by_len.pop(n, ()) for n in range(_MIN_TABLED)))
+    passes = tuple(sorted(_word_tables(by_len).items()))
     for key, pairs in owners.items():  # one at a time, so no list outlives its tuple
         owners[key] = tuple(pairs)
-    return CompiledEngine(keys, passes, owners, tuple(verify))
+    return CompiledEngine(keys, passes, short_keys, owners, tuple(verify))
 
 
 def _word_tables(by_len: dict[int, list[bytes]]):
-    """Level 1: per (word size, alignment r) the scan reads, word value
+    """Level 1: per alignment r of the scan's 8-byte words, word value
     -> the distinct (key offset j, key length) slots it starts.
 
-    A key of step s is tabled at each alignment r % s == 0, for each
-    j < s.  The keys of one length are joined, each padded to a whole
-    number of words, so each j reads every key's word at once by a
-    strided cast of the joined bytes (j + word <= key length, so no word
-    reads padding, and the last key needs none).  Words new to the table
-    go in by one C-level update sharing the one-element tuple of slot
-    (j, length); only the few already there get the slot appended in
-    Python.
+    ``by_len`` holds keys of 11 to 16 bytes.  A key's step s is the
+    largest power of two <= its length - 7, 4 or 8, and it is tabled at
+    each alignment r % s == 0, for each j < s.  The keys of one length
+    are joined, each padded to a whole number of words, so each j reads
+    every key's word at once by a strided cast of the joined bytes
+    (j + 8 <= key length, so no word reads padding, and the last key
+    needs none).  Words new to the table go in by one C-level update
+    sharing the one-element tuple of slot (j, length); only the few
+    already there get the slot appended in Python.
     """
-    tables: dict[tuple[int, int], dict[int, tuple[tuple[int, int], ...]]] = {}
+    tables: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
     for key_len, same_len in by_len.items():
-        word, step = _word_and_step(key_len)
-        width = -(-key_len // word) * word
+        step = 1 << (key_len - 7).bit_length() - 1
+        width = -(-key_len // 8) * 8
         view = memoryview(bytes(width - key_len).join(same_len))
-        end = width * (len(same_len) - 1) + word
-        code = _WORD_CODES[word]
-        for r in range(0, word, step):
-            table = tables.setdefault((word, r), {})
+        end = width * (len(same_len) - 1) + 8
+        for r in range(0, 8, step):
+            table = tables.setdefault(r, {})
             for j in range(step):
                 one = ((j, key_len),)
-                words = view[j:j + end].cast(code)[::width // word]
+                words = view[j:j + end].cast("Q")[::width // 8]
                 clashes = {value: table[value] for value in table.keys() & words}
                 table.update(zip(words, repeat(one)))
                 # a clash holds slots of earlier passes only: no other
@@ -249,36 +240,43 @@ def _key_choice(anchors) -> list[int]:
 
 
 def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
-    """Every verified occurrence of every signature, overlaps included,
-    in one pass over ``buffer``, sorted by (start, signature id); the
-    buffer is only read."""
+    """Every verified occurrence of every signature in ``buffer``,
+    overlaps included, sorted by (start, signature id); the buffer is
+    only read."""
     if not isinstance(buffer, bytes):
         buffer = bytes(buffer)
     owners = engine._owners
-    verify = engine._verify
     n = len(buffer)
     view = memoryview(buffer)
-    # a key occurrence at a is sampled once, at the one position p with
-    # a <= p < a + step and p % step == 0 (offset j = p - a), and a
-    # signature has one key, so each (signature, start) is found once
-    hits: list[Match] = []
-    for code, word, r, table in engine._passes:
-        words = view[r:r + (n - r) // word * word].cast(code)
+    # (position, owners) of each key occurrence: a tabled one at a is
+    # sampled only at p = a + j, p % step == 0, j < step.  A signature
+    # has one key, so each (signature, start) is found once
+    keyed: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    for r, table in engine._passes:
+        words = view[r:r + (n - r) // 8 * 8].cast("Q")
         for i in compress(count(), map(table.__contains__, words)):
-            pos = r + i * word
+            pos = r + i * 8
             for j, key_len in table[words[i]]:
                 at = pos - j
                 if at < 0 or at + key_len > n:
                     continue
                 found = owners.get(buffer[at:at + key_len])
-                if found is None:
-                    continue
-                for sig_idx, key_off in found:
-                    start = at - key_off
-                    span, offsets, literals = verify[sig_idx]
-                    if start < 0 or start + span > n:
-                        continue
-                    if all(map(buffer.startswith, literals, map(start.__add__, offsets))):
-                        hits.append(Match(sig_idx, start, span))
+                if found is not None:
+                    keyed.append((at, found))
+    for key in engine._short_keys:
+        at = buffer.find(key)
+        while at >= 0:
+            keyed.append((at, owners[key]))
+            at = buffer.find(key, at + 1)
+    verify = engine._verify
+    hits: list[Match] = []
+    for at, found in keyed:
+        for sig_idx, key_off in found:
+            start = at - key_off
+            span, offsets, literals = verify[sig_idx]
+            if start < 0 or start + span > n:
+                continue
+            if all(map(buffer.startswith, literals, map(start.__add__, offsets))):
+                hits.append(Match(sig_idx, start, span))
     hits.sort(key=lambda m: (m.start, m.signature_id))
     return tuple(hits)

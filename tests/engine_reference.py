@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
-from provsig.matcher import KEY_LEN, _key_offsets, _word_and_step
+from provsig.matcher import KEY_LEN, _key_offsets
 
 
 def choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
@@ -33,17 +33,18 @@ def choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
 
 
 def word_tables(by_len: dict[int, list[bytes]]):
-    """Per (word size, alignment r), word value -> the distinct
-    (key offset j, key length) slots it starts, in first-seen order."""
-    tables: dict[tuple[int, int], dict[int, tuple[tuple[int, int], ...]]] = {}
+    """Per alignment r of 8-byte words, word value -> the distinct
+    (key offset j, key length) slots it starts, in first-seen order.
+    Keys of 11-14 bytes are sampled every 4 bytes, of 15-16 every 8."""
+    tables: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
     for key_len, same_len in by_len.items():
-        word, step = _word_and_step(key_len)
-        for r in range(0, word, step):
-            table = tables.setdefault((word, r), {})
+        step = 4 if key_len < 15 else 8
+        for r in range(0, 8, step):
+            table = tables.setdefault(r, {})
             for j in range(step):
                 one = ((j, key_len),)
                 for key in same_len:
-                    value = int.from_bytes(key[j:j + word], sys.byteorder)
+                    value = int.from_bytes(key[j:j + 8], sys.byteorder)
                     slots = table.get(value)
                     if slots is None:
                         table[value] = one

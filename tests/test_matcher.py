@@ -365,7 +365,10 @@ def test_anchor_lengths_2_to_17_in_one_engine():
     anchors = [rng.randbytes(length) for length in range(2, 18)]
     patterns = [from_elements(_flanked(a)) for a in anchors]
     engine = matcher.compile(patterns)
-    assert len({(word, r) for _, word, r, _ in engine._passes}) == 6
+    # keys of 11-14 bytes are sampled at alignments 0 and 4; shorter ones
+    # are searched for
+    assert [r for r, _ in engine._passes] == [0, 4]
+    assert engine._short_keys == tuple(anchors[:9])
     buffer = bytearray(rng.randbytes(6000))
     planted = set()
     for plant in range(48):
@@ -463,13 +466,12 @@ def test_bytes_bytearray_and_memoryview_inputs_agree():
 
 def test_word_table_uses_native_byte_order():
     rng = random.Random(64)
-    keys = [rng.randbytes(length) for length in (2, 3, 4, 5, 8, 10, 11, 16)]
+    keys = [rng.randbytes(length) for length in (2, 3, 4, 5, 8, 10, 11, 14, 15, 16)]
     engine = matcher.compile([from_elements(tuple(key)) for key in keys])
-    tables = {(word, r): (code, table) for code, word, r, table in engine._passes}
-    for key, _ in engine.keys:
-        word, _ = matcher._word_and_step(len(key))
-        code, table = tables[word, 0]
-        assert (0, len(key)) in table[memoryview(key[:word]).cast(code)[0]]
+    assert engine._short_keys == tuple(keys[:6])
+    tables = dict(engine._passes)
+    for key in keys[6:]:
+        assert (0, len(key)) in tables[0][memoryview(key[:8]).cast("Q")[0]]
 
 
 def _group_by_length(keys) -> dict[int, list[bytes]]:
@@ -480,18 +482,18 @@ def _group_by_length(keys) -> dict[int, list[bytes]]:
     return by_len
 
 
-# keys cut from one short two-symbol string, so the same word recurs at
-# many offsets of keys of many lengths
+# tabled keys (11-16 bytes) cut from one short two-symbol string, so the
+# same word recurs at many offsets of keys of many lengths
 _SHARED_KEYS = st.tuples(
     st.lists(st.sampled_from([0x00, 0x90]), min_size=16, max_size=40).map(bytes),
-    st.lists(st.tuples(st.integers(0, 24), st.integers(2, 16)), min_size=1, max_size=24),
+    st.lists(st.tuples(st.integers(0, 24), st.integers(11, 16)), min_size=1, max_size=24),
 ).map(lambda cut: [cut[0][at:at + length] for at, length in cut[1]
                    if at + length <= len(cut[0])]).filter(bool)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_SHARED_KEYS,
-                 st.lists(st.binary(min_size=2, max_size=16), min_size=1, max_size=24)))
+                 st.lists(st.binary(min_size=11, max_size=16), min_size=1, max_size=24)))
 def test_word_tables_agree_with_per_key_reference(keys):
     by_len = _group_by_length(keys)
     built = matcher._word_tables(by_len)
@@ -499,6 +501,35 @@ def test_word_tables_agree_with_per_key_reference(keys):
     assert list(built) == list(reference)
     for where, table in reference.items():
         assert list(built[where].items()) == list(table.items())
+
+
+# -- short keys: one search each, checked against the oracle ------------------
+
+@settings(max_examples=200, deadline=None)
+@given(anchors=st.lists(st.binary(min_size=2, max_size=10), min_size=1, max_size=3),
+       shifts=st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
+       pieces=st.lists(st.one_of(st.integers(0, 2), st.binary(max_size=12)), max_size=12),
+       as_array=st.booleans())
+# overlapping occurrences
+@example(anchors=[b"abab"], shifts=[0], pieces=[0, b"ab"], as_array=False)
+# one occurrence at offset 0, one ending at the last byte
+@example(anchors=[b"xy"], shifts=[0], pieces=[0, b"zzz", 0], as_array=False)
+# one key owned by several signatures at different key offsets
+@example(anchors=[b"k3y"], shifts=[0, 2, 5], pieces=[b"pppppp", 0, b"q", 0], as_array=False)
+# a bytearray buffer
+@example(anchors=[b"abab", b"\x90" * 3], shifts=[0, 1], pieces=[0, b"ab", 1, b"\x90" * 4],
+         as_array=True)
+def test_short_keys_searched_agree_with_oracle(anchors, shifts, pieces, as_array):
+    """Patterns of ``shift`` wildcards then an anchor under 11 bytes; the
+    buffer joins ``pieces``, where an int names an anchor and bytes are
+    filler."""
+    patterns = [from_elements((ANY,) * shift + tuple(anchor))
+                for anchor in anchors for shift in shifts]
+    engine = matcher.compile(patterns)
+    assert engine._passes == () and set(engine._short_keys) == set(anchors)
+    buffer = b"".join(anchors[p % len(anchors)] if isinstance(p, int) else p
+                      for p in pieces)
+    _assert_oracle(patterns, bytearray(buffer) if as_array else buffer)
 
 
 # -- .comment strings ------------------------------------------------------------
