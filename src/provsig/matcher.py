@@ -18,6 +18,17 @@ loses no match.  Anchors of one length share their candidate offsets,
 so key choice cuts, counts and ranks one offset's windows of all such
 anchors at a time, in C-level passes.
 
+Rarity alone still keys some patterns on padding: ``leave; ret`` or
+``pop rbp; ret`` followed by a run of ``00``, ``90`` or ``cc`` bytes
+ends many short functions.  An anchor of up to 16 bytes has no other
+window, and a longer one may rank its padding window rarest.  Such a
+key hits every padding run of a buffer, and each hit costs a slot
+iteration.  So a key holding eight equal bytes in a row is replaced
+by the longest candidate window free of such a run among the pattern's
+literal runs of 11 bytes or more, earliest on ties; with none, the key
+stays.  Padding keys are found in one C-level pass over the joined
+keys.
+
 Keys of 11 bytes or more are found by a two-level literal filter, in
 the line of Wu-Manber and Hyperscan.  Level 1 reads the buffer as
 native 8-byte words at every ``step``-th position, ``step`` (4 or 8)
@@ -26,7 +37,18 @@ of a key holds a sampled word at exactly one key offset ``j < step``.
 Those words sit in one hash table per alignment (0, and 4 if a key has
 step 4), and the hit positions of each table come out of one C-level
 filter over the buffer's words, which runs no Python code on a word
-that misses.  Level 2 looks each candidate key position's bytes up in a
+that misses.  A small table's words take few values in each of their 8
+bytes (*lanes*): the alignment-4 table of some 45 keys, or of all keys
+of a small engine.  While each lane takes at most 128 values, the
+table's pass first filters on the lanes, as Hyperscan's Teddy matcher
+ANDs a byte-class mask per literal position: a strided slice of the
+buffer per lane, mapped by ``bytes.translate`` to 1 for a value the
+lane takes and 0 for any other, and the lanes ANDed as big integers.
+Only the words left (7% of code-like words, for 45 keys of 11-14
+bytes) are looked up in the table, so such a pass costs what its keys
+can hit rather than a lookup per word.  A big table's lanes take
+nearly every value, so its pass looks up every word.
+Level 2 looks each candidate key position's bytes up in a
 dict of keys, which names the signatures keyed on them, and the full
 pattern is verified at the start the key's offset inside the pattern
 gives (literals must equal buffer bytes, ``??`` positions and gap
@@ -54,15 +76,20 @@ input's own bytes.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import add, getitem, mul
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, getitem, itemgetter, mul
 
 from provsig.siggen import HexPattern
 
 KEY_LEN = 16
 _MIN_TABLED = 11  # the shortest key 8-byte words sample at a step of 4
+_PAD = 8  # a key holding this many equal bytes in a row is padding
+_NARROW = 128  # a table filters on its lanes while none takes more byte values
+_MARK = re.compile(b"\x01")
 
 
 class UnanchorableSignature(ValueError):
@@ -123,7 +150,7 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
         # the runs' offsets and literals as two tuples, not a pair per run
         offsets, literals = zip(*runs)
         verify.append((span, offsets, literals))
-    keys = _choose_keys(anchors)
+    keys = _choose_keys(anchors, verify)
 
     # level 2: key bytes -> the (signature, key span offset) pairs keyed on it
     owners: dict[bytes, list[tuple[int, int]]] = {}
@@ -134,15 +161,17 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
             by_len.setdefault(len(key), []).append(key)
         owners[key].append((sig_idx, key_off))
     short_keys = tuple(chain.from_iterable(by_len.pop(n, ()) for n in range(_MIN_TABLED)))
-    passes = tuple(sorted(_word_tables(by_len).items()))
+    passes = _word_tables(by_len)
     for key, pairs in owners.items():  # one at a time, so no list outlives its tuple
         owners[key] = tuple(pairs)
     return CompiledEngine(keys, passes, short_keys, owners, tuple(verify))
 
 
 def _word_tables(by_len: dict[int, list[bytes]]):
-    """Level 1: per alignment r of the scan's 8-byte words, word value
-    -> the distinct (key offset j, key length) slots it starts.
+    """Level 1: per alignment r of the scan's 8-byte words, in order of
+    r, the pass entry (r, table, lanes).  The table maps a word value to
+    the distinct (key offset j, key length) slots it starts; lanes holds
+    a translation per byte l of a word, or none if a lane is wide.
 
     ``by_len`` holds keys of 11 to 16 bytes.  A key's step s is the
     largest power of two <= its length - 7, 4 or 8, and it is tabled at
@@ -153,15 +182,26 @@ def _word_tables(by_len: dict[int, list[bytes]]):
     needs none).  Words new to the table go in by one C-level update
     sharing the one-element tuple of slot (j, length); only the few
     already there get the slot appended in Python.
+
+    Lane l of slot j's words is byte j + l of the keys, one strided
+    slice of the joined bytes.  Once a lane takes more than ``_NARROW``
+    values, the table's lanes are dropped, so a big table (the
+    alignment-0 table of a 10k-signature DB) costs one slice.
+    Lane l's translation maps its values to 1 and every other byte to 0.
+    A filter on fewer lanes would let through too many words: on
+    code-like sections, one lane of 66 values passes 58% of them.
     """
     tables: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+    lanes: dict[int, list[set[int]] | None] = {}
     for key_len, same_len in by_len.items():
         step = 1 << (key_len - 7).bit_length() - 1
         width = -(-key_len // 8) * 8
-        view = memoryview(bytes(width - key_len).join(same_len))
+        joined = bytes(width - key_len).join(same_len)
+        view = memoryview(joined)
         end = width * (len(same_len) - 1) + 8
         for r in range(0, 8, step):
             table = tables.setdefault(r, {})
+            values = lanes.setdefault(r, [set() for _ in range(8)])
             for j in range(step):
                 one = ((j, key_len),)
                 words = view[j:j + end].cast("Q")[::width // 8]
@@ -171,7 +211,14 @@ def _word_tables(by_len: dict[int, list[bytes]]):
                 # pass adds (j, length) to this table
                 for value, slots in clashes.items():
                     table[value] = slots + one
-    return tables
+                for l, seen in enumerate(values or ()):
+                    seen.update(joined[j + l::width])
+                    if len(seen) > _NARROW:
+                        values = lanes[r] = None
+                        break
+    return tuple((r, tables[r], tuple(bytes(map(seen.__contains__, range(256)))
+                                      for seen in lanes[r] or ()))
+                 for r in sorted(tables))
 
 
 def _key_offsets(anchor_len: int) -> list[int]:
@@ -184,17 +231,67 @@ def _key_offsets(anchor_len: int) -> list[int]:
     return offsets
 
 
-def _choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
+def _choose_keys(anchors, verify) -> tuple[tuple[bytes, int], ...]:
     """Per anchor, the (key bytes, span offset) the filter is built on.
 
     The key is the candidate window that the fewest anchors list among
     their own candidate windows, earliest on ties; an anchor up to
     ``KEY_LEN`` bytes is its own key.  The keys are cut once the ranked
     windows are freed, so they do not pin the memory those were spread
-    over.
+    over.  A padding key, one holding ``_PAD`` equal bytes in a row, is
+    then replaced by :func:`_padding_free_key` of its pattern's literal
+    runs, which ``verify`` holds as (span, run offsets, run literals).
     """
-    return tuple((anchor[off:off + KEY_LEN], anchor_off + off)
-                 for (anchor, anchor_off), off in zip(anchors, _key_choice(anchors)))
+    keys = [(anchor[off:off + KEY_LEN], anchor_off + off)
+            for (anchor, anchor_off), off in zip(anchors, _key_choice(anchors))]
+    for index in _padding_keys(list(map(itemgetter(0), keys))):
+        _, offsets, literals = verify[index]
+        keys[index] = _padding_free_key(zip(offsets, literals)) or keys[index]
+    return tuple(keys)
+
+
+def _padding_keys(keys: list[bytes]) -> list[int]:
+    """Indices of the keys holding ``_PAD`` equal bytes in a row.
+
+    One C-level pass over the joined keys: byte i of ``same`` is 0 where
+    joined bytes i and i + 1 are equal, so ``_PAD - 1`` zeros in a row
+    start such a run.  Only the runs found are mapped to their keys; one
+    that crosses into the next key does not count.
+    """
+    joined = b"".join(keys)
+    same = (int.from_bytes(joined[1:], "little")
+            ^ int.from_bytes(joined[:-1], "little")).to_bytes(max(len(joined) - 1, 0), "little")
+    zeros = bytes(_PAD - 1)
+    at = same.find(zeros)
+    if at < 0:
+        return []
+    ends = list(accumulate(map(len, keys)))
+    padded = []
+    while at >= 0:
+        index = bisect_right(ends, at)
+        if at + _PAD <= ends[index]:
+            padded.append(index)
+            at = ends[index]
+        else:
+            at += 1
+        at = same.find(zeros, at)
+    return padded
+
+
+def _padding_free_key(runs) -> tuple[bytes, int] | None:
+    """The longest candidate window, earliest on ties, that holds no
+    ``_PAD`` equal bytes in a row, as (bytes, span offset), over the
+    (span offset, literal) runs of ``_MIN_TABLED`` bytes or more and
+    their :func:`_key_offsets`; None if there is none."""
+    best = None
+    for run_off, literal in runs:
+        if len(literal) < _MIN_TABLED:
+            continue
+        for off in _key_offsets(len(literal)):
+            window = literal[off:off + KEY_LEN]
+            if (best is None or len(window) > len(best[0])) and not _padding_keys([window]):
+                best = (window, run_off + off)
+    return best
 
 
 def _key_choice(anchors) -> list[int]:
@@ -252,11 +349,23 @@ def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
     # sampled only at p = a + j, p % step == 0, j < step.  A signature
     # has one key, so each (signature, start) is found once
     keyed: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    for r, table in engine._passes:
-        words = view[r:r + (n - r) // 8 * 8].cast("Q")
-        for i in compress(count(), map(table.__contains__, words)):
+    for r, table, lanes in engine._passes:
+        size = max(n - r, 0) // 8
+        words = view[r:r + size * 8].cast("Q")
+        if lanes:
+            # byte i of ``ok`` is 1 iff every byte of word i is a value
+            # the table's words take in that lane; only those words reach
+            # the table, one at a time, so no list of them is built
+            ok = -1
+            for l, translation in enumerate(lanes):
+                ok &= int.from_bytes(buffer[r + l:r + l + size * 8:8].translate(translation),
+                                     "little")
+            sampled = map(re.Match.start, _MARK.finditer(ok.to_bytes(size, "little")))
+        else:
+            sampled = compress(count(), map(table.__contains__, words))
+        for i in sampled:
             pos = r + i * 8
-            for j, key_len in table[words[i]]:
+            for j, key_len in table.get(words[i], ()):
                 at = pos - j
                 if at < 0 or at + key_len > n:
                     continue

@@ -2,12 +2,14 @@
 word tables.
 
 :func:`provsig.matcher._choose_keys` cuts, counts and ranks candidate
-windows one column of a length group at a time, and
-:func:`provsig.matcher._word_tables` reads every key's word at one
-offset in one strided pass.  The references here are the earlier loops:
-one set of windows and one ``min`` per anchor, and one
-``int.from_bytes`` and one dict probe per (key, offset), so the tests
-can compare the two.
+windows one column of a length group at a time and finds padding keys
+in one pass over the joined keys, and :func:`provsig.matcher._word_tables`
+reads every key's word at one offset in one strided pass and each
+lane's values from the key bytes.  The references here are the earlier
+loops: one set of windows and one ``min`` per anchor, one slice
+comparison per position of a key, one ``int.from_bytes`` and one dict
+probe per (key, offset), and the lanes read back from each table word,
+so the tests can compare the two.
 """
 
 from __future__ import annotations
@@ -18,17 +20,35 @@ from collections import Counter
 from provsig.matcher import KEY_LEN, _key_offsets
 
 
-def choose_keys(anchors) -> tuple[tuple[bytes, int], ...]:
+def is_padding(key: bytes) -> bool:
+    """Whether ``key`` holds eight equal bytes in a row."""
+    return any(key[at:at + 8] == key[at:at + 1] * 8 for at in range(len(key) - 7))
+
+
+def choose_keys(anchors, verify) -> tuple[tuple[bytes, int], ...]:
     """Per (anchor, span offset), the candidate window the fewest
-    anchors list, earliest on ties, as (key bytes, span offset)."""
+    anchors list, earliest on ties, as (key bytes, span offset).  A
+    padding key is replaced by the longest window free of padding,
+    earliest on ties, among the candidate windows of the pattern's
+    literal runs of 11 bytes or more (``verify`` holds each pattern's
+    span, run offsets and run literals); with no such window it stays."""
     listed: Counter[bytes] = Counter()
     for anchor, _ in anchors:
         listed.update({anchor[off:off + KEY_LEN] for off in _key_offsets(len(anchor))})
     keys = []
-    for anchor, anchor_off in anchors:
+    for (anchor, anchor_off), (_, offsets, literals) in zip(anchors, verify):
         key_off = min(_key_offsets(len(anchor)),
                       key=lambda off: listed[anchor[off:off + KEY_LEN]])
-        keys.append((anchor[key_off:key_off + KEY_LEN], anchor_off + key_off))
+        key = (anchor[key_off:key_off + KEY_LEN], anchor_off + key_off)
+        if is_padding(key[0]):
+            windows = [(literal[off:off + KEY_LEN], run_off + off)
+                       for run_off, literal in zip(offsets, literals) if len(literal) >= 11
+                       for off in _key_offsets(len(literal))
+                       if not is_padding(literal[off:off + KEY_LEN])]
+            if windows:
+                # max keeps the first of equal lengths
+                key = max(windows, key=lambda window: len(window[0]))
+        keys.append(key)
     return tuple(keys)
 
 
@@ -51,3 +71,16 @@ def word_tables(by_len: dict[int, list[bytes]]):
                     elif one[0] not in slots:
                         table[value] = slots + one
     return tables
+
+
+def lanes(table) -> tuple[bytes, ...]:
+    """Per byte l of the table's words in memory order, a translation
+    that maps each value they take there to 1 and every other byte to 0;
+    none if one byte takes more than 128 values."""
+    values: list[set[int]] = [set() for _ in range(8)]
+    for word in table:
+        for lane, byte in enumerate(word.to_bytes(8, sys.byteorder)):
+            values[lane].add(byte)
+    if any(len(seen) > 128 for seen in values):
+        return ()
+    return tuple(bytes(int(byte in seen) for byte in range(256)) for seen in values)

@@ -119,15 +119,22 @@ _ANCHORED = st.lists(_RUNS, min_size=1, max_size=6) \
 def test_engine_layout_agrees_with_per_element_reference(element_lists):
     patterns = [from_elements(elements) for elements in element_lists]
     engine = matcher.compile(patterns)
+    anchors = []
     for elements, pattern, (key, key_off), verify in zip(
             element_lists, patterns, engine.keys, engine._verify):
         span, runs, (anchor_off, anchor) = pattern.layout()
+        anchors.append((anchor, anchor_off))
         assert (anchor_off, anchor) == pattern_reference.anchor(elements)
         assert (span, runs) == (pattern_reference.fixed_span(elements),
                                 tuple(pattern_reference.literal_runs(elements)))
         assert verify == (span, tuple(off for off, _ in runs), tuple(lit for _, lit in runs))
-        assert key_off - anchor_off in matcher._key_offsets(len(anchor))
-        assert key == anchor[key_off - anchor_off:][:matcher.KEY_LEN]
+        # a window of the anchor, or of a run of 11 bytes or more where
+        # a padding key moved
+        windows = {(literal[off:off + matcher.KEY_LEN], run_off + off)
+                   for run_off, literal in runs if run_off == anchor_off or len(literal) >= 11
+                   for off in matcher._key_offsets(len(literal))}
+        assert (key, key_off) in windows
+    assert engine.keys == engine_reference.choose_keys(anchors, engine._verify)
 
 
 # -- keys ----------------------------------------------------------------------
@@ -143,17 +150,50 @@ _SHARED_ANCHORS = st.lists(
     min_size=1, max_size=24)
 
 
+def _runs_of(anchors, tails=()):
+    """Per (anchor, span offset), the (span, run offsets, run literals)
+    of a pattern whose runs are its anchor and then, one byte past it,
+    the ``tails`` in turn, each anchor taking the next one."""
+    verify = []
+    for index, (anchor, anchor_off) in enumerate(anchors):
+        end = anchor_off + len(anchor)
+        if not tails:
+            verify.append((end, (anchor_off,), (anchor,)))
+            continue
+        tail = tails[index % len(tails)]
+        verify.append((end + 1 + len(tail), (anchor_off, end + 1), (anchor, tail)))
+    return verify
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_SHARED_ANCHORS,
-                 st.lists(st.tuples(st.binary(min_size=1, max_size=70), st.integers(0, 8)),
-                          min_size=1, max_size=24)))
+@given(anchors=st.one_of(_SHARED_ANCHORS,
+                         st.lists(st.tuples(st.binary(min_size=1, max_size=70),
+                                            st.integers(0, 8)),
+                                  min_size=1, max_size=24)),
+       tails=st.lists(st.one_of(st.sampled_from(_BLOCKS + [b"\xc9\xc3" + b"\xcc" * 14]),
+                                st.binary(min_size=8, max_size=40)), max_size=4))
 # every first window listed once: each anchor keeps offset 0 unscored
-@example([(bytes(range(start, start + 40)), start % 5) for start in range(0, 200, 40)])
+@example(anchors=[(bytes(range(start, start + 40)), start % 5) for start in range(0, 200, 40)],
+         tails=[])
 # every first window shared, so every anchor is scored
-@example([(_BLOCKS[0] + tail, 0) for tail in (_BLOCKS[1], _BLOCKS[2], _BLOCKS[0] + b"\x07",
-                                              _BLOCKS[1] + _BLOCKS[0], b"\x01\x02")])
-def test_key_choice_agrees_with_per_anchor_reference(anchors):
-    assert matcher._choose_keys(anchors) == engine_reference.choose_keys(anchors)
+@example(anchors=[(_BLOCKS[0] + tail, 0)
+                  for tail in (_BLOCKS[1], _BLOCKS[2], _BLOCKS[0] + b"\x07",
+                               _BLOCKS[1] + _BLOCKS[0], b"\x01\x02")],
+         tails=[])
+# padding keys: the first two move to their anchor's second window
+# (their tails are padding), the third to its 11-byte tail, and the
+# last stays (its tail is under 11 bytes)
+@example(anchors=[(_BLOCKS[1] + _BLOCKS[2], 0), (_BLOCKS[1] + _BLOCKS[2], 3),
+                  (b"\xc9\xc3" + b"\xcc" * 14, 0), (_BLOCKS[0], 1)],
+         tails=[_BLOCKS[0], _BLOCKS[1], bytes(range(11)), bytes(range(10))])
+# eight equal bytes across the first two keys: neither is padding, so
+# the first stays on the anchor's rarer second window
+@example(anchors=[(bytes(range(100, 116)) + bytes(range(12)) + b"\xcc" * 4, 0),
+                  (b"\xcc" * 4 + bytes(range(12)), 0), (bytes(range(100, 116)), 0)],
+         tails=[])
+def test_key_choice_agrees_with_per_anchor_reference(anchors, tails):
+    verify = _runs_of(anchors, tails)
+    assert matcher._choose_keys(anchors, verify) == engine_reference.choose_keys(anchors, verify)
 
 
 def test_window_an_anchor_holds_twice_counts_once():
@@ -163,7 +203,7 @@ def test_window_an_anchor_holds_twice_counts_once():
     # earliest window; counting x and w twice would move the first and
     # last anchor to u
     anchors = [(x + x + u, 0), (x + w, 0), (w + u + w, 0)]
-    assert matcher._choose_keys(anchors) == ((x, 0), (x, 0), (w, 0))
+    assert matcher._choose_keys(anchors, _runs_of(anchors)) == ((x, 0), (x, 0), (w, 0))
 
 
 def test_key_is_candidate_listed_by_fewest_anchors_earliest_on_ties():
@@ -366,8 +406,11 @@ def test_anchor_lengths_2_to_17_in_one_engine():
     patterns = [from_elements(_flanked(a)) for a in anchors]
     engine = matcher.compile(patterns)
     # keys of 11-14 bytes are sampled at alignments 0 and 4; shorter ones
-    # are searched for
-    assert [r for r, _ in engine._passes] == [0, 4]
+    # are searched for.  Seven tabled keys give a lane at most 40 values,
+    # so both passes filter on the eight lanes
+    assert [r for r, _, _ in engine._passes] == [0, 4]
+    for _, table, lanes in engine._passes:
+        assert len(lanes) == 8 and lanes == engine_reference.lanes(table)
     assert engine._short_keys == tuple(anchors[:9])
     buffer = bytearray(rng.randbytes(6000))
     planted = set()
@@ -469,9 +512,14 @@ def test_word_table_uses_native_byte_order():
     keys = [rng.randbytes(length) for length in (2, 3, 4, 5, 8, 10, 11, 14, 15, 16)]
     engine = matcher.compile([from_elements(tuple(key)) for key in keys])
     assert engine._short_keys == tuple(keys[:6])
-    tables = dict(engine._passes)
+    tables = {r: table for r, table, _ in engine._passes}
     for key in keys[6:]:
         assert (0, len(key)) in tables[0][memoryview(key[:8]).cast("Q")[0]]
+    # lane l holds byte l of a word as it lies in the buffer, whatever the
+    # byte order of the word's value
+    lanes = engine._passes[0][2]
+    for key in keys[6:]:
+        assert all(lanes[lane][key[lane]] == 1 for lane in range(8))
 
 
 def _group_by_length(keys) -> dict[int, list[bytes]]:
@@ -491,16 +539,101 @@ _SHARED_KEYS = st.tuples(
                    if at + length <= len(cut[0])]).filter(bool)
 
 
+# 33 keys of 14 bytes whose values climb by 4: every lane of both
+# tables takes over 128 values
+_WIDE_KEYS = [bytes((4 * k + i) % 256 for i in range(14)) for k in range(33)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_SHARED_KEYS,
                  st.lists(st.binary(min_size=11, max_size=16), min_size=1, max_size=24)))
+@example(_WIDE_KEYS)
 def test_word_tables_agree_with_per_key_reference(keys):
     by_len = _group_by_length(keys)
     built = matcher._word_tables(by_len)
     reference = engine_reference.word_tables(by_len)
-    assert list(built) == list(reference)
-    for where, table in reference.items():
-        assert list(built[where].items()) == list(table.items())
+    assert [r for r, _, _ in built] == list(reference)
+    for (_, table, lanes), expected in zip(built, reference.values()):
+        assert list(table.items()) == list(expected.items())
+        assert lanes == engine_reference.lanes(expected)
+
+
+# -- prefiltered word passes: checked against the oracle ------------------------
+
+_LANE_BYTES = b"\x00\x48\x89\xe5"
+
+
+def _from_lane_bytes(min_size: int, max_size: int):
+    return st.lists(st.sampled_from(_LANE_BYTES), min_size=min_size, max_size=max_size).map(bytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(anchors=st.lists(_from_lane_bytes(11, 14), min_size=1, max_size=3),
+       pieces=st.lists(st.one_of(st.integers(0, 2), _from_lane_bytes(0, 9)), max_size=10),
+       kind=st.sampled_from([bytes, bytearray, memoryview]))
+# a 12-byte key planted at offsets 0, 13, 26, ..., 91: every offset mod 8
+@example(anchors=[b"\x48\x89\xe5\x00" * 3], pieces=[0, b"\x89"] * 8, kind=bytes)
+# an 11-byte key in the last alignment-4 word, which starts at byte 12
+@example(anchors=[b"\x48\x89\xe5" * 3 + b"\x00\x00"], pieces=[b"\x00" * 9, 0],
+         kind=bytearray)
+# 11 bytes: no alignment-4 word
+@example(anchors=[b"\x89" * 5 + b"\x48" * 6], pieces=[0], kind=memoryview)
+# every lane wide: both passes are plain
+@example(anchors=_WIDE_KEYS, pieces=[0, b"\x00", 32, 5, b"\x48" * 3, 17], kind=bytes)
+def test_prefiltered_word_passes_agree_with_oracle(anchors, pieces, kind):
+    """Patterns whose anchors, and so keys, are 11-14 bytes; the buffer
+    joins ``pieces``, where an int names an anchor and bytes are filler,
+    and is scanned with 0-7 more filler bytes, so its length takes each
+    value mod 8.  Anchors of ``_LANE_BYTES`` give lanes of at most 4
+    values, so both word passes filter on every lane first."""
+    patterns = [from_elements(tuple(anchor)) for anchor in anchors]
+    engine = matcher.compile(patterns)
+    narrow = set(b"".join(anchors)) <= set(_LANE_BYTES)
+    assert [(r, len(lanes)) for r, _, lanes in engine._passes] == \
+        [(0, 8 * narrow), (4, 8 * narrow)]
+    buffer = b"".join(anchors[p % len(anchors)] if isinstance(p, int) else p for p in pieces)
+    for extra in range(8):
+        _assert_oracle(patterns, kind(buffer + b"\x89" * extra))
+
+
+# -- padding keys ------------------------------------------------------------------
+
+RET_PADDING = b"\xc9\xc3" + b"\xcc" * 14  # leave; ret; then int3 padding
+
+
+def test_padding_key_moves_to_a_second_run_and_scans_like_the_oracle():
+    rng = random.Random(14)
+    second = rng.randbytes(12)
+    keeps = rng.randbytes(10)
+    patterns = [from_elements(tuple(RET_PADDING) + (ANY,) * 4 + tuple(second)),
+                from_elements(tuple(RET_PADDING) + (ANY,) * 3 + tuple(keeps))]
+    engine = matcher.compile(patterns)
+    assert patterns[0].layout()[2] == patterns[1].layout()[2] == (0, RET_PADDING)
+    # the first key moves to the 12-byte second run; the other pattern's
+    # second run is too short to table, so its padding key stays
+    assert engine.keys == ((second, 20), (RET_PADDING, 0))
+    pieces = []
+    for _ in range(40):
+        pieces.append(rng.choice([RET_PADDING, RET_PADDING + b"\xcc" * rng.randrange(9),
+                                  second, keeps, PROLOGUE]))
+        if rng.random() < 0.3:
+            pieces.append(rng.choice([RET_PADDING + rng.randbytes(4) + second,
+                                      RET_PADDING + rng.randbytes(3) + keeps,
+                                      RET_PADDING + rng.randbytes(3) + second]))
+    buffer = b"".join(pieces)
+    found = _assert_oracle(patterns, buffer)
+    assert {sig_idx for sig_idx, _ in found} == {0, 1}
+
+
+def test_padding_key_moves_inside_its_own_anchor():
+    rng = random.Random(15)
+    anchor = b"\x5d\xc3" + b"\x90" * 14 + rng.randbytes(16)
+    patterns = [from_elements(tuple(anchor) + (ANY, 0x41))]
+    engine = matcher.compile(patterns)
+    # one anchor: its first window is listed once and would be its key
+    assert engine.keys == ((anchor[16:], 16),)
+    buffer = anchor + b"\x00\x41" + anchor[:16] * 3 + anchor + b"\x07\x41"
+    assert len(_assert_oracle(patterns, buffer)) == 2
 
 
 # -- short keys: one search each, checked against the oracle ------------------
