@@ -4,30 +4,22 @@ All patterns are compiled into one engine, which scans a buffer once
 per word table and once per short key; a match names its pattern by
 list index, which the caller maps to a signature.  Each pattern has an
 *anchor*: its longest wildcard-free byte run, earliest run on ties.
-The engine is keyed not on the whole anchor but on a *key*: a
-``KEY_LEN``-byte window inside it (an anchor shorter than that is its
-own key).  Candidate windows start every ``KEY_LEN`` bytes of the
-anchor, plus the anchor's last window; the candidate that the fewest of
-the engine's anchors list among their own candidates wins, earliest on
-ties, so a prologue or padding window that starts many patterns'
-anchors is not chosen while a rarer one exists.  A window other anchors
-hold only between their candidates does not count against it: the key
-is a heuristic, and a shared key costs verifications, never a match.
-Every occurrence of a pattern contains its key, so keying on a window
-loses no match.  Anchors of one length share their candidate offsets,
-so key choice cuts, counts and ranks one offset's windows of all such
-anchors at a time, in C-level passes.
+The engine is keyed not on the whole anchor but on a *key*: the
+anchor's first ``KEY_LEN`` bytes (an anchor shorter than that is its
+own key).  Every occurrence of a pattern contains its key, so keying
+on a window loses no match.  Which window is the key is a heuristic:
+patterns whose anchors start alike share a key, which costs
+verifications, never a match.
 
-Rarity alone still keys some patterns on padding: ``leave; ret`` or
-``pop rbp; ret`` followed by a run of ``00``, ``90`` or ``cc`` bytes
-ends many short functions.  An anchor of up to 16 bytes has no other
-window, and a longer one may rank its padding window rarest.  Such a
-key hits every padding run of a buffer, and each hit costs a slot
-iteration.  So a key holding eight equal bytes in a row is replaced
-by the longest candidate window free of such a run among the pattern's
-literal runs of 11 bytes or more, earliest on ties; with none, the key
-stays.  Padding keys are found in one C-level pass over the joined
-keys.
+That rule keys some patterns on padding: ``leave; ret`` or ``pop rbp;
+ret`` followed by a run of ``00``, ``90`` or ``cc`` bytes ends many
+short functions.  Such a key hits every padding run of a buffer, and
+each hit costs a slot iteration.  So a key holding eight equal bytes
+in a row is replaced by the longest candidate window free of such a
+run among the pattern's literal runs of 11 bytes or more, earliest on
+ties; candidate windows start every ``KEY_LEN`` bytes of a run, plus
+the run's last window.  With none, the key stays.  Padding keys are
+found in one C-level pass over the joined keys.
 
 Keys of 11 bytes or more are found by a two-level literal filter, in
 the line of Wu-Manber and Hyperscan.  Level 1 reads the buffer as
@@ -78,10 +70,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, getitem, itemgetter, mul
 
 from provsig.siggen import HexPattern
 
@@ -133,24 +123,26 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
     """Build one engine from hex patterns.
 
     Each pattern's span, literal runs and anchor come from one
-    :meth:`HexPattern.layout` walk; the filter is keyed on a window of
-    the anchor chosen by :func:`_choose_keys`.  Matches report list
-    indices.  Raises UnanchorableSignature if a pattern has no anchor
-    (generated patterns always have one; this guards hand-written
-    input).
+    :meth:`HexPattern.layout` walk.  The filter is keyed on the first
+    ``KEY_LEN`` bytes of the anchor, unless that key is padding (see
+    :func:`_padding_free_key`).  Matches report list indices.  Raises
+    UnanchorableSignature if a pattern has no anchor (generated patterns
+    always have one; this guards hand-written input).
     """
-    anchors: list[tuple[bytes, int]] = []
+    keys: list[tuple[bytes, int]] = []
     verify: list[tuple[int, tuple[int, ...], tuple[bytes, ...]]] = []
     for index, pattern in enumerate(patterns):
         span, runs, anchor_run = pattern.layout()
         if anchor_run is None:
             raise UnanchorableSignature(index)
         anchor_off, anchor = anchor_run
-        anchors.append((anchor, anchor_off))
+        keys.append((anchor[:KEY_LEN], anchor_off))
         # the runs' offsets and literals as two tuples, not a pair per run
         offsets, literals = zip(*runs)
         verify.append((span, offsets, literals))
-    keys = _choose_keys(anchors, verify)
+    for index in _padding_keys([key for key, _ in keys]):
+        _, offsets, literals = verify[index]
+        keys[index] = _padding_free_key(zip(offsets, literals)) or keys[index]
 
     # level 2: key bytes -> the (signature, key span offset) pairs keyed on it
     owners: dict[bytes, list[tuple[int, int]]] = {}
@@ -164,7 +156,7 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
     passes = _word_tables(by_len)
     for key, pairs in owners.items():  # one at a time, so no list outlives its tuple
         owners[key] = tuple(pairs)
-    return CompiledEngine(keys, passes, short_keys, owners, tuple(verify))
+    return CompiledEngine(tuple(keys), passes, short_keys, owners, tuple(verify))
 
 
 def _word_tables(by_len: dict[int, list[bytes]]):
@@ -221,33 +213,14 @@ def _word_tables(by_len: dict[int, list[bytes]]):
                  for r in sorted(tables))
 
 
-def _key_offsets(anchor_len: int) -> list[int]:
-    """Offsets of the candidate key windows inside an anchor."""
-    last = anchor_len - KEY_LEN
+def _key_offsets(run_len: int) -> list[int]:
+    """Offsets of the candidate key windows inside a literal run."""
+    last = run_len - KEY_LEN
     if last <= 0:
         return [0]
     offsets = list(range(0, last, KEY_LEN))
     offsets.append(last)
     return offsets
-
-
-def _choose_keys(anchors, verify) -> tuple[tuple[bytes, int], ...]:
-    """Per anchor, the (key bytes, span offset) the filter is built on.
-
-    The key is the candidate window that the fewest anchors list among
-    their own candidate windows, earliest on ties; an anchor up to
-    ``KEY_LEN`` bytes is its own key.  The keys are cut once the ranked
-    windows are freed, so they do not pin the memory those were spread
-    over.  A padding key, one holding ``_PAD`` equal bytes in a row, is
-    then replaced by :func:`_padding_free_key` of its pattern's literal
-    runs, which ``verify`` holds as (span, run offsets, run literals).
-    """
-    keys = [(anchor[off:off + KEY_LEN], anchor_off + off)
-            for (anchor, anchor_off), off in zip(anchors, _key_choice(anchors))]
-    for index in _padding_keys(list(map(itemgetter(0), keys))):
-        _, offsets, literals = verify[index]
-        keys[index] = _padding_free_key(zip(offsets, literals)) or keys[index]
-    return tuple(keys)
 
 
 def _padding_keys(keys: list[bytes]) -> list[int]:
@@ -292,48 +265,6 @@ def _padding_free_key(runs) -> tuple[bytes, int] | None:
             if (best is None or len(window) > len(best[0])) and not _padding_keys([window]):
                 best = (window, run_off + off)
     return best
-
-
-def _key_choice(anchors) -> list[int]:
-    """Per anchor, the offset of its key in it (see :func:`_choose_keys`).
-
-    Anchors of one length share their candidate offsets, so each
-    offset's windows of a length group are cut, counted and looked up by
-    C-level maps over one column.
-    """
-    groups: dict[int, list[int]] = {}
-    for index, (anchor, _) in enumerate(anchors):
-        groups.setdefault(len(anchor), []).append(index)
-    listed: Counter[bytes] = Counter()
-    columns = []
-    for length, indices in groups.items():
-        offsets = _key_offsets(length)
-        group = [anchors[index][0] for index in indices]
-        cols = [list(map(getitem, group, repeat(slice(off, off + KEY_LEN))))
-                for off in offsets]
-        listed.update(chain.from_iterable(cols))
-        width = len(offsets)
-        # an anchor that holds one window twice lists it once
-        for row in compress(zip(*cols), map(width.__ne__, map(len, map(set, zip(*cols))))):
-            listed.subtract(row)
-            listed.update(set(row))
-        columns.append((indices, offsets, cols))
-    chosen = [0] * len(anchors)
-    for indices, offsets, cols in columns:
-        # window k of an anchor scores count * width + k: the least is the
-        # fewest-listed window, earliest on ties.  No score is below
-        # width, which a first window listed once scores, so such an
-        # anchor keeps offset 0 unscored
-        width = len(offsets)
-        shared = list(map((1).__ne__, map(listed.__getitem__, cols[0])))
-        if not any(shared):
-            continue
-        scores = [map(add, map(mul, map(listed.__getitem__, compress(col, shared)),
-                               repeat(width)), repeat(k))
-                  for k, col in enumerate(cols)]
-        for index, score in zip(compress(indices, shared), map(min, zip(*scores))):
-            chosen[index] = offsets[score % width]
-    return chosen
 
 
 def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:

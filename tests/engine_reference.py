@@ -1,12 +1,10 @@
-"""Per-item reference builds of the matcher's key choice and level-1
-word tables.
+"""Per-item reference builds of the matcher's keys and level-1 word
+tables.
 
-:func:`provsig.matcher._choose_keys` cuts, counts and ranks candidate
-windows one column of a length group at a time and finds padding keys
-in one pass over the joined keys, and :func:`provsig.matcher._word_tables`
-reads every key's word at one offset in one strided pass and each
-lane's values from the key bytes.  The references here are the earlier
-loops: one set of windows and one ``min`` per anchor, one slice
+:func:`provsig.matcher.compile` finds padding keys in one pass over the
+joined keys, and :func:`provsig.matcher._word_tables` reads every key's
+word at one offset in one strided pass and each lane's values from the
+key bytes.  The references here are the earlier loops: one slice
 comparison per position of a key, one ``int.from_bytes`` and one dict
 probe per (key, offset), and the lanes read back from each table word,
 so the tests can compare the two.
@@ -15,7 +13,6 @@ so the tests can compare the two.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 
 from provsig.matcher import KEY_LEN, _key_offsets
 
@@ -26,20 +23,15 @@ def is_padding(key: bytes) -> bool:
 
 
 def choose_keys(anchors, verify) -> tuple[tuple[bytes, int], ...]:
-    """Per (anchor, span offset), the candidate window the fewest
-    anchors list, earliest on ties, as (key bytes, span offset).  A
-    padding key is replaced by the longest window free of padding,
-    earliest on ties, among the candidate windows of the pattern's
-    literal runs of 11 bytes or more (``verify`` holds each pattern's
-    span, run offsets and run literals); with no such window it stays."""
-    listed: Counter[bytes] = Counter()
-    for anchor, _ in anchors:
-        listed.update({anchor[off:off + KEY_LEN] for off in _key_offsets(len(anchor))})
+    """Per (anchor, span offset), the anchor's first ``KEY_LEN`` bytes
+    as (key bytes, span offset).  A padding key is replaced by the
+    longest window free of padding, earliest on ties, among the
+    candidate windows of the pattern's literal runs of 11 bytes or more
+    (``verify`` holds each pattern's span, run offsets and run
+    literals); with no such window it stays."""
     keys = []
     for (anchor, anchor_off), (_, offsets, literals) in zip(anchors, verify):
-        key_off = min(_key_offsets(len(anchor)),
-                      key=lambda off: listed[anchor[off:off + KEY_LEN]])
-        key = (anchor[key_off:key_off + KEY_LEN], anchor_off + key_off)
+        key = (anchor[:KEY_LEN], anchor_off)
         if is_padding(key[0]):
             windows = [(literal[off:off + KEY_LEN], run_off + off)
                        for run_off, literal in zip(offsets, literals) if len(literal) >= 11

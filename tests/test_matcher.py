@@ -139,43 +139,29 @@ def test_engine_layout_agrees_with_per_element_reference(element_lists):
 
 # -- keys ----------------------------------------------------------------------
 
-# anchors made of a few 16-byte blocks and a short tail, so candidate
-# windows recur across anchors and within one
+# anchors made of a few 16-byte blocks and a short tail, so first
+# windows recur across anchors and padding blocks sit at every window
 _BLOCKS = [bytes([fill]) * 16 for fill in (0x00, 0x90)] + [bytes(range(16))]
 _SHARED_ANCHORS = st.lists(
     st.tuples(st.tuples(st.lists(st.sampled_from(_BLOCKS), min_size=0, max_size=5),
                         st.binary(max_size=15))
-              .map(lambda cut: b"".join(cut[0]) + cut[1]).filter(bool),
+              .map(lambda cut: b"".join(cut[0]) + cut[1]).filter(lambda anchor: len(anchor) >= 2),
               st.integers(0, 8)),
     min_size=1, max_size=24)
 
 
-def _runs_of(anchors, tails=()):
-    """Per (anchor, span offset), the (span, run offsets, run literals)
-    of a pattern whose runs are its anchor and then, one byte past it,
-    the ``tails`` in turn, each anchor taking the next one."""
-    verify = []
-    for index, (anchor, anchor_off) in enumerate(anchors):
-        end = anchor_off + len(anchor)
-        if not tails:
-            verify.append((end, (anchor_off,), (anchor,)))
-            continue
-        tail = tails[index % len(tails)]
-        verify.append((end + 1 + len(tail), (anchor_off, end + 1), (anchor, tail)))
-    return verify
-
-
 @settings(max_examples=300, deadline=None)
 @given(anchors=st.one_of(_SHARED_ANCHORS,
-                         st.lists(st.tuples(st.binary(min_size=1, max_size=70),
+                         st.lists(st.tuples(st.binary(min_size=2, max_size=70),
                                             st.integers(0, 8)),
                                   min_size=1, max_size=24)),
        tails=st.lists(st.one_of(st.sampled_from(_BLOCKS + [b"\xc9\xc3" + b"\xcc" * 14]),
                                 st.binary(min_size=8, max_size=40)), max_size=4))
-# every first window listed once: each anchor keeps offset 0 unscored
+# distinct first windows: each anchor keys on its own
 @example(anchors=[(bytes(range(start, start + 40)), start % 5) for start in range(0, 200, 40)],
          tails=[])
-# every first window shared, so every anchor is scored
+# every first window is the zero block, a padding key: only the anchor
+# with a padding-free window moves, to it; the others share the key
 @example(anchors=[(_BLOCKS[0] + tail, 0)
                   for tail in (_BLOCKS[1], _BLOCKS[2], _BLOCKS[0] + b"\x07",
                                _BLOCKS[1] + _BLOCKS[0], b"\x01\x02")],
@@ -187,43 +173,43 @@ def _runs_of(anchors, tails=()):
                   (b"\xc9\xc3" + b"\xcc" * 14, 0), (_BLOCKS[0], 1)],
          tails=[_BLOCKS[0], _BLOCKS[1], bytes(range(11)), bytes(range(10))])
 # eight equal bytes across the first two keys: neither is padding, so
-# the first stays on the anchor's rarer second window
-@example(anchors=[(bytes(range(100, 116)) + bytes(range(12)) + b"\xcc" * 4, 0),
-                  (b"\xcc" * 4 + bytes(range(12)), 0), (bytes(range(100, 116)), 0)],
+# both stay
+@example(anchors=[(bytes(range(12)) + b"\xcc" * 4, 0), (b"\xcc" * 4 + bytes(range(12)), 0),
+                  (bytes(range(100, 116)), 0)],
          tails=[])
 def test_key_choice_agrees_with_per_anchor_reference(anchors, tails):
-    verify = _runs_of(anchors, tails)
-    assert matcher._choose_keys(anchors, verify) == engine_reference.choose_keys(anchors, verify)
+    # ``anchor_off`` wildcards, the anchor, then one wildcard and the
+    # next tail, each pattern taking the next one
+    patterns = []
+    for index, (anchor, anchor_off) in enumerate(anchors):
+        elements = (ANY,) * anchor_off + tuple(anchor)
+        if tails:
+            elements += (ANY,) + tuple(tails[index % len(tails)])
+        patterns.append(from_elements(elements))
+    engine = matcher.compile(patterns)
+    # a tail longer than its anchor is the pattern's anchor
+    layout_anchors = [(anchor, anchor_off)
+                      for anchor_off, anchor in (pattern.layout()[2] for pattern in patterns)]
+    assert engine.keys == engine_reference.choose_keys(layout_anchors, engine._verify)
 
 
-def test_window_an_anchor_holds_twice_counts_once():
-    rng = random.Random(17)
-    x, w, u = (rng.randbytes(16) for _ in range(3))
-    # x, w and u are each listed by two anchors, so every anchor takes its
-    # earliest window; counting x and w twice would move the first and
-    # last anchor to u
-    anchors = [(x + x + u, 0), (x + w, 0), (w + u + w, 0)]
-    assert matcher._choose_keys(anchors, _runs_of(anchors)) == ((x, 0), (x, 0), (w, 0))
-
-
-def test_key_is_candidate_listed_by_fewest_anchors_earliest_on_ties():
+def test_key_is_anchor_first_window_whoever_shares_it():
     rng = random.Random(16)
     x, y, u0, u1, u2 = (rng.randbytes(16) for _ in range(5))
-    anchors = [x + u0 + u1,  # candidates listed by 3, 1, 1 anchors
-               y + x + u2,   # 2, 3, 1
-               x + y]        # 3, 2
+    anchors = [x + u0 + u1,  # x starts two anchors, so they share their key
+               y + x + u2,
+               x + y]
     patterns = [from_elements(_flanked(a)) for a in anchors]
     engine = matcher.compile(patterns)
-    assert engine.keys == ((u0, 18), (u2, 34), (y, 18))
+    assert engine.keys == ((x, 2), (y, 2), (x, 2))
     buffer = b"".join(b"\x41\x00" + a + b"\x00\x42" + x for a in anchors)
     assert len(_assert_oracle(patterns, buffer)) == 3
 
 
 def test_shared_run_off_the_key_grid_may_be_a_key_and_scans_like_the_oracle():
-    # only the first anchor lists ``shared`` as a candidate; the others
-    # hold it between their candidate windows, so it is the first
-    # anchor's rarest candidate, earliest on the tie, and its key hits
-    # inside every other anchor must fail verification
+    # only the first anchor starts with ``shared``, so it is that
+    # anchor's key; the others hold it past their first window, so its
+    # key hits inside every other anchor must fail verification
     rng = random.Random(21)
     shared = rng.randbytes(16)
     anchors = [shared + rng.randbytes(24)]
@@ -243,20 +229,24 @@ def test_shared_run_off_the_key_grid_may_be_a_key_and_scans_like_the_oracle():
     assert len(found) == 2 * len(patterns)
 
 
-def test_key_avoids_prologue_window_shared_by_many_signatures():
+def test_signatures_sharing_a_prologue_key_each_match_once_per_occurrence():
     rng = random.Random(3)
     prologue = bytes.fromhex("f30f1efa554889e54883ec2048897de8")
     anchors = [prologue + rng.randbytes(20) for _ in range(10)]
     patterns = [from_elements((0x90, ANY) + tuple(a)) for a in anchors]
     engine = matcher.compile(patterns)
     assert matcher.KEY_LEN == 16
-    for pattern, (key, key_off), expected in zip(patterns, engine.keys, anchors):
+    for pattern, expected in zip(patterns, anchors):
         assert pattern.layout()[2] == (2, expected)
-        assert (key, key_off) == (expected[16:32], 18)
-    buffer = b"\x90\x00" + anchors[3] + prologue * 3 + b"\x90\xff" + anchors[7]
+    # one key owned by all ten: each hit on it verifies all ten
+    assert engine.keys == ((prologue, 2),) * 10
+    pieces = [prologue * 3]
+    for index in (3, 7, 3, 0, 9):
+        pieces += [b"\x90" + bytes([index]) + anchors[index], prologue, rng.randbytes(5)]
+    buffer = b"".join(pieces)
     found = pairs(matcher.scan_all(engine, buffer))
-    assert found == {(3, 0), (7, 38 + 48)}
     assert found == naive_scan_once(patterns, buffer)
+    assert sorted(sig_idx for sig_idx, _ in found) == [0, 3, 3, 7, 9]
 
 
 @pytest.mark.parametrize("length", [2, 15, 16, 17])
@@ -276,14 +266,21 @@ def test_key_for_short_and_boundary_anchors(length):
 
 def test_key_deep_inside_anchor_matches_at_buffer_start_and_end():
     rng = random.Random(11)
-    shared = rng.randbytes(48)
-    anchors = [shared + rng.randbytes(16) for _ in range(4)]
-    patterns = [from_elements((0xAA, ANY) + tuple(a) + (ANY, 0xBB))
-            for a in anchors]
+    # three 15-byte runs before a 24-byte anchor put its key 50 bytes
+    # into the span, past a whole 48-byte stretch of sampled words
+    lead = (0xAA, ANY) + tuple(chain.from_iterable(tuple(rng.randbytes(15)) + (ANY,)
+                                                   for _ in range(3)))
+    anchors = [rng.randbytes(24) for _ in range(4)]
+    patterns = [from_elements(lead + tuple(a) + (ANY, 0xBB)) for a in anchors]
     engine = matcher.compile(patterns)
     assert [key_off for _, key_off in engine.keys] == [50] * 4
-    first = b"\xaa\x01" + anchors[0] + b"\x02\xbb"
-    last = b"\xaa\x03" + anchors[2] + b"\x04\xbb"
+
+    def instance(index: int) -> bytes:
+        filled = [rng.randrange(256) if element is ANY else element
+                  for element in lead + tuple(anchors[index]) + (ANY, 0xBB)]
+        return bytes(filled)
+
+    first, last = instance(0), instance(2)
     buffer = first + rng.randbytes(100) + last
     expected = {(0, 0), (2, len(buffer) - len(last))}
     assert pairs(matcher.scan_all(engine, buffer)) == expected \
@@ -630,7 +627,7 @@ def test_padding_key_moves_inside_its_own_anchor():
     anchor = b"\x5d\xc3" + b"\x90" * 14 + rng.randbytes(16)
     patterns = [from_elements(tuple(anchor) + (ANY, 0x41))]
     engine = matcher.compile(patterns)
-    # one anchor: its first window is listed once and would be its key
+    # its first window would be its key, but it is padding
     assert engine.keys == ((anchor[16:], 16),)
     buffer = anchor + b"\x00\x41" + anchor[:16] * 3 + anchor + b"\x07\x41"
     assert len(_assert_oracle(patterns, buffer)) == 2

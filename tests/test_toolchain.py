@@ -10,6 +10,11 @@
   over ``libc.a``) finds that library in a C hello linked with
   ``-static``, at ``-O0`` and at ``-O2``.  Skipped when gcc or
   ``libc.a`` is missing.
+* A database signed from the host's C, C++ and compiler runtime
+  archives (``libc.a``, ``libgcc.a``, ``libgcc_eh.a``, ``libstdc++.a``)
+  finds both the C and the C++ library in a C++ program linked with
+  ``-static``.  Many of its signatures share a key.  Skipped when g++ or
+  an archive is missing.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import subprocess
 
 import pytest
 
+from provsig import matcher, sigdb, siggen
 from provsig.cli import siggen_main, sigscan_main
 
 
@@ -31,6 +37,17 @@ def _missing(*tools: str):
 
 HELLO_C = '#include <stdio.h>\nint main(void) { puts("hello"); return 0; }\n'
 HELLO_CXX = '#include <iostream>\nint main() { std::cout << "hello" << std::endl; }\n'
+ARGS_CXX = """\
+#include <iostream>
+#include <string>
+#include <vector>
+int main(int argc, char **argv) {
+    std::vector<std::string> args(argv, argv + argc);
+    for (const std::string &arg : args)
+        std::cout << arg << '\\n';
+    return 0;
+}
+"""
 
 # "2 0x00 0x09691a75 GLIBC_2.2.5": index, flags, hash, name
 _VERDEF_ROW = re.compile(r"^\d+ 0x([0-9a-f]+) 0x[0-9a-f]+ (\S+)$")
@@ -42,6 +59,20 @@ def _library_dir(compiler: str, soname: str) -> str:
     if os.sep not in path:
         pytest.skip(f"{compiler} does not know where {soname} lives")
     return os.path.dirname(path)
+
+
+def _archive(compiler: str, name: str) -> str:
+    """The path of the static archive ``name`` the compiler links."""
+    path = subprocess.run([compiler, f"-print-file-name={name}"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    if not (os.path.isabs(path) and os.path.isfile(path)):  # the compiler echoes a bare name
+        pytest.skip(f"{compiler} has no {name}")
+    return path
+
+
+def _reported(lines: list[str], package: str) -> bool:
+    """Whether a report's lines hold a package hit line for ``package``."""
+    return any(line.startswith("(") and line.endswith(f") {package}") for line in lines)
 
 
 def _objdump_highest(library: str, label: str) -> str:
@@ -98,11 +129,7 @@ def test_gcc_and_gxx_runtimes_reported_by_symbol_version(tmp_path, capsys):
 
 @_missing("gcc")
 def test_static_hello_reports_signed_libc_archive(tmp_path, capsys):
-    archive = subprocess.run(["gcc", "-print-file-name=libc.a"], check=True,
-                             capture_output=True, text=True).stdout.strip()
-    if not (os.path.isabs(archive) and os.path.isfile(archive)):  # gcc echoes a bare name
-        pytest.skip("gcc has no libc.a")
-
+    archive = _archive("gcc", "libc.a")
     db = tmp_path / "db"
     db.mkdir()
     assert siggen_main(["obj", archive, "--package", "host libc", "--version", "static",
@@ -115,5 +142,27 @@ def test_static_hello_reports_signed_libc_archive(tmp_path, capsys):
         capsys.readouterr()
         assert sigscan_main(["--db", str(db), "--no-dynamic", str(binary)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("(") and line.endswith(") host libc static")
-                   for line in lines), (level, lines)
+        assert _reported(lines, "host libc static"), (level, lines)
+
+
+@_missing("g++")
+def test_static_cxx_program_reports_signed_cxx_and_c_archives(tmp_path, capsys):
+    archives = {name: _archive("g++", name)
+                for name in ("libc.a", "libgcc.a", "libgcc_eh.a", "libstdc++.a")}
+    db = tmp_path / "db"
+    db.mkdir()
+    for name, archive in archives.items():
+        assert siggen_main(["obj", archive, "--package", f"host {name[:-2]}",
+                            "--version", "static", "-o", str(db / f"{name}.sig")]) == 0
+    engine = matcher.compile([sig.pattern for _, sig, _ in sigdb.load_db(db).iter_signatures()
+                              if sig.target == siggen.TARGET_TEXT])
+    assert len({key for key, _ in engine.keys}) < len(engine.keys)
+    (tmp_path / "args.cc").write_text(ARGS_CXX)
+    binary = tmp_path / "args"
+    subprocess.run(["g++", "-O2", "-static", "-o", str(binary), str(tmp_path / "args.cc")],
+                   check=True, capture_output=True)
+    capsys.readouterr()
+    assert sigscan_main(["--db", str(db), "--no-dynamic", str(binary)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _reported(lines, "host libstdc++ static"), lines
+    assert _reported(lines, "host libc static"), lines
