@@ -413,14 +413,6 @@ def _write_stdout(data: bytes) -> None:
     stream.flush()
 
 
-def siggen_entry() -> None:
-    sys.exit(siggen_main())
-
-
-def sigscan_entry() -> None:
-    sys.exit(sigscan_main())
-
-
 def main(argv=None) -> int:
     """``python -m provsig.cli {siggen,sigscan} ARGS...``: run that tool
     on ARGS; without a known tool name, print usage and return 1."""

@@ -43,10 +43,10 @@ nearly every value, so its pass looks up every word.
 Level 2 looks each candidate key position's bytes up in a
 dict of keys, which names the signatures keyed on them, and the full
 pattern is verified at the start the key's offset inside the pattern
-gives (literals must equal buffer bytes, ``??`` positions and gap
-ranges are skipped).  Pattern gaps have exact lengths, so every pattern
-occupies a fixed span, which keeps both the key arithmetic and the
-verification trivial.
+gives: each literal run must equal the buffer's bytes at its span
+offset, and nothing else of the pattern is read.  Pattern gaps have
+exact lengths, so every pattern occupies a fixed span, which keeps both
+the key arithmetic and the verification trivial.
 
 A key under 11 bytes would need a word pass of its own, however few
 such keys there are.  Instead each distinct short key is searched for
@@ -83,7 +83,7 @@ _MARK = re.compile(b"\x01")
 
 
 class UnanchorableSignature(ValueError):
-    """Pattern without an anchor (:meth:`HexPattern.layout`).
+    """Pattern without an anchor: no literal run of two bytes or more.
 
     ``index`` is the pattern's position in the list given to
     :func:`compile`.
@@ -104,9 +104,10 @@ class Match:
 
 
 class CompiledEngine:
-    """Immutable compiled word filter and short-key search; safe to share
-    across threads.  Build with :func:`compile`.  ``keys`` exposes, per
-    pattern, the (key bytes, span offset) pair it is found by.
+    """Immutable compiled word filter and short-key search, verifying
+    against the patterns themselves; safe to share across threads.  Build
+    with :func:`compile`.  ``keys`` exposes, per pattern, the (key bytes,
+    span offset) pair it is found by.
     """
 
     __slots__ = ("keys", "_passes", "_short_keys", "_owners", "_verify")
@@ -122,26 +123,23 @@ class CompiledEngine:
 def compile(patterns: list[HexPattern]) -> CompiledEngine:
     """Build one engine from hex patterns.
 
-    Each pattern's span, literal runs and anchor come from one
-    :meth:`HexPattern.layout` walk.  The filter is keyed on the first
+    Each pattern's anchor is its longest literal run, earliest on ties,
+    read from its run lengths.  The filter is keyed on the first
     ``KEY_LEN`` bytes of the anchor, unless that key is padding (see
     :func:`_padding_free_key`).  Matches report list indices.  Raises
     UnanchorableSignature if a pattern has no anchor (generated patterns
     always have one; this guards hand-written input).
     """
     keys: list[tuple[bytes, int]] = []
-    verify: list[tuple[int, tuple[int, ...], tuple[bytes, ...]]] = []
-    for index, pattern in enumerate(patterns):
-        span, runs, anchor_run = pattern.layout()
-        if anchor_run is None:
+    for index, (_, offsets, literals, _) in enumerate(patterns):
+        lengths = list(map(len, literals))
+        longest = max(lengths, default=0)
+        if longest < 2:
             raise UnanchorableSignature(index)
-        anchor_off, anchor = anchor_run
-        keys.append((anchor[:KEY_LEN], anchor_off))
-        # the runs' offsets and literals as two tuples, not a pair per run
-        offsets, literals = zip(*runs)
-        verify.append((span, offsets, literals))
+        anchor = lengths.index(longest)
+        keys.append((literals[anchor][:KEY_LEN], offsets[anchor]))
     for index in _padding_keys([key for key, _ in keys]):
-        _, offsets, literals = verify[index]
+        _, offsets, literals, _ = patterns[index]
         keys[index] = _padding_free_key(zip(offsets, literals)) or keys[index]
 
     # level 2: key bytes -> the (signature, key span offset) pairs keyed on it
@@ -156,7 +154,7 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
     passes = _word_tables(by_len)
     for key, pairs in owners.items():  # one at a time, so no list outlives its tuple
         owners[key] = tuple(pairs)
-    return CompiledEngine(tuple(keys), passes, short_keys, owners, tuple(verify))
+    return CompiledEngine(tuple(keys), passes, short_keys, owners, tuple(patterns))
 
 
 def _word_tables(by_len: dict[int, list[bytes]]):
@@ -313,7 +311,7 @@ def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
     for at, found in keyed:
         for sig_idx, key_off in found:
             start = at - key_off
-            span, offsets, literals = verify[sig_idx]
+            span, offsets, literals, _ = verify[sig_idx]
             if start < 0 or start + span > n:
                 continue
             if all(map(buffer.startswith, literals, map(start.__add__, offsets))):

@@ -135,7 +135,11 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
         if sig.target == TARGET_DYNLIB:
             lines.append(f"{sig.name}:{sig.target}:md5:{sig.digest}:{sig.text_size}")
         else:
-            lines.append(f"{sig.name}:{sig.target}:hex:{pattern_to_text(sig.pattern)}")
+            try:
+                payload = pattern_to_text(sig.pattern)
+            except PatternSyntaxError as exc:
+                raise UnwritableSigFile(f"pattern of signature {sig.name!r}: {exc}") from exc
+            lines.append(f"{sig.name}:{sig.target}:hex:{payload}")
     try:
         blob = ("\n".join(lines) + "\n").encode("utf-8")
     except UnicodeEncodeError as exc:  # e.g. a name from a non-UTF-8 file name

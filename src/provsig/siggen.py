@@ -22,6 +22,7 @@ joined by exact-length gaps so the overall layout is preserved.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -48,86 +49,28 @@ class NoTextSection(ValueError):
 
 
 class PatternSyntaxError(ValueError):
-    """Hex pattern text that does not follow the pattern grammar."""
+    """Hex pattern text that does not follow the pattern grammar, or a
+    pattern that no such text writes."""
 
 
-@dataclass(frozen=True)
-class Wild:
-    """``length`` one-byte wildcards (``??``) in a row."""
+class HexPattern(NamedTuple):
+    """A byte pattern as a scan reads it.
 
-    length: int
-
-    def __len__(self) -> int:
-        return self.length
-
-
-@dataclass(frozen=True)
-class Gap:
-    """Exactly ``length`` arbitrary bytes between two pattern runs."""
-
-    length: int
-
-    def __len__(self) -> int:
-        return self.length
-
-
-class _SharedTokens(dict):
-    """One shared token per length, made on first use: ``cache[n]``.
-
-    Tokens are immutable, and a database repeats a few hundred lengths
-    at most over its wildcards and gaps (some 10^5 of them in 10,000
-    code signatures), so the pattern parser and :func:`build_pattern`
-    take them from here rather than making one per stretch.
+    ``literals[i]`` is a literal run at span offset ``offsets[i]``;
+    ``gaps`` holds ``(offset, length)`` pairs; every other position of
+    the ``span`` bytes is a ``??``, which matches what a gap does: the
+    two differ only in the ``.sig`` text.  Runs are in order, non-empty
+    and never abut; a gap never abuts a gap, overlaps a run or opens or
+    closes the pattern (:func:`pattern_to_text` refuses one that does).
+    A scan needs an anchor, a literal run of two bytes or more, which
+    :func:`build_pattern` ensures and :func:`provsig.matcher.compile`
+    checks.
     """
 
-    def __init__(self, kind: type[Wild] | type[Gap]) -> None:
-        super().__init__()
-        self.kind = kind
-
-    def __missing__(self, length: int) -> Wild | Gap:
-        token = self[length] = self.kind(length)
-        return token
-
-
-_WILDS = _SharedTokens(Wild)
-_GAPS = _SharedTokens(Gap)
-
-
-@dataclass(frozen=True)
-class HexPattern:
-    """A byte pattern held as its runs, the tokens of its ``.sig`` text:
-    ``bytes`` (a literal run), :class:`Wild` and :class:`Gap`.
-
-    Tokens are maximal: no two neighbours are of the same kind.  The
-    ``len`` of a token is the number of buffer bytes it spans.  Gaps
-    never open or close a pattern, so the span the pattern occupies in a
-    buffer is fixed.  A scan needs an anchor (:meth:`layout`);
-    :func:`build_pattern` rejects a pattern without one and
-    :func:`provsig.matcher.compile` refuses it.
-    """
-
-    elements: tuple[bytes | Wild | Gap, ...]
-
-    def layout(self) -> tuple[int, tuple[tuple[int, bytes], ...], tuple[int, bytes] | None]:
-        """The pattern's fixed span (bytes it occupies in a buffer, gaps
-        included), its literal runs as (span offset, bytes), and its
-        anchor: the longest literal run, earliest on ties, or None when
-        it is shorter than two bytes.  One walk over the tokens."""
-        runs: list[tuple[int, bytes]] = []
-        anchor = None
-        anchor_len = 1
-        pos = 0
-        for token in self.elements:
-            if isinstance(token, bytes):
-                run = (pos, token)
-                runs.append(run)
-                length = len(token)
-                if length > anchor_len:
-                    anchor, anchor_len = run, length
-                pos += length
-            else:
-                pos += token.length
-        return pos, tuple(runs), anchor
+    span: int
+    offsets: tuple[int, ...]
+    literals: tuple[bytes, ...]
+    gaps: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -175,19 +118,18 @@ def build_pattern(data: bytes, relocs: list[tuple[int, int]]) -> HexPattern | Re
     relocation is still read, and checked for its warnings, by
     :func:`provsig.elf.parse_relocations`.)  Each kept range is cut at
     its masked stretches (pairs that overlap or abut merge, and are
-    clipped to the range) straight into tokens: literal runs between
-    them, one :class:`Wild` per stretch, shared by length with the
-    pattern parser.  Positions and the longest literal run are counted
-    during the cut.
+    clipped to the range) straight into the pattern's literal runs,
+    found at their section offsets.  Everything between the runs is a
+    ``??``, except between kept ranges, where it is a gap.
 
     Wildcards carrying no information are normalized away: a run of
     abutting segments (the first two abut when l == 0, for n = 256 and
     257) that is wildcards throughout dissolves into the gap around it,
-    and the leading and trailing wildcards of the pattern are trimmed.
-    A masked segment that abuts a literal one keeps its ``??``.  Patterns
-    left with fewer than 16 positions are rejected as too short;
-    patterns without an anchor (a literal run of two bytes or more, see
-    :meth:`HexPattern.layout`) are rejected as unanchorable.
+    and the pattern starts at its first literal run and ends with its
+    last.  A masked segment that abuts a literal one keeps its ``??``.
+    Patterns left with fewer than 16 positions (the span less its gaps)
+    are rejected as too short; patterns without an anchor (a literal
+    run of two bytes or more) are rejected as unanchorable.
     """
     n = len(data)
     if n < MIN_PATTERN_POSITIONS:
@@ -201,53 +143,42 @@ def build_pattern(data: bytes, relocs: list[tuple[int, int]]) -> HexPattern | Re
         if ranges[0][1] == ranges[1][0]:
             ranges[:2] = [(ranges[0][0], ranges[1][1])]
 
-    runs: list[tuple[int, int, list]] = []  # (lo, hi, tokens) of each kept range
-    positions = 0
-    longest = 0  # longest literal run
+    offsets: list[int] = []  # section offsets of the literal runs
+    literals: list[bytes] = []
+    gaps: list[tuple[int, int]] = []  # (section offset, length)
+    gapped = 0  # bytes in gaps
+    end = 0  # where the last kept range ends
     for lo, hi in ranges:
-        tokens: list = []
-        wild_lo = wild_hi = lo  # the masked stretch not yet cut; tokens cover [lo, wild_lo)
+        kept = len(literals)
+        masked = lo  # the masked stretch not yet cut ends here
         for a, length in relocs[bisect_left(relocs, (lo - elf.MAX_MASK_LEN,)):
                                 bisect_left(relocs, (hi,))]:
-            b = a + length
-            if b <= wild_hi:
-                continue
-            if a > wild_hi:  # a new stretch, after a literal run
-                if wild_lo < wild_hi:
-                    tokens.append(_WILDS[wild_hi - wild_lo])
-                tokens.append(data[wild_hi:a])
-                if a - wild_hi > longest:
-                    longest = a - wild_hi
-                wild_lo = a
-            wild_hi = b
-        if wild_hi > hi:
-            wild_hi = hi
-        if wild_lo < wild_hi:
-            tokens.append(_WILDS[wild_hi - wild_lo])
-        if wild_hi < hi:
-            tokens.append(data[wild_hi:hi])
-            if hi - wild_hi > longest:
-                longest = hi - wild_hi
-        if len(tokens) > 1 or type(tokens[0]) is bytes:  # not wildcards throughout
-            runs.append((lo, hi, tokens))
-            positions += hi - lo
-    if not runs:
+            if a > masked:  # a literal run, then a new stretch
+                offsets.append(masked)
+                literals.append(data[masked:a])
+            if a + length > masked:
+                masked = a + length
+        if masked < hi:
+            offsets.append(masked)
+            literals.append(data[masked:hi])
+        if len(literals) > kept:  # not wildcards throughout
+            if kept:
+                gaps.append((end, lo - end))
+                gapped += lo - end
+            end = hi
+    if not literals:
         return Rejected(TOO_SHORT)
-    first_tokens, last_tokens = runs[0][2], runs[-1][2]
-    if type(first_tokens[0]) is Wild:
-        positions -= first_tokens.pop(0).length
-    if type(last_tokens[-1]) is Wild:
-        positions -= last_tokens.pop().length
 
-    if positions < MIN_PATTERN_POSITIONS:
+    start = offsets[0]
+    span = offsets[-1] + len(literals[-1]) - start
+    if span - gapped < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
-    if longest < 2:
+    if max(map(len, literals)) < 2:
         return Rejected(UNANCHORABLE)
-    elements = runs[0][2]
-    for (_, end, _), (lo, _, tokens) in zip(runs, runs[1:]):
-        elements.append(_GAPS[lo - end])
-        elements += tokens
-    return HexPattern(tuple(elements))
+    if start:
+        offsets = [offset - start for offset in offsets]
+        gaps = [(offset - start, length) for offset, length in gaps]
+    return HexPattern(span, tuple(offsets), tuple(literals), tuple(gaps))
 
 
 def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], list[Rejected]]:
@@ -353,22 +284,53 @@ def sign_comments(strings: list[str], origin_name: str) -> list[Signature]:
             signatures.append(Signature(
                 name=f"{origin_name}:.comment.{len(signatures)}",
                 target=TARGET_COMMENT,
-                pattern=HexPattern((raw,)),
+                pattern=HexPattern(len(raw), (0,), (raw,), ()),
             ))
     return signatures
 
 
+_NO_GAP = (math.inf, 0)  # what pattern_to_text reads once past the last gap
+
+
 def pattern_to_text(pattern: HexPattern) -> str:
-    """Render a pattern: lowercase hex pairs, ``??`` wildcards, ``{n}`` gaps."""
-    tokens = []
-    for token in pattern.elements:
-        if isinstance(token, bytes):
-            tokens.append(token.hex())
-        elif isinstance(token, Wild):
-            tokens.append("??" * token.length)
-        else:
-            tokens.append(f"{{{token.length}}}")
-    return "".join(tokens)
+    """Render a pattern: lowercase hex pairs, ``??`` wildcards, ``{n}`` gaps.
+
+    One walk over the runs, writing each gap as the walk passes it.  A
+    pattern that no text reads back as itself (one that breaks a rule of
+    :class:`HexPattern`, or has an empty gap, a part past its span or no
+    span) raises :class:`PatternSyntaxError` during that walk.
+    """
+    span, offsets, literals, gaps = pattern
+    if len(offsets) != len(literals) or not all(literals):
+        raise PatternSyntaxError("pattern has an empty literal run or not one offset per run")
+    parts: list[str] = []
+    pos = 0  # the span offset written up to
+    run_floor, gap_floor = 0, 1  # the least offsets the next run and gap may start at
+    more_gaps = iter(gaps)
+    gap_at, length = next(more_gaps, _NO_GAP)
+    # the span's end closes the walk as a run without bytes
+    for at, literal in zip((*offsets, span), (*literals, None)):
+        while gap_at < at:
+            if gap_at < gap_floor or length < 1 or gap_at + length >= span:
+                raise PatternSyntaxError(f"gap at offset {gap_at} is empty, abuts a gap, "
+                                         "opens or closes the pattern or is out of place")
+            parts.append("??" * (gap_at - pos))
+            parts.append(f"{{{length}}}")
+            pos = run_floor = gap_at + length
+            gap_floor = pos + 1
+            gap_at, length = next(more_gaps, _NO_GAP)
+        if literal is None:
+            break
+        if at < run_floor:
+            raise PatternSyntaxError(f"literal run at offset {at} abuts a run or is out of place")
+        parts.append("??" * (at - pos))
+        parts.append(literal.hex())
+        pos = gap_floor = at + len(literal)
+        run_floor = pos + 1
+    if gap_at != _NO_GAP[0] or pos > span or span < 1:
+        raise PatternSyntaxError("pattern is empty or has a part past its span")
+    parts.append("??" * (span - pos))
+    return "".join(parts)
 
 
 _PATTERN_TOKEN = re.compile(
@@ -384,49 +346,48 @@ _FROMHEX_ONLY = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "A", "B", "C", "D", "E",
 
 def _parse_canonical(text: str) -> HexPattern | None:
     """The pattern of ``text`` if it is written as :func:`pattern_to_text`
-    writes it, else None.
+    writes it, else None.  The one place a pattern is built from text.
 
     The text is split on ``{``: every part after the first is
     ``digits}rest``, a gap and the part it leads to.  Each gap-free
     part is split on ``??``: every boundary of that split is one
-    wildcard byte, and every non-empty piece one :meth:`bytes.fromhex`.
-    That call skips ASCII whitespace and reads uppercase, which the
-    grammar refuses, so text holding either is declined before it is
-    split.
+    wildcard byte, and every non-empty piece one literal run, read by
+    :meth:`bytes.fromhex`.  That call skips ASCII whitespace and reads
+    uppercase, which the grammar refuses, so text holding either is
+    declined before it is split.
     """
     for char in _FROMHEX_ONLY:
         if char in text:
             return None
-    elements: list = []
-    append = elements.append
+    offsets: list[int] = []
+    literals: list[bytes] = []
+    gaps: list[tuple[int, int]] = []
     fromhex = bytes.fromhex
+    pos = 0  # the span offset read up to
     try:
-        for part in text.split("{"):
-            if elements:  # every part but the first opens with a gap
+        for index, part in enumerate(text.split("{")):
+            if index:  # every part but the first opens with a gap
                 digits, brace, part = part.partition("}")
                 if not (brace and digits.isascii() and digits.isdigit()):
                     return None
                 length = int(digits)
                 if length < 1:
                     return None
-                append(_GAPS[length])
+                gaps.append((pos, length))
+                pos += length
             if not part:  # empty text, a gap first, last or next to a gap
                 return None
-            first, *pieces = part.split("??")
-            if first:
-                append(fromhex(first))
-            wild = 0
-            for piece in pieces:
-                wild += 1
+            pos -= 1
+            for piece in part.split("??"):
+                pos += 1  # the ``??`` before every piece but the first
                 if piece:
-                    append(_WILDS[wild])
-                    append(fromhex(piece))
-                    wild = 0
-            if wild:
-                append(_WILDS[wild])
+                    literal = fromhex(piece)
+                    offsets.append(pos)
+                    literals.append(literal)
+                    pos += len(literal)
     except ValueError:  # not hex pairs, or more digits than int() converts
         return None
-    return HexPattern(tuple(elements))
+    return HexPattern(pos, tuple(offsets), tuple(literals), tuple(gaps))
 
 
 def parse_pattern_text(text: str) -> HexPattern:
@@ -434,21 +395,20 @@ def parse_pattern_text(text: str) -> HexPattern:
     between tokens.
 
     Tokens are runs of hex pairs, runs of ``??`` and ``{n}`` gaps, with
-    ASCII characters only: a gap length is ASCII digits.  Each becomes
-    one pattern token; a run takes in every pair or ``??`` that follows
-    it, so the tokens are maximal.
+    ASCII characters only: a gap length is ASCII digits.
 
     Text as :func:`pattern_to_text` writes it is read by C-level string
     passes (:func:`_parse_canonical`).  Any other text, spaced or
     uppercase or malformed, goes to one regular-expression match per
     token, which alone judges the grammar and words every
-    :class:`PatternSyntaxError`.
+    :class:`PatternSyntaxError`; text that passes is written again as
+    :func:`pattern_to_text` would write it and read by those passes.
     """
     pattern = _parse_canonical(text)
     if pattern is not None:
         return pattern
     text = text.rstrip(" ")
-    elements: list = []
+    parts: list[str] = []  # the canonical text of each token
     pos = 0
     while pos < len(text):
         token = _PATTERN_TOKEN.match(text, pos)
@@ -457,11 +417,11 @@ def parse_pattern_text(text: str) -> HexPattern:
         hex_run, any_run, digits = token.groups()
         if hex_run is not None:
             try:  # hex pairs with optional spaces between pairs
-                elements.append(bytes.fromhex(hex_run))
+                parts.append(bytes.fromhex(hex_run).hex())
             except ValueError as exc:
                 raise PatternSyntaxError(f"bad hex run {hex_run.strip()!r}") from exc
         elif any_run is not None:
-            elements.append(_WILDS[any_run.count("?") // 2])
+            parts.append("??" * (any_run.count("?") // 2))
         else:
             try:
                 length = int(digits)
@@ -469,14 +429,14 @@ def parse_pattern_text(text: str) -> HexPattern:
                 raise PatternSyntaxError(f"bad gap length {digits!r}") from exc
             if length < 1:
                 raise PatternSyntaxError("gap length must be >= 1")
-            if not elements:
+            if not parts:
                 raise PatternSyntaxError("pattern must not start or end with a gap")
-            if isinstance(elements[-1], Gap):
+            if parts[-1][0] == "{":
                 raise PatternSyntaxError("adjacent gaps")
-            elements.append(_GAPS[length])
+            parts.append(f"{{{length}}}")
         pos = token.end()
-    if not elements:
+    if not parts:
         raise PatternSyntaxError("empty pattern")
-    if isinstance(elements[-1], Gap):
+    if parts[-1][0] == "{":
         raise PatternSyntaxError("pattern must not start or end with a gap")
-    return HexPattern(tuple(elements))
+    return _parse_canonical("".join(parts))

@@ -27,10 +27,10 @@ def choose_keys(anchors, verify) -> tuple[tuple[bytes, int], ...]:
     as (key bytes, span offset).  A padding key is replaced by the
     longest window free of padding, earliest on ties, among the
     candidate windows of the pattern's literal runs of 11 bytes or more
-    (``verify`` holds each pattern's span, run offsets and run
-    literals); with no such window it stays."""
+    (``verify`` holds each pattern: its span, run offsets, run literals
+    and gaps); with no such window it stays."""
     keys = []
-    for (anchor, anchor_off), (_, offsets, literals) in zip(anchors, verify):
+    for (anchor, anchor_off), (_, offsets, literals, _) in zip(anchors, verify):
         key = (anchor[:KEY_LEN], anchor_off)
         if is_padding(key[0]):
             windows = [(literal[off:off + KEY_LEN], run_off + off)

@@ -1,20 +1,22 @@
 """Per-byte reference implementations of the hex-pattern text parser,
 the pattern layout, relocation masking and ``build_pattern``.
 
-The program holds a pattern as its runs (``bytes``, ``Wild``, ``Gap``
-tokens) and a mask as intervals.  The references here hold one element
-per pattern position instead: an int for a literal byte, :data:`ANY`
-for a ``??``, and a ``Gap`` for a gap; a mask is the set of masked
-offsets.  The parser works one step per character, the layout one step
-per element, and ``build_pattern`` is the earlier seven-pass version
-(cut, merge, convert, merge gaps, trim gaps, trim wildcards, flatten and
-count).  :func:`expand` turns a program pattern into per-byte elements,
-so the tests compare the two on equal terms; :func:`from_elements`
-builds a program pattern from per-byte elements.
+The program holds a pattern as its span, its literal runs at their
+span offsets and its gaps, and a mask as intervals.  The references
+here hold one element per pattern position instead: an int for a
+literal byte, :data:`ANY` for a ``??``, and a :class:`Gap` for a gap; a
+mask is the set of masked offsets.  The parser works one step per
+character, the layout one step per element, and ``build_pattern`` is
+the earlier seven-pass version (cut, merge, convert, merge gaps, trim
+gaps, trim wildcards, flatten and count).  :func:`expand` turns a
+program pattern into per-byte elements, so the tests compare the two
+on equal terms; :func:`from_elements` builds a program pattern from
+per-byte elements.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import groupby
 
 from provsig.elf import MAX_MASK_LEN
@@ -24,11 +26,9 @@ from provsig.siggen import (
     SEGMENT_LEN,
     TOO_SHORT,
     UNANCHORABLE,
-    Gap,
     HexPattern,
     PatternSyntaxError,
     Rejected,
-    Wild,
 )
 
 
@@ -44,31 +44,43 @@ class _AnyByte:
 ANY = _AnyByte()
 
 
+@dataclass(frozen=True)
+class Gap:
+    """One element for a gap of exactly ``length`` arbitrary bytes."""
+
+    length: int
+
+
 def expand(pattern: HexPattern) -> tuple:
     """The pattern's per-byte elements."""
-    elements: list = []
-    for token in pattern.elements:
-        if isinstance(token, bytes):
-            elements.extend(token)
-        elif isinstance(token, Wild):
-            elements.extend([ANY] * token.length)
-        else:
-            elements.append(token)
-    return tuple(elements)
+    cells: list = [ANY] * pattern.span
+    for offset, literal in zip(pattern.offsets, pattern.literals):
+        cells[offset:offset + len(literal)] = literal
+    for offset, length in sorted(pattern.gaps, reverse=True):
+        cells[offset:offset + length] = [Gap(length)]
+    return tuple(cells)
 
 
 def from_elements(elements) -> HexPattern:
     """The program pattern of per-byte elements: each stretch of literals
-    becomes one ``bytes``, each stretch of ``ANY`` one ``Wild``."""
-    tokens: list = []
+    becomes one literal run at its span offset, each ``Gap`` one gap."""
+    offsets: list[int] = []
+    literals: list[bytes] = []
+    gaps: list[tuple[int, int]] = []
+    pos = 0
     for kind, group in groupby(elements, key=type):
+        group = list(group)
         if kind is int:
-            tokens.append(bytes(group))
-        elif kind is _AnyByte:
-            tokens.append(Wild(sum(1 for _ in group)))
+            offsets.append(pos)
+            literals.append(bytes(group))
+            pos += len(group)
+        elif kind is Gap:
+            for gap in group:
+                gaps.append((pos, gap.length))
+                pos += gap.length
         else:
-            tokens.extend(group)
-    return HexPattern(tuple(tokens))
+            pos += len(group)
+    return HexPattern(pos, tuple(offsets), tuple(literals), tuple(gaps))
 
 
 def well_formed(elements) -> bool:

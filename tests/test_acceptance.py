@@ -26,7 +26,6 @@ from provsig.elf import get_section, parse_elf
 from provsig.sigdb import load_db, parse_sigfile, write_sigfile, SignatureFile
 from provsig.siggen import (
     TARGET_TEXT,
-    Gap,
     HexPattern,
     Signature,
     build_pattern,
@@ -43,7 +42,7 @@ from elfwriter import (
     build_shared_lib,
     build_shared_lib_layout,
 )
-from pattern_reference import ANY, from_elements
+from pattern_reference import ANY, Gap, anchor, from_elements
 from test_matcher import naive_scan_once, pairs
 
 CALL_STUB_TEXT = bytes.fromhex(
@@ -121,11 +120,9 @@ def test_c2_truncation_formula_identity():
         if gap_l == 0:
             expected_runs = [expected_runs[0] + expected_runs[1], expected_runs[2]]
             expected_gaps = [gap_m]
-        span, runs, _ = pattern.layout()
-        assert [run for _, run in runs] == expected_runs
-        assert [e.length for e in pattern.elements
-                if isinstance(e, Gap)] == expected_gaps
-        assert span == 85 + gap_l + 85 + gap_m + 85
+        assert list(pattern.literals) == expected_runs
+        assert [length for _, length in pattern.gaps] == expected_gaps
+        assert pattern.span == 85 + gap_l + 85 + gap_m + 85
         checked += 1
     took = _elapsed(start)
     assert checked == 10000
@@ -156,16 +153,12 @@ def _random_case(rng: random.Random, buf_size: int, n_patterns: int):
             cut = rng.randrange(4, len(elements) - 4)
             if isinstance(elements[cut - 1], int) and isinstance(elements[cut], int):
                 elements.insert(cut, Gap(rng.randrange(1, 9)))
-        pattern = from_elements(elements)
-        if pattern.layout()[2] is None:
-            pattern = from_elements(body)
-        patterns.append(pattern)
+        patterns.append(from_elements(elements if anchor(elements) is not None else body))
     # plant extra occurrences so the match sets are non-trivial
     for pattern in patterns[: max(1, n_patterns // 3)]:
-        span, runs, _ = pattern.layout()
-        if span < buf_size:
-            at = rng.randrange(0, buf_size - span)
-            for off, literal in runs:
+        if pattern.span < buf_size:
+            at = rng.randrange(0, buf_size - pattern.span)
+            for off, literal in zip(pattern.offsets, pattern.literals):
                 buffer[at + off:at + off + len(literal)] = literal
     return bytes(buffer), patterns
 
@@ -244,7 +237,7 @@ def test_c4_end_to_end_plant_and_detect(tmp_path):
                             "-o", str(db_dir / f"pkg{pkg_idx}.sig")]) == 0
 
     db = load_db(db_dir)
-    span_by_name = {sig.name: sig.pattern.layout()[0]
+    span_by_name = {sig.name: sig.pattern.span
                     for _, sig, _ in db.iter_signatures()}
 
     # targets: embed snippets with their relocation bytes randomized

@@ -188,7 +188,7 @@ def test_siggen_comment_mode_dedups_across_inputs(tmp_path):
                       "--version", "9.9", "-o", str(out)])
     assert rc == 0
     parsed = parse_sigfile(out.read_bytes())
-    texts = sorted(s.pattern.elements[0].decode() for s in parsed.signatures)
+    texts = sorted(s.pattern.literals[0].decode() for s in parsed.signatures)
     assert texts == ["CC brand 9.9", "only b", "shared note"]
 
 

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import engine_reference
 import pattern_reference
 from provsig import matcher
-from provsig.siggen import Gap, HexPattern
+from provsig.siggen import HexPattern
 
-from pattern_reference import ANY, from_elements, well_formed
+from pattern_reference import ANY, Gap, expand, from_elements, well_formed
 
 CALL_STUB_TEXT = bytes.fromhex(
     "554889e54883ec10bf0a000000e800000000488945f8c9c3")
@@ -32,18 +32,18 @@ def naive_scan_once(patterns: list[HexPattern], buffer: bytes) -> set[tuple[int,
     """Every (pattern index, start) at which the pattern's bytes occur.
 
     Each pattern becomes one regular expression (each literal run
-    escaped, ``.{n}`` for n ``??`` or a gap of n) inside a zero-width
-    lookahead, so ``finditer`` tries it at every start position of the
-    buffer.
+    escaped, ``.{n}`` for the n bytes before it, ``??`` or gap, and
+    for those after the last run) inside a zero-width lookahead, so
+    ``finditer`` tries it at every start position of the buffer.
     """
     found: set[tuple[int, int]] = set()
     for sig_idx, pattern in enumerate(patterns):
         pieces = []
-        for token in pattern.elements:
-            if isinstance(token, bytes):
-                pieces.append(re.escape(token))
-            else:
-                pieces.append(b".{%d}" % token.length)
+        pos = 0
+        for offset, literal in zip(pattern.offsets, pattern.literals):
+            pieces += [b".{%d}" % (offset - pos), re.escape(literal)]
+            pos = offset + len(literal)
+        pieces.append(b".{%d}" % (pattern.span - pos))
         regex = re.compile(b"(?=" + b"".join(pieces) + b")", re.DOTALL)
         found.update((sig_idx, m.start()) for m in regex.finditer(buffer))
     return found
@@ -122,12 +122,13 @@ def test_engine_layout_agrees_with_per_element_reference(element_lists):
     anchors = []
     for elements, pattern, (key, key_off), verify in zip(
             element_lists, patterns, engine.keys, engine._verify):
-        span, runs, (anchor_off, anchor) = pattern.layout()
+        anchor_off, anchor = pattern_reference.anchor(elements)
         anchors.append((anchor, anchor_off))
-        assert (anchor_off, anchor) == pattern_reference.anchor(elements)
-        assert (span, runs) == (pattern_reference.fixed_span(elements),
-                                tuple(pattern_reference.literal_runs(elements)))
-        assert verify == (span, tuple(off for off, _ in runs), tuple(lit for _, lit in runs))
+        runs = list(zip(pattern.offsets, pattern.literals))
+        assert (pattern.span, runs) == (pattern_reference.fixed_span(elements),
+                                        pattern_reference.literal_runs(elements))
+        # the engine verifies against the pattern itself
+        assert verify is pattern
         # a window of the anchor, or of a run of 11 bytes or more where
         # a padding key moved
         windows = {(literal[off:off + matcher.KEY_LEN], run_off + off)
@@ -188,9 +189,9 @@ def test_key_choice_agrees_with_per_anchor_reference(anchors, tails):
         patterns.append(from_elements(elements))
     engine = matcher.compile(patterns)
     # a tail longer than its anchor is the pattern's anchor
-    layout_anchors = [(anchor, anchor_off)
-                      for anchor_off, anchor in (pattern.layout()[2] for pattern in patterns)]
-    assert engine.keys == engine_reference.choose_keys(layout_anchors, engine._verify)
+    reference_anchors = [(anchor, anchor_off) for anchor_off, anchor
+                         in (pattern_reference.anchor(expand(pattern)) for pattern in patterns)]
+    assert engine.keys == engine_reference.choose_keys(reference_anchors, engine._verify)
 
 
 def test_key_is_anchor_first_window_whoever_shares_it():
@@ -237,7 +238,7 @@ def test_signatures_sharing_a_prologue_key_each_match_once_per_occurrence():
     engine = matcher.compile(patterns)
     assert matcher.KEY_LEN == 16
     for pattern, expected in zip(patterns, anchors):
-        assert pattern.layout()[2] == (2, expected)
+        assert pattern_reference.anchor(expand(pattern)) == (2, expected)
     # one key owned by all ten: each hit on it verifies all ten
     assert engine.keys == ((prologue, 2),) * 10
     pieces = [prologue * 3]
@@ -255,7 +256,7 @@ def test_key_for_short_and_boundary_anchors(length):
     anchor = rng.randbytes(length)
     pattern = from_elements((0x41, ANY) + tuple(anchor) + (ANY, 0x42))
     engine = matcher.compile([pattern])
-    assert pattern.layout()[2] == (2, anchor)
+    assert pattern_reference.anchor(expand(pattern)) == (2, anchor)
     assert engine.keys[0] == (anchor[:16], 2)
     instance = b"\x41\x00" + anchor + b"\x00\x42"
     buffer = instance + rng.randbytes(50) + instance + instance[:-1]
@@ -393,7 +394,7 @@ def _assert_oracle(patterns, buffer) -> set[tuple[int, int]]:
     assert len(found) == len(pairs(found))
     expected = naive_scan_once(patterns, bytes(buffer))
     assert pairs(found) == expected
-    assert all(m.span == patterns[m.signature_id].layout()[0] for m in found)
+    assert all(m.span == patterns[m.signature_id].span for m in found)
     return expected
 
 
@@ -436,7 +437,7 @@ def test_matches_at_buffer_start_and_end_for_every_word_size():
     patterns = [from_elements(tuple(rng.randbytes(length)))
             for length in (2, 3, 4, 6, 9, 12, 16, 23)]
     for pattern in patterns:
-        (literal,) = pattern.elements
+        (literal,) = pattern.literals
         for middle in (b"", b"\x00", rng.randbytes(13)):
             buffer = literal + middle + literal
             found = _assert_oracle(patterns, buffer)
@@ -454,7 +455,7 @@ def test_buffer_shorter_than_one_word():
             _assert_oracle(patterns, buffer)
         _assert_oracle(patterns, bytes(length))
     for pattern in patterns[:6]:
-        _assert_oracle(patterns, pattern.elements[0])
+        _assert_oracle(patterns, pattern.literals[0])
 
 
 def test_code_like_prologue_runs():
@@ -605,7 +606,8 @@ def test_padding_key_moves_to_a_second_run_and_scans_like_the_oracle():
     patterns = [from_elements(tuple(RET_PADDING) + (ANY,) * 4 + tuple(second)),
                 from_elements(tuple(RET_PADDING) + (ANY,) * 3 + tuple(keeps))]
     engine = matcher.compile(patterns)
-    assert patterns[0].layout()[2] == patterns[1].layout()[2] == (0, RET_PADDING)
+    assert [pattern_reference.anchor(expand(pattern)) for pattern in patterns] == \
+        [(0, RET_PADDING)] * 2
     # the first key moves to the 12-byte second run; the other pattern's
     # second run is too short to table, so its padding key stays
     assert engine.keys == ((second, 20), (RET_PADDING, 0))
@@ -696,10 +698,9 @@ def _random_pattern(rng: random.Random, source: bytes | None = None) -> HexPatte
         gap = rng.randrange(1, 12)
         if isinstance(elements[cut - 1], int) and isinstance(elements[cut], int):
             elements = elements[:cut] + [Gap(gap)] + elements[cut:]
-    pattern = from_elements(elements)
-    if pattern.layout()[2] is None:
+    if pattern_reference.anchor(elements) is None:
         return from_elements(body)
-    return pattern
+    return from_elements(elements)
 
 
 def _oracle_case(rng: random.Random, buf_size: int, n_patterns: int):
@@ -709,10 +710,9 @@ def _oracle_case(rng: random.Random, buf_size: int, n_patterns: int):
         patterns.append(_random_pattern(rng, bytes(buffer)))
     # plant a few extra occurrences so matches are not vanishingly rare
     for pattern in patterns[: max(1, n_patterns // 4)]:
-        span, runs, _ = pattern.layout()
-        if span < buf_size:
-            start = rng.randrange(0, buf_size - span)
-            for off, literal in runs:
+        if pattern.span < buf_size:
+            start = rng.randrange(0, buf_size - pattern.span)
+            for off, literal in zip(pattern.offsets, pattern.literals):
                 buffer[start + off:start + off + len(literal)] = literal
     return bytes(buffer), patterns
 

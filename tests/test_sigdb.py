@@ -22,11 +22,11 @@ from provsig.siggen import (
     TARGET_COMMENT,
     TARGET_DYNLIB,
     TARGET_TEXT,
-    Gap,
+    HexPattern,
     Signature,
 )
 
-from pattern_reference import ANY, from_elements, well_formed
+from pattern_reference import ANY, Gap, from_elements, well_formed
 
 CALL_STUB_PAYLOAD = "554889e54883ec10bf0a000000e8????????488945f8c9c3"
 
@@ -248,6 +248,49 @@ def test_write_rejects_invalid_files(tmp_path):
             write_sigfile(SignatureFile("P", "1", (_hex_sig(name, (1, 2)),)))
     with pytest.raises(UnwritableSigFile, match="bad target 'data'"):
         write_sigfile(SignatureFile("P", "1", (_hex_sig("a", (1, 2), target="data"),)))
+
+
+@pytest.mark.parametrize("pattern", [
+    HexPattern(5, (3,), (b"ab",), ((0, 3),)),  # a gap first: {3}6162
+    HexPattern(5, (0,), (b"ab",), ((2, 3),)),  # a gap last
+    HexPattern(4, (0, 2), (b"ab", b"cd"), ()),  # runs that abut read back as one
+    HexPattern(4, (0, 1), (b"ab", b"cd"), ()),  # runs that overlap
+    HexPattern(4, (0, 2, 3), (b"a", b"", b"d"), ()),  # an empty run
+    HexPattern(9, (0, 7), (b"ab", b"cd"), ((2, 2), (4, 3))),  # gaps that abut
+    HexPattern(9, (0, 7), (b"ab", b"cd"), ((1, 3),)),  # a gap over a run
+    HexPattern(9, (0, 7), (b"ab", b"cd"), ((3, 5),)),  # a gap over a run
+    HexPattern(9, (0, 7), (b"ab", b"cd"), ((3, 0),)),  # an empty gap
+    HexPattern(4, (3,), (b"ab",), ()),  # a run past the span
+    HexPattern(4, (-1,), (b"ab",), ()),  # a run before it
+    HexPattern(9, (0, 7), (b"ab", b"cd"), ((3, 2), (10, 1))),  # a gap past it
+    HexPattern(9, (0, 7), (b"ab", b"cd"), ((4, 2), (2, 1))),  # gaps out of order
+    HexPattern(9, (0,), (b"ab", b"cd"), ()),  # a run without its offset
+    HexPattern(0, (), (), ()),  # nothing
+])
+def test_write_refuses_pattern_that_reads_back_otherwise(pattern, tmp_path):
+    sf = SignatureFile("P", "1", (Signature("ok", TARGET_TEXT, from_elements((1, 2))),
+                                  Signature("bad", TARGET_TEXT, pattern)))
+    with pytest.raises(UnwritableSigFile, match="signature 'bad'"):
+        write_sigfile(sf, tmp_path / "p.sig")
+    assert not (tmp_path / "p.sig").exists()
+
+
+_SMALL = st.integers(-2, 24)
+_ANY_PATTERN = st.builds(
+    HexPattern, _SMALL, st.lists(_SMALL, max_size=4).map(tuple),
+    st.lists(st.binary(max_size=4), max_size=4).map(tuple),
+    st.lists(st.tuples(_SMALL, st.integers(-1, 6)), max_size=3).map(tuple))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_ANY_PATTERN, _elements.filter(well_formed).map(from_elements)))
+def test_any_pattern_is_refused_or_reads_back_as_written(pattern):
+    sf = SignatureFile("P", "1", (Signature("s", TARGET_TEXT, pattern),))
+    try:
+        blob = write_sigfile(sf)
+    except UnwritableSigFile:
+        return
+    assert parse_sigfile(blob) == sf
 
 
 _ANY_TEXT = st.text(alphabet=st.one_of(

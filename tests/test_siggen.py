@@ -19,7 +19,6 @@ from provsig.siggen import (
     TARGET_TEXT,
     TOO_SHORT,
     UNANCHORABLE,
-    Gap,
     HexPattern,
     NoTextSection,
     PatternSyntaxError,
@@ -32,11 +31,10 @@ from provsig.siggen import (
     sign_object,
     sign_shared_lib,
     unique_name,
-    Wild,
 )
 
 import pattern_reference
-from pattern_reference import ANY, expand, from_elements, reader_pairs, well_formed
+from pattern_reference import ANY, Gap, expand, from_elements, reader_pairs, well_formed
 from elfwriter import (
     R_X86_64_PC32,
     SHT_RELA,
@@ -61,14 +59,32 @@ def _segment_layout(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     return segments, gaps
 
 
-def _pattern_shape(pattern: HexPattern) -> list[tuple[str, int]]:
-    kinds = {bytes: "lit", Wild: "any", Gap: "gap"}
-    return [(kinds[type(token)], len(token)) for token in pattern.elements]
+def _kinds(pattern: HexPattern) -> list[tuple[str, int]]:
+    """The pattern's stretches in order: literal runs (``lit``), ``??``
+    runs (``any``) and gaps (``gap``), each with its length in bytes."""
+    parts = [(offset, "lit", len(literal))
+             for offset, literal in zip(pattern.offsets, pattern.literals)]
+    parts += [(offset, "gap", length) for offset, length in pattern.gaps]
+    shape = []
+    pos = 0
+    for offset, kind, length in sorted(parts):
+        if offset > pos:
+            shape.append(("any", offset - pos))
+        shape.append((kind, length))
+        pos = offset + length
+    if pattern.span > pos:
+        shape.append(("any", pattern.span - pos))
+    return shape
 
 
 def _maximal(pattern: HexPattern) -> bool:
-    """No two neighbouring tokens are of the same kind."""
-    return all(type(a) is not type(b) for a, b in zip(pattern.elements, pattern.elements[1:]))
+    """Every literal run is non-empty, and no two runs and no two gaps
+    abut, so the runs and gaps are those of the pattern's text."""
+    run_ends = [offset + len(literal) for offset, literal in zip(pattern.offsets, pattern.literals)]
+    gap_ends = [offset + length for offset, length in pattern.gaps]
+    return all(pattern.literals) \
+        and all(end < offset for end, offset in zip(run_ends, pattern.offsets[1:])) \
+        and all(end < offset for end, (offset, _) in zip(gap_ends, pattern.gaps[1:]))
 
 
 # -- masking -----------------------------------------------------------------
@@ -77,12 +93,13 @@ def test_mask_none():
     data = bytes(range(20))
     # an empty pair masks nothing, inside the section or past it
     for relocs in ([], [(5, 0)], [(0, 0), (20, 0), (30, 0)]):
-        assert build_pattern(data, reader_pairs(len(data), relocs)) == HexPattern((data,))
+        assert build_pattern(data, reader_pairs(len(data), relocs)) == \
+            HexPattern(20, (0,), (data,), ())
 
 
 def test_mask_overlapping_union():
     pattern = build_pattern(bytes(range(20)), [(4, 4), (6, 4)])
-    assert _pattern_shape(pattern) == [("lit", 4), ("any", 6), ("lit", 10)]
+    assert _kinds(pattern) == [("lit", 4), ("any", 6), ("lit", 10)]
 
 
 def test_mask_merges_abutting_and_clips_to_section():
@@ -90,7 +107,7 @@ def test_mask_merges_abutting_and_clips_to_section():
     relocs = [(20, 8), (2, 2), (-3, 4), (4, 2), (30, 4), (13, 1), (12, 4)]
     # masked: [0, 1), [2, 6), [12, 16), [20, 24); the edge wildcards are trimmed
     assert build_pattern(data, reader_pairs(len(data), relocs)) == HexPattern(
-        (data[1:2], Wild(4), data[6:12], Wild(4), data[16:20]))
+        19, (0, 5, 15), (data[1:2], data[6:12], data[16:20]), ())
 
 
 # -- build_pattern -----------------------------------------------------------
@@ -99,9 +116,8 @@ def test_pattern_call_stub_exact():
     pattern = build_pattern(CALL_STUB_TEXT, [(0x0E, 4)])
     assert isinstance(pattern, HexPattern)
     assert pattern_to_text(pattern) == CALL_STUB_PATTERN
-    span, runs, _ = pattern.layout()
-    assert sum(len(run) for _, run in runs) == 20
-    assert span == 24
+    assert sum(map(len, pattern.literals)) == 20
+    assert pattern.span == 24
 
 
 def test_pattern_too_short_boundary():
@@ -116,32 +132,32 @@ def test_pattern_300_bytes_segments():
     # frozen from the independent layout computation: tails of the three
     # thirds of [0, 300) are [15,100), [115,200), [215,300); gaps 15, 15
     assert _segment_layout(300) == ([(15, 100), (115, 200), (215, 300)], [15, 15])
-    assert _pattern_shape(pattern) == [("lit", 85), ("gap", 15), ("lit", 85),
+    assert _kinds(pattern) == [("lit", 85), ("gap", 15), ("lit", 85),
                                        ("gap", 15), ("lit", 85)]
-    assert pattern.layout()[:2] == (285, ((0, data[15:100]), (100, data[115:200]),
-                                          (200, data[215:300])))
+    assert pattern == (285, (0, 100, 200), (data[15:100], data[115:200], data[215:300]),
+                       ((85, 15), (185, 15)))
 
 
 def test_pattern_256_boundary_zero_gap_merges():
     data = bytes((i * 37 + 11) % 256 for i in range(256))
     pattern = build_pattern(data, [])
     # third = 85 so the first gap is zero: segments one and two abut
-    assert _pattern_shape(pattern) == [("lit", 170), ("gap", 1), ("lit", 85)]
-    assert pattern.layout()[:2] == (256, ((0, data[0:170]), (171, data[171:256])))
+    assert _kinds(pattern) == [("lit", 170), ("gap", 1), ("lit", 85)]
+    assert pattern == (256, (0, 171), (data[0:170], data[171:256]), ((170, 1),))
 
 
 def test_pattern_whole_section_below_cap():
     data = bytes(range(255))
     pattern = build_pattern(data, [])
-    assert _pattern_shape(pattern) == [("lit", 255)]
-    assert pattern.layout()[0] == 255
+    assert _kinds(pattern) == [("lit", 255)]
+    assert pattern.span == 255
 
 
 def test_pattern_edge_wildcards_trimmed():
     data = bytes(range(30))
     pattern = build_pattern(data, [(0, 4), (26, 4)])
-    assert _pattern_shape(pattern) == [("lit", 22)]
-    assert pattern.layout()[1] == ((0, data[4:26]),)
+    assert _kinds(pattern) == [("lit", 22)]
+    assert pattern[1:] == ((0,), (data[4:26],), ())
 
 
 def test_pattern_trimming_rechecks_minimum():
@@ -152,7 +168,7 @@ def test_pattern_trimming_rechecks_minimum():
 def test_pattern_interior_wildcards_counted_as_positions():
     data = bytes(range(18))
     pattern = build_pattern(data, [(4, 8)])
-    assert _pattern_shape(pattern) == [("lit", 4), ("any", 8), ("lit", 6)]
+    assert _kinds(pattern) == [("lit", 4), ("any", 8), ("lit", 6)]
     assert sum(1 for e in expand(pattern) if not isinstance(e, Gap)) == 18
 
 
@@ -175,16 +191,16 @@ def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
     # and its 85 ?? stay, ahead of the 1-byte gap before segment three
     data = bytes((i * 37 + 11) % 256 for i in range(256))
     pattern = build_pattern(data, reader_pairs(len(data), [(85, 85)]))
-    assert _pattern_shape(pattern) == [("lit", 85), ("any", 85), ("gap", 1), ("lit", 85)]
-    assert pattern.layout()[0] == 256
+    assert _kinds(pattern) == [("lit", 85), ("any", 85), ("gap", 1), ("lit", 85)]
+    assert pattern.span == 256
 
 
 def test_pattern_masked_middle_segment_dissolves_into_gap():
     data = bytes((i * 13 + 5) % 256 for i in range(300))
     relocs = [(o, 8) for o in range(112, 200, 8)] + [(196, 4)]
     pattern = build_pattern(data, relocs)
-    assert _pattern_shape(pattern) == [("lit", 85), ("gap", 115), ("lit", 85)]
-    assert pattern.layout()[0] == 285
+    assert _kinds(pattern) == [("lit", 85), ("gap", 115), ("lit", 85)]
+    assert pattern.span == 285
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,8 +228,8 @@ def test_segment_placement_matches_independent_layout(n):
         expected_gaps = [gaps[1]]
     else:
         expected_gaps = gaps
-    assert [run for _, run in pattern.layout()[1]] == expected_runs
-    assert [e.length for e in pattern.elements if isinstance(e, Gap)] == expected_gaps
+    assert list(pattern.literals) == expected_runs
+    assert [length for _, length in pattern.gaps] == expected_gaps
 
 
 @st.composite
@@ -236,10 +252,11 @@ def test_generated_pattern_well_formed(case):
     if isinstance(result, Rejected):
         assert result.reason in (TOO_SHORT, UNANCHORABLE)
         return
-    elements = result.elements
     assert _maximal(result)
-    assert isinstance(elements[0], bytes) and isinstance(elements[-1], bytes)
-    positions = sum(len(token) for token in elements if not isinstance(token, Gap))
+    # the first and last positions are literal
+    assert result.offsets[0] == 0
+    assert result.offsets[-1] + len(result.literals[-1]) == result.span
+    positions = result.span - sum(length for _, length in result.gaps)
     assert MIN_PATTERN_POSITIONS <= positions <= 255
 
 
@@ -310,6 +327,13 @@ def _relocs_around_segments() -> tuple[bytes, list[tuple[int, int]]]:
 @example((b"\x90" * 10, []))
 @example((b"\x90" * 20, [(4, 4), (6, 4)]))
 @example((b"\x90" * 20, [(16, 8), (2, 2), (-3, 4), (4, 2), (30, 4)]))
+# n = 256 and 257: the first two segments abut and are kept as one range
+@example((random.Random(256).randbytes(256), []))
+@example((random.Random(257).randbytes(257), [(0, 5), (80, 10), (168, 4)]))
+# the first kept segment starts masked, so the pattern starts past it;
+# then the first segment is masked throughout and the second starts masked
+@example((random.Random(300).randbytes(300), [(10, 9), (150, 2)]))
+@example((random.Random(300).randbytes(300), [(15, 85), (115, 3)]))
 def test_build_pattern_agrees_with_seven_pass_reference(case):
     data, relocs = case
     got = build_pattern(data, reader_pairs(len(data), relocs))
@@ -320,15 +344,15 @@ def test_build_pattern_agrees_with_seven_pass_reference(case):
     else:
         assert expand(got) == want
         assert _maximal(got)
-        assert all(len(token) for token in got.elements)  # no Wild(0) from an empty pair
+        assert all(got.literals)  # no empty run from an empty pair
 
 
 def test_anchor_longest_literal_run_earliest_on_ties():
-    pattern = HexPattern((b"\x01", Wild(1), b"\x02\x03", Gap(4), b"\x04\x05", Wild(1),
-                          b"\x06\x07\x08", Wild(1), b"\x09\x0a\x0b"))
-    assert pattern.layout()[2] == (11, b"\x06\x07\x08")
-    assert HexPattern((b"\x01", Wild(1), b"\x02", Gap(3), b"\x04")).layout()[2] is None
-    assert HexPattern((Wild(1),)).layout()[2] is None
+    pattern = parse_pattern_text("01??0203{4}0405??060708??090a0b")
+    assert matcher.compile([pattern]).keys == ((b"\x06\x07\x08", 11),)
+    for text in ("01??02{3}04", "??"):
+        with pytest.raises(matcher.UnanchorableSignature):
+            matcher.compile([parse_pattern_text(text)])
 
 
 # -- sign_object / sign_archive ----------------------------------------------
@@ -499,7 +523,8 @@ def test_sign_comments_vendor_string():
     sigs = sign_comments(["GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)"], "a.out")
     assert len(sigs) == 1
     assert sigs[0].target == TARGET_COMMENT
-    assert sigs[0].pattern.elements == (b"GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)",)
+    vendor = b"GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)"
+    assert sigs[0].pattern == HexPattern(len(vendor), (0,), (vendor,), ())
 
 
 def test_sign_comments_floor_and_dedup():
@@ -511,7 +536,7 @@ def test_sign_comments_floor_and_dedup():
 # -- pattern text syntax -------------------------------------------------------
 
 def test_pattern_text_round_trip():
-    pattern = HexPattern((b"\x55\x48", Wild(1), Gap(12), b"\xc9\xc3"))
+    pattern = HexPattern(17, (0, 15), (b"\x55\x48", b"\xc9\xc3"), ((3, 12),))
     text = pattern_to_text(pattern)
     assert text == "5548??{12}c9c3"
     assert parse_pattern_text(text) == pattern
@@ -529,19 +554,16 @@ def test_pattern_text_rejects(bad):
         parse_pattern_text(bad)
 
 
-def test_parsed_wildcards_and_gaps_are_shared_and_equal_fresh_tokens():
+def test_parsed_patterns_equal_and_hash_like_built_ones():
     first = parse_pattern_text("aa??{5}bb")
-    second = parse_pattern_text("cc??{5}dd????ee")
-    assert first.elements[1] is second.elements[1]
-    assert first.elements[2] is second.elements[2]
-    fresh = HexPattern((b"\xaa", Wild(1), Gap(5), b"\xbb"))
+    fresh = HexPattern(8, (0, 7), (b"\xaa", b"\xbb"), ((2, 5),))
     assert first == fresh and hash(first) == hash(fresh)
     assert len({first: 1, fresh: 2, parse_pattern_text("aa ?? {5} bb"): 3}) == 1
 
 
 def test_pattern_text_spaces_runs_and_leading_zeros():
     assert parse_pattern_text(" aa  bb??  ??{007} cc ") == HexPattern(
-        (b"\xaa\xbb", Wild(2), Gap(7), b"\xcc"))
+        12, (0, 11), (b"\xaa\xbb", b"\xcc"), ((4, 7),))
 
 
 def _outcome(parse, text):
@@ -576,6 +598,12 @@ _PATTERN_TOKENS = st.sampled_from(
 @example("aa\x0cbb")
 @example("AAbb")
 @example("aa{\u0663}bb")
+# two gaps after the last run; a gap after leading wildcards; wildcards
+# on both sides of a gap; the first spaced, for the token reader
+@example("aa{3}??{4}??")
+@example("aa {3} ?? {4} ??")
+@example("??{2}aa")
+@example("aa??{5}??bb")
 def test_parse_pattern_text_agrees_with_reference(text):
     assert _outcome(_parsed_elements, text) == \
         _outcome(pattern_reference.parse_pattern_text, text)
@@ -590,13 +618,15 @@ _ELEMENTS = st.lists(st.one_of(
 def test_pattern_layout_agrees_with_per_element_reference(elements):
     pattern = from_elements(elements)
     assert expand(pattern) == tuple(elements)
-    assert pattern.layout() == (pattern_reference.fixed_span(elements),
-                                tuple(pattern_reference.literal_runs(elements)),
-                                pattern_reference.anchor(elements))
+    assert (pattern.span, list(zip(pattern.offsets, pattern.literals))) == \
+        (pattern_reference.fixed_span(elements), pattern_reference.literal_runs(elements))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_ELEMENTS.filter(well_formed))
+@example([0xAA, Gap(3), ANY, Gap(4), ANY])  # aa{3}??{4}??
+@example([ANY, Gap(2), 0xAA])  # ??{2}aa
+@example([0xAA, ANY, Gap(5), ANY, 0xBB])  # aa??{5}??bb
 def test_pattern_text_round_trip_keeps_tokens_maximal(elements):
     pattern = from_elements(elements)
     text = pattern_to_text(pattern)
