@@ -21,8 +21,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from provsig import elf, matcher, sigdb, siggen, symver
 from provsig.elf import MalformedArchive, MalformedElf, UnsupportedElf
@@ -38,35 +38,35 @@ METHOD_MD5 = "md5"
 METHOD_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class PackageHit:
+class PackageHit(NamedTuple):
     package: str
     version: str
     count: int
     total_bytes: int
 
 
-@dataclass(frozen=True)
-class DynlibFinding:
+class DynlibFinding(NamedTuple):
     library: str
     method: str  # symver | md5 | unknown
     name: str    # version label or package name; empty when unknown
     version: str
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     target: str
-    package_hits: list[PackageHit] = field(default_factory=list)
-    dynlib_findings: list[DynlibFinding] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    package_hits: tuple[PackageHit, ...] = ()
+    dynlib_findings: tuple[DynlibFinding, ...] = ()
+    warnings: tuple[str, ...] = ()
 
 
 def format_report(report: ScanReport, fmt: str) -> str:
     """Render one target's report as human-readable lines or one JSON
     document."""
     if fmt == "json":
-        return json.dumps(asdict(report))
+        return json.dumps({"target": report.target,
+                           "package_hits": [h._asdict() for h in report.package_hits],
+                           "dynlib_findings": [f._asdict() for f in report.dynlib_findings],
+                           "warnings": report.warnings})
     lines = [f"({h.count} times, {h.total_bytes} bytes) {h.package} {h.version}"
              for h in report.package_hits]
     for finding in report.dynlib_findings:
@@ -265,7 +265,6 @@ def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
     resolved so far in this call to its :func:`_library_outcome`, so a
     library many targets need is read once."""
     image = elf.parse_elf(Path(target_path).read_bytes())
-    report = ScanReport(target=target_path)
     counts: dict[tuple[str, str], list[int]] = {}
 
     def accumulate(matches, owners):
@@ -281,24 +280,26 @@ def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
     if comment is not None:
         accumulate(matcher.scan_all(comment_engine, comment.data), comment_owners)
 
-    report.package_hits = sorted(
+    package_hits = sorted(
         (PackageHit(package=pkg, version=ver, count=c, total_bytes=b)
          for (pkg, ver), (c, b) in counts.items()),
         key=lambda h: (-h.count, -h.total_bytes, h.package, h.version))
 
+    dynlib_findings: list[DynlibFinding] = []
+    warnings: list[str] = []
     if not no_dynamic:
         for soname, resolved in resolve_dynamic(image.dynamic_needed, search_paths):
             if resolved is None:
-                report.warnings.append(f"unresolved dynamic library: {soname}")
+                warnings.append(f"unresolved dynamic library: {soname}")
                 continue
             outcome = libraries.get(resolved)
             if outcome is None:
                 outcome = libraries[resolved] = _library_outcome(db, resolved, labels)
             findings, warning = outcome
-            report.dynlib_findings.extend(findings)
+            dynlib_findings.extend(findings)
             if warning is not None:
-                report.warnings.append(warning)
-    return report
+                warnings.append(warning)
+    return ScanReport(target_path, tuple(package_hits), tuple(dynlib_findings), tuple(warnings))
 
 
 def _library_outcome(db: sigdb.Database, resolved: str,

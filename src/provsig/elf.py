@@ -19,7 +19,6 @@ from __future__ import annotations
 import logging
 import os
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
@@ -71,8 +70,7 @@ class Section(NamedTuple):
     sh_info: int = 0
 
 
-@dataclass(frozen=True)
-class ElfImage:
+class ElfImage(NamedTuple):
     """Parsed view of an ELF file.
 
     ``sections`` preserves file order (including the index-0 null
@@ -86,8 +84,7 @@ class ElfImage:
     is_relocatable: bool
 
 
-@dataclass(frozen=True)
-class ArchiveMember:
+class ArchiveMember(NamedTuple):
     name: str
     data: bytes
 

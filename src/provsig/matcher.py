@@ -70,8 +70,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
+from typing import NamedTuple
 
 from provsig.siggen import HexPattern
 
@@ -94,8 +94,7 @@ class UnanchorableSignature(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """One verified occurrence: which signature, where, how many bytes."""
 
     signature_id: int

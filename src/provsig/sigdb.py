@@ -25,14 +25,15 @@ containing colons round-trip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 from provsig.siggen import (
     TARGET_COMMENT,
     TARGET_DYNLIB,
     TARGET_TEXT,
+    HexPattern,
     PatternSyntaxError,
     Signature,
     parse_pattern_text,
@@ -43,6 +44,7 @@ MAGIC_LINE = "provsig 1"
 
 _HEX_TARGETS = (TARGET_TEXT, TARGET_COMMENT)
 _MD5_DIGEST_LEN = 32
+_MD5_PAYLOAD = re.compile(r"[0-9a-f]{32}:[0-9]+")
 
 
 class MalformedSigFile(ValueError):
@@ -57,8 +59,7 @@ class EmptyDatabase(ValueError):
     """Database directory from which nothing loaded."""
 
 
-@dataclass(frozen=True)
-class SignatureFile:
+class SignatureFile(NamedTuple):
     """Signatures from one compiler/library, annotated with its identity."""
 
     package: str
@@ -66,12 +67,14 @@ class SignatureFile:
     signatures: tuple[Signature, ...]
 
 
-@dataclass(frozen=True)
-class Database:
+class Database(NamedTuple):
     """All loaded signature files with dense, load-stable signature ids."""
 
     files: tuple[SignatureFile, ...]
     warnings: tuple[str, ...]
+    # (digest, text size) of each md5 record, the key text_md5_key
+    # computes -> the file holding the first such record in load order
+    md5_owners: dict[tuple[str, int], SignatureFile]
 
     def iter_signatures(self):
         """(signature id, signature, owning file), ids counted in load order."""
@@ -80,17 +83,6 @@ class Database:
             for sig in sf.signatures:
                 yield sig_id, sig, sf
                 sig_id += 1
-
-    @cached_property
-    def md5_owners(self) -> dict[tuple[str, int], SignatureFile]:
-        """(digest, text size) of each md5 record, the key
-        :func:`provsig.siggen.text_md5_key` computes -> the file holding
-        the first such record in load order."""
-        owners: dict[tuple[str, int], SignatureFile] = {}
-        for _, sig, owner in self.iter_signatures():
-            if sig.target == TARGET_DYNLIB:
-                owners.setdefault((sig.digest, sig.text_size), owner)
-        return owners
 
 
 def _is_comment(line: str) -> bool:
@@ -119,8 +111,14 @@ def _check_writable(sf: SignatureFile) -> None:
         if sig.name in seen:
             raise UnwritableSigFile(f"duplicate signature name {sig.name!r}")
         seen.add(sig.name)
-        if sig.target not in (*_HEX_TARGETS, TARGET_DYNLIB):
+        if sig.target == TARGET_DYNLIB:
+            payload = f"{sig.digest}:{sig.text_size}"
+            if not _MD5_PAYLOAD.fullmatch(payload):
+                raise UnwritableSigFile(f"bad md5 payload {payload!r} of signature {sig.name!r}")
+        elif sig.target not in _HEX_TARGETS:
             raise UnwritableSigFile(f"bad target {sig.target!r} of signature {sig.name!r}")
+        elif not isinstance(sig.pattern, HexPattern):
+            raise UnwritableSigFile(f"signature {sig.name!r} has no hex pattern")
 
 
 def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
@@ -239,4 +237,9 @@ def load_db(directory) -> Database:
     if not files:
         detail = f" ({len(warnings)} file(s) failed to parse)" if warnings else ""
         raise EmptyDatabase(f"no signature files loaded from {root}{detail}")
-    return Database(files=tuple(files), warnings=tuple(warnings))
+    md5_owners: dict[tuple[str, int], SignatureFile] = {}
+    for sf in files:
+        for sig in sf.signatures:
+            if sig.target == TARGET_DYNLIB:
+                md5_owners.setdefault((sig.digest, sig.text_size), sf)
+    return Database(tuple(files), tuple(warnings), md5_owners)

@@ -25,7 +25,6 @@ import hashlib
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from provsig import elf
@@ -73,8 +72,7 @@ class HexPattern(NamedTuple):
     gaps: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     """An input that produced no signature, and why.
 
     :func:`build_pattern` leaves ``name`` empty; :func:`sign_object` and

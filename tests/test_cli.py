@@ -100,6 +100,12 @@ def test_format_report_json_round_trip():
                              "version": "2"}],
         "warnings": ["unresolved dynamic library: libz.so.1"],
     }
+    assert format_report(report, "json") == (
+        '{"target": "a.out", '
+        '"package_hits": [{"package": "P", "version": "1.0", "count": 2, "total_bytes": 64}], '
+        '"dynlib_findings": [{"library": "/l/x.so", "method": "md5", "name": "X", '
+        '"version": "2"}], '
+        '"warnings": ["unresolved dynamic library: libz.so.1"]}')
 
 
 # -- resolve_dynamic ----------------------------------------------------------------
@@ -624,6 +630,17 @@ def _run_module(*args, text=True, **env) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "provsig.cli", *args], env=env,
                           capture_output=True, text=text, timeout=60)
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every audit pays provsig's start-up; dataclasses would pull in
+    # inspect, ast, dis and copy.  -S keeps site's own imports out.
+    src = str(Path(provsig.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import provsig.cli; "
+            "print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_module_entry_runs_siggen(tmp_path):

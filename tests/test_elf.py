@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import shutil
 import string
@@ -449,7 +448,7 @@ def _relocatable_images(draw):
         cut = draw(st.sampled_from(tables))
         sections = list(image.sections)
         sections[cut] = sections[cut]._replace(data=sections[cut].data + bytes(3))
-        image = dataclasses.replace(image, sections=tuple(sections))
+        image = image._replace(sections=tuple(sections))
     return image
 
 

@@ -250,6 +250,19 @@ def test_write_rejects_invalid_files(tmp_path):
         write_sigfile(SignatureFile("P", "1", (_hex_sig("a", (1, 2), target="data"),)))
 
 
+@pytest.mark.parametrize("sig", [
+    Signature("a", TARGET_DYNLIB, digest="ABC", text_size=1),
+    _md5_sig("a", size=-1),
+    Signature("a", TARGET_DYNLIB),
+    Signature("a", TARGET_TEXT),
+], ids=["short-uppercase-digest", "negative-text-size", "no-digest", "no-pattern"])
+def test_write_refuses_record_that_reads_back_otherwise(sig, tmp_path):
+    sf = SignatureFile("P", "1", (_md5_sig("ok"), sig))
+    with pytest.raises(UnwritableSigFile, match="signature 'a'"):
+        write_sigfile(sf, tmp_path / "p.sig")
+    assert not (tmp_path / "p.sig").exists()
+
+
 @pytest.mark.parametrize("pattern", [
     HexPattern(5, (3,), (b"ab",), ((0, 3),)),  # a gap first: {3}6162
     HexPattern(5, (0,), (b"ab",), ((2, 3),)),  # a gap last
