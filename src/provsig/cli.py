@@ -240,22 +240,36 @@ def _sigscan_parser() -> _Parser:
     return parser
 
 
-def _compile_engine(db: sigdb.Database, target: str):
-    """Compile the patterns of all signatures of one target into an
-    engine plus the list of their owners: ``owners[i]`` holds engine
-    index ``i``.
+def _compile_engine(db: sigdb.Database):
+    """Compile the patterns of all text signatures and of all comment
+    signatures, gathered in one walk over the database, into
+    ``[(text engine, owners), (comment engine, owners)]``: ``owners[i]``
+    holds engine index ``i``.
 
     Raises ValueError naming an unanchorable signature ``sig_id:name``,
-    since the same object name can recur across packages.
+    with ids counted in load order, since the same object name can recur
+    across packages.
     """
-    selected = [(sig_id, sig, owner) for sig_id, sig, owner in db.iter_signatures()
-                if sig.target == target]
-    try:
-        engine = matcher.compile([sig.pattern for _, sig, _ in selected])
-    except matcher.UnanchorableSignature as exc:
-        sig_id, sig, _ = selected[exc.index]
-        raise ValueError(f"{sig_id}:{sig.name}") from None
-    return engine, [owner for _, _, owner in selected]
+    # target -> the ids, patterns and owning files of its signatures
+    picked = {siggen.TARGET_TEXT: ([], [], []), siggen.TARGET_COMMENT: ([], [], [])}
+    sig_id = 0
+    for sf in db.files:
+        for sig in sf.signatures:
+            lists = picked.get(sig.target)
+            if lists is not None:
+                lists[0].append(sig_id)
+                lists[1].append(sig.pattern)
+                lists[2].append(sf)
+            sig_id += 1
+    compiled = []
+    for ids, patterns, owners in picked.values():
+        try:
+            compiled.append((matcher.compile(patterns), owners))
+        except matcher.UnanchorableSignature as exc:
+            sig_id = ids[exc.index]
+            name = [sig.name for sf in db.files for sig in sf.signatures][sig_id]
+            raise ValueError(f"{sig_id}:{name}") from None
+    return compiled
 
 
 def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
@@ -364,8 +378,7 @@ def sigscan_main(argv=None) -> int:
         search_paths.extend(p for p in env_paths.split(os.pathsep) if p)
 
         try:
-            text_engine, text_owners = _compile_engine(db, siggen.TARGET_TEXT)
-            comment_engine, comment_owners = _compile_engine(db, siggen.TARGET_COMMENT)
+            (text_engine, text_owners), (comment_engine, comment_owners) = _compile_engine(db)
         except ValueError as exc:
             _err(f"sigscan: cannot compile database: {exc}")
             return EXIT_INPUT

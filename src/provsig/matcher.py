@@ -122,21 +122,21 @@ class CompiledEngine:
 def compile(patterns: list[HexPattern]) -> CompiledEngine:
     """Build one engine from hex patterns.
 
-    Each pattern's anchor is its longest literal run, earliest on ties,
-    read from its run lengths.  The filter is keyed on the first
-    ``KEY_LEN`` bytes of the anchor, unless that key is padding (see
-    :func:`_padding_free_key`).  Matches report list indices.  Raises
-    UnanchorableSignature if a pattern has no anchor (generated patterns
-    always have one; this guards hand-written input).
+    Each pattern's anchor is its longest literal run, earliest on ties:
+    ``max`` by length returns the earliest, and ``index`` finds it, since
+    an equal run before it would be as long.  The filter is keyed on
+    the first ``KEY_LEN`` bytes of the anchor, unless that key is
+    padding (see :func:`_padding_free_key`).  Matches report list
+    indices.  Raises UnanchorableSignature if a pattern has no anchor
+    (generated patterns always have one; this guards hand-written
+    input).
     """
     keys: list[tuple[bytes, int]] = []
     for index, (_, offsets, literals, _) in enumerate(patterns):
-        lengths = list(map(len, literals))
-        longest = max(lengths, default=0)
-        if longest < 2:
+        longest = max(literals, key=len, default=b"")
+        if len(longest) < 2:
             raise UnanchorableSignature(index)
-        anchor = lengths.index(longest)
-        keys.append((literals[anchor][:KEY_LEN], offsets[anchor]))
+        keys.append((longest[:KEY_LEN], offsets[literals.index(longest)]))
     for index in _padding_keys([key for key, _ in keys]):
         _, offsets, literals, _ = patterns[index]
         keys[index] = _padding_free_key(zip(offsets, literals)) or keys[index]

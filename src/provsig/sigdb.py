@@ -36,6 +36,7 @@ from provsig.siggen import (
     HexPattern,
     PatternSyntaxError,
     Signature,
+    _parse_canonical,
     parse_pattern_text,
     pattern_to_text,
 )
@@ -76,17 +77,10 @@ class Database(NamedTuple):
     # computes -> the file holding the first such record in load order
     md5_owners: dict[tuple[str, int], SignatureFile]
 
-    def iter_signatures(self):
-        """(signature id, signature, owning file), ids counted in load order."""
-        sig_id = 0
-        for sf in self.files:
-            for sig in sf.signatures:
-                yield sig_id, sig, sf
-                sig_id += 1
-
 
 def _is_comment(line: str) -> bool:
-    """Whether the reader skips ``line`` as a comment."""
+    """Whether the reader skips ``line`` as a comment (:func:`parse_sigfile`
+    makes the same test inline)."""
     return line.lstrip().startswith("#")
 
 
@@ -112,7 +106,10 @@ def _check_writable(sf: SignatureFile) -> None:
             raise UnwritableSigFile(f"duplicate signature name {sig.name!r}")
         seen.add(sig.name)
         if sig.target == TARGET_DYNLIB:
-            payload = f"{sig.digest}:{sig.text_size}"
+            try:
+                payload = f"{sig.digest}:{sig.text_size}"
+            except ValueError as exc:  # more digits than str() converts
+                raise UnwritableSigFile(f"text size of signature {sig.name!r}: {exc}") from exc
             if not _MD5_PAYLOAD.fullmatch(payload):
                 raise UnwritableSigFile(f"bad md5 payload {payload!r} of signature {sig.name!r}")
         elif sig.target not in _HEX_TARGETS:
@@ -149,7 +146,15 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
 
 
 def parse_sigfile(data: bytes) -> SignatureFile:
-    """Inverse of :func:`write_sigfile`."""
+    """Inverse of :func:`write_sigfile`.
+
+    A hex signature line as :func:`write_sigfile` writes it is read in
+    one step: one ``rsplit`` into name, target, kind and payload, and
+    one :func:`~provsig.siggen._parse_canonical` call.  Every other
+    signature line goes to :func:`_parse_signature_line` and
+    :func:`~provsig.siggen.parse_pattern_text`, which alone judge it and
+    word its errors.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -163,16 +168,26 @@ def parse_sigfile(data: bytes) -> SignatureFile:
     signatures: list[Signature] = []
     names: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip() or _is_comment(line):
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "#":  # blank or a comment
             continue
-        if ":" not in line:
+        fields = line.rsplit(":", 3)
+        if len(fields) == 1:  # no colon: a header line
             key, _, value = line.partition(" ")
             if key == "package":
                 package = value
             elif key == "version":
                 version = value
             continue  # unknown header keys are ignored
-        sig = _parse_signature_line(line, lineno)
+        pattern = None
+        if len(fields) == 4:
+            name, target, kind, payload = fields
+            if kind == "hex" and name and target in _HEX_TARGETS:
+                pattern = _parse_canonical(payload)
+        if pattern is None:
+            sig = _parse_signature_line(line, lineno)
+        else:
+            sig = Signature(name, target, pattern)
         if sig.name in names:
             raise MalformedSigFile(f"line {lineno}: duplicate signature name {sig.name!r}")
         names.add(sig.name)

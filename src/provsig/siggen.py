@@ -347,12 +347,14 @@ def _parse_canonical(text: str) -> HexPattern | None:
     writes it, else None.  The one place a pattern is built from text.
 
     The text is split on ``{``: every part after the first is
-    ``digits}rest``, a gap and the part it leads to.  Each gap-free
-    part is split on ``??``: every boundary of that split is one
-    wildcard byte, and every non-empty piece one literal run, read by
-    :meth:`bytes.fromhex`.  That call skips ASCII whitespace and reads
-    uppercase, which the grammar refuses, so text holding either is
-    declined before it is split.
+    ``digits}rest``, a gap and the part it leads to.  A gap-free part
+    that holds no ``?`` is one literal run, read by one
+    :meth:`bytes.fromhex`.  Any other is split on ``??``: every boundary
+    of that split is one wildcard byte, and every non-empty piece one
+    literal run, read the same way.  That call skips ASCII whitespace
+    and reads uppercase, which the grammar refuses, so text holding
+    either is declined before it is split.  The pattern is built as
+    :meth:`HexPattern._make` builds it, without a Python-level call.
     """
     for char in _FROMHEX_ONLY:
         if char in text:
@@ -375,6 +377,12 @@ def _parse_canonical(text: str) -> HexPattern | None:
                 pos += length
             if not part:  # empty text, a gap first, last or next to a gap
                 return None
+            if "?" not in part:  # one literal run
+                literal = fromhex(part)
+                offsets.append(pos)
+                literals.append(literal)
+                pos += len(literal)
+                continue
             pos -= 1
             for piece in part.split("??"):
                 pos += 1  # the ``??`` before every piece but the first
@@ -385,7 +393,7 @@ def _parse_canonical(text: str) -> HexPattern | None:
                     pos += len(literal)
     except ValueError:  # not hex pairs, or more digits than int() converts
         return None
-    return HexPattern(pos, tuple(offsets), tuple(literals), tuple(gaps))
+    return tuple.__new__(HexPattern, (pos, tuple(offsets), tuple(literals), tuple(gaps)))
 
 
 def parse_pattern_text(text: str) -> HexPattern:

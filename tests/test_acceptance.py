@@ -238,7 +238,7 @@ def test_c4_end_to_end_plant_and_detect(tmp_path):
 
     db = load_db(db_dir)
     span_by_name = {sig.name: sig.pattern.span
-                    for _, sig, _ in db.iter_signatures()}
+                    for sf in db.files for sig in sf.signatures}
 
     # targets: embed snippets with their relocation bytes randomized
     catalog = sorted(sections.keys())
@@ -388,7 +388,7 @@ def test_c8_throughput_linearity(tmp_path):
     db = load_db(db_dir)
     signature_count = sum(len(sf.signatures) for sf in db.files)
     assert signature_count >= 10000
-    engine = matcher.compile([sig.pattern for _, sig, _ in db.iter_signatures()])
+    engine = matcher.compile([sig.pattern for sf in db.files for sig in sf.signatures])
 
     sizes_mb = [1, 2, 4, 8, 16, 32]
     matcher.scan_all(engine, rng.randbytes(1 << 18))  # warm-up

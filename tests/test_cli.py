@@ -575,14 +575,16 @@ def test_sigscan_unanchorable_signature_named_by_database_id(tmp_path, capsys):
         "ok.o:.text:text:hex:4142434445\n"
         "gcc:.comment:comment:hex:474343\n"
         "libx.so:.text:dynlib:md5:" + "ab" * 16 + ":10\n")
-    (db / "b.sig").write_text(
-        "provsig 1\npackage B\nversion 1\nsolo.o:.text:text:hex:41??42\n")
     target = tmp_path / "prog"
     target.write_bytes(build_executable(CALL_STUB_TEXT))
-    assert sigscan_main(["--db", str(db), "--no-dynamic", str(target)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "sigscan: cannot compile database: 3:solo.o:.text\n"
+    # ids count every signature in load order, of any target
+    for line, name in (("solo.o:.text:text:hex:41??42", "3:solo.o:.text"),
+                       ("solo:.comment.0:comment:hex:47??43", "3:solo:.comment.0")):
+        (db / "b.sig").write_text(f"provsig 1\npackage B\nversion 1\n{line}\n")
+        assert sigscan_main(["--db", str(db), "--no-dynamic", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sigscan: cannot compile database: {name}\n"
 
 
 def test_sigscan_usage_error_exit_1(capsys):

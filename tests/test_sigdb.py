@@ -125,6 +125,42 @@ def test_parse_pattern_error_texts(payload, message):
     assert str(caught.value) == message
 
 
+# lines at the edges of the one-step read of a canonical hex line, with
+# the record parse_sigfile makes of each, none for a comment, or the
+# text of the MalformedSigFile it raises
+@pytest.mark.parametrize("line, outcome", [
+    ("n:text:hex:aa bb{2}cc",
+     Signature("n", TARGET_TEXT, HexPattern(5, (0, 4), (b"\xaa\xbb", b"\xcc"), ((2, 2),)))),
+    ("n:comment:hex:aa bb ?? cc",
+     Signature("n", TARGET_COMMENT, HexPattern(4, (0, 3), (b"\xaa\xbb", b"\xcc"), ()))),
+    ("n:text:hex:aaBB", "line 4: bad token at offset 2: 'BB'"),
+    ("  #n:text:hex:aabb", None),
+    ("\t\u3000# n:text:hex:aabb", None),
+    ("lib.a/x.o:.text:text:hex:aabb",
+     Signature("lib.a/x.o:.text", TARGET_TEXT, HexPattern(2, (0,), (b"\xaa\xbb",), ()))),
+    ("a:hex:b:comment:hex:aabb",
+     Signature("a:hex:b", TARGET_COMMENT, HexPattern(2, (0,), (b"\xaa\xbb",), ()))),
+    (":text:hex:aabb", "line 4: empty signature name"),
+    (":text:hex:aa bb", "line 4: empty signature name"),
+    (":text:hex:a a", "line 4: bad hex run 'a a'"),
+    ("n:dynlib:hex:aabb", "line 4: bad hex target 'dynlib'"),
+    ("n:text:hex:aa:bb", "line 4: unrecognized signature line"),
+], ids=["spaced", "spaced-wildcards", "uppercase", "comment-after-blanks",
+        "comment-after-unicode-blanks", "name-with-colons", "name-with-kind", "empty-name",
+        "empty-name-spaced", "empty-name-bad-pattern", "hex-under-dynlib", "colon-in-payload"])
+def test_parse_line_at_the_edges_of_the_one_step_read(line, outcome):
+    data = f"provsig 1\npackage P\nversion 1\n{line}\n".encode()
+    if isinstance(outcome, str):
+        with pytest.raises(MalformedSigFile) as caught:
+            parse_sigfile(data)
+        assert str(caught.value) == outcome
+        return
+    signatures = parse_sigfile(data).signatures
+    assert signatures == (() if outcome is None else (outcome,))
+    for sig in signatures:
+        assert type(sig) is Signature and type(sig.pattern) is HexPattern
+
+
 def test_parse_rejects_missing_package():
     with pytest.raises(MalformedSigFile, match="package"):
         parse_sigfile(b"provsig 1\nversion 1\n")
@@ -255,7 +291,9 @@ def test_write_rejects_invalid_files(tmp_path):
     _md5_sig("a", size=-1),
     Signature("a", TARGET_DYNLIB),
     Signature("a", TARGET_TEXT),
-], ids=["short-uppercase-digest", "negative-text-size", "no-digest", "no-pattern"])
+    _md5_sig("a", "a" * 32, 10 ** 5000),
+], ids=["short-uppercase-digest", "negative-text-size", "no-digest", "no-pattern",
+        "text-size-beyond-int-digit-limit"])
 def test_write_refuses_record_that_reads_back_otherwise(sig, tmp_path):
     sf = SignatureFile("P", "1", (_md5_sig("ok"), sig))
     with pytest.raises(UnwritableSigFile, match="signature 'a'"):
@@ -336,7 +374,7 @@ def test_load_db_three_files(tmp_path):
     db = load_db(tmp_path)
     assert [sf.package for sf in db.files] == ["P0", "P1", "P2"]
     assert sum(len(sf.signatures) for sf in db.files) == 3
-    assert [(sig_id, owner.package) for sig_id, _, owner in db.iter_signatures()] == \
+    assert list(enumerate(sf.package for sf in db.files for _ in sf.signatures)) == \
         [(0, "P0"), (1, "P1"), (2, "P2")]
 
 
@@ -371,9 +409,8 @@ def test_load_db_deterministic_id_assignment(tmp_path):
     db1 = load_db(tmp_path)
     db2 = load_db(tmp_path)
     assert db1 == db2
-    assert [(sig_id, sig.name, owner.package)
-            for sig_id, sig, owner in db1.iter_signatures()] == \
-        [(0, "a1", "A"), (1, "a2", "A"), (2, "z1", "Z")]
+    assert list(enumerate((sig.name, sf.package) for sf in db1.files for sig in sf.signatures)) \
+        == [(0, ("a1", "A")), (1, ("a2", "A")), (2, ("z1", "Z"))]
     assert sum(len(sf.signatures) for sf in db1.files) == 3
 
 

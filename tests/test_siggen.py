@@ -604,6 +604,13 @@ _PATTERN_TOKENS = st.sampled_from(
 @example("aa {3} ?? {4} ??")
 @example("??{2}aa")
 @example("aa??{5}??bb")
+# parts without a ``?``, each read by one bytes.fromhex: an odd run, an
+# odd run after a gap, a lone ``?``, uppercase after a gap, a spaced pair
+@example("aab")
+@example("aa{2}b")
+@example("aa?b{1}cc")
+@example("AA{1}bb")
+@example("a a")
 def test_parse_pattern_text_agrees_with_reference(text):
     assert _outcome(_parsed_elements, text) == \
         _outcome(pattern_reference.parse_pattern_text, text)

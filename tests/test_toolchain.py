@@ -154,8 +154,8 @@ def test_static_cxx_program_reports_signed_cxx_and_c_archives(tmp_path, capsys):
     for name, archive in archives.items():
         assert siggen_main(["obj", archive, "--package", f"host {name[:-2]}",
                             "--version", "static", "-o", str(db / f"{name}.sig")]) == 0
-    engine = matcher.compile([sig.pattern for _, sig, _ in sigdb.load_db(db).iter_signatures()
-                              if sig.target == siggen.TARGET_TEXT])
+    engine = matcher.compile([sig.pattern for sf in sigdb.load_db(db).files
+                              for sig in sf.signatures if sig.target == siggen.TARGET_TEXT])
     assert len({key for key, _ in engine.keys}) < len(engine.keys)
     (tmp_path / "args.cc").write_text(ARGS_CXX)
     binary = tmp_path / "args"
