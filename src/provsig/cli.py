@@ -250,24 +250,23 @@ def _compile_engine(db: sigdb.Database):
     with ids counted in load order, since the same object name can recur
     across packages.
     """
-    # target -> the ids, patterns and owning files of its signatures
+    # target -> the (id, name), patterns and owning files of its signatures
     picked = {siggen.TARGET_TEXT: ([], [], []), siggen.TARGET_COMMENT: ([], [], [])}
     sig_id = 0
     for sf in db.files:
         for sig in sf.signatures:
             lists = picked.get(sig.target)
             if lists is not None:
-                lists[0].append(sig_id)
+                lists[0].append((sig_id, sig.name))
                 lists[1].append(sig.pattern)
                 lists[2].append(sf)
             sig_id += 1
     compiled = []
-    for ids, patterns, owners in picked.values():
+    for named, patterns, owners in picked.values():
         try:
             compiled.append((matcher.compile(patterns), owners))
         except matcher.UnanchorableSignature as exc:
-            sig_id = ids[exc.index]
-            name = [sig.name for sf in db.files for sig in sf.signatures][sig_id]
+            sig_id, name = named[exc.index]
             raise ValueError(f"{sig_id}:{name}") from None
     return compiled
 

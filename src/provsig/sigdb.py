@@ -36,7 +36,6 @@ from provsig.siggen import (
     HexPattern,
     PatternSyntaxError,
     Signature,
-    _parse_canonical,
     parse_pattern_text,
     pattern_to_text,
 )
@@ -79,8 +78,7 @@ class Database(NamedTuple):
 
 
 def _is_comment(line: str) -> bool:
-    """Whether the reader skips ``line`` as a comment (:func:`parse_sigfile`
-    makes the same test inline)."""
+    """Whether the reader skips ``line`` as a comment."""
     return line.lstrip().startswith("#")
 
 
@@ -148,12 +146,11 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
 def parse_sigfile(data: bytes) -> SignatureFile:
     """Inverse of :func:`write_sigfile`.
 
-    A hex signature line as :func:`write_sigfile` writes it is read in
-    one step: one ``rsplit`` into name, target, kind and payload, and
-    one :func:`~provsig.siggen._parse_canonical` call.  Every other
-    signature line goes to :func:`_parse_signature_line` and
-    :func:`~provsig.siggen.parse_pattern_text`, which alone judge it and
-    word its errors.
+    A hex signature line costs one ``rsplit`` into name, target, kind
+    and payload, and one :func:`~provsig.siggen.parse_pattern_text`
+    call, which reads a payload as :func:`write_sigfile` writes it in
+    C-level string passes.  Every other signature line goes to
+    :func:`_parse_signature_line`.
     """
     try:
         text = data.decode("utf-8")
@@ -168,8 +165,7 @@ def parse_sigfile(data: bytes) -> SignatureFile:
     signatures: list[Signature] = []
     names: set[str] = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.lstrip()
-        if not stripped or stripped[0] == "#":  # blank or a comment
+        if not line.strip() or _is_comment(line):
             continue
         fields = line.rsplit(":", 3)
         if len(fields) == 1:  # no colon: a header line
@@ -179,15 +175,19 @@ def parse_sigfile(data: bytes) -> SignatureFile:
             elif key == "version":
                 version = value
             continue  # unknown header keys are ignored
-        pattern = None
-        if len(fields) == 4:
-            name, target, kind, payload = fields
-            if kind == "hex" and name and target in _HEX_TARGETS:
-                pattern = _parse_canonical(payload)
-        if pattern is None:
-            sig = _parse_signature_line(line, lineno)
-        else:
+        if len(fields) == 4 and fields[2] == "hex":
+            name, target, _, payload = fields
+            if target not in _HEX_TARGETS:
+                raise MalformedSigFile(f"line {lineno}: bad hex target {target!r}")
+            try:
+                pattern = parse_pattern_text(payload)
+            except PatternSyntaxError as exc:
+                raise MalformedSigFile(f"line {lineno}: {exc}") from exc
+            if not name:
+                raise MalformedSigFile(f"line {lineno}: empty signature name")
             sig = Signature(name, target, pattern)
+        else:
+            sig = _parse_signature_line(line, lineno)
         if sig.name in names:
             raise MalformedSigFile(f"line {lineno}: duplicate signature name {sig.name!r}")
         names.add(sig.name)
@@ -201,19 +201,8 @@ def parse_sigfile(data: bytes) -> SignatureFile:
 
 
 def _parse_signature_line(line: str, lineno: int) -> Signature:
+    """An md5 signature line; any other line here is unrecognized."""
     fields = line.split(":")
-    if len(fields) >= 4 and fields[-2] == "hex":
-        name = ":".join(fields[:-3])
-        target = fields[-3]
-        if target not in _HEX_TARGETS:
-            raise MalformedSigFile(f"line {lineno}: bad hex target {target!r}")
-        try:
-            pattern = parse_pattern_text(fields[-1])
-        except PatternSyntaxError as exc:
-            raise MalformedSigFile(f"line {lineno}: {exc}") from exc
-        if not name:
-            raise MalformedSigFile(f"line {lineno}: empty signature name")
-        return Signature(name=name, target=target, pattern=pattern)
     if len(fields) >= 5 and fields[-3] == "md5":
         name = ":".join(fields[:-4])
         target = fields[-4]

@@ -347,13 +347,13 @@ def _parse_canonical(text: str) -> HexPattern | None:
     writes it, else None.  The one place a pattern is built from text.
 
     The text is split on ``{``: every part after the first is
-    ``digits}rest``, a gap and the part it leads to.  A gap-free part
-    that holds no ``?`` is one literal run, read by one
-    :meth:`bytes.fromhex`.  Any other is split on ``??``: every boundary
-    of that split is one wildcard byte, and every non-empty piece one
-    literal run, read the same way.  That call skips ASCII whitespace
-    and reads uppercase, which the grammar refuses, so text holding
-    either is declined before it is split.  The pattern is built as
+    ``digits}rest``, a gap and the part it leads to.  Each gap-free
+    part is split on ``??``: every boundary of that split is one
+    wildcard byte, and every non-empty piece one literal run, read by
+    :meth:`bytes.fromhex`.  A part that holds no ``?`` is taken as one
+    piece without a split.  That call skips ASCII whitespace and reads
+    uppercase, which the grammar refuses, so text holding either is
+    declined before it is split.  The pattern is built as
     :meth:`HexPattern._make` builds it, without a Python-level call.
     """
     for char in _FROMHEX_ONLY:
@@ -377,14 +377,8 @@ def _parse_canonical(text: str) -> HexPattern | None:
                 pos += length
             if not part:  # empty text, a gap first, last or next to a gap
                 return None
-            if "?" not in part:  # one literal run
-                literal = fromhex(part)
-                offsets.append(pos)
-                literals.append(literal)
-                pos += len(literal)
-                continue
             pos -= 1
-            for piece in part.split("??"):
+            for piece in part.split("??") if "?" in part else (part,):
                 pos += 1  # the ``??`` before every piece but the first
                 if piece:
                     literal = fromhex(piece)

@@ -604,8 +604,8 @@ _PATTERN_TOKENS = st.sampled_from(
 @example("aa {3} ?? {4} ??")
 @example("??{2}aa")
 @example("aa??{5}??bb")
-# parts without a ``?``, each read by one bytes.fromhex: an odd run, an
-# odd run after a gap, a lone ``?``, uppercase after a gap, a spaced pair
+# parts without ``??``, each taken as one piece: an odd run, an odd run
+# after a gap, a lone ``?``, uppercase after a gap, a spaced pair
 @example("aab")
 @example("aa{2}b")
 @example("aa?b{1}cc")
