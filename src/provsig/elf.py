@@ -5,13 +5,17 @@ ELF executables, shared libraries and relocatable objects (sections,
 ``.comment`` strings, dynamic-linking records), plus System V / GNU
 ``ar`` archives.  A relocatable object's relocation tables are read in
 one pass (:func:`parse_relocations`), each tied to the code section its
-``sh_info`` names and reduced to ``(offset, mask_len)`` pairs: the bytes
-the linker patches, which is all that signing needs.  Names held in a
+``sh_info`` names and reduced to the bytes the linker patches, which is
+all that signing needs: per section, the relocation offsets in
+ascending order and one mask length per offset.  A table that needs no
+warning, no sort and no merge is read in a few C-level passes over its
+records; any other is read entry by entry.  Names held in a
 string table (``DT_NEEDED`` entries, version definitions) are read by
 one rule, :func:`linked_strtab`: the section ``sh_link`` names if it is
 ``SHT_STRTAB``, otherwise ``.dynstr``.  Only
 little-endian ELF32/ELF64 files are supported; everything is decoded
-with :mod:`struct`, no external parser libraries.
+with :mod:`struct` or :class:`memoryview` casts, no external parser
+libraries.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from __future__ import annotations
 import logging
 import os
 import struct
+import sys
+from bisect import bisect_right
+from operator import itemgetter
 from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
@@ -115,6 +122,12 @@ _MASK_386 = {
 }
 _MASK_TABLES = {EM_X86_64: _MASK_X86_64, EM_386: _MASK_386}
 MAX_MASK_LEN = 8
+# The same tables as one bytes.translate reads them: byte t is the mask
+# length of type t, 0 for type NONE and for every type not named.
+_TYPE_LENGTHS = {machine: bytes(masks.get(reloc_type, 0) for reloc_type in range(256))
+                 for machine, masks in _MASK_TABLES.items()}
+_NO_TYPE_LENGTHS = bytes(256)
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def read_cstr(buf: bytes, offset: int) -> bytes:
@@ -256,15 +269,18 @@ def list_text_sections(image: ElfImage) -> list[Section]:
     return [s for s in image.sections if is_text_section(s)]
 
 
-def parse_relocations(image: ElfImage) -> dict[int, list[tuple[int, int]]]:
+def parse_relocations(image: ElfImage) -> dict[int, tuple[list[int], bytes]]:
     """The link-time-patched byte ranges of every code section, from one
     pass over the object's relocation tables.
 
     This is the one relocation contract of the package: per code-section
-    index, the ``(offset, mask_len)`` pairs sorted by offset, each mask
-    1 to :data:`MAX_MASK_LEN` bytes long and inside the section
-    (``offset + mask_len <= len(section.data)``).
-    :func:`provsig.siggen.build_pattern` relies on it.
+    index, ``(starts, lengths)``.  ``starts`` is a list of the
+    relocation offsets in ascending order, ties in table order;
+    ``lengths`` is a :class:`bytes` whose byte ``k`` is the mask length
+    for ``starts[k]``, 1 to :data:`MAX_MASK_LEN`.  Every mask lies
+    inside the section (``starts[k] + lengths[k] <= len(section.data)``).
+    :func:`provsig.siggen.build_pattern` bisects ``starts`` and relies
+    on all of this.
 
     A ``SHT_REL`` or ``SHT_RELA`` table patches the section its
     ``sh_info`` names; a table whose ``sh_info`` is out of range or
@@ -275,6 +291,12 @@ def parse_relocations(image: ElfImage) -> dict[int, list[tuple[int, int]]]:
     dropped, and masks running past it are clamped, each with a logged
     warning.  Sections are read in file order, and each section's
     tables in file order, so the warnings come out in that order.
+
+    A section's only table is read in C-level passes
+    (:func:`_read_clean_table`) when they show it needs none of this.
+    Every other table, and every table on a big-endian host, goes
+    through one loop over its entries, the only code that words a
+    relocation warning.
     """
     if not image.is_relocatable:
         raise ValueError("relocation parsing requires a relocatable object")
@@ -285,17 +307,26 @@ def parse_relocations(image: ElfImage) -> dict[int, list[tuple[int, int]]]:
                 and is_text_section(sections[rsec.sh_info])):
             tables.setdefault(rsec.sh_info, []).append(rsec)
     masks = _MASK_TABLES.get(image.machine, {})
-    if image.elf_class == "ELF64":
+    type_lengths = _TYPE_LENGTHS.get(image.machine, _NO_TYPE_LENGTHS)
+    is64 = image.elf_class == "ELF64"
+    if is64:
         formats, type_bits = {SHT_REL: "<QQ", SHT_RELA: "<QQ8x"}, 0xFFFFFFFF
     else:
         formats, type_bits = {SHT_REL: "<II", SHT_RELA: "<II4x"}, 0xFF
 
-    relocs: dict[int, list[tuple[int, int]]] = {}
+    relocs: dict[int, tuple[list[int], bytes]] = {}
     for index in sorted(tables):
         text_name = sections[index].name
         limit = len(sections[index].data)
+        group = tables[index]
+        if len(group) == 1 and _LITTLE_ENDIAN:
+            clean = _read_clean_table(group[0].data, struct.calcsize(formats[group[0].sh_type]),
+                                      is64, type_lengths, limit)
+            if clean is not None:
+                relocs[index] = clean
+                continue
         pairs: list[tuple[int, int]] = []
-        for rsec in tables[index]:
+        for rsec in group:
             fmt = formats[rsec.sh_type]
             if len(rsec.data) % struct.calcsize(fmt):
                 raise MalformedElf(f"truncated relocation records in {rsec.name}")
@@ -317,9 +348,45 @@ def parse_relocations(image: ElfImage) -> dict[int, list[tuple[int, int]]]:
                     logger.warning("relocation mask at 0x%x clamped to section end of %s",
                                    r_offset, text_name)
                 pairs.append((r_offset, mask_len))
-        pairs.sort()
-        relocs[index] = pairs
+        pairs.sort(key=itemgetter(0))
+        relocs[index] = ([offset for offset, _ in pairs], bytes([length for _, length in pairs]))
     return relocs
+
+
+def _read_clean_table(data: bytes, entsize: int, is64: bool, type_lengths: bytes,
+                      limit: int) -> tuple[list[int], bytes] | None:
+    """The ``(starts, lengths)`` of a relocation table of ``entsize``-byte
+    records patching a ``limit``-byte section, read in C-level passes,
+    or None if :func:`parse_relocations`' loop must read the table.
+
+    ``starts`` is read through a strided view of the ``r_offset``
+    fields, so the host must be little-endian.  ``lengths`` is the
+    records' type bytes translated by ``type_lengths``.  The loop reads
+    the table if it is cut short, if an entry has type NONE or a type
+    the machine's mask table does not name (a 0 in ``lengths``, or for
+    ELF64 a type above 255), if the offsets are out of order, or if a
+    mask runs past the section end: only an entry that starts within
+    :data:`MAX_MASK_LEN` bytes of the end can, so only those are added
+    up.
+    """
+    if len(data) % entsize:
+        return None
+    lengths = data[8 if is64 else 4::entsize].translate(type_lengths)
+    if 0 in lengths:
+        return None
+    # an ELF64 type field is 4 bytes wide: the 3 bytes not translated
+    # must be 0
+    if is64 and not (data[9::entsize] == data[10::entsize] == data[11::entsize]
+                     == bytes(len(lengths))):
+        return None
+    words = memoryview(data).cast("Q" if is64 else "I")
+    starts = words[::entsize // words.itemsize].tolist()
+    if starts != sorted(starts):
+        return None
+    for k in range(bisect_right(starts, limit - MAX_MASK_LEN), len(starts)):
+        if starts[k] + lengths[k] > limit:
+            return None
+    return starts, lengths
 
 
 def parse_comment(image: ElfImage) -> list[str]:

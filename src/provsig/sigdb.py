@@ -146,11 +146,13 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
 def parse_sigfile(data: bytes) -> SignatureFile:
     """Inverse of :func:`write_sigfile`.
 
-    A hex signature line costs one ``rsplit`` into name, target, kind
-    and payload, and one :func:`~provsig.siggen.parse_pattern_text`
-    call, which reads a payload as :func:`write_sigfile` writes it in
-    C-level string passes.  Every other signature line goes to
-    :func:`_parse_signature_line`.
+    Every signature line is split once, by one ``rsplit`` from the
+    right.  A hex line splits into name, target, kind and payload, and
+    costs one more :func:`~provsig.siggen.parse_pattern_text` call,
+    which reads a payload as :func:`write_sigfile` writes it in C-level
+    string passes.  An md5 line splits into name and target, kind,
+    digest and text size; one ``rpartition`` parts name and target,
+    and one regular-expression match checks digest and size together.
     """
     try:
         text = data.decode("utf-8")
@@ -186,8 +188,24 @@ def parse_sigfile(data: bytes) -> SignatureFile:
             if not name:
                 raise MalformedSigFile(f"line {lineno}: empty signature name")
             sig = Signature(name, target, pattern)
+        elif len(fields) == 4 and fields[1] == "md5" and ":" in fields[0]:
+            head, _, digest, size_text = fields
+            name, _, target = head.rpartition(":")
+            if target != TARGET_DYNLIB:
+                raise MalformedSigFile(f"line {lineno}: bad md5 target {target!r}")
+            if not _MD5_PAYLOAD.fullmatch(f"{digest}:{size_text}"):
+                if len(digest) != _MD5_DIGEST_LEN or digest.strip("0123456789abcdef"):
+                    raise MalformedSigFile(f"line {lineno}: bad md5 digest {digest!r}")
+                raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}")
+            try:
+                text_size = int(size_text)
+            except ValueError as exc:  # more digits than int() converts
+                raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}") from exc
+            if not name:
+                raise MalformedSigFile(f"line {lineno}: empty signature name")
+            sig = Signature(name, target, None, digest, text_size)
         else:
-            sig = _parse_signature_line(line, lineno)
+            raise MalformedSigFile(f"line {lineno}: unrecognized signature line")
         if sig.name in names:
             raise MalformedSigFile(f"line {lineno}: duplicate signature name {sig.name!r}")
         names.add(sig.name)
@@ -198,30 +216,6 @@ def parse_sigfile(data: bytes) -> SignatureFile:
     if version is None:
         raise MalformedSigFile("missing version key")
     return SignatureFile(package=package, version=version, signatures=tuple(signatures))
-
-
-def _parse_signature_line(line: str, lineno: int) -> Signature:
-    """An md5 signature line; any other line here is unrecognized."""
-    fields = line.split(":")
-    if len(fields) >= 5 and fields[-3] == "md5":
-        name = ":".join(fields[:-4])
-        target = fields[-4]
-        digest = fields[-2]
-        size_text = fields[-1]
-        if target != TARGET_DYNLIB:
-            raise MalformedSigFile(f"line {lineno}: bad md5 target {target!r}")
-        if len(digest) != _MD5_DIGEST_LEN or any(c not in "0123456789abcdef" for c in digest):
-            raise MalformedSigFile(f"line {lineno}: bad md5 digest {digest!r}")
-        if not (size_text.isascii() and size_text.isdigit()):
-            raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}")
-        try:
-            text_size = int(size_text)
-        except ValueError as exc:  # more digits than int() converts
-            raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}") from exc
-        if not name:
-            raise MalformedSigFile(f"line {lineno}: empty signature name")
-        return Signature(name=name, target=target, digest=digest, text_size=text_size)
-    raise MalformedSigFile(f"line {lineno}: unrecognized signature line")
 
 
 def load_db(directory) -> Database:

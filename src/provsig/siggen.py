@@ -98,24 +98,24 @@ class Signature(NamedTuple):
     text_size: int | None = None
 
 
-def build_pattern(data: bytes, relocs: list[tuple[int, int]]) -> HexPattern | Rejected:
+def build_pattern(data: bytes, relocs: tuple[list[int], bytes]) -> HexPattern | Rejected:
     """Turn a section's bytes into a pattern, or reject it, in one pass.
 
-    ``relocs`` holds the ``(offset, mask_len)`` pairs of the bytes the
-    linker patches, as :func:`provsig.elf.parse_relocations` returns
-    them for the section: its docstring states what they hold, and
-    this function relies on it.
+    ``relocs`` holds the ``(starts, lengths)`` of the bytes the linker
+    patches, as :func:`provsig.elf.parse_relocations` returns them for
+    the section: its docstring states what they hold, and this function
+    relies on it.
 
     Up to 255 bytes the whole section is kept.  From 256 bytes on, three
     85-byte segments are kept (the tail of each third) with gaps of
     l = n//3 - 85 and m = l + n%3 bytes between them, so the last
     segment always ends exactly at the section end.  Each kept range
-    reads only the pairs that can reach it, found by bisection: those
-    starting before its end and no more than
+    reads only the relocations that can reach it, found by bisection of
+    ``starts``: those starting before its end and no more than
     :data:`provsig.elf.MAX_MASK_LEN` bytes before its start.  (Every
     relocation is still read, and checked for its warnings, by
     :func:`provsig.elf.parse_relocations`.)  Each kept range is cut at
-    its masked stretches (pairs that overlap or abut merge, and are
+    its masked stretches (masks that overlap or abut merge, and are
     clipped to the range) straight into the pattern's literal runs,
     found at their section offsets.  Everything between the runs is a
     ``??``, except between kept ranges, where it is a gap.
@@ -129,6 +129,7 @@ def build_pattern(data: bytes, relocs: list[tuple[int, int]]) -> HexPattern | Re
     are rejected as too short; patterns without an anchor (a literal
     run of two bytes or more) are rejected as unanchorable.
     """
+    starts, lengths = relocs
     n = len(data)
     if n < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
@@ -149,8 +150,8 @@ def build_pattern(data: bytes, relocs: list[tuple[int, int]]) -> HexPattern | Re
     for lo, hi in ranges:
         kept = len(literals)
         masked = lo  # the masked stretch not yet cut ends here
-        for a, length in relocs[bisect_left(relocs, (lo - elf.MAX_MASK_LEN,)):
-                                bisect_left(relocs, (hi,))]:
+        first, last = bisect_left(starts, lo - elf.MAX_MASK_LEN), bisect_left(starts, hi)
+        for a, length in zip(starts[first:last], lengths[first:last]):
             if a > masked:  # a literal run, then a new stretch
                 offsets.append(masked)
                 literals.append(data[masked:a])
@@ -179,6 +180,9 @@ def build_pattern(data: bytes, relocs: list[tuple[int, int]]) -> HexPattern | Re
     return HexPattern(span, tuple(offsets), tuple(literals), tuple(gaps))
 
 
+_NO_RELOCS = ([], b"")  # a section no relocation table patches
+
+
 def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], list[Rejected]]:
     """One text-target signature per usable text section of an object,
     named ``<origin>:<section>``; a section name that repeats in the
@@ -195,7 +199,7 @@ def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], lis
         if not elf.is_text_section(section):
             continue
         name = f"{origin_name}:{unique_name(section.name, seen_names)}"
-        result = build_pattern(section.data, relocs.get(index, []))
+        result = build_pattern(section.data, relocs.get(index, _NO_RELOCS))
         if isinstance(result, Rejected):
             rejections.append(Rejected(result.reason, name))
         else:

@@ -100,17 +100,28 @@ def mask_positions(size: int, relocs) -> set[int]:
     return masked
 
 
-def reader_pairs(size: int, relocs) -> list[tuple[int, int]]:
+def contract_relocs(pairs) -> tuple[list[int], bytes]:
+    """``(offset, mask_len)`` pairs, already in the order and range
+    :func:`provsig.elf.parse_relocations` promises, as the
+    ``(starts, lengths)`` it hands over."""
+    return [offset for offset, _ in pairs], bytes(mask_len for _, mask_len in pairs)
+
+
+NO_RELOCS = contract_relocs([])  # a section no relocation patches
+
+
+def reader_relocs(size: int, relocs) -> tuple[list[int], bytes]:
     """``(offset, mask_len)`` pairs in any order and of any length, made
-    into pairs as :func:`provsig.elf.parse_relocations` hands them over
-    for a ``size``-byte section: each pair clipped to the section, cut
-    into pieces of at most :data:`provsig.elf.MAX_MASK_LEN` bytes, and
-    sorted.  They mask exactly the offsets :func:`mask_positions` does."""
+    into what :func:`provsig.elf.parse_relocations` hands over for a
+    ``size``-byte section: each pair clipped to the section, cut into
+    pieces of at most :data:`provsig.elf.MAX_MASK_LEN` bytes, sorted,
+    and split into ``(starts, lengths)``.  They mask exactly the
+    offsets :func:`mask_positions` does."""
     pairs: list[tuple[int, int]] = []
     for offset, mask_len in relocs:
         lo, hi = max(offset, 0), min(offset + mask_len, size)
         pairs += [(a, min(MAX_MASK_LEN, hi - a)) for a in range(lo, hi, MAX_MASK_LEN)]
-    return sorted(pairs)
+    return contract_relocs(sorted(pairs))
 
 
 def parse_pattern_text(text: str) -> tuple:

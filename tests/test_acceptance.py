@@ -42,7 +42,7 @@ from elfwriter import (
     build_shared_lib,
     build_shared_lib_layout,
 )
-from pattern_reference import ANY, Gap, anchor, from_elements
+from pattern_reference import ANY, NO_RELOCS, Gap, anchor, from_elements
 from test_matcher import naive_scan_once, pairs
 
 CALL_STUB_TEXT = bytes.fromhex(
@@ -113,7 +113,7 @@ def test_c2_truncation_formula_identity():
         assert segments[2][1] == n
 
         data = blob[:n]
-        pattern = build_pattern(data, [])
+        pattern = build_pattern(data, NO_RELOCS)
         assert isinstance(pattern, HexPattern)
         expected_runs = [data[a:b] for a, b in segments]
         expected_gaps = gaps
@@ -375,7 +375,7 @@ def test_c8_throughput_linearity(tmp_path):
     signatures = []
     for i in range(10000):
         data = rng.randbytes(rng.randrange(300, 640))
-        pattern = build_pattern(data, [])
+        pattern = build_pattern(data, NO_RELOCS)
         assert isinstance(pattern, HexPattern)
         signatures.append(Signature(name=f"lib{i // 100}.a/o{i}.o:.text",
                                     target=TARGET_TEXT, pattern=pattern))

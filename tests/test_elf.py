@@ -8,9 +8,10 @@ import string
 import struct
 import subprocess
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provsig import elf
@@ -31,6 +32,7 @@ import reloc_reference
 from elfwriter import (
     EM_386,
     EM_X86_64,
+    R_386_32,
     R_386_PC32,
     R_X86_64_64,
     R_X86_64_PC32,
@@ -267,9 +269,16 @@ def test_list_text_sections_single_and_empty():
 
 # -- relocations -----------------------------------------------------------
 
+def _pairs(relocs: tuple[list[int], bytes]) -> list[tuple[int, int]]:
+    """The (offset, mask_len) pairs of one section's (starts, lengths)."""
+    starts, lengths = relocs
+    assert isinstance(starts, list) and isinstance(lengths, bytes)
+    return list(zip(starts, lengths))
+
+
 def _text_relocs(data: bytes) -> list[tuple[int, int]]:
     """The (offset, mask_len) pairs of an object's first section, .text."""
-    return parse_relocations(parse_elf(data)).get(1, [])
+    return _pairs(parse_relocations(parse_elf(data)).get(1, ([], b"")))
 
 
 class _Records(logging.Handler):
@@ -302,7 +311,7 @@ def _entries(bits: int, rela: bool, entries) -> bytes:
 def test_call_stub_relocation():
     data = build_object(CALL_STUB_TEXT,
                         {".text": [(CALL_STUB_RELOC_OFFSET, R_X86_64_PC32, "malloc")]})
-    assert parse_relocations(parse_elf(data)) == {1: [(0x0E, 4)]}
+    assert parse_relocations(parse_elf(data)) == {1: ([0x0E], b"\x04")}
 
 
 def test_no_relocation_sections():
@@ -377,7 +386,7 @@ def test_reloc_warnings_by_section_then_table_order():
                         extra=[Sec(".rel.text", rel, sh_type=SHT_REL, info=1)])
     with _Records() as log:
         relocs = parse_relocations(parse_elf(data))
-    assert relocs == {1: [(70, 8), (76, 4), (77, 3)], 2: [(1, 8), (38, 2)]}
+    assert relocs == {1: ([70, 76, 77], bytes([8, 4, 3])), 2: ([1, 38], bytes([8, 2]))}
     assert [message for _, message in log.records] == [
         "relocation mask at 0x4c clamped to section end of .text",
         "relocation at 0xc8 lies beyond .text (80 bytes); dropped",
@@ -394,7 +403,7 @@ def test_relocation_table_bound_by_sh_info_not_name():
         Sec(".text", bytes(48)), Sec(".text", bytes(48)),
         Sec(".rela.text", _entries(64, True, [(4, R_X86_64_PC32)]), sh_type=SHT_RELA, info=1),
         Sec(".rela.text", _entries(64, True, [(40, R_X86_64_PC32)]), sh_type=SHT_RELA, info=2)])
-    assert parse_relocations(parse_elf(data)) == {1: [(4, 4)], 2: [(40, 4)]}
+    assert parse_relocations(parse_elf(data)) == {1: ([4], b"\x04"), 2: ([40], b"\x04")}
 
 
 @pytest.mark.parametrize("info", [0, 5, 6, 7, 8, 0xFFFFFFFF])
@@ -406,28 +415,36 @@ def test_relocation_table_naming_no_code_section_not_read(info):
                                Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=info)])
     image = parse_elf(data)
     assert [s.name for s in image.sections[5:]] == [".data", ".rela.text", ".shstrtab"]
-    assert parse_relocations(image) == {1: [(4, 4)]}
+    assert parse_relocations(image) == {1: ([4], b"\x04")}
 
 
 _TEXT_NAMES = [".text", ".text.a", ".text.main", ".text.b"]
-_RELOC_TYPES = {64: [0, 1, 2, 10, 12, 14, 24, 41, 99, 0x7FFF],
-                32: [0, 1, 2, 14, 20, 22, 33, 99, 200]}
+_KNOWN_TYPES = {64: [1, 2, 10, 12, 14, 24, 41], 32: [1, 2, 14, 20, 22, 33]}
+_RELOC_TYPES = {64: [0, *_KNOWN_TYPES[64], 99, 0x102, 0x7FFF],
+                32: [0, *_KNOWN_TYPES[32], 99, 200]}
 
 
 @st.composite
 def _relocatable_images(draw):
     """An object with unique section names: 1-4 code sections of 0-80
     bytes with relocations of known, unknown and none types that may lie
-    past the section or run over its end.  Sometimes one section also
-    has a table of the other kind, a data section has a table, or one
-    table is cut short."""
+    past the section or run over its end.  Half the objects instead have
+    tables as compilers write them, which the C-level passes read: in
+    offset order, of types the machine's mask table names (for machine
+    40 it names none), mostly inside the section.  Sometimes one section
+    also has a table of the other kind, a data section has a table, or
+    one table is cut short."""
     bits = draw(st.sampled_from([32, 64]))
     rela = draw(st.booleans())
     machine = draw(st.sampled_from([EM_X86_64 if bits == 64 else EM_386, 40]))
     names = draw(st.lists(st.sampled_from(_TEXT_NAMES), min_size=1, max_size=4, unique=True))
     texts = {name: bytes(draw(st.integers(0, 80))) for name in names}
-    entries = st.lists(st.tuples(st.integers(0, 100), st.sampled_from(_RELOC_TYPES[bits])),
-                       max_size=8)
+    if draw(st.booleans()):
+        entries = st.lists(st.tuples(st.integers(0, 50), st.sampled_from(_KNOWN_TYPES[bits])),
+                           max_size=8).map(sorted)
+    else:
+        entries = st.lists(st.tuples(st.integers(0, 100), st.sampled_from(_RELOC_TYPES[bits])),
+                           max_size=8)
     relocs = {name: [(offset, rtype, "s") for offset, rtype in draw(entries)]
               for name in names if draw(st.booleans())}
     extra = []
@@ -452,47 +469,108 @@ def _relocatable_images(draw):
     return image
 
 
+def _one_table(entries, size=32, **kwargs):
+    """An object whose one .text of ``size`` bytes has one table of
+    (offset, type) entries."""
+    return parse_elf(build_object(bytes(size), {".text": [(o, t, "s") for o, t in entries]},
+                                  **kwargs))
+
+
+# Tables the C-level passes read or decline (True: read), for the cases
+# their checks tell apart.
+_TABLES = [
+    # two entries at one offset; type 4 is R_X86_64_PLT32
+    (_one_table([(2, R_X86_64_64), (10, R_X86_64_PC32), (10, R_X86_64_PC32), (20, 4)]), True),
+    (_one_table([(3, R_386_PC32), (12, R_386_32)], bits=32, machine=EM_386, rela=False), True),
+    # an 8-byte mask ending exactly at the section end
+    (_one_table([(4, R_X86_64_PC32), (24, R_X86_64_64)]), True),
+    # two entries at one offset within MAX_MASK_LEN bytes of the end;
+    # the second runs past it and is clamped
+    (_one_table([(4, R_X86_64_PC32), (26, R_X86_64_PC32), (26, R_X86_64_64)]), False),
+    (_one_table([(4, R_X86_64_PC32), (10, 0x7FFF)]), False),
+    # type 0x102: its first byte is the known type 2
+    (_one_table([(4, R_X86_64_PC32), (10, 0x102)]), False),
+    (_one_table([(4, R_X86_64_PC32), (10, 0), (20, R_X86_64_PC32)]), False),
+    (_one_table([]), True),
+    # out of order, with two entries at one offset whose masks differ:
+    # the loop keeps them in table order
+    (_one_table([(20, R_X86_64_64), (4, R_X86_64_PC32), (20, R_X86_64_PC32)]), False),
+]
+
+
+def _with_tables(test):
+    for image, _ in _TABLES:
+        test = example(image)(test)
+    return test
+
+
+def _read_both_ways(image):
+    """parse_relocations as it runs here, and with every table read by
+    the per-entry loop as on a big-endian host: each result, or the
+    MalformedElf raised, with the records it logged."""
+    results = []
+    for little_endian in (elf._LITTLE_ENDIAN, False):
+        with _Records() as log, mock.patch.object(elf, "_LITTLE_ENDIAN", little_endian):
+            try:
+                got = parse_relocations(image)
+            except MalformedElf as exc:
+                got = exc
+        results.append((got, log.records))
+    return results
+
+
 @settings(max_examples=300, deadline=None)
 @given(_relocatable_images())
+@_with_tables
 def test_one_pass_reader_agrees_with_per_section_reference(image):
     want_log: list[tuple[str, str]] = []
     try:
         want = reloc_reference.object_relocations(image, want_log)
     except MalformedElf as exc:
         want = exc
-    with _Records() as log:
-        try:
-            got = parse_relocations(image)
-        except MalformedElf as exc:
-            got = exc
-    assert log.records == want_log
-    if isinstance(want, MalformedElf):
-        assert isinstance(got, MalformedElf) and str(got) == str(want)
-        return
-    assert isinstance(got, dict)
-    for index, section in enumerate(image.sections):
-        if section.name in want:
-            # ties at one offset may come in another order
-            assert got.pop(index, []) == sorted(want[section.name])
-    assert got == {}
+    for got, log in _read_both_ways(image):
+        assert log == want_log
+        if isinstance(want, MalformedElf):
+            assert isinstance(got, MalformedElf) and str(got) == str(want)
+            continue
+        assert isinstance(got, dict)
+        for index, section in enumerate(image.sections):
+            if section.name in want:
+                assert _pairs(got.pop(index, ([], b""))) == want[section.name]
+        assert got == {}
+
+
+@pytest.mark.parametrize("image, read", _TABLES)
+def test_c_level_passes_read_only_tables_that_need_no_warning(image, read):
+    (table,) = [s for s in image.sections if s.sh_type in (SHT_REL, SHT_RELA)]
+    is64 = image.elf_class == "ELF64"
+    entsize = (8 if is64 else 4) * (3 if table.sh_type == SHT_RELA else 2)
+    got = elf._read_clean_table(table.data, entsize, is64, elf._TYPE_LENGTHS[image.machine],
+                                len(image.sections[table.sh_info].data))
+    assert (got is not None) == read
+    if read:
+        assert got == parse_relocations(image)[table.sh_info]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_relocatable_images())
+@_with_tables
 def test_relocation_pairs_keep_the_contract_build_pattern_relies_on(image):
-    # per code section: pairs sorted, each mask 1..MAX_MASK_LEN bytes
-    # and inside the section
-    try:
-        relocs = parse_relocations(image)
-    except MalformedElf:
-        return
-    for index, pairs in relocs.items():
-        section = image.sections[index]
-        assert elf.is_text_section(section)
-        assert pairs == sorted(pairs)
-        for offset, mask_len in pairs:
-            assert 1 <= mask_len <= elf.MAX_MASK_LEN
-            assert offset + mask_len <= len(section.data)
+    # per code section, whichever way its tables were read: starts a
+    # list in ascending order, lengths one byte per start, each mask
+    # 1..MAX_MASK_LEN bytes and inside the section
+    for relocs, _ in _read_both_ways(image):
+        if isinstance(relocs, MalformedElf):
+            continue
+        for index, (starts, lengths) in relocs.items():
+            section = image.sections[index]
+            assert elf.is_text_section(section)
+            assert isinstance(starts, list) and isinstance(lengths, bytes)
+            assert len(starts) == len(lengths)
+            assert starts == sorted(starts)
+            for offset, mask_len in zip(starts, lengths):
+                assert 1 <= mask_len <= elf.MAX_MASK_LEN
+                assert offset + mask_len <= len(section.data)
 
 
 def test_mask_tables_stay_within_the_largest_mask():

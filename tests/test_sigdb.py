@@ -125,9 +125,9 @@ def test_parse_pattern_error_texts(payload, message):
     assert str(caught.value) == message
 
 
-# lines at the edges of the one-step read of a canonical hex line, with
-# the record parse_sigfile makes of each, none for a comment, or the
-# text of the MalformedSigFile it raises
+# lines at the edges of the one-step read of a signature line, with the
+# record parse_sigfile makes of each, none for a comment, or the text of
+# the MalformedSigFile it raises
 @pytest.mark.parametrize("line, outcome", [
     ("n:text:hex:aa bb{2}cc",
      Signature("n", TARGET_TEXT, HexPattern(5, (0, 4), (b"\xaa\xbb", b"\xcc"), ((2, 2),)))),
@@ -145,9 +145,21 @@ def test_parse_pattern_error_texts(payload, message):
     (":text:hex:a a", "line 4: bad hex run 'a a'"),
     ("n:dynlib:hex:aabb", "line 4: bad hex target 'dynlib'"),
     ("n:text:hex:aa:bb", "line 4: unrecognized signature line"),
+    ("lib.so:.text:dynlib:md5:" + "ab" * 16 + ":4096",
+     Signature("lib.so:.text", TARGET_DYNLIB, None, "ab" * 16, 4096)),
+    ("dynlib:md5:" + "ab" * 16 + ":4096", "line 4: unrecognized signature line"),
+    (":dynlib:md5:" + "ab" * 16 + ":4096", "line 4: empty signature name"),
+    (":dynlib:md5:xyz:1", "line 4: bad md5 digest 'xyz'"),
+    ("n:dynlib:md5:xyz:ten", "line 4: bad md5 digest 'xyz'"),
+    ("n:dynlib:md5:" + "a" * 31 + ":ten", "line 4: bad md5 digest '" + "a" * 31 + "'"),
+    ("n:text:md5:xyz:ten", "line 4: bad md5 target 'text'"),
 ], ids=["spaced", "spaced-wildcards", "uppercase", "comment-after-blanks",
         "comment-after-unicode-blanks", "name-with-colons", "name-with-kind", "empty-name",
-        "empty-name-spaced", "empty-name-bad-pattern", "hex-under-dynlib", "colon-in-payload"])
+        "empty-name-spaced", "empty-name-bad-pattern", "hex-under-dynlib", "colon-in-payload",
+        "md5-name-with-colons", "md5-without-target", "md5-empty-name",
+        "md5-bad-digest-before-empty-name", "md5-bad-digest-before-size",
+        "md5-short-digest-before-size",
+        "md5-bad-target-first"])
 def test_parse_line_at_the_edges_of_the_one_step_read(line, outcome):
     data = f"provsig 1\npackage P\nversion 1\n{line}\n".encode()
     if isinstance(outcome, str):
@@ -158,7 +170,11 @@ def test_parse_line_at_the_edges_of_the_one_step_read(line, outcome):
     signatures = parse_sigfile(data).signatures
     assert signatures == (() if outcome is None else (outcome,))
     for sig in signatures:
-        assert type(sig) is Signature and type(sig.pattern) is HexPattern
+        assert type(sig) is Signature
+        if sig.target == TARGET_DYNLIB:
+            assert type(sig.text_size) is int
+        else:
+            assert type(sig.pattern) is HexPattern
 
 
 def test_parse_rejects_missing_package():

@@ -34,7 +34,16 @@ from provsig.siggen import (
 )
 
 import pattern_reference
-from pattern_reference import ANY, Gap, expand, from_elements, reader_pairs, well_formed
+from pattern_reference import (
+    ANY,
+    NO_RELOCS,
+    Gap,
+    contract_relocs,
+    expand,
+    from_elements,
+    reader_relocs,
+    well_formed,
+)
 from elfwriter import (
     R_X86_64_PC32,
     SHT_RELA,
@@ -93,12 +102,12 @@ def test_mask_none():
     data = bytes(range(20))
     # an empty pair masks nothing, inside the section or past it
     for relocs in ([], [(5, 0)], [(0, 0), (20, 0), (30, 0)]):
-        assert build_pattern(data, reader_pairs(len(data), relocs)) == \
+        assert build_pattern(data, reader_relocs(len(data), relocs)) == \
             HexPattern(20, (0,), (data,), ())
 
 
 def test_mask_overlapping_union():
-    pattern = build_pattern(bytes(range(20)), [(4, 4), (6, 4)])
+    pattern = build_pattern(bytes(range(20)), contract_relocs([(4, 4), (6, 4)]))
     assert _kinds(pattern) == [("lit", 4), ("any", 6), ("lit", 10)]
 
 
@@ -106,14 +115,14 @@ def test_mask_merges_abutting_and_clips_to_section():
     data = bytes(range(24))
     relocs = [(20, 8), (2, 2), (-3, 4), (4, 2), (30, 4), (13, 1), (12, 4)]
     # masked: [0, 1), [2, 6), [12, 16), [20, 24); the edge wildcards are trimmed
-    assert build_pattern(data, reader_pairs(len(data), relocs)) == HexPattern(
+    assert build_pattern(data, reader_relocs(len(data), relocs)) == HexPattern(
         19, (0, 5, 15), (data[1:2], data[6:12], data[16:20]), ())
 
 
 # -- build_pattern -----------------------------------------------------------
 
 def test_pattern_call_stub_exact():
-    pattern = build_pattern(CALL_STUB_TEXT, [(0x0E, 4)])
+    pattern = build_pattern(CALL_STUB_TEXT, contract_relocs([(0x0E, 4)]))
     assert isinstance(pattern, HexPattern)
     assert pattern_to_text(pattern) == CALL_STUB_PATTERN
     assert sum(map(len, pattern.literals)) == 20
@@ -121,14 +130,14 @@ def test_pattern_call_stub_exact():
 
 
 def test_pattern_too_short_boundary():
-    assert build_pattern(b"\x90" * 15, []) == Rejected(TOO_SHORT)
-    assert isinstance(build_pattern(b"\x90" * 16, []), HexPattern)
+    assert build_pattern(b"\x90" * 15, NO_RELOCS) == Rejected(TOO_SHORT)
+    assert isinstance(build_pattern(b"\x90" * 16, NO_RELOCS), HexPattern)
 
 
 def test_pattern_300_bytes_segments():
     rng = random.Random(7)
     data = bytes(rng.randrange(256) for _ in range(300))
-    pattern = build_pattern(data, [])
+    pattern = build_pattern(data, NO_RELOCS)
     # frozen from the independent layout computation: tails of the three
     # thirds of [0, 300) are [15,100), [115,200), [215,300); gaps 15, 15
     assert _segment_layout(300) == ([(15, 100), (115, 200), (215, 300)], [15, 15])
@@ -140,7 +149,7 @@ def test_pattern_300_bytes_segments():
 
 def test_pattern_256_boundary_zero_gap_merges():
     data = bytes((i * 37 + 11) % 256 for i in range(256))
-    pattern = build_pattern(data, [])
+    pattern = build_pattern(data, NO_RELOCS)
     # third = 85 so the first gap is zero: segments one and two abut
     assert _kinds(pattern) == [("lit", 170), ("gap", 1), ("lit", 85)]
     assert pattern == (256, (0, 171), (data[0:170], data[171:256]), ((170, 1),))
@@ -148,26 +157,26 @@ def test_pattern_256_boundary_zero_gap_merges():
 
 def test_pattern_whole_section_below_cap():
     data = bytes(range(255))
-    pattern = build_pattern(data, [])
+    pattern = build_pattern(data, NO_RELOCS)
     assert _kinds(pattern) == [("lit", 255)]
     assert pattern.span == 255
 
 
 def test_pattern_edge_wildcards_trimmed():
     data = bytes(range(30))
-    pattern = build_pattern(data, [(0, 4), (26, 4)])
+    pattern = build_pattern(data, contract_relocs([(0, 4), (26, 4)]))
     assert _kinds(pattern) == [("lit", 22)]
     assert pattern[1:] == ((0,), (data[4:26],), ())
 
 
 def test_pattern_trimming_rechecks_minimum():
     data = bytes(range(20))
-    assert build_pattern(data, [(0, 4), (17, 3)]) == Rejected(TOO_SHORT)
+    assert build_pattern(data, contract_relocs([(0, 4), (17, 3)])) == Rejected(TOO_SHORT)
 
 
 def test_pattern_interior_wildcards_counted_as_positions():
     data = bytes(range(18))
-    pattern = build_pattern(data, [(4, 8)])
+    pattern = build_pattern(data, contract_relocs([(4, 8)]))
     assert _kinds(pattern) == [("lit", 4), ("any", 8), ("lit", 6)]
     assert sum(1 for e in expand(pattern) if not isinstance(e, Gap)) == 18
 
@@ -175,14 +184,14 @@ def test_pattern_interior_wildcards_counted_as_positions():
 def test_pattern_all_masked_section_rejected():
     data = bytes(range(64))
     relocs = [(0, 8)] + [(o, 8) for o in range(0, 64, 8)]
-    assert build_pattern(data, relocs) == Rejected(TOO_SHORT)
+    assert build_pattern(data, contract_relocs(relocs)) == Rejected(TOO_SHORT)
 
 
 def test_pattern_unanchorable_rejected():
     # every second byte masked: no two adjacent literals anywhere
     data = bytes(range(40))
     relocs = [(o, 1) for o in range(1, 40, 2)]
-    assert build_pattern(data, relocs) == Rejected(UNANCHORABLE)
+    assert build_pattern(data, contract_relocs(relocs)) == Rejected(UNANCHORABLE)
 
 
 def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
@@ -190,7 +199,7 @@ def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
     # run; with the second one masked the run is not wildcards throughout
     # and its 85 ?? stay, ahead of the 1-byte gap before segment three
     data = bytes((i * 37 + 11) % 256 for i in range(256))
-    pattern = build_pattern(data, reader_pairs(len(data), [(85, 85)]))
+    pattern = build_pattern(data, reader_relocs(len(data), [(85, 85)]))
     assert _kinds(pattern) == [("lit", 85), ("any", 85), ("gap", 1), ("lit", 85)]
     assert pattern.span == 256
 
@@ -198,7 +207,7 @@ def test_pattern_masked_segment_abutting_its_neighbour_stays_wildcards():
 def test_pattern_masked_middle_segment_dissolves_into_gap():
     data = bytes((i * 13 + 5) % 256 for i in range(300))
     relocs = [(o, 8) for o in range(112, 200, 8)] + [(196, 4)]
-    pattern = build_pattern(data, relocs)
+    pattern = build_pattern(data, contract_relocs(relocs))
     assert _kinds(pattern) == [("lit", 85), ("gap", 115), ("lit", 85)]
     assert pattern.span == 285
 
@@ -220,7 +229,7 @@ def test_truncation_tiling_property(n):
 def test_segment_placement_matches_independent_layout(n):
     rng = random.Random(n)
     data = bytes(rng.randrange(256) for _ in range(n))
-    pattern = build_pattern(data, [])
+    pattern = build_pattern(data, NO_RELOCS)
     segments, gaps = _segment_layout(n)
     expected_runs = [data[a:b] for a, b in segments]
     if gaps[0] == 0:
@@ -241,7 +250,7 @@ def _section_with_relocs(draw):
         offset = draw(st.integers(min_value=0, max_value=max(len(data) - 1, 0)))
         mask = draw(st.sampled_from([1, 2, 4, 8]))
         relocs.append((offset, mask))
-    return data, reader_pairs(len(data), relocs)
+    return data, reader_relocs(len(data), relocs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -336,7 +345,7 @@ def _relocs_around_segments() -> tuple[bytes, list[tuple[int, int]]]:
 @example((random.Random(300).randbytes(300), [(15, 85), (115, 3)]))
 def test_build_pattern_agrees_with_seven_pass_reference(case):
     data, relocs = case
-    got = build_pattern(data, reader_pairs(len(data), relocs))
+    got = build_pattern(data, reader_relocs(len(data), relocs))
     want = pattern_reference.build_pattern(
         data, pattern_reference.mask_positions(len(data), relocs))
     if isinstance(want, Rejected):
