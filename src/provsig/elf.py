@@ -7,9 +7,9 @@ ELF executables, shared libraries and relocatable objects (sections,
 one pass (:func:`parse_relocations`), each tied to the code section its
 ``sh_info`` names and reduced to the bytes the linker patches, which is
 all that signing needs: per section, the relocation offsets in
-ascending order and one mask length per offset.  A table that needs no
-warning, no sort and no merge is read in a few C-level passes over its
-records; any other is read entry by entry.  Names held in a
+ascending order and one mask length per offset.  Every table is read
+in a few C-level passes over its records on any host; only a table
+that needs a warning is then read entry by entry.  Names held in a
 string table (``DT_NEEDED`` entries, version definitions) are read by
 one rule, :func:`linked_strtab`: the section ``sh_link`` names if it is
 ``SHT_STRTAB``, otherwise ``.dynstr``.  Only
@@ -25,7 +25,6 @@ import os
 import struct
 import sys
 from bisect import bisect_right
-from operator import itemgetter
 from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
@@ -127,7 +126,6 @@ MAX_MASK_LEN = 8
 _TYPE_LENGTHS = {machine: bytes(masks.get(reloc_type, 0) for reloc_type in range(256))
                  for machine, masks in _MASK_TABLES.items()}
 _NO_TYPE_LENGTHS = bytes(256)
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 def read_cstr(buf: bytes, offset: int) -> bytes:
@@ -292,11 +290,9 @@ def parse_relocations(image: ElfImage) -> dict[int, tuple[list[int], bytes]]:
     warning.  Sections are read in file order, and each section's
     tables in file order, so the warnings come out in that order.
 
-    A section's only table is read in C-level passes
-    (:func:`_read_clean_table`) when they show it needs none of this.
-    Every other table, and every table on a big-endian host, goes
-    through one loop over its entries, the only code that words a
-    relocation warning.
+    Every table is read in C-level passes on any host
+    (:func:`_read_table`); only a table with an entry that needs one of
+    these rules then goes through the loop that applies them.
     """
     if not image.is_relocatable:
         raise ValueError("relocation parsing requires a relocatable object")
@@ -306,87 +302,89 @@ def parse_relocations(image: ElfImage) -> dict[int, tuple[list[int], bytes]]:
         if (rsec.sh_type in (SHT_REL, SHT_RELA) and rsec.sh_info < len(sections)
                 and is_text_section(sections[rsec.sh_info])):
             tables.setdefault(rsec.sh_info, []).append(rsec)
-    masks = _MASK_TABLES.get(image.machine, {})
     type_lengths = _TYPE_LENGTHS.get(image.machine, _NO_TYPE_LENGTHS)
-    is64 = image.elf_class == "ELF64"
-    if is64:
-        formats, type_bits = {SHT_REL: "<QQ", SHT_RELA: "<QQ8x"}, 0xFFFFFFFF
-    else:
-        formats, type_bits = {SHT_REL: "<II", SHT_RELA: "<II4x"}, 0xFF
+    word = 8 if image.elf_class == "ELF64" else 4
 
     relocs: dict[int, tuple[list[int], bytes]] = {}
     for index in sorted(tables):
-        text_name = sections[index].name
-        limit = len(sections[index].data)
-        group = tables[index]
-        if len(group) == 1 and _LITTLE_ENDIAN:
-            clean = _read_clean_table(group[0].data, struct.calcsize(formats[group[0].sh_type]),
-                                      is64, type_lengths, limit)
-            if clean is not None:
-                relocs[index] = clean
-                continue
-        pairs: list[tuple[int, int]] = []
-        for rsec in group:
-            fmt = formats[rsec.sh_type]
-            if len(rsec.data) % struct.calcsize(fmt):
-                raise MalformedElf(f"truncated relocation records in {rsec.name}")
-            for r_offset, r_info in struct.iter_unpack(fmt, rsec.data):
-                reloc_type = r_info & type_bits
-                if reloc_type == 0:
-                    continue
-                mask_len = masks.get(reloc_type)
-                if mask_len is None:
-                    mask_len = MAX_MASK_LEN
-                    logger.warning("unknown relocation type %d in %s; masking %d bytes",
-                                   reloc_type, rsec.name, mask_len)
-                if r_offset >= limit:
-                    logger.warning("relocation at 0x%x lies beyond %s (%d bytes); dropped",
-                                   r_offset, text_name, limit)
-                    continue
-                if r_offset + mask_len > limit:
-                    mask_len = limit - r_offset
-                    logger.warning("relocation mask at 0x%x clamped to section end of %s",
-                                   r_offset, text_name)
-                pairs.append((r_offset, mask_len))
-        pairs.sort(key=itemgetter(0))
-        relocs[index] = ([offset for offset, _ in pairs], bytes([length for _, length in pairs]))
+        text, group = sections[index], tables[index]
+        if len(group) == 1:
+            relocs[index] = _read_table(group[0], text, word, type_lengths)
+        else:
+            parts = [_read_table(table, text, word, type_lengths) for table in group]
+            relocs[index] = _by_start([start for starts, _ in parts for start in starts],
+                                      b"".join(lengths for _, lengths in parts))
     return relocs
 
 
-def _read_clean_table(data: bytes, entsize: int, is64: bool, type_lengths: bytes,
-                      limit: int) -> tuple[list[int], bytes] | None:
-    """The ``(starts, lengths)`` of a relocation table of ``entsize``-byte
-    records patching a ``limit``-byte section, read in C-level passes,
-    or None if :func:`parse_relocations`' loop must read the table.
+def _read_table(table: Section, text: Section, word: int,
+                type_lengths: bytes) -> tuple[list[int], bytes]:
+    """One relocation table's ``(starts, lengths)`` for the code section
+    ``text``, as :func:`parse_relocations` returns them.
 
-    ``starts`` is read through a strided view of the ``r_offset``
-    fields, so the host must be little-endian.  ``lengths`` is the
-    records' type bytes translated by ``type_lengths``.  The loop reads
-    the table if it is cut short, if an entry has type NONE or a type
-    the machine's mask table does not name (a 0 in ``lengths``, or for
-    ELF64 a type above 255), if the offsets are out of order, or if a
-    mask runs past the section end: only an entry that starts within
-    :data:`MAX_MASK_LEN` bytes of the end can, so only those are added
-    up.
+    A record is ``r_offset``, ``r_info`` (and ``r_addend``), each
+    ``word`` bytes; the type is the first byte (ELF32) or 4 bytes
+    (ELF64) of ``r_info``.  The rules loop reads the table if an entry
+    has type NONE or a type the mask table does not name (a 0 in
+    ``lengths``, or for ELF64 a type above 255), or a mask running past
+    the section end, which only an entry in its last
+    :data:`MAX_MASK_LEN` bytes can have.
     """
+    entsize = word * (3 if table.sh_type == SHT_RELA else 2)
+    data = table.data
     if len(data) % entsize:
-        return None
-    lengths = data[8 if is64 else 4::entsize].translate(type_lengths)
-    if 0 in lengths:
-        return None
-    # an ELF64 type field is 4 bytes wide: the 3 bytes not translated
-    # must be 0
-    if is64 and not (data[9::entsize] == data[10::entsize] == data[11::entsize]
-                     == bytes(len(lengths))):
-        return None
-    words = memoryview(data).cast("Q" if is64 else "I")
-    starts = words[::entsize // words.itemsize].tolist()
-    if starts != sorted(starts):
-        return None
-    for k in range(bisect_right(starts, limit - MAX_MASK_LEN), len(starts)):
-        if starts[k] + lengths[k] > limit:
-            return None
-    return starts, lengths
+        raise MalformedElf(f"truncated relocation records in {table.name}")
+    lengths = data[word::entsize].translate(type_lengths)
+    native = data if sys.byteorder == "little" else _swap_words(data, word)
+    starts = memoryview(native).cast("Q" if word == 8 else "I")[::entsize // word].tolist()
+    limit = len(text.data)
+    # the 3 bytes of an ELF64 type that are not translated must be 0
+    if 0 not in lengths and (word == 4 or data[9::entsize] == data[10::entsize]
+                             == data[11::entsize] == bytes(len(lengths))):
+        ordered, ordered_lengths = ((starts, lengths) if starts == sorted(starts)
+                                    else _by_start(starts, lengths))
+        for k in range(bisect_right(ordered, limit - MAX_MASK_LEN), len(ordered)):
+            if ordered[k] + ordered_lengths[k] > limit:
+                break
+        else:
+            return ordered, ordered_lengths
+    # the rules in table order: the only code that words a warning
+    width = 4 if word == 8 else 1
+    kept_starts: list[int] = []
+    kept_lengths = bytearray()
+    for at, offset, mask_len in zip(range(word, len(data), entsize), starts, lengths):
+        reloc_type = int.from_bytes(data[at:at + width], "little")
+        if reloc_type == 0:
+            continue
+        if mask_len == 0 or reloc_type > 0xFF:
+            mask_len = MAX_MASK_LEN
+            logger.warning("unknown relocation type %d in %s; masking %d bytes",
+                           reloc_type, table.name, mask_len)
+        if offset >= limit:
+            logger.warning("relocation at 0x%x lies beyond %s (%d bytes); dropped",
+                           offset, text.name, limit)
+            continue
+        if offset + mask_len > limit:
+            mask_len = limit - offset
+            logger.warning("relocation mask at 0x%x clamped to section end of %s",
+                           offset, text.name)
+        kept_starts.append(offset)
+        kept_lengths.append(mask_len)
+    return _by_start(kept_starts, bytes(kept_lengths))
+
+
+def _by_start(starts: list[int], lengths: bytes) -> tuple[list[int], bytes]:
+    """``starts`` sorted and ``lengths`` permuted with it, ties kept."""
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    return sorted(starts), bytes(map(lengths.__getitem__, order))
+
+
+def _swap_words(data: bytes, size: int) -> bytearray:
+    """``data`` with each ``size``-byte word's bytes in reverse order."""
+    swapped = bytearray(len(data))
+    for k in range(size):
+        swapped[k::size] = data[size - 1 - k::size]
+    return swapped
 
 
 def parse_comment(image: ElfImage) -> list[str]:

@@ -8,7 +8,6 @@ import string
 import struct
 import subprocess
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -429,11 +428,10 @@ def _relocatable_images(draw):
     """An object with unique section names: 1-4 code sections of 0-80
     bytes with relocations of known, unknown and none types that may lie
     past the section or run over its end.  Half the objects instead have
-    tables as compilers write them, which the C-level passes read: in
-    offset order, of types the machine's mask table names (for machine
-    40 it names none), mostly inside the section.  Sometimes one section
-    also has a table of the other kind, a data section has a table, or
-    one table is cut short."""
+    tables as compilers write them: in offset order, of types the
+    machine's mask table names (for machine 40 it names none), mostly
+    inside the section.  Sometimes one section also has a table of the
+    other kind, a data section has a table, or one table is cut short."""
     bits = draw(st.sampled_from([32, 64]))
     rela = draw(st.booleans())
     machine = draw(st.sampled_from([EM_X86_64 if bits == 64 else EM_386, 40]))
@@ -476,47 +474,62 @@ def _one_table(entries, size=32, **kwargs):
                                   **kwargs))
 
 
-# Tables the C-level passes read or decline (True: read), for the cases
-# their checks tell apart.
+# Tables for the cases the C-level passes tell apart, and for the order
+# of a section's warnings and tables.
 _TABLES = [
     # two entries at one offset; type 4 is R_X86_64_PLT32
-    (_one_table([(2, R_X86_64_64), (10, R_X86_64_PC32), (10, R_X86_64_PC32), (20, 4)]), True),
-    (_one_table([(3, R_386_PC32), (12, R_386_32)], bits=32, machine=EM_386, rela=False), True),
+    _one_table([(2, R_X86_64_64), (10, R_X86_64_PC32), (10, R_X86_64_PC32), (20, 4)]),
+    _one_table([(3, R_386_PC32), (12, R_386_32)], bits=32, machine=EM_386, rela=False),
     # an 8-byte mask ending exactly at the section end
-    (_one_table([(4, R_X86_64_PC32), (24, R_X86_64_64)]), True),
+    _one_table([(4, R_X86_64_PC32), (24, R_X86_64_64)]),
     # two entries at one offset within MAX_MASK_LEN bytes of the end;
     # the second runs past it and is clamped
-    (_one_table([(4, R_X86_64_PC32), (26, R_X86_64_PC32), (26, R_X86_64_64)]), False),
-    (_one_table([(4, R_X86_64_PC32), (10, 0x7FFF)]), False),
+    _one_table([(4, R_X86_64_PC32), (26, R_X86_64_PC32), (26, R_X86_64_64)]),
+    _one_table([(4, R_X86_64_PC32), (10, 0x7FFF)]),
     # type 0x102: its first byte is the known type 2
-    (_one_table([(4, R_X86_64_PC32), (10, 0x102)]), False),
-    (_one_table([(4, R_X86_64_PC32), (10, 0), (20, R_X86_64_PC32)]), False),
-    (_one_table([]), True),
+    _one_table([(4, R_X86_64_PC32), (10, 0x102)]),
+    _one_table([(4, R_X86_64_PC32), (10, 0), (20, R_X86_64_PC32)]),
+    _one_table([]),
     # out of order, with two entries at one offset whose masks differ:
-    # the loop keeps them in table order
-    (_one_table([(20, R_X86_64_64), (4, R_X86_64_PC32), (20, R_X86_64_PC32)]), False),
+    # they stay in table order
+    _one_table([(20, R_X86_64_64), (4, R_X86_64_PC32), (20, R_X86_64_PC32)]),
+    # out of order, one entry of an unknown type whose mask then runs
+    # past the end: two warnings for it, in that order
+    _one_table([(28, 0x7FFF), (4, R_X86_64_PC32)]),
+    # an entry past the end in the first table, then a truncated second
+    # table: the warning comes before the MalformedElf
+    parse_elf(build_object(bytes(32), {".text": [(4, R_X86_64_PC32, "s"),
+                                                 (40, R_X86_64_PC32, "s")]},
+                           extra=[Sec(".rel.text", _entries(64, False, [(8, R_X86_64_PC32)])
+                                      + bytes(3), sh_type=SHT_REL, info=1)])),
+    # a .rela and a .rel table of one section, each in order, whose
+    # offsets interleave and tie at 12: the tie stays in table order
+    parse_elf(build_object(bytes(48), {".text": [(4, R_X86_64_PC32, "s"),
+                                                 (12, R_X86_64_64, "s"),
+                                                 (20, R_X86_64_PC32, "s")]},
+                           extra=[Sec(".rel.text",
+                                      _entries(64, False, [(8, R_X86_64_PC32),
+                                                           (12, R_X86_64_PC32),
+                                                           (24, R_X86_64_64)]),
+                                      sh_type=SHT_REL, info=1)])),
 ]
 
 
 def _with_tables(test):
-    for image, _ in _TABLES:
+    for image in _TABLES:
         test = example(image)(test)
     return test
 
 
-def _read_both_ways(image):
-    """parse_relocations as it runs here, and with every table read by
-    the per-entry loop as on a big-endian host: each result, or the
-    MalformedElf raised, with the records it logged."""
-    results = []
-    for little_endian in (elf._LITTLE_ENDIAN, False):
-        with _Records() as log, mock.patch.object(elf, "_LITTLE_ENDIAN", little_endian):
-            try:
-                got = parse_relocations(image)
-            except MalformedElf as exc:
-                got = exc
-        results.append((got, log.records))
-    return results
+def _read(image):
+    """parse_relocations' result, or the MalformedElf it raised, with
+    the records it logged."""
+    with _Records() as log:
+        try:
+            got = parse_relocations(image)
+        except MalformedElf as exc:
+            got = exc
+    return got, log.records
 
 
 @settings(max_examples=300, deadline=None)
@@ -528,54 +541,59 @@ def test_one_pass_reader_agrees_with_per_section_reference(image):
         want = reloc_reference.object_relocations(image, want_log)
     except MalformedElf as exc:
         want = exc
-    for got, log in _read_both_ways(image):
-        assert log == want_log
-        if isinstance(want, MalformedElf):
-            assert isinstance(got, MalformedElf) and str(got) == str(want)
-            continue
-        assert isinstance(got, dict)
-        for index, section in enumerate(image.sections):
-            if section.name in want:
-                assert _pairs(got.pop(index, ([], b""))) == want[section.name]
-        assert got == {}
-
-
-@pytest.mark.parametrize("image, read", _TABLES)
-def test_c_level_passes_read_only_tables_that_need_no_warning(image, read):
-    (table,) = [s for s in image.sections if s.sh_type in (SHT_REL, SHT_RELA)]
-    is64 = image.elf_class == "ELF64"
-    entsize = (8 if is64 else 4) * (3 if table.sh_type == SHT_RELA else 2)
-    got = elf._read_clean_table(table.data, entsize, is64, elf._TYPE_LENGTHS[image.machine],
-                                len(image.sections[table.sh_info].data))
-    assert (got is not None) == read
-    if read:
-        assert got == parse_relocations(image)[table.sh_info]
+    got, log = _read(image)
+    assert log == want_log
+    if isinstance(want, MalformedElf):
+        assert isinstance(got, MalformedElf) and str(got) == str(want)
+        return
+    assert isinstance(got, dict)
+    for index, section in enumerate(image.sections):
+        if section.name in want:
+            assert _pairs(got.pop(index, ([], b""))) == want[section.name]
+    assert got == {}
 
 
 @settings(max_examples=300, deadline=None)
 @given(_relocatable_images())
 @_with_tables
 def test_relocation_pairs_keep_the_contract_build_pattern_relies_on(image):
-    # per code section, whichever way its tables were read: starts a
-    # list in ascending order, lengths one byte per start, each mask
-    # 1..MAX_MASK_LEN bytes and inside the section
-    for relocs, _ in _read_both_ways(image):
-        if isinstance(relocs, MalformedElf):
-            continue
-        for index, (starts, lengths) in relocs.items():
-            section = image.sections[index]
-            assert elf.is_text_section(section)
-            assert isinstance(starts, list) and isinstance(lengths, bytes)
-            assert len(starts) == len(lengths)
-            assert starts == sorted(starts)
-            for offset, mask_len in zip(starts, lengths):
-                assert 1 <= mask_len <= elf.MAX_MASK_LEN
-                assert offset + mask_len <= len(section.data)
+    # per code section: starts a list in ascending order, lengths one
+    # byte per start, each mask 1..MAX_MASK_LEN bytes and inside the
+    # section
+    relocs, _ = _read(image)
+    if isinstance(relocs, MalformedElf):
+        return
+    for index, (starts, lengths) in relocs.items():
+        section = image.sections[index]
+        assert elf.is_text_section(section)
+        assert isinstance(starts, list) and isinstance(lengths, bytes)
+        assert len(starts) == len(lengths)
+        assert starts == sorted(starts)
+        for offset, mask_len in zip(starts, lengths):
+            assert 1 <= mask_len <= elf.MAX_MASK_LEN
+            assert offset + mask_len <= len(section.data)
 
 
 def test_mask_tables_stay_within_the_largest_mask():
-    for table in elf._MASK_TABLES.values():
+    for machine, table in elf._MASK_TABLES.items():
         assert all(1 <= mask_len <= elf.MAX_MASK_LEN for mask_len in table.values())
+        # the rules loop reads mask lengths from the translate tables
+        # alone, so they must name the same types with the same lengths
+        assert all(reloc_type < 256 for reloc_type in table)
+        assert all(elf._TYPE_LENGTHS[machine][reloc_type] == table.get(reloc_type, 0)
+                   for reloc_type in range(256))
+
+
+@pytest.mark.parametrize("size, code, values", [
+    (8, "Q", (1, 0x0102030405060708, 2**64 - 2)),
+    (4, "I", (1, 0x01020304, 2**32 - 2)),
+])
+def test_byte_swap_turns_little_endian_words_big_endian(size, code, values):
+    # the swap a big-endian host applies before its casts, run here on
+    # any host
+    little = struct.pack(f"<3{code}", *values)
+    assert elf._swap_words(little, size) == struct.pack(f">3{code}", *values)
+    assert elf._swap_words(b"", size) == b""
 
 
 # -- .comment --------------------------------------------------------------

@@ -15,6 +15,11 @@
   finds both the C and the C++ library in a C++ program linked with
   ``-static``.  Many of its signatures share a key.  Skipped when g++ or
   an archive is missing.
+* Every relocation table of the host's ``libc.a`` and ``libgcc.a``
+  reads the same through :func:`provsig.elf.parse_relocations` as
+  through the per-section reference (``reloc_reference``), pairs and
+  warnings both.  Many of these tables list their offsets out of order.
+  Skipped when gcc or an archive is missing.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ import subprocess
 
 import pytest
 
-from provsig import matcher, sigdb, siggen
+from provsig import elf, matcher, sigdb, siggen
 from provsig.cli import siggen_main, sigscan_main
+
+import reloc_reference
 
 
 def _missing(*tools: str):
@@ -166,3 +173,29 @@ def test_static_cxx_program_reports_signed_cxx_and_c_archives(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert _reported(lines, "host libstdc++ static"), lines
     assert _reported(lines, "host libc static"), lines
+
+
+@_missing("gcc")
+def test_host_relocation_tables_read_as_the_reference_reads_them(caplog):
+    caplog.set_level("WARNING", logger="provsig.elf")
+    checked = 0
+    for name in ("libc.a", "libgcc.a"):
+        with open(_archive("gcc", name), "rb") as archive:
+            members = elf.parse_archive(archive.read())
+        for member in members:
+            image = elf.parse_elf(member.data)
+            names = [section.name for section in elf.list_text_sections(image)]
+            # the reference finds a section's tables by its name
+            if not image.is_relocatable or len(set(names)) < len(names):
+                continue
+            caplog.clear()
+            want_log: list[tuple[str, str]] = []
+            want = reloc_reference.object_relocations(image, want_log)
+            got = {section_name: [] for section_name in names}
+            for index, (starts, lengths) in elf.parse_relocations(image).items():
+                got[image.sections[index].name] = list(zip(starts, lengths))
+            assert got == want, (name, member.name)
+            assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log, \
+                (name, member.name)
+            checked += 1
+    assert checked
