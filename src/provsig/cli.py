@@ -135,10 +135,17 @@ def _siggen_parser() -> _Parser:
     return parser
 
 
+# built on the first siggen_main call of a process and reused: argparse
+# keeps nothing from one parse_args call to the next
+_siggen_parser_cache: _Parser | None = None
+
+
 def siggen_main(argv=None) -> int:
-    parser = _siggen_parser()
+    global _siggen_parser_cache
+    if _siggen_parser_cache is None:
+        _siggen_parser_cache = _siggen_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _siggen_parser_cache.parse_args(argv)
     except _UsageError as exc:
         _err(f"siggen: error: {exc}")
         return EXIT_USAGE

@@ -3,16 +3,19 @@
 Struct-based readers for the on-disk containers this toolkit consumes:
 ELF executables, shared libraries and relocatable objects (sections,
 ``.comment`` strings, dynamic-linking records), plus System V / GNU
-``ar`` archives.  A relocatable object's relocation tables are read in
-one pass (:func:`parse_relocations`), each tied to the code section its
-``sh_info`` names and reduced to the bytes the linker patches, which is
-all that signing needs: per section, the relocation offsets in
-ascending order and one mask length per offset.  Every table is read
-in a few C-level passes over its records on any host; only a table
-that needs a warning is then read entry by entry.  Names held in a
-string table (``DT_NEEDED`` entries, version definitions) are read by
-one rule, :func:`linked_strtab`: the section ``sh_link`` names if it is
-``SHT_STRTAB``, otherwise ``.dynstr``.  Only
+``ar`` archives.  The section-header table is read in one pass, one
+``struct.iter_unpack`` over its bytes (entries wider than the native
+size are cut down to it first), and each :class:`Section` is built
+without a Python-level constructor call.  A relocatable object's
+relocation tables are read in one pass (:func:`parse_relocations`),
+each tied to the code section its ``sh_info`` names and reduced to the
+bytes the linker patches, which is all that signing needs: per section,
+the relocation offsets in ascending order and one mask length per
+offset.  Every table is read in a few C-level passes over its records
+on any host; only a table that needs a warning is then read entry by
+entry.  Names held in a string table (``DT_NEEDED`` entries, version
+definitions) are read by one rule, :func:`linked_strtab`: the section
+``sh_link`` names if it is ``SHT_STRTAB``, otherwise ``.dynstr``.  Only
 little-endian ELF32/ELF64 files are supported; everything is decoded
 with :mod:`struct` or :class:`memoryview` casts, no external parser
 libraries.
@@ -142,7 +145,9 @@ def parse_elf(data: bytes) -> ElfImage:
 
     Raises :class:`MalformedElf` on bad magic, truncated headers or
     out-of-range string-table references; :class:`UnsupportedElf` for
-    big-endian files or an unknown ELF class.
+    big-endian files or an unknown ELF class.  The section checks run
+    in one order: table geometry, name-table index and bounds, every
+    name offset, then each body in section order.
     """
     if len(data) < 16 or data[:4] != ELF_MAGIC:
         raise MalformedElf("bad ELF magic")
@@ -163,41 +168,47 @@ def parse_elf(data: bytes) -> ElfImage:
         raise MalformedElf("truncated ELF header") from exc
 
     native_shentsize = 64 if is64 else 40
-    fmt = "<IIQQQQIIQQ" if is64 else "<IIIIIIIIII"
+    # sh_name, sh_type, sh_offset, sh_size, sh_link, sh_info; the other
+    # four fields are skipped as padding
+    fmt = "<II16xQQII16x" if is64 else "<II8xIIII8x"
     if e_shoff and (e_shnum == 0 or e_shstrndx == SHN_XINDEX):
         # extended numbering: section 0's sh_size holds the section
         # count, its sh_link the name-table index
         if e_shentsize < native_shentsize or e_shoff + native_shentsize > len(data):
             raise MalformedElf("truncated section header 0")
-        _, _, _, _, _, count, link, *_ = struct.unpack_from(fmt, data, e_shoff)
+        _, _, _, count, link, _ = struct.unpack_from(fmt, data, e_shoff)
         e_shnum = e_shnum or count
         if e_shstrndx == SHN_XINDEX:
             e_shstrndx = link
-    headers: list[tuple[int, int, int, int, int, int]] = []
-    if e_shnum:
-        if e_shoff == 0 or e_shentsize < native_shentsize:
-            raise MalformedElf("invalid section header table geometry")
-        if e_shoff + e_shnum * e_shentsize > len(data):
-            raise MalformedElf("truncated section header table")
-        for i in range(e_shnum):
-            (sh_name, sh_type, _flags, _addr, sh_offset, sh_size,
-             sh_link, sh_info, _align, _entsize) = struct.unpack_from(
-                fmt, data, e_shoff + i * e_shentsize)
-            headers.append((sh_name, sh_type, sh_offset, sh_size, sh_link, sh_info))
+    if not e_shnum:
+        return ElfImage("ELF64" if is64 else "ELF32", e_machine, (), (), e_type == ET_REL)
+    if e_shoff == 0 or e_shentsize < native_shentsize:
+        raise MalformedElf("invalid section header table geometry")
+    table_end = e_shoff + e_shnum * e_shentsize
+    if table_end > len(data):
+        raise MalformedElf("truncated section header table")
+    table = data[e_shoff:table_end]
+    if e_shentsize > native_shentsize:  # keep each entry's native fields
+        table = b"".join(table[at:at + native_shentsize]
+                         for at in range(0, len(table), e_shentsize))
+    headers = list(struct.iter_unpack(fmt, table))
 
-    names: list[str] = []
-    if headers:
-        if e_shstrndx >= len(headers):
-            raise MalformedElf("section name string table index out of range")
-        str_off, str_size = headers[e_shstrndx][2:4]
-        if str_off + str_size > len(data):
-            raise MalformedElf("section name string table out of bounds")
-        shstrtab = data[str_off:str_off + str_size]
-        for sh_name, *_ in headers:
-            if sh_name > len(shstrtab):
-                raise MalformedElf("section name offset out of range")
-            names.append(read_cstr(shstrtab, sh_name).decode("latin-1"))
+    if e_shstrndx >= len(headers):
+        raise MalformedElf("section name string table index out of range")
+    _, _, str_off, str_size, _, _ = headers[e_shstrndx]
+    if str_off + str_size > len(data):
+        raise MalformedElf("section name string table out of bounds")
+    # latin-1 reads one character per byte, so name offsets carry over;
+    # the NUL appended ends a name that runs to the table's last byte
+    shstrtab = data[str_off:str_off + str_size].decode("latin-1") + "\0"
+    name_offsets, sh_types, _, _, _, _ = zip(*headers)
+    if max(name_offsets) >= len(shstrtab):
+        raise MalformedElf("section name offset out of range")
+    find = shstrtab.find
+    names = [shstrtab[offset:find("\0", offset)] for offset in name_offsets]
 
+    # built as Section._make builds them, without a Python-level call
+    new = tuple.__new__
     sections: list[Section] = []
     for name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info) in zip(names, headers):
         # an SHT_NULL header has no section (section 0 may hold a count)
@@ -207,10 +218,10 @@ def parse_elf(data: bytes) -> ElfImage:
             if sh_offset + sh_size > len(data):
                 raise MalformedElf(f"section {name!r} extends past end of file")
             body = data[sh_offset:sh_offset + sh_size]
-        sections.append(Section(name=name, data=body, sh_type=sh_type,
-                                sh_link=sh_link, sh_info=sh_info))
+        sections.append(new(Section, (name, body, sh_type, sh_link, sh_info)))
 
-    needed = _parse_dynamic_needed(sections, is64)
+    needed = (_parse_dynamic_needed(sections, sections[sh_types.index(SHT_DYNAMIC)], is64)
+              if SHT_DYNAMIC in sh_types else [])
     return ElfImage(
         elf_class="ELF64" if is64 else "ELF32",
         machine=e_machine,
@@ -220,10 +231,8 @@ def parse_elf(data: bytes) -> ElfImage:
     )
 
 
-def _parse_dynamic_needed(sections: list[Section], is64: bool) -> list[str]:
-    dyn = next((s for s in sections if s.sh_type == SHT_DYNAMIC), None)
-    if dyn is None:
-        return []
+def _parse_dynamic_needed(sections: list[Section], dyn: Section, is64: bool) -> list[str]:
+    """The ``DT_NEEDED`` names of the dynamic section ``dyn``."""
     strtab = linked_strtab(sections, dyn)
     needed = []
     entsize, fmt = (16, "<qQ") if is64 else (8, "<iI")

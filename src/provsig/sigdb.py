@@ -166,6 +166,7 @@ def parse_sigfile(data: bytes) -> SignatureFile:
     version: str | None = None
     signatures: list[Signature] = []
     names: set[str] = set()
+    new = tuple.__new__  # builds a Signature as Signature._make does
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or _is_comment(line):
             continue
@@ -187,7 +188,7 @@ def parse_sigfile(data: bytes) -> SignatureFile:
                 raise MalformedSigFile(f"line {lineno}: {exc}") from exc
             if not name:
                 raise MalformedSigFile(f"line {lineno}: empty signature name")
-            sig = Signature(name, target, pattern)
+            sig = new(Signature, (name, target, pattern, None, None))
         elif len(fields) == 4 and fields[1] == "md5" and ":" in fields[0]:
             head, _, digest, size_text = fields
             name, _, target = head.rpartition(":")
@@ -203,7 +204,7 @@ def parse_sigfile(data: bytes) -> SignatureFile:
                 raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}") from exc
             if not name:
                 raise MalformedSigFile(f"line {lineno}: empty signature name")
-            sig = Signature(name, target, None, digest, text_size)
+            sig = new(Signature, (name, target, None, digest, text_size))
         else:
             raise MalformedSigFile(f"line {lineno}: unrecognized signature line")
         if sig.name in names:

@@ -195,6 +195,7 @@ def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], lis
     rejections: list[Rejected] = []
     relocs = elf.parse_relocations(image)
     seen_names: dict[str, int] = {}
+    new = tuple.__new__  # builds a Signature as Signature._make does
     for index, section in enumerate(image.sections):
         if not elf.is_text_section(section):
             continue
@@ -203,7 +204,7 @@ def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], lis
         if isinstance(result, Rejected):
             rejections.append(Rejected(result.reason, name))
         else:
-            signatures.append(Signature(name=name, target=TARGET_TEXT, pattern=result))
+            signatures.append(new(Signature, (name, TARGET_TEXT, result, None, None)))
     return signatures, rejections
 
 

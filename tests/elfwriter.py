@@ -73,20 +73,23 @@ class Layout:
 
 
 def build_elf(secs: list[Sec], *, bits: int = 64, e_type: int = ET_REL,
-              machine: int = EM_X86_64, gap: int = 0, extended: bool = False) -> bytes:
-    return build_elf_layout(secs, bits=bits, e_type=e_type,
-                            machine=machine, gap=gap, extended=extended).data
+              machine: int = EM_X86_64, gap: int = 0, extended: bool = False,
+              shentsize: int | None = None) -> bytes:
+    return build_elf_layout(secs, bits=bits, e_type=e_type, machine=machine, gap=gap,
+                            extended=extended, shentsize=shentsize).data
 
 
 def build_elf_layout(secs: list[Sec], *, bits: int = 64, e_type: int = ET_REL,
                      machine: int = EM_X86_64, gap: int = 0,
-                     extended: bool = False) -> Layout:
+                     extended: bool = False, shentsize: int | None = None) -> Layout:
     """``extended`` writes extended section numbering: e_shnum 0 and
     e_shstrndx SHN_XINDEX, with the section count in section 0's
-    sh_size and the name-table index in its sh_link."""
+    sh_size and the name-table index in its sh_link.  ``shentsize``
+    widens every section header past its native size (64 or 40 bytes)
+    with zero bytes."""
     is64 = bits == 64
     ehsize = 64 if is64 else 52
-    shentsize = 64 if is64 else 40
+    shentsize = shentsize or (64 if is64 else 40)
 
     shstr = bytearray(b"\x00")
     name_off = {"": 0}
@@ -133,11 +136,9 @@ def build_elf_layout(secs: list[Sec], *, bits: int = 64, e_type: int = ET_REL,
                            shentsize, e_shnum, e_shstrndx)
 
     def pack_shdr(name, typ, flags, off, size, link, info, entsize):
-        if is64:
-            return struct.pack("<IIQQQQIIQQ", name, typ, flags, 0, off, size,
-                               link, info, 1, entsize)
-        return struct.pack("<IIIIIIIIII", name, typ, flags, 0, off, size,
-                           link, info, 1, entsize)
+        fmt = "<IIQQQQIIQQ" if is64 else "<IIIIIIIIII"
+        return struct.pack(fmt, name, typ, flags, 0, off, size,
+                           link, info, 1, entsize).ljust(shentsize, b"\x00")
 
     shdrs = bytearray(pack_shdr(0, SHT_NULL, 0, 0, size0, link0, 0, 0))
     for sec, soff in zip(secs, sec_offsets):

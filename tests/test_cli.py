@@ -384,6 +384,36 @@ def test_siggen_usage_error_exit_1(capsys):
                         "-o", "o.sig"]) == 1
 
 
+def test_siggen_calls_in_one_process_match_each_call_alone(tmp_path, capsys):
+    # the parser is built once per process; nothing of one call's
+    # arguments may reach the next
+    stub = tmp_path / "stub.o"
+    stub.write_bytes(build_object(CALL_STUB_TEXT))
+    lib = tmp_path / "libz.so"
+    lib.write_bytes(build_shared_lib(text=bytes(range(96))))
+    calls = [
+        ["obj", str(stub), "--package", "P", "--version", "1", "-o", "{out}/p.sig"],
+        ["lib", str(lib), "--package", "Q"],  # no --version, no -o
+        ["lib", str(lib), "--version", "2.0", "--package", "Zlib", "-o", "{out}/z.sig"],
+    ]
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    got = []
+    for argv in calls:
+        rc = siggen_main([arg.format(out=together) for arg in argv])
+        got.append((rc, capsys.readouterr().err))
+    want = []
+    for argv in calls:
+        done = _run_module("siggen", *(arg.format(out=alone) for arg in argv))
+        want.append((done.returncode, done.stderr))
+    assert got == want
+    assert [rc for rc, _ in got] == [0, 1, 0]
+    for name in ("p.sig", "z.sig"):
+        assert (together / name).read_bytes() == (alone / name).read_bytes()
+    assert sorted(path.name for path in together.iterdir()) == ["p.sig", "z.sig"]
+
+
 def test_siggen_unreadable_input_exit_2(tmp_path, capsys):
     rc = siggen_main(["obj", str(tmp_path / "missing.o"), "--package", "P",
                       "--version", "1", "-o", str(tmp_path / "o.sig")])

@@ -8,6 +8,7 @@ import string
 import struct
 import subprocess
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,15 +28,20 @@ from provsig.elf import (
     parse_relocations,
 )
 
+import elf_reference
 import reloc_reference
 from elfwriter import (
     EM_386,
     EM_X86_64,
+    ET_DYN,
+    ET_REL,
     R_386_32,
     R_386_PC32,
     R_X86_64_64,
     R_X86_64_PC32,
     SHT_NOBITS,
+    SHT_NULL,
+    SHT_PROGBITS,
     SHT_REL,
     SHT_RELA,
     SHT_DYNAMIC,
@@ -855,6 +861,113 @@ def _parse_elf_and_sections(blob: bytes) -> None:
 def test_parse_elf_mutations_raise_only_declared_errors(which, data):
     blob = mutate(_ELF_SEEDS[which], _ELF_FIELDS[which], data)
     parse_within_a_second(_parse_elf_and_sections, blob, (MalformedElf, UnsupportedElf))
+
+
+# -- section-header table ----------------------------------------------------------
+# The one-pass reader against the per-header reference (elf_reference),
+# on elfwriter images and seed mutants, and the cases that tell them apart.
+
+# where a field of section header ``index`` lies, as (offset within the
+# header, width), by ELF class
+_SHDR_FIELDS = {64: {"sh_name": (0, 4), "sh_offset": (24, 8), "sh_size": (32, 8)},
+                32: {"sh_name": (0, 4), "sh_offset": (16, 4), "sh_size": (20, 4)}}
+
+
+def _with_header_field(data: bytes, index: int, field: str, value: int) -> bytes:
+    """``data`` with ``field`` of section header ``index`` set to ``value``."""
+    is64 = data[4] == 2
+    shoff, = struct.unpack_from("<Q" if is64 else "<I", data, 0x28 if is64 else 0x20)
+    shentsize, = struct.unpack_from("<H", data, 0x3A if is64 else 0x2E)
+    offset, width = _SHDR_FIELDS[64 if is64 else 32][field]
+    return _with_field(data, (shoff + index * shentsize + offset, width), value)
+
+
+_WIDE = build_elf([Sec(".text", CALL_STUB_TEXT), Sec(".comment", b"GCC: x\x00")],
+                  shentsize=72)
+# the name table, last, shrunk by its final NUL: ".shstrtab" runs to its end
+_NAMED_TO_END = _with_header_field(build_elf([Sec(".text", b"\x90" * 4)]), 2, "sh_size",
+                                   len(b"\0.text\0.shstrtab"))
+_BSS = build_elf([Sec(".text", b"\x90" * 4), Sec(".bss", sh_type=SHT_NOBITS, nobits_size=64)])
+_BSS_PAST_END = _with_header_field(_BSS, 2, "sh_offset", len(_BSS) + 4096)
+_TWO = build_elf([Sec(".text", b"\x90" * 4), Sec(".data", b"\x01" * 8)])
+_BODY_PAST_END = _with_header_field(_TWO, 1, "sh_offset", len(_TWO))
+_BOTH_PAST_END = _with_header_field(_BODY_PAST_END, 2, "sh_name", 0xFFFF)
+
+
+@pytest.mark.parametrize("bits", [64, 32])
+@pytest.mark.parametrize("extended", [False, True])
+def test_section_headers_wider_than_native_read_as_native_ones(bits, extended):
+    secs = [Sec(".text", CALL_STUB_TEXT), Sec(".comment", b"GCC: x\x00"),
+            Sec(".bss", sh_type=SHT_NOBITS, nobits_size=32)]
+    native = 64 if bits == 64 else 40
+    plain = parse_elf(build_elf(secs, bits=bits, extended=extended))
+    for shentsize in (native + 1, native + 24):
+        assert parse_elf(build_elf(secs, bits=bits, extended=extended,
+                                   shentsize=shentsize)) == plain
+
+
+def test_name_running_to_the_name_table_end_needs_no_nul():
+    assert [s.name for s in parse_elf(_NAMED_TO_END).sections] == ["", ".text", ".shstrtab"]
+
+
+def test_nobits_section_offset_past_the_file_is_not_read():
+    assert get_section(parse_elf(_BSS_PAST_END), ".bss").data == b""
+
+
+def test_name_offset_error_comes_before_a_body_past_the_file():
+    with pytest.raises(MalformedElf, match="section name offset out of range"):
+        parse_elf(_BOTH_PAST_END)
+    with pytest.raises(MalformedElf, match="section '.text' extends past end of file"):
+        parse_elf(_BODY_PAST_END)
+
+
+def _parsed(parse, blob: bytes):
+    """``parse(blob)``, or the class and message of what it raised."""
+    try:
+        return parse(blob)
+    except Exception as exc:  # compared with the other parser's, not swallowed
+        return type(exc), str(exc)
+
+
+@st.composite
+def _seed_mutants(draw):
+    which = draw(st.integers(0, len(_ELF_SEEDS) - 1))
+    return mutate(_ELF_SEEDS[which], _ELF_FIELDS[which], SimpleNamespace(draw=draw))
+
+
+_SECTIONS = st.builds(
+    Sec, st.sampled_from(["", ".text", ".text.f", ".data", ".bss", ".comment", ".dynstr"]),
+    st.binary(max_size=24),
+    st.sampled_from([SHT_PROGBITS, SHT_NULL, SHT_NOBITS, SHT_STRTAB, SHT_DYNAMIC]),
+    nobits_size=st.integers(0, 64))
+
+
+@st.composite
+def _written_images(draw):
+    """An elfwriter image of either class, perhaps with extended
+    numbering, headers wider than native or gaps between sections,
+    and perhaps mutated as the seeds are."""
+    bits = draw(st.sampled_from([32, 64]))
+    native = 64 if bits == 64 else 40
+    blob = build_elf(draw(st.lists(_SECTIONS, max_size=6)), bits=bits,
+                     e_type=draw(st.sampled_from([ET_REL, ET_DYN])),
+                     gap=draw(st.integers(0, 3)), extended=draw(st.booleans()),
+                     shentsize=draw(st.sampled_from([native, native + 4, native + 24])))
+    if draw(st.booleans()):
+        blob = mutate(blob, elf_fields(blob), SimpleNamespace(draw=draw))
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_written_images(), _seed_mutants()))
+@example(_WIDE)
+@example(build_elf([Sec(".text", CALL_STUB_TEXT), Sec(".bss", sh_type=SHT_NOBITS)],
+                   extended=True))
+@example(_NAMED_TO_END)
+@example(_BSS_PAST_END)
+@example(_BOTH_PAST_END)
+def test_one_pass_section_reader_agrees_with_per_header_reference(blob):
+    assert _parsed(parse_elf, blob) == _parsed(elf_reference.parse_elf, blob)
 
 
 _AR_SEED = build_archive([("a.o", _ELF_SEEDS[0]), ("a_member_with_a_long_name.o", b"odd"),

@@ -20,6 +20,10 @@
   through the per-section reference (``reloc_reference``), pairs and
   warnings both.  Many of these tables list their offsets out of order.
   Skipped when gcc or an archive is missing.
+* Every relocatable member of the host's ``libc.a``, ``libgcc.a``,
+  ``libgcc_eh.a`` and ``libstdc++.a`` parses to the same image through
+  :func:`provsig.elf.parse_elf` as through the per-header reference
+  (``elf_reference``).  Skipped when gcc or an archive is missing.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import pytest
 from provsig import elf, matcher, sigdb, siggen
 from provsig.cli import siggen_main, sigscan_main
 
+import elf_reference
 import reloc_reference
 
 
@@ -198,4 +203,19 @@ def test_host_relocation_tables_read_as_the_reference_reads_them(caplog):
             assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log, \
                 (name, member.name)
             checked += 1
+    assert checked
+
+
+@_missing("gcc")
+def test_host_objects_parse_as_the_per_header_reference_parses_them():
+    checked = 0
+    for name in ("libc.a", "libgcc.a", "libgcc_eh.a", "libstdc++.a"):
+        with open(_archive("gcc", name), "rb") as archive:
+            members = elf.parse_archive(archive.read())
+        for member in members:
+            if not member.data.startswith(elf.ELF_MAGIC):
+                continue
+            image = elf.parse_elf(member.data)
+            assert image == elf_reference.parse_elf(member.data), (name, member.name)
+            checked += image.is_relocatable
     assert checked
