@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -165,12 +164,8 @@ def siggen_main(argv=None) -> int:
                 or args.mode == "obj" and data.startswith(elf.AR_MAGIC)):
             reports.append(siggen.Rejected("not an ELF object", input_path))
             continue
-        # the elf module logs relocations it drops or clamps and an
-        # unterminated .comment; print them against this input
-        warnings = logging.StreamHandler(sys.stderr)
-        warnings.setFormatter(logging.Formatter(
-            "siggen: warning: {input}: {message}", style="{", defaults={"input": input_path}))
-        elf.logger.addHandler(warnings)
+        warnings: list[str] = []  # relocations dropped or clamped, a bad .comment
+        error = None
         try:
             if args.mode == "obj" and data.startswith(elf.AR_MAGIC):
                 image, members = None, elf.parse_archive(data)
@@ -183,8 +178,8 @@ def siggen_main(argv=None) -> int:
                     continue
             origin = siggen.unique_name(os.path.basename(input_path), used_origins)
             if args.mode == "obj":
-                sigs, rejects = (siggen.sign_archive(members, origin) if image is None
-                                 else siggen.sign_object(image, origin))
+                sigs, rejects = (siggen.sign_archive(members, origin, warnings) if image is None
+                                 else siggen.sign_object(image, origin, warnings))
             elif args.mode == "lib":
                 try:
                     sigs, rejects = [siggen.sign_shared_lib(image, origin)], []
@@ -192,13 +187,16 @@ def siggen_main(argv=None) -> int:
                     _err(f"siggen: {input_path} has no .text section; skipped")
                     continue
             else:  # comment
-                sigs = siggen.sign_comments(elf.parse_comment(image), origin)
+                sigs = siggen.sign_comments(elf.parse_comment(image, warnings), origin)
                 rejects = []
         except (MalformedElf, UnsupportedElf, MalformedArchive) as exc:
-            _err(f"siggen: {input_path}: {exc}")
+            error = exc
+        # printed against this input, before its error line if it fails
+        for message in warnings:
+            _err(f"siggen: warning: {input_path}: {message}")
+        if error is not None:
+            _err(f"siggen: {input_path}: {error}")
             return EXIT_INPUT
-        finally:
-            elf.logger.removeHandler(warnings)
         signatures.extend(sigs)
         reports.extend(rejects)
 

@@ -11,26 +11,23 @@ relocation tables are read in one pass (:func:`parse_relocations`),
 each tied to the code section its ``sh_info`` names and reduced to the
 bytes the linker patches, which is all that signing needs: per section,
 the relocation offsets in ascending order and one mask length per
-offset.  Every table is read in a few C-level passes over its records
-on any host; only a table that needs a warning is then read entry by
-entry.  Names held in a string table (``DT_NEEDED`` entries, version
-definitions) are read by one rule, :func:`linked_strtab`: the section
-``sh_link`` names if it is ``SHT_STRTAB``, otherwise ``.dynstr``.  Only
-little-endian ELF32/ELF64 files are supported; everything is decoded
-with :mod:`struct` or :class:`memoryview` casts, no external parser
-libraries.
+offset.  Every table is read in a few C-level passes on any host; only
+a table that needs a warning is then read entry by entry, and the
+warning is appended to a list the caller passes.  Names held in a
+string table (``DT_NEEDED`` entries, version definitions) are read by
+one rule, :func:`linked_strtab`: the section ``sh_link`` names if it is
+``SHT_STRTAB``, otherwise ``.dynstr``.  Only little-endian ELF32/ELF64
+files are supported; everything is decoded with :mod:`struct` or
+:class:`memoryview` casts, no external parser libraries.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import struct
 import sys
 from bisect import bisect_right
 from typing import NamedTuple
-
-logger = logging.getLogger(__name__)
 
 ELF_MAGIC = b"\x7fELF"
 AR_MAGIC = b"!<arch>\n"
@@ -98,10 +95,10 @@ class ArchiveMember(NamedTuple):
     data: bytes
 
 
-# How many bytes a relocation of a given type patches, at most
-# MAX_MASK_LEN.  Covers the common x86 / x86-64 static-relocation types;
-# anything absent gets the largest mask (over-masking can only widen a
-# wildcard, never let a stale address byte into a signature).
+# How many bytes a relocation of a given type patches (a TLS descriptor
+# call marker: its 2-byte ``ff 10`` call), at most MAX_MASK_LEN.  A type
+# absent gets the largest mask: over-masking can only widen a wildcard,
+# never let a stale address byte into a signature.
 _MASK_X86_64 = {
     1: 8,   # 64-bit absolute
     2: 4,   # PC-relative 32
@@ -111,16 +108,17 @@ _MASK_X86_64 = {
     16: 8, 17: 8, 18: 8,
     19: 4, 20: 4, 21: 4, 22: 4, 23: 4,
     24: 8, 25: 8, 26: 4, 27: 8, 28: 8, 29: 8, 30: 8, 31: 8,
-    32: 4, 33: 8, 34: 4,
+    32: 4, 33: 8, 34: 4, 35: 2,
     41: 4, 42: 4,
 }
 _MASK_386 = {
-    1: 4, 2: 4, 3: 4, 4: 4, 9: 4, 10: 4,
+    1: 4, 2: 4, 3: 4, 4: 4, 9: 4, 10: 4, 11: 4,
     14: 4, 15: 4, 16: 4, 17: 4, 18: 4, 19: 4,
     20: 2, 21: 2,
     22: 1, 23: 1,
     24: 4, 25: 4, 26: 4, 27: 4, 28: 4, 29: 4,
-    32: 4, 33: 4, 34: 4,
+    32: 4, 33: 4, 34: 4, 38: 4, 39: 4, 40: 2,
+    43: 4,
 }
 _MASK_TABLES = {EM_X86_64: _MASK_X86_64, EM_386: _MASK_386}
 MAX_MASK_LEN = 8
@@ -276,7 +274,7 @@ def list_text_sections(image: ElfImage) -> list[Section]:
     return [s for s in image.sections if is_text_section(s)]
 
 
-def parse_relocations(image: ElfImage) -> dict[int, tuple[list[int], bytes]]:
+def parse_relocations(image: ElfImage, warnings: list[str]) -> dict[int, tuple[list[int], bytes]]:
     """The link-time-patched byte ranges of every code section, from one
     pass over the object's relocation tables.
 
@@ -293,11 +291,12 @@ def parse_relocations(image: ElfImage) -> dict[int, tuple[list[int], bytes]]:
     ``sh_info`` names; a table whose ``sh_info`` is out of range or
     names a section that is not code (:func:`is_text_section`) is not
     read.  All tables of one section are merged.  Type-0 (none) entries
-    patch nothing and are dropped; unknown types get the largest mask
-    with a logged warning; entries at or past the section end are
-    dropped, and masks running past it are clamped, each with a logged
-    warning.  Sections are read in file order, and each section's
-    tables in file order, so the warnings come out in that order.
+    patch nothing and are dropped; unknown types get the largest mask;
+    entries at or past the section end are dropped, and masks running
+    past it are clamped; each rule applied appends a message to
+    ``warnings``.  Sections are read in file order, and each section's
+    tables in file order, so the messages come in that order, those of
+    earlier tables included when a later one raises :class:`MalformedElf`.
 
     Every table is read in C-level passes on any host
     (:func:`_read_table`); only a table with an entry that needs one of
@@ -318,16 +317,16 @@ def parse_relocations(image: ElfImage) -> dict[int, tuple[list[int], bytes]]:
     for index in sorted(tables):
         text, group = sections[index], tables[index]
         if len(group) == 1:
-            relocs[index] = _read_table(group[0], text, word, type_lengths)
+            relocs[index] = _read_table(group[0], text, word, type_lengths, warnings)
         else:
-            parts = [_read_table(table, text, word, type_lengths) for table in group]
+            parts = [_read_table(table, text, word, type_lengths, warnings) for table in group]
             relocs[index] = _by_start([start for starts, _ in parts for start in starts],
                                       b"".join(lengths for _, lengths in parts))
     return relocs
 
 
-def _read_table(table: Section, text: Section, word: int,
-                type_lengths: bytes) -> tuple[list[int], bytes]:
+def _read_table(table: Section, text: Section, word: int, type_lengths: bytes,
+                warnings: list[str]) -> tuple[list[int], bytes]:
     """One relocation table's ``(starts, lengths)`` for the code section
     ``text``, as :func:`parse_relocations` returns them.
 
@@ -367,16 +366,16 @@ def _read_table(table: Section, text: Section, word: int,
             continue
         if mask_len == 0 or reloc_type > 0xFF:
             mask_len = MAX_MASK_LEN
-            logger.warning("unknown relocation type %d in %s; masking %d bytes",
-                           reloc_type, table.name, mask_len)
+            warnings.append(f"unknown relocation type {reloc_type} in {table.name}; "
+                            f"masking {mask_len} bytes")
         if offset >= limit:
-            logger.warning("relocation at 0x%x lies beyond %s (%d bytes); dropped",
-                           offset, text.name, limit)
+            warnings.append(f"relocation at 0x{offset:x} lies beyond {text.name} "
+                            f"({limit} bytes); dropped")
             continue
         if offset + mask_len > limit:
             mask_len = limit - offset
-            logger.warning("relocation mask at 0x%x clamped to section end of %s",
-                           offset, text.name)
+            warnings.append(f"relocation mask at 0x{offset:x} clamped to section end "
+                            f"of {text.name}")
         kept_starts.append(offset)
         kept_lengths.append(mask_len)
     return _by_start(kept_starts, bytes(kept_lengths))
@@ -396,15 +395,16 @@ def _swap_words(data: bytes, size: int) -> bytearray:
     return swapped
 
 
-def parse_comment(image: ElfImage) -> list[str]:
+def parse_comment(image: ElfImage, warnings: list[str]) -> list[str]:
     """NUL-separated strings of the ``.comment`` section, empties dropped,
-    order and duplicates preserved.  A missing section yields []."""
+    order and duplicates preserved, an unterminated tail kept with a
+    message appended to ``warnings``.  A missing section yields []."""
     section = get_section(image, ".comment")
     if section is None or not section.data:
         return []
     parts = section.data.split(b"\x00")
     if parts[-1]:
-        logger.warning(".comment is not NUL-terminated; keeping trailing fragment")
+        warnings.append(".comment is not NUL-terminated; keeping trailing fragment")
     return [p.decode("latin-1") for p in parts if p]
 
 

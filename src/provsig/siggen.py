@@ -183,17 +183,18 @@ def build_pattern(data: bytes, relocs: tuple[list[int], bytes]) -> HexPattern | 
 _NO_RELOCS = ([], b"")  # a section no relocation table patches
 
 
-def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], list[Rejected]]:
+def sign_object(image: ElfImage, origin_name: str,
+                warnings: list[str]) -> tuple[list[Signature], list[Rejected]]:
     """One text-target signature per usable text section of an object,
     named ``<origin>:<section>``; a section name that repeats in the
     object is numbered as :func:`unique_name` numbers it.
 
-    Returns the signatures plus a rejection report for every section
-    that was too short or unanchorable.
+    Returns the signatures and a rejection per section too short or
+    unanchorable; relocation warnings are appended to ``warnings``.
     """
     signatures: list[Signature] = []
     rejections: list[Rejected] = []
-    relocs = elf.parse_relocations(image)
+    relocs = elf.parse_relocations(image, warnings)
     seen_names: dict[str, int] = {}
     new = tuple.__new__  # builds a Signature as Signature._make does
     for index, section in enumerate(image.sections):
@@ -208,7 +209,8 @@ def sign_object(image: ElfImage, origin_name: str) -> tuple[list[Signature], lis
     return signatures, rejections
 
 
-def sign_archive(members: list[ArchiveMember], origin_name: str) -> tuple[list[Signature], list[Rejected]]:
+def sign_archive(members: list[ArchiveMember], origin_name: str,
+                 warnings: list[str]) -> tuple[list[Signature], list[Rejected]]:
     """sign_object over every archive member that is a relocatable ELF.
 
     Non-ELF members (linker scripts and the like) are skipped with a
@@ -228,7 +230,7 @@ def sign_archive(members: list[ArchiveMember], origin_name: str) -> tuple[list[S
             if not image.is_relocatable:
                 reports.append(Rejected("not a relocatable object", origin))
                 continue
-            sigs, rejects = sign_object(image, origin)
+            sigs, rejects = sign_object(image, origin, warnings)
         except (elf.MalformedElf, elf.UnsupportedElf) as exc:
             reports.append(Rejected(f"unparseable: {exc}", origin))
             continue

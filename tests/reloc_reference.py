@@ -9,8 +9,8 @@ are left out; nothing reads them.  The two agree on objects whose
 section names are unique and whose tables' ``sh_info`` fields name
 the section their names do.
 
-Warnings are returned as ``(level, message)`` records rather than
-logged, so a test can compare them with what the program logs.
+Warnings are appended to a list of messages, as the program appends
+them, so a test can compare the two lists.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from provsig.elf import (
 
 
 def section_relocations(image: ElfImage, text_name: str,
-                        warnings: list[tuple[str, str]]) -> list[tuple[int, int]]:
+                        warnings: list[str]) -> list[tuple[int, int]]:
     """``(offset, mask_len)`` pairs patching the first section named
     ``text_name``, sorted by offset (ties in table order); appends each
     warning to ``warnings``."""
@@ -66,22 +66,22 @@ def section_relocations(image: ElfImage, text_name: str,
             mask_len = table.get(reloc_type)
             if mask_len is None:
                 mask_len = MAX_MASK_LEN
-                warnings.append(("WARNING", "unknown relocation type %d in %s; masking %d bytes"
-                                 % (reloc_type, rsec.name, mask_len)))
+                warnings.append("unknown relocation type %d in %s; masking %d bytes"
+                                % (reloc_type, rsec.name, mask_len))
             if r_offset >= limit:
-                warnings.append(("WARNING", "relocation at 0x%x lies beyond %s (%d bytes); dropped"
-                                 % (r_offset, text_name, limit)))
+                warnings.append("relocation at 0x%x lies beyond %s (%d bytes); dropped"
+                                % (r_offset, text_name, limit))
                 continue
             if r_offset + mask_len > limit:
                 mask_len = limit - r_offset
-                warnings.append(("WARNING", "relocation mask at 0x%x clamped to section end of %s"
-                                 % (r_offset, text_name)))
+                warnings.append("relocation mask at 0x%x clamped to section end of %s"
+                                % (r_offset, text_name))
             pairs.append((r_offset, mask_len))
     pairs.sort(key=itemgetter(0))
     return pairs
 
 
-def object_relocations(image: ElfImage, warnings: list[tuple[str, str]]
+def object_relocations(image: ElfImage, warnings: list[str]
                        ) -> dict[str, list[tuple[int, int]]]:
     """:func:`section_relocations` for every code section, in file order."""
     return {section.name: section_relocations(image, section.name, warnings)

@@ -6,7 +6,6 @@ import contextlib
 import gc
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -32,6 +31,7 @@ from provsig.sigdb import load_db, parse_sigfile
 
 from elfwriter import (
     R_X86_64_PC32,
+    SHT_REL,
     SHT_RELA,
     Sec,
     build_archive,
@@ -350,15 +350,26 @@ def test_siggen_prints_elf_warnings_against_their_input(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().err == (
         f"siggen: warning: {host}: .comment is not NUL-terminated; keeping trailing fragment\n")
-    assert logging.getLogger("provsig.elf").handlers == []
-    # an input that fails to parse leaves no handler behind either
+    # an input's warnings print before its error line: the first table's
+    # entry lies past .text, the second table is cut short
+    cut = tmp_path / "cut.o"
+    cut.write_bytes(build_object(bytes(range(40)), {".text": [(100, R_X86_64_PC32, "f")]},
+                                 extra=[Sec(".rel.text", bytes(19), sh_type=SHT_REL, info=1)]))
+    rc = siggen_main(["obj", str(cut), "--package", "P", "--version", "1",
+                      "-o", str(tmp_path / "cut.sig")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"siggen: warning: {cut}: relocation at 0x64 lies beyond .text (40 bytes); dropped\n"
+        f"siggen: {cut}: truncated relocation records in .rel.text\n")
+    # a failing input after one that warns: each line against its own input
     junk = tmp_path / "junk.o"
     junk.write_bytes(b"\x7fELF" + bytes(8))
-    rc = siggen_main(["obj", str(junk), "--package", "P", "--version", "1",
+    rc = siggen_main(["obj", str(far), str(junk), "--package", "P", "--version", "1",
                       "-o", str(tmp_path / "o.sig")])
     assert rc == 2
-    assert capsys.readouterr().err == f"siggen: {junk}: bad ELF magic\n"
-    assert logging.getLogger("provsig.elf").handlers == []
+    assert capsys.readouterr().err == (
+        f"siggen: warning: {far}: relocation at 0x64 lies beyond .text (40 bytes); dropped\n"
+        f"siggen: {junk}: bad ELF magic\n")
 
 
 def test_siggen_archive_with_malformed_relocation_table_member(tmp_path, capsys):
@@ -666,13 +677,14 @@ def _run_module(*args, text=True, **env) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_dataclasses_unloaded():
     # every audit pays provsig's start-up; dataclasses would pull in
-    # inspect, ast, dis and copy.  -S keeps site's own imports out.
+    # inspect, ast, dis and copy, and logging its own module tree.  -S
+    # keeps site's own imports out.
     src = str(Path(provsig.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import provsig.cli; "
-            "print('dataclasses' in sys.modules)")
+            "print('dataclasses' in sys.modules, 'logging' in sys.modules)")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
 
 
 def test_module_entry_runs_siggen(tmp_path):
@@ -1048,7 +1060,7 @@ def batch_world(tmp_path_factory):
     return root, argv, goods, clean, bad_exe, bad_lib
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=2000)
 @given(exe_edits=_EDITS, exe_keep=_KEEP, lib_edits=_EDITS, lib_keep=_KEEP)
 @example(exe_edits=[], exe_keep=None, lib_edits=[(4, 9)], lib_keep=None)
 @example(exe_edits=[(0, 0)], exe_keep=None, lib_edits=[], lib_keep=None)
@@ -1080,7 +1092,7 @@ def test_sigscan_one_mutated_target_spoils_only_its_own_report(
                    for w in bad_doc["warnings"])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=2000)
 @given(payload_edits=_EDITS, keep=_KEEP, file_edits=_EDITS)
 @example(payload_edits=[], keep=2, file_edits=[])  # one literal byte: no anchor
 @example(payload_edits=[], keep=None, file_edits=[(0, ord("x"))])  # no magic line

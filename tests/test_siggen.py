@@ -46,6 +46,7 @@ from pattern_reference import (
 )
 from elfwriter import (
     R_X86_64_PC32,
+    SHT_REL,
     SHT_RELA,
     Sec,
     build_archive,
@@ -368,7 +369,7 @@ def test_anchor_longest_literal_run_earliest_on_ties():
 
 def test_sign_object_call_stub():
     data = build_object(CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]})
-    sigs, rejects = sign_object(parse_elf(data), "stub.o")
+    sigs, rejects = sign_object(parse_elf(data), "stub.o", [])
     assert rejects == []
     assert len(sigs) == 1
     assert sigs[0].name == "stub.o:.text"
@@ -385,7 +386,7 @@ def _rela_text(offset: int, info: int) -> Sec:
 def test_sign_object_masks_each_same_named_section_with_its_own_table():
     data = build_elf([Sec(".text", bytes(range(48))), Sec(".text", bytes(range(100, 148))),
                       _rela_text(4, info=1), _rela_text(40, info=2)])
-    sigs, rejects = sign_object(parse_elf(data), "twin.o")
+    sigs, rejects = sign_object(parse_elf(data), "twin.o", [])
     assert rejects == []
     assert [s.name for s in sigs] == ["twin.o:.text", "twin.o:.text#2"]
     assert [pattern_to_text(s.pattern) for s in sigs] == [
@@ -403,20 +404,20 @@ def test_sign_object_ignores_table_naming_no_code_section(table):
     data = build_object(CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]},
                         extra=[Sec(".data", bytes(8)), table])
     assert len(parse_elf(data).sections) == 8
-    sigs, rejects = sign_object(parse_elf(data), "stub.o")
+    sigs, rejects = sign_object(parse_elf(data), "stub.o", [])
     assert rejects == []
     assert [pattern_to_text(s.pattern) for s in sigs] == [CALL_STUB_PATTERN]
 
 
 def test_sign_object_short_section_skipped():
     data = build_object({".text.a": b"\xab" * 20, ".text.b": b"\xcd" * 10})
-    sigs, rejects = sign_object(parse_elf(data), "obj.o")
+    sigs, rejects = sign_object(parse_elf(data), "obj.o", [])
     assert [s.name for s in sigs] == ["obj.o:.text.a"]
     assert [(r.name, r.reason) for r in rejects] == [("obj.o:.text.b", TOO_SHORT)]
 
 
 def test_sign_object_empty_text():
-    sigs, rejects = sign_object(parse_elf(build_object(b"")), "empty.o")
+    sigs, rejects = sign_object(parse_elf(build_object(b"")), "empty.o", [])
     assert sigs == []
     assert rejects[0].reason == TOO_SHORT
 
@@ -424,7 +425,7 @@ def test_sign_object_empty_text():
 def test_sign_archive_additivity():
     members = [(f"m{i}.o", build_object(bytes((i + j) % 256 for j in range(32))))
                for i in range(3)]
-    sigs, reports = sign_archive(parse_archive(build_archive(members)), "libx.a")
+    sigs, reports = sign_archive(parse_archive(build_archive(members)), "libx.a", [])
     assert len(sigs) == 3
     assert [s.name for s in sigs] == [f"libx.a/m{i}.o:.text" for i in range(3)]
     assert reports == []
@@ -433,7 +434,7 @@ def test_sign_archive_additivity():
 def test_sign_archive_skips_non_elf_member():
     members = [("script.ld", b"GROUP ( libfoo.a )\n"),
                ("real.o", build_object(b"\x42" * 24))]
-    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a")
+    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a", [])
     assert [s.name for s in sigs] == ["lib.a/real.o:.text"]
     assert any("script.ld" in r.name for r in reports)
 
@@ -443,17 +444,32 @@ def test_sign_archive_skips_member_with_malformed_relocation_table():
                        extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=1)])
     members = [("good.o", build_object(b"\x24" * 24)), ("bad.o", bad),
                ("notes.txt", b"plain text")]
-    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a")
+    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a", [])
     assert [s.name for s in sigs] == ["lib.a/good.o:.text"]
     assert reports == [
         Rejected("unparseable: truncated relocation records in .rela.text", "lib.a/bad.o"),
         Rejected("not an ELF object", "lib.a/notes.txt")]
 
 
+def test_sign_archive_hands_back_member_warnings_in_order():
+    # bad.o warns, then its second table is cut short: its warning stays
+    far = build_object(b"\x24" * 24, {".text": [(30, R_X86_64_PC32, "f")]})
+    bad = build_object(b"\x42" * 24, {".text": [(26, R_X86_64_PC32, "g")]},
+                       extra=[Sec(".rel.text", bytes(19), sh_type=SHT_REL, info=1)])
+    warnings: list[str] = []
+    sigs, reports = sign_archive(parse_archive(build_archive([("far.o", far), ("bad.o", bad)])),
+                                 "lib.a", warnings)
+    assert [s.name for s in sigs] == ["lib.a/far.o:.text"]
+    assert reports == [
+        Rejected("unparseable: truncated relocation records in .rel.text", "lib.a/bad.o")]
+    assert warnings == ["relocation at 0x1e lies beyond .text (24 bytes); dropped",
+                        "relocation at 0x1a lies beyond .text (24 bytes); dropped"]
+
+
 def test_sign_archive_duplicate_member_names_numbered():
     members = [("a.o", build_object(bytes((i * 7 + j) % 256 for j in range(32))))
                for i in range(3)] + [("b.o", b"not elf")]
-    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a")
+    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a", [])
     assert [s.name for s in sigs] == \
         ["lib.a/a.o:.text", "lib.a/a.o#2:.text", "lib.a/a.o#3:.text"]
     assert reports == [Rejected("not an ELF object", "lib.a/b.o")]
@@ -470,13 +486,13 @@ def test_unique_name_counts_each_name_separately():
 
 
 def test_sign_archive_empty():
-    assert sign_archive([], "lib.a") == ([], [])
+    assert sign_archive([], "lib.a", []) == ([], [])
 
 
 def test_sign_archive_names_fold_into_object_section():
     obj = build_object({".text.baz": b"\x55" * 24})
     members = [("bar.o", obj)]
-    sigs, _ = sign_archive(parse_archive(build_archive(members)), "libfoo.a")
+    sigs, _ = sign_archive(parse_archive(build_archive(members)), "libfoo.a", [])
     assert sigs[0].name == "libfoo.a/bar.o:.text.baz"
 
 
@@ -485,7 +501,7 @@ def test_sign_object_elf32_rel_masking():
     data = bytes((3 * i + 1) % 256 for i in range(32))
     obj = build_object(data, {".text": [(10, R_386_PC32, "puts")]},
                        bits=32, machine=EM_386, rela=False)
-    sigs, rejects = sign_object(parse_elf(obj), "unit.o")
+    sigs, rejects = sign_object(parse_elf(obj), "unit.o", [])
     assert rejects == []
     shape = pattern_to_text(sigs[0].pattern)
     assert shape == data[:10].hex() + "????????" + data[14:].hex()

@@ -20,6 +20,11 @@
   through the per-section reference (``reloc_reference``), pairs and
   warnings both.  Many of these tables list their offsets out of order.
   Skipped when gcc or an archive is missing.
+* Objects gcc builds with relocation types that only the TLS
+  descriptor dialect (``-mtls-dialect=gnu2``) or ``-m32 -fPIC`` emit
+  sign without a warning, to the payloads their disassembly gives.
+  Skipped when gcc is missing or cannot build the object (``-m32``
+  needs the 32-bit multilib).
 * Every relocatable member of the host's ``libc.a``, ``libgcc.a``,
   ``libgcc_eh.a`` and ``libstdc++.a`` parses to the same image through
   :func:`provsig.elf.parse_elf` as through the per-header reference
@@ -181,8 +186,7 @@ def test_static_cxx_program_reports_signed_cxx_and_c_archives(tmp_path, capsys):
 
 
 @_missing("gcc")
-def test_host_relocation_tables_read_as_the_reference_reads_them(caplog):
-    caplog.set_level("WARNING", logger="provsig.elf")
+def test_host_relocation_tables_read_as_the_reference_reads_them():
     checked = 0
     for name in ("libc.a", "libgcc.a"):
         with open(_archive("gcc", name), "rb") as archive:
@@ -193,17 +197,47 @@ def test_host_relocation_tables_read_as_the_reference_reads_them(caplog):
             # the reference finds a section's tables by its name
             if not image.is_relocatable or len(set(names)) < len(names):
                 continue
-            caplog.clear()
-            want_log: list[tuple[str, str]] = []
-            want = reloc_reference.object_relocations(image, want_log)
+            want_warnings: list[str] = []
+            want = reloc_reference.object_relocations(image, want_warnings)
+            warnings: list[str] = []
             got = {section_name: [] for section_name in names}
-            for index, (starts, lengths) in elf.parse_relocations(image).items():
+            for index, (starts, lengths) in elf.parse_relocations(image, warnings).items():
                 got[image.sections[index].name] = list(zip(starts, lengths))
             assert got == want, (name, member.name)
-            assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log, \
-                (name, member.name)
+            assert warnings == want_warnings, (name, member.name)
             checked += 1
     assert checked
+
+
+TLS_C = "__thread int tv;\nint get(void) { return tv; }\n"
+GOT_C = "extern int x;\nint f(void) { return x; }\n"
+
+
+# the 2-byte "ff 10" descriptor call and the word32 GOT fields masked;
+# the mov and add after the call stay literal
+@_missing("gcc")
+@pytest.mark.parametrize("source, flags, payload", [
+    (TLS_C, ["-mtls-dialect=gnu2"],  # TLSDESC_CALL
+     "4883ec08488d05????????????648b004883c408c3"),
+    (TLS_C, ["-m32", "-mtls-dialect=gnu2"],  # TLS_GOTDESC, TLS_DESC_CALL
+     "53e8????????81c3????????83ec088d83????????????658b0083c4085bc3"),
+    (GOT_C, ["-m32"],  # GOT32X
+     "e8????????05????????8b80????????8b00c3"),
+], ids=["x86-64-tlsdesc", "i386-tlsdesc", "i386-got32x"])
+def test_gcc_relocation_types_sign_without_warning(tmp_path, capsys, source, flags, payload):
+    (tmp_path / "unit.c").write_text(source)
+    obj = tmp_path / "unit.o"
+    built = subprocess.run(["gcc", "-O2", "-fPIC", *flags, "-c", "-o", str(obj),
+                            str(tmp_path / "unit.c")], capture_output=True, text=True)
+    if built.returncode:
+        pytest.skip(f"gcc {' '.join(flags)} -c does not work here: {built.stderr.strip()}")
+    out = tmp_path / "unit.sig"
+    assert siggen_main(["obj", str(obj), "--package", "P", "--version", "1",
+                        "-o", str(out)]) == 0
+    assert "siggen: warning:" not in capsys.readouterr().err
+    (sig,) = (sig for sig in sigdb.parse_sigfile(out.read_bytes()).signatures
+              if sig.name == "unit.o:.text")
+    assert siggen.pattern_to_text(sig.pattern) == payload
 
 
 @_missing("gcc")
