@@ -20,7 +20,6 @@ import gc
 import json
 import os
 import sys
-from pathlib import Path
 from typing import NamedTuple
 
 from provsig import elf, matcher, sigdb, siggen, symver
@@ -154,7 +153,7 @@ def siggen_main(argv=None) -> int:
     used_origins: dict[str, int] = {}
     for input_path in args.inputs:
         try:
-            data = Path(input_path).read_bytes()
+            data = elf.read_file(input_path)
         except OSError as exc:
             _err(f"siggen: cannot read {input_path}: {exc}")
             return EXIT_INPUT
@@ -282,21 +281,19 @@ def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
     """One target's report.  ``libraries`` maps each library path
     resolved so far in this call to its :func:`_library_outcome`, so a
     library many targets need is read once."""
-    image = elf.parse_elf(Path(target_path).read_bytes())
+    image = elf.parse_elf(elf.read_file(target_path))
+    scans = [(text_engine, text_owners, s.data) for s in elf.list_text_sections(image)]
+    comment = elf.get_section(image, ".comment")
+    if comment is not None:
+        scans.append((comment_engine, comment_owners, comment.data))
+    # each match is tallied as the engine verifies it, and none is kept
     counts: dict[tuple[str, str], list[int]] = {}
-
-    def accumulate(matches, owners):
-        for m in matches:
+    for engine, owners, data in scans:
+        for m in matcher.iter_matches(engine, data):
             owner = owners[m.signature_id]
             entry = counts.setdefault((owner.package, owner.version), [0, 0])
             entry[0] += 1
             entry[1] += m.span
-
-    for section in elf.list_text_sections(image):
-        accumulate(matcher.scan_all(text_engine, section.data), text_owners)
-    comment = elf.get_section(image, ".comment")
-    if comment is not None:
-        accumulate(matcher.scan_all(comment_engine, comment.data), comment_owners)
 
     package_hits = sorted(
         (PackageHit(package=pkg, version=ver, count=c, total_bytes=b)
@@ -325,7 +322,7 @@ def _library_outcome(db: sigdb.Database, resolved: str,
     """What the library at ``resolved`` adds to a report: its findings,
     or the warning that it cannot be read."""
     try:
-        lib = elf.parse_elf(Path(resolved).read_bytes())
+        lib = elf.parse_elf(elf.read_file(resolved))
         versions = symver.library_versions(lib, labels)
     except (OSError, MalformedElf, UnsupportedElf, symver.MalformedVerdef) as exc:
         return (), f"{resolved}: {exc}"

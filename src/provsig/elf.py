@@ -24,9 +24,11 @@ files are supported; everything is decoded with :mod:`struct` or
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import sys
 from bisect import bisect_right
+from pathlib import Path
 from typing import NamedTuple
 
 ELF_MAGIC = b"\x7fELF"
@@ -127,6 +129,23 @@ MAX_MASK_LEN = 8
 _TYPE_LENGTHS = {machine: bytes(masks.get(reloc_type, 0) for reloc_type in range(256))
                  for machine, masks in _MASK_TABLES.items()}
 _NO_TYPE_LENGTHS = bytes(256)
+
+
+def read_file(path) -> bytes:
+    """The bytes of the regular file at ``path``: every input file of
+    ``sigscan`` and ``siggen`` is read here.
+
+    The file is opened without blocking, and a FIFO or a device is
+    refused with an OSError naming the path before a byte is read, so no
+    input can hang the run or feed it without end.  A directory fails as
+    ``open`` fails it.  The path is named as :class:`~pathlib.Path`
+    prints it.
+    """
+    path = Path(path)
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as file:
+        if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            raise OSError(f"not a regular file: {str(path)!r}")
+        return file.read()
 
 
 def read_cstr(buf: bytes, offset: int) -> bytes:

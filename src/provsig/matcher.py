@@ -58,12 +58,13 @@ This departs from the paper's ClamAV-style Aho-Corasick automaton; it
 reports the same matches, and the naive every-start regular expression
 oracle in the tests is the judge of that.
 
-``scan_all`` scans a text section or ``.comment`` bytes alike and
-returns every verified occurrence of every signature, overlaps
-included, as a tuple of :class:`Match` sorted by (start, signature
-id): each (signature, start) whose bytes match is reported once.  It
-only reads the buffer, so every match it reports is made of the
-input's own bytes.
+``iter_matches`` scans a text section or ``.comment`` bytes alike and
+verifies each key occurrence where the filter finds it, yielding every
+occurrence of every signature, overlaps included, as a :class:`Match`:
+each (signature, start) whose bytes match comes once.  It only reads
+the buffer and keeps no list of hits, so ``sigscan``, which tallies the
+matches as they come, needs memory bounded by the database and one
+target.  ``scan_all`` is that stream sorted by (start, signature id).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from provsig.siggen import HexPattern
 
@@ -264,19 +265,12 @@ def _padding_free_key(runs) -> tuple[bytes, int] | None:
     return best
 
 
-def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
-    """Every verified occurrence of every signature in ``buffer``,
-    overlaps included, sorted by (start, signature id); the buffer is
-    only read."""
-    if not isinstance(buffer, bytes):
-        buffer = bytes(buffer)
+def _key_hits(engine: CompiledEngine, buffer: bytes):
+    """Yield (position, owners) of each key occurrence: a tabled one at a
+    is sampled only at p = a + j, p % step == 0, j < step."""
     owners = engine._owners
     n = len(buffer)
     view = memoryview(buffer)
-    # (position, owners) of each key occurrence: a tabled one at a is
-    # sampled only at p = a + j, p % step == 0, j < step.  A signature
-    # has one key, so each (signature, start) is found once
-    keyed: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     for r, table, lanes in engine._passes:
         size = max(n - r, 0) // 8
         words = view[r:r + size * 8].cast("Q")
@@ -299,21 +293,30 @@ def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
                     continue
                 found = owners.get(buffer[at:at + key_len])
                 if found is not None:
-                    keyed.append((at, found))
+                    yield at, found
     for key in engine._short_keys:
         at = buffer.find(key)
         while at >= 0:
-            keyed.append((at, owners[key]))
+            yield at, owners[key]
             at = buffer.find(key, at + 1)
+
+
+def iter_matches(engine: CompiledEngine, buffer) -> Iterator[Match]:
+    """Yield each verified occurrence of each signature in ``buffer`` as it
+    is found, in no set order; with one key per signature, none twice."""
+    buffer = bytes(buffer)  # the same object if it is bytes already
+    n = len(buffer)
     verify = engine._verify
-    hits: list[Match] = []
-    for at, found in keyed:
+    for at, found in _key_hits(engine, buffer):
         for sig_idx, key_off in found:
             start = at - key_off
             span, offsets, literals, _ = verify[sig_idx]
             if start < 0 or start + span > n:
                 continue
             if all(map(buffer.startswith, literals, map(start.__add__, offsets))):
-                hits.append(Match(sig_idx, start, span))
-    hits.sort(key=lambda m: (m.start, m.signature_id))
-    return tuple(hits)
+                yield Match(sig_idx, start, span)
+
+
+def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
+    """Every match of :func:`iter_matches`, sorted by (start, signature id)."""
+    return tuple(sorted(iter_matches(engine, buffer), key=lambda m: (m.start, m.signature_id)))

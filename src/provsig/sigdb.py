@@ -29,6 +29,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
+from provsig.elf import read_file
 from provsig.siggen import (
     TARGET_COMMENT,
     TARGET_DYNLIB,
@@ -230,7 +231,7 @@ def load_db(directory) -> Database:
     warnings: list[str] = []
     for path in sorted(root.glob("*.sig"), key=lambda p: p.name):
         try:
-            files.append(parse_sigfile(path.read_bytes()))
+            files.append(parse_sigfile(read_file(path)))
         except (MalformedSigFile, OSError) as exc:
             warnings.append(f"{path.name}: {exc}")
     if not files:

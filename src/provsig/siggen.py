@@ -21,7 +21,6 @@ joined by exact-length gaps so the overall layout is preserved.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from bisect import bisect_left
@@ -264,6 +263,7 @@ def text_md5_key(image: ElfImage) -> tuple[str, int] | None:
     text = elf.get_section(image, ".text")
     if text is None:
         return None
+    import hashlib  # here, so a scan that never takes a digest does not load it
     return hashlib.md5(text.data).hexdigest(), len(text.data)
 
 

@@ -13,7 +13,6 @@ Version components compare numerically, so 2.10 ranks above 2.9.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 from provsig import elf
 from provsig.elf import ElfImage
@@ -113,7 +112,7 @@ def load_labels(path) -> list[str]:
     """Label list file: one label per line, blank lines and ``#`` comments
     ignored; a repeated label keeps its first place."""
     labels: dict[str, None] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in elf.read_file(path).decode("utf-8").splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -600,6 +601,106 @@ def test_sigscan_unreadable_target_exit_2_continues(small_db, tmp_path, capsys):
     assert "Intel Compiler Suite" in captured.out
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+@pytest.mark.parametrize("where", ["target", "db-entry", "labels", "siggen-input"])
+def test_fifo_input_is_refused_without_a_hang(small_db, tmp_path, where):
+    # a FIFO nobody writes to: reading it would block for ever, so each
+    # case runs in its own process under a timeout
+    fifo = small_db / "z.sig" if where == "db-entry" else tmp_path / "fifo"
+    os.mkfifo(fifo)
+    good = tmp_path / "good"
+    good.write_bytes(build_executable(CALL_STUB_TEXT))
+    refused = f"not a regular file: {str(fifo)!r}"
+    report = "(1 times, 24 bytes) Intel Compiler Suite 12.0\n"
+    scan = ["sigscan", "--db", str(small_db), "--no-dynamic"]
+    argv, want = {
+        "target": (scan + [str(good), str(fifo), str(good)],
+                   (2, f"{good}:\n{report}{good}:\n{report}", f"sigscan: {fifo}: {refused}\n")),
+        "db-entry": (scan + [str(good)],
+                     (0, report, f"sigscan: warning: z.sig: {refused}\n")),
+        "labels": (scan + ["--labels", str(fifo), str(good)],
+                   (2, "", f"sigscan: cannot read labels file: {refused}\n")),
+        "siggen-input": (["siggen", "obj", str(fifo), "--package", "P", "--version", "1",
+                          "-o", str(tmp_path / "o.sig")],
+                         (2, "", f"siggen: cannot read {fifo}: {refused}\n")),
+    }[where]
+    done = _run_module(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == want
+    assert not (tmp_path / "o.sig").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_device_or_directory_target_is_refused_and_the_batch_goes_on(small_db, tmp_path):
+    # /dev/null reads empty, so a reader that took devices fails this test
+    # without the hang of a FIFO or the endless bytes of /dev/zero; a
+    # directory keeps the error open() gives it
+    good = tmp_path / "good"
+    good.write_bytes(build_executable(CALL_STUB_TEXT))
+    done = _run_module("sigscan", "--db", str(small_db), "--no-dynamic", "/dev/null",
+                       str(tmp_path), str(good))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, f"{good}:\n(1 times, 24 bytes) Intel Compiler Suite 12.0\n",
+        "sigscan: /dev/null: not a regular file: '/dev/null'\n"
+        f"sigscan: {tmp_path}: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+
+# A 19-byte function body with one 0x55, so a run of copies holds it only
+# at multiples of 19
+_BODY = bytes.fromhex("554889e5897dfc8b45fc0fafc05dc3909090cc")
+
+
+def _scan_peaks(tmp_path, capsys, sig_lines: str, texts):
+    """(stdout, tracemalloc peak) of one ``sigscan_main`` call per .text
+    in ``texts``, against a DB of the given signature lines.  Only the
+    call is traced, and an untraced first call pays the one-time costs."""
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "p.sig").write_text(f"provsig 1\npackage P\nversion 1\n{sig_lines}")
+    target = tmp_path / "t"
+
+    def scan(text, traced):
+        target.write_bytes(build_executable(text))
+        if traced:
+            tracemalloc.start()
+        try:
+            assert sigscan_main(["--db", str(db), "--no-dynamic", str(target)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out, peak
+
+    scan(texts[0], traced=False)
+    return [scan(text, traced=True) for text in texts]
+
+
+def _assert_flat(results, texts):
+    # the target is held twice (the file's bytes and its .text), and the
+    # word filter takes a few slices of an eighth of it: anything that
+    # grew per key hit or per match would cost dozens of bytes per byte
+    (_, small), (_, large) = results
+    assert large - small < 3 * (len(texts[1]) - len(texts[0]))
+
+
+def test_sigscan_memory_stays_flat_over_a_body_many_signatures_hold(tmp_path, capsys):
+    sig_lines = "".join(f"f{i}.o:.text:text:hex:{_BODY.hex()}\n" for i in range(8))
+    texts = [_BODY * (size // 19) for size in (16 << 10, 64 << 10)]
+    results = _scan_peaks(tmp_path, capsys, sig_lines, texts)
+    for (out, _), text in zip(results, texts):
+        count = len(text) // 19 * 8  # occurrences x holders
+        assert out == f"({count} times, {count * 19} bytes) P 1\n"
+    _assert_flat(results, texts)
+
+
+def test_sigscan_memory_stays_flat_over_a_short_key_that_never_verifies(tmp_path, capsys):
+    # the 2-byte key 50 e8 occurs at every even offset; c3 c3 never follows
+    texts = [b"\x50\xe8" * (size // 2) for size in (16 << 10, 64 << 10)]
+    results = _scan_peaks(tmp_path, capsys, "s.o:.text:text:hex:50e8????????c3c3\n", texts)
+    assert [out for out, _ in results] == ["no matches\n"] * 2
+    _assert_flat(results, texts)
+
+
 def test_sigscan_empty_db_exit_2(tmp_path, capsys):
     empty = tmp_path / "db"
     empty.mkdir()
@@ -677,14 +778,15 @@ def _run_module(*args, text=True, **env) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_dataclasses_unloaded():
     # every audit pays provsig's start-up; dataclasses would pull in
-    # inspect, ast, dis and copy, and logging its own module tree.  -S
-    # keeps site's own imports out.
+    # inspect, ast, dis and copy, logging its own module tree, and
+    # hashlib is needed only where an MD5 digest is taken.  -S keeps
+    # site's own imports out.
     src = str(Path(provsig.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import provsig.cli; "
-            "print('dataclasses' in sys.modules, 'logging' in sys.modules)")
+            "print([name in sys.modules for name in ('dataclasses', 'logging', 'hashlib')])")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, False]\n", "")
 
 
 def test_module_entry_runs_siggen(tmp_path):
