@@ -248,47 +248,33 @@ def _compile_engine(db: sigdb.Database):
     """Compile the patterns of all text signatures and of all comment
     signatures, gathered in one walk over the database, into
     ``[(text engine, owners), (comment engine, owners)]``: ``owners[i]``
-    holds engine index ``i``.
-
-    Raises ValueError naming an unanchorable signature ``sig_id:name``,
-    with ids counted in load order, since the same object name can recur
-    across packages.
-    """
-    # target -> the (id, name), patterns and owning files of its signatures
-    picked = {siggen.TARGET_TEXT: ([], [], []), siggen.TARGET_COMMENT: ([], [], [])}
-    sig_id = 0
+    holds engine index ``i``."""
+    # target -> the patterns and owning files of its signatures
+    picked = {siggen.TARGET_TEXT: ([], []), siggen.TARGET_COMMENT: ([], [])}
     for sf in db.files:
         for sig in sf.signatures:
             lists = picked.get(sig.target)
             if lists is not None:
-                lists[0].append((sig_id, sig.name))
-                lists[1].append(sig.pattern)
-                lists[2].append(sf)
-            sig_id += 1
-    compiled = []
-    for named, patterns, owners in picked.values():
-        try:
-            compiled.append((matcher.compile(patterns), owners))
-        except matcher.UnanchorableSignature as exc:
-            sig_id, name = named[exc.index]
-            raise ValueError(f"{sig_id}:{name}") from None
-    return compiled
+                lists[0].append(sig.pattern)
+                lists[1].append(sf)
+    return [(matcher.compile(patterns), owners) for patterns, owners in picked.values()]
 
 
-def _scan_one(target_path: str, db: sigdb.Database, text_engine, text_owners,
-              comment_engine, comment_owners, labels, search_paths,
+def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_paths,
               no_dynamic: bool, libraries: dict) -> ScanReport:
-    """One target's report.  ``libraries`` maps each library path
-    resolved so far in this call to its :func:`_library_outcome`, so a
-    library many targets need is read once."""
+    """One target's report.  ``engines`` is what :func:`_compile_engine`
+    returns.  ``libraries`` maps each library path resolved so far in
+    this call to its :func:`_library_outcome`, so a library many targets
+    need is read once."""
     image = elf.parse_elf(elf.read_file(target_path))
-    scans = [(text_engine, text_owners, s.data) for s in elf.list_text_sections(image)]
+    text, comments = engines  # each an (engine, owners) pair
+    scans = [(text, s.data) for s in elf.list_text_sections(image)]
     comment = elf.get_section(image, ".comment")
     if comment is not None:
-        scans.append((comment_engine, comment_owners, comment.data))
+        scans.append((comments, comment.data))
     # each match is tallied as the engine verifies it, and none is kept
     counts: dict[tuple[str, str], list[int]] = {}
-    for engine, owners, data in scans:
+    for (engine, owners), data in scans:
         for m in matcher.iter_matches(engine, data):
             owner = owners[m.signature_id]
             entry = counts.setdefault((owner.package, owner.version), [0, 0])
@@ -374,15 +360,11 @@ def sigscan_main(argv=None) -> int:
         else:
             labels = list(symver.DEFAULT_LABELS)
 
-        search_paths = list(args.search_path)
-        env_paths = os.environ.get(ENV_SEARCH_PATH, "")
-        search_paths.extend(p for p in env_paths.split(os.pathsep) if p)
+        # an empty entry, from either source, is not the current directory
+        env_paths = os.environ.get(ENV_SEARCH_PATH, "").split(os.pathsep)
+        search_paths = [p for p in (*args.search_path, *env_paths) if p]
 
-        try:
-            (text_engine, text_owners), (comment_engine, comment_owners) = _compile_engine(db)
-        except ValueError as exc:
-            _err(f"sigscan: cannot compile database: {exc}")
-            return EXIT_INPUT
+        engines = _compile_engine(db)
         gc.freeze()
         if collecting:
             gc.enable()
@@ -392,9 +374,8 @@ def sigscan_main(argv=None) -> int:
         libraries: dict = {}
         for target in args.binaries:
             try:
-                report = _scan_one(target, db, text_engine, text_owners,
-                                   comment_engine, comment_owners, labels,
-                                   search_paths, args.no_dynamic, libraries)
+                report = _scan_one(target, db, engines, labels, search_paths,
+                                   args.no_dynamic, libraries)
             except (OSError, MalformedElf, UnsupportedElf) as exc:
                 _err(f"sigscan: {target}: {exc}")
                 status = EXIT_INPUT

@@ -3,7 +3,9 @@
 All patterns are compiled into one engine, which scans a buffer once
 per word table and once per short key; a match names its pattern by
 list index, which the caller maps to a signature.  Each pattern has an
-*anchor*: its longest wildcard-free byte run, earliest run on ties.
+*anchor*: its longest wildcard-free byte run, earliest run on ties,
+which is two bytes or more, since :mod:`provsig.sigdb` reads and
+writes no pattern without such a run.
 The engine is keyed not on the whole anchor but on a *key*: the
 anchor's first ``KEY_LEN`` bytes (an anchor shorter than that is its
 own key).  Every occurrence of a pattern contains its key, so keying
@@ -83,18 +85,6 @@ _NARROW = 128  # a table filters on its lanes while none takes more byte values
 _MARK = re.compile(b"\x01")
 
 
-class UnanchorableSignature(ValueError):
-    """Pattern without an anchor: no literal run of two bytes or more.
-
-    ``index`` is the pattern's position in the list given to
-    :func:`compile`.
-    """
-
-    def __init__(self, index: int):
-        super().__init__(f"pattern {index} has no anchor")
-        self.index = index
-
-
 class Match(NamedTuple):
     """One verified occurrence: which signature, where, how many bytes."""
 
@@ -128,15 +118,13 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
     an equal run before it would be as long.  The filter is keyed on
     the first ``KEY_LEN`` bytes of the anchor, unless that key is
     padding (see :func:`_padding_free_key`).  Matches report list
-    indices.  Raises UnanchorableSignature if a pattern has no anchor
-    (generated patterns always have one; this guards hand-written
-    input).
+    indices.  Every pattern must hold an anchor, a literal run of two
+    bytes or more, as every pattern read from or written to a ``.sig``
+    file does: :mod:`provsig.sigdb` refuses any other.
     """
     keys: list[tuple[bytes, int]] = []
-    for index, (_, offsets, literals, _) in enumerate(patterns):
-        longest = max(literals, key=len, default=b"")
-        if len(longest) < 2:
-            raise UnanchorableSignature(index)
+    for _, offsets, literals, _ in patterns:
+        longest = max(literals, key=len)
         keys.append((longest[:KEY_LEN], offsets[literals.index(longest)]))
     for index in _padding_keys([key for key, _ in keys]):
         _, offsets, literals, _ = patterns[index]

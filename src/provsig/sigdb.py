@@ -18,7 +18,11 @@ payload is lowercase hex pairs with ``??`` and ``{n}`` inline; ``md5``
 for dynlib, whose payload is ``digest:textsize``.  The kind is written
 and checked here and nowhere else; in memory a
 :class:`~provsig.siggen.Signature` holds only its target.  Gap lengths
-and text sizes are ASCII digits.  Signature lines are parsed
+and text sizes are ASCII digits.  A hex payload must hold an *anchor*,
+a literal run of two bytes or more, since a scan is keyed on one: a
+line without one is neither read nor written, so every pattern a
+database holds has an anchor.
+Signature lines are parsed
 right-anchored on the fixed kind/target vocabulary, so generated names
 containing colons round-trip.
 """
@@ -46,6 +50,7 @@ MAGIC_LINE = "provsig 1"
 _HEX_TARGETS = (TARGET_TEXT, TARGET_COMMENT)
 _MD5_DIGEST_LEN = 32
 _MD5_PAYLOAD = re.compile(r"[0-9a-f]{32}:[0-9]+")
+_NO_ANCHOR = "has no anchor (no literal run of two bytes or more)"
 
 
 class MalformedSigFile(ValueError):
@@ -90,13 +95,28 @@ def _one_line(text: str) -> bool:
     return "".join(text.splitlines()) == text
 
 
-def _check_writable(sf: SignatureFile) -> None:
+def _has_anchor(literals: tuple[bytes, ...]) -> bool:
+    """Whether a pattern's literal runs hold an anchor, a run of two
+    bytes or more, which a scan is keyed on.  No run is empty, so one
+    exists where the runs hold more bytes than there are runs."""
+    return len(b"".join(literals)) > len(literals)
+
+
+def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
+    """Serialize a signature file; optionally write it to ``destination``.
+
+    One walk over the signatures checks and renders each line, and
+    raises UnwritableSigFile, before anything is written, for a file
+    :func:`parse_sigfile` would not read back as it is, or would refuse:
+    a hex pattern without an anchor.
+    """
     if not sf.package:
         raise UnwritableSigFile("package name must be non-empty")
     for field in (sf.package, sf.version):
         if not _one_line(field) or ":" in field:
             raise UnwritableSigFile(
                 f"package/version may not contain colons or line breaks: {field!r}")
+    lines = [MAGIC_LINE, f"package {sf.package}", f"version {sf.version}"]
     seen: set[str] = set()
     for sig in sf.signatures:
         if not sig.name or not _one_line(sig.name) or _is_comment(sig.name):
@@ -105,6 +125,7 @@ def _check_writable(sf: SignatureFile) -> None:
             raise UnwritableSigFile(f"duplicate signature name {sig.name!r}")
         seen.add(sig.name)
         if sig.target == TARGET_DYNLIB:
+            kind = "md5"
             try:
                 payload = f"{sig.digest}:{sig.text_size}"
             except ValueError as exc:  # more digits than str() converts
@@ -115,25 +136,15 @@ def _check_writable(sf: SignatureFile) -> None:
             raise UnwritableSigFile(f"bad target {sig.target!r} of signature {sig.name!r}")
         elif not isinstance(sig.pattern, HexPattern):
             raise UnwritableSigFile(f"signature {sig.name!r} has no hex pattern")
-
-
-def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
-    """Serialize a signature file; optionally write it to ``destination``.
-
-    Raises UnwritableSigFile, before anything is written, for a file
-    :func:`parse_sigfile` would not read back as it is.
-    """
-    _check_writable(sf)
-    lines = [MAGIC_LINE, f"package {sf.package}", f"version {sf.version}"]
-    for sig in sf.signatures:
-        if sig.target == TARGET_DYNLIB:
-            lines.append(f"{sig.name}:{sig.target}:md5:{sig.digest}:{sig.text_size}")
         else:
+            kind = "hex"
             try:
                 payload = pattern_to_text(sig.pattern)
             except PatternSyntaxError as exc:
                 raise UnwritableSigFile(f"pattern of signature {sig.name!r}: {exc}") from exc
-            lines.append(f"{sig.name}:{sig.target}:hex:{payload}")
+            if not _has_anchor(sig.pattern.literals):
+                raise UnwritableSigFile(f"pattern of signature {sig.name!r} {_NO_ANCHOR}")
+        lines.append(f"{sig.name}:{sig.target}:{kind}:{payload}")
     try:
         blob = ("\n".join(lines) + "\n").encode("utf-8")
     except UnicodeEncodeError as exc:  # e.g. a name from a non-UTF-8 file name
@@ -187,6 +198,8 @@ def parse_sigfile(data: bytes) -> SignatureFile:
                 pattern = parse_pattern_text(payload)
             except PatternSyntaxError as exc:
                 raise MalformedSigFile(f"line {lineno}: {exc}") from exc
+            if not _has_anchor(pattern.literals):
+                raise MalformedSigFile(f"line {lineno}: pattern {_NO_ANCHOR}")
             if not name:
                 raise MalformedSigFile(f"line {lineno}: empty signature name")
             sig = new(Signature, (name, target, pattern, None, None))

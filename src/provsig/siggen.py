@@ -61,8 +61,9 @@ class HexPattern(NamedTuple):
     and never abut; a gap never abuts a gap, overlaps a run or opens or
     closes the pattern (:func:`pattern_to_text` refuses one that does).
     A scan needs an anchor, a literal run of two bytes or more, which
-    :func:`build_pattern` ensures and :func:`provsig.matcher.compile`
-    checks.
+    :func:`build_pattern` ensures; :mod:`provsig.sigdb` neither reads
+    nor writes a pattern without one, so
+    :func:`provsig.matcher.compile` never meets one.
     """
 
     span: int

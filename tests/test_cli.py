@@ -709,24 +709,33 @@ def test_sigscan_empty_db_exit_2(tmp_path, capsys):
     assert sigscan_main(["--db", str(empty), str(target)]) == 2
 
 
-def test_sigscan_unanchorable_signature_named_by_database_id(tmp_path, capsys):
+def test_sigscan_skips_a_database_file_with_an_unanchorable_line(tmp_path, capsys):
     db = tmp_path / "db"
     db.mkdir()
     (db / "a.sig").write_text(
         "provsig 1\npackage A\nversion 1\n"
-        "ok.o:.text:text:hex:4142434445\n"
+        f"ok.o:.text:text:hex:{CALL_STUB_TEXT.hex()}\n"
         "gcc:.comment:comment:hex:474343\n"
         "libx.so:.text:dynlib:md5:" + "ab" * 16 + ":10\n")
     target = tmp_path / "prog"
-    target.write_bytes(build_executable(CALL_STUB_TEXT))
-    # ids count every signature in load order, of any target
-    for line, name in (("solo.o:.text:text:hex:41??42", "3:solo.o:.text"),
-                       ("solo:.comment.0:comment:hex:47??43", "3:solo:.comment.0")):
-        (db / "b.sig").write_text(f"provsig 1\npackage B\nversion 1\n{line}\n")
-        assert sigscan_main(["--db", str(db), "--no-dynamic", str(target)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"sigscan: cannot compile database: {name}\n"
+    target.write_bytes(build_executable(CALL_STUB_TEXT, comment=b"GCC: (GNU) 4.4.3\x00"))
+    argv = ["--db", str(db), "--no-dynamic", str(target)]
+    assert sigscan_main(argv) == 0
+    clean = capsys.readouterr()
+    assert (clean.out, clean.err) == ("(2 times, 27 bytes) A 1\n", "")
+    warning = ("sigscan: warning: b.sig: line 5: pattern has no anchor "
+               "(no literal run of two bytes or more)\n")
+    # b.sig would add matches if it loaded; one line without an anchor
+    # skips all of it, and the rest of the database scans as before
+    for line in ("solo.o:.text:text:hex:41??42", "solo:.comment.0:comment:hex:47??43"):
+        (db / "b.sig").write_text("provsig 1\npackage B\nversion 1\n"
+                                  f"stub.o:.text:text:hex:{CALL_STUB_TEXT.hex()}\n{line}\n")
+        assert sigscan_main(argv) == 0
+        assert capsys.readouterr() == (clean.out, warning)
+    (db / "a.sig").unlink()
+    assert sigscan_main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"sigscan: no signature files loaded from {db} (1 file(s) failed to parse)\n")
 
 
 def test_sigscan_usage_error_exit_1(capsys):
@@ -951,6 +960,24 @@ def test_sigscan_explicit_search_path_precedes_env(dynlib_world, tmp_path,
     libc = next(f for f in doc["dynlib_findings"] if "libc.so.6" in f["library"])
     assert libc["library"] == str(decoy_dir / "libc.so.6")
     assert libc["version"] == "2.1"
+
+
+@pytest.mark.parametrize("source", ["option", "environment"])
+def test_sigscan_empty_search_path_entry_is_not_the_current_directory(
+        dynlib_world, capsys, monkeypatch, source):
+    db, libdir, target = dynlib_world
+    monkeypatch.chdir(libdir)  # every library the target needs but one
+    argv = ["--db", str(db), "--format", "json", str(target)]
+    if source == "option":
+        monkeypatch.delenv("PROVSIG_PATH", raising=False)
+        argv[:0] = ["--search-path", ""]
+    else:
+        monkeypatch.setenv("PROVSIG_PATH", os.pathsep)  # two empty entries
+    assert sigscan_main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dynlib_findings"] == []
+    assert doc["warnings"] == [f"unresolved dynamic library: {name}" for name in
+                               ("libc.so.6", "libacml.so", "libmystery.so", "libgone.so")]
 
 
 def test_sigscan_symver_takes_precedence_over_md5(tmp_path, capsys):
@@ -1209,14 +1236,9 @@ def test_sigscan_mutated_sig_file_warns_or_refuses_the_database(batch_world, pay
     (mutated_db / "intel.sig").write_bytes(
         _mutated(head + sep + _mutated(payload, payload_edits, keep) + b"\n", file_edits))
     rc, out, err = _sigscan(["--db", str(mutated_db), *argv[2:], str(good)])
-    warnings = err.splitlines()
-    if rc == 2:
-        assert out == ""
-        assert warnings.pop().startswith("sigscan: cannot compile database: ")
-    else:
-        assert rc == 0
-        assert json.loads(out)["target"] == str(good)
-    assert all(line.startswith("sigscan: warning: intel.sig: ") for line in warnings)
+    assert rc == 0
+    assert json.loads(out)["target"] == str(good)
+    assert all(line.startswith("sigscan: warning: intel.sig: ") for line in err.splitlines())
 
 
 @pytest.mark.parametrize("escape", ["parent", "absolute", "subdirectory"])

@@ -75,13 +75,6 @@ def test_compile_duplicate_names_both_match():
         {(0, 3), (1, 0)}
 
 
-def test_compile_unanchorable_rejected():
-    patterns = [from_elements((0x41, 0x42)), from_elements((0x41, ANY, 0x42))]
-    with pytest.raises(matcher.UnanchorableSignature) as caught:
-        matcher.compile(patterns)
-    assert caught.value.index == 1
-
-
 def test_shared_anchor_verified_independently():
     base = tuple(b"\x10\x20\x30\x40\x50\x60")
     a = from_elements(base + (0x70,))

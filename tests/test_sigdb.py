@@ -26,7 +26,7 @@ from provsig.siggen import (
     Signature,
 )
 
-from pattern_reference import ANY, Gap, from_elements, well_formed
+from pattern_reference import ANY, Gap, anchor, from_elements, well_formed
 
 CALL_STUB_PAYLOAD = "554889e54883ec10bf0a000000e8????????488945f8c9c3"
 
@@ -82,10 +82,13 @@ _elements = st.lists(
               st.just(ANY),
               st.builds(Gap, st.integers(min_value=1, max_value=40))),
     min_size=1, max_size=30)
+# what a .sig file may hold: a hex line without an anchor is refused
+_anchored = _elements.filter(lambda elements: well_formed(elements)
+                             and anchor(elements) is not None)
 
 
 @settings(max_examples=200)
-@given(st.lists(st.tuples(_name_chars, _elements.filter(well_formed)),
+@given(st.lists(st.tuples(_name_chars, _anchored),
                 min_size=0, max_size=5, unique_by=lambda t: t[0]),
        _name_chars, _name_chars.filter(lambda s: ":" not in s))
 def test_round_trip_property(sig_specs, package, version):
@@ -108,6 +111,9 @@ def test_parse_rejects_zero_gap():
         parse_sigfile(data)
 
 
+_NO_ANCHOR = "has no anchor (no literal run of two bytes or more)"
+
+
 # the texts sigscan prints as DB warnings, word for word
 @pytest.mark.parametrize("payload, message", [
     ("AA bb", "line 4: bad token at offset 0: 'AA bb'"),
@@ -117,6 +123,9 @@ def test_parse_rejects_zero_gap():
     ("aa{3}{4}bb", "line 4: adjacent gaps"),
     ("{3}aabb", "line 4: pattern must not start or end with a gap"),
     ("aa???bb", "line 4: bad token at offset 4: '?bb'"),
+    ("41??42", f"line 4: pattern {_NO_ANCHOR}"),
+    ("????", f"line 4: pattern {_NO_ANCHOR}"),
+    ("41{3}42", f"line 4: pattern {_NO_ANCHOR}"),
 ])
 def test_parse_pattern_error_texts(payload, message):
     data = f"provsig 1\npackage P\nversion 1\nn:text:hex:{payload}\n".encode()
@@ -134,6 +143,7 @@ def test_parse_pattern_error_texts(payload, message):
     ("n:comment:hex:aa bb ?? cc",
      Signature("n", TARGET_COMMENT, HexPattern(4, (0, 3), (b"\xaa\xbb", b"\xcc"), ()))),
     ("n:text:hex:aaBB", "line 4: bad token at offset 2: 'BB'"),
+    ("n:comment:hex:47??43", f"line 4: pattern {_NO_ANCHOR}"),
     ("  #n:text:hex:aabb", None),
     ("\t\u3000# n:text:hex:aabb", None),
     ("lib.a/x.o:.text:text:hex:aabb",
@@ -153,7 +163,8 @@ def test_parse_pattern_error_texts(payload, message):
     ("n:dynlib:md5:xyz:ten", "line 4: bad md5 digest 'xyz'"),
     ("n:dynlib:md5:" + "a" * 31 + ":ten", "line 4: bad md5 digest '" + "a" * 31 + "'"),
     ("n:text:md5:xyz:ten", "line 4: bad md5 target 'text'"),
-], ids=["spaced", "spaced-wildcards", "uppercase", "comment-after-blanks",
+], ids=["spaced", "spaced-wildcards", "uppercase", "comment-without-anchor",
+        "comment-after-blanks",
         "comment-after-unicode-blanks", "name-with-colons", "name-with-kind", "empty-name",
         "empty-name-spaced", "empty-name-bad-pattern", "hex-under-dynlib", "colon-in-payload",
         "md5-name-with-colons", "md5-without-target", "md5-empty-name",
@@ -232,8 +243,7 @@ _EXTREME_NUMBERS = ("0", "-1", "", "4294967296", "9" * 5000, "\u00b2", "\u0661",
 _NUMBER = re.compile(r"(?<=\{)[0-9]+(?=\})|(?<=:)[0-9]+$", re.MULTILINE)
 _any_sig = st.one_of(
     st.builds(lambda name, elements, target: _hex_sig(name, tuple(elements), target),
-              _name_chars, _elements.filter(well_formed),
-              st.sampled_from((TARGET_TEXT, TARGET_COMMENT))),
+              _name_chars, _anchored, st.sampled_from((TARGET_TEXT, TARGET_COMMENT))),
     st.builds(_md5_sig, _name_chars, st.text("0123456789abcdef", min_size=32, max_size=32),
               st.integers(min_value=0, max_value=2 ** 40)))
 
@@ -333,6 +343,10 @@ def test_write_refuses_record_that_reads_back_otherwise(sig, tmp_path):
     HexPattern(9, (0, 7), (b"ab", b"cd"), ((4, 2), (2, 1))),  # gaps out of order
     HexPattern(9, (0,), (b"ab", b"cd"), ()),  # a run without its offset
     HexPattern(0, (), (), ()),  # nothing
+    # no anchor: the reader would refuse the line
+    from_elements((0x41, ANY, 0x42)),
+    from_elements((0x41, Gap(3), 0x42)),
+    from_elements((ANY, ANY)),
 ])
 def test_write_refuses_pattern_that_reads_back_otherwise(pattern, tmp_path):
     sf = SignatureFile("P", "1", (Signature("ok", TARGET_TEXT, from_elements((1, 2))),
