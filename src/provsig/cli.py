@@ -180,11 +180,11 @@ def siggen_main(argv=None) -> int:
                 sigs, rejects = (siggen.sign_archive(members, origin, warnings) if image is None
                                  else siggen.sign_object(image, origin, warnings))
             elif args.mode == "lib":
-                try:
-                    sigs, rejects = [siggen.sign_shared_lib(image, origin)], []
-                except siggen.NoTextSection:
-                    _err(f"siggen: {input_path} has no .text section; skipped")
-                    continue
+                result = siggen.sign_shared_lib(image, origin)
+                if isinstance(result, siggen.Rejected):
+                    sigs, rejects = [], [siggen.Rejected(result.reason, input_path)]
+                else:
+                    sigs, rejects = [result], []
             else:  # comment
                 sigs = siggen.sign_comments(elf.parse_comment(image, warnings), origin)
                 rejects = []
@@ -345,7 +345,12 @@ def sigscan_main(argv=None) -> int:
     try:
         try:
             db = sigdb.load_db(args.db)
-        except (sigdb.EmptyDatabase, OSError) as exc:
+        except sigdb.EmptyDatabase as exc:
+            for warning in exc.warnings:
+                _err(f"sigscan: warning: {warning}")
+            _err(f"sigscan: {exc}")
+            return EXIT_INPUT
+        except OSError as exc:
             _err(f"sigscan: {exc}")
             return EXIT_INPUT
         for warning in db.warnings:

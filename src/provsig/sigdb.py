@@ -47,7 +47,8 @@ from provsig.siggen import (
 
 MAGIC_LINE = "provsig 1"
 
-_HEX_TARGETS = (TARGET_TEXT, TARGET_COMMENT)
+# each hex target name -> the one str object every signature read shares
+_HEX_TARGETS = {TARGET_TEXT: TARGET_TEXT, TARGET_COMMENT: TARGET_COMMENT}
 _MD5_DIGEST_LEN = 32
 _MD5_PAYLOAD = re.compile(r"[0-9a-f]{32}:[0-9]+")
 _NO_ANCHOR = "has no anchor (no literal run of two bytes or more)"
@@ -62,7 +63,12 @@ class UnwritableSigFile(ValueError):
 
 
 class EmptyDatabase(ValueError):
-    """Database directory from which nothing loaded."""
+    """Database directory from which nothing loaded; ``warnings`` says
+    why each file in it was skipped, in load order."""
+
+    def __init__(self, message: str, warnings: tuple[str, ...]):
+        super().__init__(message)
+        self.warnings = warnings
 
 
 class SignatureFile(NamedTuple):
@@ -165,6 +171,8 @@ def parse_sigfile(data: bytes) -> SignatureFile:
     string passes.  An md5 line splits into name and target, kind,
     digest and text size; one ``rpartition`` parts name and target,
     and one regular-expression match checks digest and size together.
+    Each signature's target is the ``TARGET_*`` constant of
+    :mod:`provsig.siggen`, not a string of its own per line.
     """
     try:
         text = data.decode("utf-8")
@@ -191,9 +199,10 @@ def parse_sigfile(data: bytes) -> SignatureFile:
                 version = value
             continue  # unknown header keys are ignored
         if len(fields) == 4 and fields[2] == "hex":
-            name, target, _, payload = fields
-            if target not in _HEX_TARGETS:
-                raise MalformedSigFile(f"line {lineno}: bad hex target {target!r}")
+            name, target_name, _, payload = fields
+            target = _HEX_TARGETS.get(target_name)
+            if target is None:
+                raise MalformedSigFile(f"line {lineno}: bad hex target {target_name!r}")
             try:
                 pattern = parse_pattern_text(payload)
             except PatternSyntaxError as exc:
@@ -218,7 +227,7 @@ def parse_sigfile(data: bytes) -> SignatureFile:
                 raise MalformedSigFile(f"line {lineno}: bad text size {size_text!r}") from exc
             if not name:
                 raise MalformedSigFile(f"line {lineno}: empty signature name")
-            sig = new(Signature, (name, target, None, digest, text_size))
+            sig = new(Signature, (name, TARGET_DYNLIB, None, digest, text_size))
         else:
             raise MalformedSigFile(f"line {lineno}: unrecognized signature line")
         if sig.name in names:
@@ -249,7 +258,7 @@ def load_db(directory) -> Database:
             warnings.append(f"{path.name}: {exc}")
     if not files:
         detail = f" ({len(warnings)} file(s) failed to parse)" if warnings else ""
-        raise EmptyDatabase(f"no signature files loaded from {root}{detail}")
+        raise EmptyDatabase(f"no signature files loaded from {root}{detail}", tuple(warnings))
     md5_owners: dict[tuple[str, int], SignatureFile] = {}
     for sf in files:
         for sig in sf.signatures:

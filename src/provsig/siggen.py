@@ -35,15 +35,12 @@ TARGET_DYNLIB = "dynlib"
 
 TOO_SHORT = "too-short"
 UNANCHORABLE = "unanchorable"
+NO_TEXT = "no .text section"
 
 MIN_PATTERN_POSITIONS = 16
 MAX_PATTERN_POSITIONS = 255
 SEGMENT_LEN = MAX_PATTERN_POSITIONS // 3  # 85
 MIN_COMMENT_BYTES = 4
-
-
-class NoTextSection(ValueError):
-    """Shared library has no .text section to checksum."""
 
 
 class PatternSyntaxError(ValueError):
@@ -75,11 +72,12 @@ class HexPattern(NamedTuple):
 class Rejected(NamedTuple):
     """An input that produced no signature, and why.
 
-    :func:`build_pattern` leaves ``name`` empty; :func:`sign_object` and
-    :func:`sign_archive` name the section or archive member.
+    :func:`build_pattern` and :func:`sign_shared_lib` leave ``name``
+    empty; :func:`sign_object` and :func:`sign_archive` name the section
+    or archive member.
     """
 
-    reason: str  # TOO_SHORT | UNANCHORABLE | why a member was skipped
+    reason: str  # TOO_SHORT | UNANCHORABLE | NO_TEXT | why a member was skipped
     name: str = ""
 
 
@@ -260,19 +258,31 @@ def text_md5_key(image: ElfImage) -> tuple[str, int] | None:
 
     Depends only on the code bytes, so on-disk churn in relocation or
     dynamic-linking data (prelinking) does not change it.
+
+    The digest is CPython's own MD5 (``_md5``): :mod:`hashlib` would
+    map OpenSSL's libcrypto into the process for it.  Only an
+    interpreter built without ``_md5`` takes it from :mod:`hashlib`.
+    The digest names a library and guards nothing, which
+    ``usedforsecurity=False`` says, so an OpenSSL in FIPS mode does not
+    refuse it.
     """
     text = elf.get_section(image, ".text")
     if text is None:
         return None
-    import hashlib  # here, so a scan that never takes a digest does not load it
-    return hashlib.md5(text.data).hexdigest(), len(text.data)
+    # imported here, so a scan that never takes a digest loads neither
+    try:
+        from _md5 import md5
+    except ImportError:
+        from hashlib import md5
+    return md5(text.data, usedforsecurity=False).hexdigest(), len(text.data)
 
 
-def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature:
-    """MD5 record of a shared library: its :func:`text_md5_key`."""
+def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature | Rejected:
+    """MD5 record of a shared library: its :func:`text_md5_key`, or a
+    :data:`NO_TEXT` rejection when it has no .text section."""
     key = text_md5_key(image)
     if key is None:
-        raise NoTextSection(origin_name)
+        return Rejected(NO_TEXT)
     digest, text_size = key
     return Signature(name=f"{origin_name}:.text", target=TARGET_DYNLIB,
                      digest=digest, text_size=text_size)

@@ -279,6 +279,26 @@ def test_siggen_skips_inputs_that_are_not_elf_in_every_mode(tmp_path, capsys):
             f"siggen: skipped {path}: not an ELF object\n" for path in skipped)
 
 
+def test_siggen_lib_skips_a_library_without_text(tmp_path, capsys):
+    bare = tmp_path / "libbare.so"
+    bare.write_bytes(build_shared_lib(text=b"").replace(b".text", b".tex_"))
+    lib = tmp_path / "libgood.so"
+    lib.write_bytes(build_shared_lib(text=b"\x25" * 40))
+    out = tmp_path / "lib.sig"
+    rc = siggen_main(["lib", str(bare), str(lib), "--package", "P", "--version", "1",
+                      "-o", str(out)])
+    assert rc == 0
+    assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
+        ["libgood.so:.text"]
+    assert capsys.readouterr().err == f"siggen: skipped {bare}: no .text section\n"
+    # alone, it leaves nothing to write
+    assert siggen_main(["lib", str(bare), "--package", "P", "--version", "1",
+                        "-o", str(tmp_path / "bare.sig")]) == 2
+    assert not (tmp_path / "bare.sig").exists()
+    assert capsys.readouterr().err == (f"siggen: skipped {bare}: no .text section\n"
+                                       "siggen: no signatures generated\n")
+
+
 def test_siggen_only_linker_scripts_exit_2_and_write_nothing(tmp_path, capsys):
     script = _linker_script(tmp_path, "libc.so", tmp_path / "libc.so.6")
     out = tmp_path / "c.sig"
@@ -732,10 +752,11 @@ def test_sigscan_skips_a_database_file_with_an_unanchorable_line(tmp_path, capsy
                                   f"stub.o:.text:text:hex:{CALL_STUB_TEXT.hex()}\n{line}\n")
         assert sigscan_main(argv) == 0
         assert capsys.readouterr() == (clean.out, warning)
+    # with nothing else to load, the reason is still printed, before the refusal
     (db / "a.sig").unlink()
     assert sigscan_main(argv) == 2
-    assert capsys.readouterr() == (
-        "", f"sigscan: no signature files loaded from {db} (1 file(s) failed to parse)\n")
+    assert capsys.readouterr() == ("", warning + (
+        f"sigscan: no signature files loaded from {db} (1 file(s) failed to parse)\n"))
 
 
 def test_sigscan_usage_error_exit_1(capsys):
@@ -751,16 +772,16 @@ def collector_state():
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
-@pytest.mark.parametrize("case", ["scan", "usage", "empty-db", "uncompilable"])
+@pytest.mark.parametrize("case", ["scan", "usage", "empty-db", "refused-db"])
 def test_sigscan_leaves_the_collector_as_it_found_it(small_db, tmp_path, capsys,
                                                      collector_state, collecting, case):
     target = tmp_path / "prog"
     target.write_bytes(build_executable(CALL_STUB_TEXT))
     db = {"scan": small_db, "usage": small_db, "empty-db": tmp_path / "empty",
-          "uncompilable": tmp_path / "bad"}[case]
+          "refused-db": tmp_path / "bad"}[case]
     if case == "empty-db":
         db.mkdir()
-    elif case == "uncompilable":
+    elif case == "refused-db":  # the reader refuses its only file
         db.mkdir()
         (db / "b.sig").write_text("provsig 1\npackage B\nversion 1\n"
                                   "solo.o:.text:text:hex:41??42\n")
@@ -787,15 +808,44 @@ def _run_module(*args, text=True, **env) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_dataclasses_unloaded():
     # every audit pays provsig's start-up; dataclasses would pull in
-    # inspect, ast, dis and copy, logging its own module tree, and
-    # hashlib is needed only where an MD5 digest is taken.  -S keeps
+    # inspect, ast, dis and copy, logging its own module tree, and an
+    # MD5 module is needed only where a digest is taken.  -S keeps
     # site's own imports out.
     src = str(Path(provsig.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import provsig.cli; "
-            "print([name in sys.modules for name in ('dataclasses', 'logging', 'hashlib')])")
+            "print([name in sys.modules "
+            "for name in ('dataclasses', 'logging', 'hashlib', '_md5')])")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, False]\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, "[False, False, False, False]\n", "")
+
+
+def test_md5_path_leaves_openssl_unloaded(tmp_path):
+    # siggen lib and sigscan's MD5 fallback take the digest with CPython's
+    # own MD5; hashlib would load _hashlib, which maps OpenSSL's libcrypto
+    pytest.importorskip("_md5")
+    libdir = tmp_path / "libs"
+    libdir.mkdir()
+    lib = libdir / "libacml.so"
+    lib.write_bytes(build_shared_lib(text=bytes(range(200))))
+    (tmp_path / "db").mkdir()
+    (tmp_path / "no.labels").write_bytes(b"")
+    target = tmp_path / "app"
+    target.write_bytes(build_executable(b"\x90" * 32, needed=["libacml.so"]))
+    src = str(Path(provsig.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from provsig import cli\n"
+            "lib, db, labels, libdir, target = sys.argv[2:]\n"
+            "assert cli.siggen_main(['lib', lib, '--package', 'ACML', '--version', '4.4.0',"
+            " '-o', db + '/acml.sig']) == 0\n"
+            "assert cli.sigscan_main(['--db', db, '--labels', labels,"
+            " '--search-path', libdir, target]) == 0\n"
+            "print('_hashlib' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src, str(lib),
+                           str(tmp_path / "db"), str(tmp_path / "no.labels"), str(libdir),
+                           str(target)], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, f"{lib}: ACML 4.4.0 [md5]\nFalse\n", "")
 
 
 def test_module_entry_runs_siggen(tmp_path):

@@ -71,7 +71,12 @@ def test_round_trip_with_colons_in_name():
         _hex_sig("a.out:.comment.0", tuple(b"GCC: 4.4"), target=TARGET_COMMENT),
         _md5_sig("libm.so.6:.text", "0123456789abcdef0123456789abcdef", 77),
     ))
-    assert parse_sigfile(write_sigfile(sf)) == sf
+    parsed = parse_sigfile(write_sigfile(sf))
+    assert parsed == sf
+    # one str object per target name, not one per line read
+    targets = (TARGET_TEXT, TARGET_COMMENT, TARGET_DYNLIB)
+    assert all(sig.target is target
+               for sig, target in zip(parsed.signatures, targets, strict=True))
 
 
 _name_chars = st.text(
@@ -425,8 +430,12 @@ def test_load_db_empty_directory(tmp_path):
 
 def test_load_db_all_corrupt(tmp_path):
     (tmp_path / "x.sig").write_bytes(b"garbage")
-    with pytest.raises(EmptyDatabase):
+    (tmp_path / "y.sig").write_bytes(b"provsig 1\npackage Y\n")
+    with pytest.raises(EmptyDatabase) as raised:
         load_db(tmp_path)
+    # why each file was skipped, in load order
+    assert raised.value.warnings == ("x.sig: missing 'provsig 1' magic line",
+                                     "y.sig: missing version key")
 
 
 def test_load_db_deterministic_id_assignment(tmp_path):

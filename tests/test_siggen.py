@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,13 +16,13 @@ from provsig.elf import parse_archive, parse_elf
 from provsig.sigdb import SignatureFile, parse_sigfile, write_sigfile
 from provsig.siggen import (
     MIN_PATTERN_POSITIONS,
+    NO_TEXT,
     TARGET_COMMENT,
     TARGET_DYNLIB,
     TARGET_TEXT,
     TOO_SHORT,
     UNANCHORABLE,
     HexPattern,
-    NoTextSection,
     PatternSyntaxError,
     Rejected,
     Signature,
@@ -32,6 +33,7 @@ from provsig.siggen import (
     sign_comments,
     sign_object,
     sign_shared_lib,
+    text_md5_key,
     unique_name,
 )
 
@@ -543,8 +545,30 @@ def test_sign_shared_lib_sensitive_to_text():
 
 def test_sign_shared_lib_requires_text():
     image = parse_elf(build_shared_lib(text=b"").replace(b".text", b".tex_"))
-    with pytest.raises(NoTextSection):
-        sign_shared_lib(image, "x.so")
+    assert text_md5_key(image) is None
+    assert sign_shared_lib(image, "x.so") == Rejected(NO_TEXT)
+
+
+def test_text_md5_key_without_builtin_md5_takes_a_non_security_digest(monkeypatch):
+    # an interpreter built without _md5 takes the digest from hashlib;
+    # an OpenSSL in FIPS mode refuses MD5 unless told it guards nothing
+    text = bytes(range(64))
+    image = parse_elf(build_shared_lib(text=text))
+    want = (hashlib.md5(text).hexdigest(), len(text))
+    assert text_md5_key(image) == want
+    openssl_md5 = hashlib.md5
+    calls = []
+
+    def fips_md5(data, *, usedforsecurity=True):
+        calls.append(usedforsecurity)
+        if usedforsecurity:
+            raise ValueError("[digital envelope routines] unsupported")
+        return openssl_md5(data, usedforsecurity=False)
+
+    monkeypatch.setitem(sys.modules, "_md5", None)
+    monkeypatch.setattr(hashlib, "md5", fips_md5)
+    assert text_md5_key(image) == want
+    assert calls == [False]
 
 
 # -- sign_comments ------------------------------------------------------------
