@@ -138,6 +138,52 @@ def _siggen_parser() -> _Parser:
 _siggen_parser_cache: _Parser | None = None
 
 
+def _sign_input(mode: str, input_path: str, used_origins: dict[str, int]
+                ) -> tuple[list[siggen.Signature], list[siggen.Rejected], list[str], str | None]:
+    """What one ``siggen`` input gives: its signatures, the rejections of
+    it or of its sections and members, the warnings raised reading it,
+    and the line that says why it failed (None if it did not).  A failed
+    input gives no signature and no rejection.
+
+    The input is opened once, by :func:`provsig.elf.open_file`.  In obj
+    mode an archive is read one member at a time
+    (:func:`provsig.elf.read_archive`); any other input is read whole.
+    ``used_origins`` holds the origin names taken so far in this run.
+    """
+    warnings: list[str] = []  # relocations dropped or clamped, a bad .comment
+    try:
+        with elf.open_file(input_path) as file:
+            if mode == "obj" and os.pread(file.fileno(), len(elf.AR_MAGIC), 0) == elf.AR_MAGIC:
+                members = elf.read_archive(file)
+                origin = siggen.unique_name(os.path.basename(input_path), used_origins)
+                sigs, rejects = siggen.sign_archive(members, origin, warnings)
+                return sigs, rejects, warnings, None
+            data = file.read()
+        # a linker script (libc.so, libm.a) is not signed, and its
+        # GROUP is not followed
+        if not data.startswith(elf.ELF_MAGIC):
+            return [], [siggen.Rejected("not an ELF object", input_path)], warnings, None
+        image = elf.parse_elf(data)
+        # an executable or shared library given to obj is skipped
+        # before it takes a name
+        if mode == "obj" and not image.is_relocatable:
+            return [], [siggen.Rejected("not a relocatable object", input_path)], warnings, None
+        origin = siggen.unique_name(os.path.basename(input_path), used_origins)
+        if mode == "obj":
+            sigs, rejects = siggen.sign_object(image, origin, warnings)
+        elif mode == "lib":
+            result = siggen.sign_shared_lib(image, origin)
+            sigs, rejects = (([], [siggen.Rejected(result.reason, input_path)])
+                             if isinstance(result, siggen.Rejected) else ([result], []))
+        else:  # comment
+            sigs, rejects = siggen.sign_comments(elf.parse_comment(image, warnings), origin), []
+    except OSError as exc:
+        return [], [], warnings, f"cannot read {input_path}: {exc}"
+    except (MalformedElf, UnsupportedElf, MalformedArchive) as exc:
+        return [], [], warnings, f"{input_path}: {exc}"
+    return sigs, rejects, warnings, None
+
+
 def siggen_main(argv=None) -> int:
     global _siggen_parser_cache
     if _siggen_parser_cache is None:
@@ -151,51 +197,15 @@ def siggen_main(argv=None) -> int:
     signatures: list[siggen.Signature] = []
     reports: list[siggen.Rejected] = []
     used_origins: dict[str, int] = {}
+    failed = False
     for input_path in args.inputs:
-        try:
-            data = elf.read_file(input_path)
-        except OSError as exc:
-            _err(f"siggen: cannot read {input_path}: {exc}")
-            return EXIT_INPUT
-        # a linker script (libc.so, libm.a) is not signed, and its
-        # GROUP is not followed
-        if not (data.startswith(elf.ELF_MAGIC)
-                or args.mode == "obj" and data.startswith(elf.AR_MAGIC)):
-            reports.append(siggen.Rejected("not an ELF object", input_path))
-            continue
-        warnings: list[str] = []  # relocations dropped or clamped, a bad .comment
-        error = None
-        try:
-            if args.mode == "obj" and data.startswith(elf.AR_MAGIC):
-                image, members = None, elf.parse_archive(data)
-            else:
-                image = elf.parse_elf(data)
-                # an executable or shared library given to obj is skipped
-                # before it takes a name
-                if args.mode == "obj" and not image.is_relocatable:
-                    reports.append(siggen.Rejected("not a relocatable object", input_path))
-                    continue
-            origin = siggen.unique_name(os.path.basename(input_path), used_origins)
-            if args.mode == "obj":
-                sigs, rejects = (siggen.sign_archive(members, origin, warnings) if image is None
-                                 else siggen.sign_object(image, origin, warnings))
-            elif args.mode == "lib":
-                result = siggen.sign_shared_lib(image, origin)
-                if isinstance(result, siggen.Rejected):
-                    sigs, rejects = [], [siggen.Rejected(result.reason, input_path)]
-                else:
-                    sigs, rejects = [result], []
-            else:  # comment
-                sigs = siggen.sign_comments(elf.parse_comment(image, warnings), origin)
-                rejects = []
-        except (MalformedElf, UnsupportedElf, MalformedArchive) as exc:
-            error = exc
+        sigs, rejects, warnings, error = _sign_input(args.mode, input_path, used_origins)
         # printed against this input, before its error line if it fails
         for message in warnings:
             _err(f"siggen: warning: {input_path}: {message}")
         if error is not None:
-            _err(f"siggen: {input_path}: {error}")
-            return EXIT_INPUT
+            _err(f"siggen: {error}")
+            failed = True
         signatures.extend(sigs)
         reports.extend(rejects)
 
@@ -208,6 +218,8 @@ def siggen_main(argv=None) -> int:
 
     for report in reports:
         _err(f"siggen: skipped {report.name}: {report.reason}")
+    if failed:  # no .sig is written, so none silently lacks an input
+        return EXIT_INPUT
     if not signatures:
         _err("siggen: no signatures generated")
         return EXIT_INPUT

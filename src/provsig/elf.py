@@ -3,7 +3,14 @@
 Struct-based readers for the on-disk containers this toolkit consumes:
 ELF executables, shared libraries and relocatable objects (sections,
 ``.comment`` strings, dynamic-linking records), plus System V / GNU
-``ar`` archives.  The section-header table is read in one pass, one
+``ar`` archives.  Every input file is opened by :func:`open_file`,
+without blocking and as a regular file only.  An archive is read by
+one walk over its headers (:func:`archive_members`) from any
+``read_at(offset, size)`` source: slices of its bytes
+(:func:`parse_archive`), or ``pread`` calls on its open file
+(:func:`read_archive`), which read each member's body only when it is
+reached, so the archive is never in memory whole.  The section-header
+table is read in one pass, one
 ``struct.iter_unpack`` over its bytes (entries wider than the native
 size are cut down to it first), and each :class:`Section` is built
 without a Python-level constructor call.  A relocatable object's
@@ -29,7 +36,7 @@ import struct
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 ELF_MAGIC = b"\x7fELF"
 AR_MAGIC = b"!<arch>\n"
@@ -131,20 +138,32 @@ _TYPE_LENGTHS = {machine: bytes(masks.get(reloc_type, 0) for reloc_type in range
 _NO_TYPE_LENGTHS = bytes(256)
 
 
-def read_file(path) -> bytes:
-    """The bytes of the regular file at ``path``: every input file of
-    ``sigscan`` and ``siggen`` is read here.
+def open_file(path) -> BinaryIO:
+    """The regular file at ``path``, open for reading: every input file
+    of ``sigscan`` and ``siggen`` is opened here.
 
     The file is opened without blocking, and a FIFO or a device is
     refused with an OSError naming the path before a byte is read, so no
     input can hang the run or feed it without end.  A directory fails as
     ``open`` fails it.  The path is named as :class:`~pathlib.Path`
-    prints it.
+    prints it.  It is read whole (:func:`read_file`) or by offset
+    (:func:`read_archive`).
     """
     path = Path(path)
-    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as file:
+    file = open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
+    try:
         if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
             raise OSError(f"not a regular file: {str(path)!r}")
+    except BaseException:
+        file.close()
+        raise
+    return file
+
+
+def read_file(path) -> bytes:
+    """The bytes of the regular file at ``path``, opened by
+    :func:`open_file`."""
+    with open_file(path) as file:
         return file.read()
 
 
@@ -428,21 +447,65 @@ def parse_comment(image: ElfImage, warnings: list[str]) -> list[str]:
 
 
 def parse_archive(data: bytes) -> list[ArchiveMember]:
-    """Members of a System V / GNU ar archive.
+    """Members of the System V / GNU ar archive ``data``, as
+    :func:`archive_members` reads them."""
+    def read_at(offset: int, size: int) -> bytes:
+        return data[offset:offset + size]
+    return list(archive_members(read_at, len(data)))
+
+
+def read_archive(file: BinaryIO) -> Iterator[ArchiveMember]:
+    """Members of the ar archive open as ``file``, as
+    :func:`archive_members` reads them with :func:`os.pread`: the whole
+    archive is never in memory, only the member being read."""
+    fd = file.fileno()
+    def read_at(offset: int, size: int) -> bytes:
+        return os.pread(fd, size, offset)
+    return archive_members(read_at, os.fstat(fd).st_size)
+
+
+def archive_members(read_at: Callable[[int, int], bytes],
+                    size: int) -> Iterator[ArchiveMember]:
+    """Members of the System V / GNU ar archive of ``size`` bytes that
+    ``read_at(offset, count)`` reads, in archive order.
 
     The ``/`` symbol index is skipped and GNU ``//`` long names are
     resolved.  BSD ``#1/`` names are rejected.  Member sizes and
-    long-name offsets must be ASCII digits.
+    long-name offsets must be ASCII digits.  The magic, every member
+    header and the ``//`` table are read and checked before this
+    returns; each member's body is read when the iterator reaches it,
+    and one that ``read_at`` cuts short (the file shrank after its size
+    was taken) raises ``truncated member data`` as a body past ``size``
+    does.
     """
-    if not data.startswith(AR_MAGIC):
+    entries = _archive_entries(read_at, size)
+    return (ArchiveMember(name, _read_body(read_at, raw_name, start, length))
+            for name, raw_name, start, length in entries)
+
+
+def _read_body(read_at: Callable[[int, int], bytes], raw_name: str, start: int,
+               length: int) -> bytes:
+    """The ``length`` bytes of member ``raw_name`` at ``start``, all of them."""
+    body = read_at(start, length)
+    if len(body) != length:
+        raise MalformedArchive(f"truncated member data for {raw_name!r}")
+    return body
+
+
+def _archive_entries(read_at: Callable[[int, int], bytes],
+                     size: int) -> list[tuple[str, str, int, int]]:
+    """``(name, raw name, body offset, body size)`` of every member of
+    the archive, from one walk over its headers: the checks of
+    :func:`archive_members`, in archive order."""
+    if read_at(0, len(AR_MAGIC)) != AR_MAGIC:
         raise MalformedArchive("bad archive magic")
-    members: list[ArchiveMember] = []
+    entries: list[tuple[str, str, int, int]] = []
     longnames: bytes | None = None
     pos = len(AR_MAGIC)
-    while pos < len(data):
-        if pos + 60 > len(data):
+    while pos < size:
+        header = read_at(pos, 60) if pos + 60 <= size else b""
+        if len(header) != 60:
             raise MalformedArchive(f"truncated member header at offset {pos}")
-        header = data[pos:pos + 60]
         if header[58:60] != b"`\n":
             raise MalformedArchive(f"bad member header magic at offset {pos}")
         raw_name = header[0:16].decode("latin-1").rstrip()
@@ -450,16 +513,15 @@ def parse_archive(data: bytes) -> list[ArchiveMember]:
         if not size_field.isdigit():  # bytes: ASCII digits only, so no sign or "_"
             raise MalformedArchive(f"member size {size_field!r} at offset {pos} "
                                    "is not a non-negative decimal number")
-        size = int(size_field)
+        length = int(size_field)
         body_start = pos + 60
-        if body_start + size > len(data):
+        if body_start + length > size:
             raise MalformedArchive(f"truncated member data for {raw_name!r}")
-        body = data[body_start:body_start + size]
 
         if raw_name.startswith("#1/"):
             raise MalformedArchive("BSD-style long names are not supported")
         if raw_name == "//":
-            longnames = body
+            longnames = _read_body(read_at, raw_name, body_start, length)
         elif raw_name in ("/", "/SYM64/", ""):
             pass  # symbol index
         elif raw_name.startswith("/"):
@@ -473,11 +535,11 @@ def parse_archive(data: bytes) -> list[ArchiveMember]:
             if end == -1:
                 end = len(longnames)
             resolved = longnames[name_off:end].decode("latin-1").rstrip("/")
-            members.append(ArchiveMember(resolved, body))
+            entries.append((resolved, raw_name, body_start, length))
         else:
-            members.append(ArchiveMember(raw_name.rstrip("/"), body))
+            entries.append((raw_name.rstrip("/"), raw_name, body_start, length))
 
-        pos = body_start + size
-        if size % 2:
+        pos = body_start + length
+        if length % 2:
             pos += 1  # members are 2-byte aligned
-    return members
+    return entries

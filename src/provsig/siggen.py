@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from provsig import elf
 from provsig.elf import ArchiveMember, ElfImage
@@ -207,10 +207,12 @@ def sign_object(image: ElfImage, origin_name: str,
     return signatures, rejections
 
 
-def sign_archive(members: list[ArchiveMember], origin_name: str,
+def sign_archive(members: Iterable[ArchiveMember], origin_name: str,
                  warnings: list[str]) -> tuple[list[Signature], list[Rejected]]:
     """sign_object over every archive member that is a relocatable ELF.
 
+    ``members`` is read once, in order, so it may be an iterator that
+    reads each member as it is reached (:func:`provsig.elf.read_archive`).
     Non-ELF members (linker scripts and the like) are skipped with a
     report, as are members whose headers or relocation tables fail to
     parse.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import string
 import struct
@@ -992,3 +993,65 @@ _AR_FIELDS = _ar_fields(_AR_SEED)
 def test_parse_archive_mutations_raise_only_declared_errors(data):
     blob = mutate(_AR_SEED, _AR_FIELDS, data)
     parse_within_a_second(parse_archive, blob, MalformedArchive)
+
+
+# -- the archive read from a file ------------------------------------------------
+# elf.read_archive reads the headers with pread and each body when it is
+# reached: it must give parse_archive's members or its message.
+
+@pytest.fixture(scope="module")
+def archive_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("archive") / "mutant.a"
+
+
+@st.composite
+def _ar_mutants(draw) -> bytes:
+    return mutate(_AR_SEED, _AR_FIELDS, SimpleNamespace(draw=draw))
+
+
+def _read_outcome(read) -> tuple[list[tuple[str, bytes]], str | None]:
+    """The (name, data) pairs of the members ``read()`` gives, up to the
+    MalformedArchive it raises, and that error's message (None if none)."""
+    got = []
+    try:
+        for member in read():
+            got.append(tuple(member))
+    except MalformedArchive as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _cut_outcome(blob: bytes, members: list, cut: int) -> tuple[list, str | None]:
+    """What the members of the well-formed archive ``blob`` read as once
+    its file is cut to ``cut`` bytes after the headers were read: those
+    whose bodies end by the cut, then the error of the first that does
+    not."""
+    pos, index = len(elf.AR_MAGIC), 0
+    while pos < len(blob):
+        raw_name = blob[pos:pos + 16].decode("latin-1").rstrip()
+        size = int(blob[pos + 48:pos + 58])
+        if raw_name not in ("/", "//", "/SYM64/", ""):  # a member, read late
+            if pos + 60 + size > cut:
+                return members[:index], f"truncated member data for {raw_name!r}"
+            index += 1
+        pos += 60 + size + size % 2
+    return members, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ar_mutants(), st.one_of(st.none(), st.integers(0, len(_AR_SEED))))
+@example(_AR_SEED, _AR_SEED.index(b"odd") + 1)  # a body cut short after fstat
+def test_file_reader_reads_mutants_as_parse_archive_does(archive_path, blob, cut):
+    want = _read_outcome(lambda: parse_archive(blob))
+    archive_path.write_bytes(blob)
+    with elf.open_file(archive_path) as file:
+        try:
+            members = elf.read_archive(file)
+        except MalformedArchive as exc:  # from the headers, before any body
+            assert ([], str(exc)) == want
+            return
+        assert want[1] is None
+        if cut is not None and cut < len(blob):
+            os.truncate(archive_path, cut)
+            want = _cut_outcome(blob, want[0], cut)
+        assert _read_outcome(lambda: members) == want

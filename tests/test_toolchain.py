@@ -29,6 +29,10 @@
   ``libgcc_eh.a`` and ``libstdc++.a`` parses to the same image through
   :func:`provsig.elf.parse_elf` as through the per-header reference
   (``elf_reference``).  Skipped when gcc or an archive is missing.
+* Every member of those four archives reads the same through
+  :func:`provsig.elf.read_archive`, one member at a time from the file,
+  as through :func:`provsig.elf.parse_archive` from the whole file's
+  bytes.  Skipped when gcc or an archive is missing.
 """
 
 from __future__ import annotations
@@ -253,3 +257,13 @@ def test_host_objects_parse_as_the_per_header_reference_parses_them():
             assert image == elf_reference.parse_elf(member.data), (name, member.name)
             checked += image.is_relocatable
     assert checked
+
+
+@_missing("gcc")
+def test_host_archives_read_member_by_member_as_from_their_bytes():
+    for name in ("libc.a", "libgcc.a", "libgcc_eh.a", "libstdc++.a"):
+        path = _archive("gcc", name)
+        with elf.open_file(path) as file:
+            members = list(elf.read_archive(file))
+        assert members == elf.parse_archive(elf.read_file(path)), name
+        assert members, name
