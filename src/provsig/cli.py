@@ -16,6 +16,7 @@ never executes loader code on the inputs it audits.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -119,6 +120,9 @@ def _err(message: str) -> None:
 # siggen
 # --------------------------------------------------------------------------
 
+# each parser is built on its tool's first call in a process and reused:
+# argparse keeps nothing from one parse_args call to the next
+@functools.cache
 def _siggen_parser() -> _Parser:
     parser = _Parser(prog="siggen",
                      description="Generate a signature file from compiler/library inputs.")
@@ -131,11 +135,6 @@ def _siggen_parser() -> _Parser:
     parser.add_argument("--version", required=True, help="package version annotation")
     parser.add_argument("-o", "--output", required=True, help="signature file to write")
     return parser
-
-
-# built on the first siggen_main call of a process and reused: argparse
-# keeps nothing from one parse_args call to the next
-_siggen_parser_cache: _Parser | None = None
 
 
 def _sign_input(mode: str, input_path: str, used_origins: dict[str, int]
@@ -185,11 +184,8 @@ def _sign_input(mode: str, input_path: str, used_origins: dict[str, int]
 
 
 def siggen_main(argv=None) -> int:
-    global _siggen_parser_cache
-    if _siggen_parser_cache is None:
-        _siggen_parser_cache = _siggen_parser()
     try:
-        args = _siggen_parser_cache.parse_args(argv)
+        args = _siggen_parser().parse_args(argv)
     except _UsageError as exc:
         _err(f"siggen: error: {exc}")
         return EXIT_USAGE
@@ -238,6 +234,7 @@ def siggen_main(argv=None) -> int:
 # sigscan
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _sigscan_parser() -> _Parser:
     parser = _Parser(prog="sigscan",
                      description="Scan program binaries for build provenance.")
@@ -340,9 +337,8 @@ def _md5_lookup(db: sigdb.Database, lib: elf.ElfImage, resolved: str) -> DynlibF
 
 
 def sigscan_main(argv=None) -> int:
-    parser = _sigscan_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _sigscan_parser().parse_args(argv)
     except _UsageError as exc:
         _err(f"sigscan: error: {exc}")
         return EXIT_USAGE

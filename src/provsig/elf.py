@@ -4,16 +4,13 @@ Struct-based readers for the on-disk containers this toolkit consumes:
 ELF executables, shared libraries and relocatable objects (sections,
 ``.comment`` strings, dynamic-linking records), plus System V / GNU
 ``ar`` archives.  Every input file is opened by :func:`open_file`,
-without blocking and as a regular file only.  An archive is read by
-one walk over its headers (:func:`archive_members`) from any
-``read_at(offset, size)`` source: slices of its bytes
-(:func:`parse_archive`), or ``pread`` calls on its open file
-(:func:`read_archive`), which read each member's body only when it is
-reached, so the archive is never in memory whole.  The section-header
-table is read in one pass, one
-``struct.iter_unpack`` over its bytes (entries wider than the native
-size are cut down to it first), and each :class:`Section` is built
-without a Python-level constructor call.  A relocatable object's
+without blocking and as a regular file only.  An archive is read from
+its open file by :func:`read_archive`: one walk over its headers with
+``pread``, then each member's body only when it is reached, so the
+archive is never in memory whole.  The section-header table is read in
+one pass, one ``struct.iter_unpack`` over its bytes (entries wider than
+the native size are cut down to it first), and each :class:`Section`
+is built without a Python-level constructor call.  A relocatable object's
 relocation tables are read in one pass (:func:`parse_relocations`),
 each tied to the code section its ``sh_info`` names and reduced to the
 bytes the linker patches, which is all that signing needs: per section,
@@ -36,7 +33,7 @@ import struct
 import sys
 from bisect import bisect_right
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 
 ELF_MAGIC = b"\x7fELF"
 AR_MAGIC = b"!<arch>\n"
@@ -446,64 +443,45 @@ def parse_comment(image: ElfImage, warnings: list[str]) -> list[str]:
     return [p.decode("latin-1") for p in parts if p]
 
 
-def parse_archive(data: bytes) -> list[ArchiveMember]:
-    """Members of the System V / GNU ar archive ``data``, as
-    :func:`archive_members` reads them."""
-    def read_at(offset: int, size: int) -> bytes:
-        return data[offset:offset + size]
-    return list(archive_members(read_at, len(data)))
-
-
 def read_archive(file: BinaryIO) -> Iterator[ArchiveMember]:
-    """Members of the ar archive open as ``file``, as
-    :func:`archive_members` reads them with :func:`os.pread`: the whole
-    archive is never in memory, only the member being read."""
-    fd = file.fileno()
-    def read_at(offset: int, size: int) -> bytes:
-        return os.pread(fd, size, offset)
-    return archive_members(read_at, os.fstat(fd).st_size)
-
-
-def archive_members(read_at: Callable[[int, int], bytes],
-                    size: int) -> Iterator[ArchiveMember]:
-    """Members of the System V / GNU ar archive of ``size`` bytes that
-    ``read_at(offset, count)`` reads, in archive order.
+    """Members of the System V / GNU ar archive open as ``file``, in
+    archive order, read with :func:`os.pread`: the whole archive is
+    never in memory, only the member being read.
 
     The ``/`` symbol index is skipped and GNU ``//`` long names are
     resolved.  BSD ``#1/`` names are rejected.  Member sizes and
     long-name offsets must be ASCII digits.  The magic, every member
     header and the ``//`` table are read and checked before this
     returns; each member's body is read when the iterator reaches it,
-    and one that ``read_at`` cuts short (the file shrank after its size
-    was taken) raises ``truncated member data`` as a body past ``size``
+    and one that the file cuts short (it shrank after its size was
+    taken) raises ``truncated member data`` as a body past the end
     does.
     """
-    entries = _archive_entries(read_at, size)
-    return (ArchiveMember(name, _read_body(read_at, raw_name, start, length))
+    fd = file.fileno()
+    entries = _archive_entries(fd, os.fstat(fd).st_size)
+    return (ArchiveMember(name, _read_body(fd, raw_name, start, length))
             for name, raw_name, start, length in entries)
 
 
-def _read_body(read_at: Callable[[int, int], bytes], raw_name: str, start: int,
-               length: int) -> bytes:
+def _read_body(fd: int, raw_name: str, start: int, length: int) -> bytes:
     """The ``length`` bytes of member ``raw_name`` at ``start``, all of them."""
-    body = read_at(start, length)
+    body = os.pread(fd, length, start)
     if len(body) != length:
         raise MalformedArchive(f"truncated member data for {raw_name!r}")
     return body
 
 
-def _archive_entries(read_at: Callable[[int, int], bytes],
-                     size: int) -> list[tuple[str, str, int, int]]:
+def _archive_entries(fd: int, size: int) -> list[tuple[str, str, int, int]]:
     """``(name, raw name, body offset, body size)`` of every member of
-    the archive, from one walk over its headers: the checks of
-    :func:`archive_members`, in archive order."""
-    if read_at(0, len(AR_MAGIC)) != AR_MAGIC:
+    the archive of ``size`` bytes open as ``fd``, from one walk over its
+    headers: the checks of :func:`read_archive`, in archive order."""
+    if os.pread(fd, len(AR_MAGIC), 0) != AR_MAGIC:
         raise MalformedArchive("bad archive magic")
     entries: list[tuple[str, str, int, int]] = []
     longnames: bytes | None = None
     pos = len(AR_MAGIC)
     while pos < size:
-        header = read_at(pos, 60) if pos + 60 <= size else b""
+        header = os.pread(fd, 60, pos) if pos + 60 <= size else b""
         if len(header) != 60:
             raise MalformedArchive(f"truncated member header at offset {pos}")
         if header[58:60] != b"`\n":
@@ -521,7 +499,7 @@ def _archive_entries(read_at: Callable[[int, int], bytes],
         if raw_name.startswith("#1/"):
             raise MalformedArchive("BSD-style long names are not supported")
         if raw_name == "//":
-            longnames = _read_body(read_at, raw_name, body_start, length)
+            longnames = _read_body(fd, raw_name, body_start, length)
         elif raw_name in ("/", "/SYM64/", ""):
             pass  # symbol index
         elif raw_name.startswith("/"):

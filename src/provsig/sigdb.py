@@ -151,8 +151,11 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
             if not _has_anchor(sig.pattern.literals):
                 raise UnwritableSigFile(f"pattern of signature {sig.name!r} {_NO_ANCHOR}")
         lines.append(f"{sig.name}:{sig.target}:{kind}:{payload}")
+    lines.append("")  # the final line break, without a copy of the joined text
+    text = "\n".join(lines)
+    del lines  # the line strings go before the encoded copy is made
     try:
-        blob = ("\n".join(lines) + "\n").encode("utf-8")
+        blob = text.encode("utf-8")
     except UnicodeEncodeError as exc:  # e.g. a name from a non-UTF-8 file name
         raise UnwritableSigFile(
             f"{exc.object[exc.start:exc.end]!r} is not encodable as UTF-8") from exc

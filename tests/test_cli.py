@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,8 @@ from provsig.elf import MalformedElf, UnsupportedElf, parse_elf
 from provsig.sigdb import load_db, parse_sigfile
 
 from elfwriter import (
+    EM_386,
+    R_386_PC32,
     R_X86_64_PC32,
     SHT_REL,
     SHT_RELA,
@@ -42,6 +45,7 @@ from elfwriter import (
     build_shared_lib,
     build_shared_lib_layout,
 )
+from mutation import ar_fields, elf_fields, mutate
 
 CALL_STUB_TEXT = bytes.fromhex(
     "554889e54883ec10bf0a000000e800000000488945f8c9c3")
@@ -498,6 +502,91 @@ def test_siggen_lib_reads_every_input_past_a_malformed_one(tmp_path, capsys):
         f"siggen: {broken}: truncated section header table\n"
         f"siggen: skipped {notelf}: not an ELF object\n"
         f"siggen: skipped {bare}: no .text section\n")
+
+
+# -- siggen batch property ----------------------------------------------------
+# Good inputs each give at least one signature; one input among them is a
+# mutant of an object or an archive.
+
+def _good_input(kind: int, index: int) -> tuple[str, bytes]:
+    """A basename and the bytes of a good ``siggen obj`` input: an
+    object, an object that signs with one warning, or an archive that
+    also holds a member to skip."""
+    text = bytes((index * 7 + j) % 256 for j in range(32))
+    if kind == 0:
+        return f"good{index}.o", build_object(text)
+    if kind == 1:
+        return f"good{index}.o", _far_object()
+    return f"good{index}.a", build_archive([("m.o", build_object(text)), ("notes.txt", b"x")])
+
+
+_OBJECT_SEEDS = [build_object(CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]},
+                              comment=b"GCC: (GNU) 4.4.3\x00"),
+                 build_object({".text": bytes(range(40))}, {".text": [(4, R_386_PC32, "puts")]},
+                              bits=32, machine=EM_386, rela=False),
+                 # warns of its first table, then fails on its second
+                 build_object(b"\x42" * 24, {".text": [(26, R_X86_64_PC32, "g")]},
+                              extra=[Sec(".rel.text", bytes(19), sh_type=SHT_REL, info=1)])]
+_MUTANT_ARCHIVE = build_archive([("a.o", _OBJECT_SEEDS[0]), ("b.o", _far_object()),
+                                 ("a_member_with_a_long_name.o", _OBJECT_SEEDS[1])])
+_MUTANT_SEEDS = ([(seed, elf_fields(seed)) for seed in _OBJECT_SEEDS]
+                 + [(_MUTANT_ARCHIVE, ar_fields(_MUTANT_ARCHIVE))])
+
+
+def _siggen_obj(inputs, out: Path) -> tuple[int, str]:
+    """``siggen obj`` over ``inputs`` to ``out``: its exit status and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = siggen_main(["obj", *map(str, inputs), "--package", "P", "--version", "1",
+                          "-o", str(out)])
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def siggen_batch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("siggen-batch")
+
+
+@settings(max_examples=40, deadline=2000)
+@given(data=st.data())
+def test_siggen_batch_prints_what_each_input_alone_prints(siggen_batch_dir, data):
+    goods = [_good_input(kind, index) for index, kind in
+             enumerate(data.draw(st.lists(st.integers(0, 2), min_size=2, max_size=4)))]
+    seed, fields = data.draw(st.sampled_from(_MUTANT_SEEDS))
+    files = goods[:]
+    files.insert(data.draw(st.integers(0, len(goods))), ("mutant", mutate(seed, fields, data)))
+    inputs = []
+    for name, blob in files:
+        inputs.append(siggen_batch_dir / name)
+        inputs[-1].write_bytes(blob)
+
+    # each input alone: its warnings and error line (in that order), its
+    # skip lines, and its signatures if it exits 0
+    heads, skips, signatures, failed = [], [], [], False
+    lone = siggen_batch_dir / "lone.sig"
+    for path in inputs:
+        lone.unlink(missing_ok=True)
+        rc, err = _siggen_obj([path], lone)
+        lines = re.split(r"(?m)^(?=siggen: )", err)[1:]
+        skips += [line for line in lines if line.startswith("siggen: skipped ")]
+        errors = [line for line in lines if not line.startswith(
+            ("siggen: warning: ", "siggen: skipped ", "siggen: no signatures generated\n"))]
+        heads += [line for line in lines if line.startswith("siggen: warning: ")] + errors
+        assert len(errors) <= 1 and lone.exists() == (rc == 0), err
+        failed = failed or bool(errors)
+        if rc == 0:
+            signatures += parse_sigfile(lone.read_bytes()).signatures
+        else:  # a good input signs alone
+            assert path.name == "mutant", err
+
+    out = siggen_batch_dir / "batch.sig"
+    out.unlink(missing_ok=True)
+    rc, err = _siggen_obj(inputs, out)
+    assert err == "".join(heads + skips)
+    assert rc == (2 if failed else 0)
+    assert out.exists() == (rc == 0)
+    if rc == 0:
+        assert parse_sigfile(out.read_bytes()).signatures == tuple(signatures)
 
 
 def test_siggen_archive_with_a_truncated_last_header_signs_no_member(tmp_path, capsys):
@@ -1096,6 +1185,21 @@ def test_sigscan_explicit_search_path_precedes_env(dynlib_world, tmp_path,
     libc = next(f for f in doc["dynlib_findings"] if "libc.so.6" in f["library"])
     assert libc["library"] == str(decoy_dir / "libc.so.6")
     assert libc["version"] == "2.1"
+
+
+def test_sigscan_search_path_is_not_kept_for_the_next_call(dynlib_world, capsys, monkeypatch):
+    # one parser serves every call in a process: a --search-path appended
+    # in one call must not stay in the option's default list
+    db, libdir, target = dynlib_world
+    monkeypatch.delenv("PROVSIG_PATH", raising=False)
+    argv = ["--db", str(db), "--format", "json", str(target)]
+    assert sigscan_main(["--search-path", str(libdir), *argv]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert any(f["library"] == str(libdir / "libc.so.6") for f in first["dynlib_findings"])
+    assert sigscan_main(argv) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["dynlib_findings"] == []
+    assert cli._sigscan_parser() is cli._sigscan_parser()
 
 
 @pytest.mark.parametrize("source", ["option", "environment"])

@@ -7,6 +7,7 @@ import shutil
 import string
 import struct
 import subprocess
+import tempfile
 import time
 from types import SimpleNamespace
 
@@ -22,7 +23,6 @@ from provsig.elf import (
     get_section,
     linked_strtab,
     list_text_sections,
-    parse_archive,
     parse_comment,
     parse_elf,
     parse_relocations,
@@ -53,6 +53,7 @@ from elfwriter import (
     build_object,
     build_shared_lib,
 )
+from mutation import ar_fields, elf_fields, mutate, parse_within_a_second
 
 # 24-byte function body: prologue, a call whose 4 operand bytes the
 # linker patches (offset 0xe), epilogue.
@@ -648,24 +649,33 @@ def test_comment_agrees_with_readelf(tmp_path):
 
 # -- archives ---------------------------------------------------------------
 
+def _read_archive_bytes(data: bytes) -> list[elf.ArchiveMember]:
+    """The members :func:`provsig.elf.read_archive` reads from a file
+    that holds ``data``."""
+    with tempfile.TemporaryFile() as file:
+        file.write(data)
+        file.flush()
+        return list(elf.read_archive(file))
+
+
 def test_archive_names_including_long_names():
     members = [("a.o", b"object-a"), ("verylongobjectfilename.o", b"object-b")]
-    parsed = parse_archive(build_archive(members))
+    parsed = _read_archive_bytes(build_archive(members))
     assert [(m.name, m.data) for m in parsed] == members
 
 
 def test_archive_empty():
-    assert parse_archive(b"!<arch>\n") == []
+    assert _read_archive_bytes(b"!<arch>\n") == []
 
 
 def test_archive_bad_magic():
     with pytest.raises(MalformedArchive):
-        parse_archive(b"!<arch>X" + b"\x00" * 8)
+        _read_archive_bytes(b"!<arch>X" + b"\x00" * 8)
 
 
 def test_archive_odd_size_padding():
     members = [("odd.o", b"12345"), ("next.o", b"678")]
-    parsed = parse_archive(build_archive(members))
+    parsed = _read_archive_bytes(build_archive(members))
     assert [(m.name, m.data) for m in parsed] == members
 
 
@@ -676,14 +686,14 @@ def test_archive_symbol_index_skipped():
             + "0".ljust(8) + str(len(index_body)).ljust(10)).encode() + b"`\n"
     raw += index_body
     raw += build_archive([("m.o", b"body")])[8:]
-    parsed = parse_archive(bytes(raw))
+    parsed = _read_archive_bytes(bytes(raw))
     assert [m.name for m in parsed] == ["m.o"]
 
 
 def test_archive_truncated_member():
     data = build_archive([("a.o", b"0123456789")])
     with pytest.raises(MalformedArchive):
-        parse_archive(data[:-4])
+        _read_archive_bytes(data[:-4])
 
 
 def test_archive_negative_member_size_rejected():
@@ -692,7 +702,7 @@ def test_archive_negative_member_size_rejected():
             + "0".ljust(8) + "-60".ljust(10)).encode() + b"`\n"
     raw += b"x" * 60
     with pytest.raises(MalformedArchive, match="negative"):
-        parse_archive(bytes(raw))
+        _read_archive_bytes(bytes(raw))
 
 
 def _ar_header(name: str, size: str) -> bytes:
@@ -705,7 +715,7 @@ def test_archive_member_size_must_be_ascii_digits(size):
     # int() reads each of these as 10
     raw = b"!<arch>\n" + _ar_header("a.o/", size) + b"x" * 10
     with pytest.raises(MalformedArchive, match="member size"):
-        parse_archive(raw)
+        _read_archive_bytes(raw)
 
 
 _LONG_NAMES = b"first_long_member_name.o/\nsecond_long_member_name.o/\n"
@@ -718,7 +728,7 @@ def _long_name_archive(ref: str) -> bytes:
 
 
 def test_archive_long_name_offset_resolved():
-    assert parse_archive(_long_name_archive("/26")) == \
+    assert _read_archive_bytes(_long_name_archive("/26")) == \
         [elf.ArchiveMember("second_long_member_name.o", b"xy")]
 
 
@@ -729,7 +739,7 @@ def test_archive_long_name_offset_resolved():
 ])
 def test_archive_long_name_offset_must_be_ascii_digits(ref):
     with pytest.raises(MalformedArchive, match="long-name reference"):
-        parse_archive(_long_name_archive(ref))
+        _read_archive_bytes(_long_name_archive(ref))
 
 
 def test_archive_unresolvable_long_name():
@@ -738,7 +748,7 @@ def test_archive_unresolvable_long_name():
             + "0".ljust(8) + "2".ljust(10)).encode() + b"`\n"
     raw += b"xy"
     with pytest.raises(MalformedArchive):
-        parse_archive(bytes(raw))
+        _read_archive_bytes(bytes(raw))
 
 
 def test_archive_bsd_long_names_rejected():
@@ -747,7 +757,7 @@ def test_archive_bsd_long_names_rejected():
             + "0".ljust(8) + "24".ljust(10)).encode() + b"`\n"
     raw += b"a" * 24
     with pytest.raises(MalformedArchive):
-        parse_archive(bytes(raw))
+        _read_archive_bytes(bytes(raw))
 
 
 @pytest.mark.skipif(shutil.which("ar") is None, reason="ar not installed")
@@ -764,69 +774,16 @@ def test_archive_agrees_with_system_ar(tmp_path):
                    capture_output=True)
     listed = subprocess.run(["ar", "t", str(archive)], check=True,
                             capture_output=True, text=True).stdout.split()
-    parsed = parse_archive(archive.read_bytes())
+    with elf.open_file(archive) as file:
+        parsed = list(elf.read_archive(file))
     assert [m.name for m in parsed] == listed
     assert {m.name: m.data for m in parsed} == contents
 
 
 # -- mutation fuzzing ------------------------------------------------------------
-# Seeds come from elfwriter; a mutant has up to three size, offset, count
-# or index fields set to an extreme, up to four bytes flipped, and may be
-# truncated.  Each parser must return or raise one of its declared
-# errors, and do so promptly.
-
-def int_field(offset: int, width: int, data_len: int) -> tuple[int, tuple[bytes, ...]]:
-    """A little-endian field and the extreme values it may be set to."""
-    top = (1 << (8 * width)) - 1
-    values = {0, 1, 2, 7, top, top - 1, top >> 1, (top >> 1) + 1,
-              data_len & top, (data_len + 1) & top}
-    return offset, tuple(v.to_bytes(width, "little") for v in sorted(values))
-
-
-def elf_fields(data: bytes) -> list[tuple[int, tuple[bytes, ...]]]:
-    """ELF header geometry plus every section header's name, type,
-    offset, size, link, info and entsize fields (with extended numbering,
-    the count is section 0's size)."""
-    if data[4] == 2:
-        shoff, = struct.unpack_from("<Q", data, 0x28)
-        shentsize, shnum = struct.unpack_from("<HH", data, 0x3A)
-        header = [(0x28, 8), (0x3A, 2), (0x3C, 2), (0x3E, 2)]
-        per_section = [(0, 4), (4, 4), (24, 8), (32, 8), (40, 4), (44, 4), (56, 8)]
-        shnum = shnum or struct.unpack_from("<Q", data, shoff + 32)[0]
-    else:
-        shoff, = struct.unpack_from("<I", data, 0x20)
-        shentsize, shnum = struct.unpack_from("<HH", data, 0x2E)
-        header = [(0x20, 4), (0x2E, 2), (0x30, 2), (0x32, 2)]
-        per_section = [(0, 4), (4, 4), (16, 4), (20, 4), (24, 4), (28, 4), (36, 4)]
-        shnum = shnum or struct.unpack_from("<I", data, shoff + 20)[0]
-    spots = header + [(shoff + i * shentsize + off, width)
-                      for i in range(shnum) for off, width in per_section]
-    return [int_field(off, width, len(data)) for off, width in spots]
-
-
-def mutate(seed: bytes, fields, data) -> bytes:
-    """A mutant of ``seed``; ``fields`` lists (offset, replacement values)."""
-    blob = bytearray(seed)
-    for offset, choices in data.draw(st.lists(st.sampled_from(fields), max_size=3)):
-        value = data.draw(st.sampled_from(choices))
-        blob[offset:offset + len(value)] = value
-    for pos, mask in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
-                                                  st.integers(1, 255)), max_size=4)):
-        blob[pos] ^= mask
-    cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob))))
-    return bytes(blob[:cut])
-
-
-def parse_within_a_second(parse, blob, errors) -> None:
-    """Run ``parse(blob)``, which may raise only ``errors`` and must end
-    within a second."""
-    start = time.perf_counter()
-    try:
-        parse(blob)
-    except errors:
-        pass
-    assert time.perf_counter() - start < 1.0
-
+# Seeds come from elfwriter, mutants from the mutation harness.  Each
+# parser must return or raise one of its declared errors, and do so
+# promptly.
 
 _ELF_SEEDS = [
     build_object(CALL_STUB_TEXT, {".text": [(CALL_STUB_RELOC_OFFSET, R_X86_64_PC32, "malloc"),
@@ -968,36 +925,20 @@ def test_one_pass_section_reader_agrees_with_per_header_reference(blob):
 
 _AR_SEED = build_archive([("a.o", _ELF_SEEDS[0]), ("a_member_with_a_long_name.o", b"odd"),
                           ("another_long_member_name.o", b"\x7fELF"), ("b.o", b"")])
-_AR_NAMES = ("/", "//", "/0", "/-1", "/+0", "/ 0", "/99999", "/1_0", "#1/5", "",
-             "/SYM64/", "x/", "\xb2")
-_AR_SIZES = ("0", "1", "-1", "-60", "+4", "1_0", "", " 7", "9999999999", "0x10", "\xb2")
-
-
-def _ar_fields(data: bytes) -> list[tuple[int, tuple[bytes, ...]]]:
-    """Each member header's name and size field, with odd values for both."""
-    fields = []
-    pos = 8
-    while pos < len(data):
-        size = int(data[pos + 48:pos + 58])
-        fields.append((pos, tuple(n.ljust(16).encode("latin-1") for n in _AR_NAMES)))
-        fields.append((pos + 48, tuple(s.ljust(10).encode("latin-1") for s in _AR_SIZES)))
-        pos += 60 + size + size % 2
-    return fields
-
-
-_AR_FIELDS = _ar_fields(_AR_SEED)
+_AR_FIELDS = ar_fields(_AR_SEED)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_parse_archive_mutations_raise_only_declared_errors(data):
+def test_archive_mutations_raise_only_declared_errors(data):
     blob = mutate(_AR_SEED, _AR_FIELDS, data)
-    parse_within_a_second(parse_archive, blob, MalformedArchive)
+    parse_within_a_second(_read_archive_bytes, blob, MalformedArchive)
 
 
 # -- the archive read from a file ------------------------------------------------
 # elf.read_archive reads the headers with pread and each body when it is
-# reached: it must give parse_archive's members or its message.
+# reached: an uncut file reads whole or fails at its headers, and a file
+# cut after its headers were read reads up to the cut.
 
 @pytest.fixture(scope="module")
 def archive_path(tmp_path_factory):
@@ -1042,16 +983,17 @@ def _cut_outcome(blob: bytes, members: list, cut: int) -> tuple[list, str | None
 @given(_ar_mutants(), st.one_of(st.none(), st.integers(0, len(_AR_SEED))))
 @example(_AR_SEED, _AR_SEED.index(b"odd") + 1)  # a body cut short after fstat
 @example(_AR_SEED, len(_AR_SEED) - 60)  # the empty last member's header cut off
-def test_file_reader_reads_mutants_as_parse_archive_does(archive_path, blob, cut):
-    want = _read_outcome(lambda: parse_archive(blob))
+def test_file_reader_reads_mutants_whole_or_up_to_a_cut(archive_path, blob, cut):
     archive_path.write_bytes(blob)
+    with elf.open_file(archive_path) as file:
+        want = _read_outcome(lambda: elf.read_archive(file))
     with elf.open_file(archive_path) as file:
         try:
             members = elf.read_archive(file)
         except MalformedArchive as exc:  # from the headers, before any body
             assert ([], str(exc)) == want
             return
-        assert want[1] is None
+        assert want[1] is None  # headers that pass leave an uncut file nothing to fail
         if cut is not None and cut < len(blob):
             os.truncate(archive_path, cut)
             want = _cut_outcome(blob, want[0], cut)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from provsig.siggen import (
     TARGET_TEXT,
     HexPattern,
     Signature,
+    parse_pattern_text,
 )
 
 from pattern_reference import ANY, Gap, anchor, from_elements, well_formed
@@ -57,6 +59,24 @@ def test_write_call_stub_payload():
     sf = SignatureFile("X", "1", (_hex_sig("stub.o:.text", elements),))
     last = write_sigfile(sf).decode().splitlines()[-1]
     assert last == f"stub.o:.text:text:hex:{CALL_STUB_PAYLOAD}"
+
+
+def test_write_holds_the_text_at_most_twice_and_a_half_over():
+    # some 1 MB of .sig text in 160-byte patterns: the line strings, the
+    # joined text and its encoded copy are never all alive at once
+    sf = SignatureFile("P", "1", tuple(
+        Signature(name=f"libx.a/m{i}.o:.text", target=TARGET_TEXT,
+                  pattern=parse_pattern_text(i.to_bytes(4, "little").hex() * 39 + "????"))
+        for i in range(3000)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        blob = write_sigfile(sf)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(blob) > 1_000_000
+    assert peak < 2.5 * len(blob)
 
 
 def test_write_header_only_file_is_valid():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from provsig import matcher, siggen
-from provsig.elf import parse_archive, parse_elf
+from provsig.elf import ArchiveMember, parse_elf
 from provsig.sigdb import SignatureFile, parse_sigfile, write_sigfile
 from provsig.siggen import (
     MIN_PATTERN_POSITIONS,
@@ -53,7 +53,6 @@ from elfwriter import (
     SHT_REL,
     SHT_RELA,
     Sec,
-    build_archive,
     build_elf,
     build_object,
     build_shared_lib,
@@ -429,10 +428,15 @@ def test_sign_object_empty_text():
     assert rejects[0].reason == TOO_SHORT
 
 
+def _members(pairs) -> list[ArchiveMember]:
+    """The archive members of ``(name, data)`` pairs, as elf.read_archive gives them."""
+    return [ArchiveMember(name, data) for name, data in pairs]
+
+
 def test_sign_archive_additivity():
     members = [(f"m{i}.o", build_object(bytes((i + j) % 256 for j in range(32))))
                for i in range(3)]
-    sigs, reports = sign_archive(parse_archive(build_archive(members)), "libx.a", [])
+    sigs, reports = sign_archive(_members(members), "libx.a", [])
     assert len(sigs) == 3
     assert [s.name for s in sigs] == [f"libx.a/m{i}.o:.text" for i in range(3)]
     assert reports == []
@@ -441,7 +445,7 @@ def test_sign_archive_additivity():
 def test_sign_archive_skips_non_elf_member():
     members = [("script.ld", b"GROUP ( libfoo.a )\n"),
                ("real.o", build_object(b"\x42" * 24))]
-    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a", [])
+    sigs, reports = sign_archive(_members(members), "lib.a", [])
     assert [s.name for s in sigs] == ["lib.a/real.o:.text"]
     assert any("script.ld" in r.name for r in reports)
 
@@ -451,7 +455,7 @@ def test_sign_archive_skips_member_with_malformed_relocation_table():
                        extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=1)])
     members = [("good.o", build_object(b"\x24" * 24)), ("bad.o", bad),
                ("notes.txt", b"plain text")]
-    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a", [])
+    sigs, reports = sign_archive(_members(members), "lib.a", [])
     assert [s.name for s in sigs] == ["lib.a/good.o:.text"]
     assert reports == [
         Rejected("unparseable: truncated relocation records in .rela.text", "lib.a/bad.o"),
@@ -464,8 +468,7 @@ def test_sign_archive_hands_back_member_warnings_in_order():
     bad = build_object(b"\x42" * 24, {".text": [(26, R_X86_64_PC32, "g")]},
                        extra=[Sec(".rel.text", bytes(19), sh_type=SHT_REL, info=1)])
     warnings: list[str] = []
-    sigs, reports = sign_archive(parse_archive(build_archive([("far.o", far), ("bad.o", bad)])),
-                                 "lib.a", warnings)
+    sigs, reports = sign_archive(_members([("far.o", far), ("bad.o", bad)]), "lib.a", warnings)
     assert [s.name for s in sigs] == ["lib.a/far.o:.text"]
     assert reports == [
         Rejected("unparseable: truncated relocation records in .rel.text", "lib.a/bad.o")]
@@ -476,7 +479,7 @@ def test_sign_archive_hands_back_member_warnings_in_order():
 def test_sign_archive_duplicate_member_names_numbered():
     members = [("a.o", build_object(bytes((i * 7 + j) % 256 for j in range(32))))
                for i in range(3)] + [("b.o", b"not elf")]
-    sigs, reports = sign_archive(parse_archive(build_archive(members)), "lib.a", [])
+    sigs, reports = sign_archive(_members(members), "lib.a", [])
     assert [s.name for s in sigs] == \
         ["lib.a/a.o:.text", "lib.a/a.o#2:.text", "lib.a/a.o#3:.text"]
     assert reports == [Rejected("not an ELF object", "lib.a/b.o")]
@@ -499,7 +502,7 @@ def test_sign_archive_empty():
 def test_sign_archive_names_fold_into_object_section():
     obj = build_object({".text.baz": b"\x55" * 24})
     members = [("bar.o", obj)]
-    sigs, _ = sign_archive(parse_archive(build_archive(members)), "libfoo.a", [])
+    sigs, _ = sign_archive(_members(members), "libfoo.a", [])
     assert sigs[0].name == "libfoo.a/bar.o:.text.baz"
 
 

@@ -30,7 +30,7 @@ from elfwriter import (
     build_shared_lib_layout,
     build_verdef_body,
 )
-from test_elf import elf_fields, int_field, mutate, parse_within_a_second
+from mutation import elf_fields, int_field, mutate, parse_within_a_second
 
 GLIBC_CHAIN = [f"GLIBC_2.{minor}" for minor in range(11)]  # 2.0 .. 2.10
 

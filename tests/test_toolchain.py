@@ -29,10 +29,11 @@
   ``libgcc_eh.a`` and ``libstdc++.a`` parses to the same image through
   :func:`provsig.elf.parse_elf` as through the per-header reference
   (``elf_reference``).  Skipped when gcc or an archive is missing.
-* Every member of those four archives reads the same through
-  :func:`provsig.elf.read_archive`, one member at a time from the file,
-  as through :func:`provsig.elf.parse_archive` from the whole file's
-  bytes.  Skipped when gcc or an archive is missing.
+* Every member of those four archives reads through
+  :func:`provsig.elf.read_archive` as ``ar tvO`` lists it: the same
+  names and sizes in the same order, and each body the file's bytes at
+  the offset ``ar`` gives.  Skipped when gcc, ar or an archive is
+  missing.
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def test_static_cxx_program_reports_signed_cxx_and_c_archives(tmp_path, capsys):
 def test_host_relocation_tables_read_as_the_reference_reads_them():
     checked = 0
     for name in ("libc.a", "libgcc.a"):
-        with open(_archive("gcc", name), "rb") as archive:
-            members = elf.parse_archive(archive.read())
+        with elf.open_file(_archive("gcc", name)) as archive:
+            members = list(elf.read_archive(archive))
         for member in members:
             image = elf.parse_elf(member.data)
             names = [section.name for section in elf.list_text_sections(image)]
@@ -248,8 +249,8 @@ def test_gcc_relocation_types_sign_without_warning(tmp_path, capsys, source, fla
 def test_host_objects_parse_as_the_per_header_reference_parses_them():
     checked = 0
     for name in ("libc.a", "libgcc.a", "libgcc_eh.a", "libstdc++.a"):
-        with open(_archive("gcc", name), "rb") as archive:
-            members = elf.parse_archive(archive.read())
+        with elf.open_file(_archive("gcc", name)) as archive:
+            members = list(elf.read_archive(archive))
         for member in members:
             if not member.data.startswith(elf.ELF_MAGIC):
                 continue
@@ -259,11 +260,23 @@ def test_host_objects_parse_as_the_per_header_reference_parses_them():
     assert checked
 
 
-@_missing("gcc")
-def test_host_archives_read_member_by_member_as_from_their_bytes():
+# one line of ``ar tvO``: mode, owner/group, size, date, name, body offset
+_AR_LISTING_LINE = re.compile(r"\S+ \S+ +(\d+) \w+ +\d+ [\d:]+ \d+ (.+) 0x([0-9a-f]+)")
+
+
+@_missing("gcc", "ar")
+def test_host_archives_read_member_by_member_as_ar_lists_them():
     for name in ("libc.a", "libgcc.a", "libgcc_eh.a", "libstdc++.a"):
         path = _archive("gcc", name)
+        listing = subprocess.run(["ar", "tvO", path], check=True, capture_output=True,
+                                 encoding="latin-1").stdout
+        listed = [_AR_LISTING_LINE.fullmatch(line).groups() for line in listing.splitlines()]
         with elf.open_file(path) as file:
             members = list(elf.read_archive(file))
-        assert members == elf.parse_archive(elf.read_file(path)), name
+        assert [(m.name, len(m.data)) for m in members] == \
+            [(member_name, int(size)) for size, member_name, _ in listed], name
+        data = elf.read_file(path)
+        for member, (size, _, offset) in zip(members, listed):
+            start = int(offset, 16)
+            assert member.data == data[start:start + int(size)], (name, member.name)
         assert members, name
