@@ -60,12 +60,12 @@ class ScanReport(NamedTuple):
 
 def format_report(report: ScanReport, fmt: str) -> str:
     """Render one target's report as human-readable lines or one JSON
-    document."""
+    document, ending with a line break either way."""
     if fmt == "json":
         return json.dumps({"target": report.target,
                            "package_hits": [h._asdict() for h in report.package_hits],
                            "dynlib_findings": [f._asdict() for f in report.dynlib_findings],
-                           "warnings": report.warnings})
+                           "warnings": report.warnings}) + "\n"
     lines = [f"({h.count} times, {h.total_bytes} bytes) {h.package} {h.version}"
              for h in report.package_hits]
     for finding in report.dynlib_findings:
@@ -138,7 +138,7 @@ def _siggen_parser() -> _Parser:
 
 
 def _sign_input(mode: str, input_path: str, used_origins: dict[str, int]
-                ) -> tuple[list[siggen.Signature], list[siggen.Rejected], list[str], str | None]:
+                ) -> tuple[list[sigdb.Signature], list[siggen.Rejected], list[str], str | None]:
     """What one ``siggen`` input gives: its signatures, the rejections of
     it or of its sections and members, the warnings raised reading it,
     and the line that says why it failed (None if it did not).  A failed
@@ -190,7 +190,7 @@ def siggen_main(argv=None) -> int:
         _err(f"siggen: error: {exc}")
         return EXIT_USAGE
 
-    signatures: list[siggen.Signature] = []
+    signatures: list[sigdb.Signature] = []
     reports: list[siggen.Rejected] = []
     used_origins: dict[str, int] = {}
     failed = False
@@ -207,7 +207,7 @@ def siggen_main(argv=None) -> int:
 
     if args.mode == "comment":
         # identical vendor strings from different inputs would double-count
-        unique: dict[siggen.HexPattern, siggen.Signature] = {}
+        unique: dict[sigdb.HexPattern, sigdb.Signature] = {}
         for sig in signatures:
             unique.setdefault(sig.pattern, sig)
         signatures = list(unique.values())
@@ -259,7 +259,7 @@ def _compile_engine(db: sigdb.Database):
     ``[(text engine, owners), (comment engine, owners)]``: ``owners[i]``
     holds engine index ``i``."""
     # target -> the patterns and owning files of its signatures
-    picked = {siggen.TARGET_TEXT: ([], []), siggen.TARGET_COMMENT: ([], [])}
+    picked = {sigdb.TARGET_TEXT: ([], []), sigdb.TARGET_COMMENT: ([], [])}
     for sf in db.files:
         for sig in sf.signatures:
             lists = picked.get(sig.target)
@@ -329,7 +329,7 @@ def _library_outcome(db: sigdb.Database, resolved: str,
 
 
 def _md5_lookup(db: sigdb.Database, lib: elf.ElfImage, resolved: str) -> DynlibFinding:
-    owner = db.md5_owners.get(siggen.text_md5_key(lib))
+    owner = db.md5_owners.get(sigdb.text_md5_key(lib))
     if owner is not None:
         return DynlibFinding(library=resolved, method=METHOD_MD5,
                              name=owner.package, version=owner.version)
@@ -393,14 +393,19 @@ def sigscan_main(argv=None) -> int:
                 _err(f"sigscan: {target}: {exc}")
                 status = EXIT_INPUT
                 continue
-            if args.format == "json":
-                print(format_report(report, "json"))
-            else:
-                # paths as the bytes they name, DB text as UTF-8: no
-                # stdout encoding can end the batch
-                head = os.fsencode(target) + b":\n" if show_target else b""
-                _write_stdout(head + format_report(report, "human").encode(
+            # paths as the bytes they name, DB text as UTF-8: no stdout
+            # encoding can end the batch
+            head = os.fsencode(target) + b":\n" if show_target else b""
+            try:
+                _write_stdout(head + format_report(report, args.format).encode(
                     "utf-8", "surrogateescape"))
+            except BrokenPipeError:
+                # no reader is left: stop, and let the flush at exit go nowhere
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, 1)
+                os.close(devnull)
+                return EXIT_INPUT
+            if args.format == "human":  # a JSON report holds its warnings
                 for warning in report.warnings:
                     _err(f"sigscan: warning: {warning}")
         return status

@@ -1,11 +1,11 @@
-"""Multi-pattern scanning engine for hex patterns.
+"""Multi-pattern scanning engine for :class:`provsig.sigdb.HexPattern`.
 
 All patterns are compiled into one engine, which scans a buffer once
 per word table and once per short key; a match names its pattern by
 list index, which the caller maps to a signature.  Each pattern has an
 *anchor*: its longest wildcard-free byte run, earliest run on ties,
 which is two bytes or more, since :mod:`provsig.sigdb` reads and
-writes no pattern without such a run.
+writes no pattern without such a run (:func:`provsig.sigdb.has_anchor`).
 The engine is keyed not on the whole anchor but on a *key*: the
 anchor's first ``KEY_LEN`` bytes (an anchor shorter than that is its
 own key).  Every occurrence of a pattern contains its key, so keying
@@ -76,7 +76,7 @@ from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, repeat
 from typing import Iterator, NamedTuple
 
-from provsig.siggen import HexPattern
+from provsig.sigdb import HexPattern
 
 KEY_LEN = 16
 _MIN_TABLED = 11  # the shortest key 8-byte words sample at a step of 4

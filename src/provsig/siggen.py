@@ -8,8 +8,9 @@ Three producers, one per binary feature:
   prelinking, which rewrites relocation data but not code),
 * plain byte-string patterns from ``.comment`` vendor strings.
 
-A :class:`Signature`'s target says which of these it carries; the
-``.sig`` kind field (``hex``/``md5``) is :mod:`provsig.sigdb`'s alone.
+Each becomes a :class:`provsig.sigdb.Signature`, whose target says
+which of these it carries; the records, their ``.sig`` text and the
+anchor rule are :mod:`provsig.sigdb`'s, and this module only fills them.
 
 A text-section pattern keeps between 16 and 255 pattern positions.
 Sections shorter than 16 bytes are rejected: x86 instructions are 1-16
@@ -21,17 +22,13 @@ joined by exact-length gaps so the overall layout is preserved.
 
 from __future__ import annotations
 
-import math
-import re
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from provsig import elf
 from provsig.elf import ArchiveMember, ElfImage
-
-TARGET_TEXT = "text"
-TARGET_COMMENT = "comment"
-TARGET_DYNLIB = "dynlib"
+from provsig.sigdb import (TARGET_COMMENT, TARGET_DYNLIB, TARGET_TEXT, HexPattern, Signature,
+                           has_anchor, text_md5_key)
 
 TOO_SHORT = "too-short"
 UNANCHORABLE = "unanchorable"
@@ -41,32 +38,6 @@ MIN_PATTERN_POSITIONS = 16
 MAX_PATTERN_POSITIONS = 255
 SEGMENT_LEN = MAX_PATTERN_POSITIONS // 3  # 85
 MIN_COMMENT_BYTES = 4
-
-
-class PatternSyntaxError(ValueError):
-    """Hex pattern text that does not follow the pattern grammar, or a
-    pattern that no such text writes."""
-
-
-class HexPattern(NamedTuple):
-    """A byte pattern as a scan reads it.
-
-    ``literals[i]`` is a literal run at span offset ``offsets[i]``;
-    ``gaps`` holds ``(offset, length)`` pairs; every other position of
-    the ``span`` bytes is a ``??``, which matches what a gap does: the
-    two differ only in the ``.sig`` text.  Runs are in order, non-empty
-    and never abut; a gap never abuts a gap, overlaps a run or opens or
-    closes the pattern (:func:`pattern_to_text` refuses one that does).
-    A scan needs an anchor, a literal run of two bytes or more, which
-    :func:`build_pattern` ensures; :mod:`provsig.sigdb` neither reads
-    nor writes a pattern without one, so
-    :func:`provsig.matcher.compile` never meets one.
-    """
-
-    span: int
-    offsets: tuple[int, ...]
-    literals: tuple[bytes, ...]
-    gaps: tuple[tuple[int, int], ...]
 
 
 class Rejected(NamedTuple):
@@ -79,21 +50,6 @@ class Rejected(NamedTuple):
 
     reason: str  # TOO_SHORT | UNANCHORABLE | NO_TEXT | why a member was skipped
     name: str = ""
-
-
-class Signature(NamedTuple):
-    """One detection rule; its target says what it carries.
-
-    A ``text`` or ``comment`` signature carries a pattern against those
-    bytes; a ``dynlib`` one carries the digest and size of a library's
-    .text.
-    """
-
-    name: str
-    target: str  # TARGET_TEXT | TARGET_COMMENT | TARGET_DYNLIB
-    pattern: HexPattern | None = None
-    digest: str | None = None
-    text_size: int | None = None
 
 
 def build_pattern(data: bytes, relocs: tuple[list[int], bytes]) -> HexPattern | Rejected:
@@ -124,8 +80,8 @@ def build_pattern(data: bytes, relocs: tuple[list[int], bytes]) -> HexPattern | 
     and the pattern starts at its first literal run and ends with its
     last.  A masked segment that abuts a literal one keeps its ``??``.
     Patterns left with fewer than 16 positions (the span less its gaps)
-    are rejected as too short; patterns without an anchor (a literal
-    run of two bytes or more) are rejected as unanchorable.
+    are rejected as too short; patterns without an anchor
+    (:func:`provsig.sigdb.has_anchor`) are rejected as unanchorable.
     """
     starts, lengths = relocs
     n = len(data)
@@ -170,7 +126,7 @@ def build_pattern(data: bytes, relocs: tuple[list[int], bytes]) -> HexPattern | 
     span = offsets[-1] + len(literals[-1]) - start
     if span - gapped < MIN_PATTERN_POSITIONS:
         return Rejected(TOO_SHORT)
-    if max(map(len, literals)) < 2:
+    if not has_anchor(literals):
         return Rejected(UNANCHORABLE)
     if start:
         offsets = [offset - start for offset in offsets]
@@ -254,34 +210,9 @@ def unique_name(name: str, seen: dict[str, int]) -> str:
     return unique
 
 
-def text_md5_key(image: ElfImage) -> tuple[str, int] | None:
-    """A shared library's identity key: the MD5 hex digest and the size
-    of its first .text section, or None when it has none.
-
-    Depends only on the code bytes, so on-disk churn in relocation or
-    dynamic-linking data (prelinking) does not change it.
-
-    The digest is CPython's own MD5 (``_md5``): :mod:`hashlib` would
-    map OpenSSL's libcrypto into the process for it.  Only an
-    interpreter built without ``_md5`` takes it from :mod:`hashlib`.
-    The digest names a library and guards nothing, which
-    ``usedforsecurity=False`` says, so an OpenSSL in FIPS mode does not
-    refuse it.
-    """
-    text = elf.get_section(image, ".text")
-    if text is None:
-        return None
-    # imported here, so a scan that never takes a digest loads neither
-    try:
-        from _md5 import md5
-    except ImportError:
-        from hashlib import md5
-    return md5(text.data, usedforsecurity=False).hexdigest(), len(text.data)
-
-
 def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature | Rejected:
-    """MD5 record of a shared library: its :func:`text_md5_key`, or a
-    :data:`NO_TEXT` rejection when it has no .text section."""
+    """MD5 record of a shared library: its :func:`~provsig.sigdb.text_md5_key`,
+    or a :data:`NO_TEXT` rejection when it has no .text section."""
     key = text_md5_key(image)
     if key is None:
         return Rejected(NO_TEXT)
@@ -305,158 +236,3 @@ def sign_comments(strings: list[str], origin_name: str) -> list[Signature]:
                 pattern=HexPattern(len(raw), (0,), (raw,), ()),
             ))
     return signatures
-
-
-_NO_GAP = (math.inf, 0)  # what pattern_to_text reads once past the last gap
-
-
-def pattern_to_text(pattern: HexPattern) -> str:
-    """Render a pattern: lowercase hex pairs, ``??`` wildcards, ``{n}`` gaps.
-
-    One walk over the runs, writing each gap as the walk passes it.  A
-    pattern that no text reads back as itself (one that breaks a rule of
-    :class:`HexPattern`, or has an empty gap, a part past its span or no
-    span) raises :class:`PatternSyntaxError` during that walk.
-    """
-    span, offsets, literals, gaps = pattern
-    if len(offsets) != len(literals) or not all(literals):
-        raise PatternSyntaxError("pattern has an empty literal run or not one offset per run")
-    parts: list[str] = []
-    pos = 0  # the span offset written up to
-    run_floor, gap_floor = 0, 1  # the least offsets the next run and gap may start at
-    more_gaps = iter(gaps)
-    gap_at, length = next(more_gaps, _NO_GAP)
-    # the span's end closes the walk as a run without bytes
-    for at, literal in zip((*offsets, span), (*literals, None)):
-        while gap_at < at:
-            if gap_at < gap_floor or length < 1 or gap_at + length >= span:
-                raise PatternSyntaxError(f"gap at offset {gap_at} is empty, abuts a gap, "
-                                         "opens or closes the pattern or is out of place")
-            parts.append("??" * (gap_at - pos))
-            parts.append(f"{{{length}}}")
-            pos = run_floor = gap_at + length
-            gap_floor = pos + 1
-            gap_at, length = next(more_gaps, _NO_GAP)
-        if literal is None:
-            break
-        if at < run_floor:
-            raise PatternSyntaxError(f"literal run at offset {at} abuts a run or is out of place")
-        parts.append("??" * (at - pos))
-        parts.append(literal.hex())
-        pos = gap_floor = at + len(literal)
-        run_floor = pos + 1
-    if gap_at != _NO_GAP[0] or pos > span or span < 1:
-        raise PatternSyntaxError("pattern is empty or has a part past its span")
-    parts.append("??" * (span - pos))
-    return "".join(parts)
-
-
-_PATTERN_TOKEN = re.compile(
-    r" *(?:(?P<hex>[0-9a-f][0-9a-f ]*)"
-    r"|(?P<any>\?\?(?: *\?\?)*)"
-    r"|\{(?P<gap>[0-9]+)\})")
-
-
-# what bytes.fromhex skips (ASCII whitespace) or reads (uppercase) and
-# the grammar refuses
-_FROMHEX_ONLY = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "A", "B", "C", "D", "E", "F")
-
-
-def _parse_canonical(text: str) -> HexPattern | None:
-    """The pattern of ``text`` if it is written as :func:`pattern_to_text`
-    writes it, else None.  The one place a pattern is built from text.
-
-    The text is split on ``{``: every part after the first is
-    ``digits}rest``, a gap and the part it leads to.  Each gap-free
-    part is split on ``??``: every boundary of that split is one
-    wildcard byte, and every non-empty piece one literal run, read by
-    :meth:`bytes.fromhex`.  A part that holds no ``?`` is taken as one
-    piece without a split.  That call skips ASCII whitespace and reads
-    uppercase, which the grammar refuses, so text holding either is
-    declined before it is split.  The pattern is built as
-    :meth:`HexPattern._make` builds it, without a Python-level call.
-    """
-    for char in _FROMHEX_ONLY:
-        if char in text:
-            return None
-    offsets: list[int] = []
-    literals: list[bytes] = []
-    gaps: list[tuple[int, int]] = []
-    fromhex = bytes.fromhex
-    pos = 0  # the span offset read up to
-    try:
-        for index, part in enumerate(text.split("{")):
-            if index:  # every part but the first opens with a gap
-                digits, brace, part = part.partition("}")
-                if not (brace and digits.isascii() and digits.isdigit()):
-                    return None
-                length = int(digits)
-                if length < 1:
-                    return None
-                gaps.append((pos, length))
-                pos += length
-            if not part:  # empty text, a gap first, last or next to a gap
-                return None
-            pos -= 1
-            for piece in part.split("??") if "?" in part else (part,):
-                pos += 1  # the ``??`` before every piece but the first
-                if piece:
-                    literal = fromhex(piece)
-                    offsets.append(pos)
-                    literals.append(literal)
-                    pos += len(literal)
-    except ValueError:  # not hex pairs, or more digits than int() converts
-        return None
-    return tuple.__new__(HexPattern, (pos, tuple(offsets), tuple(literals), tuple(gaps)))
-
-
-def parse_pattern_text(text: str) -> HexPattern:
-    """Inverse of :func:`pattern_to_text`; accepts optional spaces
-    between tokens.
-
-    Tokens are runs of hex pairs, runs of ``??`` and ``{n}`` gaps, with
-    ASCII characters only: a gap length is ASCII digits.
-
-    Text as :func:`pattern_to_text` writes it is read by C-level string
-    passes (:func:`_parse_canonical`).  Any other text, spaced or
-    uppercase or malformed, goes to one regular-expression match per
-    token, which alone judges the grammar and words every
-    :class:`PatternSyntaxError`; text that passes is written again as
-    :func:`pattern_to_text` would write it and read by those passes.
-    """
-    pattern = _parse_canonical(text)
-    if pattern is not None:
-        return pattern
-    text = text.rstrip(" ")
-    parts: list[str] = []  # the canonical text of each token
-    pos = 0
-    while pos < len(text):
-        token = _PATTERN_TOKEN.match(text, pos)
-        if token is None:
-            raise PatternSyntaxError(f"bad token at offset {pos}: {text[pos:pos + 12]!r}")
-        hex_run, any_run, digits = token.groups()
-        if hex_run is not None:
-            try:  # hex pairs with optional spaces between pairs
-                parts.append(bytes.fromhex(hex_run).hex())
-            except ValueError as exc:
-                raise PatternSyntaxError(f"bad hex run {hex_run.strip()!r}") from exc
-        elif any_run is not None:
-            parts.append("??" * (any_run.count("?") // 2))
-        else:
-            try:
-                length = int(digits)
-            except ValueError as exc:  # more digits than int() converts
-                raise PatternSyntaxError(f"bad gap length {digits!r}") from exc
-            if length < 1:
-                raise PatternSyntaxError("gap length must be >= 1")
-            if not parts:
-                raise PatternSyntaxError("pattern must not start or end with a gap")
-            if parts[-1][0] == "{":
-                raise PatternSyntaxError("adjacent gaps")
-            parts.append(f"{{{length}}}")
-        pos = token.end()
-    if not parts:
-        raise PatternSyntaxError("empty pattern")
-    if parts[-1][0] == "{":
-        raise PatternSyntaxError("pattern must not start or end with a gap")
-    return _parse_canonical("".join(parts))

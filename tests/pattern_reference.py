@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from provsig.elf import MAX_MASK_LEN
+from provsig.sigdb import HexPattern, MalformedSigFile
 from provsig.siggen import (
     MAX_PATTERN_POSITIONS,
     MIN_PATTERN_POSITIONS,
     SEGMENT_LEN,
     TOO_SHORT,
     UNANCHORABLE,
-    HexPattern,
-    PatternSyntaxError,
     Rejected,
 )
 
@@ -126,7 +125,7 @@ def reader_relocs(size: int, relocs) -> tuple[list[int], bytes]:
 
 def parse_pattern_text(text: str) -> tuple:
     """Character-by-character parser with the grammar of
-    :func:`provsig.siggen.parse_pattern_text`; returns per-byte
+    :func:`provsig.sigdb.parse_pattern_text`; returns per-byte
     elements."""
     elements: list = []
     i = 0
@@ -137,34 +136,34 @@ def parse_pattern_text(text: str) -> tuple:
             continue
         if ch == "?":
             if text[i:i + 2] != "??":
-                raise PatternSyntaxError("lone '?' in pattern")
+                raise MalformedSigFile("lone '?' in pattern")
             elements.append(ANY)
             i += 2
         elif ch == "{":
             close = text.find("}", i)
             if close == -1:
-                raise PatternSyntaxError("unterminated gap")
+                raise MalformedSigFile("unterminated gap")
             digits = text[i + 1:close]
             if not (digits.isascii() and digits.isdigit()):
-                raise PatternSyntaxError(f"bad gap length {digits!r}")
+                raise MalformedSigFile(f"bad gap length {digits!r}")
             length = int(digits)
             if length < 1:
-                raise PatternSyntaxError("gap length must be >= 1")
+                raise MalformedSigFile("gap length must be >= 1")
             elements.append(Gap(length))
             i = close + 1
         else:
             pair = text[i:i + 2]
             if len(pair) < 2 or any(c not in "0123456789abcdef" for c in pair):
-                raise PatternSyntaxError(f"bad hex byte {pair!r}")
+                raise MalformedSigFile(f"bad hex byte {pair!r}")
             elements.append(int(pair, 16))
             i += 2
     if not elements:
-        raise PatternSyntaxError("empty pattern")
+        raise MalformedSigFile("empty pattern")
     if isinstance(elements[0], Gap) or isinstance(elements[-1], Gap):
-        raise PatternSyntaxError("pattern must not start or end with a gap")
+        raise MalformedSigFile("pattern must not start or end with a gap")
     for a, b in zip(elements, elements[1:]):
         if isinstance(a, Gap) and isinstance(b, Gap):
-            raise PatternSyntaxError("adjacent gaps")
+            raise MalformedSigFile("adjacent gaps")
     return tuple(elements)
 
 

@@ -23,15 +23,17 @@ from provsig.cli import (
     sigscan_main,
 )
 from provsig.elf import get_section, parse_elf
-from provsig.sigdb import load_db, parse_sigfile, write_sigfile, SignatureFile
-from provsig.siggen import (
+from provsig.sigdb import (
     TARGET_TEXT,
     HexPattern,
     Signature,
-    build_pattern,
+    SignatureFile,
+    load_db,
+    parse_sigfile,
     pattern_to_text,
-    sign_shared_lib,
+    write_sigfile,
 )
+from provsig.siggen import build_pattern, sign_shared_lib
 from provsig.symver import library_versions
 
 from elfwriter import (

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -110,7 +111,7 @@ def test_format_report_json_round_trip():
         '"package_hits": [{"package": "P", "version": "1.0", "count": 2, "total_bytes": 64}], '
         '"dynlib_findings": [{"library": "/l/x.so", "method": "md5", "name": "X", '
         '"version": "2"}], '
-        '"warnings": ["unresolved dynamic library: libz.so.1"]}')
+        '"warnings": ["unresolved dynamic library: libz.so.1"]}\n')
 
 
 # -- resolve_dynamic ----------------------------------------------------------------
@@ -971,14 +972,15 @@ def test_sigscan_leaves_the_collector_as_it_found_it(small_db, tmp_path, capsys,
 
 # -- python -m provsig.cli -------------------------------------------------------------
 
-def _run_module(*args, text=True, **env) -> subprocess.CompletedProcess:
+def _run_module(*args, text=True, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
     """``python -m provsig.cli ARGS`` in a fresh interpreter that imports
-    this checkout's provsig, with ``env`` added to its environment."""
+    this checkout's provsig, with ``env`` added to its environment;
+    stderr is captured, and stdout too unless ``stdout`` says otherwise."""
     src = str(Path(provsig.__file__).resolve().parent.parent)
     env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "provsig.cli", *args], env=env,
-                          capture_output=True, text=text, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=text, timeout=60)
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
@@ -1092,6 +1094,24 @@ def test_sigscan_human_output_to_a_text_only_stdout(small_db, tmp_path):
         rc = sigscan_main(["--db", str(small_db), "--no-dynamic", str(target), str(target)])
     report = "(1 times, 24 bytes) Intel Compiler Suite 12.0\n"
     assert (rc, out.getvalue()) == (0, f"{target}:\n{report}" * 2)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_sigscan_stops_quietly_on_a_closed_stdout(small_db, tmp_path, fmt):
+    # as under ``sigscan ... | head -1``, with the reader gone before the
+    # first report, so every write fails: the batch stops with exit 2
+    # (not every report was delivered) and nothing on stderr, not even
+    # from the flush at interpreter shutdown
+    target = tmp_path / "prog"
+    target.write_bytes(build_executable(CALL_STUB_TEXT, comment=b"GCC: (GNU) 4.4.3\x00"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _run_module("sigscan", "--db", str(small_db), "--no-dynamic", "--format", fmt,
+                           str(target), str(target), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "")
 
 
 @pytest.mark.parametrize("args", [[], ["scan", "--help"]], ids=["no-tool", "unknown-tool"])
@@ -1396,8 +1416,8 @@ _KEEP = st.one_of(st.none(), st.integers(0, 1 << 12))
 @pytest.fixture(scope="module")
 def batch_world(tmp_path_factory):
     """A two-file DB, a lib directory, two good targets that need only a
-    clean library, the clean run over them, and the bad target and the
-    library only it needs, both still unmutated."""
+    clean library, the clean run over them, and the seeds of the bad
+    target and of the library only it needs, still unmutated."""
     root = tmp_path_factory.mktemp("batch")
     db = root / "db"
     db.mkdir()
@@ -1424,22 +1444,46 @@ def batch_world(tmp_path_factory):
     rc, out, err = clean
     assert (rc, err) == (0, "")
     assert [json.loads(line)["warnings"] for line in out.splitlines()] == [[], []]
-    bad_exe = build_executable(CALL_STUB_TEXT, needed=["libbad.so"])
-    bad_lib = build_shared_lib(text=b"\x44" * 32, versions=["GLIBC_2.5"])
-    return root, argv, goods, clean, bad_exe, bad_lib
+    bad_exes = [build_executable(CALL_STUB_TEXT, needed=["libbad.so"])]
+    bad_libs = [build_shared_lib(text=b"\x44" * 32, versions=["GLIBC_2.5"])]
+    if shutil.which("gcc") is not None:
+        bad_exes += _gcc_hello_needing_libbad(root / "gcc-built")
+        libc = subprocess.run(["gcc", "-print-file-name=libc.so.6"], capture_output=True,
+                              text=True).stdout.strip()
+        if os.path.isabs(libc) and os.path.isfile(libc):
+            bad_libs.append(Path(libc).read_bytes())
+    return root, argv, goods, clean, bad_exes, bad_libs
 
 
+def _gcc_hello_needing_libbad(work: Path) -> list[bytes]:
+    """A gcc-built dynamic hello that needs ``libbad.so`` (built beside
+    it in ``work``) and ``libc.so.6``, or nothing if gcc cannot build it."""
+    work.mkdir()
+    (work / "bad.c").write_text("int bad(void) { return 0; }\n")
+    (work / "hello.c").write_text('#include <stdio.h>\nint bad(void);\n'
+                                  'int main(void) { puts("hello"); return bad(); }\n')
+    for args in (["-shared", "-fPIC", "-Wl,-soname,libbad.so", "-o", "libbad.so", "bad.c"],
+                 ["-o", "hello", "hello.c", "-L.", "-lbad"]):
+        if subprocess.run(["gcc", "-O2", *args], cwd=work, capture_output=True).returncode:
+            return []
+    return [(work / "hello").read_bytes()]
+
+
+# each seed list holds the elfwriter seed first, then, where gcc is
+# present, a real one: a gcc-built hello and a copy of the host libc.so.6
 @settings(max_examples=40, deadline=2000)
-@given(exe_edits=_EDITS, exe_keep=_KEEP, lib_edits=_EDITS, lib_keep=_KEEP)
-@example(exe_edits=[], exe_keep=None, lib_edits=[(4, 9)], lib_keep=None)
-@example(exe_edits=[(0, 0)], exe_keep=None, lib_edits=[], lib_keep=None)
+@given(exe_edits=_EDITS, exe_keep=_KEEP, lib_edits=_EDITS, lib_keep=_KEEP,
+       exe_seed=st.integers(0, 1), lib_seed=st.integers(0, 1))
+@example(exe_edits=[], exe_keep=None, lib_edits=[(4, 9)], lib_keep=None, exe_seed=0, lib_seed=0)
+@example(exe_edits=[(0, 0)], exe_keep=None, lib_edits=[], lib_keep=None, exe_seed=0, lib_seed=0)
+@example(exe_edits=[], exe_keep=None, lib_edits=[], lib_keep=None, exe_seed=1, lib_seed=1)
 def test_sigscan_one_mutated_target_spoils_only_its_own_report(
-        batch_world, exe_edits, exe_keep, lib_edits, lib_keep):
-    root, argv, (good_1, good_2), (_, clean_out, _), bad_exe, bad_lib = batch_world
+        batch_world, exe_edits, exe_keep, lib_edits, lib_keep, exe_seed, lib_seed):
+    root, argv, (good_1, good_2), (_, clean_out, _), bad_exes, bad_libs = batch_world
     bad = root / "bad"
-    bad.write_bytes(_mutated(bad_exe, exe_edits, exe_keep))
+    bad.write_bytes(_mutated(bad_exes[exe_seed % len(bad_exes)], exe_edits, exe_keep))
     lib = Path(argv[3]) / "libbad.so"
-    lib.write_bytes(_mutated(bad_lib, lib_edits, lib_keep))
+    lib.write_bytes(_mutated(bad_libs[lib_seed % len(bad_libs)], lib_edits, lib_keep))
     rc, out, err = _sigscan([*argv, str(good_1), str(bad), str(good_2)])
     lines = out.splitlines()
     docs = [json.loads(line) for line in lines]

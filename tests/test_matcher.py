@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import engine_reference
 import pattern_reference
 from provsig import matcher
-from provsig.siggen import HexPattern
+from provsig.sigdb import HexPattern
 
 from pattern_reference import ANY, Gap, expand, from_elements, well_formed
 

@@ -10,22 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provsig.sigdb import (
-    Database,
-    EmptyDatabase,
-    MalformedSigFile,
-    SignatureFile,
-    UnwritableSigFile,
-    load_db,
-    parse_sigfile,
-    write_sigfile,
-)
-from provsig.siggen import (
     TARGET_COMMENT,
     TARGET_DYNLIB,
     TARGET_TEXT,
+    Database,
+    EmptyDatabase,
     HexPattern,
+    MalformedSigFile,
     Signature,
+    SignatureFile,
+    UnwritableSigFile,
+    load_db,
     parse_pattern_text,
+    parse_sigfile,
+    write_sigfile,
 )
 
 from pattern_reference import ANY, Gap, anchor, from_elements, well_formed

@@ -1,4 +1,5 @@
-"""siggen module: masking, pattern building, object/library/comment signing."""
+"""siggen module: masking, pattern building, object/library/comment signing,
+and the pattern text grammar that ``provsig.sigdb`` holds."""
 
 from __future__ import annotations
 
@@ -11,29 +12,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provsig import matcher, siggen
+from provsig import matcher, sigdb
 from provsig.elf import ArchiveMember, parse_elf
-from provsig.sigdb import SignatureFile, parse_sigfile, write_sigfile
-from provsig.siggen import (
-    MIN_PATTERN_POSITIONS,
-    NO_TEXT,
+from provsig.sigdb import (
     TARGET_COMMENT,
     TARGET_DYNLIB,
     TARGET_TEXT,
+    HexPattern,
+    MalformedSigFile,
+    Signature,
+    SignatureFile,
+    parse_pattern_text,
+    parse_sigfile,
+    pattern_to_text,
+    text_md5_key,
+    write_sigfile,
+)
+from provsig.siggen import (
+    MIN_PATTERN_POSITIONS,
+    NO_TEXT,
     TOO_SHORT,
     UNANCHORABLE,
-    HexPattern,
-    PatternSyntaxError,
     Rejected,
-    Signature,
     build_pattern,
-    parse_pattern_text,
-    pattern_to_text,
     sign_archive,
     sign_comments,
     sign_object,
     sign_shared_lib,
-    text_md5_key,
     unique_name,
 )
 
@@ -607,7 +612,7 @@ def test_pattern_text_round_trip():
     pytest.param("aa{" + "1" * 5000 + "}bb", id="gap-beyond-int-digit-limit"),
 ])
 def test_pattern_text_rejects(bad):
-    with pytest.raises(PatternSyntaxError):
+    with pytest.raises(MalformedSigFile):
         parse_pattern_text(bad)
 
 
@@ -699,4 +704,4 @@ def test_pattern_text_round_trip_keeps_tokens_maximal(elements):
     assert hash(parsed) == hash(pattern)
     assert _maximal(parsed)
     # written text takes the string pass, not the token loop
-    assert siggen._parse_canonical(text) == pattern
+    assert sigdb._parse_canonical(text) == pattern

@@ -10,6 +10,11 @@
   over ``libc.a``) finds that library in a C hello linked with
   ``-static``, at ``-O0`` and at ``-O2``.  Skipped when gcc or
   ``libc.a`` is missing.
+* A database signed from gcc's ``crtbegin.o``, ``crtbeginS.o`` and
+  ``crtbeginT.o`` finds gcc in a PIE, a ``-no-pie`` and a ``-static``
+  C hello whose ``.comment`` was removed and which were stripped: code
+  alone names the compiler.  Skipped per tool (gcc, objcopy, strip),
+  per missing crt object and per link mode that does not build here.
 * A database signed from the host's C, C++ and compiler runtime
   archives (``libc.a``, ``libgcc.a``, ``libgcc_eh.a``, ``libstdc++.a``)
   finds both the C and the C++ library in a C++ program linked with
@@ -45,7 +50,7 @@ import subprocess
 
 import pytest
 
-from provsig import elf, matcher, sigdb, siggen
+from provsig import elf, matcher, sigdb
 from provsig.cli import siggen_main, sigscan_main
 
 import elf_reference
@@ -167,6 +172,30 @@ def test_static_hello_reports_signed_libc_archive(tmp_path, capsys):
         assert _reported(lines, "host libc static"), (level, lines)
 
 
+@_missing("gcc", "objcopy", "strip")
+@pytest.mark.parametrize("link", [["-fPIE", "-pie"], ["-no-pie"], ["-static"]],
+                         ids=["pie", "no-pie", "static"])
+def test_crtbegin_signatures_name_gcc_in_a_stripped_hello(tmp_path, capsys, link):
+    crts = [_archive("gcc", name) for name in ("crtbegin.o", "crtbeginS.o", "crtbeginT.o")]
+    db = tmp_path / "db"
+    db.mkdir()
+    assert siggen_main(["obj", *crts, "--package", "gcc crt", "--version", "host",
+                        "-o", str(db / "crt.sig")]) == 0
+    (tmp_path / "hello.c").write_text(HELLO_C)
+    binary = tmp_path / "hello"
+    built = subprocess.run(["gcc", "-O2", *link, "-o", str(binary), str(tmp_path / "hello.c")],
+                           capture_output=True, text=True)
+    if built.returncode:
+        pytest.skip(f"gcc {' '.join(link)} does not link here: {built.stderr.strip()}")
+    subprocess.run(["objcopy", "--remove-section", ".comment", str(binary)], check=True)
+    subprocess.run(["strip", str(binary)], check=True)
+    assert elf.get_section(elf.parse_elf(elf.read_file(binary)), ".comment") is None
+    capsys.readouterr()
+    assert sigscan_main(["--db", str(db), "--no-dynamic", str(binary)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _reported(lines, "gcc crt host"), lines
+
+
 @_missing("g++")
 def test_static_cxx_program_reports_signed_cxx_and_c_archives(tmp_path, capsys):
     archives = {name: _archive("g++", name)
@@ -177,7 +206,7 @@ def test_static_cxx_program_reports_signed_cxx_and_c_archives(tmp_path, capsys):
         assert siggen_main(["obj", archive, "--package", f"host {name[:-2]}",
                             "--version", "static", "-o", str(db / f"{name}.sig")]) == 0
     engine = matcher.compile([sig.pattern for sf in sigdb.load_db(db).files
-                              for sig in sf.signatures if sig.target == siggen.TARGET_TEXT])
+                              for sig in sf.signatures if sig.target == sigdb.TARGET_TEXT])
     assert len({key for key, _ in engine.keys}) < len(engine.keys)
     (tmp_path / "args.cc").write_text(ARGS_CXX)
     binary = tmp_path / "args"
@@ -242,7 +271,7 @@ def test_gcc_relocation_types_sign_without_warning(tmp_path, capsys, source, fla
     assert "siggen: warning:" not in capsys.readouterr().err
     (sig,) = (sig for sig in sigdb.parse_sigfile(out.read_bytes()).signatures
               if sig.name == "unit.o:.text")
-    assert siggen.pattern_to_text(sig.pattern) == payload
+    assert sigdb.pattern_to_text(sig.pattern) == payload
 
 
 @_missing("gcc")
