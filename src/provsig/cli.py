@@ -146,23 +146,24 @@ def _sign_input(mode: str, input_path: str, used_origins: dict[str, int]
 
     The input is opened once, by :func:`provsig.elf.open_file`.  In obj
     mode an archive is read one member at a time
-    (:func:`provsig.elf.read_archive`); any other input is read whole.
+    (:func:`provsig.elf.read_archive`); any other input is read section
+    by section (:func:`provsig.elf.read_elf`).
     ``used_origins`` holds the origin names taken so far in this run.
     """
     warnings: list[str] = []  # relocations dropped or clamped, a bad .comment
     try:
         with elf.open_file(input_path) as file:
-            if mode == "obj" and os.pread(file.fileno(), len(elf.AR_MAGIC), 0) == elf.AR_MAGIC:
+            magic = os.pread(file.fileno(), len(elf.AR_MAGIC), 0)
+            if mode == "obj" and magic == elf.AR_MAGIC:
                 members = elf.read_archive(file)
                 origin = siggen.unique_name(os.path.basename(input_path), used_origins)
                 sigs, rejects = siggen.sign_archive(members, origin, warnings)
                 return sigs, rejects, warnings, None
-            data = file.read()
-        # a linker script (libc.so, libm.a) is not signed, and its
-        # GROUP is not followed
-        if not data.startswith(elf.ELF_MAGIC):
-            return [], [siggen.Rejected("not an ELF object", input_path)], warnings, None
-        image = elf.parse_elf(data)
+            # a linker script (libc.so, libm.a) is not signed, and its
+            # GROUP is not followed
+            if not magic.startswith(elf.ELF_MAGIC):
+                return [], [siggen.Rejected("not an ELF object", input_path)], warnings, None
+            image = elf.read_elf(file)
         # an executable or shared library given to obj is skipped
         # before it takes a name
         if mode == "obj" and not image.is_relocatable:
@@ -274,8 +275,10 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
     """One target's report.  ``engines`` is what :func:`_compile_engine`
     returns.  ``libraries`` maps each library path resolved so far in
     this call to its :func:`_library_outcome`, so a library many targets
-    need is read once."""
-    image = elf.parse_elf(elf.read_file(target_path))
+    need is read once.  The target is read section by section
+    (:func:`provsig.elf.read_elf`), so only its sections are held."""
+    with elf.open_file(target_path) as file:
+        image = elf.read_elf(file)
     text, comments = engines  # each an (engine, owners) pair
     scans = [(text, s.data) for s in elf.list_text_sections(image)]
     comment = elf.get_section(image, ".comment")
@@ -317,7 +320,8 @@ def _library_outcome(db: sigdb.Database, resolved: str,
     """What the library at ``resolved`` adds to a report: its findings,
     or the warning that it cannot be read."""
     try:
-        lib = elf.parse_elf(elf.read_file(resolved))
+        with elf.open_file(resolved) as file:
+            lib = elf.read_elf(file)
         versions = symver.library_versions(lib, labels)
     except (OSError, MalformedElf, UnsupportedElf, symver.MalformedVerdef) as exc:
         return (), f"{resolved}: {exc}"

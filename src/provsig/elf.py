@@ -4,7 +4,11 @@ Struct-based readers for the on-disk containers this toolkit consumes:
 ELF executables, shared libraries and relocatable objects (sections,
 ``.comment`` strings, dynamic-linking records), plus System V / GNU
 ``ar`` archives.  Every input file is opened by :func:`open_file`,
-without blocking and as a regular file only.  An archive is read from
+without blocking and as a regular file only.  An ELF file is read from
+its open file by :func:`read_elf`, with ``pread``: its headers, its
+name table and each section body once, so the file is never in memory
+whole beside its sections; :func:`parse_elf` makes the same walk over
+bytes already in memory (an archive member).  An archive is read from
 its open file by :func:`read_archive`: one walk over its headers with
 ``pread``, then each member's body only when it is reached, so the
 archive is never in memory whole.  The section-header table is read in
@@ -144,7 +148,7 @@ def open_file(path) -> BinaryIO:
     input can hang the run or feed it without end.  A directory fails as
     ``open`` fails it.  The path is named as :class:`~pathlib.Path`
     prints it.  It is read whole (:func:`read_file`) or by offset
-    (:func:`read_archive`).
+    (:func:`read_elf`, :func:`read_archive`).
     """
     path = Path(path)
     file = open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
@@ -174,18 +178,47 @@ def read_cstr(buf: bytes, offset: int) -> bytes:
 
 
 def parse_elf(data: bytes) -> ElfImage:
-    """Parse an ELF file into an :class:`ElfImage`.
+    """Parse the ELF file held in ``data`` into an :class:`ElfImage`.
 
     Raises :class:`MalformedElf` on bad magic, truncated headers or
     out-of-range string-table references; :class:`UnsupportedElf` for
     big-endian files or an unknown ELF class.  The section checks run
     in one order: table geometry, name-table index and bounds, every
-    name offset, then each body in section order.
+    name offset, then each body in section order.  Each section's body
+    is a copy of its bytes in ``data``.
     """
-    if len(data) < 16 or data[:4] != ELF_MAGIC:
+    return _parse_elf(lambda offset, length: data[offset:offset + length], len(data))
+
+
+def read_elf(file: BinaryIO) -> ElfImage:
+    """Parse the ELF file open as ``file`` (by :func:`open_file`), as
+    :func:`parse_elf` parses its bytes, reading with :func:`os.pread`:
+    the header, the section-header table, the name table and each
+    section body once each, so only the sections are ever in memory,
+    never the file whole.
+
+    The file is sized once, by ``fstat``.  A read that comes back short
+    (the file shrank after that) raises the :class:`MalformedElf` that
+    the bounds check of that read raises.
+    """
+    fd = file.fileno()
+    return _parse_elf(lambda offset, length: os.pread(fd, length, offset),
+                      os.fstat(fd).st_size)
+
+
+def _parse_elf(read_at, size: int) -> ElfImage:
+    """The one walk of :func:`parse_elf` and :func:`read_elf` over an
+    ELF file of ``size`` bytes, whose ``length`` bytes at ``offset``
+    ``read_at(offset, length)`` returns (fewer where the file ends).
+    Each read is made only once the bounds check before it passes, and
+    a read that comes back short fails that check's message."""
+    # the ELF64 header is 64 bytes and the ELF32 one 52; a shorter
+    # file reads short, and the checks below see only what it holds
+    header = read_at(0, 64)
+    if len(header) < 16 or header[:4] != ELF_MAGIC:
         raise MalformedElf("bad ELF magic")
-    ei_class = data[4]
-    ei_data = data[5]
+    ei_class = header[4]
+    ei_data = header[5]
     if ei_class not in (ELFCLASS32, ELFCLASS64):
         raise UnsupportedElf(f"unknown ELF class {ei_class}")
     if ei_data != ELFDATA2LSB:
@@ -196,7 +229,7 @@ def parse_elf(data: bytes) -> ElfImage:
         (e_type, e_machine, _e_version, _e_entry, _e_phoff, e_shoff,
          _e_flags, _e_ehsize, _e_phentsize, _e_phnum, e_shentsize,
          e_shnum, e_shstrndx) = struct.unpack_from(
-            "<HHIQQQIHHHHHH" if is64 else "<HHIIIIIHHHHHH", data, 16)
+            "<HHIQQQIHHHHHH" if is64 else "<HHIIIIIHHHHHH", header, 16)
     except struct.error as exc:
         raise MalformedElf("truncated ELF header") from exc
 
@@ -207,9 +240,10 @@ def parse_elf(data: bytes) -> ElfImage:
     if e_shoff and (e_shnum == 0 or e_shstrndx == SHN_XINDEX):
         # extended numbering: section 0's sh_size holds the section
         # count, its sh_link the name-table index
-        if e_shentsize < native_shentsize or e_shoff + native_shentsize > len(data):
+        if (e_shentsize < native_shentsize or e_shoff + native_shentsize > size
+                or len(zero := read_at(e_shoff, native_shentsize)) != native_shentsize):
             raise MalformedElf("truncated section header 0")
-        _, _, _, count, link, _ = struct.unpack_from(fmt, data, e_shoff)
+        _, _, _, count, link, _ = struct.unpack(fmt, zero)
         e_shnum = e_shnum or count
         if e_shstrndx == SHN_XINDEX:
             e_shstrndx = link
@@ -217,10 +251,10 @@ def parse_elf(data: bytes) -> ElfImage:
         return ElfImage("ELF64" if is64 else "ELF32", e_machine, (), (), e_type == ET_REL)
     if e_shoff == 0 or e_shentsize < native_shentsize:
         raise MalformedElf("invalid section header table geometry")
-    table_end = e_shoff + e_shnum * e_shentsize
-    if table_end > len(data):
+    table_size = e_shnum * e_shentsize
+    if (e_shoff + table_size > size
+            or len(table := read_at(e_shoff, table_size)) != table_size):
         raise MalformedElf("truncated section header table")
-    table = data[e_shoff:table_end]
     if e_shentsize > native_shentsize:  # keep each entry's native fields
         table = b"".join(table[at:at + native_shentsize]
                          for at in range(0, len(table), e_shentsize))
@@ -229,11 +263,11 @@ def parse_elf(data: bytes) -> ElfImage:
     if e_shstrndx >= len(headers):
         raise MalformedElf("section name string table index out of range")
     _, _, str_off, str_size, _, _ = headers[e_shstrndx]
-    if str_off + str_size > len(data):
+    if str_off + str_size > size or len(strtab := read_at(str_off, str_size)) != str_size:
         raise MalformedElf("section name string table out of bounds")
     # latin-1 reads one character per byte, so name offsets carry over;
     # the NUL appended ends a name that runs to the table's last byte
-    shstrtab = data[str_off:str_off + str_size].decode("latin-1") + "\0"
+    shstrtab = strtab.decode("latin-1") + "\0"
     name_offsets, sh_types, _, _, _, _ = zip(*headers)
     if max(name_offsets) >= len(shstrtab):
         raise MalformedElf("section name offset out of range")
@@ -247,10 +281,9 @@ def parse_elf(data: bytes) -> ElfImage:
         # an SHT_NULL header has no section (section 0 may hold a count)
         if sh_type in (SHT_NULL, SHT_NOBITS) or sh_size == 0:
             body = b""
-        else:
-            if sh_offset + sh_size > len(data):
-                raise MalformedElf(f"section {name!r} extends past end of file")
-            body = data[sh_offset:sh_offset + sh_size]
+        elif (sh_offset + sh_size > size
+              or len(body := read_at(sh_offset, sh_size)) != sh_size):
+            raise MalformedElf(f"section {name!r} extends past end of file")
         sections.append(new(Section, (name, body, sh_type, sh_link, sh_info)))
 
     needed = (_parse_dynamic_needed(sections, sections[sh_types.index(SHT_DYNAMIC)], is64)

@@ -43,10 +43,11 @@ bytes) are looked up in the table, so such a pass costs what its keys
 can hit rather than a lookup per word.  A big table's lanes take
 nearly every value, so its pass looks up every word.
 Level 2 looks each candidate key position's bytes up in a
-dict of keys, which names the signatures keyed on them, and the full
-pattern is verified at the start the key's offset inside the pattern
-gives: each literal run must equal the buffer's bytes at its span
-offset, and nothing else of the pattern is read.  Pattern gaps have
+dict of keys, which maps each key to the ids of the signatures keyed
+on it, and each one's full pattern is verified at the start its key's
+offset inside the pattern (``keys[id]``) gives: each literal run must
+equal the buffer's bytes at its span offset, and nothing else of the
+pattern is read.  Pattern gaps have
 exact lengths, so every pattern occupies a fixed span, which keeps both
 the key arithmetic and the verification trivial.
 
@@ -130,18 +131,19 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
         _, offsets, literals, _ = patterns[index]
         keys[index] = _padding_free_key(zip(offsets, literals)) or keys[index]
 
-    # level 2: key bytes -> the (signature, key span offset) pairs keyed on it
-    owners: dict[bytes, list[tuple[int, int]]] = {}
+    # level 2: key bytes -> the ids of the signatures keyed on it; each
+    # one's key span offset is in ``keys``
+    owners: dict[bytes, list[int]] = {}
     by_len: dict[int, list[bytes]] = {}
-    for sig_idx, (key, key_off) in enumerate(keys):
+    for sig_idx, (key, _) in enumerate(keys):
         if key not in owners:
             owners[key] = []
             by_len.setdefault(len(key), []).append(key)
-        owners[key].append((sig_idx, key_off))
+        owners[key].append(sig_idx)
     short_keys = tuple(chain.from_iterable(by_len.pop(n, ()) for n in range(_MIN_TABLED)))
     passes = _word_tables(by_len)
-    for key, pairs in owners.items():  # one at a time, so no list outlives its tuple
-        owners[key] = tuple(pairs)
+    for key, ids in owners.items():  # one at a time, so no list outlives its tuple
+        owners[key] = tuple(ids)
     return CompiledEngine(tuple(keys), passes, short_keys, owners, tuple(patterns))
 
 
@@ -294,10 +296,11 @@ def iter_matches(engine: CompiledEngine, buffer) -> Iterator[Match]:
     is found, in no set order; with one key per signature, none twice."""
     buffer = bytes(buffer)  # the same object if it is bytes already
     n = len(buffer)
+    keys = engine.keys
     verify = engine._verify
     for at, found in _key_hits(engine, buffer):
-        for sig_idx, key_off in found:
-            start = at - key_off
+        for sig_idx in found:
+            start = at - keys[sig_idx][1]
             span, offsets, literals, _ = verify[sig_idx]
             if start < 0 or start + span > n:
                 continue

@@ -36,7 +36,9 @@ when written.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -332,7 +334,8 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
     One walk over the signatures checks and renders each line, and
     raises UnwritableSigFile, before anything is written, for a file
     :func:`parse_sigfile` would not read back as it is, or would refuse:
-    a hex pattern without an anchor.
+    a hex pattern without an anchor.  The file is written whole or not
+    at all (:func:`_write_whole`).
     """
     if not sf.package:
         raise UnwritableSigFile("package name must be non-empty")
@@ -378,8 +381,37 @@ def write_sigfile(sf: SignatureFile, destination=None) -> bytes:
         raise UnwritableSigFile(
             f"{exc.object[exc.start:exc.end]!r} is not encodable as UTF-8") from exc
     if destination is not None:
-        Path(destination).write_bytes(blob)
+        _write_whole(destination, blob)
     return blob
+
+
+def _write_whole(destination, blob: bytes) -> None:
+    """Write ``blob`` to a new file beside ``destination`` and rename it
+    over ``destination`` once it is whole, so a write that fails (a full
+    disk, a file-size limit) leaves any old file as it was.  On failure
+    the new file is removed and the error raised, naming ``destination``
+    as :meth:`~pathlib.Path.write_bytes` would name it.  The new file's
+    name starts with a dot and ends in ``.tmp``, so no ``*.sig`` match
+    takes it for a signature file, and it is created with the mode a new
+    file gets from ``open``.  A symbolic link is written through, as
+    ``open`` writes through it: the file it names is replaced."""
+    target = os.path.realpath(destination)
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as file:
+                file.write(blob)
+            os.replace(temporary, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
+            raise
+    except OSError as exc:
+        if exc.filename is None:  # a failed write names no file
+            raise
+        raise OSError(exc.errno, exc.strerror, str(Path(destination))) from None
 
 
 def parse_sigfile(data: bytes) -> SignatureFile:

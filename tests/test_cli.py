@@ -7,8 +7,11 @@ import gc
 import io
 import json
 import os
+import random
 import re
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -628,6 +631,31 @@ def test_siggen_obj_reads_an_archive_in_memory_below_its_size(tmp_path, capsys):
     assert peak < size // 8, (peak, size)
 
 
+def _limit_file_size():
+    """In a child: files may not grow past 8 KB, and a write that would
+    fails with EFBIG rather than a SIGXFSZ that ends the process."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+
+
+def test_siggen_write_that_fails_leaves_the_old_sig_as_it_was(tmp_path, capsys):
+    archive = tmp_path / "lib.a"
+    archive.write_bytes(build_archive([
+        (f"m{k}.o", build_object(bytes([k]) + bytes(range(50, 200)))) for k in range(80)]))
+    out = tmp_path / "db" / "lib.sig"
+    out.parent.mkdir()
+    argv = ["obj", str(archive), "--package", "P", "--version", "1", "-o", str(out)]
+    assert siggen_main(argv) == 0
+    capsys.readouterr()
+    old = out.read_bytes()
+    assert len(old) > 2 * 8192
+    done = _run_module("siggen", *argv, preexec_fn=_limit_file_size)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"siggen: cannot write {out}: [Errno 27] File too large\n")
+    assert out.read_bytes() == old
+    assert os.listdir(out.parent) == ["lib.sig"]
+
+
 _BREAK = "package/version may not contain colons or line breaks: "
 
 
@@ -872,9 +900,9 @@ def _scan_peaks(tmp_path, capsys, sig_lines: str, texts):
 
 
 def _assert_flat(results, texts):
-    # the target is held twice (the file's bytes and its .text), and the
-    # word filter takes a few slices of an eighth of it: anything that
-    # grew per key hit or per match would cost dozens of bytes per byte
+    # the target's .text is held once, and the word filter takes a few
+    # slices of an eighth of it: anything that grew per key hit or per
+    # match would cost dozens of bytes per byte
     (_, small), (_, large) = results
     assert large - small < 3 * (len(texts[1]) - len(texts[0]))
 
@@ -895,6 +923,19 @@ def test_sigscan_memory_stays_flat_over_a_short_key_that_never_verifies(tmp_path
     results = _scan_peaks(tmp_path, capsys, "s.o:.text:text:hex:50e8????????c3c3\n", texts)
     assert [out for out, _ in results] == ["no matches\n"] * 2
     _assert_flat(results, texts)
+
+
+def test_sigscan_holds_a_large_target_once(tmp_path, capsys):
+    # read whole and then parsed, the target was in memory twice over, a
+    # traced peak of 2.0 times its size; read section by section, the
+    # peak is its .text plus the word filter's slices of an eighth of it,
+    # 1.4 times its size (CPython 3.11, x86-64)
+    text = random.Random(1).randbytes(4 << 20)
+    results = _scan_peaks(tmp_path, capsys, f"s.o:.text:text:hex:{'5a' * 20}\n",
+                          [text[:4096], text])
+    assert [out for out, _ in results] == ["no matches\n"] * 2
+    (_, peak), size = results[1], (tmp_path / "t").stat().st_size
+    assert peak <= 1.75 * size, (peak, size)
 
 
 def test_sigscan_empty_db_exit_2(tmp_path, capsys):
@@ -972,15 +1013,18 @@ def test_sigscan_leaves_the_collector_as_it_found_it(small_db, tmp_path, capsys,
 
 # -- python -m provsig.cli -------------------------------------------------------------
 
-def _run_module(*args, text=True, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+def _run_module(*args, text=True, stdout=subprocess.PIPE, preexec_fn=None,
+                **env) -> subprocess.CompletedProcess:
     """``python -m provsig.cli ARGS`` in a fresh interpreter that imports
-    this checkout's provsig, with ``env`` added to its environment;
-    stderr is captured, and stdout too unless ``stdout`` says otherwise."""
+    this checkout's provsig, with ``env`` added to its environment and
+    ``preexec_fn`` run in the child before it starts; stderr is captured,
+    and stdout too unless ``stdout`` says otherwise."""
     src = str(Path(provsig.__file__).resolve().parent.parent)
     env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "provsig.cli", *args], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=text, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=text, timeout=60,
+                          preexec_fn=preexec_fn)
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
@@ -1303,19 +1347,19 @@ def test_sigscan_reads_each_library_once_per_call(dynlib_world, tmp_path, capsys
         assert sigscan_main([*argv, str(target)]) == 0
         alone.append(capsys.readouterr().out)
 
-    parsed = []
-    parse_elf = cli.elf.parse_elf
+    read = []
+    read_elf = cli.elf.read_elf
 
-    def counting(data):
-        parsed.append(data)
-        return parse_elf(data)
+    def counting(file):
+        read.append(os.path.realpath(file.name))
+        return read_elf(file)
 
-    monkeypatch.setattr(cli.elf, "parse_elf", counting)
+    monkeypatch.setattr(cli.elf, "read_elf", counting)
     assert sigscan_main([*argv, str(first), str(second)]) == 0
     assert capsys.readouterr().out == "".join(alone)
-    libc = (libdir / "libc.so.6").read_bytes()
-    assert parsed.count(libc) == 1
-    assert parsed.count(bytes(corrupt)) == 1
+    assert read.count(os.path.realpath(libdir / "libc.so.6")) == 1
+    assert read.count(os.path.realpath(libdir / "libbroken.so")) == 1
+    assert read.count(os.path.realpath(first)) == read.count(os.path.realpath(second)) == 1
     broken = json.loads(alone[1])["warnings"]
     assert len(broken) == 1 and broken[0].startswith(f"{libdir / 'libbroken.so'}: ")
     assert broken[0] in json.loads(alone[0])["warnings"]

@@ -923,6 +923,88 @@ def test_one_pass_section_reader_agrees_with_per_header_reference(blob):
     assert _parsed(parse_elf, blob) == _parsed(elf_reference.parse_elf, blob)
 
 
+# -- the ELF file read section by section -----------------------------------------
+# elf.read_elf makes parse_elf's walk over a file with pread: it reads
+# what parse_elf reads from the file's bytes, and a read that comes back
+# short fails that read's bounds check.
+
+@pytest.fixture(scope="module")
+def elf_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("elf") / "mutant"
+
+
+def _read_elf_at(path) -> elf.ElfImage:
+    with elf.open_file(path) as file:
+        return elf.read_elf(file)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_seed_mutants(), _written_images()))
+@example(_WIDE)
+@example(_NAMED_TO_END)
+@example(_BSS_PAST_END)
+@example(_BOTH_PAST_END)
+@example(_BODY_PAST_END)
+def test_file_reader_reads_a_mutant_as_the_bytes_reader_does(elf_path, blob):
+    elf_path.write_bytes(blob)
+    parse_within_a_second(_read_elf_at, elf_path, (MalformedElf, UnsupportedElf))
+    assert _parsed(_read_elf_at, elf_path) == _parsed(parse_elf, blob)
+
+
+@pytest.mark.parametrize("seed", range(len(_ELF_SEEDS)))
+def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch, seed):
+    blob = _ELF_SEEDS[seed]
+    path = tmp_path / "seed"
+    path.write_bytes(blob)
+    image = parse_elf(blob)
+    pread = os.pread
+    reads = []
+    cut, short = len(blob), None
+
+    def stub_pread(fd, length, offset):
+        # as if the file ended at ``cut``, with read number ``short`` a byte shorter
+        data = pread(fd, max(min(length, cut - offset), 0), offset)
+        reads.append((offset, length))
+        return data[:-1] if len(reads) - 1 == short else data
+
+    monkeypatch.setattr(os, "pread", stub_pread)
+    assert _read_elf_at(path) == image
+    # the header, section 0 under extended numbering, the table, the name
+    # table and each body, in that order
+    bodies = [f"section {s.name!r} extends past end of file" for s in image.sections if s.data]
+    extended = len(reads) - 3 - len(bodies)
+    assert extended in (0, 1)
+    messages = (["truncated section header 0"] * extended
+                + ["truncated section header table", "section name string table out of bounds"]
+                + bodies)
+    ends = [offset + length for offset, length in reads[1:]]
+    header = 64 if image.elf_class == "ELF64" else 52
+    # one read alone short; an ELF32 header read short of 64 bytes still holds all 52
+    for short in range(len(ends) + 1):
+        reads.clear()
+        want = ((MalformedElf, messages[short - 1]) if short else
+                image if header < 64 else (MalformedElf, "truncated ELF header"))
+        assert _parsed(_read_elf_at, path) == want
+    # the file cut after fstat: the first read the cut reaches fails
+    short = None
+    for cut in range(len(blob)):
+        if cut < 16:
+            want = (MalformedElf, "bad ELF magic")
+        elif cut < header:
+            want = (MalformedElf, "truncated ELF header")
+        else:
+            want = next(((MalformedElf, message) for message, end in zip(messages, ends)
+                         if end > cut), image)
+        assert _parsed(_read_elf_at, path) == want
+
+
+def test_open_file_refuses_a_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError, match="not a regular file"):
+        elf.open_file(fifo)
+
+
 _AR_SEED = build_archive([("a.o", _ELF_SEEDS[0]), ("a_member_with_a_long_name.o", b"odd"),
                           ("another_long_member_name.o", b"\x7fELF"), ("b.o", b"")])
 _AR_FIELDS = ar_fields(_AR_SEED)

@@ -335,6 +335,22 @@ def test_write_rejects_invalid_files(tmp_path):
         write_sigfile(SignatureFile("P", "1", (_hex_sig("a", (1, 2), target="data"),)))
 
 
+def test_write_goes_through_a_link_and_names_the_destination_it_fails(tmp_path):
+    # the file is written beside its destination and renamed over it:
+    # a link to it stays a link, and an error names the destination
+    sf = SignatureFile("P", "1", (_hex_sig("a", (1, 2)),))
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link.sig").symlink_to("real/p.sig")
+    blob = write_sigfile(sf, tmp_path / "link.sig")
+    assert (tmp_path / "link.sig").is_symlink()
+    assert (tmp_path / "real" / "p.sig").read_bytes() == blob
+    for destination, error in ((tmp_path / "no" / "p.sig", FileNotFoundError),
+                               (tmp_path / "real", IsADirectoryError)):
+        with pytest.raises(error, match=re.escape(f": {str(destination)!r}")):
+            write_sigfile(sf, destination)
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["link.sig", "p.sig", "real"]
+
+
 @pytest.mark.parametrize("sig", [
     Signature("a", TARGET_DYNLIB, digest="ABC", text_size=1),
     _md5_sig("a", size=-1),

@@ -39,6 +39,13 @@
   names and sizes in the same order, and each body the file's bytes at
   the offset ``ar`` gives.  Skipped when gcc, ar or an archive is
   missing.
+* A gcc-built and a g++-built hello, the host ``libc.so.6`` and
+  ``libstdc++.so.6`` read from their files (:func:`provsig.elf.read_elf`)
+  as from their bytes (:func:`provsig.elf.parse_elf`).  Each is skipped
+  when its compiler or library is missing.
+* ``sigscan`` of g++'s ``cc1plus`` (some 34 MB) peaks at least 15 MB
+  lower in RSS than when the target was read whole before it was
+  parsed.  Skipped when g++, its ``cc1plus`` or ``/proc`` is missing.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -89,7 +97,8 @@ def _library_dir(compiler: str, soname: str) -> str:
 
 
 def _archive(compiler: str, name: str) -> str:
-    """The path of the static archive ``name`` the compiler links."""
+    """The path of the file ``name`` the compiler links: a static
+    archive, a crt object or a shared library."""
     path = subprocess.run([compiler, f"-print-file-name={name}"], check=True,
                           capture_output=True, text=True).stdout.strip()
     if not (os.path.isabs(path) and os.path.isfile(path)):  # the compiler echoes a bare name
@@ -287,6 +296,59 @@ def test_host_objects_parse_as_the_per_header_reference_parses_them():
             assert image == elf_reference.parse_elf(member.data), (name, member.name)
             checked += image.is_relocatable
     assert checked
+
+
+@pytest.mark.parametrize("compiler, name", [
+    ("gcc", "hello"), ("g++", "hello"), ("gcc", "libc.so.6"), ("g++", "libstdc++.so.6"),
+], ids=["gcc-hello", "gxx-hello", "libc.so.6", "libstdc++.so.6"])
+def test_host_binaries_read_from_their_files_as_from_their_bytes(tmp_path, compiler, name):
+    if shutil.which(compiler) is None:
+        pytest.skip(f"{compiler} not installed")
+    if name == "hello":
+        source = tmp_path / ("hello.c" if compiler == "gcc" else "hello.cc")
+        source.write_text(HELLO_C if compiler == "gcc" else HELLO_CXX)
+        path = str(tmp_path / "hello")
+        subprocess.run([compiler, "-O2", "-o", path, str(source)], check=True,
+                       capture_output=True)
+    else:
+        path = _archive(compiler, name)
+    with elf.open_file(path) as file:
+        image = elf.read_elf(file)
+    assert image == elf.parse_elf(elf.read_file(path))
+    assert elf.list_text_sections(image)
+
+
+@_missing("g++")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_sigscan_of_cc1plus_holds_its_sections_not_the_file_too(tmp_path):
+    path = subprocess.run(["g++", "-print-prog-name=cc1plus"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    if not (os.path.isabs(path) and os.path.isfile(path)):
+        pytest.skip("g++ has no cc1plus")
+    db = tmp_path / "db"
+    db.mkdir()
+    (db / "p.sig").write_text("provsig 1\npackage P\nversion 1\n"
+                              f"s.o:.text:text:hex:{'5a' * 20}\n")
+    # sigscan as it runs, and as it ran when a target was read whole
+    # before it was parsed; each child reports its own peak RSS in KB,
+    # counted from its exec (ru_maxrss may keep the parent's at fork)
+    src = os.path.dirname(os.path.dirname(elf.__file__))
+    code = ("import re, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from provsig import cli, elf\n"
+            "if sys.argv[2] == 'whole':\n"
+            "    cli.elf.read_elf = lambda file: elf.parse_elf(file.read())\n"
+            "status = cli.sigscan_main(['--db', sys.argv[3], '--no-dynamic', sys.argv[4]])\n"
+            "with open('/proc/self/status') as status_file:\n"
+            "    hwm = re.search(r'VmHWM:\\s*(\\d+) kB', status_file.read()).group(1)\n"
+            "print(status, hwm)\n")
+    peaks = {}
+    for how in ("sections", "whole"):
+        done = subprocess.run([sys.executable, "-c", code, src, how, str(db), path],
+                              check=True, capture_output=True, text=True, timeout=120)
+        status, peaks[how] = map(int, done.stdout.split()[-2:])
+        assert status == 0, done.stderr
+    assert peaks["whole"] - peaks["sections"] >= 15 * 1024, peaks
 
 
 # one line of ``ar tvO``: mode, owner/group, size, date, name, body offset
