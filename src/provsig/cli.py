@@ -21,6 +21,7 @@ import gc
 import json
 import os
 import sys
+from pathlib import Path
 from typing import NamedTuple
 
 from provsig import elf, matcher, sigdb, siggen, symver
@@ -276,9 +277,11 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
     returns.  ``libraries`` maps each library path resolved so far in
     this call to its :func:`_library_outcome`, so a library many targets
     need is read once.  The target is read section by section
-    (:func:`provsig.elf.read_elf`), so only its sections are held."""
+    (:func:`provsig.elf.read_elf`), so only its sections are held, and
+    its ``DT_NEEDED`` names only when ``no_dynamic`` is false."""
     with elf.open_file(target_path) as file:
         image = elf.read_elf(file)
+    needed = () if no_dynamic else elf.dynamic_needed(image)
     text, comments = engines  # each an (engine, owners) pair
     scans = [(text, s.data) for s in elf.list_text_sections(image)]
     comment = elf.get_section(image, ".comment")
@@ -300,18 +303,17 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
 
     dynlib_findings: list[DynlibFinding] = []
     warnings: list[str] = []
-    if not no_dynamic:
-        for soname, resolved in resolve_dynamic(image.dynamic_needed, search_paths):
-            if resolved is None:
-                warnings.append(f"unresolved dynamic library: {soname}")
-                continue
-            outcome = libraries.get(resolved)
-            if outcome is None:
-                outcome = libraries[resolved] = _library_outcome(db, resolved, labels)
-            findings, warning = outcome
-            dynlib_findings.extend(findings)
-            if warning is not None:
-                warnings.append(warning)
+    for soname, resolved in resolve_dynamic(needed, search_paths):
+        if resolved is None:
+            warnings.append(f"unresolved dynamic library: {soname}")
+            continue
+        outcome = libraries.get(resolved)
+        if outcome is None:
+            outcome = libraries[resolved] = _library_outcome(db, resolved, labels)
+        findings, warning = outcome
+        dynlib_findings.extend(findings)
+        if warning is not None:
+            warnings.append(warning)
     return ScanReport(target_path, tuple(package_hits), tuple(dynlib_findings), tuple(warnings))
 
 
@@ -357,16 +359,15 @@ def sigscan_main(argv=None) -> int:
     try:
         try:
             db = sigdb.load_db(args.db)
-        except sigdb.EmptyDatabase as exc:
-            for warning in exc.warnings:
-                _err(f"sigscan: warning: {warning}")
-            _err(f"sigscan: {exc}")
-            return EXIT_INPUT
         except OSError as exc:
             _err(f"sigscan: {exc}")
             return EXIT_INPUT
         for warning in db.warnings:
             _err(f"sigscan: warning: {warning}")
+        if not db.files:
+            detail = f" ({len(db.warnings)} file(s) failed to parse)" if db.warnings else ""
+            _err(f"sigscan: no signature files loaded from {Path(args.db)}{detail}")
+            return EXIT_INPUT
 
         if args.labels:
             try:

@@ -32,6 +32,12 @@ right-anchored on the fixed kind/target vocabulary, so generated names
 containing colons round-trip.  Text that breaks the grammar raises
 :class:`MalformedSigFile` when read and :class:`UnwritableSigFile`
 when written.
+
+:func:`load_db` reads a directory into a :class:`Database` and returns
+data only: each file it skips is one of its ``warnings``, and a
+directory from which nothing loads is a database with no ``files``.
+Whether that ends a run is the caller's choice (``sigscan`` prints the
+warnings and exits 2).
 """
 
 from __future__ import annotations
@@ -100,15 +106,6 @@ class Signature(NamedTuple):
     pattern: HexPattern | None = None
     digest: str | None = None
     text_size: int | None = None
-
-
-class EmptyDatabase(ValueError):
-    """Database directory from which nothing loaded; ``warnings`` says
-    why each file in it was skipped, in load order."""
-
-    def __init__(self, message: str, warnings: tuple[str, ...]):
-        super().__init__(message)
-        self.warnings = warnings
 
 
 class SignatureFile(NamedTuple):
@@ -498,20 +495,18 @@ def parse_sigfile(data: bytes) -> SignatureFile:
 def load_db(directory) -> Database:
     """Load every ``*.sig`` file in the directory, sorted by file name.
 
-    Corrupt files are skipped with a warning so one bad entry cannot
-    take an audit down; the load fails only when nothing loads at all.
+    A file that cannot be read or parsed is skipped, and why is told in
+    ``warnings``, so one bad entry cannot take an audit down.  A
+    directory from which nothing loads gives a database with no files;
+    what to make of that is the caller's to decide.
     """
-    root = Path(directory)
     files: list[SignatureFile] = []
     warnings: list[str] = []
-    for path in sorted(root.glob("*.sig"), key=lambda p: p.name):
+    for path in sorted(Path(directory).glob("*.sig"), key=lambda p: p.name):
         try:
             files.append(parse_sigfile(elf.read_file(path)))
         except (MalformedSigFile, OSError) as exc:
             warnings.append(f"{path.name}: {exc}")
-    if not files:
-        detail = f" ({len(warnings)} file(s) failed to parse)" if warnings else ""
-        raise EmptyDatabase(f"no signature files loaded from {root}{detail}", tuple(warnings))
     md5_owners: dict[tuple[str, int], SignatureFile] = {}
     for sf in files:
         for sig in sf.signatures:

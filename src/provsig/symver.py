@@ -41,7 +41,10 @@ def parse_verdef(image: ElfImage) -> list[str]:
     walk terminates because ``vd_next`` is unsigned and a zero link ends
     the chain, so every step moves forward inside ``data`` and a corrupt
     link, even one meant to wrap around, runs off the end and raises,
-    within ``len(data)`` steps whatever sh_info declares.
+    within ``len(data)`` steps whatever sh_info declares.  The names are
+    read once the chain is walked, by :func:`provsig.elf.read_strings`:
+    names that total more than :data:`provsig.elf.STRING_BUDGET` times
+    their string table raise.
     """
     section = elf.get_section(image, ".gnu.version_d")
     if section is None:
@@ -55,7 +58,7 @@ def parse_verdef(image: ElfImage) -> list[str]:
 
     declared = section.sh_info
     bound = declared if declared > 0 else len(data) // _VERDEF_SIZE
-    names: list[str] = []
+    offsets: list[int] = []  # of each version name, the base name's left out
     pos = 0
     for _ in range(bound):
         if pos + _VERDEF_SIZE > len(data):
@@ -70,11 +73,17 @@ def parse_verdef(image: ElfImage) -> list[str]:
         if name_off >= len(strtab):
             raise MalformedVerdef(f"version name offset {name_off} out of range")
         if not flags & VER_FLG_BASE:
-            names.append(elf.read_cstr(strtab, name_off).decode("latin-1"))
+            offsets.append(name_off)
         if nxt == 0:
-            return names
+            break
         pos += nxt
-    raise MalformedVerdef("version definition chain exceeds declared entry count")
+    else:
+        raise MalformedVerdef("version definition chain exceeds declared entry count")
+    names = elf.read_strings(strtab, offsets, elf.STRING_BUDGET * len(strtab))
+    if names is None:
+        raise MalformedVerdef(f"version names total more than {elf.STRING_BUDGET} times "
+                              f"their {len(strtab)}-byte string table")
+    return names
 
 
 def library_versions(image: ElfImage, known_labels=DEFAULT_LABELS) -> list[tuple[str, str]]:

@@ -7,8 +7,11 @@ The reference here is the earlier algorithm: one ``struct.unpack_from``
 per header at ``e_shoff + i * e_shentsize``, one name read per header
 and one keyword constructor call per section.  Both run their checks
 in one order (table geometry, name-table index and bounds, every name
-offset, then each body in section order), so on any input they return
-equal images or raise the same exception class with the same message.
+offset, the names' total against :data:`~provsig.elf.STRING_BUDGET`
+times the input, then each body in section order, its bounds before
+the running total of bodies against the input), so on any input they
+return equal images or raise the same exception class with the same
+message.
 """
 
 from __future__ import annotations
@@ -22,16 +25,23 @@ from provsig.elf import (
     ELFDATA2LSB,
     ET_REL,
     SHN_XINDEX,
-    SHT_DYNAMIC,
     SHT_NOBITS,
     SHT_NULL,
+    STRING_BUDGET,
     ElfImage,
     MalformedElf,
     Section,
     UnsupportedElf,
-    _parse_dynamic_needed,
-    read_cstr,
 )
+
+
+def read_cstr(buf: bytes, offset: int) -> bytes:
+    """The string at ``offset`` of ``buf`` up to its NUL, or to the end
+    of ``buf`` if none follows."""
+    end = buf.find(b"\x00", offset)
+    if end == -1:
+        end = len(buf)
+    return buf[offset:end]
 
 
 def parse_elf(data: bytes) -> ElfImage:
@@ -88,9 +98,15 @@ def parse_elf(data: bytes) -> ElfImage:
         for sh_name, *_ in headers:
             if sh_name > len(shstrtab):
                 raise MalformedElf("section name offset out of range")
+        lengths = sum(len(read_cstr(shstrtab, sh_name)) for sh_name, *_ in headers)
+        if lengths > STRING_BUDGET * len(data):
+            raise MalformedElf(f"section names total more than {STRING_BUDGET} times "
+                               f"the input's {len(data)} bytes")
+        for sh_name, *_ in headers:
             names.append(read_cstr(shstrtab, sh_name).decode("latin-1"))
 
     sections: list[Section] = []
+    read = 0
     for name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info) in zip(names, headers):
         # an SHT_NULL header has no section (section 0 may hold a count)
         if sh_type in (SHT_NULL, SHT_NOBITS) or sh_size == 0:
@@ -98,16 +114,17 @@ def parse_elf(data: bytes) -> ElfImage:
         else:
             if sh_offset + sh_size > len(data):
                 raise MalformedElf(f"section {name!r} extends past end of file")
+            read += sh_size
+            if read > len(data):
+                raise MalformedElf(f"section bodies through {name!r} total more than "
+                                   f"the input's {len(data)} bytes")
             body = data[sh_offset:sh_offset + sh_size]
         sections.append(Section(name=name, data=body, sh_type=sh_type,
                                 sh_link=sh_link, sh_info=sh_info))
 
-    dyn = next((s for s in sections if s.sh_type == SHT_DYNAMIC), None)
-    needed = [] if dyn is None else _parse_dynamic_needed(sections, dyn, is64)
     return ElfImage(
         elf_class="ELF64" if is64 else "ELF32",
         machine=e_machine,
         sections=tuple(sections),
-        dynamic_needed=tuple(needed),
         is_relocatable=e_type == ET_REL,
     )

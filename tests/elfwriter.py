@@ -382,3 +382,37 @@ def build_archive(members: list[tuple[str, bytes]]) -> bytes:
         if len(data) % 2:
             out += b"\n"
     return bytes(out)
+
+
+# -- crafted files: each is small, but read naively it costs memory, time
+# or output far beyond its size
+
+def build_overlapping(body: bytes, count: int, e_type: int) -> bytes:
+    """A file whose ``count`` ``.text`` headers all name one ``body``: it
+    holds the body once, and its sections, read one by one, hold it
+    ``count`` times (no byte of a well-formed file lies in two sections)."""
+    layout = build_elf_layout([Sec(".text", body, flags=SHF_ALLOC | SHF_EXECINSTR)]
+                              + [Sec(".text")] * (count - 1), e_type=e_type)
+    offset, size = layout.section_span[".text"]
+    blob = bytearray(layout.data)
+    shoff, = struct.unpack_from("<Q", blob, 0x28)
+    for index in range(2, count + 1):  # sh_offset and sh_size of each empty .text
+        struct.pack_into("<QQ", blob, shoff + index * 64 + 24, offset, size)
+    return bytes(blob)
+
+
+def build_shared_name(name_len: int, count: int, e_type: int) -> bytes:
+    """A file whose ``count`` empty sections all name one ``name_len``-byte
+    name, held once: read one per header, the names take ``count`` times it."""
+    return build_elf([Sec("n" * name_len)] * count, e_type=e_type)
+
+
+def build_shared_needed(name_len: int, count: int) -> bytes:
+    """An executable whose ``count`` ``DT_NEEDED`` entries all name one
+    ``name_len``-byte library name, held once in ``.dynstr``."""
+    dyn = struct.pack("<qQ", DT_NEEDED, 1) * count + struct.pack("<qQ", DT_NULL, 0)
+    return build_executable(b"\x90" * 16, extra=[
+        Sec(".dynstr", b"\x00" + b"l" * name_len + b"\x00", sh_type=SHT_STRTAB,
+            flags=SHF_ALLOC),
+        Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, flags=SHF_ALLOC, link=".dynstr",
+            entsize=16)])

@@ -32,11 +32,13 @@ from provsig.cli import (
     siggen_main,
     sigscan_main,
 )
-from provsig.elf import MalformedElf, UnsupportedElf, parse_elf
+from provsig.elf import STRING_BUDGET, MalformedElf, UnsupportedElf, parse_elf
 from provsig.sigdb import load_db, parse_sigfile
 
 from elfwriter import (
     EM_386,
+    ET_EXEC,
+    ET_REL,
     R_386_PC32,
     R_X86_64_PC32,
     SHT_REL,
@@ -46,8 +48,11 @@ from elfwriter import (
     build_elf,
     build_executable,
     build_object,
+    build_overlapping,
     build_shared_lib,
     build_shared_lib_layout,
+    build_shared_name,
+    build_shared_needed,
 )
 from mutation import ar_fields, elf_fields, mutate
 
@@ -944,6 +949,16 @@ def test_sigscan_empty_db_exit_2(tmp_path, capsys):
     target = tmp_path / "prog"
     target.write_bytes(build_executable(b"\x90" * 16))
     assert sigscan_main(["--db", str(empty), str(target)]) == 2
+    # the directory is named as a path prints it, without a trailing slash
+    assert sigscan_main(["--db", f"{empty}/", str(target)]) == 2
+    assert capsys.readouterr() == ("", f"sigscan: no signature files loaded from {empty}\n" * 2)
+    (empty / "x.sig").write_bytes(b"garbage")
+    (empty / "y.sig").write_bytes(b"provsig 1\npackage Y\n")
+    assert sigscan_main(["--db", str(empty), str(target)]) == 2
+    assert capsys.readouterr() == ("", (
+        "sigscan: warning: x.sig: missing 'provsig 1' magic line\n"
+        "sigscan: warning: y.sig: missing version key\n"
+        f"sigscan: no signature files loaded from {empty} (2 file(s) failed to parse)\n"))
 
 
 def test_sigscan_skips_a_database_file_with_an_unanchorable_line(tmp_path, capsys):
@@ -1711,3 +1726,128 @@ def test_report_tie_on_count_ordered_by_bytes(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["(1 times, 100 bytes) BigPkg 1",
                      "(1 times, 40 bytes) SmallPkg 1"]
+
+
+# -- crafted inputs: each small, each refused alone, in memory bounded by it -----------
+# Each is some 33 KB (the DT_NEEDED one 21 KB), and would be read as 4 MB
+# of section bodies, section names or library names (the last printed
+# again as 4 MB of "unresolved dynamic library" warnings).
+
+def _crafted(kind: str, e_type: int) -> tuple[bytes, str]:
+    """A crafted file of ``kind`` and the reason it is refused for."""
+    if kind == "overlapping":
+        blob = build_overlapping(b"\x90" * (16 << 10), 256, e_type)
+        return blob, f"section bodies through '.text' total more than the input's {len(blob)} bytes"
+    if kind == "shared-name":
+        blob = build_shared_name(16 << 10, 256, e_type)
+        return blob, (f"section names total more than {STRING_BUDGET} times "
+                      f"the input's {len(blob)} bytes")
+    return build_shared_needed(16 << 10, 256), (
+        f"DT_NEEDED names total more than {STRING_BUDGET} times their 16386-byte string table")
+
+
+@pytest.mark.parametrize("kind", ["overlapping", "shared-name", "shared-needed"])
+def test_sigscan_crafted_target_is_refused_alone_in_bounded_memory(small_db, tmp_path, capsys,
+                                                                    kind):
+    blob, reason = _crafted(kind, ET_EXEC)
+    crafted = tmp_path / kind
+    crafted.write_bytes(blob)
+    good = tmp_path / "good"
+    good.write_bytes(build_executable(CALL_STUB_TEXT))
+    assert sigscan_main(["--db", str(small_db), str(good)]) == 0
+    alone = capsys.readouterr().out
+    argv = ["--db", str(small_db), str(crafted), str(good)]
+    assert sigscan_main(argv) == 2  # untraced, so the traced call pays no one-time cost
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        status = sigscan_main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (status, *capsys.readouterr()) == (2, f"{good}:\n{alone}",
+                                              f"sigscan: {crafted}: {reason}\n")
+    # the database, the target's headers and no more of its sections
+    # than it holds: 4 MB or more when the walk read them all
+    assert peak < 8 * len(blob), (peak, len(blob))
+
+
+@pytest.mark.parametrize("kind", ["overlapping", "shared-name"])
+def test_siggen_skips_a_crafted_member_and_refuses_a_crafted_object(tmp_path, capsys, kind):
+    blob, reason = _crafted(kind, ET_REL)
+    archive = tmp_path / "lib.a"
+    archive.write_bytes(build_archive([("good.o", build_object(b"\x24" * 24)),
+                                       ("crafted.o", blob)]))
+    out = tmp_path / "lib.sig"
+    annotation = ["--package", "P", "--version", "1"]
+    assert siggen_main(["obj", str(archive), *annotation, "-o", str(out)]) == 0
+    assert [s.name for s in parse_sigfile(out.read_bytes()).signatures] == \
+        ["lib.a/good.o:.text"]
+    assert capsys.readouterr().err == f"siggen: skipped lib.a/crafted.o: unparseable: {reason}\n"
+    lone = tmp_path / "crafted.o"
+    lone.write_bytes(blob)
+    for mode in ("obj", "lib", "comment"):
+        assert siggen_main([mode, str(lone), *annotation, "-o", str(out) + mode]) == 2
+        assert capsys.readouterr().err == f"siggen: {lone}: {reason}\n"
+        assert not Path(str(out) + mode).exists()
+
+
+def _many_versions_of_one_name() -> tuple[bytes, str]:
+    """A library defining one 4 KB version name 64 times, and why it is refused."""
+    name = "GLIBC_" + "9" * 4090
+    blob = build_shared_lib(versions=[name] * 64)
+    dynstr = len(b"\0libsynth.so.1\0" + name.encode() + b"\0")
+    return blob, (f"version names total more than {STRING_BUDGET} times "
+                  f"their {dynstr}-byte string table")
+
+
+@pytest.mark.parametrize("kind", ["overlapping", "shared-name", "shared-versions"])
+def test_sigscan_crafted_library_adds_one_warning_to_its_report(dynlib_world, tmp_path, capsys,
+                                                                kind):
+    db, libdir, _ = dynlib_world
+    blob, reason = (_many_versions_of_one_name() if kind == "shared-versions"
+                    else _crafted(kind, ET_EXEC))
+    library = libdir / "libcrafted.so"
+    library.write_bytes(blob)
+    target = tmp_path / "uses-crafted"
+    target.write_bytes(build_executable(b"\x90" * 32, needed=["libcrafted.so", "libc.so.6"]))
+    assert sigscan_main(["--db", str(db), "--search-path", str(libdir), "--format", "json",
+                         str(target)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["warnings"] == [f"{library}: {reason}"]
+    assert [f["library"] for f in doc["dynlib_findings"]] == [str(libdir / "libc.so.6")]
+
+
+def test_dynamic_needed_is_read_only_for_a_target_whose_libraries_are_resolved(
+        dynlib_world, tmp_path, capsys, monkeypatch):
+    db, libdir, target = dynlib_world
+    read = []
+    dynamic_needed = cli.elf.dynamic_needed
+
+    def counting(image):
+        read.append(image)
+        return dynamic_needed(image)
+
+    monkeypatch.setattr(cli.elf, "dynamic_needed", counting)
+    argv = ["--db", str(db), "--search-path", str(libdir), str(target), str(target)]
+    assert sigscan_main(["--no-dynamic", *argv]) == 0
+    assert read == []
+    # once per target; never for the three libraries resolved
+    assert sigscan_main(argv) == 0
+    assert len(read) == 2
+    capsys.readouterr()
+    # nor for a siggen input or archive member, whose DT_NEEDED list is
+    # never wanted: a crafted one signs as any other does
+    crafted = tmp_path / "crafted"
+    crafted.write_bytes(build_shared_needed(16 << 10, 256))
+    archive = tmp_path / "lib.a"
+    archive.write_bytes(build_archive([("crafted.o", crafted.read_bytes()),
+                                       ("good.o", build_object(b"\x24" * 24))]))
+    for mode, source in [("lib", libdir / "libc.so.6"), ("lib", crafted),
+                         ("obj", archive), ("comment", target)]:
+        siggen_main([mode, str(source), "--package", "P", "--version", "1",
+                     "-o", str(tmp_path / "out.sig")])
+    assert len(read) == 2
+    assert "unparseable" not in capsys.readouterr().err

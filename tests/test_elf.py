@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import string
 import struct
@@ -34,6 +35,7 @@ from elfwriter import (
     EM_386,
     EM_X86_64,
     ET_DYN,
+    ET_EXEC,
     ET_REL,
     R_386_32,
     R_386_PC32,
@@ -51,7 +53,10 @@ from elfwriter import (
     build_elf,
     build_executable,
     build_object,
+    build_overlapping,
     build_shared_lib,
+    build_shared_name,
+    build_shared_needed,
 )
 from mutation import ar_fields, elf_fields, mutate, parse_within_a_second
 
@@ -185,9 +190,9 @@ def test_get_section_missing_is_none():
 
 def test_dynamic_needed_empty_without_dynamic_section():
     image = parse_elf(build_elf([Sec(".text", b"\x90" * 24)]))
-    assert image.dynamic_needed == ()
+    assert elf.dynamic_needed(image) == []
     linked = parse_elf(build_executable(b"\x90" * 8, needed=["libm.so.6", "libc.so.6"]))
-    assert linked.dynamic_needed == ("libm.so.6", "libc.so.6")
+    assert elf.dynamic_needed(linked) == ["libm.so.6", "libc.so.6"]
 
 
 def test_linked_strtab_takes_a_linked_string_table_else_dynstr():
@@ -212,7 +217,28 @@ def test_dynamic_needed_link_to_a_section_that_is_not_a_string_table_reads_dynst
         image = parse_elf(build_elf([Sec(".text", b"\x90" * 8),
                                      Sec(".dynstr", dynstr, sh_type=SHT_STRTAB),
                                      Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, link=link)]))
-        assert image.dynamic_needed == ("libc.so.6",)
+        assert elf.dynamic_needed(image) == ["libc.so.6"]
+
+
+def test_dynamic_needed_past_the_budget_raises_and_the_walk_reads_none():
+    blob = build_shared_needed(4096, 64)
+    image = parse_elf(blob)  # the walk decodes no .dynamic
+    with pytest.raises(MalformedElf, match=re.escape(
+            f"DT_NEEDED names total more than {elf.STRING_BUDGET} times "
+            "their 4098-byte string table")):
+        elf.dynamic_needed(image)
+    # the same name twice is within the budget, and is one object
+    twice = elf.dynamic_needed(parse_elf(build_shared_needed(4096, 2)))
+    assert twice == ["l" * 4096] * 2 and twice[0] is twice[1]
+
+
+def test_dynamic_needed_skips_offsets_past_the_table_and_stops_at_dt_null():
+    dynstr = b"\x00libc.so.6\x00"
+    dyn = b"".join(struct.pack("<qQ", tag, value)
+                   for tag, value in [(1, 99), (1, 1), (1, len(dynstr)), (0, 0), (1, 1)])
+    image = parse_elf(build_elf([Sec(".dynstr", dynstr, sh_type=SHT_STRTAB),
+                                 Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, link=".dynstr")]))
+    assert elf.dynamic_needed(image) == ["libc.so.6"]
 
 
 def test_comment_survives_symtab_removal():
@@ -874,6 +900,86 @@ def test_name_offset_error_comes_before_a_body_past_the_file():
         parse_elf(_BODY_PAST_END)
 
 
+# -- what the walk holds is bounded by its input --------------------------------
+# No byte of a well-formed file lies in two sections, so the bodies the
+# walk reads may total no more than the input; the names, one per
+# header, no more than STRING_BUDGET times it.  Each crafted file is
+# some 33 KB and would be read as 4 MB of bodies or names.
+
+_OVERLAPPING = build_overlapping(b"\x90" * (16 << 10), 256, ET_EXEC)
+_SHARED_NAME = build_shared_name(16 << 10, 256, ET_EXEC)
+
+
+def test_bodies_past_the_input_are_refused_before_they_are_read(tmp_path, monkeypatch):
+    want = f"section bodies through '.text' total more than the input's {len(_OVERLAPPING)} bytes"
+    with pytest.raises(MalformedElf, match=re.escape(want)):
+        parse_elf(_OVERLAPPING)
+    path = tmp_path / "overlapping"
+    path.write_bytes(_OVERLAPPING)
+    pread = os.pread
+    read = []
+
+    def counting(fd, length, offset):
+        read.append(length)
+        return pread(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", counting)
+    with pytest.raises(MalformedElf, match=re.escape(want)):
+        _read_elf_at(path)
+    # the header, the table, the name table, then bodies up to the
+    # input's size: two of the 256
+    assert len(read) == 3 + 2 and sum(read[3:]) <= len(_OVERLAPPING)
+
+
+def test_sections_that_fill_the_input_exactly_read():
+    # a body plus the headers, name table and padding: every byte counted once
+    blob = build_elf([Sec(".text", b"\x90" * 64)])
+    image = parse_elf(blob)
+    assert sum(len(s.data) for s in image.sections) < len(blob)
+    whole = _with_header_field(blob, 1, "sh_offset", 0)
+    whole = _with_header_field(whole, 1, "sh_size", len(blob) - len(b"\0.text\0.shstrtab\0"))
+    assert sum(len(s.data) for s in parse_elf(whole).sections) == len(blob)
+    one_more = _with_header_field(whole, 1, "sh_size", len(blob) - len(b"\0.text\0.shstrtab\0") + 1)
+    with pytest.raises(MalformedElf, match="section bodies through '.shstrtab' total more"):
+        parse_elf(one_more)
+
+
+def test_section_names_past_the_budget_are_refused():
+    with pytest.raises(MalformedElf, match=re.escape(
+            f"section names total more than {elf.STRING_BUDGET} times "
+            f"the input's {len(_SHARED_NAME)} bytes")):
+        parse_elf(_SHARED_NAME)
+
+
+def test_thousands_of_sections_named_at_one_offset_read_with_one_name():
+    # clang -fno-unique-section-names: every code section is ".text"
+    count = 4000
+    image = parse_elf(build_elf([Sec(".text", bytes([k % 256])) for k in range(count)]))
+    texts = list_text_sections(image)
+    assert [s.data for s in texts] == [bytes([k % 256]) for k in range(count)]
+    assert len({id(s.name) for s in texts}) == 1
+
+
+def test_read_strings_reads_each_offset_once_and_keeps_the_budget():
+    table = b"\0.rela.text\0tail"
+    offsets = [6, 1, 0, 6, 12, 16, 15]
+    want = [".text", ".rela.text", "", ".text", "tail", "", "l"]
+    assert elf.read_strings(table, offsets, 25) == want
+    assert elf.read_strings(table, offsets, 24) is None
+    assert elf.read_strings(table, [], 0) == []
+    assert elf.read_strings(b"\xe9t\xe9", [0], 3) == ["\xe9t\xe9"]
+    strings = elf.read_strings(table, offsets, 25)
+    assert strings[0] is strings[3]
+
+
+def test_read_strings_inside_one_long_run_stays_linear():
+    # every offset of a NUL-free run: read one by one, n * n / 2 bytes
+    n = 1 << 16
+    start = time.perf_counter()
+    assert elf.read_strings(b"x" * n, range(n), 4 * n) is None
+    assert time.perf_counter() - start < 1.0
+
+
 def _parsed(parse, blob: bytes):
     """``parse(blob)``, or the class and message of what it raised."""
     try:
@@ -919,6 +1025,8 @@ def _written_images(draw):
 @example(_NAMED_TO_END)
 @example(_BSS_PAST_END)
 @example(_BOTH_PAST_END)
+@example(_OVERLAPPING)
+@example(_SHARED_NAME)
 def test_one_pass_section_reader_agrees_with_per_header_reference(blob):
     assert _parsed(parse_elf, blob) == _parsed(elf_reference.parse_elf, blob)
 

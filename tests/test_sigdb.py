@@ -14,7 +14,6 @@ from provsig.sigdb import (
     TARGET_DYNLIB,
     TARGET_TEXT,
     Database,
-    EmptyDatabase,
     HexPattern,
     MalformedSigFile,
     Signature,
@@ -458,18 +457,17 @@ def test_load_db_skips_corrupt_file_with_warning(tmp_path):
 
 
 def test_load_db_empty_directory(tmp_path):
-    with pytest.raises(EmptyDatabase):
-        load_db(tmp_path)
+    assert load_db(tmp_path) == Database(files=(), warnings=(), md5_owners={})
 
 
 def test_load_db_all_corrupt(tmp_path):
     (tmp_path / "x.sig").write_bytes(b"garbage")
     (tmp_path / "y.sig").write_bytes(b"provsig 1\npackage Y\n")
-    with pytest.raises(EmptyDatabase) as raised:
-        load_db(tmp_path)
-    # why each file was skipped, in load order
-    assert raised.value.warnings == ("x.sig: missing 'provsig 1' magic line",
-                                     "y.sig: missing version key")
+    # nothing loads: the empty database, with why each file was skipped,
+    # in load order
+    assert load_db(tmp_path) == Database(
+        files=(), warnings=("x.sig: missing 'provsig 1' magic line",
+                            "y.sig: missing version key"), md5_owners={})
 
 
 def test_load_db_deterministic_id_assignment(tmp_path):

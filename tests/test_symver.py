@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provsig.elf import MalformedElf, UnsupportedElf, get_section, parse_elf
+from provsig.elf import STRING_BUDGET, MalformedElf, UnsupportedElf, get_section, parse_elf
 from provsig.symver import (
     DEFAULT_LABELS,
     MalformedVerdef,
@@ -125,6 +125,20 @@ def test_parse_verdef_name_offset_out_of_range():
                 link=".dynstr", info=1)]
     with pytest.raises(MalformedVerdef):
         parse_verdef(parse_elf(build_elf(secs, e_type=ET_DYN)))
+
+
+def test_parse_verdef_names_past_the_budget_raise():
+    # 64 definitions of one 4 KB name, held once in .dynstr
+    name = "GLIBC_" + "9" * 4090
+    image = parse_elf(build_shared_lib(versions=[name] * 64))
+    dynstr = get_section(image, ".dynstr").data
+    with pytest.raises(MalformedVerdef, match=(
+            f"version names total more than {STRING_BUDGET} times "
+            f"their {len(dynstr)}-byte string table")):
+        parse_verdef(image)
+    # twice is within the budget, and the name is read once
+    twice = parse_verdef(parse_elf(build_shared_lib(versions=[name] * 2)))
+    assert twice == [name, name] and twice[0] is twice[1]
 
 
 # -- label matching, through library_versions --------------------------------------
