@@ -11,6 +11,18 @@ bytes they covered:
 Dynamic dependencies are resolved internally against ``--search-path``
 directories plus the PROVSIG_PATH environment variable; the scanner
 never executes loader code on the inputs it audits.
+
+``sigscan`` reads only the bytes a report uses.  A target's headers are
+read and checked whole, then, from the file kept open, its ``.comment``
+whole, its ``.dynamic`` and the string table that section links only
+when libraries are resolved, and each code section in windows of
+:data:`provsig.elf.WINDOW` bytes plus the text engine's longest span
+less one (:func:`provsig.matcher.iter_windowed_matches`): a match
+counts in the window where it starts, and a database with a long span
+widens each window by it.  A library gives its ``.gnu.version_d`` and
+that section's string table first, and its ``.text``, hashed a window
+at a time, only when no known label is found.  ``siggen`` reads every
+section body of its inputs.
 """
 
 from __future__ import annotations
@@ -276,25 +288,37 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
     """One target's report.  ``engines`` is what :func:`_compile_engine`
     returns.  ``libraries`` maps each library path resolved so far in
     this call to its :func:`_library_outcome`, so a library many targets
-    need is read once.  The target is read section by section
-    (:func:`provsig.elf.read_elf`), so only its sections are held, and
-    its ``DT_NEEDED`` names only when ``no_dynamic`` is false."""
-    with elf.open_file(target_path) as file:
-        image = elf.read_elf(file)
-    needed = () if no_dynamic else elf.dynamic_needed(image)
+    need is read once.
+
+    The target's headers are read with no body
+    (:func:`provsig.elf.read_elf`), then only the bytes the report
+    uses, from the file kept open: ``.dynamic`` and the string table it
+    links, only when ``no_dynamic`` is false; each code section in
+    windows (:func:`provsig.matcher.iter_windowed_matches`), so no more
+    than a window and the text engine's overlap of it is held at once;
+    and ``.comment`` whole."""
     text, comments = engines  # each an (engine, owners) pair
-    scans = [(text, s.data) for s in elf.list_text_sections(image)]
-    comment = elf.get_section(image, ".comment")
-    if comment is not None:
-        scans.append((comments, comment.data))
     # each match is tallied as the engine verifies it, and none is kept
     counts: dict[tuple[str, str], list[int]] = {}
-    for (engine, owners), data in scans:
-        for m in matcher.iter_matches(engine, data):
+
+    def tally(matches, owners):
+        for m in matches:
             owner = owners[m.signature_id]
             entry = counts.setdefault((owner.package, owner.version), [0, 0])
             entry[0] += 1
             entry[1] += m.span
+
+    with elf.open_file(target_path) as file:
+        image = elf.read_elf(file, bodies=False)
+        needed = () if no_dynamic else elf.dynamic_needed(image, file)
+        engine, owners = text
+        for section in elf.list_text_sections(image):
+            tally(matcher.iter_windowed_matches(
+                engine, functools.partial(elf.read_body, file, section), section.size), owners)
+        comment = elf.get_section(image, ".comment")
+        if comment is not None:
+            engine, owners = comments
+            tally(matcher.iter_matches(engine, elf.read_body(file, comment)), owners)
 
     package_hits = sorted(
         (PackageHit(package=pkg, version=ver, count=c, total_bytes=b)
@@ -320,22 +344,24 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
 def _library_outcome(db: sigdb.Database, resolved: str,
                      labels) -> tuple[tuple[DynlibFinding, ...], str | None]:
     """What the library at ``resolved`` adds to a report: its findings,
-    or the warning that it cannot be read."""
+    or the warning that it cannot be read.  Its headers are read with no
+    body, then ``.gnu.version_d`` and its string table; its ``.text``
+    only if they name no known label, for the MD5 lookup."""
     try:
         with elf.open_file(resolved) as file:
-            lib = elf.read_elf(file)
-        versions = symver.library_versions(lib, labels)
+            lib = elf.read_elf(file, bodies=False)
+            versions = symver.library_versions(lib, labels, file)
+            if versions:
+                return tuple(DynlibFinding(library=resolved, method=METHOD_SYMVER,
+                                           name=label, version=version)
+                             for label, version in versions), None
+            return (_md5_lookup(db, lib, resolved, file),), None
     except (OSError, MalformedElf, UnsupportedElf, symver.MalformedVerdef) as exc:
         return (), f"{resolved}: {exc}"
-    if versions:
-        return tuple(DynlibFinding(library=resolved, method=METHOD_SYMVER,
-                                   name=label, version=version)
-                     for label, version in versions), None
-    return (_md5_lookup(db, lib, resolved),), None
 
 
-def _md5_lookup(db: sigdb.Database, lib: elf.ElfImage, resolved: str) -> DynlibFinding:
-    owner = db.md5_owners.get(sigdb.text_md5_key(lib))
+def _md5_lookup(db: sigdb.Database, lib: elf.ElfImage, resolved: str, file) -> DynlibFinding:
+    owner = db.md5_owners.get(sigdb.text_md5_key(lib, file))
     if owner is not None:
         return DynlibFinding(library=resolved, method=METHOD_MD5,
                              name=owner.package, version=owner.version)

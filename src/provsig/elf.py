@@ -6,22 +6,29 @@ ELF executables, shared libraries and relocatable objects (sections,
 ``ar`` archives.  Every input file is opened by :func:`open_file`,
 without blocking and as a regular file only.  An ELF file is read from
 its open file by :func:`read_elf`, with ``pread``: its headers, its
-name table and each section body once, so the file is never in memory
-whole beside its sections; :func:`parse_elf` makes the same walk over
-bytes already in memory (an archive member).  The walk reads sections
-and nothing else: no section body is decoded, ``.dynamic`` included,
-and :func:`dynamic_needed` reads the ``DT_NEEDED`` names of an image
-only for the caller that asks.  The walk holds what it reads to the
-size of its input: the bodies it reads may total no more than the
-input holds, since no byte of a well-formed file lies in two sections,
-and the section names, one per header, no more than
-:data:`STRING_BUDGET` times that size.  An archive is read from
-its open file by :func:`read_archive`: one walk over its headers with
+name table once (the names and that section's body are one read) and,
+unless the caller asks for none, each other section body once, so the
+file is never in memory whole beside its sections; :func:`parse_elf`
+makes the same walk over bytes already in memory (an archive member).
+``sigscan`` asks for no body: every header is still checked, and each
+:class:`Section` keeps its body's file offset and size, so
+:func:`read_body` reads a body, or a window of one, only when it is
+used: :mod:`provsig.cli` says which bodies those are, and a code
+section is read :data:`WINDOW` bytes (plus the scan's overlap) at a
+time.  ``siggen`` reads every body.  The walk reads sections and nothing else: no section body
+is decoded, ``.dynamic`` included.  The walk holds what it reads to the
+size of its input: the bodies it reads, or leaves to be read, may total
+no more than the input holds, since no byte of a well-formed file lies
+in two sections, and the section names, one per header, no more than
+:data:`STRING_BUDGET` times that size.  An archive is read from its
+open file by :func:`read_archive`: one walk over its headers with
 ``pread``, then each member's body only when it is reached, so the
-archive is never in memory whole.  The section-header table is read in
-one pass, one ``struct.iter_unpack`` over its bytes (entries wider than
-the native size are cut down to it first), and each :class:`Section`
-is built without a Python-level constructor call.  A relocatable object's
+archive is never in memory whole; its long names, like the section
+names, are read once per distinct offset and within the same budget.
+The section-header table is read in one pass, one
+``struct.iter_unpack`` over its bytes (entries wider than the native
+size are cut down to it first), and each :class:`Section` is built
+without a Python-level constructor call.  A relocatable object's
 relocation tables are read in one pass (:func:`parse_relocations`),
 each tied to the code section its ``sh_info`` names and reduced to the
 bytes the linker patches, which is all that signing needs: per section,
@@ -33,11 +40,12 @@ of ``DT_NEEDED`` entries and version definitions is found by one rule,
 :func:`linked_strtab`: the section ``sh_link`` names if it is
 ``SHT_STRTAB``, otherwise ``.dynstr``.  Every name, section names
 included, is read from its table by :func:`read_strings`: each offset
-once, the NULs in one forward pass, and nothing past a budget, so a
-table that many references share or that holds no NUL costs time and
-memory linear in the input.  Only little-endian ELF32/ELF64
-files are supported; everything is decoded with :mod:`struct` or
-:class:`memoryview` casts, no external parser libraries.
+once, the terminators in one forward pass, and nothing past a budget,
+so a table that many references share or that holds no terminator
+costs time and memory linear in the input.  Only little-endian
+ELF32/ELF64 files are supported; everything is decoded with
+:mod:`struct` or :class:`memoryview` casts, no external parser
+libraries.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ import stat
 import struct
 import sys
 from bisect import bisect_right
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple
 
@@ -82,6 +92,13 @@ EM_X86_64 = 62
 # 0.22 (DT_NEEDED) and 0.60 (version names).
 STRING_BUDGET = 2
 
+# A body read in windows (a code section that sigscan scans, a library's
+# .text that it hashes) is read this many bytes at a time, and a scan
+# window this many plus its engine's overlap.  Windows of 64 KB, 256 KB
+# and 1 MB give the same peak RSS on the benchmark's cold start; the
+# larger the window, the fewer overlap bytes are scanned twice.
+WINDOW = 1 << 20
+
 
 class MalformedElf(ValueError):
     """The input is not a well-formed ELF file."""
@@ -96,13 +113,21 @@ class MalformedArchive(ValueError):
 
 
 class Section(NamedTuple):
-    """One section: name, raw contents and the header fields we keep."""
+    """One section: name, raw contents and the header fields we keep.
+
+    ``data`` is None for a body the walk did not read (:func:`read_elf`
+    with ``bodies=False``); :func:`read_body` reads it from ``offset``,
+    its ``size`` bytes.  A section without a body (``SHT_NULL``,
+    ``SHT_NOBITS`` or size 0) has ``data`` ``b""`` and ``size`` 0.
+    """
 
     name: str
-    data: bytes
+    data: bytes | None
     sh_type: int = 0
     sh_link: int = 0
     sh_info: int = 0
+    offset: int = 0
+    size: int = 0
 
 
 class ElfImage(NamedTuple):
@@ -186,18 +211,19 @@ def read_file(path) -> bytes:
         return file.read()
 
 
-def read_strings(table: bytes, offsets, budget: int) -> list[str] | None:
-    """The string of ``table`` at each of ``offsets``, up to its NUL or
-    the table's end, decoded as latin-1 (one character per byte); None
-    if those strings, counted once per offset given, total more than
-    ``budget`` bytes.
+def read_strings(table: bytes, offsets, budget: int, terminator: str = "\0"
+                 ) -> list[str] | None:
+    """The string of ``table`` at each of ``offsets``, up to its
+    ``terminator`` (a NUL unless given) or the table's end, decoded as
+    latin-1 (one character per byte); None if those strings, counted
+    once per offset given, total more than ``budget`` bytes.
 
     Every offset must be at most ``len(table)``.  The offsets are taken
-    in ascending order, so the NULs are found in one forward pass over
-    the table, and the strings of one offset are one object.  The total
-    is checked before each string is taken: time and memory stay linear
-    in the table, the offsets and the budget, however many offsets share
-    a string or lie inside one.
+    in ascending order, so the terminators are found in one forward pass
+    over the table, and the strings of one offset are one object.  The
+    total is checked before each string is taken: time and memory stay
+    linear in the table, the offsets and the budget, however many
+    offsets share a string or lie inside one.
     """
     text = table.decode("latin-1")
     find = text.find
@@ -205,8 +231,8 @@ def read_strings(table: bytes, offsets, budget: int) -> list[str] | None:
     end = -1
     spent = 0
     for offset in sorted(offsets):
-        if offset > end:  # past the NUL found last: find the next one
-            end = find("\0", offset)
+        if offset > end:  # past the terminator found last: find the next one
+            end = find(terminator, offset)
             if end == -1:
                 end = len(text)
         spent += end - offset
@@ -230,15 +256,20 @@ def parse_elf(data: bytes) -> ElfImage:
     running total of bodies.  Each section's body is a copy of its
     bytes in ``data``.
     """
-    return _parse_elf(lambda offset, length: data[offset:offset + length], len(data))
+    return _parse_elf(lambda offset, length: data[offset:offset + length], len(data), True)
 
 
-def read_elf(file: BinaryIO) -> ElfImage:
+def read_elf(file: BinaryIO, bodies: bool = True) -> ElfImage:
     """Parse the ELF file open as ``file`` (by :func:`open_file`), as
     :func:`parse_elf` parses its bytes, reading with :func:`os.pread`:
-    the header, the section-header table, the name table and each
-    section body once each, so only the sections are ever in memory,
-    never the file whole.
+    the header, the section-header table, the name table and, if
+    ``bodies``, each other section body once each, so only the sections
+    are ever in memory, never the file whole.
+
+    Without ``bodies``, no body but the name table's is read: every
+    check still runs on every header, the running total of bodies
+    included, so a file fails with the line the full read fails with,
+    and each body is read later, if at all, by :func:`read_body`.
 
     The file is sized once, by ``fstat``.  A read that comes back short
     (the file shrank after that) raises the :class:`MalformedElf` that
@@ -246,15 +277,38 @@ def read_elf(file: BinaryIO) -> ElfImage:
     """
     fd = file.fileno()
     return _parse_elf(lambda offset, length: os.pread(fd, length, offset),
-                      os.fstat(fd).st_size)
+                      os.fstat(fd).st_size, bodies)
 
 
-def _parse_elf(read_at, size: int) -> ElfImage:
+def read_body(file: BinaryIO | None, section: Section, start: int = 0,
+              length: int | None = None) -> bytes:
+    """``length`` bytes of ``section``'s body from ``start`` (all of them
+    from there by default): out of the body the walk read, or, if it
+    was left unread, read from ``file`` with :func:`os.pread`.
+
+    ``start`` and ``length`` must lie inside the body.  A read that
+    comes back short (the file shrank after the walk) raises the
+    :class:`MalformedElf` the walk raises for a body past the end of
+    the file.
+    """
+    if length is None:
+        length = section.size - start
+    if section.data is not None:
+        return section.data[start:start + length]
+    data = os.pread(file.fileno(), length, section.offset + start)
+    if len(data) != length:
+        raise MalformedElf(f"section {section.name!r} extends past end of file")
+    return data
+
+
+def _parse_elf(read_at, size: int, bodies: bool) -> ElfImage:
     """The one walk of :func:`parse_elf` and :func:`read_elf` over an
     ELF file of ``size`` bytes, whose ``length`` bytes at ``offset``
     ``read_at(offset, length)`` returns (fewer where the file ends).
     Each read is made only once the bounds check before it passes, and
-    a read that comes back short fails that check's message."""
+    a read that comes back short fails that check's message.  The name
+    table is read once: its section's body is the bytes its names were
+    read from.  Without ``bodies``, no other body is read."""
     # the ELF64 header is 64 bytes and the ELF32 one 52; a shorter
     # file reads short, and the checks below see only what it holds
     header = read_at(0, 64)
@@ -319,25 +373,33 @@ def _parse_elf(read_at, size: int) -> ElfImage:
     # built as Section._make builds them, without a Python-level call
     new = tuple.__new__
     sections: list[Section] = []
-    spent = 0  # the body bytes read so far
-    for name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info) in zip(names, headers):
+    spent = 0  # the body bytes read, or left unread, so far
+    for index, (name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info)) in enumerate(
+            zip(names, headers)):
         # an SHT_NULL header has no section (section 0 may hold a count)
         if sh_type in (SHT_NULL, SHT_NOBITS) or sh_size == 0:
-            body = b""
+            body, sh_size = b"", 0
         elif sh_offset + sh_size > size:
             raise MalformedElf(f"section {name!r} extends past end of file")
         elif (spent := spent + sh_size) > size:
             raise MalformedElf(f"section bodies through {name!r} total more than "
                                f"the input's {size} bytes")
+        elif index == e_shstrndx:
+            body = strtab
+        elif not bodies:
+            body = None
         elif len(body := read_at(sh_offset, sh_size)) != sh_size:
             raise MalformedElf(f"section {name!r} extends past end of file")
-        sections.append(new(Section, (name, body, sh_type, sh_link, sh_info)))
+        sections.append(new(Section, (name, body, sh_type, sh_link, sh_info,
+                                      sh_offset, sh_size)))
     return ElfImage("ELF64" if is64 else "ELF32", e_machine, tuple(sections), e_type == ET_REL)
 
 
-def dynamic_needed(image: ElfImage) -> list[str]:
+def dynamic_needed(image: ElfImage, file: BinaryIO | None = None) -> list[str]:
     """The ``DT_NEEDED`` names of the first ``SHT_DYNAMIC`` section of
-    ``image``, in entry order; [] without one.
+    ``image``, in entry order; [] without one.  A body the walk left
+    unread is read from ``file`` (:func:`read_body`): the section's and
+    its string table's, and no other.
 
     The entries are read up to ``DT_NULL``, and one whose name offset
     lies outside the string table (:func:`linked_strtab`) is skipped.
@@ -346,13 +408,14 @@ def dynamic_needed(image: ElfImage) -> list[str]:
     :data:`STRING_BUDGET` times their table raise :class:`MalformedElf`.
     """
     dyn = next((s for s in image.sections if s.sh_type == SHT_DYNAMIC), None)
-    strtab = None if dyn is None else linked_strtab(image.sections, dyn)
+    strtab = None if dyn is None else linked_strtab(image.sections, dyn, file)
     if strtab is None:
         return []
+    data = read_body(file, dyn)
     entsize, fmt = (16, "<qQ") if image.elf_class == "ELF64" else (8, "<iI")
     offsets = []
-    for off in range(0, len(dyn.data) - entsize + 1, entsize):
-        tag, val = struct.unpack_from(fmt, dyn.data, off)
+    for off in range(0, len(data) - entsize + 1, entsize):
+        tag, val = struct.unpack_from(fmt, data, off)
         if tag == DT_NULL:
             break
         if tag == DT_NEEDED and val < len(strtab):
@@ -367,16 +430,17 @@ def dynamic_needed(image: ElfImage) -> list[str]:
     return list(map(decoded.__getitem__, names))
 
 
-def linked_strtab(sections: list[Section] | tuple[Section, ...],
-                  section: Section) -> bytes | None:
+def linked_strtab(sections: list[Section] | tuple[Section, ...], section: Section,
+                  file: BinaryIO | None = None) -> bytes | None:
     """The string table ``section`` links to: the one its ``sh_link``
     names if that is ``SHT_STRTAB``, otherwise the first ``.dynstr``;
-    None if neither exists."""
+    None if neither exists.  A body the walk left unread is read from
+    ``file`` (:func:`read_body`)."""
     link = section.sh_link
     if 0 < link < len(sections) and sections[link].sh_type == SHT_STRTAB:
-        return sections[link].data
+        return read_body(file, sections[link])
     fallback = next((s for s in sections if s.name == ".dynstr"), None)
-    return None if fallback is None else fallback.data
+    return None if fallback is None else read_body(file, fallback)
 
 
 def get_section(image: ElfImage, name: str) -> Section | None:
@@ -538,7 +602,9 @@ def read_archive(file: BinaryIO) -> Iterator[ArchiveMember]:
     never in memory, only the member being read.
 
     The ``/`` symbol index is skipped and GNU ``//`` long names are
-    resolved.  BSD ``#1/`` names are rejected.  Member sizes and
+    resolved, each distinct offset once; names that total more than
+    :data:`STRING_BUDGET` times the archive are refused.  BSD ``#1/``
+    names are rejected.  Member sizes and
     long-name offsets must be ASCII digits.  The magic, every member
     header and the ``//`` table are read and checked before this
     returns; each member's body is read when the iterator reaches it,
@@ -563,11 +629,21 @@ def _read_body(fd: int, raw_name: str, start: int, length: int) -> bytes:
 def _archive_entries(fd: int, size: int) -> list[tuple[str, str, int, int]]:
     """``(name, raw name, body offset, body size)`` of every member of
     the archive of ``size`` bytes open as ``fd``, from one walk over its
-    headers: the checks of :func:`read_archive`, in archive order."""
+    headers: the checks of :func:`read_archive`, in archive order.
+
+    Long names are taken once the walk ends, by :func:`read_strings`
+    (each up to its newline): one object per distinct offset, one
+    forward pass over the ``//`` table, and no more than
+    :data:`STRING_BUDGET` times the archive's size in all, past which
+    :class:`MalformedArchive` is raised.
+    """
     if os.pread(fd, len(AR_MAGIC), 0) != AR_MAGIC:
         raise MalformedArchive("bad archive magic")
     entries: list[tuple[str, str, int, int]] = []
     longnames: bytes | None = None
+    # (the // table, offset into it, entry index) of each long name, in
+    # archive order: a later // table serves only the members after it
+    refs: list[tuple[bytes, int, int]] = []
     pos = len(AR_MAGIC)
     while pos < size:
         header = os.pread(fd, 60, pos) if pos + 60 <= size else b""
@@ -598,15 +674,23 @@ def _archive_entries(fd: int, size: int) -> list[tuple[str, str, int, int]]:
             name_off = int(ref)
             if longnames is None or name_off >= len(longnames):
                 raise MalformedArchive(f"unresolvable long-name offset {name_off}")
-            end = longnames.find(b"\n", name_off)
-            if end == -1:
-                end = len(longnames)
-            resolved = longnames[name_off:end].decode("latin-1").rstrip("/")
-            entries.append((resolved, raw_name, body_start, length))
+            refs.append((longnames, name_off, len(entries)))
+            entries.append(("", raw_name, body_start, length))
         else:
             entries.append((raw_name.rstrip("/"), raw_name, body_start, length))
 
         pos = body_start + length
         if length % 2:
             pos += 1  # members are 2-byte aligned
+    budget = STRING_BUDGET * size
+    for table, group in groupby(refs, key=itemgetter(0)):
+        group = list(group)
+        names = read_strings(table, [name_off for _, name_off, _ in group], budget, "\n")
+        if names is None:
+            raise MalformedArchive(f"long names total more than {STRING_BUDGET} times "
+                                   f"the archive's {size} bytes")
+        budget -= sum(map(len, names))
+        stripped = {name: name.rstrip("/") for name in set(names)}  # once per distinct name
+        for (_, _, index), name in zip(group, names):
+            entries[index] = (stripped[name],) + entries[index][1:]
     return entries

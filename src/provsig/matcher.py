@@ -65,9 +65,24 @@ oracle in the tests is the judge of that.
 verifies each key occurrence where the filter finds it, yielding every
 occurrence of every signature, overlaps included, as a :class:`Match`:
 each (signature, start) whose bytes match comes once.  It only reads
-the buffer and keeps no list of hits, so ``sigscan``, which tallies the
-matches as they come, needs memory bounded by the database and one
-target.  ``scan_all`` is that stream sorted by (start, signature id).
+the buffer and keeps no list of hits.  ``scan_all`` is that stream
+sorted by (start, signature id).
+
+``iter_windowed_matches`` yields the same matches from bytes it reads
+in windows, as ClamAV reads a file in buffers that overlap by its
+longest pattern: ``sigscan`` scans each code section so, by ``pread``
+from the target.  Window ``k`` starts at ``k * W`` (``W`` is
+:data:`provsig.elf.WINDOW`, 1 MB) and reads ``W`` bytes plus the
+engine's ``overlap``, its longest span less one, computed once at
+compile.  A match counts only in the window where it starts, and one
+that starts in a window's first ``W`` bytes ends inside what it read,
+so every match comes once, however the windows cut its key, its runs or
+its span.  The overlap is what a long span costs: a database whose
+longest span is ``L`` makes every window ``W + L - 1`` bytes, and one
+whose longest span exceeds a section reads it in one window.  A
+section of ``W`` bytes or fewer is read at once.  So ``sigscan``, which
+tallies the matches as they come, needs memory bounded by the database
+and one window, and the word filter's lane slices shrink with it.
 """
 
 from __future__ import annotations
@@ -77,6 +92,7 @@ from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, repeat
 from typing import Iterator, NamedTuple
 
+from provsig import elf
 from provsig.sigdb import HexPattern
 
 KEY_LEN = 16
@@ -98,13 +114,15 @@ class CompiledEngine:
     """Immutable compiled word filter and short-key search, verifying
     against the patterns themselves; safe to share across threads.  Build
     with :func:`compile`.  ``keys`` exposes, per pattern, the (key bytes,
-    span offset) pair it is found by.
+    span offset) pair it is found by; ``overlap`` is the longest span
+    less one, by which :func:`iter_windowed_matches` overlaps its windows.
     """
 
-    __slots__ = ("keys", "_passes", "_short_keys", "_owners", "_verify")
+    __slots__ = ("keys", "overlap", "_passes", "_short_keys", "_owners", "_verify")
 
-    def __init__(self, keys, passes, short_keys, owners, verify):
+    def __init__(self, keys, overlap, passes, short_keys, owners, verify):
         self.keys: tuple[tuple[bytes, int], ...] = keys
+        self.overlap: int = overlap
         self._passes = passes
         self._short_keys = short_keys
         self._owners = owners
@@ -124,9 +142,14 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
     file does: :mod:`provsig.sigdb` refuses any other.
     """
     keys: list[tuple[bytes, int]] = []
-    for _, offsets, literals, _ in patterns:
+    # the longest span, taken here: a pass of its own adds 0.5 ms to the
+    # compile of a 10k-signature DB
+    widest = 1
+    for span, offsets, literals, _ in patterns:
         longest = max(literals, key=len)
         keys.append((longest[:KEY_LEN], offsets[literals.index(longest)]))
+        if span > widest:
+            widest = span
     for index in _padding_keys([key for key, _ in keys]):
         _, offsets, literals, _ = patterns[index]
         keys[index] = _padding_free_key(zip(offsets, literals)) or keys[index]
@@ -144,7 +167,7 @@ def compile(patterns: list[HexPattern]) -> CompiledEngine:
     passes = _word_tables(by_len)
     for key, ids in owners.items():  # one at a time, so no list outlives its tuple
         owners[key] = tuple(ids)
-    return CompiledEngine(tuple(keys), passes, short_keys, owners, tuple(patterns))
+    return CompiledEngine(tuple(keys), widest - 1, passes, short_keys, owners, tuple(patterns))
 
 
 def _word_tables(by_len: dict[int, list[bytes]]):
@@ -295,6 +318,36 @@ def iter_matches(engine: CompiledEngine, buffer) -> Iterator[Match]:
     """Yield each verified occurrence of each signature in ``buffer`` as it
     is found, in no set order; with one key per signature, none twice."""
     buffer = bytes(buffer)  # the same object if it is bytes already
+    return _verified(engine, buffer, 0, len(buffer))
+
+
+def iter_windowed_matches(engine: CompiledEngine, read_at, size: int) -> Iterator[Match]:
+    """:func:`iter_matches` over ``size`` bytes that ``read_at(offset,
+    length)`` returns, read one window at a time, so no more than
+    ``W`` (:data:`provsig.elf.WINDOW`) plus ``engine.overlap`` bytes of
+    them are held.
+
+    Window ``k`` reads from ``k * W`` up to ``W`` plus the overlap
+    bytes, cut at ``size``, and keeps the matches that start in its
+    first ``W`` bytes: a match that starts there ends inside the read,
+    and the next window finds those that start after.  The window that
+    reaches ``size`` is the last and keeps every match it finds, so
+    ``size`` bytes up to ``W`` plus the overlap are read at once.
+    Starts are counted from the first byte.
+    """
+    window = elf.WINDOW
+    at = 0
+    # each window is held by its scan alone, so it is freed before the
+    # next one is read
+    while (end := at + window + engine.overlap) < size:
+        yield from _verified(engine, read_at(at, end - at), at, window)
+        at += window
+    yield from _verified(engine, read_at(at, size - at), at, size - at)
+
+
+def _verified(engine: CompiledEngine, buffer: bytes, base: int, limit: int) -> Iterator[Match]:
+    """Each verified occurrence in ``buffer`` that starts before
+    ``limit``, its start counted from ``base``."""
     n = len(buffer)
     keys = engine.keys
     verify = engine._verify
@@ -302,10 +355,10 @@ def iter_matches(engine: CompiledEngine, buffer) -> Iterator[Match]:
         for sig_idx in found:
             start = at - keys[sig_idx][1]
             span, offsets, literals, _ = verify[sig_idx]
-            if start < 0 or start + span > n:
+            if start < 0 or start >= limit or start + span > n:
                 continue
             if all(map(buffer.startswith, literals, map(start.__add__, offsets))):
-                yield Match(sig_idx, start, span)
+                yield Match(sig_idx, base + start, span)
 
 
 def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:

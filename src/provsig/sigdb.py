@@ -300,9 +300,13 @@ def parse_pattern_text(text: str) -> HexPattern:
     return _parse_canonical("".join(parts))
 
 
-def text_md5_key(image: ElfImage) -> tuple[str, int] | None:
+def text_md5_key(image: ElfImage, file=None) -> tuple[str, int] | None:
     """A shared library's identity key: the MD5 hex digest and the size
-    of its first .text section, or None when it has none.
+    of its first .text section, or None when it has none.  A body the
+    walk left unread is read from ``file``
+    (:func:`provsig.elf.read_body`) and hashed
+    :data:`provsig.elf.WINDOW` bytes at a time, so no more than that
+    is held.
 
     Depends only on the code bytes, so on-disk churn in relocation or
     dynamic-linking data (prelinking) does not change it.
@@ -322,7 +326,11 @@ def text_md5_key(image: ElfImage) -> tuple[str, int] | None:
         from _md5 import md5
     except ImportError:
         from hashlib import md5
-    return md5(text.data, usedforsecurity=False).hexdigest(), len(text.data)
+    window = elf.WINDOW
+    digest = md5(elf.read_body(file, text, 0, min(window, text.size)), usedforsecurity=False)
+    for start in range(window, text.size, window):
+        digest.update(elf.read_body(file, text, start, min(window, text.size - start)))
+    return digest.hexdigest(), text.size
 
 
 def write_sigfile(sf: SignatureFile, destination=None) -> bytes:

@@ -32,9 +32,12 @@ class MalformedVerdef(ValueError):
     """Version-definition records that cannot be walked safely."""
 
 
-def parse_verdef(image: ElfImage) -> list[str]:
+def parse_verdef(image: ElfImage, file=None) -> list[str]:
     """The version names the .gnu.version_d chain defines, in chain
     order, without the base (file) name; [] when the section is absent.
+    A body the walk left unread is read from ``file``
+    (:func:`provsig.elf.read_body`): the section's and its string
+    table's, and no other.
 
     Iteration is bounded by the declared entry count (section sh_info,
     falling back to a size-derived cap).  No visited set is kept: the
@@ -47,12 +50,10 @@ def parse_verdef(image: ElfImage) -> list[str]:
     their string table raise.
     """
     section = elf.get_section(image, ".gnu.version_d")
-    if section is None:
+    if section is None or not section.size:
         return []
-    data = section.data
-    if not data:
-        return []
-    strtab = elf.linked_strtab(image.sections, section)
+    data = elf.read_body(file, section)
+    strtab = elf.linked_strtab(image.sections, section, file)
     if strtab is None:
         raise MalformedVerdef("no string table for version names")
 
@@ -86,9 +87,11 @@ def parse_verdef(image: ElfImage) -> list[str]:
     return names
 
 
-def library_versions(image: ElfImage, known_labels=DEFAULT_LABELS) -> list[tuple[str, str]]:
+def library_versions(image: ElfImage, known_labels=DEFAULT_LABELS,
+                     file=None) -> list[tuple[str, str]]:
     """``(label, version)`` of the highest defined version per known
-    label, in known-label order.
+    label, in known-label order; the names are read by
+    :func:`parse_verdef`, bodies the walk left unread from ``file``.
 
     A name counts if the part before its last ``_`` is a known label
     and the part after is ASCII-digit components joined by dots: names
@@ -98,7 +101,7 @@ def library_versions(image: ElfImage, known_labels=DEFAULT_LABELS) -> list[tuple
     above 2.9, and of 2.1 and 2.1.0 the first defined is kept.
     """
     best: dict[str, tuple[tuple[int, ...], str]] = {}
-    for name in parse_verdef(image):
+    for name in parse_verdef(image, file):
         label, sep, version = name.rpartition("_")
         if not sep or label not in known_labels:
             continue

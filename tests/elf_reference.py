@@ -110,7 +110,7 @@ def parse_elf(data: bytes) -> ElfImage:
     for name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info) in zip(names, headers):
         # an SHT_NULL header has no section (section 0 may hold a count)
         if sh_type in (SHT_NULL, SHT_NOBITS) or sh_size == 0:
-            body = b""
+            body, sh_size = b"", 0
         else:
             if sh_offset + sh_size > len(data):
                 raise MalformedElf(f"section {name!r} extends past end of file")
@@ -119,8 +119,8 @@ def parse_elf(data: bytes) -> ElfImage:
                 raise MalformedElf(f"section bodies through {name!r} total more than "
                                    f"the input's {len(data)} bytes")
             body = data[sh_offset:sh_offset + sh_size]
-        sections.append(Section(name=name, data=body, sh_type=sh_type,
-                                sh_link=sh_link, sh_info=sh_info))
+        sections.append(Section(name=name, data=body, sh_type=sh_type, sh_link=sh_link,
+                                sh_info=sh_info, offset=sh_offset, size=sh_size))
 
     return ElfImage(
         elf_class="ELF64" if is64 else "ELF32",

@@ -357,6 +357,13 @@ def build_executable(texts, *, needed=(), comment: bytes | None = None,
     return build_elf(secs, e_type=ET_EXEC)
 
 
+def _ar_header(name_field: str, size: int) -> bytes:
+    """One 60-byte ar member header."""
+    text = (name_field.ljust(16) + "0".ljust(12) + "0".ljust(6)
+            + "0".ljust(6) + "100644".ljust(8) + str(size).ljust(10))
+    return text.encode("ascii") + b"`\n"
+
+
 def build_archive(members: list[tuple[str, bytes]]) -> bytes:
     """System V/GNU ar archive; long names go through a ``//`` table."""
     out = bytearray(b"!<arch>\n")
@@ -367,18 +374,13 @@ def build_archive(members: list[tuple[str, bytes]]) -> bytes:
             long_offsets[name] = len(longtab)
             longtab += name.encode("latin-1") + b"/\n"
 
-    def header(name_field: str, size: int) -> bytes:
-        text = (name_field.ljust(16) + "0".ljust(12) + "0".ljust(6)
-                + "0".ljust(6) + "100644".ljust(8) + str(size).ljust(10))
-        return text.encode("ascii") + b"`\n"
-
     if longtab:
-        out += header("//", len(longtab)) + longtab
+        out += _ar_header("//", len(longtab)) + longtab
         if len(longtab) % 2:
             out += b"\n"
     for name, data in members:
         field = name + "/" if len(name) + 1 <= 16 else f"/{long_offsets[name]}"
-        out += header(field, len(data)) + data
+        out += _ar_header(field, len(data)) + data
         if len(data) % 2:
             out += b"\n"
     return bytes(out)
@@ -416,3 +418,12 @@ def build_shared_needed(name_len: int, count: int) -> bytes:
             flags=SHF_ALLOC),
         Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, flags=SHF_ALLOC, link=".dynstr",
             entsize=16)])
+
+
+def build_shared_long_name(name_len: int, count: int) -> bytes:
+    """An archive whose ``count`` empty members all name one
+    ``name_len``-byte long name, held once in a ``//`` table with no
+    newline: read one per member, the names take ``count`` times it."""
+    table = b"n" * name_len
+    return (b"!<arch>\n" + _ar_header("//", len(table)) + table + b"\n" * (name_len % 2)
+            + _ar_header("/0", 0) * count)

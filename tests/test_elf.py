@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import shutil
@@ -10,13 +11,14 @@ import struct
 import subprocess
 import tempfile
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provsig import elf
+from provsig import elf, matcher, sigdb, symver
 from provsig.elf import (
     MalformedArchive,
     MalformedElf,
@@ -55,6 +57,7 @@ from elfwriter import (
     build_object,
     build_overlapping,
     build_shared_lib,
+    build_shared_long_name,
     build_shared_name,
     build_shared_needed,
 )
@@ -777,6 +780,26 @@ def test_archive_unresolvable_long_name():
         _read_archive_bytes(bytes(raw))
 
 
+def test_archive_long_names_at_one_offset_are_read_once_within_the_budget():
+    # 256 members at one offset of a 16 KB table with no newline: one name
+    # per member read 4 MB of names out of a 31 KB archive
+    blob = build_shared_long_name(16 << 10, 256)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedArchive, match=re.escape(
+                f"long names total more than {elf.STRING_BUDGET} times "
+                f"the archive's {len(blob)} bytes")):
+            _read_archive_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10, peak
+    # within the budget, the members of one offset share one name
+    members = _read_archive_bytes(build_shared_long_name(100, 4))
+    assert [m.name for m in members] == ["n" * 100] * 4
+    assert len({id(m.name) for m in members}) == 1
+
+
 def test_archive_bsd_long_names_rejected():
     raw = bytearray(b"!<arch>\n")
     raw += ("#1/20".ljust(16) + "0".ljust(12) + "0".ljust(6) + "0".ljust(6)
@@ -1059,6 +1082,37 @@ def test_file_reader_reads_a_mutant_as_the_bytes_reader_does(elf_path, blob):
     assert _parsed(_read_elf_at, elf_path) == _parsed(parse_elf, blob)
 
 
+def _used(image: elf.ElfImage, file) -> tuple:
+    """What sigscan reads of an image, bodies the walk left unread read
+    from ``file``: its sections' bodies, its DT_NEEDED names, its
+    version names and its .text key, each the exception it raises."""
+    def read_all(image):
+        return [section._replace(data=elf.read_body(file, section)) for section in image.sections]
+    return tuple(_parsed(read, image) for read in (
+        read_all, lambda image: elf.dynamic_needed(image, file),
+        lambda image: symver.parse_verdef(image, file),
+        lambda image: sigdb.text_md5_key(image, file)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_seed_mutants(), _written_images()))
+@example(_BODY_PAST_END)
+@example(_OVERLAPPING)
+def test_a_mutant_read_with_bodies_deferred_fails_or_reads_as_the_full_read(elf_path, blob):
+    elf_path.write_bytes(blob)
+    full = _parsed(_read_elf_at, elf_path)
+    with elf.open_file(elf_path) as file:
+        deferred = _parsed(lambda file: elf.read_elf(file, bodies=False), file)
+        if not isinstance(full, elf.ElfImage):
+            assert deferred == full
+            return
+        assert [s._replace(data=None) for s in deferred.sections] == \
+            [s._replace(data=None) for s in full.sections]
+        assert all(s.data is None or s.data == f.data
+                   for s, f in zip(deferred.sections, full.sections))
+        assert _used(deferred, file) == _used(full, None)
+
+
 @pytest.mark.parametrize("seed", range(len(_ELF_SEEDS)))
 def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch, seed):
     blob = _ELF_SEEDS[seed]
@@ -1078,10 +1132,13 @@ def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch,
     monkeypatch.setattr(os, "pread", stub_pread)
     assert _read_elf_at(path) == image
     # the header, section 0 under extended numbering, the table, the name
-    # table and each body, in that order
-    bodies = [f"section {s.name!r} extends past end of file" for s in image.sections if s.data]
+    # table and each other body, in that order: the name table is read once
+    names = get_section(image, ".shstrtab")
+    bodies = [f"section {s.name!r} extends past end of file" for s in image.sections
+              if s.data and s is not names]
     extended = len(reads) - 3 - len(bodies)
     assert extended in (0, 1)
+    assert reads.count((names.offset, names.size)) == 1
     messages = (["truncated section header 0"] * extended
                 + ["truncated section header table", "section name string table out of bounds"]
                 + bodies)
@@ -1104,6 +1161,28 @@ def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch,
             want = next(((MalformedElf, message) for message, end in zip(messages, ends)
                          if end > cut), image)
         assert _parsed(_read_elf_at, path) == want
+    # bodies left unread: the walk reads none of them, and a file that
+    # shrinks after it fails the body read, or the window of a code
+    # section, that the cut reaches, with that section's line
+    monkeypatch.setattr(elf, "WINDOW", 4)
+    engine = matcher.compile([])
+    for index, section in enumerate(image.sections):
+        if not section.data or section is names:
+            continue
+        for shrunk in range(section.offset, section.offset + section.size):
+            cut = len(blob)
+            reads.clear()
+            with elf.open_file(path) as file:
+                deferred = elf.read_elf(file, bodies=False)
+                assert len(reads) == 3 + extended
+                cut = shrunk
+                read = functools.partial(elf.read_body, file, deferred.sections[index])
+                with pytest.raises(MalformedElf, match=re.escape(
+                        f"section {section.name!r} extends past end of file")):
+                    if elf.is_text_section(section):
+                        list(matcher.iter_windowed_matches(engine, read, section.size))
+                    else:
+                        read()
 
 
 def test_open_file_refuses_a_fifo(tmp_path):

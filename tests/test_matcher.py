@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import engine_reference
 import pattern_reference
-from provsig import matcher
+from provsig import elf, matcher
 from provsig.sigdb import HexPattern
 
 from pattern_reference import ANY, Gap, expand, from_elements, well_formed
@@ -655,6 +656,84 @@ def test_short_keys_searched_agree_with_oracle(anchors, shifts, pieces, as_array
     buffer = b"".join(anchors[p % len(anchors)] if isinstance(p, int) else p
                       for p in pieces)
     _assert_oracle(patterns, bytearray(buffer) if as_array else buffer)
+
+
+# -- windowed scans: checked against the oracle ----------------------------------
+# iter_windowed_matches reads elf.WINDOW bytes plus the engine's overlap
+# at a time; shrunk to a few bytes, the windows cut keys, runs and whole
+# patterns, and every match must still come once, from the window where
+# it starts.
+
+def _planted(pattern: HexPattern, fill: int) -> bytes:
+    """One occurrence of ``pattern``, each byte it leaves open ``fill``."""
+    cells = bytearray([fill]) * pattern.span
+    for offset, literal in zip(pattern.offsets, pattern.literals):
+        cells[offset:offset + len(literal)] = literal
+    return bytes(cells)
+
+
+def _assert_windowed_oracle(patterns, buffer: bytes, window: int) -> int:
+    """Check one windowed scan against the oracle; return how many
+    windows it read."""
+    engine = matcher.compile(patterns)
+    reads = []
+
+    def read_at(offset, length):
+        reads.append((offset, length))
+        return buffer[offset:offset + length]
+
+    with mock.patch.object(elf, "WINDOW", window):
+        found = list(matcher.iter_windowed_matches(engine, read_at, len(buffer)))
+    expected = naive_scan_once(patterns, buffer)
+    assert len(found) == len(pairs(found)) and pairs(found) == expected
+    assert all(m.span == patterns[m.signature_id].span for m in found)
+    # a window starts every WINDOW bytes, reads at most the overlap more,
+    # and the last one, the only one cut short, reaches the end
+    assert [offset for offset, _ in reads] == list(range(0, window * len(reads), window))
+    assert all(length == window + engine.overlap for _, length in reads[:-1])
+    assert sum(reads[-1]) == len(buffer) and reads[-1][1] <= window + engine.overlap
+    return len(reads)
+
+
+# (anchor, wildcards before it, gap after it, literal after the gap)
+_WINDOWED_PATTERN = st.tuples(st.binary(min_size=2, max_size=18), st.integers(0, 3),
+                              st.integers(0, 40), st.binary(min_size=1, max_size=3))
+
+
+def _windowed_pattern(anchor: bytes, shift: int, gap: int, tail: bytes) -> HexPattern:
+    elements = (ANY,) * shift + tuple(anchor)
+    return from_elements(elements + ((Gap(gap),) + tuple(tail) if gap else ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=st.integers(1, 24), specs=st.lists(_WINDOWED_PATTERN, min_size=1, max_size=3),
+       pieces=st.lists(st.one_of(st.integers(0, 2), st.binary(max_size=30)), max_size=10))
+# a match starting at a window's last byte, and one at the next window's first
+@example(window=8, specs=[(b"\x48\x89\xe5", 0, 0, b"")], pieces=[b"\x00" * 7, 0, 0])
+# a 16-byte key across an edge, and a span of 61 bytes over 8-byte windows
+@example(window=8, specs=[(bytes(range(1, 17)), 2, 40, b"\xc3")], pieces=[b"\x00" * 5, 0, 0])
+# a match ending at the last byte of a buffer the first window covers
+@example(window=24, specs=[(b"ab", 0, 0, b"")], pieces=[b"zz", 0])
+def test_windowed_scan_agrees_with_oracle(window, specs, pieces):
+    """Patterns drawn as ``(anchor, shift, gap, tail)``, spans up to 64
+    bytes against windows of 1-24; the buffer joins ``pieces``, where an
+    int plants one occurrence of a pattern and bytes are filler."""
+    patterns = [_windowed_pattern(*spec) for spec in specs]
+    buffer = b"".join(_planted(patterns[p % len(patterns)], 0x5A) if isinstance(p, int) else p
+                      for p in pieces)
+    _assert_windowed_oracle(patterns, buffer, window)
+
+
+def test_windowed_scan_reads_a_buffer_that_fits_a_window_once():
+    patterns = [from_elements(CALL_STUB_ELEMENTS)]
+    buffer = CALL_STUB_TEXT * 3
+    # the buffer, or all but the overlap of it, in one window
+    for window in (1 << 20, len(buffer), len(buffer) - len(CALL_STUB_TEXT) + 1):
+        assert _assert_windowed_oracle(patterns, buffer, window) == 1
+    assert _assert_windowed_oracle(patterns, buffer, len(buffer) - len(CALL_STUB_TEXT)) == 2
+    # the overlap is the longest span less one, whichever pattern holds it
+    assert matcher.compile(patterns + [from_elements(b"ab")]).overlap == len(CALL_STUB_TEXT) - 1
+    assert matcher.compile([]).overlap == 0
 
 
 # -- .comment strings ------------------------------------------------------------

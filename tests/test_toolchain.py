@@ -330,14 +330,17 @@ def test_sigscan_of_cc1plus_holds_its_sections_not_the_file_too(tmp_path):
     (db / "p.sig").write_text("provsig 1\npackage P\nversion 1\n"
                               f"s.o:.text:text:hex:{'5a' * 20}\n")
     # sigscan as it runs, and as it ran when a target was read whole
-    # before it was parsed; each child reports its own peak RSS in KB,
-    # counted from its exec (ru_maxrss may keep the parent's at fork)
+    # before it was parsed, every body copied out of it whatever the
+    # caller asked: the stand-in takes read_elf's bodies flag and reads
+    # all the same, so the scan's windows are cut from bodies in memory.
+    # Each child reports its own peak RSS in KB, counted from its exec
+    # (ru_maxrss may keep the parent's at fork)
     src = os.path.dirname(os.path.dirname(elf.__file__))
     code = ("import re, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "from provsig import cli, elf\n"
             "if sys.argv[2] == 'whole':\n"
-            "    cli.elf.read_elf = lambda file: elf.parse_elf(file.read())\n"
+            "    cli.elf.read_elf = lambda file, bodies=True: elf.parse_elf(file.read())\n"
             "status = cli.sigscan_main(['--db', sys.argv[3], '--no-dynamic', sys.argv[4]])\n"
             "with open('/proc/self/status') as status_file:\n"
             "    hwm = re.search(r'VmHWM:\\s*(\\d+) kB', status_file.read()).group(1)\n"
