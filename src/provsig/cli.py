@@ -21,8 +21,12 @@ less one (:func:`provsig.matcher.iter_windowed_matches`): a match
 counts in the window where it starts, and a database with a long span
 widens each window by it.  A library gives its ``.gnu.version_d`` and
 that section's string table first, and its ``.text``, hashed a window
-at a time, only when no known label is found.  ``siggen`` reads every
-section body of its inputs.
+at a time, only when no known label is found.
+
+``siggen`` reads its inputs the same way, an archive member at its
+offset in the archive: an object's code sections and their relocation
+tables one section at a time, a library's ``.text`` a window at a time,
+or ``.comment``.
 """
 
 from __future__ import annotations
@@ -157,10 +161,9 @@ def _sign_input(mode: str, input_path: str, used_origins: dict[str, int]
     and the line that says why it failed (None if it did not).  A failed
     input gives no signature and no rejection.
 
-    The input is opened once, by :func:`provsig.elf.open_file`.  In obj
-    mode an archive is read one member at a time
-    (:func:`provsig.elf.read_archive`); any other input is read section
-    by section (:func:`provsig.elf.read_elf`).
+    The input is opened once, by :func:`provsig.elf.open_file`, and read
+    by :func:`provsig.elf.read_elf`: in obj mode an archive's members,
+    as :func:`provsig.elf.read_archive` lists them, each at its offset.
     ``used_origins`` holds the origin names taken so far in this run.
     """
     warnings: list[str] = []  # relocations dropped or clamped, a bad .comment
@@ -170,26 +173,28 @@ def _sign_input(mode: str, input_path: str, used_origins: dict[str, int]
             if mode == "obj" and magic == elf.AR_MAGIC:
                 members = elf.read_archive(file)
                 origin = siggen.unique_name(os.path.basename(input_path), used_origins)
-                sigs, rejects = siggen.sign_archive(members, origin, warnings)
+                sigs, rejects = siggen.sign_archive(members, file, origin, warnings)
                 return sigs, rejects, warnings, None
             # a linker script (libc.so, libm.a) is not signed, and its
             # GROUP is not followed
             if not magic.startswith(elf.ELF_MAGIC):
                 return [], [siggen.Rejected("not an ELF object", input_path)], warnings, None
             image = elf.read_elf(file)
-        # an executable or shared library given to obj is skipped
-        # before it takes a name
-        if mode == "obj" and not image.is_relocatable:
-            return [], [siggen.Rejected("not a relocatable object", input_path)], warnings, None
-        origin = siggen.unique_name(os.path.basename(input_path), used_origins)
-        if mode == "obj":
-            sigs, rejects = siggen.sign_object(image, origin, warnings)
-        elif mode == "lib":
-            result = siggen.sign_shared_lib(image, origin)
-            sigs, rejects = (([], [siggen.Rejected(result.reason, input_path)])
-                             if isinstance(result, siggen.Rejected) else ([result], []))
-        else:  # comment
-            sigs, rejects = siggen.sign_comments(elf.parse_comment(image, warnings), origin), []
+            # an executable or shared library given to obj is skipped
+            # before it takes a name
+            if mode == "obj" and not image.is_relocatable:
+                skipped = siggen.Rejected("not a relocatable object", input_path)
+                return [], [skipped], warnings, None
+            origin = siggen.unique_name(os.path.basename(input_path), used_origins)
+            if mode == "obj":
+                sigs, rejects = siggen.sign_object(image, file, origin, warnings)
+            elif mode == "lib":
+                result = siggen.sign_shared_lib(image, file, origin)
+                sigs, rejects = (([], [siggen.Rejected(result.reason, input_path)])
+                                 if isinstance(result, siggen.Rejected) else ([result], []))
+            else:  # comment
+                sigs, rejects = siggen.sign_comments(elf.parse_comment(image, file, warnings),
+                                                     origin), []
     except OSError as exc:
         return [], [], warnings, f"cannot read {input_path}: {exc}"
     except (MalformedElf, UnsupportedElf, MalformedArchive) as exc:
@@ -290,10 +295,10 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
     this call to its :func:`_library_outcome`, so a library many targets
     need is read once.
 
-    The target's headers are read with no body
-    (:func:`provsig.elf.read_elf`), then only the bytes the report
-    uses, from the file kept open: ``.dynamic`` and the string table it
-    links, only when ``no_dynamic`` is false; each code section in
+    The target's headers are read (:func:`provsig.elf.read_elf`), then
+    only the bytes the report uses, from the file kept open:
+    ``.dynamic`` and the string table it links, only when
+    ``no_dynamic`` is false; each code section in
     windows (:func:`provsig.matcher.iter_windowed_matches`), so no more
     than a window and the text engine's overlap of it is held at once;
     and ``.comment`` whole."""
@@ -309,7 +314,7 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
             entry[1] += m.span
 
     with elf.open_file(target_path) as file:
-        image = elf.read_elf(file, bodies=False)
+        image = elf.read_elf(file)
         needed = () if no_dynamic else elf.dynamic_needed(image, file)
         engine, owners = text
         for section in elf.list_text_sections(image):
@@ -344,13 +349,13 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
 def _library_outcome(db: sigdb.Database, resolved: str,
                      labels) -> tuple[tuple[DynlibFinding, ...], str | None]:
     """What the library at ``resolved`` adds to a report: its findings,
-    or the warning that it cannot be read.  Its headers are read with no
-    body, then ``.gnu.version_d`` and its string table; its ``.text``
-    only if they name no known label, for the MD5 lookup."""
+    or the warning that it cannot be read.  Its headers are read, then
+    ``.gnu.version_d`` and its string table; its ``.text`` only if they
+    name no known label, for the MD5 lookup."""
     try:
         with elf.open_file(resolved) as file:
-            lib = elf.read_elf(file, bodies=False)
-            versions = symver.library_versions(lib, labels, file)
+            lib = elf.read_elf(file)
+            versions = symver.library_versions(lib, file, labels)
             if versions:
                 return tuple(DynlibFinding(library=resolved, method=METHOD_SYMVER,
                                            name=label, version=version)

@@ -4,30 +4,25 @@ Struct-based readers for the on-disk containers this toolkit consumes:
 ELF executables, shared libraries and relocatable objects (sections,
 ``.comment`` strings, dynamic-linking records), plus System V / GNU
 ``ar`` archives.  Every input file is opened by :func:`open_file`,
-without blocking and as a regular file only.  An ELF file is read from
-its open file by :func:`read_elf`, with ``pread``: its headers, its
-name table once (the names and that section's body are one read) and,
-unless the caller asks for none, each other section body once, so the
-file is never in memory whole beside its sections; :func:`parse_elf`
-makes the same walk over bytes already in memory (an archive member).
-``sigscan`` asks for no body: every header is still checked, and each
-:class:`Section` keeps its body's file offset and size, so
-:func:`read_body` reads a body, or a window of one, only when it is
-used: :mod:`provsig.cli` says which bodies those are, and a code
-section is read :data:`WINDOW` bytes (plus the scan's overlap) at a
-time.  ``siggen`` reads every body.  The walk reads sections and nothing else: no section body
-is decoded, ``.dynamic`` included.  The walk holds what it reads to the
-size of its input: the bodies it reads, or leaves to be read, may total
-no more than the input holds, since no byte of a well-formed file lies
-in two sections, and the section names, one per header, no more than
-:data:`STRING_BUDGET` times that size.  An archive is read from its
-open file by :func:`read_archive`: one walk over its headers with
-``pread``, then each member's body only when it is reached, so the
-archive is never in memory whole; its long names, like the section
-names, are read once per distinct offset and within the same budget.
-The section-header table is read in one pass, one
-``struct.iter_unpack`` over its bytes (entries wider than the native
-size are cut down to it first), and each :class:`Section` is built
+without blocking and as a regular file only.  Every ELF input, a lone
+file or an archive member at its offset, is read one way, with
+``pread``: :func:`read_elf` reads its headers and its name table and
+checks every header, and each :class:`Section` keeps its body's file
+offset and size, so :func:`read_body` reads a body, or a window of
+one, only when it is used.  A code section that ``sigscan`` scans or a
+library's ``.text`` is read :data:`WINDOW` bytes at a time; ``siggen``
+reads an object's code sections and their relocation tables, or its
+``.comment``.  The walk decodes no body, ``.dynamic`` included, and
+holds what it reads to the size of its input: the bodies it leaves to
+be read may total no more than the input holds, since no byte of a
+well-formed file lies in two sections, and the section names, one per
+header, no more than :data:`STRING_BUDGET` times that size.  An
+archive is read from its open file by :func:`read_archive`: one walk
+over its headers gives each member's name, offset and size; its long
+names, like the section names, are read once per distinct offset and
+within the same budget.  The section-header table is read in one pass,
+one ``struct.iter_unpack`` over its bytes (entries wider than the
+native size are cut down to it first), and each :class:`Section` is built
 without a Python-level constructor call.  A relocatable object's
 relocation tables are read in one pass (:func:`parse_relocations`),
 each tied to the code section its ``sh_info`` names and reduced to the
@@ -58,7 +53,7 @@ from bisect import bisect_right
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterator, NamedTuple
+from typing import BinaryIO, NamedTuple
 
 ELF_MAGIC = b"\x7fELF"
 AR_MAGIC = b"!<arch>\n"
@@ -104,6 +99,10 @@ class MalformedElf(ValueError):
     """The input is not a well-formed ELF file."""
 
 
+class NotElf(MalformedElf):
+    """The input does not start with the ELF magic."""
+
+
 class UnsupportedElf(ValueError):
     """Structurally valid ELF that this parser does not handle (big-endian, unknown class)."""
 
@@ -113,16 +112,13 @@ class MalformedArchive(ValueError):
 
 
 class Section(NamedTuple):
-    """One section: name, raw contents and the header fields we keep.
-
-    ``data`` is None for a body the walk did not read (:func:`read_elf`
-    with ``bodies=False``); :func:`read_body` reads it from ``offset``,
-    its ``size`` bytes.  A section without a body (``SHT_NULL``,
-    ``SHT_NOBITS`` or size 0) has ``data`` ``b""`` and ``size`` 0.
+    """One section: its name, the header fields we keep, and where its
+    body lies: ``size`` bytes from file offset ``offset``, read by
+    :func:`read_body`.  A section without a body (``SHT_NULL``,
+    ``SHT_NOBITS`` or size 0) has ``size`` 0.
     """
 
     name: str
-    data: bytes | None
     sh_type: int = 0
     sh_link: int = 0
     sh_info: int = 0
@@ -144,8 +140,13 @@ class ElfImage(NamedTuple):
 
 
 class ArchiveMember(NamedTuple):
+    """A member's name, the name its header gives (``raw_name``), and
+    where its body lies in the archive file."""
+
     name: str
-    data: bytes
+    raw_name: str
+    offset: int
+    size: int
 
 
 # How many bytes a relocation of a given type patches (a TLS descriptor
@@ -242,78 +243,35 @@ def read_strings(table: bytes, offsets, budget: int, terminator: str = "\0"
     return list(map(strings.__getitem__, offsets))
 
 
-def parse_elf(data: bytes) -> ElfImage:
-    """Parse the ELF file held in ``data`` into an :class:`ElfImage`.
+def read_elf(file: BinaryIO, start: int = 0, size: int | None = None) -> ElfImage:
+    """Parse the ELF file open as ``file`` (by :func:`open_file`), or the
+    ``size`` bytes of it from ``start`` (an archive member), into an
+    :class:`ElfImage`, reading with :func:`os.pread` its header, its
+    section-header table and its name table, and no body: each
+    :class:`Section` gives its body's file offset for :func:`read_body`.
 
-    Raises :class:`MalformedElf` on bad magic, truncated headers or
-    out-of-range string-table references; :class:`UnsupportedElf` for
-    big-endian files or an unknown ELF class, and
-    :class:`MalformedElf` when the section names, one per header, total
-    more than :data:`STRING_BUDGET` times the input or the bodies read
+    Raises :class:`NotElf` without the ELF magic, :class:`MalformedElf`
+    on truncated headers or out-of-range string-table references;
+    :class:`UnsupportedElf` for big-endian files or an unknown ELF class,
+    and :class:`MalformedElf` when the section names, one per header,
+    total more than :data:`STRING_BUDGET` times the input or the bodies
     more than the input.  The section checks run in one order: table
     geometry, name-table index and bounds, every name offset, the names'
     total, then each body in section order, its bounds before the
-    running total of bodies.  Each section's body is a copy of its
-    bytes in ``data``.
-    """
-    return _parse_elf(lambda offset, length: data[offset:offset + length], len(data), True)
+    running total of bodies.
 
-
-def read_elf(file: BinaryIO, bodies: bool = True) -> ElfImage:
-    """Parse the ELF file open as ``file`` (by :func:`open_file`), as
-    :func:`parse_elf` parses its bytes, reading with :func:`os.pread`:
-    the header, the section-header table, the name table and, if
-    ``bodies``, each other section body once each, so only the sections
-    are ever in memory, never the file whole.
-
-    Without ``bodies``, no body but the name table's is read: every
-    check still runs on every header, the running total of bodies
-    included, so a file fails with the line the full read fails with,
-    and each body is read later, if at all, by :func:`read_body`.
-
-    The file is sized once, by ``fstat``.  A read that comes back short
-    (the file shrank after that) raises the :class:`MalformedElf` that
-    the bounds check of that read raises.
+    A whole file is sized once, by ``fstat``.  A read that comes back
+    short (the file shrank after that) raises the :class:`MalformedElf`
+    that the bounds check of that read raises.
     """
     fd = file.fileno()
-    return _parse_elf(lambda offset, length: os.pread(fd, length, offset),
-                      os.fstat(fd).st_size, bodies)
-
-
-def read_body(file: BinaryIO | None, section: Section, start: int = 0,
-              length: int | None = None) -> bytes:
-    """``length`` bytes of ``section``'s body from ``start`` (all of them
-    from there by default): out of the body the walk read, or, if it
-    was left unread, read from ``file`` with :func:`os.pread`.
-
-    ``start`` and ``length`` must lie inside the body.  A read that
-    comes back short (the file shrank after the walk) raises the
-    :class:`MalformedElf` the walk raises for a body past the end of
-    the file.
-    """
-    if length is None:
-        length = section.size - start
-    if section.data is not None:
-        return section.data[start:start + length]
-    data = os.pread(file.fileno(), length, section.offset + start)
-    if len(data) != length:
-        raise MalformedElf(f"section {section.name!r} extends past end of file")
-    return data
-
-
-def _parse_elf(read_at, size: int, bodies: bool) -> ElfImage:
-    """The one walk of :func:`parse_elf` and :func:`read_elf` over an
-    ELF file of ``size`` bytes, whose ``length`` bytes at ``offset``
-    ``read_at(offset, length)`` returns (fewer where the file ends).
-    Each read is made only once the bounds check before it passes, and
-    a read that comes back short fails that check's message.  The name
-    table is read once: its section's body is the bytes its names were
-    read from.  Without ``bodies``, no other body is read."""
+    if size is None:
+        size = os.fstat(fd).st_size
     # the ELF64 header is 64 bytes and the ELF32 one 52; a shorter
-    # file reads short, and the checks below see only what it holds
-    header = read_at(0, 64)
+    # input reads short, and the checks below see only what it holds
+    header = os.pread(fd, min(64, size), start)
     if len(header) < 16 or header[:4] != ELF_MAGIC:
-        raise MalformedElf("bad ELF magic")
+        raise (NotElf if header[:4] != ELF_MAGIC else MalformedElf)("bad ELF magic")
     ei_class = header[4]
     ei_data = header[5]
     if ei_class not in (ELFCLASS32, ELFCLASS64):
@@ -338,7 +296,8 @@ def _parse_elf(read_at, size: int, bodies: bool) -> ElfImage:
         # extended numbering: section 0's sh_size holds the section
         # count, its sh_link the name-table index
         if (e_shentsize < native_shentsize or e_shoff + native_shentsize > size
-                or len(zero := read_at(e_shoff, native_shentsize)) != native_shentsize):
+                or len(zero := os.pread(fd, native_shentsize, start + e_shoff))
+                != native_shentsize):
             raise MalformedElf("truncated section header 0")
         _, _, _, count, link, _ = struct.unpack(fmt, zero)
         e_shnum = e_shnum or count
@@ -350,7 +309,7 @@ def _parse_elf(read_at, size: int, bodies: bool) -> ElfImage:
         raise MalformedElf("invalid section header table geometry")
     table_size = e_shnum * e_shentsize
     if (e_shoff + table_size > size
-            or len(table := read_at(e_shoff, table_size)) != table_size):
+            or len(table := os.pread(fd, table_size, start + e_shoff)) != table_size):
         raise MalformedElf("truncated section header table")
     if e_shentsize > native_shentsize:  # keep each entry's native fields
         table = b"".join(table[at:at + native_shentsize]
@@ -360,7 +319,8 @@ def _parse_elf(read_at, size: int, bodies: bool) -> ElfImage:
     if e_shstrndx >= len(headers):
         raise MalformedElf("section name string table index out of range")
     _, _, str_off, str_size, _, _ = headers[e_shstrndx]
-    if str_off + str_size > size or len(strtab := read_at(str_off, str_size)) != str_size:
+    if (str_off + str_size > size
+            or len(strtab := os.pread(fd, str_size, start + str_off)) != str_size):
         raise MalformedElf("section name string table out of bounds")
     name_offsets = [header[0] for header in headers]
     if max(name_offsets) > str_size:
@@ -373,33 +333,45 @@ def _parse_elf(read_at, size: int, bodies: bool) -> ElfImage:
     # built as Section._make builds them, without a Python-level call
     new = tuple.__new__
     sections: list[Section] = []
-    spent = 0  # the body bytes read, or left unread, so far
-    for index, (name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info)) in enumerate(
-            zip(names, headers)):
+    spent = 0  # the body bytes left to be read so far
+    for name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info) in zip(names, headers):
         # an SHT_NULL header has no section (section 0 may hold a count)
         if sh_type in (SHT_NULL, SHT_NOBITS) or sh_size == 0:
-            body, sh_size = b"", 0
+            sh_size = 0
         elif sh_offset + sh_size > size:
             raise MalformedElf(f"section {name!r} extends past end of file")
         elif (spent := spent + sh_size) > size:
             raise MalformedElf(f"section bodies through {name!r} total more than "
                                f"the input's {size} bytes")
-        elif index == e_shstrndx:
-            body = strtab
-        elif not bodies:
-            body = None
-        elif len(body := read_at(sh_offset, sh_size)) != sh_size:
-            raise MalformedElf(f"section {name!r} extends past end of file")
-        sections.append(new(Section, (name, body, sh_type, sh_link, sh_info,
-                                      sh_offset, sh_size)))
+        sections.append(new(Section, (name, sh_type, sh_link, sh_info,
+                                      start + sh_offset, sh_size)))
     return ElfImage("ELF64" if is64 else "ELF32", e_machine, tuple(sections), e_type == ET_REL)
 
 
-def dynamic_needed(image: ElfImage, file: BinaryIO | None = None) -> list[str]:
+def read_body(file: BinaryIO, section: Section, start: int = 0,
+              length: int | None = None) -> bytes:
+    """``length`` bytes of ``section``'s body from ``start`` (all of them
+    from there by default), read from ``file`` with :func:`os.pread`.
+
+    ``start`` and ``length`` must lie inside the body.  A read that
+    comes back short (the file shrank after the walk) raises the
+    :class:`MalformedElf` the walk raises for a body past the end of
+    the file.
+    """
+    if length is None:
+        length = section.size - start
+    if not length:  # nothing to read, at an offset that may be any number
+        return b""
+    data = os.pread(file.fileno(), length, section.offset + start)
+    if len(data) != length:
+        raise MalformedElf(f"section {section.name!r} extends past end of file")
+    return data
+
+
+def dynamic_needed(image: ElfImage, file: BinaryIO) -> list[str]:
     """The ``DT_NEEDED`` names of the first ``SHT_DYNAMIC`` section of
-    ``image``, in entry order; [] without one.  A body the walk left
-    unread is read from ``file`` (:func:`read_body`): the section's and
-    its string table's, and no other.
+    ``image``, in entry order; [] without one.  Two bodies are read from
+    ``file`` (:func:`read_body`): the section's and its string table's.
 
     The entries are read up to ``DT_NULL``, and one whose name offset
     lies outside the string table (:func:`linked_strtab`) is skipped.
@@ -431,11 +403,10 @@ def dynamic_needed(image: ElfImage, file: BinaryIO | None = None) -> list[str]:
 
 
 def linked_strtab(sections: list[Section] | tuple[Section, ...], section: Section,
-                  file: BinaryIO | None = None) -> bytes | None:
-    """The string table ``section`` links to: the one its ``sh_link``
-    names if that is ``SHT_STRTAB``, otherwise the first ``.dynstr``;
-    None if neither exists.  A body the walk left unread is read from
-    ``file`` (:func:`read_body`)."""
+                  file: BinaryIO) -> bytes | None:
+    """The string table ``section`` links to, read from ``file``: the
+    one its ``sh_link`` names if that is ``SHT_STRTAB``, otherwise the
+    first ``.dynstr``; None if neither exists."""
     link = section.sh_link
     if 0 < link < len(sections) and sections[link].sh_type == SHT_STRTAB:
         return read_body(file, sections[link])
@@ -462,16 +433,17 @@ def list_text_sections(image: ElfImage) -> list[Section]:
     return [s for s in image.sections if is_text_section(s)]
 
 
-def parse_relocations(image: ElfImage, warnings: list[str]) -> dict[int, tuple[list[int], bytes]]:
+def parse_relocations(image: ElfImage, file: BinaryIO,
+                      warnings: list[str]) -> dict[int, tuple[list[int], bytes]]:
     """The link-time-patched byte ranges of every code section, from one
-    pass over the object's relocation tables.
+    pass over the object's relocation tables, each read from ``file``.
 
     This is the one relocation contract of the package: per code-section
     index, ``(starts, lengths)``.  ``starts`` is a list of the
     relocation offsets in ascending order, ties in table order;
     ``lengths`` is a :class:`bytes` whose byte ``k`` is the mask length
     for ``starts[k]``, 1 to :data:`MAX_MASK_LEN`.  Every mask lies
-    inside the section (``starts[k] + lengths[k] <= len(section.data)``).
+    inside the section (``starts[k] + lengths[k] <= section.size``).
     :func:`provsig.siggen.build_pattern` bisects ``starts`` and relies
     on all of this.
 
@@ -505,18 +477,21 @@ def parse_relocations(image: ElfImage, warnings: list[str]) -> dict[int, tuple[l
     for index in sorted(tables):
         text, group = sections[index], tables[index]
         if len(group) == 1:
-            relocs[index] = _read_table(group[0], text, word, type_lengths, warnings)
+            relocs[index] = _read_table(read_body(file, group[0]), group[0], text, word,
+                                        type_lengths, warnings)
         else:
-            parts = [_read_table(table, text, word, type_lengths, warnings) for table in group]
+            parts = [_read_table(read_body(file, table), table, text, word, type_lengths,
+                                 warnings) for table in group]
             relocs[index] = _by_start([start for starts, _ in parts for start in starts],
                                       b"".join(lengths for _, lengths in parts))
     return relocs
 
 
-def _read_table(table: Section, text: Section, word: int, type_lengths: bytes,
+def _read_table(data: bytes, table: Section, text: Section, word: int, type_lengths: bytes,
                 warnings: list[str]) -> tuple[list[int], bytes]:
-    """One relocation table's ``(starts, lengths)`` for the code section
-    ``text``, as :func:`parse_relocations` returns them.
+    """The ``(starts, lengths)`` of relocation table ``table``, whose
+    body is ``data``, for the code section ``text``, as
+    :func:`parse_relocations` returns them.
 
     A record is ``r_offset``, ``r_info`` (and ``r_addend``), each
     ``word`` bytes; the type is the first byte (ELF32) or 4 bytes
@@ -527,13 +502,12 @@ def _read_table(table: Section, text: Section, word: int, type_lengths: bytes,
     :data:`MAX_MASK_LEN` bytes can have.
     """
     entsize = word * (3 if table.sh_type == SHT_RELA else 2)
-    data = table.data
     if len(data) % entsize:
         raise MalformedElf(f"truncated relocation records in {table.name}")
     lengths = data[word::entsize].translate(type_lengths)
     native = data if sys.byteorder == "little" else _swap_words(data, word)
     starts = memoryview(native).cast("Q" if word == 8 else "I")[::entsize // word].tolist()
-    limit = len(text.data)
+    limit = text.size
     # the 3 bytes of an ELF64 type that are not translated must be 0
     if 0 not in lengths and (word == 4 or data[9::entsize] == data[10::entsize]
                              == data[11::entsize] == bytes(len(lengths))):
@@ -583,63 +557,39 @@ def _swap_words(data: bytes, size: int) -> bytearray:
     return swapped
 
 
-def parse_comment(image: ElfImage, warnings: list[str]) -> list[str]:
-    """NUL-separated strings of the ``.comment`` section, empties dropped,
-    order and duplicates preserved, an unterminated tail kept with a
-    message appended to ``warnings``.  A missing section yields []."""
+def parse_comment(image: ElfImage, file: BinaryIO, warnings: list[str]) -> list[str]:
+    """NUL-separated strings of the ``.comment`` section, read from
+    ``file``, empties dropped, order and duplicates preserved, an
+    unterminated tail kept with a message appended to ``warnings``.  A
+    missing section yields []."""
     section = get_section(image, ".comment")
-    if section is None or not section.data:
+    if section is None or not section.size:
         return []
-    parts = section.data.split(b"\x00")
+    parts = read_body(file, section).split(b"\x00")
     if parts[-1]:
         warnings.append(".comment is not NUL-terminated; keeping trailing fragment")
     return [p.decode("latin-1") for p in parts if p]
 
 
-def read_archive(file: BinaryIO) -> Iterator[ArchiveMember]:
+def read_archive(file: BinaryIO) -> list[ArchiveMember]:
     """Members of the System V / GNU ar archive open as ``file``, in
-    archive order, read with :func:`os.pread`: the whole archive is
-    never in memory, only the member being read.
+    archive order, from one walk over its headers with :func:`os.pread`:
+    each member's body is left in the file, to be read by offset.
 
     The ``/`` symbol index is skipped and GNU ``//`` long names are
-    resolved, each distinct offset once; names that total more than
-    :data:`STRING_BUDGET` times the archive are refused.  BSD ``#1/``
-    names are rejected.  Member sizes and
-    long-name offsets must be ASCII digits.  The magic, every member
-    header and the ``//`` table are read and checked before this
-    returns; each member's body is read when the iterator reaches it,
-    and one that the file cuts short (it shrank after its size was
-    taken) raises ``truncated member data`` as a body past the end
-    does.
+    resolved; BSD ``#1/`` names are rejected.  Member sizes and
+    long-name offsets must be ASCII digits, and every body must lie
+    inside the file.  Long names are taken once the walk ends, by
+    :func:`read_strings` (each up to its newline): one object per
+    distinct offset, one forward pass over the ``//`` table, and no more
+    than :data:`STRING_BUDGET` times the archive's size in all, past
+    which :class:`MalformedArchive` is raised.
     """
     fd = file.fileno()
-    entries = _archive_entries(fd, os.fstat(fd).st_size)
-    return (ArchiveMember(name, _read_body(fd, raw_name, start, length))
-            for name, raw_name, start, length in entries)
-
-
-def _read_body(fd: int, raw_name: str, start: int, length: int) -> bytes:
-    """The ``length`` bytes of member ``raw_name`` at ``start``, all of them."""
-    body = os.pread(fd, length, start)
-    if len(body) != length:
-        raise MalformedArchive(f"truncated member data for {raw_name!r}")
-    return body
-
-
-def _archive_entries(fd: int, size: int) -> list[tuple[str, str, int, int]]:
-    """``(name, raw name, body offset, body size)`` of every member of
-    the archive of ``size`` bytes open as ``fd``, from one walk over its
-    headers: the checks of :func:`read_archive`, in archive order.
-
-    Long names are taken once the walk ends, by :func:`read_strings`
-    (each up to its newline): one object per distinct offset, one
-    forward pass over the ``//`` table, and no more than
-    :data:`STRING_BUDGET` times the archive's size in all, past which
-    :class:`MalformedArchive` is raised.
-    """
+    size = os.fstat(fd).st_size
     if os.pread(fd, len(AR_MAGIC), 0) != AR_MAGIC:
         raise MalformedArchive("bad archive magic")
-    entries: list[tuple[str, str, int, int]] = []
+    entries: list[ArchiveMember] = []
     longnames: bytes | None = None
     # (the // table, offset into it, entry index) of each long name, in
     # archive order: a later // table serves only the members after it
@@ -658,15 +608,14 @@ def _archive_entries(fd: int, size: int) -> list[tuple[str, str, int, int]]:
                                    "is not a non-negative decimal number")
         length = int(size_field)
         body_start = pos + 60
-        if body_start + length > size:
+        if body_start + length > size or raw_name == "//" and len(
+                longnames := os.pread(fd, length, body_start)) != length:
             raise MalformedArchive(f"truncated member data for {raw_name!r}")
 
         if raw_name.startswith("#1/"):
             raise MalformedArchive("BSD-style long names are not supported")
-        if raw_name == "//":
-            longnames = _read_body(fd, raw_name, body_start, length)
-        elif raw_name in ("/", "/SYM64/", ""):
-            pass  # symbol index
+        if raw_name in ("/", "/SYM64/", "", "//"):
+            pass  # symbol index, or the long names read above
         elif raw_name.startswith("/"):
             ref = raw_name[1:]
             if not (ref.isascii() and ref.isdigit()):  # no sign, space or "_"
@@ -675,9 +624,9 @@ def _archive_entries(fd: int, size: int) -> list[tuple[str, str, int, int]]:
             if longnames is None or name_off >= len(longnames):
                 raise MalformedArchive(f"unresolvable long-name offset {name_off}")
             refs.append((longnames, name_off, len(entries)))
-            entries.append(("", raw_name, body_start, length))
+            entries.append(ArchiveMember("", raw_name, body_start, length))
         else:
-            entries.append((raw_name.rstrip("/"), raw_name, body_start, length))
+            entries.append(ArchiveMember(raw_name.rstrip("/"), raw_name, body_start, length))
 
         pos = body_start + length
         if length % 2:
@@ -692,5 +641,16 @@ def _archive_entries(fd: int, size: int) -> list[tuple[str, str, int, int]]:
         budget -= sum(map(len, names))
         stripped = {name: name.rstrip("/") for name in set(names)}  # once per distinct name
         for (_, _, index), name in zip(group, names):
-            entries[index] = (stripped[name],) + entries[index][1:]
+            entries[index] = entries[index]._replace(name=stripped[name])
     return entries
+
+
+def check_members(file: BinaryIO, members: list[ArchiveMember]) -> None:
+    """Raise the :class:`MalformedArchive` of a body past the end of the
+    file for the first of ``members``, as :func:`read_archive` gave
+    them, whose body the file, sized again, no longer holds: the archive
+    was cut after its headers were read.  An empty body is always held."""
+    size = os.fstat(file.fileno()).st_size
+    for member in members:
+        if member.size and member.offset + member.size > size:
+            raise MalformedArchive(f"truncated member data for {member.raw_name!r}")

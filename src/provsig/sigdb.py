@@ -47,7 +47,7 @@ import math
 import os
 import re
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from provsig import elf
 from provsig.elf import ElfImage
@@ -300,11 +300,10 @@ def parse_pattern_text(text: str) -> HexPattern:
     return _parse_canonical("".join(parts))
 
 
-def text_md5_key(image: ElfImage, file=None) -> tuple[str, int] | None:
+def text_md5_key(image: ElfImage, file: BinaryIO) -> tuple[str, int] | None:
     """A shared library's identity key: the MD5 hex digest and the size
-    of its first .text section, or None when it has none.  A body the
-    walk left unread is read from ``file``
-    (:func:`provsig.elf.read_body`) and hashed
+    of its first .text section, or None when it has none.  The section
+    is read from ``file`` (:func:`provsig.elf.read_body`) and hashed
     :data:`provsig.elf.WINDOW` bytes at a time, so no more than that
     is held.
 

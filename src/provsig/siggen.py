@@ -23,7 +23,7 @@ joined by exact-length gaps so the overall layout is preserved.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from provsig import elf
 from provsig.elf import ArchiveMember, ElfImage
@@ -137,25 +137,27 @@ def build_pattern(data: bytes, relocs: tuple[list[int], bytes]) -> HexPattern | 
 _NO_RELOCS = ([], b"")  # a section no relocation table patches
 
 
-def sign_object(image: ElfImage, origin_name: str,
+def sign_object(image: ElfImage, file: BinaryIO, origin_name: str,
                 warnings: list[str]) -> tuple[list[Signature], list[Rejected]]:
     """One text-target signature per usable text section of an object,
     named ``<origin>:<section>``; a section name that repeats in the
-    object is numbered as :func:`unique_name` numbers it.
+    object is numbered as :func:`unique_name` numbers it.  Its code
+    sections and their relocation tables are read from ``file``, one at
+    a time, and no other body.
 
     Returns the signatures and a rejection per section too short or
     unanchorable; relocation warnings are appended to ``warnings``.
     """
     signatures: list[Signature] = []
     rejections: list[Rejected] = []
-    relocs = elf.parse_relocations(image, warnings)
+    relocs = elf.parse_relocations(image, file, warnings)
     seen_names: dict[str, int] = {}
     new = tuple.__new__  # builds a Signature as Signature._make does
     for index, section in enumerate(image.sections):
         if not elf.is_text_section(section):
             continue
         name = f"{origin_name}:{unique_name(section.name, seen_names)}"
-        result = build_pattern(section.data, relocs.get(index, _NO_RELOCS))
+        result = build_pattern(elf.read_body(file, section), relocs.get(index, _NO_RELOCS))
         if isinstance(result, Rejected):
             rejections.append(Rejected(result.reason, name))
         else:
@@ -163,35 +165,39 @@ def sign_object(image: ElfImage, origin_name: str,
     return signatures, rejections
 
 
-def sign_archive(members: Iterable[ArchiveMember], origin_name: str,
+def sign_archive(members: list[ArchiveMember], file: BinaryIO, origin_name: str,
                  warnings: list[str]) -> tuple[list[Signature], list[Rejected]]:
-    """sign_object over every archive member that is a relocatable ELF.
+    """sign_object over every archive member that is a relocatable ELF,
+    each read from ``file`` at its offset, as
+    :func:`provsig.elf.read_archive` gave them.
 
-    ``members`` is read once, in order, so it may be an iterator that
-    reads each member as it is reached (:func:`provsig.elf.read_archive`).
     Non-ELF members (linker scripts and the like) are skipped with a
     report, as are members whose headers or relocation tables fail to
-    parse.
+    parse.  A file cut after its headers were read fails the archive
+    once its members are read, as its header walk would have
+    (:func:`provsig.elf.check_members`), whether a member read failed on
+    the cut or not.
     """
     signatures: list[Signature] = []
     reports: list[Rejected] = []
     seen_names: dict[str, int] = {}
     for member in members:
         origin = f"{origin_name}/{unique_name(member.name, seen_names)}"
-        if not member.data.startswith(elf.ELF_MAGIC):
-            reports.append(Rejected("not an ELF object", origin))
-            continue
         try:
-            image = elf.parse_elf(member.data)
+            image = elf.read_elf(file, member.offset, member.size)
             if not image.is_relocatable:
                 reports.append(Rejected("not a relocatable object", origin))
                 continue
-            sigs, rejects = sign_object(image, origin, warnings)
+            sigs, rejects = sign_object(image, file, origin, warnings)
+        except elf.NotElf:
+            reports.append(Rejected("not an ELF object", origin))
+            continue
         except (elf.MalformedElf, elf.UnsupportedElf) as exc:
             reports.append(Rejected(f"unparseable: {exc}", origin))
             continue
         signatures.extend(sigs)
         reports.extend(rejects)
+    elf.check_members(file, members)
     return signatures, reports
 
 
@@ -210,10 +216,11 @@ def unique_name(name: str, seen: dict[str, int]) -> str:
     return unique
 
 
-def sign_shared_lib(image: ElfImage, origin_name: str) -> Signature | Rejected:
+def sign_shared_lib(image: ElfImage, file: BinaryIO, origin_name: str) -> Signature | Rejected:
     """MD5 record of a shared library: its :func:`~provsig.sigdb.text_md5_key`,
-    or a :data:`NO_TEXT` rejection when it has no .text section."""
-    key = text_md5_key(image)
+    its ``.text`` read from ``file``, or a :data:`NO_TEXT` rejection when
+    it has no .text section."""
+    key = text_md5_key(image, file)
     if key is None:
         return Rejected(NO_TEXT)
     digest, text_size = key

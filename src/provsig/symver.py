@@ -13,6 +13,7 @@ Version components compare numerically, so 2.10 ranks above 2.9.
 from __future__ import annotations
 
 import struct
+from typing import BinaryIO
 
 from provsig import elf
 from provsig.elf import ElfImage
@@ -32,12 +33,11 @@ class MalformedVerdef(ValueError):
     """Version-definition records that cannot be walked safely."""
 
 
-def parse_verdef(image: ElfImage, file=None) -> list[str]:
+def parse_verdef(image: ElfImage, file: BinaryIO) -> list[str]:
     """The version names the .gnu.version_d chain defines, in chain
     order, without the base (file) name; [] when the section is absent.
-    A body the walk left unread is read from ``file``
-    (:func:`provsig.elf.read_body`): the section's and its string
-    table's, and no other.
+    Two bodies are read from ``file`` (:func:`provsig.elf.read_body`):
+    the section's and its string table's.
 
     Iteration is bounded by the declared entry count (section sh_info,
     falling back to a size-derived cap).  No visited set is kept: the
@@ -87,11 +87,11 @@ def parse_verdef(image: ElfImage, file=None) -> list[str]:
     return names
 
 
-def library_versions(image: ElfImage, known_labels=DEFAULT_LABELS,
-                     file=None) -> list[tuple[str, str]]:
+def library_versions(image: ElfImage, file: BinaryIO,
+                     known_labels=DEFAULT_LABELS) -> list[tuple[str, str]]:
     """``(label, version)`` of the highest defined version per known
-    label, in known-label order; the names are read by
-    :func:`parse_verdef`, bodies the walk left unread from ``file``.
+    label, in known-label order; the names are read from ``file`` by
+    :func:`parse_verdef`.
 
     A name counts if the part before its last ``_`` is a known label
     and the part after is ASCII-digit components joined by dots: names

@@ -1,4 +1,4 @@
-"""Per-header reference for :func:`provsig.elf.parse_elf`.
+"""Per-header reference for :func:`provsig.elf.read_elf`, over bytes.
 
 The program reads the section-header table in one ``struct.iter_unpack``
 pass, after cutting entries wider than the native size down to it, and
@@ -11,7 +11,9 @@ offset, the names' total against :data:`~provsig.elf.STRING_BUDGET`
 times the input, then each body in section order, its bounds before
 the running total of bodies against the input), so on any input they
 return equal images or raise the same exception class with the same
-message.
+message.  The reference reads a body as a slice of its input
+(:func:`read_bytes`), the program from its file by
+:func:`provsig.elf.read_body`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from provsig.elf import (
     STRING_BUDGET,
     ElfImage,
     MalformedElf,
+    NotElf,
     Section,
     UnsupportedElf,
 )
@@ -45,9 +48,10 @@ def read_cstr(buf: bytes, offset: int) -> bytes:
 
 
 def parse_elf(data: bytes) -> ElfImage:
-    """:func:`provsig.elf.parse_elf`, one section header at a time."""
+    """:func:`provsig.elf.read_elf` of a file that holds ``data``, one
+    section header at a time."""
     if len(data) < 16 or data[:4] != ELF_MAGIC:
-        raise MalformedElf("bad ELF magic")
+        raise (MalformedElf if data[:4] == ELF_MAGIC else NotElf)("bad ELF magic")
     ei_class = data[4]
     ei_data = data[5]
     if ei_class not in (ELFCLASS32, ELFCLASS64):
@@ -110,7 +114,7 @@ def parse_elf(data: bytes) -> ElfImage:
     for name, (_n, sh_type, sh_offset, sh_size, sh_link, sh_info) in zip(names, headers):
         # an SHT_NULL header has no section (section 0 may hold a count)
         if sh_type in (SHT_NULL, SHT_NOBITS) or sh_size == 0:
-            body, sh_size = b"", 0
+            sh_size = 0
         else:
             if sh_offset + sh_size > len(data):
                 raise MalformedElf(f"section {name!r} extends past end of file")
@@ -118,8 +122,7 @@ def parse_elf(data: bytes) -> ElfImage:
             if read > len(data):
                 raise MalformedElf(f"section bodies through {name!r} total more than "
                                    f"the input's {len(data)} bytes")
-            body = data[sh_offset:sh_offset + sh_size]
-        sections.append(Section(name=name, data=body, sh_type=sh_type, sh_link=sh_link,
+        sections.append(Section(name=name, sh_type=sh_type, sh_link=sh_link,
                                 sh_info=sh_info, offset=sh_offset, size=sh_size))
 
     return ElfImage(
@@ -128,3 +131,10 @@ def parse_elf(data: bytes) -> ElfImage:
         sections=tuple(sections),
         is_relocatable=e_type == ET_REL,
     )
+
+
+def read_bytes(data: bytes) -> tuple[ElfImage, list[bytes]]:
+    """:func:`parse_elf`'s image of ``data`` and each section's body,
+    sliced out of ``data``."""
+    image = parse_elf(data)
+    return image, [data[s.offset:s.offset + s.size] for s in image.sections]

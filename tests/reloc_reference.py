@@ -7,7 +7,8 @@ every section of the object for the tables named ``.rel<name>`` and
 ``.rela<name>`` and unpacks their entries one at a time.  Symbol names
 are left out; nothing reads them.  The two agree on objects whose
 section names are unique and whose tables' ``sh_info`` fields name
-the section their names do.
+the section their names do.  The reference reads the object from its
+bytes, by the per-header reference :mod:`elf_reference`.
 
 Warnings are appended to a list of messages, as the program appends
 them, so a test can compare the two lists.
@@ -28,18 +29,20 @@ from provsig.elf import (
     list_text_sections,
 )
 
+import elf_reference
 
-def section_relocations(image: ElfImage, text_name: str,
+
+def section_relocations(data: bytes, image: ElfImage, text_name: str,
                         warnings: list[str]) -> list[tuple[int, int]]:
     """``(offset, mask_len)`` pairs patching the first section named
-    ``text_name``, sorted by offset (ties in table order); appends each
-    warning to ``warnings``."""
+    ``text_name`` of ``image``, the image of ``data``, sorted by offset
+    (ties in table order); appends each warning to ``warnings``."""
     if not image.is_relocatable:
         raise ValueError("relocation parsing requires a relocatable object")
     target = next((s for s in image.sections if s.name == text_name), None)
     if target is None:
         return []
-    limit = len(target.data)
+    limit = target.size
     table = _MASK_TABLES.get(image.machine, {})
     is64 = image.elf_class == "ELF64"
 
@@ -55,10 +58,11 @@ def section_relocations(image: ElfImage, text_name: str,
             entsize, fmt = (24, "<QQq") if with_addend else (16, "<QQ")
         else:
             entsize, fmt = (12, "<IIi") if with_addend else (8, "<II")
-        if len(rsec.data) % entsize:
+        body = data[rsec.offset:rsec.offset + rsec.size]
+        if len(body) % entsize:
             raise MalformedElf(f"truncated relocation records in {rsec.name}")
-        for off in range(0, len(rsec.data), entsize):
-            fields = struct.unpack_from(fmt, rsec.data, off)
+        for off in range(0, len(body), entsize):
+            fields = struct.unpack_from(fmt, body, off)
             r_offset, r_info = fields[0], fields[1]
             reloc_type = r_info & 0xFFFFFFFF if is64 else r_info & 0xFF
             if reloc_type == 0:
@@ -81,8 +85,9 @@ def section_relocations(image: ElfImage, text_name: str,
     return pairs
 
 
-def object_relocations(image: ElfImage, warnings: list[str]
-                       ) -> dict[str, list[tuple[int, int]]]:
-    """:func:`section_relocations` for every code section, in file order."""
-    return {section.name: section_relocations(image, section.name, warnings)
+def object_relocations(data: bytes, warnings: list[str]) -> dict[str, list[tuple[int, int]]]:
+    """:func:`section_relocations` for every code section of the object
+    ``data`` holds, in file order."""
+    image = elf_reference.parse_elf(data)
+    return {section.name: section_relocations(data, image, section.name, warnings)
             for section in list_text_sections(image)}

@@ -22,7 +22,7 @@ from provsig.cli import (
     siggen_main,
     sigscan_main,
 )
-from provsig.elf import get_section, parse_elf
+from provsig.elf import get_section
 from provsig.sigdb import (
     TARGET_TEXT,
     HexPattern,
@@ -36,6 +36,7 @@ from provsig.sigdb import (
 from provsig.siggen import build_pattern, sign_shared_lib
 from provsig.symver import library_versions
 
+from elfbytes import read_image, read_with
 from elfwriter import (
     R_X86_64_64,
     R_X86_64_PC32,
@@ -306,9 +307,9 @@ def test_c4_end_to_end_plant_and_detect(tmp_path):
 def test_c5_symbol_versioning_highest():
     start = time.perf_counter()
     chain = [f"GLIBC_2.{minor}" for minor in range(11)]
-    image = parse_elf(build_shared_lib(versions=chain, base_name="libc.so.6"))
+    blob = build_shared_lib(versions=chain, base_name="libc.so.6")
     # ordering is numeric, not textual: "2.9" > "2.10" as text
-    assert library_versions(image, ["GLIBC"]) == [("GLIBC", "2.10")]
+    assert read_with(blob, library_versions, ["GLIBC"]) == [("GLIBC", "2.10")]
     took = _elapsed(start)
     assert took < 1.0
     print(f"criterion 5 (symbol versioning, GLIBC 2.10): PASS [{took:.2f}s]")
@@ -326,7 +327,7 @@ def test_c6_prelink_resilient_checksum():
     layout = build_shared_lib_layout(
         text=text, versions=["GLIBC_2.4"], needed=["libm.so.6"],
         comment=b"vendor 1.0\x00", soname="libsample.so.1")
-    baseline = sign_shared_lib(parse_elf(layout.data), "libsample.so.1")
+    baseline = read_with(layout.data, sign_shared_lib, "libsample.so.1")
 
     keep = set()
     for off, size in layout.protected:
@@ -340,11 +341,11 @@ def test_c6_prelink_resilient_checksum():
             mutated[i] ^= 0xFF
             flipped += 1
     assert flipped > 0
-    assert sign_shared_lib(parse_elf(bytes(mutated)), "libsample.so.1") == baseline
+    assert read_with(bytes(mutated), sign_shared_lib, "libsample.so.1") == baseline
 
     poked = bytearray(layout.data)
     poked[text_off + 17] ^= 0x01
-    changed = sign_shared_lib(parse_elf(bytes(poked)), "libsample.so.1")
+    changed = read_with(bytes(poked), sign_shared_lib, "libsample.so.1")
     assert changed.digest != baseline.digest
     took = _elapsed(start)
     assert took < 1.0
@@ -452,8 +453,8 @@ def test_c9_stripped_binary_equivalence(tmp_path):
                                       with_symtab=True))
     stripped.write_bytes(build_executable(bytes(planted), comment=comment,
                                           with_symtab=False))
-    assert get_section(parse_elf(full.read_bytes()), ".symtab") is not None
-    assert get_section(parse_elf(stripped.read_bytes()), ".symtab") is None
+    assert get_section(read_image(full.read_bytes()), ".symtab") is not None
+    assert get_section(read_image(stripped.read_bytes()), ".symtab") is None
 
     import io
     from contextlib import redirect_stdout

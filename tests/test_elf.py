@@ -9,7 +9,6 @@ import shutil
 import string
 import struct
 import subprocess
-import tempfile
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provsig import elf, matcher, sigdb, symver
+from provsig import elf, matcher, sigdb, siggen, symver
 from provsig.elf import (
     MalformedArchive,
     MalformedElf,
@@ -27,12 +26,12 @@ from provsig.elf import (
     linked_strtab,
     list_text_sections,
     parse_comment,
-    parse_elf,
     parse_relocations,
 )
 
 import elf_reference
 import reloc_reference
+from elfbytes import body, bytes_file, opened, read_bytes, read_image, read_with
 from elfwriter import (
     EM_386,
     EM_X86_64,
@@ -70,38 +69,46 @@ CALL_STUB_TEXT = bytes.fromhex(
 CALL_STUB_RELOC_OFFSET = 0x0E
 
 
+def _named_bodies(data: bytes) -> list[tuple[str, bytes]]:
+    """Each section's name and body, read from a file that holds ``data``."""
+    image, bodies = read_bytes(data)
+    return [(section.name, contents) for section, contents in zip(image.sections, bodies)]
+
+
 def test_magic_accepted_and_rejected():
-    image = parse_elf(build_elf([Sec(".text", b"\x90" * 4)]))
+    image = read_image(build_elf([Sec(".text", b"\x90" * 4)]))
     assert image.elf_class == "ELF64"
-    with pytest.raises(MalformedElf):
-        parse_elf(b"\x4d\x5a" + b"\x00" * 62)
-    with pytest.raises(MalformedElf):
-        parse_elf(b"")
+    with pytest.raises(elf.NotElf):
+        read_image(b"\x4d\x5a" + b"\x00" * 62)
+    with pytest.raises(elf.NotElf):
+        read_image(b"")
+    with pytest.raises(MalformedElf, match="bad ELF magic") as raised:
+        read_image(elf.ELF_MAGIC + b"\x02\x01")
+    assert not isinstance(raised.value, elf.NotElf)
 
 
 def test_big_endian_and_unknown_class_rejected():
     data = bytearray(build_elf([Sec(".text", b"\x90" * 4)]))
     data[5] = 2  # big-endian
     with pytest.raises(UnsupportedElf):
-        parse_elf(bytes(data))
+        read_image(bytes(data))
     data[5] = 1
     data[4] = 9  # nonsense class
     with pytest.raises(UnsupportedElf):
-        parse_elf(bytes(data))
+        read_image(bytes(data))
 
 
 def test_zero_sections():
-    import struct
     header = struct.pack("<4sBBBBB7xHHIQQQIHHHHHH", b"\x7fELF", 2, 1, 1, 0, 0,
                          1, 62, 1, 0, 0, 0, 0, 64, 0, 0, 64, 0, 0)
-    image = parse_elf(header)
+    image = read_image(header)
     assert image.sections == ()
 
 
 def test_truncated_section_table():
     data = build_elf([Sec(".text", b"\x90" * 4)])
     with pytest.raises(MalformedElf):
-        parse_elf(data[:-10])
+        read_image(data[:-10])
 
 
 # -- extended section numbering ----------------------------------------------------
@@ -126,12 +133,10 @@ def _with_field(data: bytes, spot: tuple[int, int], value: int) -> bytes:
 def test_extended_section_numbering_read_from_section_zero(bits):
     secs = [Sec(".text", CALL_STUB_TEXT), Sec(".comment", b"GCC: x\x00"),
             Sec(".text.f", b"\x90" * 24)]
-    plain = parse_elf(build_elf(secs, bits=bits))
-    image = parse_elf(build_elf(secs, bits=bits, extended=True))
-    assert [(s.name, s.data) for s in image.sections] == \
-        [(s.name, s.data) for s in plain.sections]
-    assert [s.name for s in list_text_sections(image)] == [".text", ".text.f"]
-    assert parse_comment(image, []) == ["GCC: x"]
+    blob = build_elf(secs, bits=bits, extended=True)
+    assert _named_bodies(blob) == _named_bodies(build_elf(secs, bits=bits))
+    assert [s.name for s in list_text_sections(read_image(blob))] == [".text", ".text.f"]
+    assert read_with(blob, parse_comment, []) == ["GCC: x"]
 
 
 @pytest.mark.parametrize("bits", [64, 32])
@@ -140,7 +145,7 @@ def test_extended_section_count_past_the_file_raises_at_once(bits):
     huge = _with_field(data, _section_zero_fields(data, bits)["sh_size"], (1 << bits) - 1)
     start = time.perf_counter()
     with pytest.raises(MalformedElf, match="truncated section header table"):
-        parse_elf(huge)
+        read_image(huge)
     assert time.perf_counter() - start < 1.0
 
 
@@ -149,7 +154,7 @@ def test_extended_name_table_index_out_of_range(bits):
     data = build_elf([Sec(".text", b"\x90" * 4)], bits=bits, extended=True)
     bad = _with_field(data, _section_zero_fields(data, bits)["sh_link"], 3)
     with pytest.raises(MalformedElf, match="string table index out of range"):
-        parse_elf(bad)
+        read_image(bad)
 
 
 @pytest.mark.parametrize("shoff_back", [10, 1])
@@ -157,7 +162,7 @@ def test_extended_numbering_section_zero_past_the_file(shoff_back):
     data = build_elf([Sec(".text", b"\x90" * 4)], extended=True)
     moved = _with_field(data, (0x28, 8), len(data) - shoff_back)
     with pytest.raises(MalformedElf, match="truncated section header 0"):
-        parse_elf(moved)
+        read_image(moved)
 
 
 @pytest.mark.skipif(shutil.which("as") is None, reason="as not installed")
@@ -168,70 +173,67 @@ def test_extended_numbering_of_an_assembled_object(tmp_path):
                               for i in range(count)))
     subprocess.run(["as", "-o", str(tmp_path / "many.o"), str(source)],
                    check=True, capture_output=True)
-    data = (tmp_path / "many.o").read_bytes()
-    assert struct.unpack_from("<HH", data, 0x3C) == (0, 0xFFFF)
-    texts = list_text_sections(parse_elf(data))
-    assert [s.name for s in texts] == [".text"] + [f".text.f{i}" for i in range(count)]
-    assert {s.data for s in texts[1:]} == {b"\xc3"}
+    assert struct.unpack_from("<HH", (tmp_path / "many.o").read_bytes(), 0x3C) == (0, 0xFFFF)
+    with elf.open_file(tmp_path / "many.o") as file:
+        texts = list_text_sections(elf.read_elf(file))
+        assert [s.name for s in texts] == [".text"] + [f".text.f{i}" for i in range(count)]
+        assert {elf.read_body(file, s) for s in texts[1:]} == {b"\xc3"}
 
 
 def test_shared_lib_sections_all_retrievable():
     data = build_shared_lib(text=b"\xcc" * 24, comment=b"vendor\x00",
                             versions=["GLIBC_2.0"])
-    image = parse_elf(data)
+    image = read_image(data)
     for name in (".text", ".comment", ".dynamic", ".gnu.version_d"):
         section = get_section(image, name)
         assert section is not None, name
-    assert get_section(image, ".text").data == b"\xcc" * 24
+    assert body(data, ".text") == b"\xcc" * 24
     assert not image.is_relocatable
 
 
 def test_get_section_missing_is_none():
-    image = parse_elf(build_elf([Sec(".text", b"\x90" * 24)]))
+    image = read_image(build_elf([Sec(".text", b"\x90" * 24)]))
     assert get_section(image, ".missing") is None
 
 
 def test_dynamic_needed_empty_without_dynamic_section():
-    image = parse_elf(build_elf([Sec(".text", b"\x90" * 24)]))
-    assert elf.dynamic_needed(image) == []
-    linked = parse_elf(build_executable(b"\x90" * 8, needed=["libm.so.6", "libc.so.6"]))
-    assert elf.dynamic_needed(linked) == ["libm.so.6", "libc.so.6"]
+    assert read_with(build_elf([Sec(".text", b"\x90" * 24)]), elf.dynamic_needed) == []
+    linked = build_executable(b"\x90" * 8, needed=["libm.so.6", "libc.so.6"])
+    assert read_with(linked, elf.dynamic_needed) == ["libm.so.6", "libc.so.6"]
 
 
 def test_linked_strtab_takes_a_linked_string_table_else_dynstr():
     # sections: 1 .text, 2 .dynstr, 3 .strtab, 4 .dynamic
     secs = [Sec(".text", b"\x90" * 8), Sec(".dynstr", b"\x00dyn\x00", sh_type=SHT_STRTAB),
             Sec(".strtab", b"\x00own\x00", sh_type=SHT_STRTAB)]
-    image = parse_elf(build_elf(secs + [Sec(".dynamic", b"", sh_type=SHT_DYNAMIC)]))
-    dynamic = get_section(image, ".dynamic")
-    for link, want in [(3, b"\x00own\x00"), (2, b"\x00dyn\x00"), (1, b"\x00dyn\x00"),
-                       (0, b"\x00dyn\x00"), (99, b"\x00dyn\x00")]:
-        assert linked_strtab(image.sections, dynamic._replace(sh_link=link)) == want
-    no_dynstr = parse_elf(build_elf([secs[0], secs[2]]))
-    assert linked_strtab(no_dynstr.sections, dynamic._replace(sh_link=1)) is None
-    assert linked_strtab(no_dynstr.sections, dynamic._replace(sh_link=2)) == \
-        b"\x00own\x00"
+    with opened(build_elf(secs + [Sec(".dynamic", b"", sh_type=SHT_DYNAMIC)])) as (file, image):
+        dynamic = get_section(image, ".dynamic")
+        for link, want in [(3, b"\x00own\x00"), (2, b"\x00dyn\x00"), (1, b"\x00dyn\x00"),
+                           (0, b"\x00dyn\x00"), (99, b"\x00dyn\x00")]:
+            assert linked_strtab(image.sections, dynamic._replace(sh_link=link), file) == want
+    with opened(build_elf([secs[0], secs[2]])) as (file, no_dynstr):
+        assert linked_strtab(no_dynstr.sections, dynamic._replace(sh_link=1), file) is None
+        assert linked_strtab(no_dynstr.sections, dynamic._replace(sh_link=2), file) == \
+            b"\x00own\x00"
 
 
 def test_dynamic_needed_link_to_a_section_that_is_not_a_string_table_reads_dynstr():
     dynstr = b"\x00libc.so.6\x00"
     dyn = struct.pack("<qQ", 1, 1) + struct.pack("<qQ", 0, 0)  # DT_NEEDED, DT_NULL
     for link in (".dynstr", ".text"):
-        image = parse_elf(build_elf([Sec(".text", b"\x90" * 8),
-                                     Sec(".dynstr", dynstr, sh_type=SHT_STRTAB),
-                                     Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, link=link)]))
-        assert elf.dynamic_needed(image) == ["libc.so.6"]
+        blob = build_elf([Sec(".text", b"\x90" * 8), Sec(".dynstr", dynstr, sh_type=SHT_STRTAB),
+                          Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, link=link)])
+        assert read_with(blob, elf.dynamic_needed) == ["libc.so.6"]
 
 
 def test_dynamic_needed_past_the_budget_raises_and_the_walk_reads_none():
-    blob = build_shared_needed(4096, 64)
-    image = parse_elf(blob)  # the walk decodes no .dynamic
-    with pytest.raises(MalformedElf, match=re.escape(
-            f"DT_NEEDED names total more than {elf.STRING_BUDGET} times "
-            "their 4098-byte string table")):
-        elf.dynamic_needed(image)
+    with opened(build_shared_needed(4096, 64)) as (file, image):  # the walk decodes no .dynamic
+        with pytest.raises(MalformedElf, match=re.escape(
+                f"DT_NEEDED names total more than {elf.STRING_BUDGET} times "
+                "their 4098-byte string table")):
+            elf.dynamic_needed(image, file)
     # the same name twice is within the budget, and is one object
-    twice = elf.dynamic_needed(parse_elf(build_shared_needed(4096, 2)))
+    twice = read_with(build_shared_needed(4096, 2), elf.dynamic_needed)
     assert twice == ["l" * 4096] * 2 and twice[0] is twice[1]
 
 
@@ -239,40 +241,38 @@ def test_dynamic_needed_skips_offsets_past_the_table_and_stops_at_dt_null():
     dynstr = b"\x00libc.so.6\x00"
     dyn = b"".join(struct.pack("<qQ", tag, value)
                    for tag, value in [(1, 99), (1, 1), (1, len(dynstr)), (0, 0), (1, 1)])
-    image = parse_elf(build_elf([Sec(".dynstr", dynstr, sh_type=SHT_STRTAB),
-                                 Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, link=".dynstr")]))
-    assert elf.dynamic_needed(image) == ["libc.so.6"]
+    blob = build_elf([Sec(".dynstr", dynstr, sh_type=SHT_STRTAB),
+                      Sec(".dynamic", dyn, sh_type=SHT_DYNAMIC, link=".dynstr")])
+    assert read_with(blob, elf.dynamic_needed) == ["libc.so.6"]
 
 
 def test_comment_survives_symtab_removal():
     stripped = build_executable(b"\x90" * 32, comment=b"CC 1.0\x00",
                                 with_symtab=False)
-    image = parse_elf(stripped)
+    image = read_image(stripped)
     assert get_section(image, ".comment") is not None
     assert get_section(image, ".symtab") is None
 
 
 def test_duplicate_section_names_first_wins_and_index_access():
     data = build_elf([Sec(".text", b"\xaa" * 8), Sec(".text", b"\xbb" * 8)])
-    image = parse_elf(data)
-    assert get_section(image, ".text").data == b"\xaa" * 8
-    bodies = [s.data for s in image.sections if s.name == ".text"]
+    assert body(data, ".text") == b"\xaa" * 8
+    bodies = [contents for name, contents in _named_bodies(data) if name == ".text"]
     assert bodies == [b"\xaa" * 8, b"\xbb" * 8]
 
 
 def test_nobits_section_has_no_bytes():
     data = build_elf([Sec(".bss", sh_type=SHT_NOBITS, nobits_size=128),
                       Sec(".text", b"\x90" * 16)])
-    image = parse_elf(data)
-    assert get_section(image, ".bss").data == b""
+    assert body(data, ".bss") == b""
 
 
 def test_round_trip_section_names_sizes_bytes():
     specs = [(".text", b"\x11" * 5), (".data", b"\x22" * 9),
              (".comment", b"x\x00"), (".note.weird", b"")]
-    image = parse_elf(build_elf([Sec(n, d) for n, d in specs]))
-    recovered = [(s.name, s.data) for s in image.sections
-                 if s.name not in ("", ".shstrtab")]
+    recovered = [(name, contents) for name, contents in
+                 _named_bodies(build_elf([Sec(n, d) for n, d in specs]))
+                 if name not in ("", ".shstrtab")]
     assert recovered == specs
 
 
@@ -283,22 +283,23 @@ def test_round_trip_section_names_sizes_bytes():
     min_size=0, max_size=8))
 def test_round_trip_property(specs):
     names = [f".s{i}.{name}" for i, (name, _) in enumerate(specs)]
-    image = parse_elf(build_elf([Sec(n, d) for n, (_, d) in zip(names, specs)]))
-    got = [(s.name, s.data) for s in image.sections if s.name not in ("", ".shstrtab")]
+    got = [(name, contents) for name, contents in
+           _named_bodies(build_elf([Sec(n, d) for n, (_, d) in zip(names, specs)]))
+           if name not in ("", ".shstrtab")]
     assert got == [(n, d) for n, (_, d) in zip(names, specs)]
 
 
 def test_list_text_sections_order_and_filter():
     data = build_elf([Sec(".text.foo", b"\x90" * 4), Sec(".data", b"\x00" * 4),
                       Sec(".text.bar", b"\x90" * 4), Sec(".textual", b"\x90" * 4)])
-    image = parse_elf(data)
+    image = read_image(data)
     assert [s.name for s in list_text_sections(image)] == [".text.foo", ".text.bar"]
 
 
 def test_list_text_sections_single_and_empty():
-    single = parse_elf(build_elf([Sec(".text", b"\x90" * 4)]))
+    single = read_image(build_elf([Sec(".text", b"\x90" * 4)]))
     assert [s.name for s in list_text_sections(single)] == [".text"]
-    none = parse_elf(build_elf([Sec(".data", b"\x00" * 4)]))
+    none = read_image(build_elf([Sec(".data", b"\x00" * 4)]))
     assert list_text_sections(none) == []
 
 
@@ -315,7 +316,7 @@ def _text_relocs(data: bytes) -> tuple[list[tuple[int, int]], list[str]]:
     """The (offset, mask_len) pairs of an object's first section, .text,
     and the warnings read with them."""
     warnings: list[str] = []
-    return _pairs(parse_relocations(parse_elf(data), warnings).get(1, ([], b""))), warnings
+    return _pairs(read_with(data, parse_relocations, warnings).get(1, ([], b""))), warnings
 
 
 def _entries(bits: int, rela: bool, entries) -> bytes:
@@ -329,12 +330,11 @@ def _entries(bits: int, rela: bool, entries) -> bytes:
 def test_call_stub_relocation():
     data = build_object(CALL_STUB_TEXT,
                         {".text": [(CALL_STUB_RELOC_OFFSET, R_X86_64_PC32, "malloc")]})
-    assert parse_relocations(parse_elf(data), []) == {1: ([0x0E], b"\x04")}
+    assert read_with(data, parse_relocations, []) == {1: ([0x0E], b"\x04")}
 
 
 def test_no_relocation_sections():
-    image = parse_elf(build_object(b"\x90" * 32))
-    assert parse_relocations(image, []) == {}
+    assert read_with(build_object(b"\x90" * 32), parse_relocations, []) == {}
 
 
 def test_unknown_reloc_type_masks_eight_with_warning(capsys):
@@ -404,9 +404,8 @@ def test_reloc_masks_inside_section_property():
 
 
 def test_relocations_require_relocatable():
-    image = parse_elf(build_executable(b"\x90" * 16))
     with pytest.raises(ValueError):
-        parse_relocations(image, [])
+        read_with(build_executable(b"\x90" * 16), parse_relocations, [])
 
 
 def test_reloc_warnings_by_section_then_table_order():
@@ -416,7 +415,7 @@ def test_reloc_warnings_by_section_then_table_order():
                          ".text.f": [(1, 0x55, "u"), (38, R_X86_64_PC32, "v")]},
                         extra=[Sec(".rel.text", rel, sh_type=SHT_REL, info=1)])
     warnings: list[str] = []
-    relocs = parse_relocations(parse_elf(data), warnings)
+    relocs = read_with(data, parse_relocations, warnings)
     assert relocs == {1: ([70, 76, 77], bytes([8, 4, 3])), 2: ([1, 38], bytes([8, 2]))}
     assert warnings == [
         "relocation mask at 0x4c clamped to section end of .text",
@@ -434,7 +433,7 @@ def test_relocation_table_bound_by_sh_info_not_name():
         Sec(".text", bytes(48)), Sec(".text", bytes(48)),
         Sec(".rela.text", _entries(64, True, [(4, R_X86_64_PC32)]), sh_type=SHT_RELA, info=1),
         Sec(".rela.text", _entries(64, True, [(40, R_X86_64_PC32)]), sh_type=SHT_RELA, info=2)])
-    assert parse_relocations(parse_elf(data), []) == {1: ([4], b"\x04"), 2: ([40], b"\x04")}
+    assert read_with(data, parse_relocations, []) == {1: ([4], b"\x04"), 2: ([40], b"\x04")}
 
 
 @pytest.mark.parametrize("info", [0, 5, 6, 7, 8, 0xFFFFFFFF])
@@ -444,9 +443,9 @@ def test_relocation_table_naming_no_code_section_not_read(info):
     data = build_object(b"\x90" * 32, {".text": [(4, R_X86_64_PC32, "f")]},
                         extra=[Sec(".data", bytes(8)),
                                Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=info)])
-    image = parse_elf(data)
+    image = read_image(data)
     assert [s.name for s in image.sections[5:]] == [".data", ".rela.text", ".shstrtab"]
-    assert parse_relocations(image, []) == {1: ([4], b"\x04")}
+    assert read_with(data, parse_relocations, []) == {1: ([4], b"\x04")}
 
 
 _TEXT_NAMES = [".text", ".text.a", ".text.main", ".text.b"]
@@ -457,7 +456,7 @@ _RELOC_TYPES = {64: [0, *_KNOWN_TYPES[64], 99, 0x102, 0x7FFF],
 
 @st.composite
 def _relocatable_images(draw):
-    """An object with unique section names: 1-4 code sections of 0-80
+    """The bytes of an object with unique section names: 1-4 code sections of 0-80
     bytes with relocations of known, unknown and none types that may lie
     past the section or run over its end.  Half the objects instead have
     tables as compilers write them: in offset order, of types the
@@ -488,22 +487,21 @@ def _relocatable_images(draw):
         extra += [Sec(".data", bytes(16)),
                   Sec(".rela.data", _entries(bits, True, draw(entries)), sh_type=SHT_RELA,
                       info=data_index)]
-    image = parse_elf(build_object(texts, relocs, bits=bits, machine=machine, rela=rela,
-                                   extra=extra))
-    tables = [i for i, s in enumerate(image.sections) if s.sh_type in (SHT_REL, SHT_RELA)]
+    blob = build_object(texts, relocs, bits=bits, machine=machine, rela=rela, extra=extra)
+    sections = read_image(blob).sections
+    tables = [i for i, s in enumerate(sections) if s.sh_type in (SHT_REL, SHT_RELA)]
     if tables and draw(st.booleans()):
+        # three bytes longer, into what follows it (the name table at
+        # least): no longer a whole number of records
         cut = draw(st.sampled_from(tables))
-        sections = list(image.sections)
-        sections[cut] = sections[cut]._replace(data=sections[cut].data + bytes(3))
-        image = image._replace(sections=tuple(sections))
-    return image
+        blob = _with_header_field(blob, cut, "sh_size", sections[cut].size + 3)
+    return blob
 
 
 def _one_table(entries, size=32, **kwargs):
     """An object whose one .text of ``size`` bytes has one table of
     (offset, type) entries."""
-    return parse_elf(build_object(bytes(size), {".text": [(o, t, "s") for o, t in entries]},
-                                  **kwargs))
+    return build_object(bytes(size), {".text": [(o, t, "s") for o, t in entries]}, **kwargs)
 
 
 # Tables for the cases the C-level passes tell apart, and for the order
@@ -530,35 +528,32 @@ _TABLES = [
     _one_table([(28, 0x7FFF), (4, R_X86_64_PC32)]),
     # an entry past the end in the first table, then a truncated second
     # table: the warning comes before the MalformedElf
-    parse_elf(build_object(bytes(32), {".text": [(4, R_X86_64_PC32, "s"),
-                                                 (40, R_X86_64_PC32, "s")]},
-                           extra=[Sec(".rel.text", _entries(64, False, [(8, R_X86_64_PC32)])
-                                      + bytes(3), sh_type=SHT_REL, info=1)])),
+    build_object(bytes(32), {".text": [(4, R_X86_64_PC32, "s"), (40, R_X86_64_PC32, "s")]},
+                 extra=[Sec(".rel.text", _entries(64, False, [(8, R_X86_64_PC32)]) + bytes(3),
+                            sh_type=SHT_REL, info=1)]),
     # a .rela and a .rel table of one section, each in order, whose
     # offsets interleave and tie at 12: the tie stays in table order
-    parse_elf(build_object(bytes(48), {".text": [(4, R_X86_64_PC32, "s"),
-                                                 (12, R_X86_64_64, "s"),
-                                                 (20, R_X86_64_PC32, "s")]},
-                           extra=[Sec(".rel.text",
-                                      _entries(64, False, [(8, R_X86_64_PC32),
-                                                           (12, R_X86_64_PC32),
-                                                           (24, R_X86_64_64)]),
-                                      sh_type=SHT_REL, info=1)])),
+    build_object(bytes(48), {".text": [(4, R_X86_64_PC32, "s"), (12, R_X86_64_64, "s"),
+                                       (20, R_X86_64_PC32, "s")]},
+                 extra=[Sec(".rel.text", _entries(64, False, [(8, R_X86_64_PC32),
+                                                              (12, R_X86_64_PC32),
+                                                              (24, R_X86_64_64)]),
+                            sh_type=SHT_REL, info=1)]),
 ]
 
 
 def _with_tables(test):
-    for image in _TABLES:
-        test = example(image)(test)
+    for blob in _TABLES:
+        test = example(blob)(test)
     return test
 
 
-def _read(image):
-    """parse_relocations' result, or the MalformedElf it raised, with
-    the warnings it appended."""
+def _read(blob: bytes):
+    """parse_relocations' result over the object ``blob`` holds, or the
+    MalformedElf it raised, with the warnings it appended."""
     warnings: list[str] = []
     try:
-        got = parse_relocations(image, warnings)
+        got = read_with(blob, parse_relocations, warnings)
     except MalformedElf as exc:
         got = exc
     return got, warnings
@@ -567,19 +562,19 @@ def _read(image):
 @settings(max_examples=300, deadline=None)
 @given(_relocatable_images())
 @_with_tables
-def test_one_pass_reader_agrees_with_per_section_reference(image):
+def test_one_pass_reader_agrees_with_per_section_reference(blob):
     want_warnings: list[str] = []
     try:
-        want = reloc_reference.object_relocations(image, want_warnings)
+        want = reloc_reference.object_relocations(blob, want_warnings)
     except MalformedElf as exc:
         want = exc
-    got, warnings = _read(image)
+    got, warnings = _read(blob)
     assert warnings == want_warnings
     if isinstance(want, MalformedElf):
         assert isinstance(got, MalformedElf) and str(got) == str(want)
         return
     assert isinstance(got, dict)
-    for index, section in enumerate(image.sections):
+    for index, section in enumerate(read_image(blob).sections):
         if section.name in want:
             assert _pairs(got.pop(index, ([], b""))) == want[section.name]
     assert got == {}
@@ -588,22 +583,23 @@ def test_one_pass_reader_agrees_with_per_section_reference(image):
 @settings(max_examples=300, deadline=None)
 @given(_relocatable_images())
 @_with_tables
-def test_relocation_pairs_keep_the_contract_build_pattern_relies_on(image):
+def test_relocation_pairs_keep_the_contract_build_pattern_relies_on(blob):
     # per code section: starts a list in ascending order, lengths one
     # byte per start, each mask 1..MAX_MASK_LEN bytes and inside the
     # section
-    relocs, _ = _read(image)
+    relocs, _ = _read(blob)
     if isinstance(relocs, MalformedElf):
         return
+    sections = read_image(blob).sections
     for index, (starts, lengths) in relocs.items():
-        section = image.sections[index]
+        section = sections[index]
         assert elf.is_text_section(section)
         assert isinstance(starts, list) and isinstance(lengths, bytes)
         assert len(starts) == len(lengths)
         assert starts == sorted(starts)
         for offset, mask_len in zip(starts, lengths):
             assert 1 <= mask_len <= elf.MAX_MASK_LEN
-            assert offset + mask_len <= len(section.data)
+            assert offset + mask_len <= section.size
 
 
 def test_mask_tables_stay_within_the_largest_mask():
@@ -633,24 +629,24 @@ def test_byte_swap_turns_little_endian_words_big_endian(size, code, values):
 def test_comment_single_vendor_string():
     data = build_elf([Sec(".comment",
                           b"GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)\x00")])
-    assert parse_comment(parse_elf(data), []) == [
+    assert read_with(data, parse_comment, []) == [
         "GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)"]
 
 
 def test_comment_empty_strings_elided():
     data = build_elf([Sec(".comment", b"\x00\x00a\x00")])
-    assert parse_comment(parse_elf(data), []) == ["a"]
+    assert read_with(data, parse_comment, []) == ["a"]
 
 
 def test_comment_unterminated_tail_kept_and_flagged():
     data = build_elf([Sec(".comment", b"one\x00two")])
     warnings: list[str] = []
-    assert parse_comment(parse_elf(data), warnings) == ["one", "two"]
+    assert read_with(data, parse_comment, warnings) == ["one", "two"]
     assert warnings == [".comment is not NUL-terminated; keeping trailing fragment"]
 
 
 def test_comment_absent_gives_empty():
-    assert parse_comment(parse_elf(build_elf([Sec(".text", b"\x90")])), []) == []
+    assert read_with(build_elf([Sec(".text", b"\x90")]), parse_comment, []) == []
 
 
 @settings(max_examples=100)
@@ -660,7 +656,7 @@ def test_comment_absent_gives_empty():
 def test_comment_split_round_trip(strings):
     body = b"".join(s.encode("latin-1") + b"\x00" for s in strings)
     data = build_elf([Sec(".comment", body)])
-    assert parse_comment(parse_elf(data), []) == strings
+    assert read_with(data, parse_comment, []) == strings
 
 
 @pytest.mark.skipif(shutil.which("readelf") is None, reason="readelf not installed")
@@ -673,7 +669,7 @@ def test_comment_agrees_with_readelf(tmp_path):
                             capture_output=True, text=True, check=True).stdout
     listed = [line.split("]", 1)[1].strip()
               for line in output.splitlines() if "]" in line]
-    assert listed == parse_comment(parse_elf(data), [])
+    assert listed == read_with(data, parse_comment, [])
 
 
 # -- archives ---------------------------------------------------------------
@@ -681,16 +677,18 @@ def test_comment_agrees_with_readelf(tmp_path):
 def _read_archive_bytes(data: bytes) -> list[elf.ArchiveMember]:
     """The members :func:`provsig.elf.read_archive` reads from a file
     that holds ``data``."""
-    with tempfile.TemporaryFile() as file:
-        file.write(data)
-        file.flush()
-        return list(elf.read_archive(file))
+    with bytes_file(data) as file:
+        return elf.read_archive(file)
+
+
+def _member_bodies(data: bytes) -> list[tuple[str, bytes]]:
+    """Each member's name and the bytes of ``data`` where it says its body lies."""
+    return [(m.name, data[m.offset:m.offset + m.size]) for m in _read_archive_bytes(data)]
 
 
 def test_archive_names_including_long_names():
     members = [("a.o", b"object-a"), ("verylongobjectfilename.o", b"object-b")]
-    parsed = _read_archive_bytes(build_archive(members))
-    assert [(m.name, m.data) for m in parsed] == members
+    assert _member_bodies(build_archive(members)) == members
 
 
 def test_archive_empty():
@@ -704,8 +702,7 @@ def test_archive_bad_magic():
 
 def test_archive_odd_size_padding():
     members = [("odd.o", b"12345"), ("next.o", b"678")]
-    parsed = _read_archive_bytes(build_archive(members))
-    assert [(m.name, m.data) for m in parsed] == members
+    assert _member_bodies(build_archive(members)) == members
 
 
 def test_archive_symbol_index_skipped():
@@ -757,8 +754,10 @@ def _long_name_archive(ref: str) -> bytes:
 
 
 def test_archive_long_name_offset_resolved():
-    assert _read_archive_bytes(_long_name_archive("/26")) == \
-        [elf.ArchiveMember("second_long_member_name.o", b"xy")]
+    blob = _long_name_archive("/26")
+    assert _read_archive_bytes(blob) == \
+        [elf.ArchiveMember("second_long_member_name.o", "/26", len(blob) - 2, 2)]
+    assert _member_bodies(blob) == [("second_long_member_name.o", b"xy")]
 
 
 @pytest.mark.parametrize("ref", [
@@ -823,10 +822,9 @@ def test_archive_agrees_with_system_ar(tmp_path):
                    capture_output=True)
     listed = subprocess.run(["ar", "t", str(archive)], check=True,
                             capture_output=True, text=True).stdout.split()
-    with elf.open_file(archive) as file:
-        parsed = list(elf.read_archive(file))
-    assert [m.name for m in parsed] == listed
-    assert {m.name: m.data for m in parsed} == contents
+    parsed = _member_bodies(archive.read_bytes())
+    assert [name for name, _ in parsed] == listed
+    assert dict(parsed) == contents
 
 
 # -- mutation fuzzing ------------------------------------------------------------
@@ -852,10 +850,10 @@ _ELF_FIELDS = [elf_fields(seed) for seed in _ELF_SEEDS]
 
 
 def _parse_elf_and_sections(blob: bytes) -> None:
-    image = parse_elf(blob)
-    parse_comment(image, [])
-    if image.is_relocatable:
-        parse_relocations(image, [])
+    with opened(blob) as (file, image):
+        parse_comment(image, file, [])
+        if image.is_relocatable:
+            parse_relocations(image, file, [])
 
 
 @settings(max_examples=200, deadline=None)
@@ -902,25 +900,25 @@ def test_section_headers_wider_than_native_read_as_native_ones(bits, extended):
     secs = [Sec(".text", CALL_STUB_TEXT), Sec(".comment", b"GCC: x\x00"),
             Sec(".bss", sh_type=SHT_NOBITS, nobits_size=32)]
     native = 64 if bits == 64 else 40
-    plain = parse_elf(build_elf(secs, bits=bits, extended=extended))
+    plain = read_image(build_elf(secs, bits=bits, extended=extended))
     for shentsize in (native + 1, native + 24):
-        assert parse_elf(build_elf(secs, bits=bits, extended=extended,
+        assert read_image(build_elf(secs, bits=bits, extended=extended,
                                    shentsize=shentsize)) == plain
 
 
 def test_name_running_to_the_name_table_end_needs_no_nul():
-    assert [s.name for s in parse_elf(_NAMED_TO_END).sections] == ["", ".text", ".shstrtab"]
+    assert [s.name for s in read_image(_NAMED_TO_END).sections] == ["", ".text", ".shstrtab"]
 
 
 def test_nobits_section_offset_past_the_file_is_not_read():
-    assert get_section(parse_elf(_BSS_PAST_END), ".bss").data == b""
+    assert body(_BSS_PAST_END, ".bss") == b""
 
 
 def test_name_offset_error_comes_before_a_body_past_the_file():
     with pytest.raises(MalformedElf, match="section name offset out of range"):
-        parse_elf(_BOTH_PAST_END)
+        read_image(_BOTH_PAST_END)
     with pytest.raises(MalformedElf, match="section '.text' extends past end of file"):
-        parse_elf(_BODY_PAST_END)
+        read_image(_BODY_PAST_END)
 
 
 # -- what the walk holds is bounded by its input --------------------------------
@@ -935,8 +933,6 @@ _SHARED_NAME = build_shared_name(16 << 10, 256, ET_EXEC)
 
 def test_bodies_past_the_input_are_refused_before_they_are_read(tmp_path, monkeypatch):
     want = f"section bodies through '.text' total more than the input's {len(_OVERLAPPING)} bytes"
-    with pytest.raises(MalformedElf, match=re.escape(want)):
-        parse_elf(_OVERLAPPING)
     path = tmp_path / "overlapping"
     path.write_bytes(_OVERLAPPING)
     pread = os.pread
@@ -949,37 +945,36 @@ def test_bodies_past_the_input_are_refused_before_they_are_read(tmp_path, monkey
     monkeypatch.setattr(os, "pread", counting)
     with pytest.raises(MalformedElf, match=re.escape(want)):
         _read_elf_at(path)
-    # the header, the table, the name table, then bodies up to the
-    # input's size: two of the 256
-    assert len(read) == 3 + 2 and sum(read[3:]) <= len(_OVERLAPPING)
+    # the header, the table and the name table: the walk reads no body
+    assert len(read) == 3
 
 
 def test_sections_that_fill_the_input_exactly_read():
     # a body plus the headers, name table and padding: every byte counted once
     blob = build_elf([Sec(".text", b"\x90" * 64)])
-    image = parse_elf(blob)
-    assert sum(len(s.data) for s in image.sections) < len(blob)
+    assert sum(s.size for s in read_image(blob).sections) < len(blob)
     whole = _with_header_field(blob, 1, "sh_offset", 0)
     whole = _with_header_field(whole, 1, "sh_size", len(blob) - len(b"\0.text\0.shstrtab\0"))
-    assert sum(len(s.data) for s in parse_elf(whole).sections) == len(blob)
+    assert sum(s.size for s in read_image(whole).sections) == len(blob)
     one_more = _with_header_field(whole, 1, "sh_size", len(blob) - len(b"\0.text\0.shstrtab\0") + 1)
     with pytest.raises(MalformedElf, match="section bodies through '.shstrtab' total more"):
-        parse_elf(one_more)
+        read_image(one_more)
 
 
 def test_section_names_past_the_budget_are_refused():
     with pytest.raises(MalformedElf, match=re.escape(
             f"section names total more than {elf.STRING_BUDGET} times "
             f"the input's {len(_SHARED_NAME)} bytes")):
-        parse_elf(_SHARED_NAME)
+        read_image(_SHARED_NAME)
 
 
 def test_thousands_of_sections_named_at_one_offset_read_with_one_name():
     # clang -fno-unique-section-names: every code section is ".text"
     count = 4000
-    image = parse_elf(build_elf([Sec(".text", bytes([k % 256])) for k in range(count)]))
+    image, bodies = read_bytes(build_elf([Sec(".text", bytes([k % 256])) for k in range(count)]))
     texts = list_text_sections(image)
-    assert [s.data for s in texts] == [bytes([k % 256]) for k in range(count)]
+    assert [contents for s, contents in zip(image.sections, bodies) if s in texts] == \
+        [bytes([k % 256]) for k in range(count)]
     assert len({id(s.name) for s in texts}) == 1
 
 
@@ -1048,16 +1043,18 @@ def _written_images(draw):
 @example(_NAMED_TO_END)
 @example(_BSS_PAST_END)
 @example(_BOTH_PAST_END)
+@example(_BODY_PAST_END)
 @example(_OVERLAPPING)
 @example(_SHARED_NAME)
 def test_one_pass_section_reader_agrees_with_per_header_reference(blob):
-    assert _parsed(parse_elf, blob) == _parsed(elf_reference.parse_elf, blob)
+    # the image, and each body read from the file as the reference slices it
+    assert _parsed(read_bytes, blob) == _parsed(elf_reference.read_bytes, blob)
 
 
 # -- the ELF file read section by section -----------------------------------------
-# elf.read_elf makes parse_elf's walk over a file with pread: it reads
-# what parse_elf reads from the file's bytes, and a read that comes back
-# short fails that read's bounds check.
+# elf.read_elf reads the headers with pread and no body, and a read that
+# comes back short fails that read's bounds check.  An archive member is
+# read at its offset, within its size, as the same bytes alone are read.
 
 @pytest.fixture(scope="module")
 def elf_path(tmp_path_factory):
@@ -1069,48 +1066,43 @@ def _read_elf_at(path) -> elf.ElfImage:
         return elf.read_elf(file)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(_seed_mutants(), _written_images()))
-@example(_WIDE)
-@example(_NAMED_TO_END)
-@example(_BSS_PAST_END)
-@example(_BOTH_PAST_END)
-@example(_BODY_PAST_END)
-def test_file_reader_reads_a_mutant_as_the_bytes_reader_does(elf_path, blob):
-    elf_path.write_bytes(blob)
-    parse_within_a_second(_read_elf_at, elf_path, (MalformedElf, UnsupportedElf))
-    assert _parsed(_read_elf_at, elf_path) == _parsed(parse_elf, blob)
-
-
 def _used(image: elf.ElfImage, file) -> tuple:
-    """What sigscan reads of an image, bodies the walk left unread read
-    from ``file``: its sections' bodies, its DT_NEEDED names, its
-    version names and its .text key, each the exception it raises."""
-    def read_all(image):
-        return [section._replace(data=elf.read_body(file, section)) for section in image.sections]
+    """What sigscan and siggen read of an image from ``file``: its
+    sections' bodies, its DT_NEEDED names, its version names, its .text
+    key and its signatures with their warnings, each the exception it
+    raises."""
+    def signed(image):
+        warnings: list[str] = []
+        return siggen.sign_object(image, file, "m.o", warnings), warnings
     return tuple(_parsed(read, image) for read in (
-        read_all, lambda image: elf.dynamic_needed(image, file),
+        lambda image: [elf.read_body(file, section) for section in image.sections],
+        lambda image: elf.dynamic_needed(image, file),
         lambda image: symver.parse_verdef(image, file),
-        lambda image: sigdb.text_md5_key(image, file)))
+        lambda image: sigdb.text_md5_key(image, file),
+        signed))
+
+
+# an archive member's header before it, and bytes after it that a read
+# past its end would take
+_BEFORE, _AFTER = b"!<arch>\n" + b"m" * 60, b"\x7fELF" + bytes(range(256)) * 4
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_seed_mutants(), _written_images()))
 @example(_BODY_PAST_END)
 @example(_OVERLAPPING)
-def test_a_mutant_read_with_bodies_deferred_fails_or_reads_as_the_full_read(elf_path, blob):
-    elf_path.write_bytes(blob)
-    full = _parsed(_read_elf_at, elf_path)
+def test_a_mutant_read_at_an_offset_reads_as_the_file_alone(elf_path, blob):
+    elf_path.write_bytes(_BEFORE + blob + _AFTER)
+    alone = _parsed(read_image, blob)
     with elf.open_file(elf_path) as file:
-        deferred = _parsed(lambda file: elf.read_elf(file, bodies=False), file)
-        if not isinstance(full, elf.ElfImage):
-            assert deferred == full
+        member = _parsed(lambda file: elf.read_elf(file, len(_BEFORE), len(blob)), file)
+        if not isinstance(alone, elf.ElfImage):
+            assert member == alone
             return
-        assert [s._replace(data=None) for s in deferred.sections] == \
-            [s._replace(data=None) for s in full.sections]
-        assert all(s.data is None or s.data == f.data
-                   for s, f in zip(deferred.sections, full.sections))
-        assert _used(deferred, file) == _used(full, None)
+        assert member._replace(sections=()) == alone._replace(sections=())
+        assert member.sections == tuple(section._replace(offset=section.offset + len(_BEFORE))
+                                        for section in alone.sections)
+        assert _used(member, file) == read_with(blob, _used)
 
 
 @pytest.mark.parametrize("seed", range(len(_ELF_SEEDS)))
@@ -1118,7 +1110,7 @@ def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch,
     blob = _ELF_SEEDS[seed]
     path = tmp_path / "seed"
     path.write_bytes(blob)
-    image = parse_elf(blob)
+    image = read_image(blob)
     pread = os.pread
     reads = []
     cut, short = len(blob), None
@@ -1131,17 +1123,14 @@ def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch,
 
     monkeypatch.setattr(os, "pread", stub_pread)
     assert _read_elf_at(path) == image
-    # the header, section 0 under extended numbering, the table, the name
-    # table and each other body, in that order: the name table is read once
+    # the header, section 0 under extended numbering, the table and the
+    # name table, in that order, and no body
     names = get_section(image, ".shstrtab")
-    bodies = [f"section {s.name!r} extends past end of file" for s in image.sections
-              if s.data and s is not names]
-    extended = len(reads) - 3 - len(bodies)
+    extended = len(reads) - 3
     assert extended in (0, 1)
-    assert reads.count((names.offset, names.size)) == 1
+    assert reads[-1] == (names.offset, names.size)
     messages = (["truncated section header 0"] * extended
-                + ["truncated section header table", "section name string table out of bounds"]
-                + bodies)
+                + ["truncated section header table", "section name string table out of bounds"])
     ends = [offset + length for offset, length in reads[1:]]
     header = 64 if image.elf_class == "ELF64" else 52
     # one read alone short; an ELF32 header read short of 64 bytes still holds all 52
@@ -1154,29 +1143,27 @@ def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch,
     short = None
     for cut in range(len(blob)):
         if cut < 16:
-            want = (MalformedElf, "bad ELF magic")
+            want = (elf.NotElf if cut < len(elf.ELF_MAGIC) else MalformedElf, "bad ELF magic")
         elif cut < header:
             want = (MalformedElf, "truncated ELF header")
         else:
             want = next(((MalformedElf, message) for message, end in zip(messages, ends)
                          if end > cut), image)
         assert _parsed(_read_elf_at, path) == want
-    # bodies left unread: the walk reads none of them, and a file that
-    # shrinks after it fails the body read, or the window of a code
-    # section, that the cut reaches, with that section's line
+    # a file that shrinks after the walk fails the body read, or the
+    # window of a code section, that the cut reaches, with that
+    # section's line
     monkeypatch.setattr(elf, "WINDOW", 4)
     engine = matcher.compile([])
     for index, section in enumerate(image.sections):
-        if not section.data or section is names:
-            continue
         for shrunk in range(section.offset, section.offset + section.size):
             cut = len(blob)
             reads.clear()
             with elf.open_file(path) as file:
-                deferred = elf.read_elf(file, bodies=False)
+                walked = elf.read_elf(file)
                 assert len(reads) == 3 + extended
                 cut = shrunk
-                read = functools.partial(elf.read_body, file, deferred.sections[index])
+                read = functools.partial(elf.read_body, file, walked.sections[index])
                 with pytest.raises(MalformedElf, match=re.escape(
                         f"section {section.name!r} extends past end of file")):
                     if elf.is_text_section(section):
@@ -1203,67 +1190,3 @@ def test_archive_mutations_raise_only_declared_errors(data):
     blob = mutate(_AR_SEED, _AR_FIELDS, data)
     parse_within_a_second(_read_archive_bytes, blob, MalformedArchive)
 
-
-# -- the archive read from a file ------------------------------------------------
-# elf.read_archive reads the headers with pread and each body when it is
-# reached: an uncut file reads whole or fails at its headers, and a file
-# cut after its headers were read reads up to the cut.
-
-@pytest.fixture(scope="module")
-def archive_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("archive") / "mutant.a"
-
-
-@st.composite
-def _ar_mutants(draw) -> bytes:
-    return mutate(_AR_SEED, _AR_FIELDS, SimpleNamespace(draw=draw))
-
-
-def _read_outcome(read) -> tuple[list[tuple[str, bytes]], str | None]:
-    """The (name, data) pairs of the members ``read()`` gives, up to the
-    MalformedArchive it raises, and that error's message (None if none)."""
-    got = []
-    try:
-        for member in read():
-            got.append(tuple(member))
-    except MalformedArchive as exc:
-        return got, str(exc)
-    return got, None
-
-
-def _cut_outcome(blob: bytes, members: list, cut: int) -> tuple[list, str | None]:
-    """What the members of the well-formed archive ``blob`` read as once
-    its file is cut to ``cut`` bytes after the headers were read: those
-    whose bodies end by the cut, then the error of the first that does
-    not.  An empty body has nothing to read, so the cut never reaches it."""
-    pos, index = len(elf.AR_MAGIC), 0
-    while pos < len(blob):
-        raw_name = blob[pos:pos + 16].decode("latin-1").rstrip()
-        size = int(blob[pos + 48:pos + 58])
-        if raw_name not in ("/", "//", "/SYM64/", ""):  # a member, read late
-            if size and pos + 60 + size > cut:
-                return members[:index], f"truncated member data for {raw_name!r}"
-            index += 1
-        pos += 60 + size + size % 2
-    return members, None
-
-
-@settings(max_examples=200, deadline=None)
-@given(_ar_mutants(), st.one_of(st.none(), st.integers(0, len(_AR_SEED))))
-@example(_AR_SEED, _AR_SEED.index(b"odd") + 1)  # a body cut short after fstat
-@example(_AR_SEED, len(_AR_SEED) - 60)  # the empty last member's header cut off
-def test_file_reader_reads_mutants_whole_or_up_to_a_cut(archive_path, blob, cut):
-    archive_path.write_bytes(blob)
-    with elf.open_file(archive_path) as file:
-        want = _read_outcome(lambda: elf.read_archive(file))
-    with elf.open_file(archive_path) as file:
-        try:
-            members = elf.read_archive(file)
-        except MalformedArchive as exc:  # from the headers, before any body
-            assert ([], str(exc)) == want
-            return
-        assert want[1] is None  # headers that pass leave an uncut file nothing to fail
-        if cut is not None and cut < len(blob):
-            os.truncate(archive_path, cut)
-            want = _cut_outcome(blob, want[0], cut)
-        assert _read_outcome(lambda: members) == want

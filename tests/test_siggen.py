@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provsig import matcher, sigdb
-from provsig.elf import ArchiveMember, parse_elf
+from provsig import elf, matcher, sigdb
 from provsig.sigdb import (
     TARGET_COMMENT,
     TARGET_DYNLIB,
@@ -53,11 +52,13 @@ from pattern_reference import (
     reader_relocs,
     well_formed,
 )
+from elfbytes import bytes_file, read_image, read_with
 from elfwriter import (
     R_X86_64_PC32,
     SHT_REL,
     SHT_RELA,
     Sec,
+    build_archive,
     build_elf,
     build_object,
     build_shared_lib,
@@ -380,7 +381,7 @@ def test_anchor_longest_literal_run_earliest_on_ties():
 
 def test_sign_object_call_stub():
     data = build_object(CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]})
-    sigs, rejects = sign_object(parse_elf(data), "stub.o", [])
+    sigs, rejects = read_with(data, sign_object, "stub.o", [])
     assert rejects == []
     assert len(sigs) == 1
     assert sigs[0].name == "stub.o:.text"
@@ -397,7 +398,7 @@ def _rela_text(offset: int, info: int) -> Sec:
 def test_sign_object_masks_each_same_named_section_with_its_own_table():
     data = build_elf([Sec(".text", bytes(range(48))), Sec(".text", bytes(range(100, 148))),
                       _rela_text(4, info=1), _rela_text(40, info=2)])
-    sigs, rejects = sign_object(parse_elf(data), "twin.o", [])
+    sigs, rejects = read_with(data, sign_object, "twin.o", [])
     assert rejects == []
     assert [s.name for s in sigs] == ["twin.o:.text", "twin.o:.text#2"]
     assert [pattern_to_text(s.pattern) for s in sigs] == [
@@ -414,34 +415,36 @@ def test_sign_object_masks_each_same_named_section_with_its_own_table():
 def test_sign_object_ignores_table_naming_no_code_section(table):
     data = build_object(CALL_STUB_TEXT, {".text": [(0x0E, R_X86_64_PC32, "malloc")]},
                         extra=[Sec(".data", bytes(8)), table])
-    assert len(parse_elf(data).sections) == 8
-    sigs, rejects = sign_object(parse_elf(data), "stub.o", [])
+    assert len(read_image(data).sections) == 8
+    sigs, rejects = read_with(data, sign_object, "stub.o", [])
     assert rejects == []
     assert [pattern_to_text(s.pattern) for s in sigs] == [CALL_STUB_PATTERN]
 
 
 def test_sign_object_short_section_skipped():
     data = build_object({".text.a": b"\xab" * 20, ".text.b": b"\xcd" * 10})
-    sigs, rejects = sign_object(parse_elf(data), "obj.o", [])
+    sigs, rejects = read_with(data, sign_object, "obj.o", [])
     assert [s.name for s in sigs] == ["obj.o:.text.a"]
     assert [(r.name, r.reason) for r in rejects] == [("obj.o:.text.b", TOO_SHORT)]
 
 
 def test_sign_object_empty_text():
-    sigs, rejects = sign_object(parse_elf(build_object(b"")), "empty.o", [])
+    sigs, rejects = read_with(build_object(b""), sign_object, "empty.o", [])
     assert sigs == []
     assert rejects[0].reason == TOO_SHORT
 
 
-def _members(pairs) -> list[ArchiveMember]:
-    """The archive members of ``(name, data)`` pairs, as elf.read_archive gives them."""
-    return [ArchiveMember(name, data) for name, data in pairs]
+def _sign_archive(pairs, origin_name: str, warnings: list[str]):
+    """sign_archive over an archive of ``(name, data)`` members, in a file
+    read by elf.read_archive."""
+    with bytes_file(build_archive(pairs)) as file:
+        return sign_archive(elf.read_archive(file), file, origin_name, warnings)
 
 
 def test_sign_archive_additivity():
     members = [(f"m{i}.o", build_object(bytes((i + j) % 256 for j in range(32))))
                for i in range(3)]
-    sigs, reports = sign_archive(_members(members), "libx.a", [])
+    sigs, reports = _sign_archive(members, "libx.a", [])
     assert len(sigs) == 3
     assert [s.name for s in sigs] == [f"libx.a/m{i}.o:.text" for i in range(3)]
     assert reports == []
@@ -450,7 +453,7 @@ def test_sign_archive_additivity():
 def test_sign_archive_skips_non_elf_member():
     members = [("script.ld", b"GROUP ( libfoo.a )\n"),
                ("real.o", build_object(b"\x42" * 24))]
-    sigs, reports = sign_archive(_members(members), "lib.a", [])
+    sigs, reports = _sign_archive(members, "lib.a", [])
     assert [s.name for s in sigs] == ["lib.a/real.o:.text"]
     assert any("script.ld" in r.name for r in reports)
 
@@ -460,7 +463,7 @@ def test_sign_archive_skips_member_with_malformed_relocation_table():
                        extra=[Sec(".rela.text", bytes(23), sh_type=SHT_RELA, info=1)])
     members = [("good.o", build_object(b"\x24" * 24)), ("bad.o", bad),
                ("notes.txt", b"plain text")]
-    sigs, reports = sign_archive(_members(members), "lib.a", [])
+    sigs, reports = _sign_archive(members, "lib.a", [])
     assert [s.name for s in sigs] == ["lib.a/good.o:.text"]
     assert reports == [
         Rejected("unparseable: truncated relocation records in .rela.text", "lib.a/bad.o"),
@@ -473,7 +476,7 @@ def test_sign_archive_hands_back_member_warnings_in_order():
     bad = build_object(b"\x42" * 24, {".text": [(26, R_X86_64_PC32, "g")]},
                        extra=[Sec(".rel.text", bytes(19), sh_type=SHT_REL, info=1)])
     warnings: list[str] = []
-    sigs, reports = sign_archive(_members([("far.o", far), ("bad.o", bad)]), "lib.a", warnings)
+    sigs, reports = _sign_archive([("far.o", far), ("bad.o", bad)], "lib.a", warnings)
     assert [s.name for s in sigs] == ["lib.a/far.o:.text"]
     assert reports == [
         Rejected("unparseable: truncated relocation records in .rel.text", "lib.a/bad.o")]
@@ -484,7 +487,7 @@ def test_sign_archive_hands_back_member_warnings_in_order():
 def test_sign_archive_duplicate_member_names_numbered():
     members = [("a.o", build_object(bytes((i * 7 + j) % 256 for j in range(32))))
                for i in range(3)] + [("b.o", b"not elf")]
-    sigs, reports = sign_archive(_members(members), "lib.a", [])
+    sigs, reports = _sign_archive(members, "lib.a", [])
     assert [s.name for s in sigs] == \
         ["lib.a/a.o:.text", "lib.a/a.o#2:.text", "lib.a/a.o#3:.text"]
     assert reports == [Rejected("not an ELF object", "lib.a/b.o")]
@@ -501,13 +504,13 @@ def test_unique_name_counts_each_name_separately():
 
 
 def test_sign_archive_empty():
-    assert sign_archive([], "lib.a", []) == ([], [])
+    assert _sign_archive([], "lib.a", []) == ([], [])
 
 
 def test_sign_archive_names_fold_into_object_section():
     obj = build_object({".text.baz": b"\x55" * 24})
     members = [("bar.o", obj)]
-    sigs, _ = sign_archive(_members(members), "libfoo.a", [])
+    sigs, _ = _sign_archive(members, "libfoo.a", [])
     assert sigs[0].name == "libfoo.a/bar.o:.text.baz"
 
 
@@ -516,7 +519,7 @@ def test_sign_object_elf32_rel_masking():
     data = bytes((3 * i + 1) % 256 for i in range(32))
     obj = build_object(data, {".text": [(10, R_386_PC32, "puts")]},
                        bits=32, machine=EM_386, rela=False)
-    sigs, rejects = sign_object(parse_elf(obj), "unit.o", [])
+    sigs, rejects = read_with(obj, sign_object, "unit.o", [])
     assert rejects == []
     shape = pattern_to_text(sigs[0].pattern)
     assert shape == data[:10].hex() + "????????" + data[14:].hex()
@@ -525,8 +528,7 @@ def test_sign_object_elf32_rel_masking():
 # -- sign_shared_lib ----------------------------------------------------------
 
 def test_sign_shared_lib_empty_text_is_rfc_vector():
-    image = parse_elf(build_shared_lib(text=b""))
-    sig = sign_shared_lib(image, "libempty.so")
+    sig = read_with(build_shared_lib(text=b""), sign_shared_lib, "libempty.so")
     assert sig.target == TARGET_DYNLIB
     # RFC 1321 empty-message digest
     assert sig.digest == "d41d8cd98f00b204e9800998ecf8427e"
@@ -535,35 +537,35 @@ def test_sign_shared_lib_empty_text_is_rfc_vector():
 
 def test_sign_shared_lib_ignores_everything_outside_text():
     text = bytes(range(64))
-    plain = parse_elf(build_shared_lib(text=text, comment=b"one\x00"))
-    noisy = parse_elf(build_shared_lib(text=text, comment=b"other!\x00",
-                                       versions=["GLIBC_2.3"],
-                                       needed=["libm.so.6"]))
-    assert sign_shared_lib(plain, "lib.so") == sign_shared_lib(noisy, "lib.so")
+    plain = build_shared_lib(text=text, comment=b"one\x00")
+    noisy = build_shared_lib(text=text, comment=b"other!\x00", versions=["GLIBC_2.3"],
+                             needed=["libm.so.6"])
+    assert read_with(plain, sign_shared_lib, "lib.so") == \
+        read_with(noisy, sign_shared_lib, "lib.so")
 
 
 def test_sign_shared_lib_sensitive_to_text():
     text = bytearray(range(64))
-    a = sign_shared_lib(parse_elf(build_shared_lib(text=bytes(text))), "l.so")
+    a = read_with(build_shared_lib(text=bytes(text)), sign_shared_lib, "l.so")
     text[10] ^= 0xFF
-    b = sign_shared_lib(parse_elf(build_shared_lib(text=bytes(text))), "l.so")
+    b = read_with(build_shared_lib(text=bytes(text)), sign_shared_lib, "l.so")
     assert a.digest != b.digest
     assert hashlib.md5(bytes(text)).hexdigest() == b.digest
 
 
 def test_sign_shared_lib_requires_text():
-    image = parse_elf(build_shared_lib(text=b"").replace(b".text", b".tex_"))
-    assert text_md5_key(image) is None
-    assert sign_shared_lib(image, "x.so") == Rejected(NO_TEXT)
+    blob = build_shared_lib(text=b"").replace(b".text", b".tex_")
+    assert read_with(blob, text_md5_key) is None
+    assert read_with(blob, sign_shared_lib, "x.so") == Rejected(NO_TEXT)
 
 
 def test_text_md5_key_without_builtin_md5_takes_a_non_security_digest(monkeypatch):
     # an interpreter built without _md5 takes the digest from hashlib;
     # an OpenSSL in FIPS mode refuses MD5 unless told it guards nothing
     text = bytes(range(64))
-    image = parse_elf(build_shared_lib(text=text))
+    blob = build_shared_lib(text=text)
     want = (hashlib.md5(text).hexdigest(), len(text))
-    assert text_md5_key(image) == want
+    assert read_with(blob, text_md5_key) == want
     openssl_md5 = hashlib.md5
     calls = []
 
@@ -575,7 +577,7 @@ def test_text_md5_key_without_builtin_md5_takes_a_non_security_digest(monkeypatc
 
     monkeypatch.setitem(sys.modules, "_md5", None)
     monkeypatch.setattr(hashlib, "md5", fips_md5)
-    assert text_md5_key(image) == want
+    assert read_with(blob, text_md5_key) == want
     assert calls == [False]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provsig.elf import STRING_BUDGET, MalformedElf, UnsupportedElf, get_section, parse_elf
+from provsig.elf import STRING_BUDGET, MalformedElf, UnsupportedElf, get_section
 from provsig.symver import (
     DEFAULT_LABELS,
     MalformedVerdef,
@@ -19,6 +19,7 @@ from provsig.symver import (
     parse_verdef,
 )
 
+from elfbytes import body, read_image, read_with
 from elfwriter import (
     ET_DYN,
     SHT_GNU_VERDEF,
@@ -38,16 +39,16 @@ GLIBC_CHAIN = [f"GLIBC_2.{minor}" for minor in range(11)]  # 2.0 .. 2.10
 # -- parse_verdef ---------------------------------------------------------------
 
 def test_parse_verdef_glibc_chain():
-    image = parse_elf(build_shared_lib(versions=GLIBC_CHAIN, base_name="libc.so.6"))
-    assert parse_verdef(image) == GLIBC_CHAIN
+    blob = build_shared_lib(versions=GLIBC_CHAIN, base_name="libc.so.6")
+    assert read_with(blob, parse_verdef) == GLIBC_CHAIN
 
 
 def test_parse_verdef_leaves_out_the_base_name():
     # the base record is the library's file name, whatever it looks like
-    image = parse_elf(build_shared_lib(versions=["GLIBC_2.0"], base_name="GLIBC_9.9"))
-    assert parse_verdef(image) == ["GLIBC_2.0"]
-    without_base = parse_elf(build_shared_lib(versions=["GLIBC_2.0"], include_base=False))
-    assert parse_verdef(without_base) == ["GLIBC_2.0"]
+    blob = build_shared_lib(versions=["GLIBC_2.0"], base_name="GLIBC_9.9")
+    assert read_with(blob, parse_verdef) == ["GLIBC_2.0"]
+    without_base = build_shared_lib(versions=["GLIBC_2.0"], include_base=False)
+    assert read_with(without_base, parse_verdef) == ["GLIBC_2.0"]
 
 
 def _verdef_linked_to(link: str) -> bytes:
@@ -63,16 +64,17 @@ def _verdef_linked_to(link: str) -> bytes:
 
 def test_parse_verdef_link_to_a_section_that_is_not_a_string_table_reads_dynstr():
     # the one string-table rule of elf.linked_strtab, as DT_NEEDED reading has it
-    linked = parse_elf(_verdef_linked_to(".dynstr"))
-    to_text = parse_elf(_verdef_linked_to(".text"))
-    assert get_section(to_text, ".gnu.version_d").sh_link == 1  # .text
-    assert parse_verdef(to_text) == parse_verdef(linked) == ["X_1.0", "X_2.0"]
-    assert library_versions(to_text, ["X"]) == library_versions(linked, ["X"]) == \
-        [("X", "2.0")]
+    linked = _verdef_linked_to(".dynstr")
+    to_text = _verdef_linked_to(".text")
+    assert get_section(read_image(to_text), ".gnu.version_d").sh_link == 1  # .text
+    assert read_with(to_text, parse_verdef) == read_with(linked, parse_verdef) == \
+        ["X_1.0", "X_2.0"]
+    assert read_with(to_text, library_versions, ["X"]) == \
+        read_with(linked, library_versions, ["X"]) == [("X", "2.0")]
 
 
 def test_parse_verdef_absent_section():
-    assert parse_verdef(parse_elf(build_shared_lib(versions=None))) == []
+    assert read_with(build_shared_lib(versions=None), parse_verdef) == []
 
 
 def test_parse_verdef_cycle_guard():
@@ -86,9 +88,8 @@ def test_parse_verdef_cycle_guard():
     secs = [Sec(".dynstr", strtab, sh_type=SHT_STRTAB),
             Sec(".gnu.version_d", body, sh_type=SHT_GNU_VERDEF,
                 link=".dynstr", info=8)]
-    image = parse_elf(build_elf(secs, e_type=ET_DYN))
     with pytest.raises(MalformedVerdef):
-        parse_verdef(image)
+        read_with(build_elf(secs, e_type=ET_DYN), parse_verdef)
 
 
 def test_parse_verdef_chain_longer_than_declared_count():
@@ -99,7 +100,7 @@ def test_parse_verdef_chain_longer_than_declared_count():
             Sec(".gnu.version_d", body, sh_type=SHT_GNU_VERDEF,
                 link=".dynstr", info=1)]
     with pytest.raises(MalformedVerdef):
-        parse_verdef(parse_elf(build_elf(secs, e_type=ET_DYN)))
+        read_with(build_elf(secs, e_type=ET_DYN), parse_verdef)
 
 
 def test_parse_verdef_huge_declared_count_forward_chain_ends_promptly():
@@ -110,11 +111,11 @@ def test_parse_verdef_huge_declared_count_forward_chain_ends_promptly():
     secs = [Sec(".dynstr", strtab, sh_type=SHT_STRTAB),
             Sec(".gnu.version_d", record * 500, sh_type=SHT_GNU_VERDEF,
                 link=".dynstr", info=0xFFFFFFFF)]
-    image = parse_elf(build_elf(secs, e_type=ET_DYN))
-    assert get_section(image, ".gnu.version_d").sh_info == 0xFFFFFFFF
+    blob = build_elf(secs, e_type=ET_DYN)
+    assert get_section(read_image(blob), ".gnu.version_d").sh_info == 0xFFFFFFFF
     start = time.perf_counter()
     with pytest.raises(MalformedVerdef, match="truncated"):
-        parse_verdef(image)
+        read_with(blob, parse_verdef)
     assert time.perf_counter() - start < 1.0
 
 
@@ -124,20 +125,19 @@ def test_parse_verdef_name_offset_out_of_range():
             Sec(".gnu.version_d", body, sh_type=SHT_GNU_VERDEF,
                 link=".dynstr", info=1)]
     with pytest.raises(MalformedVerdef):
-        parse_verdef(parse_elf(build_elf(secs, e_type=ET_DYN)))
+        read_with(build_elf(secs, e_type=ET_DYN), parse_verdef)
 
 
 def test_parse_verdef_names_past_the_budget_raise():
     # 64 definitions of one 4 KB name, held once in .dynstr
     name = "GLIBC_" + "9" * 4090
-    image = parse_elf(build_shared_lib(versions=[name] * 64))
-    dynstr = get_section(image, ".dynstr").data
+    blob = build_shared_lib(versions=[name] * 64)
     with pytest.raises(MalformedVerdef, match=(
             f"version names total more than {STRING_BUDGET} times "
-            f"their {len(dynstr)}-byte string table")):
-        parse_verdef(image)
+            f"their {len(body(blob, '.dynstr'))}-byte string table")):
+        read_with(blob, parse_verdef)
     # twice is within the budget, and the name is read once
-    twice = parse_verdef(parse_elf(build_shared_lib(versions=[name] * 2)))
+    twice = read_with(build_shared_lib(versions=[name] * 2), parse_verdef)
     assert twice == [name, name] and twice[0] is twice[1]
 
 
@@ -145,7 +145,7 @@ def test_parse_verdef_names_past_the_budget_raise():
 
 def _versions(names, labels) -> list[tuple[str, str]]:
     """library_versions of a library defining ``names`` in this order."""
-    return library_versions(parse_elf(build_shared_lib(versions=list(names))), labels)
+    return read_with(build_shared_lib(versions=list(names)), library_versions, labels)
 
 
 def test_label_glibc():
@@ -254,36 +254,35 @@ def test_compare_is_total_order(versions):
 # -- library_versions --------------------------------------------------------------
 
 def test_library_versions_glibc_chain_highest():
-    image = parse_elf(build_shared_lib(versions=GLIBC_CHAIN, base_name="libc.so.6"))
-    assert library_versions(image, ["GLIBC"]) == [("GLIBC", "2.10")]
+    blob = build_shared_lib(versions=GLIBC_CHAIN, base_name="libc.so.6")
+    assert read_with(blob, library_versions, ["GLIBC"]) == [("GLIBC", "2.10")]
 
 
 def test_library_versions_dual_label():
     versions = ["GLIBC_2.2", "GLIBCXX_3.4.9", "GLIBCXX_3.4.2"]
-    image = parse_elf(build_shared_lib(versions=versions))
-    assert library_versions(image, list(DEFAULT_LABELS)) == [
+    blob = build_shared_lib(versions=versions)
+    assert read_with(blob, library_versions, list(DEFAULT_LABELS)) == [
         ("GLIBC", "2.2"), ("GLIBCXX", "3.4.9")]
 
 
 def test_library_versions_no_known_labels():
-    image = parse_elf(build_shared_lib(versions=["PRIVATE_1.0"]))
-    assert library_versions(image, list(DEFAULT_LABELS)) == []
+    blob = build_shared_lib(versions=["PRIVATE_1.0"])
+    assert read_with(blob, library_versions, list(DEFAULT_LABELS)) == []
 
 
 def test_library_versions_permutation_invariant():
     rng = random.Random(3)
     shuffled = GLIBC_CHAIN[:]
     rng.shuffle(shuffled)
-    a = parse_elf(build_shared_lib(versions=GLIBC_CHAIN))
-    b = parse_elf(build_shared_lib(versions=shuffled))
-    assert library_versions(a, ["GLIBC"]) == library_versions(b, ["GLIBC"])
+    a = build_shared_lib(versions=GLIBC_CHAIN)
+    b = build_shared_lib(versions=shuffled)
+    assert read_with(a, library_versions, ["GLIBC"]) == read_with(b, library_versions, ["GLIBC"])
 
 
 def test_library_versions_base_entry_excluded():
-    image = parse_elf(build_shared_lib(versions=["GLIBC_2.0"],
-                                       base_name="GLIBC_9.9"))
+    blob = build_shared_lib(versions=["GLIBC_2.0"], base_name="GLIBC_9.9")
     # tempting base entry carries a higher-looking name; must be ignored
-    assert library_versions(image, ["GLIBC"]) == [("GLIBC", "2.0")]
+    assert read_with(blob, library_versions, ["GLIBC"]) == [("GLIBC", "2.0")]
 
 
 # -- label file ---------------------------------------------------------------------
@@ -325,8 +324,8 @@ def test_parse_verdef_mutations_raise_only_malformed_verdef(which, data):
     seed, fields = _VERDEF_SEEDS[which]
     blob = mutate(seed, fields, data)
     try:
-        image = parse_elf(blob)
+        read_image(blob)
     except (MalformedElf, UnsupportedElf):
         return
-    parse_within_a_second(parse_verdef, image, MalformedVerdef)
-    parse_within_a_second(library_versions, image, MalformedVerdef)
+    parse_within_a_second(lambda blob: read_with(blob, parse_verdef), blob, MalformedVerdef)
+    parse_within_a_second(lambda blob: read_with(blob, library_versions), blob, MalformedVerdef)

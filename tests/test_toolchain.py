@@ -30,19 +30,19 @@
   sign without a warning, to the payloads their disassembly gives.
   Skipped when gcc is missing or cannot build the object (``-m32``
   needs the 32-bit multilib).
-* Every relocatable member of the host's ``libc.a``, ``libgcc.a``,
-  ``libgcc_eh.a`` and ``libstdc++.a`` parses to the same image through
-  :func:`provsig.elf.parse_elf` as through the per-header reference
-  (``elf_reference``).  Skipped when gcc or an archive is missing.
+* Every ELF member of the host's ``libc.a``, ``libgcc.a``,
+  ``libgcc_eh.a`` and ``libstdc++.a``, read at its offset in the archive
+  (:func:`provsig.elf.read_elf`), gives the image and section bodies the
+  per-header reference (``elf_reference``) gives from its bytes.
+  Skipped when gcc or an archive is missing.
 * Every member of those four archives reads through
   :func:`provsig.elf.read_archive` as ``ar tvO`` lists it: the same
-  names and sizes in the same order, and each body the file's bytes at
-  the offset ``ar`` gives.  Skipped when gcc, ar or an archive is
-  missing.
+  names, sizes and body offsets in the same order.  Skipped when gcc,
+  ar or an archive is missing.
 * A gcc-built and a g++-built hello, the host ``libc.so.6`` and
   ``libstdc++.so.6`` read from their files (:func:`provsig.elf.read_elf`)
-  as from their bytes (:func:`provsig.elf.parse_elf`).  Each is skipped
-  when its compiler or library is missing.
+  as the per-header reference reads their bytes, bodies included.  Each
+  is skipped when its compiler or library is missing.
 * ``sigscan`` of g++'s ``cc1plus`` (some 34 MB) peaks at least 15 MB
   lower in RSS than when the target was read whole before it was
   parsed.  Skipped when g++, its ``cc1plus`` or ``/proc`` is missing.
@@ -198,7 +198,8 @@ def test_crtbegin_signatures_name_gcc_in_a_stripped_hello(tmp_path, capsys, link
         pytest.skip(f"gcc {' '.join(link)} does not link here: {built.stderr.strip()}")
     subprocess.run(["objcopy", "--remove-section", ".comment", str(binary)], check=True)
     subprocess.run(["strip", str(binary)], check=True)
-    assert elf.get_section(elf.parse_elf(elf.read_file(binary)), ".comment") is None
+    with elf.open_file(binary) as file:
+        assert elf.get_section(elf.read_elf(file), ".comment") is None
     capsys.readouterr()
     assert sigscan_main(["--db", str(db), "--no-dynamic", str(binary)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -233,22 +234,23 @@ def test_host_relocation_tables_read_as_the_reference_reads_them():
     checked = 0
     for name in ("libc.a", "libgcc.a"):
         with elf.open_file(_archive("gcc", name)) as archive:
-            members = list(elf.read_archive(archive))
-        for member in members:
-            image = elf.parse_elf(member.data)
-            names = [section.name for section in elf.list_text_sections(image)]
-            # the reference finds a section's tables by its name
-            if not image.is_relocatable or len(set(names)) < len(names):
-                continue
-            want_warnings: list[str] = []
-            want = reloc_reference.object_relocations(image, want_warnings)
-            warnings: list[str] = []
-            got = {section_name: [] for section_name in names}
-            for index, (starts, lengths) in elf.parse_relocations(image, warnings).items():
-                got[image.sections[index].name] = list(zip(starts, lengths))
-            assert got == want, (name, member.name)
-            assert warnings == want_warnings, (name, member.name)
-            checked += 1
+            for member in elf.read_archive(archive):
+                image = elf.read_elf(archive, member.offset, member.size)
+                names = [section.name for section in elf.list_text_sections(image)]
+                # the reference finds a section's tables by its name
+                if not image.is_relocatable or len(set(names)) < len(names):
+                    continue
+                want_warnings: list[str] = []
+                want = reloc_reference.object_relocations(
+                    os.pread(archive.fileno(), member.size, member.offset), want_warnings)
+                warnings: list[str] = []
+                got = {section_name: [] for section_name in names}
+                for index, (starts, lengths) in elf.parse_relocations(image, archive,
+                                                                      warnings).items():
+                    got[image.sections[index].name] = list(zip(starts, lengths))
+                assert got == want, (name, member.name)
+                assert warnings == want_warnings, (name, member.name)
+                checked += 1
     assert checked
 
 
@@ -288,14 +290,24 @@ def test_host_objects_parse_as_the_per_header_reference_parses_them():
     checked = 0
     for name in ("libc.a", "libgcc.a", "libgcc_eh.a", "libstdc++.a"):
         with elf.open_file(_archive("gcc", name)) as archive:
-            members = list(elf.read_archive(archive))
-        for member in members:
-            if not member.data.startswith(elf.ELF_MAGIC):
-                continue
-            image = elf.parse_elf(member.data)
-            assert image == elf_reference.parse_elf(member.data), (name, member.name)
-            checked += image.is_relocatable
+            for member in elf.read_archive(archive):
+                data = os.pread(archive.fileno(), member.size, member.offset)
+                if not data.startswith(elf.ELF_MAGIC):
+                    continue
+                got = _image_and_bodies(archive, member.offset, member.size)
+                assert got == elf_reference.read_bytes(data), (name, member.name)
+                checked += got[0].is_relocatable
     assert checked
+
+
+def _image_and_bodies(file, start: int = 0, size: int | None = None):
+    """The image :func:`provsig.elf.read_elf` reads of ``file`` (of the
+    ``size`` bytes from ``start``), with offsets from ``start`` as the
+    reference gives them, and each section's body."""
+    image = elf.read_elf(file, start, size)
+    return (image._replace(sections=tuple(s._replace(offset=s.offset - start)
+                                          for s in image.sections)),
+            [elf.read_body(file, section) for section in image.sections])
 
 
 @pytest.mark.parametrize("compiler, name", [
@@ -313,9 +325,9 @@ def test_host_binaries_read_from_their_files_as_from_their_bytes(tmp_path, compi
     else:
         path = _archive(compiler, name)
     with elf.open_file(path) as file:
-        image = elf.read_elf(file)
-    assert image == elf.parse_elf(elf.read_file(path))
-    assert elf.list_text_sections(image)
+        got = _image_and_bodies(file)
+    assert got == elf_reference.read_bytes(elf.read_file(path))
+    assert elf.list_text_sections(got[0])
 
 
 @_missing("g++")
@@ -330,17 +342,17 @@ def test_sigscan_of_cc1plus_holds_its_sections_not_the_file_too(tmp_path):
     (db / "p.sig").write_text("provsig 1\npackage P\nversion 1\n"
                               f"s.o:.text:text:hex:{'5a' * 20}\n")
     # sigscan as it runs, and as it ran when a target was read whole
-    # before it was parsed, every body copied out of it whatever the
-    # caller asked: the stand-in takes read_elf's bodies flag and reads
-    # all the same, so the scan's windows are cut from bodies in memory.
-    # Each child reports its own peak RSS in KB, counted from its exec
-    # (ru_maxrss may keep the parent's at fork)
+    # before it was parsed: the stand-in reads the file whole and holds
+    # it while the target is scanned.  Each child reports its own peak
+    # RSS in KB, counted from its exec (ru_maxrss may keep the parent's
+    # at fork)
     src = os.path.dirname(os.path.dirname(elf.__file__))
     code = ("import re, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "from provsig import cli, elf\n"
+            "held, read_elf = [], elf.read_elf\n"
             "if sys.argv[2] == 'whole':\n"
-            "    cli.elf.read_elf = lambda file, bodies=True: elf.parse_elf(file.read())\n"
+            "    elf.read_elf = lambda file: held.append(file.read()) or read_elf(file)\n"
             "status = cli.sigscan_main(['--db', sys.argv[3], '--no-dynamic', sys.argv[4]])\n"
             "with open('/proc/self/status') as status_file:\n"
             "    hwm = re.search(r'VmHWM:\\s*(\\d+) kB', status_file.read()).group(1)\n"
@@ -366,11 +378,7 @@ def test_host_archives_read_member_by_member_as_ar_lists_them():
                                  encoding="latin-1").stdout
         listed = [_AR_LISTING_LINE.fullmatch(line).groups() for line in listing.splitlines()]
         with elf.open_file(path) as file:
-            members = list(elf.read_archive(file))
-        assert [(m.name, len(m.data)) for m in members] == \
-            [(member_name, int(size)) for size, member_name, _ in listed], name
-        data = elf.read_file(path)
-        for member, (size, _, offset) in zip(members, listed):
-            start = int(offset, 16)
-            assert member.data == data[start:start + int(size)], (name, member.name)
+            members = elf.read_archive(file)
+        assert [(m.name, m.size, m.offset) for m in members] == \
+            [(member, int(size), int(offset, 16)) for size, member, offset in listed], name
         assert members, name
