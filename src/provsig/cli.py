@@ -13,15 +13,16 @@ directories plus the PROVSIG_PATH environment variable; the scanner
 never executes loader code on the inputs it audits.
 
 ``sigscan`` reads only the bytes a report uses.  A target's headers are
-read and checked whole, then, from the file kept open, its ``.comment``
-whole, its ``.dynamic`` and the string table that section links only
-when libraries are resolved, and each code section in windows of
-:data:`provsig.elf.WINDOW` bytes plus the text engine's longest span
-less one (:func:`provsig.matcher.iter_windowed_matches`): a match
-counts in the window where it starts, and a database with a long span
-widens each window by it.  A library gives its ``.gnu.version_d`` and
-that section's string table first, and its ``.text``, hashed a window
-at a time, only when no known label is found.
+read and checked whole, then, from the file kept open, its ``.dynamic``
+and the string table that section links only when libraries are
+resolved, and each code section and its ``.comment`` in windows of
+:data:`provsig.elf.WINDOW` bytes plus the longest span less one of the
+engine that scans it (:func:`provsig.elf.read_windows`,
+:func:`provsig.matcher.iter_matches`): a match counts in the window
+where it starts, and a database with a long span widens each window by
+it.  A library gives its ``.gnu.version_d`` and that section's string
+table first, and its ``.text``, hashed a window at a time, only when no
+known label is found.
 
 ``siggen`` reads its inputs the same way, an archive member at its
 offset in the archive: an object's code sections and their relocation
@@ -298,32 +299,27 @@ def _scan_one(target_path: str, db: sigdb.Database, engines, labels, search_path
     The target's headers are read (:func:`provsig.elf.read_elf`), then
     only the bytes the report uses, from the file kept open:
     ``.dynamic`` and the string table it links, only when
-    ``no_dynamic`` is false; each code section in
-    windows (:func:`provsig.matcher.iter_windowed_matches`), so no more
-    than a window and the text engine's overlap of it is held at once;
-    and ``.comment`` whole."""
+    ``no_dynamic`` is false; and each code section and ``.comment`` in
+    windows (:func:`provsig.elf.read_windows`) that overlap by the
+    overlap of the engine that scans it, so no more than one window is
+    held at once."""
     text, comments = engines  # each an (engine, owners) pair
     # each match is tallied as the engine verifies it, and none is kept
     counts: dict[tuple[str, str], list[int]] = {}
-
-    def tally(matches, owners):
-        for m in matches:
-            owner = owners[m.signature_id]
-            entry = counts.setdefault((owner.package, owner.version), [0, 0])
-            entry[0] += 1
-            entry[1] += m.span
-
     with elf.open_file(target_path) as file:
         image = elf.read_elf(file)
         needed = () if no_dynamic else elf.dynamic_needed(image, file)
-        engine, owners = text
-        for section in elf.list_text_sections(image):
-            tally(matcher.iter_windowed_matches(
-                engine, functools.partial(elf.read_body, file, section), section.size), owners)
+        scanned = [(section, text) for section in elf.list_text_sections(image)]
         comment = elf.get_section(image, ".comment")
         if comment is not None:
-            engine, owners = comments
-            tally(matcher.iter_matches(engine, elf.read_body(file, comment)), owners)
+            scanned.append((comment, comments))
+        for section, (engine, owners) in scanned:
+            for m in matcher.iter_matches(engine,
+                                          elf.read_windows(file, section, engine.overlap)):
+                owner = owners[m.signature_id]
+                entry = counts.setdefault((owner.package, owner.version), [0, 0])
+                entry[0] += 1
+                entry[1] += m.span
 
     package_hits = sorted(
         (PackageHit(package=pkg, version=ver, count=c, total_bytes=b)

@@ -9,8 +9,8 @@ file or an archive member at its offset, is read one way, with
 ``pread``: :func:`read_elf` reads its headers and its name table and
 checks every header, and each :class:`Section` keeps its body's file
 offset and size, so :func:`read_body` reads a body, or a window of
-one, only when it is used.  A code section that ``sigscan`` scans or a
-library's ``.text`` is read :data:`WINDOW` bytes at a time; ``siggen``
+one, only when it is used.  A body that ``sigscan`` scans or hashes is
+read :data:`WINDOW` bytes at a time (:func:`read_windows`); ``siggen``
 reads an object's code sections and their relocation tables, or its
 ``.comment``.  The walk decodes no body, ``.dynamic`` included, and
 holds what it reads to the size of its input: the bodies it leaves to
@@ -53,7 +53,7 @@ from bisect import bisect_right
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 
 ELF_MAGIC = b"\x7fELF"
 AR_MAGIC = b"!<arch>\n"
@@ -87,11 +87,11 @@ EM_X86_64 = 62
 # 0.22 (DT_NEEDED) and 0.60 (version names).
 STRING_BUDGET = 2
 
-# A body read in windows (a code section that sigscan scans, a library's
-# .text that it hashes) is read this many bytes at a time, and a scan
-# window this many plus its engine's overlap.  Windows of 64 KB, 256 KB
-# and 1 MB give the same peak RSS on the benchmark's cold start; the
-# larger the window, the fewer overlap bytes are scanned twice.
+# A body read in windows (a code section or .comment that sigscan scans,
+# a library's .text that it hashes) is read this many bytes at a time,
+# and a scan window this many plus its engine's overlap (read_windows).
+# Windows of 64 KB, 256 KB and 1 MB give the same peak RSS on the
+# benchmark's cold start; the larger, the fewer bytes scanned twice.
 WINDOW = 1 << 20
 
 
@@ -366,6 +366,30 @@ def read_body(file: BinaryIO, section: Section, start: int = 0,
     if len(data) != length:
         raise MalformedElf(f"section {section.name!r} extends past end of file")
     return data
+
+
+def read_windows(file: BinaryIO, section: Section,
+                 overlap: int = 0) -> Iterator[tuple[int, bytes, int]]:
+    """Yield ``(start, data, limit)`` for each window of ``section``'s
+    body, read from ``file`` by :func:`read_body`, as ClamAV reads a file
+    in buffers that overlap by its longest pattern.
+
+    Window ``k`` starts at ``k * W`` (``W`` is :data:`WINDOW`) and reads
+    ``W`` plus ``overlap`` bytes, cut at the body's end, and its limit is
+    ``W``: what starts in its first ``W`` bytes and spans ``overlap + 1``
+    bytes or fewer ends inside what it read, and the next window holds
+    what starts after.  The window that reaches the end is the last, and
+    its limit is everything it read, so a body of ``W`` plus ``overlap``
+    bytes or fewer is read at once, and an empty body is one empty
+    window.  No window is held here once it is yielded.
+    """
+    window = WINDOW
+    size = section.size
+    at = 0
+    while (end := at + window + overlap) < size:
+        yield at, read_body(file, section, at, end - at), window
+        at += window
+    yield at, read_body(file, section, at, size - at), size - at
 
 
 def dynamic_needed(image: ElfImage, file: BinaryIO) -> list[str]:

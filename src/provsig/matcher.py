@@ -61,28 +61,21 @@ This departs from the paper's ClamAV-style Aho-Corasick automaton; it
 reports the same matches, and the naive every-start regular expression
 oracle in the tests is the judge of that.
 
-``iter_matches`` scans a text section or ``.comment`` bytes alike and
-verifies each key occurrence where the filter finds it, yielding every
-occurrence of every signature, overlaps included, as a :class:`Match`:
-each (signature, start) whose bytes match comes once.  It only reads
-the buffer and keeps no list of hits.  ``scan_all`` is that stream
-sorted by (start, signature id).
-
-``iter_windowed_matches`` yields the same matches from bytes it reads
-in windows, as ClamAV reads a file in buffers that overlap by its
-longest pattern: ``sigscan`` scans each code section so, by ``pread``
-from the target.  Window ``k`` starts at ``k * W`` (``W`` is
-:data:`provsig.elf.WINDOW`, 1 MB) and reads ``W`` bytes plus the
-engine's ``overlap``, its longest span less one, computed once at
-compile.  A match counts only in the window where it starts, and one
-that starts in a window's first ``W`` bytes ends inside what it read,
-so every match comes once, however the windows cut its key, its runs or
-its span.  The overlap is what a long span costs: a database whose
-longest span is ``L`` makes every window ``W + L - 1`` bytes, and one
-whose longest span exceeds a section reads it in one window.  A
-section of ``W`` bytes or fewer is read at once.  So ``sigscan``, which
-tallies the matches as they come, needs memory bounded by the database
-and one window, and the word filter's lane slices shrink with it.
+``iter_matches`` scans the windows of a body, a code section's or
+``.comment``'s alike, as :func:`provsig.elf.read_windows` cuts them:
+each window is a ``(base, buffer, limit)`` triple.  It verifies each
+key occurrence where the filter finds it and yields each match that
+starts in the window's first ``limit`` bytes, its start counted from
+``base``, as a :class:`Match`: every occurrence of every signature,
+overlaps included, each (signature, start) whose bytes match once.  A
+window that reads the engine's ``overlap`` (its longest span less one,
+computed at compile) past its limit, or reaches the body's end, holds
+every match that starts before its limit, so every match comes once
+however the windows cut its key, its runs or its span.  It keeps no
+list of hits and drops each window before it takes the next, so a
+caller that tallies the matches as they come needs memory bounded by
+the database and one window.  ``scan_all`` is the stream of one window
+over a whole buffer, sorted by (start, signature id).
 """
 
 from __future__ import annotations
@@ -92,7 +85,6 @@ from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, repeat
 from typing import Iterator, NamedTuple
 
-from provsig import elf
 from provsig.sigdb import HexPattern
 
 KEY_LEN = 16
@@ -115,7 +107,7 @@ class CompiledEngine:
     against the patterns themselves; safe to share across threads.  Build
     with :func:`compile`.  ``keys`` exposes, per pattern, the (key bytes,
     span offset) pair it is found by; ``overlap`` is the longest span
-    less one, by which :func:`iter_windowed_matches` overlaps its windows.
+    less one, by which a scan's windows overlap (:func:`iter_matches`).
     """
 
     __slots__ = ("keys", "overlap", "_passes", "_short_keys", "_owners", "_verify")
@@ -314,53 +306,30 @@ def _key_hits(engine: CompiledEngine, buffer: bytes):
             at = buffer.find(key, at + 1)
 
 
-def iter_matches(engine: CompiledEngine, buffer) -> Iterator[Match]:
-    """Yield each verified occurrence of each signature in ``buffer`` as it
-    is found, in no set order; with one key per signature, none twice."""
-    buffer = bytes(buffer)  # the same object if it is bytes already
-    return _verified(engine, buffer, 0, len(buffer))
-
-
-def iter_windowed_matches(engine: CompiledEngine, read_at, size: int) -> Iterator[Match]:
-    """:func:`iter_matches` over ``size`` bytes that ``read_at(offset,
-    length)`` returns, read one window at a time, so no more than
-    ``W`` (:data:`provsig.elf.WINDOW`) plus ``engine.overlap`` bytes of
-    them are held.
-
-    Window ``k`` reads from ``k * W`` up to ``W`` plus the overlap
-    bytes, cut at ``size``, and keeps the matches that start in its
-    first ``W`` bytes: a match that starts there ends inside the read,
-    and the next window finds those that start after.  The window that
-    reaches ``size`` is the last and keeps every match it finds, so
-    ``size`` bytes up to ``W`` plus the overlap are read at once.
-    Starts are counted from the first byte.
-    """
-    window = elf.WINDOW
-    at = 0
-    # each window is held by its scan alone, so it is freed before the
-    # next one is read
-    while (end := at + window + engine.overlap) < size:
-        yield from _verified(engine, read_at(at, end - at), at, window)
-        at += window
-    yield from _verified(engine, read_at(at, size - at), at, size - at)
-
-
-def _verified(engine: CompiledEngine, buffer: bytes, base: int, limit: int) -> Iterator[Match]:
-    """Each verified occurrence in ``buffer`` that starts before
-    ``limit``, its start counted from ``base``."""
-    n = len(buffer)
+def iter_matches(engine: CompiledEngine, windows) -> Iterator[Match]:
+    """Yield each verified occurrence of each signature that starts
+    before its window's limit, in no set order; ``windows`` yields
+    ``(base, buffer, limit)`` with ``buffer`` as bytes, and each start
+    is counted from ``base``.  With one key per signature, none comes
+    twice from one window."""
     keys = engine.keys
     verify = engine._verify
-    for at, found in _key_hits(engine, buffer):
-        for sig_idx in found:
-            start = at - keys[sig_idx][1]
-            span, offsets, literals, _ = verify[sig_idx]
-            if start < 0 or start >= limit or start + span > n:
-                continue
-            if all(map(buffer.startswith, literals, map(start.__add__, offsets))):
-                yield Match(sig_idx, base + start, span)
+    for base, buffer, limit in windows:
+        n = len(buffer)
+        for at, found in _key_hits(engine, buffer):
+            for sig_idx in found:
+                start = at - keys[sig_idx][1]
+                span, offsets, literals, _ = verify[sig_idx]
+                if start < 0 or start >= limit or start + span > n:
+                    continue
+                if all(map(buffer.startswith, literals, map(start.__add__, offsets))):
+                    yield Match(sig_idx, base + start, span)
+        del buffer  # freed before the next window is read
 
 
 def scan_all(engine: CompiledEngine, buffer) -> tuple[Match, ...]:
-    """Every match of :func:`iter_matches`, sorted by (start, signature id)."""
-    return tuple(sorted(iter_matches(engine, buffer), key=lambda m: (m.start, m.signature_id)))
+    """Every match of :func:`iter_matches` over ``buffer`` as one window,
+    sorted by (start, signature id)."""
+    buffer = bytes(buffer)  # the same object if it is bytes already
+    return tuple(sorted(iter_matches(engine, ((0, buffer, len(buffer)),)),
+                        key=lambda m: (m.start, m.signature_id)))

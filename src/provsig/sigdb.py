@@ -303,9 +303,9 @@ def parse_pattern_text(text: str) -> HexPattern:
 def text_md5_key(image: ElfImage, file: BinaryIO) -> tuple[str, int] | None:
     """A shared library's identity key: the MD5 hex digest and the size
     of its first .text section, or None when it has none.  The section
-    is read from ``file`` (:func:`provsig.elf.read_body`) and hashed
-    :data:`provsig.elf.WINDOW` bytes at a time, so no more than that
-    is held.
+    is read from ``file`` and hashed a window at a time
+    (:func:`provsig.elf.read_windows`), so no more than
+    :data:`provsig.elf.WINDOW` bytes of it are held.
 
     Depends only on the code bytes, so on-disk churn in relocation or
     dynamic-linking data (prelinking) does not change it.
@@ -325,10 +325,10 @@ def text_md5_key(image: ElfImage, file: BinaryIO) -> tuple[str, int] | None:
         from _md5 import md5
     except ImportError:
         from hashlib import md5
-    window = elf.WINDOW
-    digest = md5(elf.read_body(file, text, 0, min(window, text.size)), usedforsecurity=False)
-    for start in range(window, text.size, window):
-        digest.update(elf.read_body(file, text, start, min(window, text.size - start)))
+    digest = md5(usedforsecurity=False)
+    for _, data, _ in elf.read_windows(file, text):
+        digest.update(data)
+        del data  # freed before the next window is read
     return digest.hexdigest(), text.size
 
 

@@ -143,7 +143,8 @@ def sign_object(image: ElfImage, file: BinaryIO, origin_name: str,
     named ``<origin>:<section>``; a section name that repeats in the
     object is numbered as :func:`unique_name` numbers it.  Its code
     sections and their relocation tables are read from ``file``, one at
-    a time, and no other body.
+    a time, and no other body: a section under
+    :data:`MIN_PATTERN_POSITIONS` bytes is rejected by its size alone.
 
     Returns the signatures and a rejection per section too short or
     unanchorable; relocation warnings are appended to ``warnings``.
@@ -157,7 +158,8 @@ def sign_object(image: ElfImage, file: BinaryIO, origin_name: str,
         if not elf.is_text_section(section):
             continue
         name = f"{origin_name}:{unique_name(section.name, seen_names)}"
-        result = build_pattern(elf.read_body(file, section), relocs.get(index, _NO_RELOCS))
+        result = (Rejected(TOO_SHORT) if section.size < MIN_PATTERN_POSITIONS else
+                  build_pattern(elf.read_body(file, section), relocs.get(index, _NO_RELOCS)))
         if isinstance(result, Rejected):
             rejections.append(Rejected(result.reason, name))
         else:

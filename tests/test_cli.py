@@ -1006,19 +1006,59 @@ def test_sigscan_memory_stays_flat_over_a_short_key_that_never_verifies(tmp_path
 
 
 def test_sigscan_holds_a_large_target_once(tmp_path, capsys):
-    # the target's code is read in windows and a section nobody uses is
-    # not read, so the peak is one window and what the scan of it takes,
-    # whatever the target's size: 1.41 MB for both targets here (CPython
-    # 3.11, x86-64; holding every section, 1.4 times the target)
+    # the target's code and .comment are read in windows and a section
+    # nobody uses is not read, so the peak is one window and what the scan
+    # of it takes, whatever the target's size: 1.41 MB for both targets
+    # of each shape here (CPython 3.11, x86-64; holding every section, 1.4
+    # times the target; .comment read whole, 2.81 and 5.62 MB)
     rng = random.Random(1)
     texts = [rng.randbytes(size) for size in (2 << 20, 4 << 20)]
-    results = _scan_peaks(tmp_path, capsys, f"s.o:.text:text:hex:{'5a' * 20}\n", texts,
-                          lambda text: build_executable(
-                              text, extra=[Sec(".rodata", rng.randbytes(len(text)))]))
-    assert [out for out, _ in results] == ["no matches\n"] * 2
-    (_, small), (_, large) = results
-    assert abs(large - small) < 64 << 10, (small, large)
-    assert large < 2 * elf.WINDOW, large
+    text_line = f"s.o:.text:text:hex:{'5a' * 20}\n"
+    beside_rodata = _scan_peaks(tmp_path, capsys, text_line, texts,
+                                lambda text: build_executable(
+                                    text, extra=[Sec(".rodata", rng.randbytes(len(text)))]))
+    assert [out for out, _ in beside_rodata] == ["no matches\n"] * 2
+    # a .comment as large as the code, one vendor string in it across
+    # the first window's end
+    vendor = b"GCC: (GNU) 12.2.0"
+
+    def with_comment(text):
+        comment = bytearray(rng.randbytes(len(text)))
+        comment[elf.WINDOW - 8:elf.WINDOW - 8 + len(vendor)] = vendor
+        return build_executable(text, comment=bytes(comment))
+
+    (tmp_path / "comment").mkdir()
+    comment_line = f"c.o:.comment.0:comment:hex:{vendor.hex()}\n"
+    as_large_comment = _scan_peaks(tmp_path / "comment", capsys, text_line + comment_line,
+                                   texts, with_comment)
+    assert [out for out, _ in as_large_comment] == [f"(1 times, {len(vendor)} bytes) P 1\n"] * 2
+    for (_, small), (_, large) in (beside_rodata, as_large_comment):
+        assert abs(large - small) < 64 << 10, (small, large)
+        assert large < 2 * elf.WINDOW, large
+
+
+def test_sigscan_windows_each_body_by_its_own_engine_overlap(tmp_path, capsys, monkeypatch):
+    # with 16-byte windows, a 4-byte code pattern overlaps them by 3 bytes
+    # and a 30-byte vendor string by 29: each planted across the first
+    # window's end comes once, and the vendor string only if .comment is
+    # windowed by the comment engine's overlap
+    db = tmp_path / "db"
+    db.mkdir()
+    vendor = b"GCC: (GNU) 12.2.0 20220819 (x)"
+    (db / "t.sig").write_text("provsig 1\npackage T\nversion 1\ns.o:.text:text:hex:5a5a5a5a\n")
+    (db / "c.sig").write_text("provsig 1\npackage C\nversion 1\n"
+                              f"c.o:.comment.0:comment:hex:{vendor.hex()}\n")
+    target = tmp_path / "t"
+    target.write_bytes(build_executable(bytes(14) + b"\x5a" * 4 + bytes(40),
+                                        comment=bytes(10) + vendor + bytes(40)))
+    monkeypatch.setattr(elf, "WINDOW", 16)
+    assert sigscan_main(["--db", str(db), "--no-dynamic", str(target)]) == 0
+    assert capsys.readouterr() == ("(1 times, 30 bytes) C 1\n(1 times, 4 bytes) T 1\n", "")
+    assert sigscan_main(["--db", str(db), "--no-dynamic", "--format", "json", str(target)]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out)["package_hits"], err) == ([
+        {"package": "C", "version": "1", "count": 1, "total_bytes": 30},
+        {"package": "T", "version": "1", "count": 1, "total_bytes": 4}], "")
 
 
 def test_sigscan_empty_db_exit_2(tmp_path, capsys):

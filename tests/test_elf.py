@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import os
 import re
 import shutil
@@ -12,12 +11,13 @@ import subprocess
 import time
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from provsig import elf, matcher, sigdb, siggen, symver
+from provsig import elf, sigdb, siggen, symver
 from provsig.elf import (
     MalformedArchive,
     MalformedElf,
@@ -1154,7 +1154,6 @@ def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch,
     # window of a code section, that the cut reaches, with that
     # section's line
     monkeypatch.setattr(elf, "WINDOW", 4)
-    engine = matcher.compile([])
     for index, section in enumerate(image.sections):
         for shrunk in range(section.offset, section.offset + section.size):
             cut = len(blob)
@@ -1163,13 +1162,40 @@ def test_a_short_read_fails_the_bounds_check_of_that_read(tmp_path, monkeypatch,
                 walked = elf.read_elf(file)
                 assert len(reads) == 3 + extended
                 cut = shrunk
-                read = functools.partial(elf.read_body, file, walked.sections[index])
                 with pytest.raises(MalformedElf, match=re.escape(
                         f"section {section.name!r} extends past end of file")):
                     if elf.is_text_section(section):
-                        list(matcher.iter_windowed_matches(engine, read, section.size))
+                        list(elf.read_windows(file, walked.sections[index]))
                     else:
-                        read()
+                        elf.read_body(file, walked.sections[index])
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=st.integers(1, 24), overlap=st.integers(0, 30), size=st.integers(0, 100),
+       skip=st.integers(0, 7))
+@example(window=8, overlap=3, size=11, skip=0)  # a body that fits, to the byte
+@example(window=8, overlap=3, size=12, skip=0)  # one byte more: two windows
+@example(window=8, overlap=0, size=16, skip=0)  # whole windows, no overlap
+@example(window=8, overlap=3, size=0, skip=5)  # an empty body
+def test_read_windows_cuts_a_body_every_window(window, overlap, size, skip):
+    """The windows of a ``size``-byte body that starts ``skip`` bytes
+    into its file."""
+    data = bytes(range(256))[:skip + size]
+    section = elf.Section(".text", offset=skip, size=size)
+    with bytes_file(data) as file, mock.patch.object(elf, "WINDOW", window):
+        windows = list(elf.read_windows(file, section, overlap))
+    # a window starts every WINDOW bytes and reads the overlap more, and
+    # its limit is WINDOW; the last one, the only one cut short, reaches
+    # the end and keeps all it read
+    assert [start for start, _, _ in windows] == list(range(0, window * len(windows), window))
+    assert all(chunk == data[skip + start:skip + start + window + overlap]
+               and len(chunk) == window + overlap and limit == window
+               for start, chunk, limit in windows[:-1])
+    start, chunk, limit = windows[-1]
+    assert chunk == data[skip + start:] and limit == len(chunk) <= window + overlap
+    # as few windows as that takes: a body of WINDOW plus the overlap or
+    # fewer bytes, an empty one included, is read at once
+    assert len(windows) == max(1, -(-(size - overlap) // window))
 
 
 def test_open_file_refuses_a_fifo(tmp_path):

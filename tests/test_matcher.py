@@ -16,6 +16,7 @@ import pattern_reference
 from provsig import elf, matcher
 from provsig.sigdb import HexPattern
 
+from elfbytes import bytes_file
 from pattern_reference import ANY, Gap, expand, from_elements, well_formed
 
 CALL_STUB_TEXT = bytes.fromhex(
@@ -659,10 +660,10 @@ def test_short_keys_searched_agree_with_oracle(anchors, shifts, pieces, as_array
 
 
 # -- windowed scans: checked against the oracle ----------------------------------
-# iter_windowed_matches reads elf.WINDOW bytes plus the engine's overlap
-# at a time; shrunk to a few bytes, the windows cut keys, runs and whole
-# patterns, and every match must still come once, from the window where
-# it starts.
+# iter_matches scans the windows elf.read_windows cuts, elf.WINDOW bytes
+# plus the engine's overlap each; shrunk to a few bytes, the windows cut
+# keys, runs and whole patterns, and every match must still come once,
+# from the window where it starts.
 
 def _planted(pattern: HexPattern, fill: int) -> bytes:
     """One occurrence of ``pattern``, each byte it leaves open ``fill``."""
@@ -673,26 +674,17 @@ def _planted(pattern: HexPattern, fill: int) -> bytes:
 
 
 def _assert_windowed_oracle(patterns, buffer: bytes, window: int) -> int:
-    """Check one windowed scan against the oracle; return how many
-    windows it read."""
+    """Check one scan of ``buffer``'s windows against the oracle; return
+    how many windows it scanned."""
     engine = matcher.compile(patterns)
-    reads = []
-
-    def read_at(offset, length):
-        reads.append((offset, length))
-        return buffer[offset:offset + length]
-
-    with mock.patch.object(elf, "WINDOW", window):
-        found = list(matcher.iter_windowed_matches(engine, read_at, len(buffer)))
+    with bytes_file(buffer) as file, mock.patch.object(elf, "WINDOW", window):
+        windows = list(elf.read_windows(file, elf.Section(".text", size=len(buffer)),
+                                        engine.overlap))
+    found = list(matcher.iter_matches(engine, windows))
     expected = naive_scan_once(patterns, buffer)
     assert len(found) == len(pairs(found)) and pairs(found) == expected
     assert all(m.span == patterns[m.signature_id].span for m in found)
-    # a window starts every WINDOW bytes, reads at most the overlap more,
-    # and the last one, the only one cut short, reaches the end
-    assert [offset for offset, _ in reads] == list(range(0, window * len(reads), window))
-    assert all(length == window + engine.overlap for _, length in reads[:-1])
-    assert sum(reads[-1]) == len(buffer) and reads[-1][1] <= window + engine.overlap
-    return len(reads)
+    return len(windows)
 
 
 # (anchor, wildcards before it, gap after it, literal after the gap)

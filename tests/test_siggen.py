@@ -4,6 +4,7 @@ and the pattern text grammar that ``provsig.sigdb`` holds."""
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import struct
 import sys
@@ -428,6 +429,31 @@ def test_sign_object_short_section_skipped():
     assert [(r.name, r.reason) for r in rejects] == [("obj.o:.text.b", TOO_SHORT)]
 
 
+def test_sign_object_rejects_a_short_section_without_reading_it(tmp_path, monkeypatch):
+    data = build_object({".text.a": b"\xab" * 20, ".text.b": b"\xcd" * 15,
+                         ".text.c": b"\xef" * MIN_PATTERN_POSITIONS})
+    read_body, read = elf.read_body, []
+
+    def spy(file, section, *args):
+        read.append(section.name)
+        return read_body(file, section, *args)
+
+    monkeypatch.setattr(elf, "read_body", spy)
+    sigs, rejects = read_with(data, sign_object, "obj.o", [])
+    assert [s.name for s in sigs] == ["obj.o:.text.a", "obj.o:.text.c"]
+    assert [(r.name, r.reason) for r in rejects] == [("obj.o:.text.b", TOO_SHORT)]
+    assert read == [".text.a", ".text.c"]
+    # cut after the walk inside the short section's body, the object
+    # fails at the first body read that the cut reaches
+    path = tmp_path / "obj.o"
+    path.write_bytes(data)
+    with elf.open_file(path) as file:
+        image = elf.read_elf(file)
+        os.truncate(path, elf.get_section(image, ".text.b").offset + 1)
+        with pytest.raises(elf.MalformedElf, match="section '.text.c' extends past end of file"):
+            sign_object(image, file, "obj.o", [])
+
+
 def test_sign_object_empty_text():
     sigs, rejects = read_with(build_object(b""), sign_object, "empty.o", [])
     assert sigs == []
@@ -569,7 +595,7 @@ def test_text_md5_key_without_builtin_md5_takes_a_non_security_digest(monkeypatc
     openssl_md5 = hashlib.md5
     calls = []
 
-    def fips_md5(data, *, usedforsecurity=True):
+    def fips_md5(data=b"", *, usedforsecurity=True):
         calls.append(usedforsecurity)
         if usedforsecurity:
             raise ValueError("[digital envelope routines] unsupported")
